@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build lint test race stress bench results quick-results cover clean serve-smoke loop-smoke flight-smoke fleet-smoke compile-smoke lineage-smoke vet-bench vet-diff
+.PHONY: all build lint test race stress bench results quick-results cover clean serve-smoke loop-smoke flight-smoke fleet-smoke compile-smoke lineage-smoke vet-bench vet-diff bench-smoke
 
-all: build lint vet-diff test race flight-smoke fleet-smoke compile-smoke lineage-smoke
+all: build lint vet-diff test bench-smoke race flight-smoke fleet-smoke compile-smoke lineage-smoke
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The repository benchmark (benchmark/, its own module, `replace apollo
+# => ../`) calls this module's packages directly; its own 8-second check
+# catches an API break against it before the benchmark pipeline runs.
+bench-smoke:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Scheduler stress: the closed-loop e2e scenario repeated under the
 # race detector across a GOMAXPROCS sweep, multiplying the goroutine

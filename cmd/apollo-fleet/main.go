@@ -120,6 +120,45 @@ type tally struct {
 	evictions          uint64
 }
 
+// liveGauges is what the -metrics-addr exporter can observe mid-run:
+// ring membership and failover counters from the first client (every
+// client sees the same ring, so one is representative), and the
+// telemetry-ring drop count summed over every client's recorder.
+type liveGauges struct {
+	mu   sync.Mutex //apollo:lockrank 14
+	ring *client.FleetClient
+	recs []*telemetry.Recorder
+}
+
+func (l *liveGauges) register(f *client.FleetClient, rec *telemetry.Recorder) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.ring == nil {
+		l.ring = f
+	}
+	l.recs = append(l.recs, rec)
+}
+
+func (l *liveGauges) export(met *metrics.Metrics) {
+	l.mu.Lock()
+	ringClient := l.ring
+	var dropped uint64
+	for _, rec := range l.recs {
+		dropped += rec.Dropped()
+	}
+	l.mu.Unlock()
+	if ringClient == nil {
+		return
+	}
+	fleet.ExportRing(met, ringClient.Ring())
+	met.GaugeSet("apollo_fleet_failovers_total", "", "",
+		"Requests retried on a non-owner replica.", int64(ringClient.Failovers()))
+	met.GaugeSet("apollo_fleet_exhausted_total", "", "",
+		"Requests that failed on every replica.", int64(ringClient.Exhausted()))
+	met.GaugeSet("apollo_telemetry_ring_dropped_total", "", "",
+		"Sampled launches lost to a full telemetry ring, over all client tuners.", int64(dropped))
+}
+
 func run(replicaSpec, model, appName, problem string, size, clients, steps, ranks int,
 	sampleEvery, exploreEvery uint64, duration, poll, flush, healthEvery time.Duration,
 	noise float64, seed uint64, metricsAddr string) (tally, error) {
@@ -150,26 +189,9 @@ func run(replicaSpec, model, appName, problem string, size, clients, steps, rank
 
 	predictLat, ingestLat := &latencies{}, &latencies{}
 	met := metrics.New()
-	var metRing *client.FleetClient // first client's ring feeds the gauges
-	var metMu sync.Mutex
-	// exportLive publishes what is observable mid-run: ring membership
-	// and the first client's failover/exhausted counters (every client
-	// sees the same ring, so one is representative).
-	exportLive := func() {
-		metMu.Lock()
-		ringClient := metRing
-		metMu.Unlock()
-		if ringClient == nil {
-			return
-		}
-		fleet.ExportRing(met, ringClient.Ring())
-		met.GaugeSet("apollo_fleet_failovers_total", "", "",
-			"Requests retried on a non-owner replica.", int64(ringClient.Failovers()))
-		met.GaugeSet("apollo_fleet_exhausted_total", "", "",
-			"Requests that failed on every replica.", int64(ringClient.Exhausted()))
-	}
+	var live liveGauges
 	exportMetrics := func(totals tally) {
-		exportLive()
+		live.export(met)
 		met.GaugeSet("apollo_fleet_failovers_total", "", "",
 			"Requests retried on a non-owner replica.", int64(totals.failovers))
 		met.GaugeSet("apollo_fleet_exhausted_total", "", "",
@@ -200,7 +222,7 @@ func run(replicaSpec, model, appName, problem string, size, clients, steps, rank
 				case <-stopExport:
 					return
 				case <-tick.C:
-					exportLive()
+					live.export(met)
 				}
 			}
 		}()
@@ -213,7 +235,7 @@ func run(replicaSpec, model, appName, problem string, size, clients, steps, rank
 		go func(i int) {
 			t, err := runClient(i, peers, model, desc, problem, size, steps, ranks,
 				sampleEvery, exploreEvery, duration, poll, flush, healthEvery,
-				noise, seed+uint64(i), predictLat, ingestLat, &metMu, &metRing)
+				noise, seed+uint64(i), predictLat, ingestLat, &live)
 			if err != nil {
 				errs <- fmt.Errorf("client %d: %w", i, err)
 				return
@@ -256,19 +278,13 @@ func run(replicaSpec, model, appName, problem string, size, clients, steps, rank
 func runClient(idx int, peers []fleet.Peer, model string, desc app.Descriptor, problem string,
 	size, steps, ranks int, sampleEvery, exploreEvery uint64,
 	duration, poll, flush, healthEvery time.Duration, noise float64, seed uint64,
-	predictLat, ingestLat *latencies, metMu *sync.Mutex, metRing **client.FleetClient) (t tally, err error) {
+	predictLat, ingestLat *latencies, live *liveGauges) (t tally, err error) {
 	// Named results: the health checker's eviction count is harvested in a
 	// defer after the final return statement has run.
 	f, err := client.NewFleet(fleet.PeerMap(peers), client.Options{})
 	if err != nil {
 		return t, err
 	}
-	metMu.Lock()
-	if *metRing == nil {
-		*metRing = f
-	}
-	metMu.Unlock()
-
 	if healthEvery > 0 {
 		h := fleet.NewHealth(peers, f.Ring(), fleet.HealthOptions{})
 		stop := h.Start(healthEvery)
@@ -285,6 +301,7 @@ func runClient(idx int, peers []fleet.Peer, model string, desc app.Descriptor, p
 	defer stopPoll()
 
 	rec := telemetry.NewRecorder(schema, ann, telemetry.Options{SampleEvery: sampleEvery})
+	live.register(f, rec)
 	machine := platform.SandyBridgeNode()
 	clk := platform.NewSimClock(machine, noise, seed)
 	ctx := raja.NewSimContext(clk, desc.DefaultParams)

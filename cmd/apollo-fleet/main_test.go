@@ -2,15 +2,19 @@ package main
 
 import (
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
+	"apollo/internal/client"
 	"apollo/internal/core"
 	"apollo/internal/dataset"
 	"apollo/internal/features"
+	"apollo/internal/metrics"
 	"apollo/internal/raja"
 	"apollo/internal/registry"
 	"apollo/internal/server"
+	"apollo/internal/telemetry"
 )
 
 func testModel(t *testing.T) *core.Model {
@@ -98,5 +102,33 @@ func TestHarnessRejectsBadFlags(t *testing.T) {
 	if _, err := run("a=http://x", "m", "NoSuchApp", "sedov", 8, 1, 1, 1, 1, 8,
 		0, time.Second, time.Second, 0, 0, 1, ""); err == nil {
 		t.Fatal("unknown app accepted")
+	}
+}
+
+// The -metrics-addr gauges sum telemetry-ring drops over every client's
+// recorder, next to the first client's ring gauges.
+func TestLiveGaugesSumTelemetryRingDrops(t *testing.T) {
+	f, err := client.NewFleet(map[string]string{"r1": "http://127.0.0.1:1"}, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := features.TableI()
+	k, iset := raja.NewKernel("k", nil), raja.NewRange(0, 8)
+	var live liveGauges
+	for _, launches := range []int{4 + 3, 4 + 2} { // capacity 4: 3 and 2 drops
+		rec := telemetry.NewRecorder(schema, nil, telemetry.Options{Capacity: 4})
+		for i := 0; i < launches; i++ {
+			rec.Record(k, iset, raja.Params{}, 100)
+		}
+		live.register(f, rec)
+	}
+	met := metrics.New()
+	live.export(met)
+	var out strings.Builder
+	if err := met.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "\napollo_telemetry_ring_dropped_total 5\n") {
+		t.Errorf("metrics lack apollo_telemetry_ring_dropped_total 5:\n%s", out.String())
 	}
 }

@@ -12,50 +12,18 @@ import (
 	"strings"
 	"time"
 
-	"apollo/internal/ctree"
-	"apollo/internal/dtree"
 	"apollo/internal/flight"
 )
 
-// flightCapture mirrors the apollo-flight-v1 JSON the debug endpoint
-// serves (internal/flight.Capture), decoding only what the analyses
-// need.
-type flightCapture struct {
-	Format  string         `json:"format"`
-	Emitted uint64         `json:"emitted"`
-	Dropped uint64         `json:"dropped"`
-	Sites   []flightSite   `json:"sites"`
-	Records []flightRecord `json:"records"`
-}
-
-// flightSite carries the per-site compiled-tree layout a capture embeds
-// for sites that record compact offset trails.
-type flightSite struct {
-	ID       string        `json:"id"`
-	Name     string        `json:"name"`
-	Features []string      `json:"features"`
-	CTree    *ctree.Layout `json:"ctree"`
-	Src      []int32       `json:"src"`
-}
-
-type flightRecord struct {
-	Seq          uint64             `json:"seq"`
-	Site         string             `json:"site"`
-	SiteID       string             `json:"site_id"`
-	Iterations   int64              `json:"iterations"`
-	Policy       int                `json:"policy"`
-	Chunk        int                `json:"chunk"`
-	Predicted    int                `json:"predicted"`
-	Explored     bool               `json:"explored"`
-	PredictedNS  float64            `json:"predicted_ns"`
-	ObservedNS   float64            `json:"observed_ns"`
-	Features     map[string]float64 `json:"features"`
-	Path         []string           `json:"path"`
-	TrailOffsets []int32            `json:"trail_offsets"`
-}
+// The apollo-flight-v1 JSON the debug endpoint serves, as the recorder
+// itself declares it.
+type (
+	flightCapture = flight.Capture
+	flightRecord  = flight.CaptureRecord
+)
 
 // siteName returns the display name of the record's site.
-func (r *flightRecord) siteName() string {
+func siteName(r *flightRecord) string {
 	if r.Site != "" {
 		return r.Site
 	}
@@ -63,7 +31,7 @@ func (r *flightRecord) siteName() string {
 }
 
 // variant labels the executed parameter assignment.
-func (r *flightRecord) variant() string {
+func variant(r *flightRecord) string {
 	if r.Chunk != 0 {
 		return fmt.Sprintf("class=%d/chunk=%d", r.Policy, r.Chunk)
 	}
@@ -74,14 +42,14 @@ func (r *flightRecord) variant() string {
 // feature snapshot. Exploration gives such a group observations of more
 // than one variant, which is what makes the retrospective comparison
 // possible.
-func (r *flightRecord) regionKey() string {
+func regionKey(r *flightRecord) string {
 	names := make([]string, 0, len(r.Features))
 	for name := range r.Features {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	var b strings.Builder
-	b.WriteString(r.siteName())
+	b.WriteString(siteName(r))
 	for _, name := range names {
 		if v := r.Features[name]; v != 0 {
 			fmt.Fprintf(&b, " %s=%g", name, v)
@@ -111,8 +79,8 @@ func runFlightCmd(args []string) error {
 	if err := json.Unmarshal(data, &c); err != nil {
 		return fmt.Errorf("decoding capture: %w", err)
 	}
-	if c.Format != "apollo-flight-v1" {
-		return fmt.Errorf("not a flight capture (format %q, want apollo-flight-v1)", c.Format)
+	if c.Format != flight.CaptureFormatID {
+		return fmt.Errorf("not a flight capture (format %q, want %s)", c.Format, flight.CaptureFormatID)
 	}
 	decodeOffsetPaths(&c)
 	if *jsonOut {
@@ -162,36 +130,26 @@ func writeFlightJSON(w io.Writer, c *flightCapture) error {
 	return enc.Encode(out)
 }
 
-// decodeOffsetPaths fills in Path for records that carry only a compact
-// offset trail, using the compiled-tree layout the capture embeds per
-// site. Captures taken while the site's decoder was registered arrive
-// with Path already rendered; this is the offline fallback for the raw
-// form. Records whose site embeds no layout are left as-is.
+// decodeOffsetPaths fills in Path for records that carry only raw offset
+// trails, using the compiled-tree layouts the capture embeds per site.
+// Captures taken while the site's decoder was registered arrive with
+// Path already rendered; this is the offline fallback for the raw form.
+// Records whose site embeds no usable layout are left as-is.
 func decodeOffsetPaths(c *flightCapture) {
 	type siteDecoder struct {
-		tree     *ctree.Tree
-		src      []int32
+		dec      *flight.TrailDecoder
 		features []string
 	}
-	decoders := map[string]*siteDecoder{}
+	decoders := map[string]siteDecoder{}
 	for _, s := range c.Sites {
-		if s.CTree == nil {
-			continue
+		if d := s.Decoder(); d != nil {
+			decoders[s.ID] = siteDecoder{dec: d, features: s.Features}
 		}
-		t, err := ctree.FromLayout(s.CTree)
-		if err != nil {
-			continue // foreign or corrupt layout; leave raw offsets visible
-		}
-		decoders[s.ID] = &siteDecoder{tree: t, src: s.Src, features: s.Features}
 	}
-	var steps [flight.MaxTrail]dtree.TrailStep
 	for i := range c.Records {
 		r := &c.Records[i]
-		if len(r.Path) > 0 || len(r.TrailOffsets) == 0 {
-			continue
-		}
-		d := decoders[r.SiteID]
-		if d == nil {
+		d, ok := decoders[r.SiteID]
+		if !ok || len(r.Path) > 0 || len(r.TrailOffsets)+len(r.ChunkTrailOffsets) == 0 {
 			continue
 		}
 		// Rebuild the source-layout feature slice from the named map.
@@ -203,8 +161,7 @@ func decodeOffsetPaths(c *flightCapture) {
 				x[j] = math.NaN()
 			}
 		}
-		n := d.tree.DecodeOffsets(r.TrailOffsets, d.src, x, steps[:])
-		r.Path = flight.ExplainTrail(steps[:n], d.features)
+		r.Path = d.dec.Explain(r.TrailOffsets, r.ChunkTrailOffsets, x, d.features)
 	}
 }
 
@@ -268,7 +225,7 @@ func mispredictTable(recs []flightRecord) []mispredictRow {
 	var order []string
 	for i := range recs {
 		r := &recs[i]
-		key := r.regionKey()
+		key := regionKey(r)
 		rs := regions[key]
 		if rs == nil {
 			rs = &regionStat{key: key, variants: map[string]*variantStat{}}
@@ -276,10 +233,10 @@ func mispredictTable(recs []flightRecord) []mispredictRow {
 			order = append(order, key)
 		}
 		rs.launches++
-		v := rs.variants[r.variant()]
+		v := rs.variants[variant(r)]
 		if v == nil {
 			v = &variantStat{}
-			rs.variants[r.variant()] = v
+			rs.variants[variant(r)] = v
 		}
 		v.count++
 		v.total += r.ObservedNS
@@ -361,7 +318,7 @@ func writePathHistogram(w io.Writer, recs []flightRecord, top int) {
 		if len(r.Path) == 0 {
 			continue
 		}
-		key := r.siteName() + ":\n      " + strings.Join(r.Path, "\n      ")
+		key := siteName(r) + ":\n      " + strings.Join(r.Path, "\n      ")
 		if counts[key] == 0 {
 			order = append(order, key)
 		}

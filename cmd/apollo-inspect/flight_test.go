@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"apollo/internal/ctree"
 	"apollo/internal/dtree"
+	"apollo/internal/flight"
 )
 
 // syntheticRecords describe one region ("daxpy" at num_indices=1024)
@@ -140,7 +142,7 @@ func TestDecodeOffsetPaths(t *testing.T) {
 
 	c := flightCapture{
 		Format: "apollo-flight-v1",
-		Sites: []flightSite{{
+		Sites: []flight.CaptureSite{{
 			ID: "0x7", Name: "daxpy",
 			Features: []string{"num_indices", "trip_count"},
 			CTree:    ct.Layout(),
@@ -161,6 +163,26 @@ func TestDecodeOffsetPaths(t *testing.T) {
 		t.Fatalf("decoded path %q, want %q", got, want)
 	}
 
+	// A dual-model record: the chunk layout and trail ride in the additive
+	// fields (here the chunk model reads the two features swapped) and
+	// decode after the policy steps.
+	c.Sites[0].ChunkCTree, c.Sites[0].ChunkSrc = ct.Layout(), []int32{1, 0}
+	r := &c.Records[0]
+	r.Path, r.Features = nil, map[string]float64{"num_indices": 1024, "trip_count": 64}
+	_, n = ct.PredictOffsets([]float64{1024, 64}, offs[:])
+	r.TrailOffsets = append([]int32(nil), offs[:n]...)
+	_, n = ct.PredictOffsets([]float64{64, 1024}, offs[:])
+	r.ChunkTrailOffsets = append([]int32(nil), offs[:n]...)
+	decodeOffsetPaths(&c)
+	want = []string{
+		"num_indices (=1024) > 96 → right",
+		"trip_count (=64) <= 256 → left",
+		"trip_count (=64) <= 96 → left",
+	}
+	if strings.Join(r.Path, "|") != strings.Join(want, "|") {
+		t.Fatalf("dual decoded path %q, want %q", r.Path, want)
+	}
+
 	// Records from sites without an embedded layout stay untouched.
 	c2 := flightCapture{
 		Records: []flightRecord{{SiteID: "0x9", TrailOffsets: []int32{0, -1}}},
@@ -168,6 +190,42 @@ func TestDecodeOffsetPaths(t *testing.T) {
 	decodeOffsetPaths(&c2)
 	if c2.Records[0].Path != nil {
 		t.Fatalf("layout-less record grew a path: %q", c2.Records[0].Path)
+	}
+}
+
+// TestFlightCmdDecodesPrePRCapture pins capture compatibility: a
+// single-model apollo-flight-v1 capture written before records carried
+// two trails (no chunk fields anywhere) still loads, and re-decoding its
+// raw offset trails offline reproduces the paths the old recorder
+// rendered at capture time.
+func TestFlightCmdDecodesPrePRCapture(t *testing.T) {
+	const golden = "testdata/flight_capture_pr11.json"
+	if err := runFlightCmd([]string{"-in", golden}); err != nil {
+		t.Fatalf("flight subcommand rejected the pre-PR capture: %v", err)
+	}
+	data, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c flightCapture
+	if err := json.Unmarshal(data, &c); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Records) != 6 {
+		t.Fatalf("golden capture has %d records, want 6", len(c.Records))
+	}
+	rendered := make([][]string, len(c.Records))
+	for i := range c.Records {
+		if len(c.Records[i].Path) == 0 || len(c.Records[i].TrailOffsets) == 0 {
+			t.Fatalf("golden record %d lacks a rendered path or raw offsets", i)
+		}
+		rendered[i], c.Records[i].Path = c.Records[i].Path, nil
+	}
+	decodeOffsetPaths(&c)
+	for i, want := range rendered {
+		if got := c.Records[i].Path; strings.Join(got, "|") != strings.Join(want, "|") {
+			t.Errorf("record %d: offline decode %q, capture-time rendering %q", i, got, want)
+		}
 	}
 }
 

@@ -37,19 +37,20 @@ func runLoopCmd(args []string) error {
 		return fmt.Errorf("set at least one of -dir, -in, or -url")
 	}
 	var events []looptrace.EventJSON
+	skipped := 0
 	for _, d := range splitList(*dir) {
-		evs, err := looptrace.ReadJournalDir(d)
+		evs, n, err := looptrace.ReadJournalDir(d)
 		if err != nil {
 			return err
 		}
-		events = append(events, evs...)
+		events, skipped = append(events, evs...), skipped+n
 	}
 	for _, path := range splitList(*in) {
-		evs, err := looptrace.ReadJournal(path)
+		evs, n, err := looptrace.ReadJournal(path)
 		if err != nil {
 			return err
 		}
-		events = append(events, evs...)
+		events, skipped = append(events, evs...), skipped+n
 	}
 	for _, u := range splitList(*url) {
 		data, err := readInput("", u, *timeout)
@@ -67,6 +68,7 @@ func runLoopCmd(args []string) error {
 		events = append(events, c.Events...)
 	}
 	rep := looptrace.Stitch(events)
+	rep.SkippedLines = skipped
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")

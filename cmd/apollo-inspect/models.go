@@ -28,7 +28,7 @@ type inspectedModel struct {
 }
 
 // runModelsCmd implements `apollo-inspect models`: the compiled-model
-// report (per model: node counts, flat-array bytes, specialization kind)
+// report (per model: node counts, depth, flat-array bytes)
 // over a registry directory, a live model service, or a single model
 // file. With -verify it differentially checks the compiled decision path
 // against the interpreted tree on threshold-boundary and random vectors
@@ -74,8 +74,8 @@ func runModelsCmd(args []string) error {
 	}
 	sort.Slice(models, func(i, j int) bool { return models[i].Name < models[j].Name })
 
-	fmt.Printf("%-32s %7s  %-16s %-14s %6s %6s %6s %10s\n",
-		"model", "version", "parameter", "kind", "nodes", "leaves", "depth", "flat bytes")
+	fmt.Printf("%-32s %7s  %-16s %6s %6s %6s %10s\n",
+		"model", "version", "parameter", "nodes", "leaves", "depth", "flat bytes")
 	compiled := make([]*ctree.Tree, len(models))
 	for i, im := range models {
 		ct, err := ctree.Compile(im.Model.Tree)
@@ -84,8 +84,8 @@ func runModelsCmd(args []string) error {
 		}
 		compiled[i] = ct
 		st := ct.Stats()
-		fmt.Printf("%-32s %7d  %-16s %-14s %6d %6d %6d %10d\n",
-			im.Name, im.Version, im.Model.Param.String(), st.Kind, st.Nodes, st.Leaves, st.Depth, st.FlatBytes)
+		fmt.Printf("%-32s %7d  %-16s %6d %6d %6d %10d\n",
+			im.Name, im.Version, im.Model.Param.String(), st.Nodes, st.Leaves, st.Depth, st.FlatBytes)
 	}
 
 	if !*verify {
@@ -231,20 +231,15 @@ func probeVectors(m *core.Model, random int) [][]float64 {
 	return probes
 }
 
-// verifyCompiled checks every probe through all compiled entry points —
-// flat walk, specialized closure, and batch — against the interpreted
-// tree.
+// verifyCompiled checks every probe through both compiled entry points —
+// the walk and the batch — against the interpreted tree.
 func verifyCompiled(m *core.Model, ct *ctree.Tree, probes [][]float64) error {
-	fn := ct.Func()
 	batch := make([]int, len(probes))
 	ct.PredictN(probes, batch)
 	for i, x := range probes {
 		want := m.Tree.Predict(x)
 		if got := ct.Predict(x); got != want {
 			return fmt.Errorf("vector %d: compiled Predict=%d, interpreted=%d (x=%v)", i, got, want, x)
-		}
-		if got := fn(x); got != want {
-			return fmt.Errorf("vector %d: specialized Func=%d, interpreted=%d (x=%v)", i, got, want, x)
 		}
 		if batch[i] != want {
 			return fmt.Errorf("vector %d: batched PredictN=%d, interpreted=%d (x=%v)", i, batch[i], want, x)

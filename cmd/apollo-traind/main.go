@@ -237,6 +237,10 @@ func run(ctx context.Context, cfg daemonConfig) error {
 		mux := http.NewServeMux()
 		mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 			rc.Collect() // refresh goroutine/heap/GC-pause self-metrics
+			if lt != nil {
+				met.GaugeSet("apollo_loop_events_dropped_total", "", "",
+					"Loop events lost to a full looptrace ring.", int64(lt.Dropped()))
+			}
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 			met.WritePrometheus(w) //apollo:errok metrics endpoint: a client gone mid-scrape has no receiver for the error
 		})

@@ -91,7 +91,16 @@ type callee struct {
 // second result is the external (out-of-module) function object when the
 // call statically targets one, for banned-call checks.
 func (g *graph) resolve(pkg *Package, bindings map[types.Object]*types.Func, call *ast.CallExpr) ([]callee, *types.Func) {
-	switch fun := ast.Unparen(call.Fun).(type) {
+	fun := ast.Unparen(call.Fun)
+	// Explicit instantiation (F[int](x), pkg.F[K, V](x)) wraps the callee
+	// in an index expression; the function is its operand.
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ast.Unparen(ix.X)
+	case *ast.IndexListExpr:
+		fun = ast.Unparen(ix.X)
+	}
+	switch fun := fun.(type) {
 	case *ast.Ident:
 		switch obj := pkg.Info.Uses[fun].(type) {
 		case *types.Func:
@@ -126,7 +135,12 @@ func (g *graph) resolve(pkg *Package, bindings map[types.Object]*types.Func, cal
 }
 
 // calleesOf maps a statically known function object to its callee form.
+// A method of an instantiated generic type (Ring[Event].Reserve) or an
+// instantiated generic function is a distinct object from the one its
+// declaration defines; Origin maps it back, so the edge lands on the
+// declared body instead of silently resolving to nothing.
 func (g *graph) calleesOf(obj *types.Func) ([]callee, *types.Func) {
+	obj = obj.Origin()
 	if fi, ok := g.funcs[obj]; ok {
 		return []callee{{fn: fi}}, nil
 	}

@@ -134,3 +134,25 @@ func Clean(x []float64) float64 {
 	_ = mustBeQuiet()
 	return sum
 }
+
+// Generic callees: a method of an instantiated generic type and an
+// explicitly instantiated generic function are distinct objects from
+// their declarations; the traversal must still land on the declared
+// bodies.
+
+type queue[T any] struct{ items []T }
+
+func (q *queue[T]) reserve() *T {
+	q.items = make([]T, 1) // want `make allocates on the hot path`
+	return &q.items[0]
+}
+
+func grow[T any](n int) []T {
+	return make([]T, n) // want `make allocates on the hot path`
+}
+
+//apollo:hotpath
+func GenericCallees(q *queue[int]) {
+	_ = q.reserve()
+	_ = grow[float64](4)
+}

@@ -85,3 +85,22 @@ func Quiet() int {
 	defer mu.Unlock()
 	return 40 + 2
 }
+
+// Generic callees: I/O behind a method of an instantiated generic type
+// or an explicitly instantiated generic function is still found.
+
+type store[T any] struct{ v T }
+
+func (s *store[T]) save() { _ = os.WriteFile("x", nil, 0o644) }
+
+func load[T any]() (v T) {
+	_, _ = os.ReadFile("x")
+	return v
+}
+
+func ViaGenericCallees(s *store[int]) {
+	mu.Lock()
+	s.save()        // want `file/network I/O os\.WriteFile \(via`
+	_ = load[int]() // want `file/network I/O os\.ReadFile \(via`
+	mu.Unlock()
+}

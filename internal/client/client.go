@@ -1,8 +1,7 @@
 // Package client consumes the Apollo model service from inside an
 // application process. It fetches models with conditional GETs (ETag /
 // If-None-Match), compiles each fetched tree into its flat ctree form
-// and installs the specialized predict closure behind an atomic pointer
-// — every decision, first sight or not, is one lock-free map read plus a
+// and installs it behind an atomic pointer — every decision, first sight or not, is one lock-free map read plus a
 // compiled array walk, with no per-vector memo to miss. Crucially for a
 // tuner on an application's launch hot path the client also degrades
 // gracefully: when the server is unreachable it serves the last fetched
@@ -54,10 +53,6 @@ type Cached struct {
 	// stamp swap events and telemetry batches with the retrain cycle
 	// that produced the version it runs.
 	Lineage *core.Lineage
-
-	// predict is the specialized closure Compiled.Func built when this
-	// version was installed — the one indirect call a hot decision makes.
-	predict func(x []float64) int
 }
 
 // Options tunes a client; the zero value picks sensible defaults.
@@ -271,11 +266,10 @@ func (c *Client) Fetch(name string) (*Cached, error) {
 			Model:      env.Model,
 			Lineage:    env.Lineage,
 		}
-		// Compile and specialize once per installed version, here on the
-		// fetch (cold) path; every later Predict just calls the closure.
+		// Compile once per installed version, here on the fetch (cold)
+		// path; every later Predict just walks the arrays.
 		if ct, err := env.Model.Compile(); err == nil {
 			next.Compiled = ct
-			next.predict = ct.Func()
 		}
 		st.cur.Store(next)
 		c.ok(st)
@@ -354,15 +348,15 @@ func (c *Client) Predict(name string, x []float64) (int, error) {
 	if len(x) != cur.Model.Schema.Len() {
 		return 0, sizeMismatch(name, len(x), cur.Model.Schema.Len())
 	}
-	if cur.predict != nil {
-		return cur.predict(x), nil
+	if cur.Compiled != nil {
+		return cur.Compiled.Predict(x), nil
 	}
 	return cur.Model.Predict(x), nil
 }
 
 // PredictN evaluates the named model on a batch of vectors, writing
 // classes into out (len(out) >= len(X)). One compiled walk amortizes the
-// name resolution and closure dispatch over the whole batch, so the
+// name resolution over the whole batch, so the
 // per-launch cost is below a single Predict — the API a tuner uses when
 // it decides a vector of queued launches at once. Allocation-free.
 //

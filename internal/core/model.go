@@ -69,31 +69,26 @@ func (m *Model) Params(class int, base raja.Params) raja.Params {
 // mapping is precomputed so the per-launch cost is a few slice reads.
 type Projector struct {
 	model *Model
-	idx   []int // model feature i reads source[idx[i]]; -1 reads 0
-	src   []int32
+	src   []int32 // model feature i reads source[src[i]]; -1 reads 0
 	ct    *ctree.Tree
-	fn    func(x []float64) int
 	pool  sync.Pool
 }
 
-// NewProjector builds a projector from the source schema onto the model,
-// compiling the tree and specializing the predict closure — projector
-// construction is the model-swap seam, so this is where publish-time
-// compilation lands for the tuner path. A tree the compiler rejects
-// (malformed structure) falls back to the interpreted walk.
+// NewProjector builds a projector from the source schema onto the model
+// and compiles the tree — projector construction is the model-swap seam,
+// so this is where publish-time compilation lands for the tuner path. A
+// tree the compiler rejects (malformed structure) falls back to the
+// interpreted walk.
 func (m *Model) NewProjector(source *features.Schema) *Projector {
-	p := &Projector{model: m, idx: make([]int, m.Schema.Len())}
-	p.src = make([]int32, len(p.idx))
+	p := &Projector{model: m, src: make([]int32, m.Schema.Len())}
 	for i, name := range m.Schema.Names() {
-		p.idx[i] = source.Index(name)
-		p.src[i] = int32(p.idx[i])
+		p.src[i] = int32(source.Index(name))
 	}
 	if ct, err := ctree.Compile(m.Tree); err == nil {
 		p.ct = ct
-		p.fn = ct.Func()
 	}
 	p.pool.New = func() any {
-		buf := make([]float64, len(p.idx))
+		buf := make([]float64, len(p.src))
 		return &buf
 	}
 	return p
@@ -108,83 +103,54 @@ func (p *Projector) Compiled() *ctree.Tree { return p.ct }
 // takes. Callers must not mutate it.
 func (p *Projector) SourceIndex() []int32 { return p.src }
 
-// Predict projects the source-layout vector and evaluates the model.
-// Scratch space comes from an internal pool, so it allocates nothing in
-// steady state and is safe for concurrent callers — the tuner evaluates
-// one shared projector from many goroutine contexts at once.
-func (p *Projector) Predict(source []float64) int {
+// project lays source out in the model's schema in a pooled scratch
+// buffer; the caller returns it to the pool when done. Pooling keeps the
+// projector allocation-free in steady state and safe for concurrent
+// callers — the tuner evaluates one shared projector from many goroutine
+// contexts at once.
+//
+//apollo:hotpath
+func (p *Projector) project(source []float64) *[]float64 {
 	bufp := p.pool.Get().(*[]float64)
 	buf := *bufp
-	for i, j := range p.idx {
+	for i, j := range p.src {
 		if j >= 0 {
 			buf[i] = source[j]
 		} else {
 			buf[i] = 0
 		}
 	}
+	return bufp
+}
+
+// Predict projects the source-layout vector and evaluates the model.
+func (p *Projector) Predict(source []float64) int {
+	bufp := p.project(source)
 	var class int
-	if p.fn != nil {
-		class = p.fn(buf)
+	if p.ct != nil {
+		class = p.ct.Predict(*bufp)
 	} else {
-		class = p.model.Tree.Predict(buf)
+		class = p.model.Tree.Predict(*bufp)
 	}
 	p.pool.Put(bufp)
 	return class
 }
 
-// Model returns the model the projector evaluates.
-func (p *Projector) Model() *Model { return p.model }
-
-// PredictTrail is Predict with decision provenance: it records the
-// root-to-leaf trail into the caller's buffer, with each step's Feature
-// rewritten from the model's schema to the projector's *source* schema
-// (-1 for model features the source lacks, which project as zero). The
-// flight recorder stores source-schema indices so one feature-name table
-// explains every decision regardless of which reduced model made it.
-// Like Predict, it allocates nothing and is safe for concurrent callers.
-//
-//apollo:hotpath
-func (p *Projector) PredictTrail(source []float64, trail []dtree.TrailStep) (class, steps int) {
-	bufp := p.pool.Get().(*[]float64)
-	buf := *bufp
-	for i, j := range p.idx {
-		if j >= 0 {
-			buf[i] = source[j]
-		} else {
-			buf[i] = 0
-		}
-	}
-	if p.ct != nil {
-		class, steps = p.ct.PredictTrail(buf, trail)
-	} else {
-		class, steps = p.model.Tree.PredictTrail(buf, trail)
-	}
-	for i := 0; i < steps; i++ {
-		trail[i].Feature = int32(p.idx[trail[i].Feature])
-	}
-	p.pool.Put(bufp)
-	return class, steps
-}
-
-// PredictOffsets is PredictTrail in the compact flight-recorder
-// encoding: it evaluates the compiled tree while recording visited node
-// offsets (see ctree.PredictOffsets). Callers must gate on Compiled()
-// being non-nil; the offsets decode against Compiled's layout with
-// SourceIndex as the feature mapping. Allocation-free and safe for
-// concurrent callers.
+// PredictOffsets is Predict with decision provenance in the compact
+// flight-recorder encoding: visited node offsets of the compiled tree
+// (see ctree.PredictOffsets), which decode against Compiled's layout
+// with SourceIndex as the feature mapping. A projector running
+// interpreted (the compiler rejected its tree) decides the same class
+// and records no trail.
 //
 //apollo:hotpath
 func (p *Projector) PredictOffsets(source []float64, offs []int32) (class, n int) {
-	bufp := p.pool.Get().(*[]float64)
-	buf := *bufp
-	for i, j := range p.idx {
-		if j >= 0 {
-			buf[i] = source[j]
-		} else {
-			buf[i] = 0
-		}
+	bufp := p.project(source)
+	if p.ct != nil {
+		class, n = p.ct.PredictOffsets(*bufp, offs)
+	} else {
+		class = p.model.Tree.Predict(*bufp)
 	}
-	class, n = p.ct.PredictOffsets(buf, offs)
 	p.pool.Put(bufp)
 	return class, n
 }

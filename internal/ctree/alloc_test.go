@@ -3,8 +3,6 @@ package ctree
 import (
 	"math/rand"
 	"testing"
-
-	"apollo/internal/dtree"
 )
 
 // The compiled predict path carries //apollo:hotpath: every evaluation
@@ -17,21 +15,17 @@ func TestCompiledPredictAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	fn := ct.Func()
 	x := randVector(rng, 6)
 	X := make([][]float64, 32)
 	for i := range X {
 		X[i] = randVector(rng, 6)
 	}
 	out := make([]int, len(X))
-	var trail [24]dtree.TrailStep
 	var offs [25]int32
 	sink := 0
 	for name, f := range map[string]func(){
 		"Predict":        func() { sink += ct.Predict(x) },
-		"Func":           func() { sink += fn(x) },
 		"PredictN":       func() { ct.PredictN(X, out) },
-		"PredictTrail":   func() { _, s := ct.PredictTrail(x, trail[:]); sink += s },
 		"PredictOffsets": func() { _, n := ct.PredictOffsets(x, offs[:]); sink += n },
 	} {
 		if allocs := testing.AllocsPerRun(200, f); allocs != 0 {

@@ -12,7 +12,7 @@ import (
 // cache-miss predict does, while every lookup still walks the same
 // number of levels in both representations. Thresholds are drawn from
 // the same distribution as the probe vectors so both branches stay live.
-func newBenchFixture(b *testing.B) (ct *Tree, fn func([]float64) int, X [][]float64, interp func([]float64) int) {
+func newBenchFixture(b *testing.B) (ct *Tree, X [][]float64, interp func([]float64) int) {
 	rng := rand.New(rand.NewSource(1))
 	const depth, numFeatures = 15, 12
 	var grow func(d int) *dtree.Node
@@ -33,7 +33,6 @@ func newBenchFixture(b *testing.B) (ct *Tree, fn func([]float64) int, X [][]floa
 	if err != nil {
 		b.Fatalf("Compile: %v", err)
 	}
-	fn = ct.Func()
 	X = make([][]float64, 512)
 	for i := range X {
 		x := make([]float64, numFeatures)
@@ -42,13 +41,13 @@ func newBenchFixture(b *testing.B) (ct *Tree, fn func([]float64) int, X [][]floa
 		}
 		X[i] = x
 	}
-	return ct, fn, X, dt.Predict
+	return ct, X, dt.Predict
 }
 
 // BenchmarkInterpretedPredict is the baseline: the pointer-chasing dtree
 // walk every cache-miss decision used to pay.
 func BenchmarkInterpretedPredict(b *testing.B) {
-	_, _, X, interp := newBenchFixture(b)
+	_, X, interp := newBenchFixture(b)
 	b.ReportAllocs()
 	sink := 0
 	for i := 0; i < b.N; i++ {
@@ -59,7 +58,7 @@ func BenchmarkInterpretedPredict(b *testing.B) {
 
 // BenchmarkCompiledPredict is the flat SoA walk.
 func BenchmarkCompiledPredict(b *testing.B) {
-	ct, _, X, _ := newBenchFixture(b)
+	ct, X, _ := newBenchFixture(b)
 	b.ReportAllocs()
 	sink := 0
 	for i := 0; i < b.N; i++ {
@@ -68,22 +67,10 @@ func BenchmarkCompiledPredict(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkSpecializedFunc is the per-site closure a client installs at
-// model-swap time.
-func BenchmarkSpecializedFunc(b *testing.B) {
-	_, fn, X, _ := newBenchFixture(b)
-	b.ReportAllocs()
-	sink := 0
-	for i := 0; i < b.N; i++ {
-		sink += fn(X[i&511])
-	}
-	_ = sink
-}
-
 // BenchmarkBatchedPredictN amortizes one compiled walk over a vector of
 // launches; ns/launch is the per-decision cost.
 func BenchmarkBatchedPredictN(b *testing.B) {
-	ct, _, X, _ := newBenchFixture(b)
+	ct, X, _ := newBenchFixture(b)
 	out := make([]int, len(X))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -95,7 +82,7 @@ func BenchmarkBatchedPredictN(b *testing.B) {
 
 // BenchmarkPredictOffsets is the flight-recorder trail encoding cost.
 func BenchmarkPredictOffsets(b *testing.B) {
-	ct, _, X, _ := newBenchFixture(b)
+	ct, X, _ := newBenchFixture(b)
 	var offs [25]int32
 	b.ReportAllocs()
 	sink := 0

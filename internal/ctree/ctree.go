@@ -14,10 +14,8 @@
 //
 // Compilation happens once, at publish or model-swap time (registry
 // publish/hot-reload, client fetch, projector construction); the hot
-// path only ever walks the arrays. Func additionally specializes a
-// per-site predict closure, constant-folding leaf-only trees and
-// dispatching single-feature trees through a one-load walk. PredictN
-// amortizes one compiled walk over a vector of launches, and
+// path only ever walks the arrays — one walk, Predict, whatever the
+// tree's shape. PredictN amortizes it over a vector of launches, and
 // PredictOffsets emits the compact decision-trail encoding the flight
 // recorder stores (node offsets, 4 bytes per step) which DecodeOffsets
 // expands back into full provenance against the compiled layout.
@@ -30,37 +28,6 @@ import (
 	"apollo/internal/dtree"
 )
 
-// Kind classifies the specialization Func applies to a compiled tree.
-type Kind int
-
-const (
-	// KindFlat is the general case: the SoA threaded-array walk.
-	KindFlat Kind = iota
-	// KindLeaf is a tree with no splits: the prediction is a constant.
-	KindLeaf
-	// KindStump is a single split with two leaf children.
-	KindStump
-	// KindSingleFeature is a tree whose every split tests the same
-	// feature: the walk loads the feature once and compares thresholds.
-	KindSingleFeature
-)
-
-// String names the specialization kind for reports.
-func (k Kind) String() string {
-	switch k {
-	case KindLeaf:
-		return "leaf"
-	case KindStump:
-		return "stump"
-	case KindSingleFeature:
-		return "single-feature"
-	}
-	return "flat"
-}
-
-// Tree is a compiled decision tree. It is immutable after Compile and
-// safe for any number of concurrent readers; a model swap replaces the
-// whole Tree behind an atomic pointer rather than mutating one.
 // pnode is one packed internal node of the walk array: the feature
 // index, both child references, and the threshold in 24 bytes, so every
 // level of the walk touches at most one cache line (two to three nodes
@@ -72,6 +39,9 @@ type pnode struct {
 	thresh      float64
 }
 
+// Tree is a compiled decision tree. It is immutable after Compile and
+// safe for any number of concurrent readers; a model swap replaces the
+// whole Tree behind an atomic pointer rather than mutating one.
 type Tree struct {
 	// nodes is the packed walk array every predict runs on; its total
 	// footprint is about a quarter of the interpreted node set, which is
@@ -87,13 +57,10 @@ type Tree struct {
 	right  []int32
 
 	numFeatures int
-	numClasses  int
 	depth       int
 	leaves      int
 
-	kind       Kind
-	leafLabel  int32 // the constant prediction when kind == KindLeaf
-	singleFeat int32 // the tested feature when kind is stump/single-feature
+	leafLabel int32 // the constant prediction of a tree with no splits
 }
 
 // Compile flattens a trained tree. It validates the structure (every
@@ -105,7 +72,6 @@ func Compile(t *dtree.Tree) (*Tree, error) {
 	}
 	ct := &Tree{
 		numFeatures: t.NumFeatures,
-		numClasses:  t.NumClasses,
 		depth:       t.Depth(),
 		leaves:      t.NumLeaves(),
 	}
@@ -113,7 +79,6 @@ func Compile(t *dtree.Tree) (*Tree, error) {
 		if t.Root.Label < 0 {
 			return nil, fmt.Errorf("ctree: leaf with negative label %d", t.Root.Label)
 		}
-		ct.kind = KindLeaf
 		ct.leafLabel = int32(t.Root.Label)
 		return ct, nil
 	}
@@ -161,7 +126,6 @@ func Compile(t *dtree.Tree) (*Tree, error) {
 		ct.numFeatures = int(maxFeat) + 1
 	}
 	ct.pack()
-	ct.classify()
 	return ct, nil
 }
 
@@ -173,31 +137,8 @@ func (ct *Tree) pack() {
 	}
 }
 
-// classify detects the specialization kind of a flattened tree.
-func (ct *Tree) classify() {
-	ct.kind = KindFlat
-	f := ct.feat[0]
-	for _, g := range ct.feat {
-		if g != f {
-			return
-		}
-	}
-	ct.singleFeat = f
-	if len(ct.feat) == 1 {
-		ct.kind = KindStump
-	} else {
-		ct.kind = KindSingleFeature
-	}
-}
-
 // NumFeatures returns the width of accepted input vectors.
 func (t *Tree) NumFeatures() int { return t.numFeatures }
-
-// NumClasses returns the number of distinct labels the source tree knew.
-func (t *Tree) NumClasses() int { return t.numClasses }
-
-// Kind returns the specialization Func applies.
-func (t *Tree) Kind() Kind { return t.kind }
 
 // Predict returns the predicted class for x. It allocates nothing and
 // performs one array-indexed comparison per tree level — the compiled
@@ -213,26 +154,6 @@ func (t *Tree) Predict(x []float64) int {
 	for {
 		n := &nodes[ref]
 		if x[n.feat] <= n.thresh {
-			ref = n.left
-		} else {
-			ref = n.right
-		}
-		if ref < 0 {
-			return int(^ref)
-		}
-	}
-}
-
-// predictValue walks a single-feature tree given the one feature value
-// it tests — the specialized body behind Func's single-feature closure.
-//
-//apollo:hotpath
-func (t *Tree) predictValue(v float64) int {
-	nodes := t.nodes
-	ref := int32(0)
-	for {
-		n := &nodes[ref]
-		if v <= n.thresh {
 			ref = n.left
 		} else {
 			ref = n.right
@@ -273,42 +194,6 @@ func (t *Tree) PredictN(X [][]float64, out []int) {
 			}
 		}
 		out[i] = int(^ref)
-	}
-}
-
-// PredictTrail evaluates x like Predict while recording the root-to-leaf
-// trail into the caller's buffer, with dtree.PredictTrail semantics:
-// paths deeper than len(trail) keep walking but stop recording. It
-// allocates nothing.
-//
-//apollo:hotpath
-func (t *Tree) PredictTrail(x []float64, trail []dtree.TrailStep) (label, steps int) {
-	nodes := t.nodes
-	if len(nodes) == 0 {
-		return int(t.leafLabel), 0
-	}
-	ref := int32(0)
-	for {
-		n := &nodes[ref]
-		v := x[n.feat]
-		goesLeft := v <= n.thresh
-		if steps < len(trail) {
-			trail[steps] = dtree.TrailStep{
-				Feature:   n.feat,
-				Right:     !goesLeft,
-				Threshold: n.thresh,
-				Value:     v,
-			}
-			steps++
-		}
-		if goesLeft {
-			ref = n.left
-		} else {
-			ref = n.right
-		}
-		if ref < 0 {
-			return int(^ref), steps
-		}
 	}
 }
 
@@ -353,10 +238,11 @@ func (t *Tree) PredictOffsets(x []float64, offs []int32) (label, n int) {
 // DecodeOffsets expands a compact offset trail (as written by
 // PredictOffsets) into TrailSteps. src, when non-nil, maps the tree's
 // feature indices into a source schema (the projector mapping; -1 marks
-// features the source lacks) and the emitted steps carry source indices,
-// matching the convention of Projector.PredictTrail. features supplies
-// the recorded source-layout feature values for each step's Value (NaN
-// when unavailable). It returns the number of steps written and is
+// features the source lacks) and the emitted steps carry source indices.
+// features supplies
+// the recorded source-layout feature values for each step's Value (0 for
+// a feature the source lacks, which is what the walk saw; NaN when the
+// snapshot does not reach the index). It returns the number of steps written and is
 // tolerant of truncated or foreign trails: decoding stops at the first
 // out-of-range offset.
 func (t *Tree) DecodeOffsets(offs []int32, src []int32, features []float64, trail []dtree.TrailStep) (steps int) {
@@ -378,7 +264,10 @@ func (t *Tree) DecodeOffsets(offs []int32, src []int32, features []float64, trai
 			}
 		}
 		v := math.NaN()
-		if sf >= 0 && int(sf) < len(features) {
+		switch {
+		case sf < 0:
+			v = 0 // absent from the source: the projector fed the walk a zero
+		case int(sf) < len(features):
 			v = features[sf]
 		}
 		var right bool
@@ -402,34 +291,6 @@ func (t *Tree) DecodeOffsets(offs []int32, src []int32, features []float64, trai
 	return steps
 }
 
-// Func returns the per-site specialized predict closure — what a client
-// or projector installs at model-swap time. Leaf-only trees fold to a
-// constant, stumps to a single comparison, single-feature trees to a
-// one-load threshold walk; everything else dispatches to the flat walk.
-// The closure is built once on the cold path and is allocation-free to
-// call.
-func (t *Tree) Func() func(x []float64) int {
-	switch t.kind {
-	case KindLeaf:
-		label := int(t.leafLabel)
-		return func([]float64) int { return label }
-	case KindStump:
-		f := int(t.singleFeat)
-		th := t.thresh[0]
-		l, r := int(^t.left[0]), int(^t.right[0])
-		return func(x []float64) int {
-			if x[f] <= th {
-				return l
-			}
-			return r
-		}
-	case KindSingleFeature:
-		f := int(t.singleFeat)
-		return func(x []float64) int { return t.predictValue(x[f]) }
-	}
-	return t.Predict
-}
-
 // Stats summarizes a compiled tree for operator-facing reports
 // (apollo-inspect models, the server's model listing).
 type Stats struct {
@@ -443,8 +304,6 @@ type Stats struct {
 	// FlatBytes is the footprint of the packed walk array (24 bytes per
 	// internal node).
 	FlatBytes int `json:"flat_bytes"`
-	// Kind names the Func specialization.
-	Kind string `json:"kind"`
 }
 
 // Stats returns the compiled tree's summary.
@@ -455,7 +314,6 @@ func (t *Tree) Stats() Stats {
 		Nodes:     len(t.feat) + t.leaves,
 		Depth:     t.depth,
 		FlatBytes: len(t.nodes) * 24,
-		Kind:      t.kind.String(),
 	}
 }
 
@@ -485,7 +343,7 @@ func (t *Tree) Layout() *Layout {
 // FromLayout rebuilds a compiled tree from its serialized layout,
 // validating that every internal child reference points strictly forward
 // (the preorder invariant, which guarantees walks terminate) and stays in
-// range. Trees rebuilt this way decode trails and predict; class counts
+// range. Trees rebuilt this way decode trails and predict; leaf counts
 // and depth metadata are reconstructed from the arrays.
 func FromLayout(l *Layout) (*Tree, error) {
 	if l == nil {
@@ -504,13 +362,11 @@ func FromLayout(l *Layout) (*Tree, error) {
 		if *l.LeafLabel < 0 {
 			return nil, fmt.Errorf("ctree: leaf label %d negative", *l.LeafLabel)
 		}
-		ct.kind = KindLeaf
 		ct.leafLabel = *l.LeafLabel
-		ct.numClasses = int(*l.LeafLabel) + 1
 		ct.leaves = 1
 		return ct, nil
 	}
-	maxFeat, maxLabel := int32(-1), int32(-1)
+	maxFeat := int32(-1)
 	for i := 0; i < n; i++ {
 		if l.Feat[i] < 0 {
 			return nil, fmt.Errorf("ctree: node %d has negative feature", i)
@@ -522,9 +378,6 @@ func FromLayout(l *Layout) (*Tree, error) {
 			switch {
 			case ref < 0:
 				ct.leaves++
-				if ^ref > maxLabel {
-					maxLabel = ^ref
-				}
 			case int(ref) >= n:
 				return nil, fmt.Errorf("ctree: node %d child %d out of range (%d nodes)", i, ref, n)
 			case ref <= int32(i):
@@ -533,10 +386,8 @@ func FromLayout(l *Layout) (*Tree, error) {
 		}
 	}
 	ct.numFeatures = int(maxFeat) + 1
-	ct.numClasses = int(maxLabel) + 1
 	ct.depth = ct.computeDepth()
 	ct.pack()
-	ct.classify()
 	return ct, nil
 }
 

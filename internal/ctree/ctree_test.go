@@ -28,14 +28,11 @@ func mustCompile(t *testing.T, dt *dtree.Tree) *Tree {
 
 func TestCompileLeafOnly(t *testing.T) {
 	ct := mustCompile(t, &dtree.Tree{Root: leaf(2), NumFeatures: 3, NumClasses: 3})
-	if ct.Kind() != KindLeaf {
-		t.Fatalf("kind = %v, want leaf", ct.Kind())
-	}
 	if got := ct.Predict([]float64{9, 9, 9}); got != 2 {
 		t.Fatalf("Predict = %d, want 2", got)
 	}
-	if got := ct.Func()(nil); got != 2 {
-		t.Fatalf("Func() = %d, want 2", got)
+	if got := ct.Predict(nil); got != 2 {
+		t.Fatalf("Predict(nil) = %d, want 2 (a leaf-only tree reads no feature)", got)
 	}
 	var offs [4]int32
 	label, n := ct.PredictOffsets(nil, offs[:])
@@ -43,11 +40,11 @@ func TestCompileLeafOnly(t *testing.T) {
 		t.Fatalf("PredictOffsets = (%d,%d) offs[0]=%d, want (2,1) %d", label, n, offs[0], ^int32(2))
 	}
 	var trail [4]dtree.TrailStep
-	if label, steps := ct.PredictTrail(nil, trail[:]); label != 2 || steps != 0 {
-		t.Fatalf("PredictTrail = (%d,%d), want (2,0)", label, steps)
+	if steps := ct.DecodeOffsets(offs[:n], nil, nil, trail[:]); steps != 0 {
+		t.Fatalf("leaf-only trail decoded %d steps, want 0", steps)
 	}
 	st := ct.Stats()
-	if st.Internal != 0 || st.Leaves != 1 || st.Nodes != 1 || st.FlatBytes != 0 || st.Kind != "leaf" {
+	if st.Internal != 0 || st.Leaves != 1 || st.Nodes != 1 || st.FlatBytes != 0 {
 		t.Fatalf("Stats = %+v", st)
 	}
 }
@@ -55,10 +52,6 @@ func TestCompileLeafOnly(t *testing.T) {
 func TestCompileStump(t *testing.T) {
 	dt := &dtree.Tree{Root: split(1, 5, leaf(0), leaf(1)), NumFeatures: 2, NumClasses: 2}
 	ct := mustCompile(t, dt)
-	if ct.Kind() != KindStump {
-		t.Fatalf("kind = %v, want stump", ct.Kind())
-	}
-	fn := ct.Func()
 	for _, tc := range []struct {
 		v    float64
 		want int
@@ -67,8 +60,9 @@ func TestCompileStump(t *testing.T) {
 		if got := ct.Predict(x); got != tc.want {
 			t.Errorf("Predict(%v) = %d, want %d", tc.v, got, tc.want)
 		}
-		if got := fn(x); got != tc.want {
-			t.Errorf("Func(%v) = %d, want %d", tc.v, got, tc.want)
+		out := []int{-1}
+		if ct.PredictN([][]float64{x}, out); out[0] != tc.want {
+			t.Errorf("PredictN(%v) = %d, want %d", tc.v, out[0], tc.want)
 		}
 	}
 }
@@ -81,17 +75,13 @@ func TestCompileSingleFeature(t *testing.T) {
 		NumClasses:  4,
 	}
 	ct := mustCompile(t, dt)
-	if ct.Kind() != KindSingleFeature {
-		t.Fatalf("kind = %v, want single-feature", ct.Kind())
-	}
-	fn := ct.Func()
 	for _, tc := range []struct {
 		v    float64
 		want int
 	}{{3, 0}, {5, 0}, {7, 1}, {10, 1}, {15, 2}, {20, 2}, {25, 3}, {math.NaN(), 3}} {
 		x := []float64{tc.v}
-		if got, want := fn(x), dt.Predict(x); got != want || got != tc.want {
-			t.Errorf("Func(%v) = %d, interpreted %d, table %d", tc.v, got, want, tc.want)
+		if got, want := ct.Predict(x), dt.Predict(x); got != want || got != tc.want {
+			t.Errorf("Predict(%v) = %d, interpreted %d, table %d", tc.v, got, want, tc.want)
 		}
 	}
 }
@@ -104,9 +94,6 @@ func TestCompilePreorderLayout(t *testing.T) {
 		NumFeatures: 3, NumClasses: 4,
 	}
 	ct := mustCompile(t, dt)
-	if ct.Kind() != KindFlat {
-		t.Fatalf("kind = %v, want flat", ct.Kind())
-	}
 	// Left-first preorder: every internal left child sits at offset i+1.
 	for i, l := range ct.left {
 		if l >= 0 && l != int32(i)+1 {
@@ -171,7 +158,7 @@ func TestLayoutRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FromLayout: %v", err)
 	}
-	if rt.Kind() != ct.Kind() || rt.Stats() != ct.Stats() {
+	if rt.Stats() != ct.Stats() {
 		t.Fatalf("round trip stats = %+v, want %+v", rt.Stats(), ct.Stats())
 	}
 	for _, x := range [][]float64{{0, 0, 0}, {2, 5, 1}, {2, 1, 9}, {0.5, 2, 3}, {1, 2, 3}} {
@@ -247,7 +234,7 @@ func TestPredictOffsetsTruncation(t *testing.T) {
 		t.Fatalf("DecodeOffsets = %d steps, want 3", steps)
 	}
 	var full [8]dtree.TrailStep
-	_, fullSteps := ct.PredictTrail(x, full[:])
+	_, fullSteps := dt.PredictTrail(x, full[:])
 	for i := 0; i < steps; i++ {
 		if trail[i] != full[i] {
 			t.Errorf("step %d: decoded %+v, walked %+v", i, trail[i], full[i])
@@ -266,12 +253,12 @@ func TestDecodeOffsetsSourceMapping(t *testing.T) {
 	}
 	ct := mustCompile(t, dt)
 	src := []int32{3, -1}
-	model := []float64{5, 9}     // model-layout vector the walk sees
+	model := []float64{5, 0}        // model-layout vector the walk sees: the absent feature projects as 0
 	source := []float64{0, 0, 0, 5} // source-layout snapshot the recorder kept
 	var offs [8]int32
 	label, n := ct.PredictOffsets(model, offs[:])
-	if label != 2 {
-		t.Fatalf("label = %d, want 2", label)
+	if label != 1 {
+		t.Fatalf("label = %d, want 1", label)
 	}
 	var trail [8]dtree.TrailStep
 	steps := ct.DecodeOffsets(offs[:n], src, source, trail[:])
@@ -281,8 +268,17 @@ func TestDecodeOffsetsSourceMapping(t *testing.T) {
 	if trail[0].Feature != 3 || trail[0].Value != 5 || !trail[0].Right {
 		t.Errorf("step 0 = %+v, want source feature 3 value 5 right", trail[0])
 	}
-	if trail[1].Feature != -1 || !math.IsNaN(trail[1].Value) || !trail[1].Right {
-		t.Errorf("step 1 = %+v, want absent feature with NaN value", trail[1])
+	if trail[1].Feature != -1 || trail[1].Value != 0 || trail[1].Right {
+		t.Errorf("step 1 = %+v, want absent feature with the projected zero going left", trail[1])
+	}
+	// Truncated before the absent-feature step's outcome: its direction is
+	// rebuilt from the zero the walk saw, not from an unknown.
+	if got := ct.DecodeOffsets(offs[:2], src, source, trail[:]); got != 2 || trail[1].Right {
+		t.Errorf("truncated decode = %d steps, step 1 %+v; want 2 steps, left", got, trail[1])
+	}
+	// A source index the snapshot does not reach decodes as unknown.
+	if ct.DecodeOffsets(offs[:1], []int32{7, -1}, source, trail[:]); !math.IsNaN(trail[0].Value) {
+		t.Errorf("out-of-snapshot value = %g, want NaN", trail[0].Value)
 	}
 
 	// A foreign offset aborts the decode without panicking.

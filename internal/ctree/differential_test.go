@@ -61,11 +61,47 @@ func stepsEqual(a, b dtree.TrailStep) bool {
 		feq(a.Threshold, b.Threshold) && feq(a.Value, b.Value)
 }
 
+// thresholdsOf collects every split (feature, threshold) of a tree.
+func thresholdsOf(n *dtree.Node, out [][2]float64) [][2]float64 {
+	if n == nil || n.IsLeaf() {
+		return out
+	}
+	out = append(out, [2]float64{float64(n.Feature), n.Threshold})
+	return thresholdsOf(n.Right, thresholdsOf(n.Left, out))
+}
+
+// checkTrail asserts the one trail form against the interpreted
+// reference: DecodeOffsets(PredictOffsets(x)) must reproduce
+// dtree.PredictTrail(x) step for step, through a buffer of the given
+// capacity (a short one exercises truncated trails, whose last recorded
+// step has no successor offset to read its direction from).
+func checkTrail(t *testing.T, dt *dtree.Tree, ct *Tree, x []float64, capacity int) {
+	t.Helper()
+	trailI := make([]dtree.TrailStep, capacity)
+	wantLabel, wantSteps := dt.PredictTrail(x, trailI)
+	offs := make([]int32, capacity) // no room for the successor of a full trail's last step
+	label, n := ct.PredictOffsets(x, offs)
+	if label != wantLabel {
+		t.Fatalf("x=%v cap=%d: offsets label %d, interpreted %d", x, capacity, label, wantLabel)
+	}
+	decoded := make([]dtree.TrailStep, capacity)
+	steps := ct.DecodeOffsets(offs[:n], nil, x, decoded)
+	if steps != wantSteps {
+		t.Fatalf("x=%v cap=%d: decoded %d steps, interpreted %d", x, capacity, steps, wantSteps)
+	}
+	for s := 0; s < steps; s++ {
+		if !stepsEqual(decoded[s], trailI[s]) {
+			t.Fatalf("x=%v cap=%d step %d: decoded %+v, interpreted %+v", x, capacity, s, decoded[s], trailI[s])
+		}
+	}
+}
+
 // TestCompiledMatchesInterpreted is the differential property test the
 // whole subsystem rests on: on randomized trees and vectors (including
-// NaN and boundary thresholds), every compiled evaluation mode — flat
-// walk, specialized closure, batched, trail-recording, offset-recording
-// — must agree exactly with the interpreted dtree walk.
+// NaN, infinities, and the floats adjacent to every threshold), every
+// compiled evaluation mode — walk, batched, offset-recording — must
+// agree exactly with the interpreted dtree walk, and the decoded offset
+// trail with the interpreted trail.
 func TestCompiledMatchesInterpreted(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const trees, vectors = 150, 100
@@ -76,55 +112,31 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 		if err != nil {
 			t.Fatalf("tree %d: Compile: %v", ti, err)
 		}
-		fn := ct.Func()
 		X := make([][]float64, vectors)
 		for i := range X {
 			X[i] = randVector(rng, numFeatures)
 		}
-		batched := make([]int, vectors)
+		// Boundary probes: each split's threshold and its two float
+		// neighbours, planted in an otherwise random vector.
+		for _, ft := range thresholdsOf(dt.Root, nil) {
+			for _, v := range []float64{ft[1], math.Nextafter(ft[1], math.Inf(1)), math.Nextafter(ft[1], math.Inf(-1))} {
+				x := randVector(rng, numFeatures)
+				x[int(ft[0])] = v
+				X = append(X, x)
+			}
+		}
+		batched := make([]int, len(X))
 		ct.PredictN(X, batched)
-		var trailC, trailI [64]dtree.TrailStep
-		var offs [65]int32
 		for vi, x := range X {
 			want := dt.Predict(x)
 			if got := ct.Predict(x); got != want {
 				t.Fatalf("tree %d vec %d (%v): compiled %d, interpreted %d", ti, vi, x, got, want)
 			}
-			if got := fn(x); got != want {
-				t.Fatalf("tree %d vec %d (%v): %v closure %d, interpreted %d", ti, vi, x, ct.Kind(), got, want)
-			}
 			if batched[vi] != want {
 				t.Fatalf("tree %d vec %d (%v): batched %d, interpreted %d", ti, vi, x, batched[vi], want)
 			}
-			wantLabel, wantSteps := dt.PredictTrail(x, trailI[:])
-			gotLabel, gotSteps := ct.PredictTrail(x, trailC[:])
-			if gotLabel != wantLabel || gotSteps != wantSteps {
-				t.Fatalf("tree %d vec %d: trail (%d,%d), interpreted (%d,%d)",
-					ti, vi, gotLabel, gotSteps, wantLabel, wantSteps)
-			}
-			for s := 0; s < gotSteps; s++ {
-				if !stepsEqual(trailC[s], trailI[s]) {
-					t.Fatalf("tree %d vec %d step %d: compiled %+v, interpreted %+v",
-						ti, vi, s, trailC[s], trailI[s])
-				}
-			}
-			// The compact offset encoding must decode back to the exact
-			// trail the direct walk records.
-			oLabel, n := ct.PredictOffsets(x, offs[:])
-			if oLabel != want {
-				t.Fatalf("tree %d vec %d: offsets label %d, want %d", ti, vi, oLabel, want)
-			}
-			var decoded [64]dtree.TrailStep
-			dSteps := ct.DecodeOffsets(offs[:n], nil, x, decoded[:])
-			if dSteps != wantSteps {
-				t.Fatalf("tree %d vec %d: decoded %d steps, want %d", ti, vi, dSteps, wantSteps)
-			}
-			for s := 0; s < dSteps; s++ {
-				if !stepsEqual(decoded[s], trailI[s]) {
-					t.Fatalf("tree %d vec %d step %d: decoded %+v, interpreted %+v",
-						ti, vi, s, decoded[s], trailI[s])
-				}
-			}
+			checkTrail(t, dt, ct, x, 64)
+			checkTrail(t, dt, ct, x, 3)
 		}
 	}
 }
@@ -151,12 +163,7 @@ func FuzzCompiledPredict(f *testing.F) {
 		if got := ct.Predict(x); got != want {
 			t.Fatalf("compiled %d, interpreted %d on %v", got, want, x)
 		}
-		if got := ct.Func()(x); got != want {
-			t.Fatalf("closure %d, interpreted %d on %v", got, want, x)
-		}
-		var offs [128]int32
-		if got, _ := ct.PredictOffsets(x, offs[:]); got != want {
-			t.Fatalf("offsets %d, interpreted %d on %v", got, want, x)
-		}
+		checkTrail(t, dt, ct, x, 127)
+		checkTrail(t, dt, ct, x, 2)
 	})
 }

@@ -24,15 +24,18 @@ type Capture struct {
 }
 
 // CaptureSite is one registered decision site. Sites with a registered
-// TrailDecoder embed the compiled-tree layout and feature mapping, so an
-// offline consumer (apollo-inspect flight) can decode compact offset
-// trails from the records without the original model.
+// TrailDecoder embed the compiled-tree layouts and feature mappings, so
+// an offline consumer (apollo-inspect flight) can decode offset trails
+// from the records without the original models: CTree/Src for the first
+// (policy) trail, ChunkCTree/ChunkSrc for the second.
 type CaptureSite struct {
-	ID       string        `json:"id"`
-	Name     string        `json:"name"`
-	Features []string      `json:"features,omitempty"`
-	CTree    *ctree.Layout `json:"ctree,omitempty"`
-	Src      []int32       `json:"src,omitempty"`
+	ID         string        `json:"id"`
+	Name       string        `json:"name"`
+	Features   []string      `json:"features,omitempty"`
+	CTree      *ctree.Layout `json:"ctree,omitempty"`
+	Src        []int32       `json:"src,omitempty"`
+	ChunkCTree *ctree.Layout `json:"chunk_ctree,omitempty"`
+	ChunkSrc   []int32       `json:"chunk_src,omitempty"`
 }
 
 // CaptureRecord is one decision in a Capture.
@@ -52,10 +55,11 @@ type CaptureRecord struct {
 	ModelNS     float64            `json:"model_ns,omitempty"`
 	Features    map[string]float64 `json:"features,omitempty"`
 	Path        []string           `json:"path,omitempty"`
-	// TrailOffsets is the raw compact trail for records written by a
-	// compiled site (Path above is its decoded rendering when the site's
-	// decoder was available at capture time).
-	TrailOffsets []int32 `json:"trail_offsets,omitempty"`
+	// TrailOffsets and ChunkTrailOffsets are the record's raw offset
+	// trails (Path above is their decoded rendering, policy steps first,
+	// when the site's decoder was available at capture time).
+	TrailOffsets      []int32 `json:"trail_offsets,omitempty"`
+	ChunkTrailOffsets []int32 `json:"chunk_trail_offsets,omitempty"`
 }
 
 // Capture snapshots the recorder into its JSON form.
@@ -76,9 +80,13 @@ func (r *Recorder) Capture() *Capture {
 			} else {
 				cs.Features = r.featureNames
 			}
-			if d := s.dec.Load(); d != nil && d.Tree != nil {
-				cs.CTree = d.Tree.Layout()
-				cs.Src = d.Src
+			if d := s.dec.Load(); d != nil {
+				if d.Tree != nil {
+					cs.CTree, cs.Src = d.Tree.Layout(), d.Src
+				}
+				if d.ChunkTree != nil {
+					cs.ChunkCTree, cs.ChunkSrc = d.ChunkTree.Layout(), d.ChunkSrc
+				}
 			}
 			c.Sites = append(c.Sites, cs)
 		}
@@ -93,11 +101,13 @@ func (r *Recorder) Capture() *Capture {
 func (r *Recorder) captureRecord(rec *Record) CaptureRecord {
 	names := r.featureNames
 	siteName := ""
+	var dec *TrailDecoder
 	if s := r.siteFor(rec.Site); s != nil {
 		siteName = s.name
 		if len(s.features) > 0 {
 			names = s.features
 		}
+		dec = s.dec.Load()
 	}
 	out := CaptureRecord{
 		Seq:         rec.Seq,
@@ -114,36 +124,54 @@ func (r *Recorder) captureRecord(rec *Record) CaptureRecord {
 		FeatureNS:   rec.FeatureNS,
 		ModelNS:     rec.ModelNS,
 	}
-	if n := int(rec.NumFeatures); n > 0 {
-		out.Features = make(map[string]float64, n)
-		for i := 0; i < n && i < MaxFeatures; i++ {
+	nf := min(max(int(rec.NumFeatures), 0), MaxFeatures)
+	if nf > 0 {
+		out.Features = make(map[string]float64, nf)
+		for i := 0; i < nf; i++ {
 			out.Features[featureName(names, i)] = rec.Features[i]
 		}
 	}
-	if n := int(rec.TrailLen); n > 0 {
-		if n > MaxTrail {
-			n = MaxTrail
-		}
-		out.Path = ExplainTrail(rec.Trail[:n], names)
-	}
-	if n := int(rec.OffsetsLen); n > 0 {
-		if n > MaxOffsets {
-			n = MaxOffsets
-		}
-		out.TrailOffsets = append([]int32(nil), rec.Offsets[:n]...)
-		if s := r.siteFor(rec.Site); s != nil && out.Path == nil {
-			if d := s.dec.Load(); d != nil && d.Tree != nil {
-				var steps [MaxTrail]dtree.TrailStep
-				nf := int(rec.NumFeatures)
-				if nf > MaxFeatures {
-					nf = MaxFeatures
-				}
-				k := d.Tree.DecodeOffsets(out.TrailOffsets, d.Src, rec.Features[:nf], steps[:])
-				out.Path = ExplainTrail(steps[:k], names)
-			}
-		}
+	first, second := rec.Trails()
+	out.TrailOffsets = append([]int32(nil), first...)
+	out.ChunkTrailOffsets = append([]int32(nil), second...)
+	if dec != nil && len(first)+len(second) > 0 {
+		out.Path = dec.Explain(first, second, rec.Features[:nf], names)
 	}
 	return out
+}
+
+// Decoder rebuilds the site's TrailDecoder from its embedded layouts. A
+// missing, foreign or corrupt layout leaves its tree nil (that trail
+// stays raw offsets); the result is nil when neither yields a tree.
+func (s *CaptureSite) Decoder() *TrailDecoder {
+	d := &TrailDecoder{Src: s.Src, ChunkSrc: s.ChunkSrc}
+	if t, err := ctree.FromLayout(s.CTree); err == nil {
+		d.Tree = t
+	}
+	if t, err := ctree.FromLayout(s.ChunkCTree); err == nil {
+		d.ChunkTree = t
+	}
+	if d.Tree == nil && d.ChunkTree == nil {
+		return nil
+	}
+	return d
+}
+
+// Explain is the one offset→path decoder (Capture renders live records
+// through it, apollo-inspect flight raw captures offline): it decodes a
+// record's two trails (either may be empty) against the decoder's trees
+// into one explained path, policy steps first. features is the record's
+// source-layout snapshot, NaN where the caller could not recover a value.
+func (d *TrailDecoder) Explain(first, second []int32, features []float64, names []string) []string {
+	var steps [2 * MaxTrail]dtree.TrailStep
+	n := 0
+	if d.Tree != nil {
+		n = d.Tree.DecodeOffsets(first, d.Src, features, steps[:MaxTrail])
+	}
+	if d.ChunkTree != nil {
+		n += d.ChunkTree.DecodeOffsets(second, d.ChunkSrc, features, steps[n:n+MaxTrail])
+	}
+	return ExplainTrail(steps[:n], names)
 }
 
 // featureName names feature index i, falling back to the positional

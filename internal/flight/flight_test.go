@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"apollo/internal/ctree"
 	"apollo/internal/dtree"
@@ -22,8 +23,8 @@ func emitOne(r *Recorder, site uint64, class int, observed float64) {
 		rec.NumFeatures = 2
 		rec.Features[0] = observed
 		rec.Features[1] = float64(class)
-		rec.TrailLen = 1
-		rec.Trail[0] = dtree.TrailStep{Feature: 0, Right: true, Threshold: 1, Value: observed}
+		rec.Offsets[0] = ^int32(class) // a leaf-only tree's whole trail
+		rec.OffsetsSplit, rec.OffsetsLen = 1, 1
 	}
 	r.Commit(tok)
 }
@@ -224,10 +225,39 @@ func TestRegisterSiteIdempotent(t *testing.T) {
 	}
 }
 
+// twoSplitTree compiles "feature 0 <= t0 → left leaf 0; else feature 1
+// <= t1 → leaf 0, else leaf 1".
+func twoSplitTree(t *testing.T, t0, t1 float64) *ctree.Tree {
+	t.Helper()
+	ct, err := ctree.Compile(&dtree.Tree{
+		Root: &dtree.Node{
+			Feature: 0, Threshold: t0,
+			Left: &dtree.Node{Feature: -1, Label: 0},
+			Right: &dtree.Node{
+				Feature: 1, Threshold: t1,
+				Left:  &dtree.Node{Feature: -1, Label: 0},
+				Right: &dtree.Node{Feature: -1, Label: 1},
+			},
+		},
+		NumFeatures: 2, NumClasses: 2,
+	})
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	return ct
+}
+
+// TestCaptureExplains is the dual-model round trip: a site running a
+// policy and a chunk model packs two offset trails into the record, and
+// the capture renders them as one explained path (policy steps first)
+// and embeds both layouts so offline consumers can re-decode.
 func TestCaptureExplains(t *testing.T) {
 	names := []string{"num_indices", "trip_count"}
+	policy, chunk := twoSplitTree(t, 96, 256), twoSplitTree(t, 8, 1e6)
 	r := New(Options{Shards: 1, ShardCapacity: 8, FeatureNames: names})
 	r.RegisterSite(7, "daxpy", nil)
+	// The chunk model sees the source features swapped.
+	r.SetSiteDecoder(7, &TrailDecoder{Tree: policy, Src: []int32{0, 1}, ChunkTree: chunk, ChunkSrc: []int32{1, 0}})
 	rec, tok := r.Reserve(7)
 	if rec == nil {
 		t.Fatal("reservation dropped on an empty ring")
@@ -238,9 +268,9 @@ func TestCaptureExplains(t *testing.T) {
 	rec.NumFeatures = 2
 	rec.Features[0] = 16
 	rec.Features[1] = 4096
-	rec.TrailLen = 2
-	rec.Trail[0] = dtree.TrailStep{Feature: 0, Right: false, Threshold: 96, Value: 16}
-	rec.Trail[1] = dtree.TrailStep{Feature: 1, Right: true, Threshold: 256, Value: 4096}
+	_, n0 := policy.PredictOffsets([]float64{16, 4096}, rec.Offsets[:MaxOffsets])
+	_, n1 := chunk.PredictOffsets([]float64{4096, 16}, rec.Offsets[n0:n0+MaxOffsets])
+	rec.OffsetsSplit, rec.OffsetsLen = int32(n0), int32(n0+n1)
 	r.Commit(tok)
 
 	c := r.Capture()
@@ -249,6 +279,9 @@ func TestCaptureExplains(t *testing.T) {
 	}
 	if len(c.Sites) != 1 || c.Sites[0].Name != "daxpy" {
 		t.Fatalf("sites: %+v", c.Sites)
+	}
+	if s := c.Sites[0]; s.CTree == nil || s.ChunkCTree == nil || len(s.Src) != 2 || len(s.ChunkSrc) != 2 {
+		t.Fatalf("site does not embed both compiled layouts: %+v", s)
 	}
 	if len(c.Records) != 1 {
 		t.Fatalf("records: %d", len(c.Records))
@@ -260,37 +293,37 @@ func TestCaptureExplains(t *testing.T) {
 	if cr.Features["num_indices"] != 16 || cr.Features["trip_count"] != 4096 {
 		t.Fatalf("features: %+v", cr.Features)
 	}
+	if len(cr.TrailOffsets) != n0 || len(cr.ChunkTrailOffsets) != n1 {
+		t.Fatalf("raw trails %v / %v, want %d / %d entries", cr.TrailOffsets, cr.ChunkTrailOffsets, n0, n1)
+	}
 	wantPath := []string{
 		"num_indices (=16) <= 96 → left",
-		"trip_count (=4096) > 256 → right",
+		"trip_count (=4096) > 8 → right",
+		"num_indices (=16) <= 1e+06 → left",
 	}
-	if len(cr.Path) != 2 || cr.Path[0] != wantPath[0] || cr.Path[1] != wantPath[1] {
+	if fmt.Sprint(cr.Path) != fmt.Sprint(wantPath) {
 		t.Fatalf("path: %q, want %q", cr.Path, wantPath)
+	}
+
+	// The same trails decode offline from nothing but the capture.
+	dec := c.Sites[0].Decoder()
+	if dec == nil {
+		t.Fatal("embedded layouts did not rebuild a decoder")
+	}
+	if got := dec.Explain(cr.TrailOffsets, cr.ChunkTrailOffsets, []float64{16, 4096}, names); fmt.Sprint(got) != fmt.Sprint(wantPath) {
+		t.Fatalf("offline path: %q, want %q", got, wantPath)
+	}
+	if (&CaptureSite{ChunkCTree: &ctree.Layout{Feat: []int32{0}}}).Decoder() != nil {
+		t.Fatal("a corrupt layout rebuilt a decoder")
 	}
 }
 
-// TestCaptureDecodesOffsets is the compact-trail round trip: a compiled
-// site writes only node offsets; the capture layer must expand them into
-// the same explained path the TrailStep form would have produced, and
-// embed the compiled layout so offline consumers can re-decode.
+// TestCaptureDecodesOffsets is the single-model round trip: the record
+// carries one trail, the capture expands it into the explained path and
+// embeds the compiled layout, and the chunk fields stay absent.
 func TestCaptureDecodesOffsets(t *testing.T) {
 	names := []string{"num_indices", "trip_count"}
-	dt := &dtree.Tree{
-		Root: &dtree.Node{
-			Feature: 0, Threshold: 96,
-			Left: &dtree.Node{Feature: -1, Label: 0},
-			Right: &dtree.Node{
-				Feature: 1, Threshold: 256,
-				Left:  &dtree.Node{Feature: -1, Label: 0},
-				Right: &dtree.Node{Feature: -1, Label: 1},
-			},
-		},
-		NumFeatures: 2, NumClasses: 2,
-	}
-	ct, err := ctree.Compile(dt)
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
+	ct := twoSplitTree(t, 96, 256)
 
 	r := New(Options{Shards: 1, ShardCapacity: 8, FeatureNames: names})
 	r.RegisterSite(7, "daxpy", nil)
@@ -306,19 +339,19 @@ func TestCaptureDecodesOffsets(t *testing.T) {
 	rec.NumFeatures = 2
 	rec.Features[0] = 4096 // num_indices > 96 → right
 	rec.Features[1] = 4096 // trip_count > 256 → right
-	class, n := ct.PredictOffsets([]float64{4096, 4096}, rec.Offsets[:])
-	rec.OffsetsLen = int32(n)
+	class, n := ct.PredictOffsets([]float64{4096, 4096}, rec.Offsets[:MaxOffsets])
+	rec.OffsetsSplit, rec.OffsetsLen = int32(n), int32(n)
 	rec.Predicted = int32(class)
 	rec.Policy = int32(class)
 	r.Commit(tok)
 
 	c := r.Capture()
-	if len(c.Sites) != 1 || c.Sites[0].CTree == nil || len(c.Sites[0].Src) != 2 {
-		t.Fatalf("site does not embed compiled layout: %+v", c.Sites)
+	if len(c.Sites) != 1 || c.Sites[0].CTree == nil || len(c.Sites[0].Src) != 2 || c.Sites[0].ChunkCTree != nil {
+		t.Fatalf("site does not embed exactly the policy layout: %+v", c.Sites)
 	}
 	cr := c.Records[0]
-	if len(cr.TrailOffsets) != n {
-		t.Fatalf("trail_offsets %v, want %d entries", cr.TrailOffsets, n)
+	if len(cr.TrailOffsets) != n || cr.ChunkTrailOffsets != nil {
+		t.Fatalf("trail_offsets %v (chunk %v), want %d entries and no chunk trail", cr.TrailOffsets, cr.ChunkTrailOffsets, n)
 	}
 	wantPath := []string{
 		"num_indices (=4096) > 96 → right",
@@ -326,6 +359,26 @@ func TestCaptureDecodesOffsets(t *testing.T) {
 	}
 	if len(cr.Path) != 2 || cr.Path[0] != wantPath[0] || cr.Path[1] != wantPath[1] {
 		t.Fatalf("decoded path %q, want %q", cr.Path, wantPath)
+	}
+}
+
+// TestRecordTrailsClampAndSize pins the offsets-only record: Trails never
+// indexes outside Offsets whatever a torn record claims, and dropping the
+// 576-byte TrailStep array for a second 100-byte offset trail took the
+// record from 1160 bytes to at least 400 fewer.
+func TestRecordTrailsClampAndSize(t *testing.T) {
+	if got := unsafe.Sizeof(Record{}); got > 1160-400 {
+		t.Errorf("Record is %d bytes, want <= %d", got, 1160-400)
+	}
+	for _, tc := range []struct{ split, n, wantFirst, wantSecond int32 }{
+		{0, 0, 0, 0}, {3, 3, 3, 0}, {0, 4, 0, 4}, {2, 5, 2, 3},
+		{9, 4, 4, 0}, {-1, 6, 0, 6}, {3, -2, 0, 0}, {60, 1000, 2 * MaxOffsets, 0},
+	} {
+		rec := Record{OffsetsSplit: tc.split, OffsetsLen: tc.n}
+		first, second := rec.Trails()
+		if int32(len(first)) != tc.wantFirst || int32(len(second)) != tc.wantSecond {
+			t.Errorf("split=%d len=%d: trails %d/%d, want %d/%d", tc.split, tc.n, len(first), len(second), tc.wantFirst, tc.wantSecond)
+		}
 	}
 }
 
@@ -349,10 +402,7 @@ func TestExplainTrailFallbacks(t *testing.T) {
 func BenchmarkEmit(b *testing.B) {
 	r := New(Options{})
 	r.RegisterSite(1, "k", nil)
-	var trail [8]dtree.TrailStep
-	for i := range trail {
-		trail[i] = dtree.TrailStep{Feature: int32(i), Right: i%2 == 0, Threshold: 1, Value: 2}
-	}
+	trail := [9]int32{0, 1, 2, 3, 4, 5, 6, 7, -1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -366,7 +416,8 @@ func BenchmarkEmit(b *testing.B) {
 			for f := 0; f < 41; f++ {
 				rec.Features[f] = float64(f)
 			}
-			rec.TrailLen = int32(copy(rec.Trail[:], trail[:]))
+			rec.OffsetsLen = int32(copy(rec.Offsets[:], trail[:]))
+			rec.OffsetsSplit = rec.OffsetsLen
 			rec.ObservedNS = 1000
 			rec.PredictedNS = r.PredictObserve(1, 1, 1000)
 			rec.FeatureNS = 50

@@ -18,8 +18,6 @@
 // one in-flight record write.
 package flight
 
-import "apollo/internal/dtree"
-
 const (
 	// MaxFeatures is the widest feature snapshot a record can hold.
 	// Table I is 41 features; the headroom lets applications with a few
@@ -27,24 +25,24 @@ const (
 	// are truncated, never dropped.
 	MaxFeatures = 48
 
-	// MaxTrail is the deepest decision trail a record can hold. The
-	// paper's deployed models are pruned to depth 15, so 24 keeps even
+	// MaxTrail is the deepest decision trail a record can hold per model.
+	// The paper's deployed models are pruned to depth 15, so 24 keeps even
 	// generous trees fully explained; deeper paths keep walking but stop
-	// recording (dtree.PredictTrail semantics).
+	// recording.
 	MaxTrail = 24
 
-	// MaxOffsets sizes the compact offset trail: one internal-node offset
-	// per level plus the terminal leaf reference.
+	// MaxOffsets sizes one offset trail: one internal-node offset per
+	// level plus the terminal leaf reference.
 	MaxOffsets = MaxTrail + 1
 )
 
 // Record is one decision's provenance. It is a fixed-size, pointer-free
-// value (~1 KiB) so a ring of them is a single allocation and writers
+// value (680 bytes) so a ring of them is a single allocation and writers
 // fill slots in place without touching the garbage collector.
 //
-// Fields beyond NumFeatures in Features and beyond TrailLen in Trail are
-// stale leftovers from earlier occupants of the slot; readers must bound
-// themselves by the lengths.
+// Fields beyond NumFeatures in Features and beyond OffsetsLen in Offsets
+// are stale leftovers from earlier occupants of the slot; readers must
+// bound themselves by the lengths (Trails does).
 type Record struct {
 	// Seq is the record's global emission sequence number (from 1).
 	Seq uint64
@@ -63,10 +61,13 @@ type Record struct {
 	// Predicted is the model's predicted class, or -1 when no model ran
 	// (static tuning, explore override recorded separately).
 	Predicted int32
-	// NumFeatures and TrailLen bound the valid prefixes of Features and
-	// Trail.
+	// NumFeatures bounds the valid prefix of Features.
 	NumFeatures int32
-	TrailLen    int32
+	// OffsetsSplit and OffsetsLen bound the two trails packed into
+	// Offsets: policy is Offsets[:OffsetsSplit], chunk is
+	// Offsets[OffsetsSplit:OffsetsLen]. One trail sets both to its length.
+	OffsetsSplit int32
+	OffsetsLen   int32
 	// Explored reports that the tuner overrode the model's choice to
 	// gather fresh telemetry, so Policy/Chunk may differ from Predicted.
 	Explored bool
@@ -80,20 +81,20 @@ type Record struct {
 	// extracting the feature snapshot and evaluating the model.
 	FeatureNS float64
 	ModelNS   float64
-	// OffsetsLen bounds the valid prefix of Offsets.
-	OffsetsLen int32
 	// Features is the feature snapshot, source-schema layout.
 	Features [MaxFeatures]float64
-	// Trail is the root-to-leaf decision trail, with Feature indices in
-	// the source schema (-1 for model features the source lacks).
-	// Single-model compiled sites leave it empty and record Offsets
-	// instead; multi-model sites (policy + chunk trails concatenated)
-	// still use it.
-	Trail [MaxTrail]dtree.TrailStep
-	// Offsets is the compact trail encoding a compiled site writes: the
-	// offset of every visited internal node in the site's ctree layout,
-	// terminated by the (negative) leaf reference — 4 bytes per step
-	// against TrailStep's 24. The capture layer expands it back into a
-	// full explained path via the site's registered TrailDecoder.
-	Offsets [MaxOffsets]int32
+	// Offsets is the only trail form: the offset of every internal node a
+	// compiled tree visited, then the (negative) leaf reference, 4 bytes
+	// per step — one trail per model the site ran, each at most MaxOffsets
+	// long. The capture layer expands them into explained paths via the
+	// site's TrailDecoder. No compiled tree, no trail.
+	Offsets [2 * MaxOffsets]int32
+}
+
+// Trails returns the record's two offset trails (either may be empty),
+// clamped so a torn or foreign record can never index out of range.
+func (r *Record) Trails() (first, second []int32) {
+	n := min(max(int(r.OffsetsLen), 0), len(r.Offsets))
+	k := min(max(int(r.OffsetsSplit), 0), n)
+	return r.Offsets[:k], r.Offsets[k:n]
 }

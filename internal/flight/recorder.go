@@ -122,18 +122,22 @@ type site struct {
 	ewma     [maxClasses]atomic.Uint64
 	name     string
 	features []string
-	// dec is the decoder for the site's compact offset trails, swapped
-	// whenever the site's compiled model changes.
+	// dec is the decoder for the site's offset trails, swapped whenever
+	// either of the site's compiled models changes.
 	dec atomic.Pointer[TrailDecoder]
 }
 
-// TrailDecoder ties a site's compact offset trails (Record.Offsets) to
-// the compiled tree that wrote them, plus the model→source feature index
-// mapping for rendering source-schema explanations. Immutable once
-// registered; a model swap registers a fresh decoder.
+// TrailDecoder ties a site's offset trails (Record.Offsets) to the
+// compiled trees that wrote them — Tree for the first (policy) trail,
+// ChunkTree for the second, either may be nil — each with its
+// model→source feature index mapping for source-schema explanations (nil
+// when vectors are already in the model's schema). Immutable once
+// registered: a model swap registers a fresh decoder, both pairs at once.
 type TrailDecoder struct {
-	Tree *ctree.Tree
-	Src  []int32
+	Tree      *ctree.Tree
+	Src       []int32
+	ChunkTree *ctree.Tree
+	ChunkSrc  []int32
 }
 
 // New builds a Recorder.
@@ -233,7 +237,7 @@ func (r *Recorder) Reserve(siteID uint64) (*Record, Token) {
 	rec.Chunk = 0
 	rec.Predicted = -1
 	rec.NumFeatures = 0
-	rec.TrailLen = 0
+	rec.OffsetsSplit = 0
 	rec.OffsetsLen = 0
 	rec.Explored = false
 	rec.PredictedNS = 0

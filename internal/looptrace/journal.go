@@ -6,6 +6,14 @@
 // costs one event, not the file). Files open in append mode — a
 // restarted daemon continues its journal, writing a fresh header line,
 // which readers skip like any other header.
+//
+// Torn-tail contract: a crash can leave the last line unterminated.
+// OpenJournal terminates such a tail before its header, so the torn
+// fragment stays one (unparseable) line of its own; ReadJournal skips
+// and counts lines that are not valid JSON and ignores an unterminated
+// tail. Readers therefore get every intact event, never an error for a
+// tear, and never a duplicate. A line that parses but declares another
+// format is still an error — that is a foreign file, not a tear.
 
 package looptrace
 
@@ -109,7 +117,7 @@ func (t *Tracer) OpenJournal(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	f, err := os.OpenFile(JournalPath(dir, t.actor), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(JournalPath(dir, t.actor), os.O_CREATE|os.O_APPEND|os.O_RDWR, 0o644)
 	if err != nil {
 		return err
 	}
@@ -117,6 +125,14 @@ func (t *Tracer) OpenJournal(dir string) error {
 	if err != nil {
 		f.Close() //apollo:errok Close on the error path; the marshal error is already being returned
 		return err
+	}
+	// A non-empty file that does not end in a newline was torn by a writer
+	// that died mid-append: terminate the fragment before the header.
+	if st, err := f.Stat(); err == nil && st.Size() > 0 {
+		var last [1]byte
+		if _, err := f.ReadAt(last[:], st.Size()-1); err != nil || last[0] != '\n' {
+			hdr = append([]byte{'\n'}, hdr...)
+		}
 	}
 	hdr = append(hdr, '\n')
 	if _, err := f.Write(hdr); err != nil {
@@ -194,15 +210,16 @@ func NewLoopID(model string, parent int, wallNS int64) string {
 	return fmt.Sprintf("L%016x-%08x", h^uint64(wallNS), uint32(parent)<<24|uint32(wallNS)&0xffffff)
 }
 
-// ReadJournal parses one journal file, tolerating a torn final line and
-// interleaved header lines from restarts. Events missing an actor field
-// inherit the most recent header's actor.
-func ReadJournal(path string) ([]EventJSON, error) {
+// ReadJournal parses one journal file per the torn-tail contract (see
+// the file comment): lines that are not valid JSON are skipped and
+// counted in skipped, an unterminated tail is ignored, and header lines
+// from restarts are consumed. Events missing an actor field inherit the
+// most recent header's actor.
+func ReadJournal(path string) (events []EventJSON, skipped int, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	var events []EventJSON
 	actor := ""
 	for len(data) > 0 {
 		nl := bytes.IndexByte(data, '\n')
@@ -216,49 +233,47 @@ func ReadJournal(path string) ([]EventJSON, error) {
 		}
 		var probe struct {
 			Format string `json:"format"`
-			Kind   string `json:"kind"`
+			Actor  string `json:"actor"`
 		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			return nil, fmt.Errorf("looptrace: %s: bad line: %w", path, err)
+		if json.Unmarshal(line, &probe) != nil {
+			skipped++ // a torn line a later open terminated
+			continue
 		}
 		if probe.Format != "" {
-			var hdr journalHeader
-			if err := json.Unmarshal(line, &hdr); err != nil {
-				return nil, fmt.Errorf("looptrace: %s: bad header: %w", path, err)
+			if probe.Format != JournalFormatID {
+				return nil, skipped, fmt.Errorf("looptrace: %s has format %q, want %q", path, probe.Format, JournalFormatID)
 			}
-			if hdr.Format != JournalFormatID {
-				return nil, fmt.Errorf("looptrace: %s has format %q, want %q", path, hdr.Format, JournalFormatID)
-			}
-			actor = hdr.Actor
+			actor = probe.Actor
 			continue
 		}
 		var ev EventJSON
 		if err := json.Unmarshal(line, &ev); err != nil {
-			return nil, fmt.Errorf("looptrace: %s: bad event: %w", path, err)
+			return nil, skipped, fmt.Errorf("looptrace: %s: bad event: %w", path, err)
 		}
 		if ev.Actor == "" {
 			ev.Actor = actor
 		}
 		events = append(events, ev)
 	}
-	return events, nil
+	return events, skipped, nil
 }
 
 // ReadJournalDir parses every loop-*.jsonl journal under dir and
-// returns the union of their events (unsorted; Stitch orders them).
-func ReadJournalDir(dir string) ([]EventJSON, error) {
+// returns the union of their events (unsorted; Stitch orders them) and
+// the total of skipped lines.
+func ReadJournalDir(dir string) (all []EventJSON, skipped int, err error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "loop-*.jsonl"))
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	sort.Strings(paths)
-	var all []EventJSON
 	for _, p := range paths {
-		events, err := ReadJournal(p)
+		events, n, err := ReadJournal(p)
 		if err != nil {
-			return nil, err
+			return nil, skipped, err
 		}
 		all = append(all, events...)
+		skipped += n
 	}
-	return all, nil
+	return all, skipped, nil
 }

@@ -2,8 +2,8 @@
 // structured events for every stage of the model lifecycle — drift
 // fired, retrain started/ended, duel judged, model published, peer
 // pulled, client swapped, replica evicted/readmitted, telemetry
-// ingested — emitted through the same lock-free ring discipline as
-// internal/flight and made durable as JSONL journals.
+// ingested — emitted through a lock-free ring (internal/ring) and made
+// durable as JSONL journals.
 //
 // Each process in the loop (apollo-traind, every apollo-serve replica,
 // a tuner-side application) owns one Tracer identified by an actor
@@ -15,17 +15,20 @@
 // the journals of N processes into one causal timeline and reports the
 // loop reaction time (drift-detect → retrain → publish → converged).
 //
-// Emit is //apollo:hotpath: the producer side is a Vyukov bounded MPMC
-// ring of preallocated fixed-size events — claim a slot by CAS, copy
-// the strings into inline byte arrays, publish the slot's ticket — with
-// zero allocation, no locks, and drop-not-block on a full ring. Only
-// the consumer side (journal flush, debug capture) takes a mutex.
+// Emit is //apollo:hotpath: the producer side is an internal/ring queue
+// of preallocated fixed-size events — reserve a record, copy the strings
+// into inline byte arrays, publish it — with zero allocation, no locks,
+// and drop-not-block on a full ring. Only the consumer side (journal
+// flush, debug capture) takes a mutex.
 package looptrace
 
 import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"apollo/internal/flight"
+	"apollo/internal/ring"
 )
 
 // Kind enumerates the loop stages an event can mark.
@@ -141,12 +144,6 @@ type Fields struct {
 	Peer    string
 }
 
-// slot is one ring cell: a Vyukov sequence ticket plus its event.
-type slot struct {
-	seq atomic.Uint64
-	ev  Event
-}
-
 // Options configures a Tracer.
 type Options struct {
 	// Capacity is the ring size, rounded up to a power of two
@@ -161,19 +158,14 @@ type Options struct {
 type Tracer struct {
 	actor string
 	// wallBase anchors the monotonic clock to the wall clock: computed
-	// once at construction as time.Now() - nanotime(), so the hot-path
-	// emit derives a cross-process-comparable wall timestamp from a
-	// single vDSO monotonic read, never calling time.Now.
+	// once at construction as time.Now() - flight.Now() (the module's one
+	// monotonic clock), so the hot-path emit derives a cross-process-
+	// comparable wall timestamp from a single vDSO monotonic read, never
+	// calling time.Now.
 	wallBase int64
 
 	emitted atomic.Uint64
-	dropped atomic.Uint64
-
-	// Vyukov bounded MPMC ring (see telemetry.Recorder).
-	mask    uint64
-	slots   []slot
-	enqueue atomic.Uint64
-	dequeue atomic.Uint64
+	events  *ring.Ring[Event]
 
 	// mu serializes the cold consumer side: draining the ring into the
 	// retained window and appending journal lines. Never touched by
@@ -191,24 +183,15 @@ func New(actor string, opts Options) *Tracer {
 	if opts.Capacity <= 0 {
 		opts.Capacity = 1024
 	}
-	capacity := 1
-	for capacity < opts.Capacity {
-		capacity <<= 1
-	}
 	if opts.Retain <= 0 {
 		opts.Retain = 1024
 	}
-	t := &Tracer{
+	return &Tracer{
 		actor:    actor,
-		wallBase: time.Now().UnixNano() - nanotime(),
-		mask:     uint64(capacity - 1),
-		slots:    make([]slot, capacity),
+		wallBase: time.Now().UnixNano() - flight.Now(),
+		events:   ring.New[Event](opts.Capacity),
 		retain:   opts.Retain,
 	}
-	for i := range t.slots {
-		t.slots[i].seq.Store(uint64(i))
-	}
-	return t
 }
 
 // Actor returns the tracer's process identity.
@@ -227,76 +210,37 @@ func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.dropped.Load()
+	return t.events.Dropped()
 }
 
 // Emit records one loop event. It is safe on a nil tracer (a no-op), so
 // instrumented packages can call it unconditionally. The event's wall
 // timestamp comes from one monotonic clock read against the tracer's
 // construction-time wall anchor. Emit never blocks and never
-// allocates: contention resolves by CAS retry and a full ring drops.
+// allocates: a full ring drops the event.
 //
 //apollo:hotpath
 func (t *Tracer) Emit(kind Kind, model, loop string, f Fields) {
 	if t == nil {
 		return
 	}
-	for {
-		pos := t.enqueue.Load()
-		s := &t.slots[pos&t.mask]
-		seq := s.seq.Load()
-		switch {
-		case seq == pos:
-			if !t.enqueue.CompareAndSwap(pos, pos+1) {
-				continue
-			}
-			ev := &s.ev
-			ev.Kind = kind
-			ev.WallNS = t.wallBase + nanotime()
-			ev.Version = f.Version
-			ev.Parent = f.Parent
-			ev.Rows = f.Rows
-			ev.DurNS = f.DurNS
-			ev.A = f.A
-			ev.B = f.B
-			ev.modelLen = int32(copy(ev.model[:], model))
-			ev.loopLen = int32(copy(ev.loop[:], loop))
-			ev.peerLen = int32(copy(ev.peer[:], f.Peer))
-			ev.Seq = t.emitted.Add(1)
-			s.seq.Store(pos + 1) // publish: consumer ticket pos may now read
-			return
-		case seq < pos:
-			// The consumer has not freed this slot yet: the ring is
-			// full. Drop rather than stall the caller.
-			t.dropped.Add(1)
-			return
-		default:
-			// Another producer advanced enqueue between our loads;
-			// retry with the fresh position.
-		}
+	ev, ticket := t.events.Reserve()
+	if ev == nil {
+		return
 	}
-}
-
-// take dequeues one event, staying correct for concurrent consumers by
-// copying the event out before releasing the slot to producers.
-func (t *Tracer) take(out *Event) bool {
-	for {
-		pos := t.dequeue.Load()
-		s := &t.slots[pos&t.mask]
-		seq := s.seq.Load()
-		switch {
-		case seq == pos+1:
-			if !t.dequeue.CompareAndSwap(pos, pos+1) {
-				continue
-			}
-			*out = s.ev
-			s.seq.Store(pos + t.mask + 1) // free: producer ticket pos+cap may write
-			return true
-		case seq <= pos:
-			return false // empty
-		default:
-		}
-	}
+	ev.Kind = kind
+	ev.WallNS = t.wallBase + flight.Now()
+	ev.Version = f.Version
+	ev.Parent = f.Parent
+	ev.Rows = f.Rows
+	ev.DurNS = f.DurNS
+	ev.A = f.A
+	ev.B = f.B
+	ev.modelLen = int32(copy(ev.model[:], model))
+	ev.loopLen = int32(copy(ev.loop[:], loop))
+	ev.peerLen = int32(copy(ev.peer[:], f.Peer))
+	ev.Seq = t.emitted.Add(1)
+	t.events.Publish(ticket)
 }
 
 // drainLocked moves every ring event into the retained window (bounded,
@@ -304,8 +248,13 @@ func (t *Tracer) take(out *Event) bool {
 // Caller holds t.mu.
 func (t *Tracer) drainLocked() error {
 	var firstErr error
-	var ev Event
-	for t.take(&ev) {
+	for {
+		rec, ticket := t.events.Acquire()
+		if rec == nil {
+			break
+		}
+		ev := *rec
+		t.events.Release(ticket)
 		t.retained = append(t.retained, ev)
 		if t.journal != nil {
 			if err := t.journal.append(t.actor, &ev); err != nil && firstErr == nil {

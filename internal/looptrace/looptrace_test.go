@@ -1,7 +1,10 @@
 package looptrace
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -148,9 +151,9 @@ func TestJournalRoundTrip(t *testing.T) {
 	if filepath.Base(path) != "loop-serve-r1.jsonl" {
 		t.Errorf("journal path %q", path)
 	}
-	events, err := ReadJournal(path)
-	if err != nil {
-		t.Fatal(err)
+	events, skipped, err := ReadJournal(path)
+	if err != nil || skipped != 0 {
+		t.Fatalf("ReadJournal: %v (%d skipped)", err, skipped)
 	}
 	if len(events) != 2 {
 		t.Fatalf("read %d events, want 2", len(events))
@@ -162,12 +165,88 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Errorf("event 1: %+v", events[1])
 	}
 
-	all, err := ReadJournalDir(dir)
+	all, _, err := ReadJournalDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(all) != 2 {
 		t.Errorf("dir read %d events, want 2", len(all))
+	}
+}
+
+// A crash can tear the journal's last line at any byte. Whatever the
+// offset, a restarted tracer must be able to reopen the file and keep
+// journaling, and a reader must get the intact prefix plus the new
+// events — never an error for the whole file, never a duplicate.
+func TestJournalTornTailAtEveryOffset(t *testing.T) {
+	dir := t.TempDir()
+	tr := New("traind", Options{})
+	if err := tr.OpenJournal(dir); err != nil {
+		t.Fatal(err)
+	}
+	for v := int32(1); v <= 3; v++ {
+		tr.Emit(KindPublish, "lulesh/policy", "L1", Fields{Version: v, Parent: v - 1})
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := JournalPath(dir, "traind")
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastLine := bytes.LastIndexByte(whole[:len(whole)-1], '\n') + 1
+
+	for cut := lastLine; cut < len(whole); cut++ {
+		if err := os.WriteFile(path, whole[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// Only a cut that took nothing but the newline leaves event 3 whole.
+		wantVersions := []int32{1, 2, 9}
+		wantSkipped := 1
+		switch cut {
+		case lastLine:
+			wantSkipped = 0 // the whole line is gone: nothing torn
+		case len(whole) - 1:
+			wantVersions, wantSkipped = []int32{1, 2, 3, 9}, 0
+		}
+		restarted := New("traind", Options{})
+		if err := restarted.OpenJournal(dir); err != nil {
+			t.Fatalf("cut=%d: reopen: %v", cut, err)
+		}
+		restarted.Emit(KindPublish, "lulesh/policy", "L2", Fields{Version: 9})
+		if err := restarted.Close(); err != nil {
+			t.Fatalf("cut=%d: close: %v", cut, err)
+		}
+		events, skipped, err := ReadJournal(path)
+		if err != nil {
+			t.Fatalf("cut=%d: torn tail poisoned the journal: %v", cut, err)
+		}
+		var versions []int32
+		for _, ev := range events {
+			versions = append(versions, ev.Version)
+			if ev.Actor != "traind" || ev.Kind != "publish" {
+				t.Errorf("cut=%d: mangled event %+v", cut, ev)
+			}
+		}
+		if fmt.Sprint(versions) != fmt.Sprint(wantVersions) || skipped != wantSkipped {
+			t.Errorf("cut=%d: read versions %v (%d skipped), want %v (%d skipped)", cut, versions, skipped, wantVersions, wantSkipped)
+		}
+	}
+
+	// A reader racing the writer sees the unterminated tail and ignores it.
+	if err := os.WriteFile(path, whole[:len(whole)-5], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if events, skipped, err := ReadJournal(path); err != nil || len(events) != 2 || skipped != 0 {
+		t.Errorf("mid-append read: %d events, %d skipped, err %v; want 2, 0, nil", len(events), skipped, err)
+	}
+	// A foreign file is still refused, tear or no tear.
+	if err := os.WriteFile(path, []byte(`{"format":"apollo-telemetry-v1"}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadJournal(path); err == nil || !strings.Contains(err.Error(), "apollo-telemetry-v1") {
+		t.Errorf("wrong-format journal accepted: %v", err)
 	}
 }
 
@@ -184,7 +263,7 @@ func TestStartFlushes(t *testing.T) {
 	tr.Emit(KindDriftFired, "m", "L1", Fields{A: 0.5, Rows: 100})
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		events, err := ReadJournal(JournalPath(dir, "traind"))
+		events, _, err := ReadJournal(JournalPath(dir, "traind"))
 		if err == nil && len(events) == 1 {
 			break
 		}

@@ -47,7 +47,8 @@ type Entry struct {
 	Model *core.Model
 	// Compiled is the model's tree flattened at publish time (see
 	// package ctree); the serving layer's cache-miss predicts walk this,
-	// never the interpreted nodes.
+	// never the interpreted nodes. Never nil: publish and hot-reload both
+	// refuse a model the compiler rejects.
 	Compiled *ctree.Tree
 	// Lineage is the provenance block stamped at train time (nil for
 	// hand-published or legacy models). It rides inside Raw, so it
@@ -55,18 +56,6 @@ type Entry struct {
 	Lineage *core.Lineage
 	// Raw is the canonical envelope JSON as persisted and served.
 	Raw []byte
-}
-
-// PredictClass evaluates x (model-schema layout) through the compiled
-// tree, falling back to the interpreted walk for the rare entry whose
-// tree the compiler rejected.
-//
-//apollo:hotpath
-func (e *Entry) PredictClass(x []float64) int {
-	if e.Compiled != nil {
-		return e.Compiled.Predict(x)
-	}
-	return e.Model.Predict(x)
 }
 
 // Registry is the store. Reads are lock-free (one atomic map load plus

@@ -160,31 +160,27 @@ func (s *Server) errorJSON(w http.ResponseWriter, status int, format string, arg
 
 // modelInfo is the JSON summary of one registry entry. Compiled carries
 // the publish-time ctree compilation stats (node counts, flat-array
-// bytes, specialization kind) when the entry compiled.
+// bytes).
 type modelInfo struct {
-	Name       string       `json:"name"`
-	Version    int          `json:"version"`
-	ETag       string       `json:"etag"`
-	SchemaHash string       `json:"schema_hash"`
-	Parameter  string       `json:"parameter"`
-	Features   int          `json:"features"`
-	Compiled   *ctree.Stats `json:"compiled,omitempty"`
+	Name       string      `json:"name"`
+	Version    int         `json:"version"`
+	ETag       string      `json:"etag"`
+	SchemaHash string      `json:"schema_hash"`
+	Parameter  string      `json:"parameter"`
+	Features   int         `json:"features"`
+	Compiled   ctree.Stats `json:"compiled"`
 }
 
 func info(e *registry.Entry) modelInfo {
-	mi := modelInfo{
+	return modelInfo{
 		Name:       e.Name,
 		Version:    e.Version,
 		ETag:       e.ETag,
 		SchemaHash: e.SchemaHash,
 		Parameter:  e.Model.Param.String(),
 		Features:   e.Model.Schema.Len(),
+		Compiled:   e.Compiled.Stats(),
 	}
-	if e.Compiled != nil {
-		st := e.Compiled.Stats()
-		mi.Compiled = &st
-	}
-	return mi
 }
 
 func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
@@ -328,7 +324,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp := predictResponse{Model: e.Name, Version: e.Version}
-	if !single && len(vectors) > 1 && e.Compiled != nil {
+	if !single && len(vectors) > 1 {
 		resp.Classes = s.predictBatch(e, vectors)
 	} else {
 		for _, x := range vectors {
@@ -367,26 +363,18 @@ func (s *Server) predict(e *registry.Entry, x []float64) int {
 	if !s.fl.SiteKnown(siteID) {
 		s.fl.RegisterSite(siteID, e.Name, e.Model.Schema.Names())
 	}
-	if e.Compiled != nil {
-		// Server vectors are already in the model's own schema, so the
-		// decoder needs no source mapping; re-register only when a
-		// republish swapped the compiled tree.
-		if d := s.fl.SiteDecoder(siteID); d == nil || d.Tree != e.Compiled {
-			s.fl.SetSiteDecoder(siteID, &flight.TrailDecoder{Tree: e.Compiled})
-		}
+	// Server vectors are already in the model's own schema, so the
+	// decoder needs no source mapping; re-register only when a republish
+	// swapped the compiled tree.
+	if d := s.fl.SiteDecoder(siteID); d == nil || d.Tree != e.Compiled {
+		s.fl.SetSiteDecoder(siteID, &flight.TrailDecoder{Tree: e.Compiled})
 	}
 	t0 := flight.Now()
 	rec, tok := s.fl.Reserve(siteID)
 	if rec != nil {
-		if e.Compiled != nil {
-			var n int
-			class, n = e.Compiled.PredictOffsets(x, rec.Offsets[:])
-			rec.OffsetsLen = int32(n)
-		} else {
-			var steps int
-			class, steps = e.Model.Tree.PredictTrail(x, rec.Trail[:])
-			rec.TrailLen = int32(steps)
-		}
+		var n int
+		class, n = e.Compiled.PredictOffsets(x, rec.Offsets[:flight.MaxOffsets])
+		rec.OffsetsSplit, rec.OffsetsLen = int32(n), int32(n)
 		rec.NumFeatures = int32(copy(rec.Features[:], x))
 		rec.Predicted = int32(class)
 		rec.Policy = int32(class)
@@ -395,7 +383,7 @@ func (s *Server) predict(e *registry.Entry, x []float64) int {
 		rec.ObservedNS = evalNS
 		rec.PredictedNS = s.fl.PredictObserve(siteID, class, evalNS)
 	} else {
-		class = e.PredictClass(x)
+		class = e.Compiled.Predict(x)
 	}
 	s.fl.Commit(tok)
 	s.cacheMu.Lock()
@@ -484,10 +472,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.noteWriteError("metrics", s.met.WritePrometheus(w))
 }
 
-// collectFlight snapshots the flight recorder's counters into the
-// metrics set on each scrape (the recorder is the source of truth; the
-// gauges mirror its monotonic counters, matching how other components'
-// counters are exported here).
+// collectFlight snapshots the flight recorder's counters and the loop
+// tracer's drop count into the metrics set on each scrape (the rings are
+// the source of truth; the gauges mirror their monotonic counters,
+// matching how other components' counters are exported here).
 func (s *Server) collectFlight() {
 	s.met.GaugeSet("apollo_flight_emitted_total", "", "",
 		"Decision records committed to the flight recorder.", int64(s.fl.Emitted()))
@@ -496,5 +484,9 @@ func (s *Server) collectFlight() {
 	for i, used := range s.fl.Occupancy() {
 		s.met.GaugeSet("apollo_flight_ring_used", "shard", strconv.Itoa(i),
 			"Live records in each flight-recorder ring shard.", int64(used))
+	}
+	if s.trace != nil {
+		s.met.GaugeSet("apollo_loop_events_dropped_total", "", "",
+			"Loop events lost to a full looptrace ring.", int64(s.trace.Dropped()))
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"apollo/internal/dtree"
 	"apollo/internal/features"
 	"apollo/internal/flight"
+	"apollo/internal/looptrace"
 	"apollo/internal/raja"
 	"apollo/internal/registry"
 )
@@ -227,7 +228,7 @@ func TestPredictCompiledOffsetsAndStats(t *testing.T) {
 	t.Cleanup(ts.Close)
 	m := testModel(t)
 	mi := putModel(t, ts, "policy", m)
-	if mi.Compiled == nil || mi.Compiled.Nodes == 0 || mi.Compiled.Kind == "" {
+	if mi.Compiled.Nodes == 0 || mi.Compiled.Depth == 0 {
 		t.Fatalf("publish info lacks compiled stats: %+v", mi.Compiled)
 	}
 	if mi.Compiled.FlatBytes != mi.Compiled.Internal*24 {
@@ -251,9 +252,9 @@ func TestPredictCompiledOffsetsAndStats(t *testing.T) {
 		return out
 	}
 
-	// Cache-missing single predict: the flight record carries the compact
-	// offset trail, no TrailSteps, and the site decoder expands it to the
-	// same class the response reported.
+	// Cache-missing single predict: the flight record carries one compact
+	// offset trail, which the site decoder expands to the interpreted
+	// walk's path, and the response reports the recorded class.
 	x := make([]float64, m.Schema.Len())
 	x[m.Schema.Index(features.NumIndices)] = 131072
 	body, _ := json.Marshal(map[string]any{"model": "policy", "x": x})
@@ -263,17 +264,19 @@ func TestPredictCompiledOffsetsAndStats(t *testing.T) {
 		t.Fatalf("got %d flight records, want 1", len(recs))
 	}
 	rec := recs[0]
-	if rec.TrailLen != 0 || rec.OffsetsLen == 0 {
-		t.Fatalf("compiled miss recorded TrailLen=%d OffsetsLen=%d, want offsets only", rec.TrailLen, rec.OffsetsLen)
+	trail, second := rec.Trails()
+	if len(trail) == 0 || len(second) != 0 {
+		t.Fatalf("compiled miss recorded trails of %d/%d offsets, want one trail", len(trail), len(second))
 	}
 	dec := srv.Flight().SiteDecoder(rec.Site)
 	if dec == nil || dec.Tree == nil {
 		t.Fatal("compiled site has no registered decoder")
 	}
-	var steps [flight.MaxTrail]dtree.TrailStep
-	n := dec.Tree.DecodeOffsets(rec.Offsets[:rec.OffsetsLen], dec.Src, rec.Features[:rec.NumFeatures], steps[:])
-	if n == 0 {
-		t.Fatal("offset trail decoded to zero steps")
+	var steps, want [flight.MaxTrail]dtree.TrailStep
+	n := dec.Tree.DecodeOffsets(trail, dec.Src, rec.Features[:rec.NumFeatures], steps[:])
+	_, wantN := m.Tree.PredictTrail(x, want[:])
+	if n == 0 || n != wantN || steps != want {
+		t.Fatalf("offset trail decoded to %v, interpreted walk took %v", steps[:n], want[:wantN])
 	}
 	if got := out["class"].(float64); got != float64(rec.Predicted) {
 		t.Errorf("response class %g != recorded prediction %d", got, rec.Predicted)
@@ -322,11 +325,11 @@ func TestPredictCompiledOffsetsAndStats(t *testing.T) {
 	}
 	err = json.NewDecoder(resp.Body).Decode(&list)
 	resp.Body.Close()
-	if err != nil || len(list.Models) != 1 || list.Models[0].Compiled == nil {
-		t.Fatalf("model listing lacks compiled stats: %+v (%v)", list.Models, err)
+	if err != nil || len(list.Models) != 1 {
+		t.Fatalf("model listing: %+v (%v)", list.Models, err)
 	}
-	if *list.Models[0].Compiled != *mi.Compiled {
-		t.Errorf("listing stats %+v != publish stats %+v", *list.Models[0].Compiled, *mi.Compiled)
+	if list.Models[0].Compiled != mi.Compiled {
+		t.Errorf("listing stats %+v != publish stats %+v", list.Models[0].Compiled, mi.Compiled)
 	}
 }
 
@@ -385,6 +388,37 @@ func parsePrometheus(t *testing.T, text string) map[string]float64 {
 		out[line[:i]] = v
 	}
 	return out
+}
+
+// A server with a loop tracer mirrors the tracer ring's drop count at
+// scrape time; one without exports no such series.
+func TestMetricsExportLoopEventDrops(t *testing.T) {
+	scrape := func(ts *httptest.Server) map[string]float64 {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return parsePrometheus(t, string(raw))
+	}
+	plain, _ := newTestServer(t)
+	if _, ok := scrape(plain)["apollo_loop_events_dropped_total"]; ok {
+		t.Error("tracer-less server exports apollo_loop_events_dropped_total")
+	}
+	tr := looptrace.New("serve", looptrace.Options{Capacity: 2})
+	ts := httptest.NewServer(New(registry.New(), WithLoopTrace(tr)).Handler())
+	t.Cleanup(ts.Close)
+	for i := 0; i < 3; i++ { // three publish events into an undrained ring of two
+		putModel(t, ts, "policy", testModel(t))
+	}
+	if got, ok := scrape(ts)["apollo_loop_events_dropped_total"]; !ok || got != 1 {
+		t.Errorf("apollo_loop_events_dropped_total = %g (present=%v), want 1", got, ok)
+	}
 }
 
 func TestMetricsEndpointExposesCountersAndHistograms(t *testing.T) {

@@ -24,6 +24,7 @@ import (
 	"apollo/internal/dataset"
 	"apollo/internal/features"
 	"apollo/internal/raja"
+	"apollo/internal/ring"
 )
 
 // Options tunes a Recorder; the zero value picks sensible defaults.
@@ -47,28 +48,15 @@ type Options struct {
 type Recorder struct {
 	schema     *features.Schema
 	ann        *caliper.Annotations
-	every      uint64 // power of two; sampleMask = every-1
-	sampleMask uint64
+	sampleMask uint64 // SampleEvery rounded up to a power of two, minus one
 	columns    []string
 
 	seq      atomic.Uint64 // launches seen (sampling counter)
 	recorded atomic.Uint64 // samples enqueued
-	dropped  atomic.Uint64 // samples lost to a full ring
 
-	// Vyukov bounded MPMC queue: each slot carries a sequence number
-	// that encodes whether it is free for the producer at a given
-	// ticket or holds data for the consumer at a given ticket.
-	mask    uint64
-	slots   []slot
-	enqueue atomic.Uint64
-	dequeue atomic.Uint64
-}
-
-// slot is one ring cell with its preallocated row storage.
-type slot struct {
-	seq atomic.Uint64
-	row []float64
-	_   [4]uint64 // pad to keep neighboring seq words off one cache line
+	// rows is the sample queue: each record is a preallocated row (a
+	// slice into one shared backing array) that Record fills in place.
+	rows *ring.Ring[[]float64]
 }
 
 // NewRecorder returns a recorder capturing vectors of schema (plus the
@@ -85,25 +73,18 @@ func NewRecorder(schema *features.Schema, ann *caliper.Annotations, opts Options
 	if opts.Capacity <= 0 {
 		opts.Capacity = 4096
 	}
-	capacity := 1
-	for capacity < opts.Capacity {
-		capacity <<= 1
-	}
 	r := &Recorder{
 		schema:     schema,
 		ann:        ann,
-		every:      every,
 		sampleMask: every - 1,
 		columns:    core.RecordColumns(schema),
-		mask:       uint64(capacity - 1),
-		slots:      make([]slot, capacity),
+		rows:       ring.New[[]float64](opts.Capacity),
 	}
 	width := schema.Len() + 3
-	backing := make([]float64, capacity*width)
-	for i := range r.slots {
-		r.slots[i].seq.Store(uint64(i))
-		r.slots[i].row = backing[i*width : (i+1)*width : (i+1)*width]
-	}
+	backing := make([]float64, r.rows.Cap()*width)
+	r.rows.Prefill(func(i int, row *[]float64) {
+		*row = backing[i*width : (i+1)*width : (i+1)*width]
+	})
 	return r
 }
 
@@ -121,86 +102,51 @@ func (r *Recorder) Seen() uint64 { return r.seq.Load() }
 func (r *Recorder) Recorded() uint64 { return r.recorded.Load() }
 
 // Dropped returns how many sampled launches were lost to a full ring.
-func (r *Recorder) Dropped() uint64 { return r.dropped.Load() }
+func (r *Recorder) Dropped() uint64 { return r.rows.Dropped() }
 
 // Record observes one finished launch. The unsampled path is two atomic
-// operations and zero allocations; the sampled path claims a ring slot,
-// extracts the feature vector into its preallocated row, and publishes
-// it. It never blocks: contention resolves by CAS retry and a full ring
-// drops the sample.
+// operations and zero allocations; the sampled path reserves a ring
+// record, extracts the feature vector into its preallocated row, and
+// publishes it. It never blocks: a full ring drops the sample.
 //
 //apollo:hotpath
 func (r *Recorder) Record(k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedNS float64) {
 	if r.seq.Add(1)&r.sampleMask != 0 {
 		return
 	}
-	for {
-		pos := r.enqueue.Load()
-		s := &r.slots[pos&r.mask]
-		seq := s.seq.Load()
-		switch {
-		case seq == pos:
-			if !r.enqueue.CompareAndSwap(pos, pos+1) {
-				continue
-			}
-			n := r.schema.Len()
-			r.schema.ExtractInto(s.row[:n], k, iset, r.ann)
-			s.row[n] = float64(p.Policy)
-			s.row[n+1] = float64(p.Chunk)
-			s.row[n+2] = elapsedNS
-			s.seq.Store(pos + 1) // publish: consumer ticket pos may now read
-			r.recorded.Add(1)
-			return
-		case seq < pos:
-			// The consumer has not freed this slot yet: the ring is
-			// full. Drop rather than stall the launch path.
-			r.dropped.Add(1)
-			return
-		default:
-			// Another producer advanced enqueue between our loads;
-			// retry with the fresh position.
-		}
+	rec, ticket := r.rows.Reserve()
+	if rec == nil {
+		return
 	}
+	row := *rec
+	n := r.schema.Len()
+	r.schema.ExtractInto(row[:n], k, iset, r.ann)
+	row[n] = float64(p.Policy)
+	row[n+1] = float64(p.Chunk)
+	row[n+2] = elapsedNS
+	r.rows.Publish(ticket)
+	r.recorded.Add(1)
 }
 
 // Drain moves up to max buffered samples (everything when max <= 0) into
 // a frame laid out by Columns, returning nil when the ring is empty.
+// Drain is called from one uploader goroutine at a time in practice, but
+// stays correct for concurrent consumers: AddRow copies the row out of
+// the shared backing before the slot goes back to producers.
 func (r *Recorder) Drain(max int) *dataset.Frame {
 	var frame *dataset.Frame
 	for n := 0; max <= 0 || n < max; n++ {
-		row, ok := r.take()
-		if !ok {
+		row, ticket := r.rows.Acquire()
+		if row == nil {
 			break
 		}
 		if frame == nil {
 			frame = dataset.NewFrame(r.columns...)
 		}
-		frame.AddRow(row)
+		frame.AddRow(*row)
+		r.rows.Release(ticket)
 	}
 	return frame
-}
-
-// take dequeues one row. Drain is called from one uploader goroutine at
-// a time in practice, but take stays correct for concurrent consumers by
-// copying the row out before releasing the slot to producers.
-func (r *Recorder) take() ([]float64, bool) {
-	for {
-		pos := r.dequeue.Load()
-		s := &r.slots[pos&r.mask]
-		seq := s.seq.Load()
-		switch {
-		case seq == pos+1:
-			if !r.dequeue.CompareAndSwap(pos, pos+1) {
-				continue
-			}
-			out := append([]float64(nil), s.row...)
-			s.seq.Store(pos + r.mask + 1) // free: producer ticket pos+cap may write
-			return out, true
-		case seq <= pos:
-			return nil, false // empty
-		default:
-		}
-	}
 }
 
 // BatchFormatID identifies the telemetry wire format.

@@ -27,7 +27,7 @@ func TestBeginAllocationFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		tn.Begin(k, iset)
 	})
-	if allocs != 0 {
+	if allocs != 0 && !raceEnabled { // Begin crosses two sync.Pools (see raceEnabled)
 		t.Errorf("Tuner.Begin allocates %.1f objects per launch, want 0", allocs)
 	}
 }

@@ -1,9 +1,11 @@
 package tuner
 
 import (
+	"strings"
 	"testing"
 
 	"apollo/internal/caliper"
+	"apollo/internal/core"
 	"apollo/internal/dtree"
 	"apollo/internal/features"
 	"apollo/internal/flight"
@@ -50,29 +52,28 @@ func TestTunerEndEmitsFlight(t *testing.T) {
 	if first.Explored {
 		t.Fatal("non-explored launch marked Explored")
 	}
-	// A single compiled model records the compact offset trail, not
-	// TrailSteps.
-	if first.TrailLen != 0 {
-		t.Fatalf("compiled site recorded %d TrailSteps, want compact offsets only", first.TrailLen)
-	}
-	if first.OffsetsLen == 0 {
-		t.Fatal("no compact offset trail captured")
+	// A single-model site records one offset trail.
+	trail, second := first.Trails()
+	if len(trail) == 0 || len(second) != 0 {
+		t.Fatalf("single-model site recorded trails of %d/%d offsets, want one trail", len(trail), len(second))
 	}
 	ni := schema.Index(features.NumIndices)
 	if int(first.NumFeatures) <= ni || first.Features[ni] != 50 {
 		t.Fatalf("feature snapshot wrong: n=%d num_indices=%g", first.NumFeatures, first.Features[ni])
 	}
 	// Decoding the offsets against the site's registered decoder must
-	// reconstruct a trail that consults num_indices (the model's only
-	// informative feature) in source-schema indexing.
+	// reconstruct the interpreted walk's trail, which consults num_indices
+	// (the model's only informative feature) in source-schema indexing.
 	dec := fr.SiteDecoder(first.Site)
-	if dec == nil || dec.Tree == nil {
-		t.Fatal("compiled site did not register a trail decoder")
+	if dec == nil || dec.Tree == nil || dec.ChunkTree != nil {
+		t.Fatalf("single-model site registered decoder %+v, want a policy tree only", dec)
 	}
-	var steps [flight.MaxTrail]dtree.TrailStep
-	n := dec.Tree.DecodeOffsets(first.Offsets[:first.OffsetsLen], dec.Src, first.Features[:first.NumFeatures], steps[:])
-	if n == 0 {
-		t.Fatal("offset trail decoded to zero steps")
+	x := first.Features[:first.NumFeatures]
+	var steps, want [flight.MaxTrail]dtree.TrailStep
+	n := dec.Tree.DecodeOffsets(trail, dec.Src, x, steps[:])
+	_, wantN := model.Tree.PredictTrail(x, want[:])
+	if n == 0 || n != wantN || steps != want {
+		t.Fatalf("decoded trail %+v, interpreted %+v", steps[:n], want[:wantN])
 	}
 	found := false
 	for _, st := range steps[:n] {
@@ -155,8 +156,100 @@ func TestTunerEndFlightZeroAlloc(t *testing.T) {
 	k := raja.NewKernel("alloc", nil)
 	iset := raja.NewRange(0, 100)
 	p := raja.Params{Policy: raja.SeqExec}
-	if allocs := testing.AllocsPerRun(1000, func() { tn.End(k, iset, p, 100) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(1000, func() { tn.End(k, iset, p, 100) }); allocs != 0 && !raceEnabled {
 		t.Errorf("flight End: %v allocs/run, want 0", allocs)
+	}
+}
+
+// chunkModelOnReducedSchema hand-builds a chunk model over a schema the
+// tuner's source only half covers: num_indices maps through, "absent"
+// projects as zero (source index -1).
+func chunkModelOnReducedSchema() *core.Model {
+	leaf := func(class int) *dtree.Node { return &dtree.Node{Feature: -1, Label: class} }
+	return &core.Model{
+		Param:  core.ChunkSize,
+		Schema: features.NewSchema("absent", features.NumIndices),
+		Tree: &dtree.Tree{
+			Root: &dtree.Node{Feature: 1, Threshold: 1000,
+				Left:  &dtree.Node{Feature: 0, Threshold: -1, Left: leaf(0), Right: leaf(1)},
+				Right: &dtree.Node{Feature: 0, Threshold: 5, Left: leaf(2), Right: leaf(3)}},
+			NumFeatures: 2, NumClasses: 4,
+		},
+	}
+}
+
+// TestTunerEndDualModelFlight covers a site running both a policy and a
+// chunk model: the record carries two offset trails, each decoding —
+// through the decoder the tuner registered — to the interpreted walk of
+// its own model, and the emission still allocates nothing.
+func TestTunerEndDualModelFlight(t *testing.T) {
+	schema := features.TableI()
+	policy, chunk := trainPolicyModel(t, schema), chunkModelOnReducedSchema()
+	fr := newFlightRecorder(schema)
+	tn := NewTuner(schema, caliper.New(), raja.Params{}).UsePolicyModel(policy).UseChunkModel(chunk).UseFlight(fr)
+	k := raja.NewKernel("dual", nil)
+	ni := schema.Index(features.NumIndices)
+	for _, iters := range []int{50, 100000} {
+		iset := raja.NewRange(0, iters)
+		p, _ := tn.Begin(k, iset)
+		tn.End(k, iset, p, 100)
+	}
+	recs := fr.Snapshot()
+	if len(recs) != 2 {
+		t.Fatalf("got %d records, want 2", len(recs))
+	}
+	dec := fr.SiteDecoder(k.ID)
+	if dec == nil || dec.Tree == nil || dec.ChunkTree == nil {
+		t.Fatalf("dual site registered decoder %+v, want both trees", dec)
+	}
+	if dec.ChunkSrc[0] != -1 || int(dec.ChunkSrc[1]) != ni {
+		t.Fatalf("chunk source mapping %v, want [-1 %d]", dec.ChunkSrc, ni)
+	}
+	for _, rec := range recs {
+		x := rec.Features[:rec.NumFeatures]
+		first, second := rec.Trails()
+		var got, want [flight.MaxTrail]dtree.TrailStep
+		// Policy trail: the model shares the source schema.
+		n := dec.Tree.DecodeOffsets(first, dec.Src, x, got[:])
+		class, wantN := policy.Tree.PredictTrail(x, want[:])
+		if n == 0 || n != wantN || got != want || rec.Predicted != int32(class) {
+			t.Fatalf("iters=%g policy trail %+v (predicted %d), interpreted %+v (class %d)",
+				x[ni], got[:n], rec.Predicted, want[:wantN], class)
+		}
+		// Chunk trail: interpreted over the projected vector, with the
+		// feature indices mapped back to the source (-1 for "absent").
+		got, want = [flight.MaxTrail]dtree.TrailStep{}, [flight.MaxTrail]dtree.TrailStep{}
+		n = dec.ChunkTree.DecodeOffsets(second, dec.ChunkSrc, x, got[:])
+		class, wantN = chunk.Tree.PredictTrail([]float64{0, x[ni]}, want[:])
+		for i := range want[:wantN] {
+			want[i].Feature = dec.ChunkSrc[want[i].Feature]
+		}
+		if n != 2 || n != wantN || got != want || rec.Chunk != int32(raja.ChunkSizes[class]) {
+			t.Fatalf("iters=%g chunk trail %+v (chunk %d), interpreted %+v (class %d)",
+				x[ni], got[:n], rec.Chunk, want[:wantN], class)
+		}
+	}
+	// The capture renders both as one path, policy steps first.
+	for _, cr := range fr.Capture().Records {
+		if len(cr.TrailOffsets) == 0 || len(cr.ChunkTrailOffsets) != 3 || len(cr.Path) != len(cr.TrailOffsets)-1+2 {
+			t.Fatalf("capture record: trails %v / %v, path %q", cr.TrailOffsets, cr.ChunkTrailOffsets, cr.Path)
+		}
+		if last := cr.Path[len(cr.Path)-1]; !strings.HasPrefix(last, "(absent feature) (=0)") {
+			t.Fatalf("chunk path ends %q, want the absent-feature step", last)
+		}
+	}
+
+	iset := raja.NewRange(0, 100)
+	p := raja.Params{Policy: raja.SeqExec}
+	if allocs := testing.AllocsPerRun(1000, func() { tn.End(k, iset, p, 100) }); allocs != 0 && !raceEnabled {
+		t.Errorf("dual-model flight End: %v allocs/run, want 0", allocs)
+	}
+
+	// Swapping either model re-registers both decoder pairs together.
+	tn.UseChunkModel(chunkModelOnReducedSchema())
+	tn.End(k, iset, p, 100)
+	if next := fr.SiteDecoder(k.ID); next == dec || next.Tree != dec.Tree || next.ChunkTree == dec.ChunkTree {
+		t.Fatalf("chunk-model swap left decoder %+v (was %+v)", next, dec)
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 
 	"apollo/internal/caliper"
 	"apollo/internal/core"
+	"apollo/internal/ctree"
 	"apollo/internal/dataset"
 	"apollo/internal/features"
 	"apollo/internal/flight"
@@ -305,11 +306,9 @@ func (t *Tuner) End(k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedN
 // mid-launch or the launch was an exploration flip — both of which
 // surface as Explored. It allocates nothing.
 //
-// Sites running a single compiled model record the compact offset trail
-// (Record.Offsets, 4 bytes per step) against the site's registered
-// TrailDecoder instead of full TrailSteps; sites running both a policy
-// and a chunk model keep the concatenated TrailStep form, since one
-// offset trail cannot span two layouts.
+// Each installed model writes its own compact offset trail into the
+// record (policy first, then chunk; 4 bytes per step), decoded at
+// capture time against the site's registered TrailDecoder.
 //
 //apollo:hotpath
 func (t *Tuner) emitFlight(fr *flight.Recorder, k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedNS float64) {
@@ -328,36 +327,33 @@ func (t *Tuner) emitFlight(fr *flight.Recorder, k *raja.Kernel, iset *raja.Index
 	rec.NumFeatures = int32(copy(rec.Features[:], x))
 	predicted := int32(-1)
 	chosen := t.base
-	trailLen := 0
-	if ps := t.src.Load().s.Projectors(); ps != nil {
-		if ps.Policy != nil && ps.Chunk == nil && ps.Policy.Compiled() != nil {
-			// Single compiled model: compact offset trail. The decoder
-			// pointer doubles as the model-swap detector — one lock-free
-			// load compares the compiled tree identity per launch.
-			if d := fr.SiteDecoder(k.ID); d == nil || d.Tree != ps.Policy.Compiled() {
-				registerDecoder(fr, k.ID, ps.Policy)
-			}
-			class, n := ps.Policy.PredictOffsets(x, rec.Offsets[:])
-			rec.OffsetsLen = int32(n)
+	if ps := t.src.Load().s.Projectors(); ps != nil && (ps.Policy != nil || ps.Chunk != nil) {
+		// The decoder pointer doubles as the model-swap detector — one
+		// lock-free load compares the compiled tree identities per launch.
+		var policyTree, chunkTree *ctree.Tree
+		n := 0
+		if ps.Policy != nil {
+			policyTree = ps.Policy.Compiled()
+			class, steps := ps.Policy.PredictOffsets(x, rec.Offsets[:flight.MaxOffsets])
+			n = steps
 			predicted = int32(class)
 			chosen.Policy = raja.Policy(class)
-		} else {
-			if ps.Policy != nil {
-				class, steps := ps.Policy.PredictTrail(x, rec.Trail[:])
-				trailLen = steps
+		}
+		rec.OffsetsSplit = int32(n)
+		if ps.Chunk != nil {
+			chunkTree = ps.Chunk.Compiled()
+			class, steps := ps.Chunk.PredictOffsets(x, rec.Offsets[n:n+flight.MaxOffsets])
+			n += steps
+			if predicted < 0 {
 				predicted = int32(class)
-				chosen.Policy = raja.Policy(class)
 			}
-			if ps.Chunk != nil {
-				class, steps := ps.Chunk.PredictTrail(x, rec.Trail[trailLen:])
-				trailLen += steps
-				if predicted < 0 {
-					predicted = int32(class)
-				}
-				if class >= 0 && class < len(raja.ChunkSizes) {
-					chosen.Chunk = raja.ChunkSizes[class]
-				}
+			if class >= 0 && class < len(raja.ChunkSizes) {
+				chosen.Chunk = raja.ChunkSizes[class]
 			}
+		}
+		rec.OffsetsLen = int32(n)
+		if d := fr.SiteDecoder(k.ID); d == nil || d.Tree != policyTree || d.ChunkTree != chunkTree {
+			registerDecoder(fr, k.ID, ps)
 		}
 	}
 	t2 := flight.Now()
@@ -366,7 +362,6 @@ func (t *Tuner) emitFlight(fr *flight.Recorder, k *raja.Kernel, iset *raja.Index
 	rec.Policy = int32(p.Policy)
 	rec.Chunk = int32(p.Chunk)
 	rec.Predicted = predicted
-	rec.TrailLen = int32(trailLen)
 	rec.Explored = predicted >= 0 && chosen.Policy != p.Policy
 	rec.ObservedNS = elapsedNS
 	rec.PredictedNS = fr.PredictObserve(k.ID, int(p.Policy), elapsedNS)
@@ -376,13 +371,20 @@ func (t *Tuner) emitFlight(fr *flight.Recorder, k *raja.Kernel, iset *raja.Index
 }
 
 // registerDecoder publishes the flight-trail decoder for a site's
-// current compiled policy model. It allocates, so it lives off the hot
-// path behind emitFlight's pointer-identity check: once per model swap,
-// never per launch.
+// current compiled models. It allocates, so it lives off the hot path
+// behind emitFlight's pointer-identity check: once per model swap, never
+// per launch.
 //
 //apollo:coldpath decoder registration runs once per site model swap
-func registerDecoder(fr *flight.Recorder, id uint64, p *core.Projector) {
-	fr.SetSiteDecoder(id, &flight.TrailDecoder{Tree: p.Compiled(), Src: p.SourceIndex()})
+func registerDecoder(fr *flight.Recorder, id uint64, ps *Projectors) {
+	d := &flight.TrailDecoder{}
+	if ps.Policy != nil {
+		d.Tree, d.Src = ps.Policy.Compiled(), ps.Policy.SourceIndex()
+	}
+	if ps.Chunk != nil {
+		d.ChunkTree, d.ChunkSrc = ps.Chunk.Compiled(), ps.Chunk.SourceIndex()
+	}
+	fr.SetSiteDecoder(id, d)
 }
 
 // UseTelemetry attaches (or, with nil, detaches) a telemetry recorder;

@@ -205,7 +205,7 @@ func TestClosedLoopLineageChain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	events, err := looptrace.ReadJournalDir(journalDir)
+	events, _, err := looptrace.ReadJournalDir(journalDir)
 	if err != nil {
 		t.Fatal(err)
 	}

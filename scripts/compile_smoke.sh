@@ -60,7 +60,6 @@ echo "== train and push (publish-time compile happens in the registry)"
     -out "$WORK/model.json" -push "$BASE" -push-name smoke/policy | tail -n1
 
 echo "== model listing exposes compilation stats"
-fetch "$BASE/models" | grep -q '"kind"'
 fetch "$BASE/models" | grep -q '"flat_bytes"'
 
 echo "== compiled report + differential verification (local and live)"

@@ -119,6 +119,8 @@ echo "$METRICS" | grep -q '^apollo_flight_drops_total ' \
     || { echo "FAIL: no apollo_flight_drops_total on r1"; exit 1; }
 echo "$METRICS" | grep -q 'apollo_flight_ring_used{shard="0"}' \
     || { echo "FAIL: no apollo_flight_ring_used series on r1"; exit 1; }
+echo "$METRICS" | grep -q '^apollo_loop_events_dropped_total ' \
+    || { echo "FAIL: no apollo_loop_events_dropped_total on r1"; exit 1; }
 
 echo "== shut daemons down so every journal flushes"
 kill "$TRAIND_PID"; wait "$TRAIND_PID" 2>/dev/null || true; TRAIND_PID=""
