@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint test race stress bench results quick-results cover clean serve-smoke loop-smoke flight-smoke fleet-smoke compile-smoke lineage-smoke vet-bench vet-diff bench-smoke
+.PHONY: all build lint test race stress bench results quick-results cover clean serve-smoke loop-smoke flight-smoke fleet-smoke compile-smoke lineage-smoke vet-bench vet-diff bench-smoke bench-compare
 
 all: build lint vet-diff test bench-smoke race flight-smoke fleet-smoke compile-smoke lineage-smoke
 
@@ -44,6 +44,12 @@ race:
 # catches an API break against it before the benchmark pipeline runs.
 bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# The before/after a performance PR quotes: ten alternating parent/change
+# pairs of the repository benchmark, judged by `benchmark/run.sh -compare`
+# (about 70 minutes; `make bench-compare PARENT=<ref>`).
+bench-compare:
+	bash scripts/bench_compare.sh $(PARENT)
 
 # Scheduler stress: the closed-loop e2e scenario repeated under the
 # race detector across a GOMAXPROCS sweep, multiplying the goroutine

@@ -259,7 +259,7 @@ func methodBindings(pkg *Package, body *ast.BlockStmt) map[types.Object]*types.F
 func shortQualifier(p *types.Package) string { return p.Name() }
 
 // displayName renders a function for call-chain diagnostics, e.g.
-// "(*tuner.Tuner).Begin" or "features.featureValue".
+// "(*tuner.Tuner).Begin" or "features.Fingerprint".
 func displayName(obj *types.Func) string {
 	sig := obj.Type().(*types.Signature)
 	if recv := sig.Recv(); recv != nil {

@@ -97,16 +97,34 @@ func (a *Annotations) End(key string) {
 	})
 }
 
-// Get returns the current (innermost) value of the attribute.
+// State is one published state of the blackboard, immutable however long
+// it is held. States compare equal exactly when they are the same
+// publication: every write publishes a fresh map, and a held State keeps
+// its map alive, so the address cannot be reused while anything still
+// compares against it. A State is thus its own version stamp — values
+// cached from one (features' view) are current while State() returns it.
+type State struct{ stacks *map[string][]float64 }
+
+// State returns the current published state.
 //
 //apollo:hotpath
-func (a *Annotations) Get(key string) (float64, bool) {
-	st := (*a.cur.Load())[key]
+func (a *Annotations) State() State { return State{a.cur.Load()} }
+
+// Get returns the (innermost) value the attribute had in this state.
+//
+//apollo:hotpath
+func (s State) Get(key string) (float64, bool) {
+	st := (*s.stacks)[key]
 	if len(st) == 0 {
 		return 0, false
 	}
 	return st[len(st)-1], true
 }
+
+// Get returns the current (innermost) value of the attribute.
+//
+//apollo:hotpath
+func (a *Annotations) Get(key string) (float64, bool) { return a.State().Get(key) }
 
 // GetOr returns the current value of the attribute, or def if unset.
 //

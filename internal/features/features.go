@@ -13,6 +13,7 @@ package features
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"apollo/internal/caliper"
 	"apollo/internal/instmix"
@@ -77,6 +78,10 @@ func Fingerprint(names []string) uint64 {
 type Schema struct {
 	names []string
 	index map[string]int
+
+	// plan is the compiled extraction plan, built on first extraction so
+	// schemas that only describe a layout (model decode) pay nothing.
+	plan atomic.Pointer[plan]
 }
 
 // NewSchema builds a schema from the given names, in order.
@@ -170,39 +175,181 @@ func (s *Schema) Extract(k *raja.Kernel, iset *raja.IndexSet, ann *caliper.Annot
 }
 
 // ExtractInto assembles the feature vector into dst, which must have at
-// least Len() capacity, and returns dst[:Len()]. It allocates nothing
-// itself, so callers with preallocated buffers (the telemetry ring) can
-// capture features on the launch path without garbage.
+// least Len() capacity, and returns dst[:Len()]. A launch costs a copy of
+// the kernel site's static block, the index-set getters and a pointer
+// compare against the blackboard's published state: names are resolved
+// once per schema (compile), kernel constants once per site (bake),
+// blackboard values once per published state (resolve), and only those
+// three allocate. One vector's blackboard values all come from a single
+// published state. The plan caches one resolved state, so a schema used
+// with two blackboards in turn stays correct but resolves on every
+// switch; give each blackboard its own schema.
+//
+//apollo:hotpath
 func (s *Schema) ExtractInto(dst []float64, k *raja.Kernel, iset *raja.IndexSet, ann *caliper.Annotations) []float64 {
+	p := s.plan.Load()
+	if p == nil {
+		p = s.compile()
+	}
+	block, ok := (*p.sites.Load())[k]
+	if !ok {
+		block = p.bake(k)
+	}
 	dst = dst[:len(s.names)]
-	for i, n := range s.names {
-		dst[i] = featureValue(n, k, iset, ann)
+	copy(dst, block)
+	for _, o := range p.launch {
+		switch o.kind {
+		case opIndexType:
+			dst[o.dst] = float64(iset.Type())
+		case opNumIndices:
+			dst[o.dst] = float64(iset.Len())
+		case opNumSegments:
+			dst[o.dst] = float64(iset.NumSegments())
+		case opStride:
+			dst[o.dst] = float64(iset.Stride())
+		}
+	}
+	if ann != nil && len(p.board) > 0 {
+		st := ann.State()
+		v := p.view.Load()
+		if v == nil || v.state != st {
+			v = p.resolve(st)
+		}
+		for i, o := range p.board {
+			dst[o.dst] = v.vals[i]
+		}
 	}
 	return dst
 }
 
-func featureValue(name string, k *raja.Kernel, iset *raja.IndexSet, ann *caliper.Annotations) float64 {
-	switch name {
-	case Func:
-		return caliper.Encode(k.Name)
-	case FuncSize:
-		return k.Mix.FuncSize()
-	case IndexType:
-		return float64(iset.Type())
-	case LoopID:
-		return float64(k.ID)
-	case NumIndices:
-		return float64(iset.Len())
-	case NumSegments:
-		return float64(iset.NumSegments())
-	case Stride:
-		return float64(iset.Stride())
+// opKind is what one compiled feature reads. The order is the plan's
+// three tiers: kernel-static kinds (baked per site) up to opCount, then
+// the index-set kinds (read per launch), then opBoard.
+type opKind uint8
+
+const (
+	opFunc opKind = iota
+	opFuncSize
+	opLoopID
+	opCount // mnemonic count of op.group
+	opIndexType
+	opNumIndices
+	opNumSegments
+	opStride
+	opBoard // blackboard attribute op.key
+)
+
+var kernelOps = map[string]opKind{
+	Func: opFunc, FuncSize: opFuncSize, LoopID: opLoopID, IndexType: opIndexType,
+	NumIndices: opNumIndices, NumSegments: opNumSegments, Stride: opStride,
+}
+
+// op writes one feature to position dst of the vector.
+type op struct {
+	dst   int
+	kind  opKind
+	group instmix.Group
+	key   string
+}
+
+// plan is a schema's names compiled into typed ops, with the two caches
+// that keep name resolution off the launch path.
+type plan struct {
+	static, launch, board []op
+
+	// sites holds each launched kernel's static block: a full-width
+	// vector, the kernel-constant features filled in and every other
+	// position zero (what an unset blackboard reads). Copy-on-write, and
+	// correct only because a launched kernel's name, ID and mix never
+	// change (the contract on raja.Kernel).
+	sites atomic.Pointer[map[*raja.Kernel][]float64]
+	// view holds the board ops' values under one blackboard state; it is
+	// current exactly while that state is (see caliper.State).
+	view atomic.Pointer[boardView]
+}
+
+type boardView struct {
+	state caliper.State
+	vals  []float64 // parallel to plan.board
+}
+
+// compile builds and installs the schema's plan.
+//
+//apollo:coldpath name resolution runs once per schema, on its first extraction
+func (s *Schema) compile() *plan {
+	p := &plan{}
+	for i, n := range s.names {
+		o := op{dst: i, kind: opBoard, key: n}
+		if kind, ok := kernelOps[n]; ok {
+			o.kind = kind
+		} else if g, ok := instmix.GroupByName(n); ok {
+			o.kind, o.group = opCount, g
+		}
+		switch {
+		case o.kind <= opCount:
+			p.static = append(p.static, o)
+		case o.kind < opBoard:
+			p.launch = append(p.launch, o)
+		default:
+			p.board = append(p.board, o)
+		}
 	}
-	if g, ok := instmix.GroupByName(name); ok {
-		return k.Mix.Count(g)
+	sites := map[*raja.Kernel][]float64{}
+	p.sites.Store(&sites)
+	if !s.plan.CompareAndSwap(nil, p) {
+		return s.plan.Load() // a concurrent first extraction won; share its caches
 	}
-	if ann != nil {
-		return ann.GetOr(name, 0)
+	return p
+}
+
+// bake computes and publishes k's static block.
+//
+//apollo:coldpath the static block is baked once per (schema, kernel site), never per launch
+func (p *plan) bake(k *raja.Kernel) []float64 {
+	block := make([]float64, len(p.static)+len(p.launch)+len(p.board))
+	for _, o := range p.static {
+		switch o.kind {
+		case opFunc:
+			block[o.dst] = caliper.Encode(k.Name)
+		case opFuncSize:
+			block[o.dst] = k.Mix.FuncSize()
+		case opLoopID:
+			block[o.dst] = float64(k.ID)
+		case opCount:
+			block[o.dst] = k.Mix.Count(o.group)
+		}
 	}
-	return 0
+	for {
+		old := p.sites.Load()
+		if won, ok := (*old)[k]; ok {
+			return won
+		}
+		if p.sites.CompareAndSwap(old, withSite(*old, k, block)) {
+			return block
+		}
+	}
+}
+
+// withSite returns a copy of sites with k's block added.
+func withSite(sites map[*raja.Kernel][]float64, k *raja.Kernel, block []float64) *map[*raja.Kernel][]float64 {
+	next := make(map[*raja.Kernel][]float64, len(sites)+1)
+	for site, b := range sites {
+		next[site] = b
+	}
+	next[k] = block
+	return &next
+}
+
+// resolve caches the board ops' values under st as the current view.
+// Racing resolvers overwrite each other; each returns the view it built,
+// and a stale entry only costs the next launch a resolve.
+//
+//apollo:coldpath blackboard names are resolved once per published state (a timestep or scope boundary), not per launch
+func (p *plan) resolve(st caliper.State) *boardView {
+	v := &boardView{state: st, vals: make([]float64, len(p.board))}
+	for i, o := range p.board {
+		v.vals[i], _ = st.Get(o.key)
+	}
+	p.view.Store(v)
+	return v
 }

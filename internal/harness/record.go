@@ -76,10 +76,8 @@ func (r *SweepRecorder) Begin(k *raja.Kernel, iset *raja.IndexSet) (raja.Params,
 
 // End synthesizes one sample per variant for the launch.
 func (r *SweepRecorder) End(k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedNS float64) {
-	x := r.schema.Extract(k, iset, r.ann)
+	n := len(r.schema.ExtractInto(r.row, k, iset, r.ann))
 	r.samples++
-	n := r.schema.Len()
-	copy(r.row, x)
 	for vi, v := range r.variants {
 		t := r.machine.KernelTimeNS(k.Mix, iset.Len(), v.Policy.Parallel(), v.Chunk)
 		key := k.ID<<40 ^ r.samples<<8 ^ uint64(vi)

@@ -96,7 +96,9 @@ func GroupNames() []string {
 
 // Mix holds the per-iteration instruction counts of one kernel body,
 // grouped by mnemonic. Counts are fractional because a body's dynamic mix
-// per loop iteration may average over internal branches.
+// per loop iteration may average over internal branches. With, Scale and
+// Merge build a mix; once a kernel carrying it has launched it must not
+// change (see raja.Kernel) — derive variants from a Clone.
 type Mix struct {
 	counts [NumGroups]float64
 }

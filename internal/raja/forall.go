@@ -18,6 +18,13 @@ var kernelIDs atomic.Uint64
 // its unique loop_id, and the instruction mix of its body (the paper's
 // Dyninst-derived instruction features; see package instmix for the
 // substitution).
+//
+// Name, ID and Mix (the pointer and the counts behind it) are immutable
+// once the site has launched: feature extraction bakes the features they
+// determine into a per-site static block on the first launch and never
+// reads them again, as a compiled binary's code address and instruction
+// mix never change under a running application. Build the mix fully
+// before NewKernel, or at the latest before the first ForAll.
 type Kernel struct {
 	Name string
 	ID   uint64

@@ -111,16 +111,45 @@ func (r *Recorder) Dropped() uint64 { return r.rows.Dropped() }
 //
 //apollo:hotpath
 func (r *Recorder) Record(k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedNS float64) {
-	if r.seq.Add(1)&r.sampleMask != 0 {
+	if !r.Sample() {
 		return
 	}
-	rec, ticket := r.rows.Reserve()
-	if rec == nil {
-		return
+	if rec, ticket := r.rows.Reserve(); rec != nil {
+		r.schema.ExtractInto(*rec, k, iset, r.ann)
+		r.publish(*rec, ticket, p, elapsedNS)
 	}
-	row := *rec
+}
+
+// Captures reports whether a vector extracted against schema and ann is
+// the one Record would extract, so a caller that holds the launch's
+// vector may use Sample + RecordVector instead of Record.
+func (r *Recorder) Captures(schema *features.Schema, ann *caliper.Annotations) bool {
+	return r.schema == schema && r.ann == ann
+}
+
+// Sample counts one finished launch and reports whether it is sampled.
+// Record calls it itself; Tuner.End, which shares one extraction with the
+// flight record, calls it before extracting — an unsampled launch stays
+// two atomic operations — and then RecordVector.
+//
+//apollo:hotpath
+func (r *Recorder) Sample() bool { return r.seq.Add(1)&r.sampleMask == 0 }
+
+// RecordVector enqueues a launch that Sample selected, copying its
+// extracted vector x (laid out by Schema) into the ring row. Like Record
+// it never blocks and never allocates.
+//
+//apollo:hotpath
+func (r *Recorder) RecordVector(x []float64, p raja.Params, elapsedNS float64) {
+	if rec, ticket := r.rows.Reserve(); rec != nil {
+		copy(*rec, x)
+		r.publish(*rec, ticket, p, elapsedNS)
+	}
+}
+
+// publish completes a reserved row whose feature columns are filled.
+func (r *Recorder) publish(row []float64, ticket ring.Ticket, p raja.Params, elapsedNS float64) {
 	n := r.schema.Len()
-	r.schema.ExtractInto(row[:n], k, iset, r.ann)
 	row[n] = float64(p.Policy)
 	row[n+1] = float64(p.Chunk)
 	row[n+2] = elapsedNS

@@ -1,15 +1,19 @@
 package tuner
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"apollo/internal/app"
 	"apollo/internal/caliper"
 	"apollo/internal/core"
 	"apollo/internal/dtree"
 	"apollo/internal/features"
 	"apollo/internal/flight"
+	"apollo/internal/lulesh"
 	"apollo/internal/raja"
+	"apollo/internal/telemetry"
 )
 
 func newFlightRecorder(schema *features.Schema) *flight.Recorder {
@@ -267,5 +271,95 @@ func BenchmarkTunerEndFlight(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tn.End(k, iset, p, 100)
+	}
+}
+
+// TestTunerEndSharesOneExtraction runs a hydro application under the
+// stock wiring (telemetry and flight on one schema and blackboard) and
+// checks, launch by launch, that the telemetry row's feature columns and
+// the flight record's feature snapshot are the same vector — End
+// extracts once and both are copies of it — and that steady-state End
+// with both attached allocates nothing.
+func TestTunerEndSharesOneExtraction(t *testing.T) {
+	schema := features.TableI()
+	ann := caliper.New()
+	desc := lulesh.Descriptor()
+	fr := flight.New(flight.Options{Shards: 1, ShardCapacity: 1 << 12, FeatureNames: schema.Names()})
+	rec := telemetry.NewRecorder(schema, ann, telemetry.Options{SampleEvery: 1, Capacity: 1 << 12})
+	tn := NewTuner(schema, ann, desc.DefaultParams).
+		UsePolicyModel(trainPolicyModel(t, schema)).UseTelemetry(rec).UseFlight(fr).ExploreEvery(8)
+	ctx := simContext(tn, desc.DefaultParams)
+	sim, err := desc.New(app.Config{Ctx: ctx, Ann: ann, Problem: "sedov", Size: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		sim.Step()
+	}
+	rows, recs := rec.Drain(0), fr.Snapshot()
+	if rows == nil || rows.Len() != len(recs) || rows.Len() != int(tn.Decisions()) {
+		t.Fatalf("%v telemetry rows, %d flight records, %d launches: want one of each per launch", rows, len(recs), tn.Decisions())
+	}
+	n := schema.Len()
+	steps := map[float64]bool{}
+	for i, fl := range recs {
+		row := rows.Row(i)
+		if int(fl.NumFeatures) != n {
+			t.Fatalf("launch %d: flight record holds %d features, want %d", i, fl.NumFeatures, n)
+		}
+		for j := 0; j < n; j++ {
+			if math.Float64bits(row[j]) != math.Float64bits(fl.Features[j]) {
+				t.Fatalf("launch %d, %s: telemetry row %v, flight record %v", i, schema.Name(j), row[j], fl.Features[j])
+			}
+		}
+		if row[n+2] != fl.ObservedNS || int32(row[n]) != fl.Policy {
+			t.Fatalf("launch %d: row (policy %v, %v ns) and record (policy %d, %v ns) are different launches", i, row[n], row[n+2], fl.Policy, fl.ObservedNS)
+		}
+		steps[row[schema.Index(features.Timestep)]] = true
+	}
+	if len(steps) < 5 {
+		t.Fatalf("rows carry timesteps %v: the blackboard did not move under the run", steps)
+	}
+
+	k, iset := raja.NewKernel("alloc", nil), raja.NewRange(0, 100)
+	p := raja.Params{Policy: raja.SeqExec}
+	rec.Drain(0) // the ring (4096 rows) now outlasts the measured calls: every End is sampled and enqueued
+	allocs := testing.AllocsPerRun(1000, func() { tn.End(k, iset, p, 100) })
+	if allocs != 0 && !raceEnabled {
+		t.Errorf("End with telemetry and flight attached: %v allocs/run, want 0", allocs)
+	}
+	if rec.Dropped() != 0 {
+		t.Errorf("%d rows dropped: the measured Ends did not all take the sampled path", rec.Dropped())
+	}
+}
+
+// TestTunerEndForeignRecorder: a telemetry recorder on another schema or
+// blackboard than the tuner's cannot take End's vector; it extracts its
+// own, laid out by its own schema.
+func TestTunerEndForeignRecorder(t *testing.T) {
+	schema := features.TableI()
+	ann, otherAnn := caliper.New(), caliper.New()
+	ann.Set(features.Timestep, 1)
+	otherAnn.Set(features.Timestep, 2)
+	reduced := schema.Select(features.Timestep, features.NumIndices)
+	tn := NewTuner(schema, ann, raja.Params{}).UseFlight(newFlightRecorder(schema))
+	k, iset := raja.NewKernel("foreign", nil), raja.NewRange(0, 64)
+	for _, c := range []struct {
+		name string
+		rec  *telemetry.Recorder
+		want []float64
+	}{
+		{"other schema", telemetry.NewRecorder(reduced, ann, telemetry.Options{}), []float64{1, 64}},
+		{"other blackboard", telemetry.NewRecorder(reduced, otherAnn, telemetry.Options{}), []float64{2, 64}},
+	} {
+		tn.UseTelemetry(c.rec)
+		tn.End(k, iset, raja.Params{}, 100)
+		frame := c.rec.Drain(0)
+		if frame == nil || frame.Len() != 1 {
+			t.Fatalf("%s: drained %v, want one row", c.name, frame)
+		}
+		if row := frame.Row(0); row[0] != c.want[0] || row[1] != c.want[1] || row[4] != 100 {
+			t.Errorf("%s: row %v, want features %v and 100 ns", c.name, row, c.want)
+		}
 	}
 }

@@ -60,11 +60,9 @@ func (r *Recorder) Begin(k *raja.Kernel, iset *raja.IndexSet) (raja.Params, bool
 // End appends the sample: the feature vector, the parameters used, and
 // the elapsed time.
 func (r *Recorder) End(k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedNS float64) {
-	x := r.schema.Extract(k, iset, r.ann)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	copy(r.row, x)
-	n := r.schema.Len()
+	n := len(r.schema.ExtractInto(r.row, k, iset, r.ann))
 	r.row[n] = float64(p.Policy)
 	r.row[n+1] = float64(p.Chunk)
 	r.row[n+2] = elapsedNS
@@ -282,36 +280,57 @@ func flipPolicy(p raja.Policy) raja.Policy {
 	return raja.SeqExec
 }
 
-// End feeds the launch measurement to the attached telemetry recorder.
-// With no recorder (or on the recorder's unsampled path) it performs a
-// couple of atomic operations and allocates nothing — End runs inside
-// every kernel launch, so this path must stay effectively free.
+// End feeds the launch measurement to the attached telemetry recorder
+// and flight recorder. With neither (or on the telemetry recorder's
+// unsampled path with no flight recorder) it performs a couple of atomic
+// operations and allocates nothing — End runs inside every kernel launch,
+// so this path must stay effectively free. Otherwise it extracts the
+// launch's features once, and the ring row and the flight record are
+// both copies of that one vector.
 //
 //apollo:hotpath
 func (t *Tuner) End(k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedNS float64) {
-	if rec := t.telem.Load(); rec != nil {
-		rec.Record(k, iset, p, elapsedNS)
+	rec, fr := t.telem.Load(), t.fl.Load()
+	shares := rec != nil && rec.Captures(t.schema, t.ann)
+	if rec != nil && !shares {
+		rec.Record(k, iset, p, elapsedNS) // another schema or blackboard: it extracts its own
 	}
-	if fr := t.fl.Load(); fr != nil {
-		t.emitFlight(fr, k, iset, p, elapsedNS)
+	sampled := shares && rec.Sample()
+	if !sampled && fr == nil {
+		return
 	}
+	xp := t.scratch.Get().(*[]float64)
+	var t0 int64
+	if fr != nil {
+		t0 = flight.Now() // only a flight record reports the extraction's cost
+	}
+	x := t.schema.ExtractInto(*xp, k, iset, t.ann)
+	if fr != nil {
+		t.emitFlight(fr, k, iset, p, elapsedNS, x, float64(flight.Now()-t0))
+	}
+	if sampled {
+		rec.RecordVector(x, p, elapsedNS)
+	}
+	t.scratch.Put(xp)
 }
 
-// emitFlight writes one decision-provenance record: it re-extracts the
-// launch's features into the reserved record and re-evaluates the
-// installed models with trail capture, timing both phases. Re-deriving
-// at End (rather than carrying state from Begin) keeps raja.Hooks token-
-// free and the disabled cost at a single branch; the replayed decision
-// can differ from the one Begin made only if a model was hot-swapped
-// mid-launch or the launch was an exploration flip — both of which
-// surface as Explored. It allocates nothing.
+// emitFlight writes one decision-provenance record from x, the vector
+// End extracted for this launch (FeatureNS is the time that one
+// extraction took, whoever else consumed it), and re-evaluates the
+// installed models on it with trail capture, timing that as ModelNS.
+// Replaying at End (rather than carrying state from Begin) keeps
+// raja.Hooks token-free and the disabled cost at a single branch; the
+// replayed decision can differ from the one Begin made only if a model
+// was hot-swapped or the blackboard republished mid-launch, or the launch
+// was an exploration flip — all of which surface as Explored. It
+// allocates nothing.
 //
 // Each installed model writes its own compact offset trail into the
 // record (policy first, then chunk; 4 bytes per step), decoded at
 // capture time against the site's registered TrailDecoder.
 //
 //apollo:hotpath
-func (t *Tuner) emitFlight(fr *flight.Recorder, k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedNS float64) {
+func (t *Tuner) emitFlight(fr *flight.Recorder, k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedNS float64, x []float64, featureNS float64) {
 	if !fr.SiteKnown(k.ID) {
 		fr.RegisterSite(k.ID, k.Name, nil)
 	}
@@ -320,9 +339,6 @@ func (t *Tuner) emitFlight(fr *flight.Recorder, k *raja.Kernel, iset *raja.Index
 		fr.Commit(tok)
 		return
 	}
-	t0 := flight.Now()
-	xp := t.scratch.Get().(*[]float64)
-	x := t.schema.ExtractInto(*xp, k, iset, t.ann)
 	t1 := flight.Now()
 	rec.NumFeatures = int32(copy(rec.Features[:], x))
 	predicted := int32(-1)
@@ -357,7 +373,6 @@ func (t *Tuner) emitFlight(fr *flight.Recorder, k *raja.Kernel, iset *raja.Index
 		}
 	}
 	t2 := flight.Now()
-	t.scratch.Put(xp)
 	rec.Iterations = int64(iset.Len())
 	rec.Policy = int32(p.Policy)
 	rec.Chunk = int32(p.Chunk)
@@ -365,7 +380,7 @@ func (t *Tuner) emitFlight(fr *flight.Recorder, k *raja.Kernel, iset *raja.Index
 	rec.Explored = predicted >= 0 && chosen.Policy != p.Policy
 	rec.ObservedNS = elapsedNS
 	rec.PredictedNS = fr.PredictObserve(k.ID, int(p.Policy), elapsedNS)
-	rec.FeatureNS = float64(t1 - t0)
+	rec.FeatureNS = featureNS
 	rec.ModelNS = float64(t2 - t1)
 	fr.Commit(tok)
 }
