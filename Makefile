@@ -2,9 +2,10 @@
 
 GO ?= go
 
-.PHONY: all build lint test race stress bench results quick-results cover clean serve-smoke loop-smoke flight-smoke fleet-smoke compile-smoke lineage-smoke vet-bench vet-diff bench-smoke bench-compare
+.PHONY: all build lint test fuzz-smoke race stress bench results quick-results cover clean serve-smoke loop-smoke flight-smoke fleet-smoke compile-smoke lineage-smoke vet-bench vet-diff bench-smoke bench-compare
 
-all: build lint vet-diff test bench-smoke race flight-smoke fleet-smoke compile-smoke lineage-smoke
+# One command is the gate: everything CI's lint, test and race jobs run.
+all: build lint vet-diff test fuzz-smoke bench-smoke race serve-smoke loop-smoke flight-smoke fleet-smoke compile-smoke lineage-smoke
 
 build:
 	$(GO) build ./...
@@ -35,6 +36,13 @@ vet-bench:
 
 test:
 	$(GO) test ./...
+
+# Ten seconds of each fuzz target: the model decoder (whatever decodes
+# must be safe to walk) and compiled-vs-interpreted prediction. go test
+# takes one -fuzz target per package run.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseModelOrEnvelope$$' -fuzztime=10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzCompiledPredict$$' -fuzztime=10s ./internal/ctree
 
 race:
 	$(GO) test -race ./...

@@ -109,7 +109,10 @@ func run(path string, gen bool, depth int) error {
 	fmt.Print(tree.String())
 
 	if gen {
-		pruned := &core.Model{Param: m.Param, Schema: m.Schema, Tree: tree}
+		pruned, err := core.NewModel(m.Param, m.Schema, tree)
+		if err != nil {
+			return err
+		}
 		fmt.Println("\ngenerated Go decision function:")
 		fmt.Print(codegen.Generate(pruned, "tuned", "ApolloBeginForall"))
 	}

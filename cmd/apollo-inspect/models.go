@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"apollo/internal/core"
-	"apollo/internal/ctree"
 	"apollo/internal/dtree"
 	"apollo/internal/registry"
 )
@@ -76,14 +75,8 @@ func runModelsCmd(args []string) error {
 
 	fmt.Printf("%-32s %7s  %-16s %6s %6s %6s %10s\n",
 		"model", "version", "parameter", "nodes", "leaves", "depth", "flat bytes")
-	compiled := make([]*ctree.Tree, len(models))
-	for i, im := range models {
-		ct, err := ctree.Compile(im.Model.Tree)
-		if err != nil {
-			return fmt.Errorf("compiling %s: %w", im.Name, err)
-		}
-		compiled[i] = ct
-		st := ct.Stats()
+	for _, im := range models {
+		st := im.Model.Compiled().Stats()
 		fmt.Printf("%-32s %7d  %-16s %6d %6d %6d %10d\n",
 			im.Name, im.Version, im.Model.Param.String(), st.Nodes, st.Leaves, st.Depth, st.FlatBytes)
 	}
@@ -92,9 +85,9 @@ func runModelsCmd(args []string) error {
 		return nil
 	}
 	fmt.Println()
-	for i, im := range models {
+	for _, im := range models {
 		probes := probeVectors(im.Model, *vectors)
-		if err := verifyCompiled(im.Model, compiled[i], probes); err != nil {
+		if err := verifyCompiled(im.Model, probes); err != nil {
 			return fmt.Errorf("model %s: %w", im.Name, err)
 		}
 		checked := len(probes)
@@ -186,9 +179,6 @@ func httpGet(hc *http.Client, url string) ([]byte, error) {
 // NaN and infinity probes and a deterministic random sweep.
 func probeVectors(m *core.Model, random int) [][]float64 {
 	width := m.Schema.Len()
-	if width < m.Tree.NumFeatures {
-		width = m.Tree.NumFeatures
-	}
 	var probes [][]float64
 	vec := func() []float64 { return make([]float64, width) }
 
@@ -233,7 +223,8 @@ func probeVectors(m *core.Model, random int) [][]float64 {
 
 // verifyCompiled checks every probe through both compiled entry points —
 // the walk and the batch — against the interpreted tree.
-func verifyCompiled(m *core.Model, ct *ctree.Tree, probes [][]float64) error {
+func verifyCompiled(m *core.Model, probes [][]float64) error {
+	ct := m.Compiled()
 	batch := make([]int, len(probes))
 	ct.PredictN(probes, batch)
 	for i, x := range probes {
@@ -253,12 +244,8 @@ func verifyCompiled(m *core.Model, ct *ctree.Tree, probes [][]float64) error {
 // compares with the local interpreted answers. It returns how many
 // vectors it checked.
 func verifyLive(hc *http.Client, base, name string, m *core.Model, probes [][]float64) (int, error) {
-	want := m.Schema.Len()
 	var finite [][]float64
 	for _, x := range probes {
-		if len(x) != want {
-			continue // tree wider than schema; not servable
-		}
 		ok := true
 		for _, v := range x {
 			if math.IsNaN(v) || math.IsInf(v, 0) {

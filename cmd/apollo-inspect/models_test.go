@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"apollo/internal/core"
-	"apollo/internal/ctree"
 	"apollo/internal/registry"
 )
 
@@ -93,11 +92,7 @@ func TestProbeVectorsCoverBoundaries(t *testing.T) {
 	if len(probes) < 16 {
 		t.Fatalf("only %d probes", len(probes))
 	}
-	ct, err := ctree.Compile(m.Tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := verifyCompiled(m, ct, probes); err != nil {
+	if err := verifyCompiled(m, probes); err != nil {
 		t.Fatalf("differential verification failed: %v", err)
 	}
 }

@@ -71,6 +71,11 @@ func run(ctx context.Context, addr, dir, telemetryDir, debugAddr, id, peerSpec, 
 	if err != nil {
 		return err
 	}
+	// The watcher skips a dropped-in file it cannot accept (corrupt, or
+	// a model contradicting its own header); say so, once per revision.
+	reg.SetLogf(func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "apollo-serve: "+format+"\n", args...)
+	})
 	peers, err := fleet.ParsePeers(peerSpec)
 	if err != nil {
 		return err

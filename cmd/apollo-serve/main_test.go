@@ -153,9 +153,9 @@ func TestServeEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The debug listener serves the flight recorder: the /predict above
-	// was a cache miss, so one decision record must be on file, with its
-	// trail explained against the model's schema.
+	// The debug listener serves the flight recorder: every single-vector
+	// /predict leaves a decision record, so the one above must be on
+	// file, with its trail explained against the model's schema.
 	resp, err = http.Get(debugBase + "/debug/apollo/flight")
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("flight endpoint: %v %v", resp, err)

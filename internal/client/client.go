@@ -1,13 +1,14 @@
 // Package client consumes the Apollo model service from inside an
 // application process. It fetches models with conditional GETs (ETag /
-// If-None-Match), compiles each fetched tree into its flat ctree form
-// and installs it behind an atomic pointer — every decision, first sight or not, is one lock-free map read plus a
-// compiled array walk, with no per-vector memo to miss. Crucially for a
-// tuner on an application's launch hot path the client also degrades
-// gracefully: when the server is unreachable it serves the last fetched
-// model, or nothing at all (the tuner then uses its base parameters),
-// and retries on an exponential backoff schedule instead of hammering
-// the network on every launch.
+// If-None-Match); a fetched body is validated and compiled once by
+// core's decoder, and the model is installed behind an atomic pointer —
+// every decision, first sight or not, is one lock-free map read plus a
+// compiled array walk. Crucially for a tuner on an application's launch
+// hot path the client also degrades gracefully: when the server is
+// unreachable, or answers with a body the decoder rejects, it serves the
+// last fetched model, or nothing at all (the tuner then uses its base
+// parameters), and retries on an exponential backoff schedule instead
+// of hammering the network on every launch.
 package client
 
 import (
@@ -24,7 +25,6 @@ import (
 	"time"
 
 	"apollo/internal/core"
-	"apollo/internal/ctree"
 )
 
 // ErrNotFound reports that the service has no model under the requested
@@ -42,12 +42,8 @@ type Cached struct {
 	ETag string
 	// SchemaHash fingerprints the model's prediction contract.
 	SchemaHash string
-	// Model is the deserialized model.
+	// Model is the decoded model; Predict walks its Compiled tree.
 	Model *core.Model
-	// Compiled is the tree flattened at fetch time (nil only when the
-	// compiler rejected it; predicts then fall back to the interpreted
-	// walk).
-	Compiled *ctree.Tree
 	// Lineage is the provenance block from the fetched envelope (nil
 	// for hand-published or legacy models); its loop ID lets the client
 	// stamp swap events and telemetry batches with the retrain cycle
@@ -247,7 +243,8 @@ func (c *Client) Fetch(name string) (*Cached, error) {
 		}
 		env, err := core.ParseModelOrEnvelope(data)
 		if err != nil {
-			// The server sent garbage; treat as outage, keep serving.
+			// The server sent garbage — unparsable, or a model that
+			// contradicts its own header; treat as outage, keep serving.
 			c.fail(st)
 			if cur != nil {
 				return cur, nil
@@ -265,11 +262,6 @@ func (c *Client) Fetch(name string) (*Cached, error) {
 			SchemaHash: env.Model.SchemaHash(),
 			Model:      env.Model,
 			Lineage:    env.Lineage,
-		}
-		// Compile once per installed version, here on the fetch (cold)
-		// path; every later Predict just walks the arrays.
-		if ct, err := env.Model.Compile(); err == nil {
-			next.Compiled = ct
 		}
 		st.cur.Store(next)
 		c.ok(st)
@@ -328,10 +320,10 @@ func (c *Client) backoff(failures int) time.Duration {
 // Predict evaluates the named model on a vector laid out by the model's
 // own schema. The decision path never blocks on the network: it uses
 // whatever model Fetch last cached, and errors only if no model has ever
-// been fetched. Every decision — there is no warm-up and no per-vector
-// memo to miss — costs one atomic map load plus the compiled tree walk
-// installed at fetch time: no locks, no allocation (apollo-vet and the
-// zero-alloc guard test both enforce this).
+// been fetched. Every decision costs one atomic map load plus the walk
+// of the tree compiled when the model was decoded: no locks, no
+// allocation (apollo-vet and the zero-alloc guard test both enforce
+// this).
 //
 //apollo:hotpath
 func (c *Client) Predict(name string, x []float64) (int, error) {
@@ -348,44 +340,7 @@ func (c *Client) Predict(name string, x []float64) (int, error) {
 	if len(x) != cur.Model.Schema.Len() {
 		return 0, sizeMismatch(name, len(x), cur.Model.Schema.Len())
 	}
-	if cur.Compiled != nil {
-		return cur.Compiled.Predict(x), nil
-	}
-	return cur.Model.Predict(x), nil
-}
-
-// PredictN evaluates the named model on a batch of vectors, writing
-// classes into out (len(out) >= len(X)). One compiled walk amortizes the
-// name resolution over the whole batch, so the
-// per-launch cost is below a single Predict — the API a tuner uses when
-// it decides a vector of queued launches at once. Allocation-free.
-//
-//apollo:hotpath
-func (c *Client) PredictN(name string, X [][]float64, out []int) error {
-	var cur *Cached
-	if st, ok := (*c.models.Load())[name]; ok {
-		cur = st.cur.Load()
-	}
-	if cur == nil {
-		var err error
-		if cur, err = c.predictBootstrap(name); err != nil {
-			return err
-		}
-	}
-	want := cur.Model.Schema.Len()
-	for _, x := range X {
-		if len(x) != want {
-			return sizeMismatch(name, len(x), want)
-		}
-	}
-	if cur.Compiled != nil {
-		cur.Compiled.PredictN(X, out)
-		return nil
-	}
-	for i, x := range X {
-		out[i] = cur.Model.Predict(x)
-	}
-	return nil
+	return cur.Model.Compiled().Predict(x), nil
 }
 
 // predictBootstrap resolves the first decision for a model name: fetch

@@ -2,11 +2,11 @@
 // across an N-replica model-service fleet through a consistent-hash
 // ring, failing over to the next ring member when a replica is
 // unreachable. Each replica keeps its own single-service Client (with
-// its own model cache, decision memo, and backoff schedule), so a
-// replica outage degrades exactly like a single-server outage did —
-// serve the cached model, back off the network — except the very next
-// refresh lands on a healthy ring member instead of waiting out the
-// exponential schedule against a dead one.
+// its own model cache and backoff schedule), so a replica outage
+// degrades exactly like a single-server outage did — serve the cached
+// model, back off the network — except the very next refresh lands on a
+// healthy ring member instead of waiting out the exponential schedule
+// against a dead one.
 
 package client
 
@@ -223,7 +223,7 @@ func (f *FleetClient) PostTelemetry(b *telemetry.Batch) error {
 
 // Predict evaluates name's model on x through the key's owning replica.
 // The routing decision is one lock-free ring lookup; the owner's Client
-// then answers from its memoized decision cache. A replica that cannot
+// then walks its cached model's compiled tree. A replica that cannot
 // answer (no model cached anywhere and its service unreachable) falls
 // over to the other replicas off the hot path.
 //

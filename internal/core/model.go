@@ -17,10 +17,61 @@ import (
 // Model is a trained, reusable tuning model: a decision tree over a
 // feature schema, predicting one tuning parameter. Models serialize to
 // JSON and load at runtime without recompiling the application.
+//
+// This package is the model boundary: every Model that Train, Reduce,
+// the JSON decoders or NewModel hand out has been validated against its
+// own header and carries its compiled tree (Compiled). Consumers — the
+// registry, the serving client, projectors — read that one compiled
+// tree and never re-check or re-compile. A Model is immutable once
+// built; a struct literal bypasses the boundary and has no compiled
+// tree.
 type Model struct {
 	Param  Parameter
 	Schema *features.Schema
 	Tree   *dtree.Tree
+
+	ct *ctree.Tree // set by NewModel, never nil on a model built through it
+}
+
+// NewModel validates tree against the header it is published under and
+// compiles it. It rejects what no walk may ever see: a tree whose width
+// differs from the schema's (a split could index past the vector), a
+// structure ctree.Compile refuses (missing child, negative label,
+// feature out of range), and a leaf label outside the parameter's
+// classes (raja.PolicySwitcher panics on an unknown policy).
+func NewModel(param Parameter, schema *features.Schema, tree *dtree.Tree) (*Model, error) {
+	if schema == nil || tree == nil {
+		return nil, fmt.Errorf("core: model needs a schema and a tree")
+	}
+	ct, err := ctree.Compile(tree)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	// The compiled width, not tree.NumFeatures: Compile widens an
+	// undeclared (zero) width to cover the splits it found.
+	if ct.NumFeatures() != schema.Len() {
+		return nil, fmt.Errorf("core: tree takes %d features but the model header names %d",
+			ct.NumFeatures(), schema.Len())
+	}
+	if max := maxLeafLabel(tree.Root); max >= param.NumClasses() {
+		return nil, fmt.Errorf("core: tree predicts class %d but %v has %d classes",
+			max, param, param.NumClasses())
+	}
+	return &Model{Param: param, Schema: schema, Tree: tree, ct: ct}, nil
+}
+
+// maxLeafLabel returns the largest label a walk of n can return. The
+// structure has been through ctree.Compile, so internal nodes have both
+// children.
+func maxLeafLabel(n *dtree.Node) int {
+	if n.IsLeaf() {
+		return n.Label
+	}
+	l, r := maxLeafLabel(n.Left), maxLeafLabel(n.Right)
+	if l > r {
+		return l
+	}
+	return r
 }
 
 // TrainConfig controls model training.
@@ -36,17 +87,22 @@ func Train(set *LabeledSet, cfg TrainConfig) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Model{Param: set.Param, Schema: set.Schema, Tree: tree}, nil
+	return NewModel(set.Param, set.Schema, tree)
 }
 
 // Predict returns the predicted class for a feature vector laid out by the
-// model's own schema.
+// model's own schema. It is the interpreted reference walk: the
+// benchmark's predict oracle, apollo-inspect models -verify and the
+// differential tests compare the compiled walk against it. No serving
+// path calls it — they walk Compiled.
 func (m *Model) Predict(x []float64) int { return m.Tree.Predict(x) }
 
-// Compile flattens the model's tree into its compiled form (see package
-// ctree). Publish-time consumers — the registry, the serving client,
-// projector construction — call this once per model swap so the hot path
-// never touches the interpreted node structs.
+// Compiled returns the tree flattened when the model was built (see
+// package ctree): the one compiled form every consumer walks.
+func (m *Model) Compiled() *ctree.Tree { return m.ct }
+
+// Compile flattens the model's tree afresh. Consumers want Compiled;
+// this is what a measurement of the compiler itself calls.
 func (m *Model) Compile() (*ctree.Tree, error) { return ctree.Compile(m.Tree) }
 
 // Params converts a predicted class into execution parameters, merging it
@@ -68,24 +124,23 @@ func (m *Model) Params(class int, base raja.Params) raja.Params {
 // the full Table I schema the recorder uses) into the model's schema. The
 // mapping is precomputed so the per-launch cost is a few slice reads.
 type Projector struct {
-	model *Model
-	src   []int32 // model feature i reads source[src[i]]; -1 reads 0
-	ct    *ctree.Tree
-	pool  sync.Pool
+	src  []int32 // model feature i reads source[src[i]]; -1 reads 0
+	ct   *ctree.Tree
+	pool sync.Pool
 }
 
-// NewProjector builds a projector from the source schema onto the model
-// and compiles the tree — projector construction is the model-swap seam,
-// so this is where publish-time compilation lands for the tuner path. A
-// tree the compiler rejects (malformed structure) falls back to the
-// interpreted walk.
+// NewProjector builds a projector from the source schema onto the
+// model's compiled tree. It panics on a model that did not come through
+// the model boundary (a struct literal): that is a bug in the caller,
+// and it must surface here, not inside an application's launch.
 func (m *Model) NewProjector(source *features.Schema) *Projector {
-	p := &Projector{model: m, src: make([]int32, m.Schema.Len())}
+	ct := m.Compiled()
+	if ct == nil {
+		panic("core: NewProjector on a model not built by Train, a decoder or NewModel")
+	}
+	p := &Projector{ct: ct, src: make([]int32, m.Schema.Len())}
 	for i, name := range m.Schema.Names() {
 		p.src[i] = int32(source.Index(name))
-	}
-	if ct, err := ctree.Compile(m.Tree); err == nil {
-		p.ct = ct
 	}
 	p.pool.New = func() any {
 		buf := make([]float64, len(p.src))
@@ -94,8 +149,8 @@ func (m *Model) NewProjector(source *features.Schema) *Projector {
 	return p
 }
 
-// Compiled returns the projector's compiled tree, nil when compilation
-// was rejected and the projector runs interpreted.
+// Compiled returns the compiled tree the projector walks — the model's
+// own (Model.Compiled), shared by every projector built on it.
 func (p *Projector) Compiled() *ctree.Tree { return p.ct }
 
 // SourceIndex returns the model→source feature index mapping (-1 for
@@ -126,12 +181,7 @@ func (p *Projector) project(source []float64) *[]float64 {
 // Predict projects the source-layout vector and evaluates the model.
 func (p *Projector) Predict(source []float64) int {
 	bufp := p.project(source)
-	var class int
-	if p.ct != nil {
-		class = p.ct.Predict(*bufp)
-	} else {
-		class = p.model.Tree.Predict(*bufp)
-	}
+	class := p.ct.Predict(*bufp)
 	p.pool.Put(bufp)
 	return class
 }
@@ -139,18 +189,12 @@ func (p *Projector) Predict(source []float64) int {
 // PredictOffsets is Predict with decision provenance in the compact
 // flight-recorder encoding: visited node offsets of the compiled tree
 // (see ctree.PredictOffsets), which decode against Compiled's layout
-// with SourceIndex as the feature mapping. A projector running
-// interpreted (the compiler rejected its tree) decides the same class
-// and records no trail.
+// with SourceIndex as the feature mapping.
 //
 //apollo:hotpath
 func (p *Projector) PredictOffsets(source []float64, offs []int32) (class, n int) {
 	bufp := p.project(source)
-	if p.ct != nil {
-		class, n = p.ct.PredictOffsets(*bufp, offs)
-	} else {
-		class = p.model.Tree.Predict(*bufp)
-	}
+	class, n = p.ct.PredictOffsets(*bufp, offs)
 	p.pool.Put(bufp)
 	return class, n
 }
@@ -219,7 +263,10 @@ func (m *Model) MarshalJSON() ([]byte, error) {
 	})
 }
 
-// UnmarshalJSON decodes a model.
+// UnmarshalJSON decodes a model and passes it through NewModel, so a
+// body whose tree contradicts its header is a decode error — at every
+// door that parses model bytes (LoadModel, ParseModelOrEnvelope, and
+// through it PUT /models, the registry watcher and client.Fetch).
 func (m *Model) UnmarshalJSON(data []byte) error {
 	var j modelJSON
 	if err := json.Unmarshal(data, &j); err != nil {
@@ -228,19 +275,27 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 	if j.Format != modelFormatID {
 		return fmt.Errorf("core: unknown model format %q (want %q)", j.Format, modelFormatID)
 	}
+	var param Parameter
 	switch j.Parameter {
 	case ExecutionPolicy.String():
-		m.Param = ExecutionPolicy
+		param = ExecutionPolicy
 	case ChunkSize.String():
-		m.Param = ChunkSize
+		param = ChunkSize
 	default:
 		return fmt.Errorf("core: unknown parameter %q", j.Parameter)
 	}
 	if j.Tree == nil {
 		return fmt.Errorf("core: model has no tree")
 	}
-	m.Schema = features.NewSchema(j.Features...)
-	m.Tree = j.Tree
+	schema, err := features.ParseSchema(j.Features)
+	if err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	built, err := NewModel(param, schema, j.Tree)
+	if err != nil {
+		return err
+	}
+	*m = *built
 	return nil
 }
 

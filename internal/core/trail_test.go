@@ -6,6 +6,7 @@ import (
 
 	"apollo/internal/dtree"
 	"apollo/internal/features"
+	"apollo/internal/raja"
 )
 
 // decodeProjected renders a projector's offset trail the way the flight
@@ -69,15 +70,15 @@ func TestProjectorPredictTrailAbsentFeature(t *testing.T) {
 	split := func(f int, th float64, l, r *dtree.Node) *dtree.Node {
 		return &dtree.Node{Feature: f, Threshold: th, Left: l, Right: r}
 	}
-	m := &Model{
-		Param:  ExecutionPolicy,
-		Schema: features.NewSchema(features.NumIndices, "gone", "stride"),
-		Tree: &dtree.Tree{
+	m, err := NewModel(ExecutionPolicy, features.NewSchema(features.NumIndices, "gone", "stride"),
+		&dtree.Tree{
 			Root: split(0, 100,
 				split(1, -1, leaf(0), split(2, 4, leaf(1), leaf(0))),
 				split(1, 5, split(2, 2, leaf(0), leaf(1)), leaf(1))),
 			NumFeatures: 3, NumClasses: 2,
-		},
+		})
+	if err != nil {
+		t.Fatal(err)
 	}
 	source := features.NewSchema("stride", features.NumIndices) // no "gone"
 	proj := m.NewProjector(source)
@@ -105,33 +106,76 @@ func TestProjectorPredictTrailAbsentFeature(t *testing.T) {
 	}
 }
 
-// A projector whose tree the compiler rejects still decides (interpreted)
-// and records no trail.
-func TestProjectorRejectedCompileRecordsNoTrail(t *testing.T) {
-	m := &Model{
-		Param:  ExecutionPolicy,
-		Schema: features.NewSchema(features.NumIndices),
-		// Feature index 3 is out of range for a one-feature tree: the
-		// compiler refuses it, the interpreted walk never gets there.
-		Tree: &dtree.Tree{
-			Root: &dtree.Node{Feature: 0, Threshold: 10,
-				Left:  &dtree.Node{Feature: -1, Label: 1},
-				Right: &dtree.Node{Feature: 3, Threshold: 1, Left: &dtree.Node{Feature: -1}, Right: &dtree.Node{Feature: -1}}},
-			NumFeatures: 1, NumClasses: 2,
-		},
+// NewModel is the constructor door of the model boundary: a tree that
+// contradicts the header it is built under never becomes a Model, so no
+// projector or walk can be handed one.
+func TestNewModelRejectsMalformedTree(t *testing.T) {
+	leaf := func(label int) *dtree.Node { return &dtree.Node{Feature: -1, Label: label} }
+	stump := func(f int, l, r *dtree.Node) *dtree.Node {
+		return &dtree.Node{Feature: f, Threshold: 10, Left: l, Right: r}
 	}
-	proj := m.NewProjector(m.Schema)
-	if proj.Compiled() != nil {
-		t.Fatal("malformed tree compiled")
+	one := features.NewSchema(features.NumIndices)
+	for _, tc := range []struct {
+		name   string
+		param  Parameter
+		schema *features.Schema
+		tree   *dtree.Tree
+	}{
+		{"nil tree", ExecutionPolicy, one, nil},
+		{"nil schema", ExecutionPolicy, nil, &dtree.Tree{Root: leaf(0)}},
+		{"nil root", ExecutionPolicy, one, &dtree.Tree{NumFeatures: 1, NumClasses: 2}},
+		{"tree wider than header", ExecutionPolicy, one,
+			&dtree.Tree{Root: stump(40, leaf(0), leaf(1)), NumFeatures: 50, NumClasses: 2}},
+		{"tree narrower than header", ExecutionPolicy, features.NewSchema("a", "b"),
+			&dtree.Tree{Root: stump(0, leaf(0), leaf(1)), NumFeatures: 1, NumClasses: 2}},
+		{"undeclared width, split past the header", ExecutionPolicy, features.NewSchema(),
+			&dtree.Tree{Root: stump(5, leaf(0), leaf(1)), NumClasses: 2}},
+		{"split past the width", ExecutionPolicy, one,
+			&dtree.Tree{Root: stump(0, leaf(1), stump(3, leaf(0), leaf(0))), NumFeatures: 1, NumClasses: 2}},
+		{"missing child", ExecutionPolicy, one,
+			&dtree.Tree{Root: stump(0, leaf(0), nil), NumFeatures: 1, NumClasses: 2}},
+		{"negative label", ExecutionPolicy, one,
+			&dtree.Tree{Root: stump(0, leaf(0), leaf(-2)), NumFeatures: 1, NumClasses: 2}},
+		{"policy class out of range", ExecutionPolicy, one,
+			&dtree.Tree{Root: stump(0, leaf(0), leaf(2)), NumFeatures: 1, NumClasses: 3}},
+		{"chunk class out of range", ChunkSize, one,
+			&dtree.Tree{Root: leaf(len(raja.ChunkSizes)), NumFeatures: 1, NumClasses: 64}},
+	} {
+		if m, err := NewModel(tc.param, tc.schema, tc.tree); err == nil {
+			t.Errorf("%s: accepted as %+v", tc.name, m)
+		}
 	}
-	var offs [8]int32
-	class, n := proj.PredictOffsets([]float64{5}, offs[:])
-	if class != 1 || n != 0 {
-		t.Fatalf("PredictOffsets = (%d, %d offsets), want (1, 0)", class, n)
+	// The last in-range class of each parameter is accepted.
+	if _, err := NewModel(ChunkSize, one,
+		&dtree.Tree{Root: leaf(len(raja.ChunkSizes) - 1), NumFeatures: 1, NumClasses: len(raja.ChunkSizes)}); err != nil {
+		t.Errorf("last chunk class rejected: %v", err)
 	}
-	if got := proj.Predict([]float64{5}); got != 1 {
-		t.Fatalf("Predict = %d, want 1", got)
+}
+
+// A model is compiled once: every projector built on it, and Compiled
+// itself, hand out the same tree.
+func TestModelCompiledOnce(t *testing.T) {
+	schema := testSchema()
+	set, _ := Label(syntheticFrame(schema), schema, ExecutionPolicy)
+	m, err := Train(set, TrainConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if m.Compiled() == nil {
+		t.Fatal("trained model carries no compiled tree")
+	}
+	a, b := m.NewProjector(schema), m.NewProjector(features.TableI())
+	if a.Compiled() != m.Compiled() || b.Compiled() != m.Compiled() {
+		t.Error("projectors compiled their own trees")
+	}
+	// A struct literal bypasses the boundary; projector construction —
+	// not an application's launch — is where that surfaces.
+	defer func() {
+		if recover() == nil {
+			t.Error("NewProjector accepted a model literal")
+		}
+	}()
+	(&Model{Param: m.Param, Schema: m.Schema, Tree: m.Tree}).NewProjector(schema)
 }
 
 // The projector trail path allocates nothing in steady state.

@@ -12,10 +12,10 @@
 // Leaves are not stored at all: a child offset < 0 encodes the predicted
 // label as ^label, which turns the walk's leaf test into a sign check.
 //
-// Compilation happens once, at publish or model-swap time (registry
-// publish/hot-reload, client fetch, projector construction); the hot
-// path only ever walks the arrays — one walk, Predict, whatever the
-// tree's shape. PredictN amortizes it over a vector of launches, and
+// Compilation happens once per model, where core builds it (core.NewModel:
+// training, the JSON decoders); every consumer reads Model.Compiled and
+// the hot path only ever walks the arrays — one walk, Predict, whatever
+// the tree's shape. PredictN amortizes it over a vector of launches, and
 // PredictOffsets emits the compact decision-trail encoding the flight
 // recorder stores (node offsets, 4 bytes per step) which DecodeOffsets
 // expands back into full provenance against the compiled layout.

@@ -131,7 +131,14 @@ func TestPredictIsMajorityOfLeafProperty(t *testing.T) {
 	}
 	f := func(raw uint16) bool {
 		x := []float64{float64(raw) / 655.35}
-		leaf := tree.PredictNode(x)
+		leaf := tree.Root
+		for !leaf.IsLeaf() {
+			if x[leaf.Feature] <= leaf.Threshold {
+				leaf = leaf.Left
+			} else {
+				leaf = leaf.Right
+			}
+		}
 		// The prediction must be the majority class of the leaf.
 		best, bestN := 0, -1
 		for c, n := range leaf.Counts {

@@ -70,22 +70,6 @@ func (t *Tree) Predict(x []float64) int {
 	return n.Label
 }
 
-// PredictNode returns the leaf reached by x, exposing the class histogram
-// for callers that want confidence information.
-//
-//apollo:hotpath
-func (t *Tree) PredictNode(x []float64) *Node {
-	n := t.Root
-	for !n.IsLeaf() {
-		if x[n.Feature] <= n.Threshold {
-			n = n.Left
-		} else {
-			n = n.Right
-		}
-	}
-	return n
-}
-
 // TrailStep is one internal-node comparison on the root-to-leaf path of
 // a prediction: which feature was consulted, the value it had, the
 // threshold it was compared against, and which way the sample went. A

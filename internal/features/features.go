@@ -84,16 +84,27 @@ type Schema struct {
 	plan atomic.Pointer[plan]
 }
 
-// NewSchema builds a schema from the given names, in order.
+// NewSchema builds a schema from the given names, in order. The names
+// are the program's own; a duplicate is a bug and panics.
 func NewSchema(names ...string) *Schema {
+	s, err := ParseSchema(names)
+	if err != nil {
+		panic(err.Error())
+	}
+	return s
+}
+
+// ParseSchema is NewSchema for names that arrive from outside the
+// program (a model header): a duplicate is an error.
+func ParseSchema(names []string) (*Schema, error) {
 	s := &Schema{names: append([]string(nil), names...), index: make(map[string]int, len(names))}
 	for i, n := range s.names {
 		if _, dup := s.index[n]; dup {
-			panic(fmt.Sprintf("features: duplicate feature %q", n))
+			return nil, fmt.Errorf("features: duplicate feature %q", n)
 		}
 		s.index[n] = i
 	}
-	return s
+	return s, nil
 }
 
 // TableI returns the full schema of Table I: kernel features, the 30

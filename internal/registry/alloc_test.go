@@ -13,10 +13,11 @@ import (
 // statically (apollo-vet) and here at runtime.
 func TestGetAllocationFree(t *testing.T) {
 	r := New()
-	m := &core.Model{
-		Param:  core.ExecutionPolicy,
-		Schema: features.TableI(),
-		Tree:   &dtree.Tree{Root: &dtree.Node{Feature: -1, Label: 1}},
+	schema := features.TableI()
+	m, err := core.NewModel(core.ExecutionPolicy, schema,
+		&dtree.Tree{Root: &dtree.Node{Feature: -1, Label: 1}, NumFeatures: schema.Len(), NumClasses: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if _, err := r.Publish("guard", m); err != nil {
 		t.Fatal(err)

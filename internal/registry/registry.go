@@ -45,10 +45,9 @@ type Entry struct {
 	SchemaHash string
 	// Model is the deserialized model, ready to evaluate.
 	Model *core.Model
-	// Compiled is the model's tree flattened at publish time (see
-	// package ctree); the serving layer's cache-miss predicts walk this,
-	// never the interpreted nodes. Never nil: publish and hot-reload both
-	// refuse a model the compiler rejects.
+	// Compiled is Model.Compiled(), the tree every /predict walks —
+	// never the interpreted nodes. Never nil: only a model that came
+	// through core's model boundary can be published or hot-reloaded.
 	Compiled *ctree.Tree
 	// Lineage is the provenance block stamped at train time (nil for
 	// hand-published or legacy models). It rides inside Raw, so it
@@ -202,7 +201,8 @@ func (r *Registry) publishLocked(name string, wantVersion int, m *core.Model, li
 	if err := ValidateName(name); err != nil {
 		return nil, err
 	}
-	if m == nil || m.Tree == nil || m.Schema == nil {
+	if m == nil || m.Compiled() == nil {
+		// A struct literal: it never went through core's validation.
 		return nil, fmt.Errorf("registry: publishing an incomplete model under %q", name)
 	}
 	version := wantVersion
@@ -211,13 +211,6 @@ func (r *Registry) publishLocked(name string, wantVersion int, m *core.Model, li
 	}
 	if version < 1 {
 		version = 1
-	}
-	// Compile before accepting: a model the compiler rejects is
-	// structurally broken (missing children, out-of-range features) and
-	// must not be published at all.
-	ct, err := ctree.Compile(m.Tree)
-	if err != nil {
-		return nil, fmt.Errorf("registry: publishing %q: %w", name, err)
 	}
 	env := core.WrapModel(name, version, m)
 	env.Lineage = lin
@@ -232,7 +225,7 @@ func (r *Registry) publishLocked(name string, wantVersion int, m *core.Model, li
 		ETag:       contentETag(raw),
 		SchemaHash: m.SchemaHash(),
 		Model:      m,
-		Compiled:   ct,
+		Compiled:   m.Compiled(),
 		Lineage:    lin,
 		Raw:        raw,
 	}
@@ -368,18 +361,11 @@ func (r *Registry) scan() (int, error) {
 		env, err := core.ParseModelOrEnvelope(data)
 		if err != nil {
 			r.mu.Unlock()
-			// Corrupt or truncated model file: ignore it and keep
-			// serving what we have. watched remembers this revision, so
-			// the error logs once per file change, not once per poll.
+			// Corrupt, truncated, or contradicting its own header:
+			// ignore it and keep serving what we have. watched
+			// remembers this revision, so the error logs once per file
+			// change, not once per poll.
 			r.logf("registry: ignoring corrupt model file %s: %v", f.path, err)
-			continue
-		}
-		ct, err := ctree.Compile(env.Model.Tree)
-		if err != nil {
-			r.mu.Unlock()
-			// Parsed but uncompilable: treat it exactly like a corrupt
-			// file — keep serving what we have.
-			r.logf("registry: ignoring uncompilable model file %s: %v", f.path, err)
 			continue
 		}
 		version := env.Version
@@ -399,7 +385,7 @@ func (r *Registry) scan() (int, error) {
 			ETag:       contentETag(data),
 			SchemaHash: env.Model.SchemaHash(),
 			Model:      env.Model,
-			Compiled:   ct,
+			Compiled:   env.Model.Compiled(),
 			Lineage:    env.Lineage,
 			Raw:        data,
 		})

@@ -8,13 +8,14 @@
 //	POST /telemetry       ingest sampled launch measurements into the
 //	                      per-model spool (enabled by WithTelemetryDir)
 //	GET  /healthz         liveness
-//	GET  /metrics         Prometheus text: requests, predictions, cache
-//	                      hits, model versions, latency histograms
+//	GET  /metrics         Prometheus text: requests, predictions, model
+//	                      versions, latency histograms
 //
-// Prediction requests are memoized per (model version, feature vector):
-// an application's launches repeat a small set of unique vectors (the
-// insight behind the paper's labeling), so the cache absorbs most remote
-// prediction traffic.
+// A prediction is one walk of the entry's compiled tree (7–60 ns); there
+// is no per-vector memo in front of it — building a memo key costs more
+// than the walk. Models arrive validated: PUT bodies and hot-reloaded
+// files go through core's decoder, which rejects a tree that
+// contradicts its header, so no handler re-checks a model.
 package server
 
 import (
@@ -39,10 +40,6 @@ import (
 // maxModelBytes caps PUT bodies; trained trees are tens of kilobytes.
 const maxModelBytes = 16 << 20
 
-// decisionCacheCap bounds the prediction memo cache; on overflow the
-// cache resets (vectors repeat heavily, so it refills immediately).
-const decisionCacheCap = 8192
-
 // Server wires a registry to HTTP handlers plus a metrics set.
 type Server struct {
 	reg   *registry.Registry
@@ -51,10 +48,6 @@ type Server struct {
 	fl    *flight.Recorder
 	trace *looptrace.Tracer // nil = loop events off
 	mux   *http.ServeMux
-
-	cacheMu sync.RWMutex //apollo:lockrank 20
-	// decision memo: ETag + vector bytes -> predicted class.
-	decisions map[string]int
 
 	// telemetry ingestion (off when telemetryDir is empty). spoolMu
 	// nests outside each Spool's own mutex (CloseSpools seals segments
@@ -67,11 +60,10 @@ type Server struct {
 // New returns a server over reg with a fresh metrics set.
 func New(reg *registry.Registry, opts ...Option) *Server {
 	s := &Server{
-		reg:       reg,
-		met:       metrics.New(),
-		mux:       http.NewServeMux(),
-		decisions: make(map[string]int),
-		spools:    make(map[string]*telemetry.Spool),
+		reg:    reg,
+		met:    metrics.New(),
+		mux:    http.NewServeMux(),
+		spools: make(map[string]*telemetry.Spool),
 	}
 	s.rc = metrics.NewRuntimeCollector(s.met)
 	s.fl = flight.New(flight.Options{Shards: 4, ShardCapacity: 256})
@@ -103,8 +95,8 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // reload hook feeds it too).
 func (s *Server) Metrics() *metrics.Metrics { return s.met }
 
-// Flight returns the server's always-on flight recorder. Every cache-
-// missing /predict evaluation emits a decision record to it; the daemon
+// Flight returns the server's always-on flight recorder. Every single-
+// vector /predict evaluation emits a decision record to it; the daemon
 // hangs the flight debug endpoints off it via flight.RegisterDebug.
 func (s *Server) Flight() *flight.Recorder { return s.fl }
 
@@ -345,20 +337,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, "predict", resp)
 }
 
-// predict evaluates one vector through the memo cache. Cache-missing
-// evaluations — the ones where the model actually ran — emit a flight
-// record carrying the vector, the decision trail, and the evaluation
-// time (a cache hit is a repeat of a decision already on record).
+// predict evaluates one vector and emits its flight record: the vector,
+// the decision trail, and the evaluation time.
 func (s *Server) predict(e *registry.Entry, x []float64) int {
-	key := decisionKey(e.ETag, x)
-	s.cacheMu.RLock()
-	class, hit := s.decisions[key]
-	s.cacheMu.RUnlock()
-	if hit {
-		s.met.CounterAdd("apollo_predict_cache_hits_total", "", "",
-			"Predictions answered from the decision memo cache.", 1)
-		return class
-	}
 	siteID := siteIDFor(e.Name)
 	if !s.fl.SiteKnown(siteID) {
 		s.fl.RegisterSite(siteID, e.Name, e.Model.Schema.Names())
@@ -371,72 +352,33 @@ func (s *Server) predict(e *registry.Entry, x []float64) int {
 	}
 	t0 := flight.Now()
 	rec, tok := s.fl.Reserve(siteID)
-	if rec != nil {
-		var n int
-		class, n = e.Compiled.PredictOffsets(x, rec.Offsets[:flight.MaxOffsets])
-		rec.OffsetsSplit, rec.OffsetsLen = int32(n), int32(n)
-		rec.NumFeatures = int32(copy(rec.Features[:], x))
-		rec.Predicted = int32(class)
-		rec.Policy = int32(class)
-		evalNS := float64(flight.Now() - t0)
-		rec.ModelNS = evalNS
-		rec.ObservedNS = evalNS
-		rec.PredictedNS = s.fl.PredictObserve(siteID, class, evalNS)
-	} else {
-		class = e.Compiled.Predict(x)
+	if rec == nil {
+		// Slot collision: the recorder counted the drop; still answer.
+		return e.Compiled.Predict(x)
 	}
+	class, n := e.Compiled.PredictOffsets(x, rec.Offsets[:flight.MaxOffsets])
+	rec.OffsetsSplit, rec.OffsetsLen = int32(n), int32(n)
+	rec.NumFeatures = int32(copy(rec.Features[:], x))
+	rec.Predicted = int32(class)
+	rec.Policy = int32(class)
+	evalNS := float64(flight.Now() - t0)
+	rec.ModelNS = evalNS
+	rec.ObservedNS = evalNS
+	rec.PredictedNS = s.fl.PredictObserve(siteID, class, evalNS)
 	s.fl.Commit(tok)
-	s.cacheMu.Lock()
-	if len(s.decisions) >= decisionCacheCap {
-		s.decisions = make(map[string]int)
-	}
-	s.decisions[key] = class
-	s.cacheMu.Unlock()
 	return class
 }
 
-// predictBatch evaluates a multi-vector request through the memo cache,
-// then runs every memo-missing vector in one compiled PredictN sweep —
-// one bounds-checked dispatch for the whole batch instead of a closure
-// call per vector. Batched misses skip per-vector flight records (bulk
+// predictBatch evaluates a multi-vector request in one compiled PredictN
+// sweep — one bounds-checked dispatch for the whole batch instead of a
+// call per vector. Batched vectors skip per-vector flight records (bulk
 // scoring is not an interactive decision site); they surface in the
 // batched-predictions counter instead.
 func (s *Server) predictBatch(e *registry.Entry, vectors [][]float64) []int {
 	classes := make([]int, len(vectors))
-	keys := make([]string, len(vectors))
-	var missIdx []int
-	var miss [][]float64
-	s.cacheMu.RLock()
-	for i, x := range vectors {
-		keys[i] = decisionKey(e.ETag, x)
-		if class, hit := s.decisions[keys[i]]; hit {
-			classes[i] = class
-		} else {
-			missIdx = append(missIdx, i)
-			miss = append(miss, x)
-		}
-	}
-	s.cacheMu.RUnlock()
-	if hits := len(vectors) - len(miss); hits > 0 {
-		s.met.CounterAdd("apollo_predict_cache_hits_total", "", "",
-			"Predictions answered from the decision memo cache.", uint64(hits))
-	}
-	if len(miss) == 0 {
-		return classes
-	}
-	out := make([]int, len(miss))
-	e.Compiled.PredictN(miss, out)
+	e.Compiled.PredictN(vectors, classes)
 	s.met.CounterAdd("apollo_predict_batched_total", "", "",
-		"Memo-missing vectors evaluated through the compiled batch walk.", uint64(len(miss)))
-	s.cacheMu.Lock()
-	if len(s.decisions)+len(miss) > decisionCacheCap {
-		s.decisions = make(map[string]int)
-	}
-	for j, i := range missIdx {
-		classes[i] = out[j]
-		s.decisions[keys[i]] = out[j]
-	}
-	s.cacheMu.Unlock()
+		"Vectors evaluated through the compiled batch walk.", uint64(len(vectors)))
 	return classes
 }
 
@@ -446,18 +388,6 @@ func siteIDFor(name string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(name))
 	return h.Sum64()
-}
-
-// decisionKey builds the memo key: the entry's content hash plus the
-// exact vector bytes.
-func decisionKey(etag string, x []float64) string {
-	b := make([]byte, 0, len(etag)+len(x)*16)
-	b = append(b, etag...)
-	for _, v := range x {
-		b = strconv.AppendFloat(b, v, 'g', -1, 64)
-		b = append(b, '|')
-	}
-	return string(b)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

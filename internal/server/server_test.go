@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -217,10 +218,10 @@ func TestPredictSingleBatchAndFeatures(t *testing.T) {
 
 // TestPredictCompiledOffsetsAndStats covers the compiled decision path
 // end to end at the server: the model listing exposes compilation stats,
-// a cache-missing single predict records a compact offset trail the
-// registered decoder can expand, and a batch request runs memo-missing
-// vectors through the compiled batch walk (batched counter) while
-// agreeing with single-vector answers.
+// a single predict records a compact offset trail the registered decoder
+// can expand, and a batch request runs every one of its vectors — seen
+// before or not — through the compiled batch walk (batched counter)
+// while agreeing with single-vector answers.
 func TestPredictCompiledOffsetsAndStats(t *testing.T) {
 	reg := registry.New()
 	srv := New(reg)
@@ -252,9 +253,9 @@ func TestPredictCompiledOffsetsAndStats(t *testing.T) {
 		return out
 	}
 
-	// Cache-missing single predict: the flight record carries one compact
-	// offset trail, which the site decoder expands to the interpreted
-	// walk's path, and the response reports the recorded class.
+	// Single predict: the flight record carries one compact offset
+	// trail, which the site decoder expands to the interpreted walk's
+	// path, and the response reports the recorded class.
 	x := make([]float64, m.Schema.Len())
 	x[m.Schema.Index(features.NumIndices)] = 131072
 	body, _ := json.Marshal(map[string]any{"model": "policy", "x": x})
@@ -266,7 +267,7 @@ func TestPredictCompiledOffsetsAndStats(t *testing.T) {
 	rec := recs[0]
 	trail, second := rec.Trails()
 	if len(trail) == 0 || len(second) != 0 {
-		t.Fatalf("compiled miss recorded trails of %d/%d offsets, want one trail", len(trail), len(second))
+		t.Fatalf("single predict recorded trails of %d/%d offsets, want one trail", len(trail), len(second))
 	}
 	dec := srv.Flight().SiteDecoder(rec.Site)
 	if dec == nil || dec.Tree == nil {
@@ -282,15 +283,17 @@ func TestPredictCompiledOffsetsAndStats(t *testing.T) {
 		t.Errorf("response class %g != recorded prediction %d", got, rec.Predicted)
 	}
 
-	// Batch with fresh vectors: answered by the compiled batch walk and
-	// consistent with single-vector predictions.
-	batch := make([][]float64, 6)
-	single := make([]float64, len(batch))
+	// Batch of fresh vectors plus the one just answered: all of them go
+	// through the compiled batch walk, consistent with single-vector
+	// predictions.
+	batch := make([][]float64, 6, 7)
 	for i := range batch {
 		v := make([]float64, m.Schema.Len())
 		v[m.Schema.Index(features.NumIndices)] = float64(int(64) << (2 * i))
 		batch[i] = v
 	}
+	batch = append(batch, x)
+	single := make([]float64, len(batch))
 	body, _ = json.Marshal(map[string]any{"model": "policy", "batch": batch})
 	out = post(body)
 	classes := out["classes"].([]any)
@@ -422,20 +425,44 @@ func TestMetricsExportLoopEventDrops(t *testing.T) {
 }
 
 func TestMetricsEndpointExposesCountersAndHistograms(t *testing.T) {
-	ts, _ := newTestServer(t)
+	srv := New(registry.New())
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
 	m := testModel(t)
 	putModel(t, ts, "policy", m)
 
-	// Two identical predictions: the second must hit the decision cache.
+	// Two identical predictions: each is evaluated and recorded — same
+	// class, same decision trail, no hit/miss difference between them.
 	x := make([]float64, m.Schema.Len())
 	x[m.Schema.Index(features.NumIndices)] = 42
 	body, _ := json.Marshal(map[string]any{"model": "policy", "x": x})
-	for i := 0; i < 2; i++ {
+	var classes [2]float64
+	for i := range classes {
 		resp, err := http.Post(ts.URL+"/predict", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		var out struct {
+			Class float64 `json:"class"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&out)
 		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		classes[i] = out.Class
+	}
+	if classes[0] != classes[1] {
+		t.Errorf("identical predicts answered classes %v", classes)
+	}
+	recs := srv.Flight().Snapshot()
+	if len(recs) != 2 {
+		t.Fatalf("two single predicts left %d flight records, want 2", len(recs))
+	}
+	first, _ := recs[0].Trails()
+	second, _ := recs[1].Trails()
+	if len(first) == 0 || !slices.Equal(first, second) {
+		t.Errorf("identical predicts recorded offset trails %v and %v", first, second)
 	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -456,7 +483,6 @@ func TestMetricsEndpointExposesCountersAndHistograms(t *testing.T) {
 		`apollo_http_requests_total{handler="models_put"}`: 1,
 		`apollo_http_requests_total{handler="predict"}`:    2,
 		`apollo_predictions_total`:                         2,
-		`apollo_predict_cache_hits_total`:                  1,
 		`apollo_model_publishes_total{model="policy"}`:     1,
 		`apollo_model_version{model="policy"}`:             1,
 	}
@@ -497,5 +523,66 @@ func TestMetricsEndpointExposesCountersAndHistograms(t *testing.T) {
 			t.Errorf("bucket le=%g count %g below previous %g", b, cur, prev)
 		}
 		prev = cur
+	}
+}
+
+// Server.predict is one compiled walk plus its flight record: no memo
+// key to build, nothing allocated per call once the site is registered.
+func TestPredictAllocationFree(t *testing.T) {
+	reg := registry.New()
+	srv := New(reg)
+	m := testModel(t)
+	e, err := reg.Publish("policy", m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ni := m.Schema.Index(features.NumIndices)
+	x := make([]float64, m.Schema.Len())
+	srv.predict(e, x) // registers the site and its decoder
+	i := 0.0
+	allocs := testing.AllocsPerRun(200, func() {
+		i++
+		x[ni] = i * 997
+		if got, want := srv.predict(e, x), m.Predict(x); got != want {
+			t.Fatalf("predict = %d, interpreted reference = %d", got, want)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Server.predict allocates %.1f objects per call, want 0", allocs)
+	}
+}
+
+// BenchmarkServerPredict prices Server.predict — walk, offset trail,
+// flight record, EWMA — on a repeated vector and on never-repeating
+// ones (the two cases the deleted memo used to tell apart).
+func BenchmarkServerPredict(b *testing.B) {
+	reg := registry.New()
+	srv := New(reg)
+	m := testModel(b)
+	e, err := reg.Publish("policy", m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ni := m.Schema.Index(features.NumIndices)
+	x := make([]float64, m.Schema.Len())
+	for j := range x {
+		x[j] = 1000 / float64(j+3) // fractions, as mix and blackboard features are
+	}
+	for _, fresh := range []bool{false, true} {
+		name := "repeat"
+		if fresh {
+			name = "fresh"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			sink := 0
+			for i := 0; i < b.N; i++ {
+				if fresh {
+					x[ni] = float64(i)
+				}
+				sink += srv.predict(e, x)
+			}
+			_ = sink
+		})
 	}
 }

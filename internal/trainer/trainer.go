@@ -43,25 +43,10 @@ type Publisher interface {
 	// Champion returns the current model and version for name, or
 	// (nil, 0, nil) when none has ever been published.
 	Champion(name string) (*core.Model, int, error)
-	// Publish installs m as the new current version of name.
-	Publish(name string, m *core.Model) (int, error)
-}
-
-// LineagePublisher is the provenance-aware extension of Publisher: a
-// publish that also carries the lineage block describing how the model
-// was produced. The trainer type-asserts for it so plain Publisher
-// implementations (test fakes, older embeddings) keep working — they
-// just publish without provenance.
-type LineagePublisher interface {
-	PublishLineage(name string, m *core.Model, lin *core.Lineage) (int, error)
-}
-
-// publish routes through PublishLineage when the publisher supports it.
-func publish(p Publisher, name string, m *core.Model, lin *core.Lineage) (int, error) {
-	if lp, ok := p.(LineagePublisher); ok && lin != nil {
-		return lp.PublishLineage(name, m, lin)
-	}
-	return p.Publish(name, m)
+	// Publish installs m as the new current version of name. lin, when
+	// non-nil, is the provenance block stamped into the published
+	// envelope (how the model was produced); nil publishes without.
+	Publish(name string, m *core.Model, lin *core.Lineage) (int, error)
 }
 
 // NewClientPublisher publishes through a model-service client.
@@ -80,11 +65,7 @@ func (p clientPublisher) Champion(name string) (*core.Model, int, error) {
 	return got.Model, got.Version, nil
 }
 
-func (p clientPublisher) Publish(name string, m *core.Model) (int, error) {
-	return p.c.Push(name, m)
-}
-
-func (p clientPublisher) PublishLineage(name string, m *core.Model, lin *core.Lineage) (int, error) {
+func (p clientPublisher) Publish(name string, m *core.Model, lin *core.Lineage) (int, error) {
 	return p.c.PushLineage(name, m, lin)
 }
 
@@ -101,15 +82,7 @@ func (p registryPublisher) Champion(name string) (*core.Model, int, error) {
 	return e.Model, e.Version, nil
 }
 
-func (p registryPublisher) Publish(name string, m *core.Model) (int, error) {
-	e, err := p.reg.Publish(name, m)
-	if err != nil {
-		return 0, err
-	}
-	return e.Version, nil
-}
-
-func (p registryPublisher) PublishLineage(name string, m *core.Model, lin *core.Lineage) (int, error) {
+func (p registryPublisher) Publish(name string, m *core.Model, lin *core.Lineage) (int, error) {
 	e, err := p.reg.PublishLineage(name, m, lin)
 	if err != nil {
 		return 0, err
@@ -333,7 +306,7 @@ func (t *Trainer) Step() (*Result, error) {
 			return res, nil
 		}
 		pubStart := time.Now()
-		v, err := publish(t.pub, t.cfg.Name, m, t.lineage(res, set.Len(), 0, nil))
+		v, err := t.pub.Publish(t.cfg.Name, m, t.lineage(res, set.Len(), 0, nil))
 		if err != nil {
 			return nil, fmt.Errorf("trainer: bootstrap publish: %w", err)
 		}
@@ -402,7 +375,7 @@ func (t *Trainer) Step() (*Result, error) {
 	duel.Peer = "publish"
 	t.emit(looptrace.KindDuel, res.LoopID, duel)
 	pubStart := time.Now()
-	v, err := publish(t.pub, t.cfg.Name, challenger, t.lineage(res, trainSet.Len(), holdout.Len(), trig))
+	v, err := t.pub.Publish(t.cfg.Name, challenger, t.lineage(res, trainSet.Len(), holdout.Len(), trig))
 	if err != nil {
 		return nil, fmt.Errorf("trainer: publish: %w", err)
 	}

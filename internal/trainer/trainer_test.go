@@ -240,7 +240,7 @@ type errPublisher struct{}
 func (errPublisher) Champion(string) (*core.Model, int, error) {
 	return nil, 0, fmt.Errorf("dial tcp: connection refused")
 }
-func (errPublisher) Publish(string, *core.Model) (int, error) {
+func (errPublisher) Publish(string, *core.Model, *core.Lineage) (int, error) {
 	return 0, fmt.Errorf("dial tcp: connection refused")
 }
 

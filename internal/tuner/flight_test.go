@@ -168,18 +168,19 @@ func TestTunerEndFlightZeroAlloc(t *testing.T) {
 // chunkModelOnReducedSchema hand-builds a chunk model over a schema the
 // tuner's source only half covers: num_indices maps through, "absent"
 // projects as zero (source index -1).
-func chunkModelOnReducedSchema() *core.Model {
+func chunkModelOnReducedSchema(t *testing.T) *core.Model {
 	leaf := func(class int) *dtree.Node { return &dtree.Node{Feature: -1, Label: class} }
-	return &core.Model{
-		Param:  core.ChunkSize,
-		Schema: features.NewSchema("absent", features.NumIndices),
-		Tree: &dtree.Tree{
+	m, err := core.NewModel(core.ChunkSize, features.NewSchema("absent", features.NumIndices),
+		&dtree.Tree{
 			Root: &dtree.Node{Feature: 1, Threshold: 1000,
 				Left:  &dtree.Node{Feature: 0, Threshold: -1, Left: leaf(0), Right: leaf(1)},
 				Right: &dtree.Node{Feature: 0, Threshold: 5, Left: leaf(2), Right: leaf(3)}},
 			NumFeatures: 2, NumClasses: 4,
-		},
+		})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return m
 }
 
 // TestTunerEndDualModelFlight covers a site running both a policy and a
@@ -188,7 +189,7 @@ func chunkModelOnReducedSchema() *core.Model {
 // its own model, and the emission still allocates nothing.
 func TestTunerEndDualModelFlight(t *testing.T) {
 	schema := features.TableI()
-	policy, chunk := trainPolicyModel(t, schema), chunkModelOnReducedSchema()
+	policy, chunk := trainPolicyModel(t, schema), chunkModelOnReducedSchema(t)
 	fr := newFlightRecorder(schema)
 	tn := NewTuner(schema, caliper.New(), raja.Params{}).UsePolicyModel(policy).UseChunkModel(chunk).UseFlight(fr)
 	k := raja.NewKernel("dual", nil)
@@ -250,7 +251,7 @@ func TestTunerEndDualModelFlight(t *testing.T) {
 	}
 
 	// Swapping either model re-registers both decoder pairs together.
-	tn.UseChunkModel(chunkModelOnReducedSchema())
+	tn.UseChunkModel(chunkModelOnReducedSchema(t))
 	tn.End(k, iset, p, 100)
 	if next := fr.SiteDecoder(k.ID); next == dec || next.Tree != dec.Tree || next.ChunkTree == dec.ChunkTree {
 		t.Fatalf("chunk-model swap left decoder %+v (was %+v)", next, dec)
