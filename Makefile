@@ -38,20 +38,25 @@ test:
 	$(GO) test ./...
 
 # Ten seconds of each fuzz target: the model decoder (whatever decodes
-# must be safe to walk) and compiled-vs-interpreted prediction. go test
-# takes one -fuzz target per package run.
+# must be safe to walk), compiled-vs-interpreted prediction, and the
+# spool row scanner against encoding/json (same lines accepted, same
+# values read). go test takes one -fuzz target per package run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseModelOrEnvelope$$' -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzCompiledPredict$$' -fuzztime=10s ./internal/ctree
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpoolRow$$' -fuzztime=10s ./internal/telemetry
 
 race:
 	$(GO) test -race ./...
 
 # The repository benchmark (benchmark/, its own module, `replace apollo
 # => ../`) calls this module's packages directly; its own 8-second check
-# catches an API break against it before the benchmark pipeline runs.
+# catches an API break against it before the benchmark pipeline runs. The
+# retrain step's two microbenchmarks (window labelling, incremental spool
+# poll) run once each, so they cannot rot.
 bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+	$(GO) test -run '^$$' -bench '^(BenchmarkLabel|BenchmarkCursorPollIncr)$$' -benchtime 1x ./internal/core ./internal/telemetry
 
 # The before/after a performance PR quotes: ten alternating parent/change
 # pairs of the repository benchmark, judged by `benchmark/run.sh -compare`

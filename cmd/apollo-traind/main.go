@@ -294,6 +294,10 @@ func run(ctx context.Context, cfg daemonConfig) error {
 		gauge("apollo_trainer_incumbent_vetoes_total", "Publishes blocked by a fleet incumbent.", int64(tr.Vetoes()))
 		const stageHelp = "Closed-loop stage durations, by stage."
 		met.ObserveLabeled("apollo_loop_stage_seconds", "stage", "step", stageHelp, stepNS/1e9)
+		met.ObserveLabeled("apollo_loop_stage_seconds", "stage", "poll", stageHelp, res.PollNS/1e9)
+		if res.NewRows > 0 {
+			met.ObserveLabeled("apollo_loop_stage_seconds", "stage", "label", stageHelp, res.LabelNS/1e9)
+		}
 		if res.Retrained {
 			met.ObserveLabeled("apollo_loop_stage_seconds", "stage", "retrain", stageHelp, res.RetrainNS/1e9)
 		}

@@ -16,11 +16,8 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"strconv"
-	"strings"
 
-	"apollo/internal/dataset"
 	"apollo/internal/features"
 	"apollo/internal/raja"
 )
@@ -117,114 +114,3 @@ type LabeledSet struct {
 
 // Len returns the number of labeled samples.
 func (s *LabeledSet) Len() int { return len(s.X) }
-
-// variantStats accumulates runtimes of one feature vector under one class.
-type variantStats struct {
-	total float64
-	count int
-}
-
-// Label builds the labeled training set for the given parameter from a
-// frame of recorded samples. The frame must contain every feature of the
-// schema plus the policy, chunk and time_ns columns. For ExecutionPolicy,
-// all samples participate and the class is the policy; for ChunkSize, only
-// parallel samples whose chunk lies on the training grid participate.
-// Each unique feature vector becomes one labeled sample whose label is the
-// class with the lowest mean runtime.
-func Label(frame *dataset.Frame, schema *features.Schema, param Parameter) (*LabeledSet, error) {
-	featIdx := make([]int, schema.Len())
-	for i, name := range schema.Names() {
-		j := frame.Col(name)
-		if j < 0 {
-			return nil, fmt.Errorf("core: frame is missing feature column %q", name)
-		}
-		featIdx[i] = j
-	}
-	polIdx := frame.Col(ColPolicy)
-	chunkIdx := frame.Col(ColChunk)
-	timeIdx := frame.Col(ColTimeNS)
-	if polIdx < 0 || chunkIdx < 0 || timeIdx < 0 {
-		return nil, fmt.Errorf("core: frame is missing policy/chunk/time_ns columns")
-	}
-
-	numClasses := param.NumClasses()
-	type group struct {
-		x     []float64
-		stats []variantStats
-		order int
-	}
-	groups := make(map[string]*group)
-	var ordered []*group
-
-	var keyBuf strings.Builder
-	for r := 0; r < frame.Len(); r++ {
-		row := frame.Row(r)
-		var class int
-		switch param {
-		case ExecutionPolicy:
-			class = int(row[polIdx])
-		case ChunkSize:
-			if raja.Policy(row[polIdx]) != raja.OmpParallelForExec {
-				continue
-			}
-			class = ChunkClass(int(row[chunkIdx]))
-			if class < 0 {
-				continue
-			}
-		}
-		if class < 0 || class >= numClasses {
-			return nil, fmt.Errorf("core: row %d has out-of-range class %d for %v", r, class, param)
-		}
-
-		keyBuf.Reset()
-		for _, j := range featIdx {
-			keyBuf.WriteString(strconv.FormatFloat(row[j], 'g', -1, 64))
-			keyBuf.WriteByte('|')
-		}
-		key := keyBuf.String()
-		g := groups[key]
-		if g == nil {
-			x := make([]float64, len(featIdx))
-			for i, j := range featIdx {
-				x[i] = row[j]
-			}
-			g = &group{x: x, stats: make([]variantStats, numClasses), order: len(ordered)}
-			groups[key] = g
-			ordered = append(ordered, g)
-		}
-		g.stats[class].total += row[timeIdx]
-		g.stats[class].count++
-	}
-
-	set := &LabeledSet{Schema: schema, Param: param}
-	for _, g := range ordered {
-		best, bestTime := -1, math.Inf(1)
-		means := make([]float64, numClasses)
-		observed, totalCount := 0, 0
-		for c, st := range g.stats {
-			if st.count == 0 {
-				means[c] = math.NaN()
-				continue
-			}
-			observed++
-			totalCount += st.count
-			means[c] = st.total / float64(st.count)
-			if means[c] < bestTime {
-				best, bestTime = c, means[c]
-			}
-		}
-		if observed < 2 {
-			// A vector observed under a single variant carries no
-			// preference signal; skip it, as the paper's labeling does.
-			continue
-		}
-		set.X = append(set.X, g.x)
-		set.Y = append(set.Y, best)
-		set.MeanTimes = append(set.MeanTimes, means)
-		set.Weights = append(set.Weights, float64(totalCount)/float64(observed))
-	}
-	if len(set.X) == 0 {
-		return nil, fmt.Errorf("core: no feature vector was observed under multiple %v variants", param)
-	}
-	return set, nil
-}

@@ -39,7 +39,8 @@ const (
 	// window (A = mispredict rate, B = shift score, Rows = window).
 	KindDriftFired Kind = iota + 1
 	// KindRetrainStart marks a challenger train beginning (Rows =
-	// training rows, Parent = champion version).
+	// training rows, Parent = champion version, A = the step's spool poll
+	// ns, B = its window labelling ns — the two stages before the train).
 	KindRetrainStart
 	// KindRetrainEnd marks the train finishing (DurNS = train time).
 	KindRetrainEnd

@@ -242,7 +242,7 @@ func (r *Report) WriteTimeline(w io.Writer) error {
 			case KindDriftFired:
 				detail = fmt.Sprintf(" mispredict=%.3f shift=%.3f rows=%d", ev.A, ev.B, ev.Rows)
 			case KindRetrainStart:
-				detail = fmt.Sprintf(" rows=%d parent=v%d", ev.Rows, ev.Parent)
+				detail = fmt.Sprintf(" rows=%d parent=v%d poll=%.1fms label=%.1fms", ev.Rows, ev.Parent, ev.A/1e6, ev.B/1e6)
 			case KindRetrainEnd:
 				detail = fmt.Sprintf(" train=%.1fms", ev.DurNS/1e6)
 			case KindDuel:

@@ -1,0 +1,291 @@
+package telemetry
+
+import (
+	"encoding/json"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"apollo/internal/dataset"
+)
+
+// spoolRowSeeds are lines the row scanner must judge exactly as
+// json.Unmarshal into a []float64 does.
+var spoolRowSeeds = []string{
+	`[1,2.5,-3e2]`, ` [ 1 ,	2 ] `, `[]`, `[0]`, `[-0]`, `[-0.0e-0]`, `[1E+2,1e-2]`, "[1]\r",
+	`[1e308]`, `[1e309]`, `[-1e309]`, `[1e-400]`, `[4.9e-324]`, `[123456789012345678901234567890]`,
+	`[0.1000000000000000055511151231257827021181583404541015625]`,
+	`null`, ` null `, `nullx`, `[null]`, `[1,null,2]`, `[nul]`,
+	`[Inf]`, `[-Inf]`, `[NaN]`, `[0x1p-2]`, `[+1]`, `[.5]`, `[1.]`, `[1_0]`, `[01]`, `[-]`, `[1e]`, `[1e+]`, `[--1]`,
+	`[[1]]`, `[1,[2]]`, `[1] x`, `[1]]`, `[1],`, `[1,]`, `[,1]`, `[1,,2]`, `[1 2]`, `[`, `]`, `[1`, ``, ` `,
+	`1`, `"x"`, `["1"]`, `[true]`, `[false]`, `{}`, `[{}]`, `{"a":[1]}`, "\ufeff[1]", "[1]\x00",
+}
+
+func checkSpoolRow(t *testing.T, line []byte) {
+	t.Helper()
+	var want []float64
+	wantErr := json.Unmarshal(line, &want)
+	got, gotErr := parseSpoolRow(line, nil)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("%q: scanner error %v, json.Unmarshal error %v", line, gotErr, wantErr)
+	}
+	if wantErr != nil {
+		return
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%q: scanner read %v, json.Unmarshal %v", line, got, want)
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%q: value %d is %v (%#x), json.Unmarshal read %v (%#x)",
+				line, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+func TestParseSpoolRowMatchesJSON(t *testing.T) {
+	for _, line := range spoolRowSeeds {
+		checkSpoolRow(t, []byte(line))
+	}
+	// The scanner appends into the caller's row and returns it.
+	row := make([]float64, 0, 4)
+	got, err := parseSpoolRow([]byte(`[7,8]`), row)
+	if err != nil || len(got) != 2 || &got[0] != &row[:1][0] {
+		t.Fatalf("parse into a caller's row = %v, %v", got, err)
+	}
+}
+
+// FuzzParseSpoolRow is differential: the scanner accepts exactly the
+// lines encoding/json accepts into a []float64, reads the same values,
+// and panics on nothing.
+func FuzzParseSpoolRow(f *testing.F) {
+	for _, line := range spoolRowSeeds {
+		f.Add([]byte(line))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		checkSpoolRow(t, line)
+	})
+}
+
+func appendFile(t *testing.T, path, text string) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(text); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// pollColumn polls and returns the first column of what came back.
+func pollColumn(t *testing.T, cur *Cursor) []float64 {
+	t.Helper()
+	frame, err := cur.Poll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frame == nil {
+		return nil
+	}
+	return frame.Column(frame.Cols()[0])
+}
+
+func wantColumn(t *testing.T, what string, got []float64, want ...float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: read %v, want %v", what, got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: read %v, want %v", what, got, want)
+		}
+	}
+}
+
+const xHeader = `{"format":"apollo-frame-v1","columns":["x"]}` + "\n"
+
+// A line arriving in pieces is read once, when its newline lands, and a
+// poll that finds only a torn piece moves nothing.
+func TestCursorTailReadsTornLineOnce(t *testing.T) {
+	dir := t.TempDir()
+	seg := filepath.Join(dir, "seg-00000001.jsonl")
+	cur := NewCursor(dir)
+
+	appendFile(t, seg, xHeader[:10])
+	wantColumn(t, "torn header", pollColumn(t, cur))
+	appendFile(t, seg, xHeader[10:]+"[1]\n[2")
+	wantColumn(t, "header, a row and a torn row", pollColumn(t, cur), 1)
+	wantColumn(t, "nothing new", pollColumn(t, cur))
+	appendFile(t, seg, "5")
+	wantColumn(t, "still torn", pollColumn(t, cur))
+	appendFile(t, seg, "]\n[3]\n")
+	wantColumn(t, "the row completes", pollColumn(t, cur), 25, 3)
+	wantColumn(t, "idle", pollColumn(t, cur))
+}
+
+// A segment holding only its header yields no rows and no error, and the
+// rows that follow are read from the right offset.
+func TestCursorHeaderOnlySegment(t *testing.T) {
+	dir := t.TempDir()
+	seg := filepath.Join(dir, "seg-00000001.jsonl")
+	appendFile(t, seg, xHeader)
+	cur := NewCursor(dir)
+	wantColumn(t, "header only", pollColumn(t, cur))
+	if cols := cur.Columns(); len(cols) != 1 || cols[0] != "x" {
+		t.Fatalf("columns after the header = %v", cols)
+	}
+	appendFile(t, seg, "[4]\n")
+	wantColumn(t, "first row", pollColumn(t, cur), 4)
+}
+
+// A segment that shrank below the cursor's offset is read again from its
+// start, as it was when polls read whole segments.
+func TestCursorRestartsShrunkSegment(t *testing.T) {
+	dir := t.TempDir()
+	seg := filepath.Join(dir, "seg-00000001.jsonl")
+	appendFile(t, seg, xHeader+"[1]\n[2]\n[3]\n")
+	cur := NewCursor(dir)
+	wantColumn(t, "cold", pollColumn(t, cur), 1, 2, 3)
+
+	if err := os.WriteFile(seg, []byte(xHeader+"[9]\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wantColumn(t, "rewritten shorter", pollColumn(t, cur), 9)
+	wantColumn(t, "idle after the restart", pollColumn(t, cur))
+	appendFile(t, seg, "[10]\n")
+	wantColumn(t, "tail after the restart", pollColumn(t, cur), 10)
+}
+
+// Rotation between two polls: the sealed segment's unread tail and the
+// new segment's rows both arrive, in order, exactly once.
+func TestCursorFollowsRotationBetweenPolls(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenSpool(dir, DefaultSegmentBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := []string{"x"}
+	cur := NewCursor(dir)
+	if err := s.Append(cols, [][]float64{{1}, {2}}); err != nil {
+		t.Fatal(err)
+	}
+	wantColumn(t, "before rotation", pollColumn(t, cur), 1, 2)
+
+	if err := s.Append(cols, [][]float64{{3}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(cols, [][]float64{{4}, {5}}); err != nil {
+		t.Fatal(err)
+	}
+	wantColumn(t, "across rotation", pollColumn(t, cur), 3, 4, 5)
+	wantColumn(t, "idle", pollColumn(t, cur))
+	if err := s.Append(cols, [][]float64{{6}}); err != nil {
+		t.Fatal(err)
+	}
+	wantColumn(t, "tail of the new segment", pollColumn(t, cur), 6)
+}
+
+// Offsets go when their segment does: a cursor over a spool that is
+// pruned as it rotates remembers only the segments still there.
+func TestCursorForgetsRemovedSegments(t *testing.T) {
+	dir := t.TempDir()
+	cur := NewCursor(dir)
+	for seq := 1; seq <= 50; seq++ {
+		seg := filepath.Join(dir, fmt.Sprintf("seg-%08d.jsonl", seq))
+		appendFile(t, seg, xHeader+fmt.Sprintf("[%d]\n", seq))
+		wantColumn(t, "new segment", pollColumn(t, cur), float64(seq))
+		if seq > 2 {
+			if err := os.Remove(filepath.Join(dir, fmt.Sprintf("seg-%08d.jsonl", seq-2))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wantColumn(t, "after pruning", pollColumn(t, cur))
+		if len(cur.offsets) > 2 {
+			t.Fatalf("after segment %d: %d offsets kept for 2 segments", seq, len(cur.offsets))
+		}
+	}
+}
+
+// The scanner's errors surface as the cursor's "bad row" and width errors.
+func TestCursorRejectsBadRows(t *testing.T) {
+	for line, want := range map[string]string{
+		`[1,2]`:   "row has 2 values, want 1",
+		`null`:    "row has 0 values, want 1",
+		`[0x10]`:  "bad row",
+		`[1] [2]`: "bad row",
+		``:        "bad row",
+	} {
+		dir := t.TempDir()
+		appendFile(t, filepath.Join(dir, "seg-00000001.jsonl"), xHeader+"[1]\n"+line+"\n")
+		cur := NewCursor(dir)
+		if _, err := cur.Poll(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("line %q: poll error %v, want %q", line, err, want)
+		}
+		// The failed segment's offset did not move: the error repeats.
+		if _, err := cur.Poll(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("line %q: second poll error %v, want %q", line, err, want)
+		}
+	}
+}
+
+var benchFrame *dataset.Frame
+
+// BenchmarkCursorPollIncr times the steady-state poll: 2000 fresh
+// 44-column rows behind a 100k-row spool already read.
+func BenchmarkCursorPollIncr(b *testing.B) {
+	const width, spooled, fresh = 44, 100000, 2000
+	dir := b.TempDir()
+	s, err := OpenSpool(dir, DefaultSegmentBytes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cols := make([]string, width)
+	for i := range cols {
+		cols[i] = fmt.Sprintf("c%d", i)
+	}
+	rng := dataset.NewRNG(1)
+	rows := func(n int) [][]float64 {
+		out := make([][]float64, n)
+		for i := range out {
+			row := make([]float64, width)
+			for j := range row {
+				row[j] = float64(rng.Intn(100000))
+			}
+			row[width-1] = 1000 * (1 + rng.Float64()) // a measured time
+			out[i] = row
+		}
+		return out
+	}
+	for n := 0; n < spooled; n += fresh {
+		if err := s.Append(cols, rows(fresh)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cur := NewCursor(dir)
+	if frame, err := cur.Poll(); err != nil || frame.Len() != spooled {
+		b.Fatalf("cold poll: %v, %v", frame, err)
+	}
+	batch := rows(fresh)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := s.Append(cols, batch); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if benchFrame, err = cur.Poll(); err != nil || benchFrame.Len() != fresh {
+			b.Fatalf("incremental poll: %v, %v", benchFrame, err)
+		}
+	}
+	b.ReportMetric(float64(fresh)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+}

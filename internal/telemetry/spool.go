@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -247,7 +248,8 @@ func readSegmentColumns(path string) ([]string, error) {
 // returned before. It tracks a byte offset per segment, consumes only
 // complete lines, and tolerates a partially written final line (left for
 // the next poll), so it can follow a spool that another process is
-// actively appending to.
+// actively appending to. A poll reads only the bytes past each segment's
+// offset: a segment whose size equals its offset costs one stat.
 type Cursor struct {
 	dir string
 
@@ -282,6 +284,13 @@ func (c *Cursor) Poll() (*dataset.Frame, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A segment that left the directory takes its offset with it, so a
+	// spool pruned for years does not grow the cursor.
+	for seq := range c.offsets {
+		if i := sort.SearchInts(segs, seq); i == len(segs) || segs[i] != seq {
+			delete(c.offsets, seq)
+		}
+	}
 	var frame *dataset.Frame
 	for _, seq := range segs {
 		path := filepath.Join(c.dir, fmt.Sprintf("%s%08d%s", segPrefix, seq, segSuffix))
@@ -293,7 +302,7 @@ func (c *Cursor) Poll() (*dataset.Frame, error) {
 }
 
 func (c *Cursor) pollSegmentLocked(path string, seq int, frame **dataset.Frame) error {
-	data, err := os.ReadFile(path)
+	info, err := os.Stat(path)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil // raced a writer listing; next poll sees it
@@ -301,18 +310,21 @@ func (c *Cursor) pollSegmentLocked(path string, seq int, frame **dataset.Frame) 
 		return err
 	}
 	offset := c.offsets[seq]
-	if offset > int64(len(data)) {
+	if offset > info.Size() {
 		// The segment shrank (operator intervention); restart it.
 		offset = 0
 	}
-	buf := data[offset:]
-	// Consume only complete lines; a torn tail waits for the next poll.
-	end := bytes.LastIndexByte(buf, '\n')
-	if end < 0 {
+	if offset == info.Size() {
 		return nil
 	}
-	buf = buf[:end+1]
+	buf, err := readTail(path, offset, info.Size()-offset)
+	if err != nil {
+		return err
+	}
+	// Consume only complete lines; a torn tail waits for the next poll.
+	buf = buf[:bytes.LastIndexByte(buf, '\n')+1]
 	consumed := int64(0)
+	row := make([]float64, 0, len(c.columns))
 	for len(buf) > 0 {
 		nl := bytes.IndexByte(buf, '\n')
 		line := buf[:nl]
@@ -334,8 +346,7 @@ func (c *Cursor) pollSegmentLocked(path string, seq int, frame **dataset.Frame) 
 			consumed += lineLen
 			continue
 		}
-		var row []float64
-		if err := json.Unmarshal(line, &row); err != nil {
+		if row, err = parseSpoolRow(line, row[:0]); err != nil {
 			return fmt.Errorf("bad row: %w", err)
 		}
 		if len(row) != len(c.columns) {
@@ -349,6 +360,140 @@ func (c *Cursor) pollSegmentLocked(path string, seq int, frame **dataset.Frame) 
 	}
 	c.offsets[seq] = offset + consumed
 	return nil
+}
+
+// readTail reads up to n bytes of the file at path starting at offset;
+// fewer when the file ends sooner.
+func readTail(path string, offset, n int64) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil, nil // removed since the stat; next poll drops it
+		}
+		return nil, err
+	}
+	defer f.Close()
+	buf := make([]byte, n)
+	got, err := f.ReadAt(buf, offset)
+	if err != nil && err != io.EOF {
+		return nil, err
+	}
+	return buf[:got], nil
+}
+
+// parseSpoolRow decodes one spool line — a JSON array of numbers — and
+// appends its values to row. It accepts exactly the lines json.Unmarshal
+// accepts into a []float64, with the same values: JSON whitespace around
+// tokens, the JSON number grammar (no leading '+' or '.', no hex, no
+// Inf/NaN), a number out of float64 range is an error, a null element
+// reads as 0 and a bare null as the empty row.
+func parseSpoolRow(line []byte, row []float64) ([]float64, error) {
+	i := skipSpace(line, 0)
+	if hasNull(line, i) {
+		i += 4
+	} else if i == len(line) || line[i] != '[' {
+		return nil, fmt.Errorf("row is not a JSON array")
+	} else if i = skipSpace(line, i+1); i < len(line) && line[i] == ']' {
+		i++
+	} else {
+		for {
+			if hasNull(line, i) {
+				row = append(row, 0)
+				i += 4
+			} else {
+				end, v, err := scanNumber(line, i)
+				if err != nil {
+					return nil, err
+				}
+				row = append(row, v)
+				i = end
+			}
+			i = skipSpace(line, i)
+			if i == len(line) {
+				return nil, fmt.Errorf("unterminated array")
+			}
+			if line[i] == ']' {
+				i++
+				break
+			}
+			if line[i] != ',' {
+				return nil, fmt.Errorf("unexpected %q in the row", line[i])
+			}
+			i = skipSpace(line, i+1)
+		}
+	}
+	if i = skipSpace(line, i); i != len(line) {
+		return nil, fmt.Errorf("unexpected %q after the row", line[i])
+	}
+	return row, nil
+}
+
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\r' || b[i] == '\n') {
+		i++
+	}
+	return i
+}
+
+func hasNull(b []byte, i int) bool {
+	return len(b)-i >= 4 && string(b[i:i+4]) == "null"
+}
+
+// scanNumber checks b[i:] against the JSON number grammar and converts
+// the token; it returns the index just past it. A plain integer of up to
+// 15 digits — most of a telemetry row — is exact in a float64 and is
+// converted in place; everything else goes through strconv.ParseFloat.
+func scanNumber(b []byte, i int) (end int, v float64, err error) {
+	start := i
+	digits := func() int {
+		from := i
+		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
+			i++
+		}
+		return i - from
+	}
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	intStart := i
+	var n uint64 // the integer part; wraps past 19 digits, used up to 15
+	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
+		n = n*10 + uint64(b[i]-'0')
+		i++
+	}
+	intDigits := i - intStart
+	if intDigits == 0 || (intDigits > 1 && b[intStart] == '0') {
+		return 0, 0, fmt.Errorf("invalid number at byte %d", start)
+	}
+	integer := true
+	if i < len(b) && b[i] == '.' {
+		integer = false
+		i++
+		if digits() == 0 {
+			return 0, 0, fmt.Errorf("invalid number at byte %d", start)
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		integer = false
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		if digits() == 0 {
+			return 0, 0, fmt.Errorf("invalid number at byte %d", start)
+		}
+	}
+	if integer && intDigits <= 15 {
+		if v = float64(n); neg {
+			v = -v
+		}
+		return i, v, nil
+	}
+	if v, err = strconv.ParseFloat(string(b[start:i]), 64); err != nil {
+		return 0, 0, err
+	}
+	return i, v, nil
 }
 
 func equalColumns(a, b []string) bool {

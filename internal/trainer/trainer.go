@@ -185,9 +185,12 @@ type Result struct {
 	// model's lineage block.
 	LoopID        string
 	ParentVersion int
-	// RetrainNS, DuelNS, and PublishNS are wall durations of the step's
-	// stages (0 when the stage did not run), for the daemon's
-	// apollo_loop_stage_seconds histograms.
+	// PollNS, LabelNS, RetrainNS, DuelNS, and PublishNS are wall durations
+	// of the step's stages (0 when the stage did not run), for the
+	// daemon's apollo_loop_stage_seconds histograms. LabelNS covers
+	// taking the fresh rows into the window and labelling it.
+	PollNS    float64
+	LabelNS   float64
 	RetrainNS float64
 	DuelNS    float64
 	PublishNS float64
@@ -199,7 +202,7 @@ type Trainer struct {
 	cursor Cursor
 	pub    Publisher
 	det    *drift.Detector
-	window *dataset.Frame
+	window *core.Labeler // the newest MaxWindowRows telemetry rows
 
 	steps     atomic.Uint64
 	triggers  atomic.Uint64
@@ -223,6 +226,7 @@ func New(cursor Cursor, pub Publisher, cfg Config) (*Trainer, error) {
 		cursor: cursor,
 		pub:    pub,
 		det:    drift.NewDetector(cfg.Drift),
+		window: core.NewLabeler(cfg.Schema, cfg.Param),
 	}, nil
 }
 
@@ -241,35 +245,21 @@ func (t *Trainer) Vetoes() uint64 { return t.vetoes.Load() }
 // no new rows (or a window too thin to label) is a clean no-op result.
 func (t *Trainer) Step() (*Result, error) {
 	t.steps.Add(1)
+	pollStart := time.Now()
 	fresh, err := t.cursor.Poll()
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{}
-	if fresh != nil {
-		res.NewRows = fresh.Len()
-		if t.window == nil {
-			t.window = fresh
-		} else {
-			t.window.Append(fresh)
-		}
-		if over := t.window.Len() - t.cfg.MaxWindowRows; over > 0 {
-			idx := make([]int, t.cfg.MaxWindowRows)
-			for i := range idx {
-				idx[i] = over + i
-			}
-			t.window = t.window.SelectRows(idx)
-		}
-	}
-	if t.window == nil {
+	res := &Result{PollNS: float64(time.Since(pollStart))}
+	if fresh == nil || fresh.Len() == 0 {
+		res.WindowRows = t.window.Len()
 		return res, nil
 	}
+	res.NewRows = fresh.Len()
+	labelStart := time.Now()
+	set, err := t.label(fresh)
+	res.LabelNS = float64(time.Since(labelStart))
 	res.WindowRows = t.window.Len()
-	if res.NewRows == 0 {
-		return res, nil
-	}
-
-	set, err := core.Label(t.window, t.cfg.Schema, t.cfg.Param)
 	if err != nil {
 		// Telemetry without counterfactuals (no vector observed under
 		// two variants yet) cannot be labeled; keep accumulating.
@@ -286,7 +276,8 @@ func (t *Trainer) Step() (*Result, error) {
 		// unless a fleet incumbent already beats it, in which case the
 		// syncer pulling that incumbent is the better bootstrap.
 		res.LoopID = looptrace.NewLoopID(t.cfg.Name, 0, time.Now().UnixNano())
-		t.emit(looptrace.KindRetrainStart, res.LoopID, looptrace.Fields{Rows: int64(set.Len())})
+		t.emit(looptrace.KindRetrainStart, res.LoopID,
+			looptrace.Fields{Rows: int64(set.Len()), A: res.PollNS, B: res.LabelNS})
 		trainStart := time.Now()
 		m, err := core.Train(set, t.cfg.Train)
 		if err != nil {
@@ -336,7 +327,7 @@ func (t *Trainer) Step() (*Result, error) {
 
 	trainSet, holdout := split(set, t.cfg.Holdout, t.cfg.Seed)
 	t.emit(looptrace.KindRetrainStart, res.LoopID,
-		looptrace.Fields{Parent: int32(champVer), Rows: int64(trainSet.Len())})
+		looptrace.Fields{Parent: int32(champVer), Rows: int64(trainSet.Len()), A: res.PollNS, B: res.LabelNS})
 	trainStart := time.Now()
 	challenger, err := core.Train(trainSet, t.cfg.Train)
 	if err != nil {
@@ -388,6 +379,16 @@ func (t *Trainer) Step() (*Result, error) {
 	t.cfg.Logf("trainer: published %s v%d (%.0fns vs champion %.0fns on %d holdout vectors)",
 		t.cfg.Name, v, res.ChallengerNS, res.ChampionNS, holdout.Len())
 	return res, nil
+}
+
+// label takes the fresh rows into the window, ages the oldest rows out
+// of it, and labels what remains.
+func (t *Trainer) label(fresh *dataset.Frame) (*core.LabeledSet, error) {
+	if err := t.window.Add(fresh); err != nil {
+		return nil, err
+	}
+	t.window.Trim(t.cfg.MaxWindowRows)
+	return t.window.Set()
 }
 
 // emit routes one loop event for this trainer's model through the

@@ -1,7 +1,10 @@
 package trainer
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"apollo/internal/core"
@@ -9,6 +12,7 @@ import (
 	"apollo/internal/drift"
 	"apollo/internal/dtree"
 	"apollo/internal/features"
+	"apollo/internal/looptrace"
 	"apollo/internal/raja"
 	"apollo/internal/registry"
 	"apollo/internal/telemetry"
@@ -302,5 +306,159 @@ func TestTrainerSkipsUnreachableIncumbent(t *testing.T) {
 	}
 	if tr.Vetoes() != 0 {
 		t.Errorf("vetoes = %d", tr.Vetoes())
+	}
+}
+
+// recordingPublisher serves a fixed champion and keeps every model pushed
+// at it, so each step duels the same stale model.
+type recordingPublisher struct {
+	champion  *core.Model
+	published []*core.Model
+}
+
+func (p *recordingPublisher) Champion(string) (*core.Model, int, error) { return p.champion, 1, nil }
+func (p *recordingPublisher) Publish(_ string, m *core.Model, _ *core.Lineage) (int, error) {
+	p.published = append(p.published, m)
+	return 1 + len(p.published), nil
+}
+
+// The trainer's window is a labeler fed step by step; the model it
+// publishes from a window must be, byte for byte, the model batch
+// labelling of that window's rows trains — over many steps, with the
+// window sliding and the times noisy so that the order of summation shows.
+func TestTrainerPublishesWhatBatchLabellingTrains(t *testing.T) {
+	const maxRows, seed = 64, 3
+	dir := t.TempDir()
+	schema := features.TableI()
+	var ompWins []obs
+	for _, n := range []float64{32, 256, 2048, 16384, 131072} {
+		ompWins = append(ompWins, obs{n: n, seqNS: n * 100, ompNS: n})
+	}
+	pub := &recordingPublisher{champion: trainModel(t, ompWins)}
+	trace := looptrace.New("trainer-test", looptrace.Options{})
+	tr := newTrainer(t, dir, pub, Config{
+		Drift: drift.Config{MinRows: 4}, MaxWindowRows: maxRows, Seed: seed,
+		MaxRegression: 1e9, // the duel's verdict is not under test: always publish
+		Trace:         trace,
+	})
+
+	rng := dataset.NewRNG(11)
+	sizes := []float64{16, 32, 64, 128, 256, 512, 4096, 16384, 65536, 131072, 262144}
+	cols := core.RecordColumns(schema)
+	var spooled [][]float64
+	for step := 0; step < 12; step++ {
+		var fresh []obs
+		for i := 0; i < 20; i++ {
+			o := crossover(sizes[rng.Intn(len(sizes))])[0]
+			o.seqNS *= 1 + 0.3*rng.Float64()
+			o.ompNS *= 1 + 0.3*rng.Float64()
+			fresh = append(fresh, o)
+		}
+		appendObs(t, dir, fresh)
+		_, rows := telemetryRows(schema, fresh)
+		spooled = append(spooled, rows...)
+
+		before := len(pub.published)
+		res, err := tr.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		window := spooled
+		if over := len(window) - maxRows; over > 0 {
+			window = window[over:]
+		}
+		if res.NewRows != len(rows) || res.WindowRows != len(window) {
+			t.Fatalf("step %d: %d new rows, window %d; want %d, %d", step, res.NewRows, res.WindowRows, len(rows), len(window))
+		}
+		if !res.Published || len(pub.published) != before+1 {
+			t.Fatalf("step %d did not publish: %+v", step, res)
+		}
+		if res.PollNS <= 0 || res.LabelNS <= 0 {
+			t.Errorf("step %d: poll %.0fns, label %.0fns; both stages ran", step, res.PollNS, res.LabelNS)
+		}
+
+		frame := dataset.NewFrame(cols...)
+		for _, row := range window {
+			frame.AddRow(row)
+		}
+		set, err := core.Label(frame, schema, core.ExecutionPolicy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trainSet, _ := split(set, 0.25, seed)
+		want, err := core.Train(trainSet, core.TrainConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotJSON, err := json.Marshal(pub.published[before])
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJSON, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotJSON, wantJSON) {
+			t.Fatalf("step %d: published model differs from batch labelling of the same window:\n got %s\nwant %s", step, gotJSON, wantJSON)
+		}
+	}
+	// Each cycle's retrain-start event carries the two stage times.
+	starts := 0
+	for _, ev := range trace.Snapshot() {
+		if ev.Kind == looptrace.KindRetrainStart {
+			starts++
+			if ev.A <= 0 || ev.B <= 0 {
+				t.Errorf("retrain-start event %d carries poll %.0fns, label %.0fns", starts, ev.A, ev.B)
+			}
+		}
+	}
+	if starts != len(pub.published) {
+		t.Errorf("%d retrain-start events for %d publishes", starts, len(pub.published))
+	}
+}
+
+// A telemetry row with a policy outside the parameter's classes blocks
+// labelling while it is in the window — the step says so and publishes
+// nothing — and stops mattering once MaxWindowRows newer rows arrived.
+func TestTrainerPoisonRowBlocksUntilItAgesOut(t *testing.T) {
+	dir := t.TempDir()
+	schema := features.TableI()
+	var logged []string
+	tr := newTrainer(t, dir, NewRegistryPublisher(registry.New()), Config{
+		MaxWindowRows: 8,
+		Logf:          func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) },
+	})
+
+	cols, rows := telemetryRows(schema, crossover(32, 131072))
+	rows[1][len(cols)-3] = 9 // not a policy
+	sp, err := telemetry.OpenSpool(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.Append(cols, rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for step, wantRow := range []int{1, -1} {
+		if step > 0 {
+			appendObs(t, dir, crossover(64, 256, 2048, 65536)) // 8 rows: the window turns over
+		}
+		logged = logged[:0]
+		res, err := tr.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantRow < 0 {
+			if !res.Published || res.WindowRows != 8 {
+				t.Fatalf("after the poison row aged out: %+v (log %q)", res, logged)
+			}
+			continue
+		}
+		want := fmt.Sprintf("row %d has out-of-range class 9", wantRow)
+		if res.Published || len(logged) != 1 || !strings.Contains(logged[0], want) {
+			t.Fatalf("step %d: published=%v, log %q; want one line with %q", step, res.Published, logged, want)
+		}
 	}
 }
