@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint test fuzz-smoke race stress bench results quick-results cover clean serve-smoke loop-smoke flight-smoke fleet-smoke compile-smoke lineage-smoke vet-bench vet-diff bench-smoke bench-compare
+.PHONY: all build lint test fuzz-smoke race stress bench results quick-results cover clean serve-smoke loop-smoke flight-smoke fleet-smoke compile-smoke lineage-smoke vet-bench vet-diff loc bench-smoke bench-compare
 
 # One command is the gate: everything CI's lint, test and race jobs run.
 all: build lint vet-diff test fuzz-smoke bench-smoke race serve-smoke loop-smoke flight-smoke fleet-smoke compile-smoke lineage-smoke
@@ -12,20 +12,29 @@ build:
 	$(GO) vet ./...
 
 # apollo-vet enforces the project invariants — hot-path no-alloc /
-# lock-free, 386 atomic alignment, schema-hash drift, lock-rank order,
-# goroutine-leak freedom, deterministic serialization, copy-on-write
-# publication discipline, failure-path hygiene (error sinks, cancellable
-# blocking, spawn/stop pairing, HTTP deadlines), and live waivers — over
-# the whole module; the 386 cross-build keeps the alignment analyzer
-# honest against the real compiler.
+# lock-free, typed 64-bit atomics only, lock-rank order, goroutine-leak
+# freedom, deterministic serialization, copy-on-write publication
+# discipline, failure-path hygiene (error sinks, cancellable blocking,
+# spawn/stop pairing, HTTP deadlines), and live waivers — over the whole
+# module, fourteen analyzers in one pass over one fact base; the 386
+# cross-build is the atomics rule's dynamic twin: the module must keep
+# compiling for a 32-bit target.
 lint:
 	$(GO) run ./cmd/apollo-vet ./...
 	GOARCH=386 $(GO) build ./...
 
-# The CI ratchet: fail on any diagnostic not in the committed baseline,
-# so the module's finding count can only go down.
+# The CI ratchet: fail on any diagnostic not in the committed baseline
+# and on more live waivers than it records, so the module's finding and
+# waiver counts can only go down.
 vet-diff:
 	GO=$(GO) bash scripts/vet_diff.sh
+
+# The number north star 2 is judged by: non-test Go lines outside the
+# benchmark module and the analyzer corpora, and internal/analysis's
+# share of them. Prints; gates nothing.
+LOC = git ls-files $(1) | grep -v '_test.go$$' | grep -v '^benchmark/' | grep -v testdata | xargs cat | wc -l
+loc:
+	@echo "non-test Go lines: $$($(call LOC,'*.go')) (internal/analysis: $$($(call LOC,'internal/analysis/*.go')))"
 
 # Self-run benchmark: the full analyzer suite over this module, with the
 # machine-readable summary (per-analyzer counts, live waivers, wall
@@ -39,8 +48,9 @@ test:
 
 # Ten seconds of each fuzz target: the model decoder (whatever decodes
 # must be safe to walk), compiled-vs-interpreted prediction, and the
-# spool row scanner against encoding/json (same lines accepted, same
-# values read). go test takes one -fuzz target per package run.
+# frame row scanner (dataset.ParseRow, under ReadJSONL and the spool
+# cursor) against encoding/json (same lines accepted, same values read).
+# go test takes one -fuzz target per package run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseModelOrEnvelope$$' -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzCompiledPredict$$' -fuzztime=10s ./internal/ctree

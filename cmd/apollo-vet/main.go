@@ -1,9 +1,9 @@
 // Command apollo-vet runs Apollo's project-specific static analyzers
 // over the module: hotpath (annotated hot paths must not allocate, lock,
-// or block), atomicalign (64-bit sync/atomic fields must be aligned on
-// 32-bit targets), lockscope (no blocking work while a mutex is held),
-// schemahash (feature schemas must match their golden fingerprints),
-// lockorder (nested mutex acquisitions must follow declared
+// or block), atomicalign (64-bit atomics must be the typed
+// atomic.Int64/Uint64, which every target aligns, never the primitive
+// sync/atomic functions), lockscope (no blocking work while a mutex is
+// held), lockorder (nested mutex acquisitions must follow declared
 // //apollo:lockrank order and stay acyclic), goleak (spawned goroutines
 // must have a guaranteed exit), detorder (map iteration must not feed
 // serialization or hashing), cowsafe (values published through an
@@ -16,7 +16,11 @@
 // lifecycle (component goroutines must pair with a stop signal their
 // Close/Stop provably fires and joins), netguard (outbound HTTP must
 // carry deadlines and retry through jittered backoff), and waiverdrift
-// (waiver and blocking annotations must still be live).
+// (waiver and blocking annotations must still be live). One run builds
+// one fact base — call graph, function list, directive index — that all
+// selected analyzers share; waiverdrift reads the waiver uses the others
+// recorded, so selecting it alone runs the waiving analyzers too and
+// discards what they report.
 //
 // Usage:
 //

@@ -43,12 +43,13 @@ func TestVetDiffRatchet(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	run := func(module string) (string, error) {
+	runWith := func(baseline, module string) (string, error) {
 		cmd := exec.Command("bash", "scripts/vet_diff.sh", baseline, module)
 		cmd.Dir = root
 		out, err := cmd.CombinedOutput()
 		return string(out), err
 	}
+	run := func(module string) (string, error) { return runWith(baseline, module) }
 
 	// A timeout-less http.Get is a netguard diagnostic with no waiver:
 	// the regression must fail the ratchet.
@@ -79,5 +80,28 @@ func Add(a, b int) int { return a + b }
 	}
 	if !strings.Contains(out, "no new diagnostics") {
 		t.Fatalf("clean pass missing confirmation line:\n%s", out)
+	}
+
+	// The waiver count is ratcheted too: a module with one more live
+	// waiver than its baseline fails with zero diagnostics; at the
+	// baseline's count it passes.
+	waived := writeModule(t, "ratchetwaived", `package ratchetwaived
+
+import "os"
+
+func Drop(name string) {
+	_ = os.Remove(name) //apollo:errok best-effort cleanup of a scratch file
+}
+`)
+	out, err = run(waived)
+	if err == nil || !strings.Contains(out, "1 live waivers") {
+		t.Fatalf("ratchet passed a module with one more live waiver than its baseline (err %v):\n%s", err, out)
+	}
+	oneWaiver := filepath.Join(baseDir, "one_waiver.json")
+	if err := os.WriteFile(oneWaiver, []byte(`{"summary":true,"diagnostics":0,"waivers_used":1}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out, err = runWith(oneWaiver, waived); err != nil {
+		t.Fatalf("ratchet failed a module at its baseline's waiver count: %v\n%s", err, out)
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"apollo"
 	ccapp "apollo/internal/app"
 	"apollo/internal/cleverleaf"
-	"apollo/internal/tuner"
 )
 
 const (
@@ -73,12 +72,12 @@ func main() {
 		set.Len(), cv.MeanAccuracy*100)
 
 	// --- Compare default OpenMP-everywhere against Apollo. ---
-	runWith := func(hooks func(ann *apollo.Annotations) apollo.Hooks, def apollo.Params) (float64, map[string]tuner.KernelStat) {
+	runWith := func(hooks func(ann *apollo.Annotations) apollo.Hooks, def apollo.Params) (float64, []apollo.TraceSummary) {
 		ann := apollo.NewAnnotations()
 		clk := apollo.NewSimClock(machine, 0, 0)
 		ctx := apollo.NewSimContext(clk, def)
-		col := tuner.NewCollector(hooks(ann))
-		ctx.Hooks = col
+		tr := apollo.NewTracer(hooks(ann), 0)
+		ctx.Hooks = tr
 		sim, err := cleverleaf.New(ccapp.Config{Ctx: ctx, Ann: ann, Problem: problem, Size: size})
 		if err != nil {
 			log.Fatal(err)
@@ -86,7 +85,7 @@ func main() {
 		for i := 0; i < steps; i++ {
 			sim.Step()
 		}
-		return clk.NowNS(), col.Stats()
+		return clk.NowNS(), apollo.SummarizeTrace(tr.Events())
 	}
 
 	defTime, defStats := runWith(
@@ -107,11 +106,15 @@ func main() {
 		name     string
 		def, tun float64
 	}
-	var rows []row
-	for name, st := range defStats {
-		rows = append(rows, row{name, st.TotalNS, tunedStats[name].TotalNS})
+	tuned := map[string]float64{}
+	for _, s := range tunedStats {
+		tuned[s.Kernel] = s.TotalNS
 	}
-	sort.Slice(rows, func(i, j int) bool {
+	var rows []row
+	for _, s := range defStats {
+		rows = append(rows, row{s.Kernel, s.TotalNS, tuned[s.Kernel]})
+	}
+	sort.SliceStable(rows, func(i, j int) bool {
 		return rows[i].def-rows[i].tun > rows[j].def-rows[j].tun
 	})
 	fmt.Println("top kernels by absolute improvement:")

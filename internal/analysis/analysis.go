@@ -14,14 +14,11 @@
 //     module-local concrete type is known — must not allocate, lock,
 //     touch channels, or call time.Now / fmt.* / log.* / any
 //     //apollo:blocking function;
-//   - atomicalign: struct fields passed to 64-bit sync/atomic operations
-//     must be 64-bit aligned under 32-bit (GOARCH=386/arm) layout rules;
+//   - atomicalign: no primitive 64-bit sync/atomic function (AddInt64,
+//     LoadUint64, ...) — only the typed atomic.Int64/Uint64, which the
+//     compiler aligns on every target, 32-bit ones included;
 //   - lockscope: no file/network I/O, channel operation, or
 //     //apollo:blocking call while a sync.Mutex/RWMutex is held;
-//   - schemahash: feature-name lists referenced by an
-//     //apollo:schemahash directive must hash to the golden constant the
-//     directive annotates, so silently reordering the feature schema is
-//     a vet-time error instead of a serving-time mispredict;
 //   - lockorder: nested mutex acquisitions must follow the ranks declared
 //     with //apollo:lockrank on the mutex declarations (lock identity is
 //     the package-qualified field or variable), and the global
@@ -63,6 +60,13 @@
 //     one diagnostic, and //apollo:blocking functions must actually be
 //     able to block, so the annotation contract cannot rot.
 //
+// A run is one pass over one fact base (facts): RunAllStats builds the
+// call graph, the position-sorted function list, each file's directive
+// index and the shared summaries once, hands them to every selected
+// analyzer concurrently, and every waiver an analyzer honours is
+// recorded in the run's one waiverUse — which waiverdrift reads after
+// the others have finished instead of running them again.
+//
 // Annotation contract (all are line comments, no space after //):
 //
 //	//apollo:hotpath                   function is a launch hot path root
@@ -74,8 +78,6 @@
 //	                                   finding on this line; reason required
 //	//apollo:lockok <reason>           suppress lockscope findings for this
 //	                                   function or statement; reason required
-//	//apollo:schemahash <list> ...     golden schema fingerprint constant;
-//	                                   args name the feature lists hashed
 //	//apollo:lockrank <N>              on a sync.Mutex/RWMutex field or
 //	                                   var declaration: nested acquisitions
 //	                                   must strictly increase the rank
@@ -103,6 +105,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -130,22 +133,35 @@ func (d Diagnostic) String() string {
 	return s
 }
 
-// Analyzer is one named pass over a loaded program.
+// Analyzer is one named pass over a run's fact base.
 type Analyzer struct {
 	Name string
 	Doc  string
-	Run  func(prog *Program) []Diagnostic
-	// runTracked, when set, is Run with waiver-use accounting: every
-	// directive that suppresses a finding is recorded in uses. Analyzers
-	// without waivers leave it nil.
-	runTracked func(prog *Program, uses *waiverUse) []Diagnostic
+	// run reports the analyzer's findings; every waiver directive it
+	// honours on the way is marked in f.uses.
+	run func(f *facts) []Diagnostic
+	// waives names the waiver directives the analyzer honours: waiverdrift
+	// can call one of them stale only after this analyzer has run.
+	waives []string
 }
 
 // All returns the full apollo-vet analyzer suite.
 func All() []*Analyzer {
-	return []*Analyzer{HotPath, AtomicAlign, LockScope, SchemaHash,
-		LockOrder, GoLeak, DetOrder, CowSafe, PubInit, SharedCap,
-		ErrSink, CtxFlow, Lifecycle, NetGuard, WaiverDrift}
+	return []*Analyzer{HotPath, AtomicAlign, LockScope, LockOrder, GoLeak,
+		DetOrder, CowSafe, PubInit, SharedCap, ErrSink, CtxFlow, Lifecycle,
+		NetGuard, WaiverDrift}
+}
+
+// waiverDirectives is every directive some analyzer of the suite honours
+// as a waiver: the ones waiverdrift holds to account.
+func waiverDirectives() map[string]bool {
+	dirs := map[string]bool{}
+	for _, a := range All() {
+		for _, d := range a.waives {
+			dirs[d] = true
+		}
+	}
+	return dirs
 }
 
 // ByName returns the analyzers with the given comma-separated names.
@@ -179,14 +195,13 @@ func RunAll(prog *Program, analyzers []*Analyzer) []Diagnostic {
 }
 
 // Stats summarizes one analyzer run for machine consumers (the driver's
-// -json summary record and results/BENCH_vet.json).
+// -json summary record and results/VET_BASELINE.json).
 type Stats struct {
 	// PerAnalyzer counts diagnostics by analyzer name; analyzers that
 	// ran clean appear with a zero count, so CI diffs see them.
 	PerAnalyzer map[string]int
 	// WaiversUsed is how many distinct waiver directives suppressed at
-	// least one finding during this run (only analyzers with a tracking
-	// mode contribute).
+	// least one finding during this run.
 	WaiversUsed int
 	// PerAnalyzerMS is each analyzer's wall time in milliseconds; the
 	// analyzers run concurrently, so entries overlap and do not sum to
@@ -194,38 +209,58 @@ type Stats struct {
 	PerAnalyzerMS map[string]float64
 }
 
-// RunAllStats is RunAll plus per-analyzer accounting: analyzers with a
-// tracking mode run in it against a shared waiver-use record, so the
-// stats report how many waivers are load-bearing right now.
+// RunAllStats is RunAll plus per-analyzer accounting. The fact base is
+// built once and shared. waiverdrift reads the waiver uses the other
+// analyzers leave behind, so it runs after them; a waiving analyzer it
+// needs that was not selected runs too, its diagnostics discarded.
 func RunAllStats(prog *Program, analyzers []*Analyzer) ([]Diagnostic, Stats) {
-	uses := &waiverUse{}
-	results := make([][]Diagnostic, len(analyzers))
-	elapsed := make([]time.Duration, len(analyzers))
+	f := newFacts(prog)
+	var first []*Analyzer
+	for _, a := range analyzers {
+		if a != WaiverDrift {
+			first = append(first, a)
+		}
+	}
+	selected := len(first)
+	drift := selected < len(analyzers)
+	if drift {
+		for _, a := range All() {
+			if len(a.waives) > 0 && !slices.Contains(analyzers, a) {
+				first = append(first, a)
+			}
+		}
+	}
+
+	results := make([][]Diagnostic, len(first))
+	elapsed := make([]time.Duration, len(first))
 	var wg sync.WaitGroup
-	for i, a := range analyzers {
+	for i, a := range first {
 		wg.Add(1)
 		go func(i int, a *Analyzer) {
 			defer wg.Done()
 			start := time.Now()
-			if a.runTracked != nil {
-				results[i] = a.runTracked(prog, uses)
-			} else {
-				results[i] = a.Run(prog)
-			}
+			results[i] = a.run(f)
 			elapsed[i] = time.Since(start)
 		}(i, a)
 	}
 	wg.Wait()
+
 	stats := Stats{PerAnalyzer: map[string]int{}, PerAnalyzerMS: map[string]float64{}}
 	var all []Diagnostic
-	for i, r := range results {
-		stats.PerAnalyzer[analyzers[i].Name] += len(r)
-		stats.PerAnalyzerMS[analyzers[i].Name] += float64(elapsed[i].Microseconds()) / 1000
-		all = append(all, r...)
+	record := func(a *Analyzer, diags []Diagnostic, took time.Duration) {
+		stats.PerAnalyzer[a.Name] += len(diags)
+		stats.PerAnalyzerMS[a.Name] += float64(took.Microseconds()) / 1000
+		all = append(all, diags...)
 	}
-	uses.mu.Lock()
-	stats.WaiversUsed = len(uses.used)
-	uses.mu.Unlock()
+	for i, a := range first[:selected] {
+		record(a, results[i], elapsed[i])
+	}
+	if drift {
+		start := time.Now()
+		diags := WaiverDrift.run(f)
+		record(WaiverDrift, diags, time.Since(start))
+	}
+	stats.WaiversUsed = f.uses.count()
 	sort.Slice(all, func(i, j int) bool {
 		a, b := all[i], all[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -249,7 +284,6 @@ const (
 	dirColdPath    = "coldpath"
 	dirAllocOK     = "allocok"
 	dirLockOK      = "lockok"
-	dirSchemaHash  = "schemahash"
 	dirLockRank    = "lockrank"
 	dirGoLeakOK    = "goleakok"
 	dirDetOrderOK  = "detorderok"
@@ -286,15 +320,9 @@ func parseDirectives(groups ...*ast.CommentGroup) []directive {
 }
 
 // funcDirective reports whether fn's doc comment carries the named
-// directive, returning its arguments.
-func funcDirective(fn *ast.FuncDecl, name string) (string, bool) {
-	args, _, ok := funcDirectivePos(fn, name)
-	return args, ok
-}
-
-// funcDirectivePos is funcDirective plus the directive comment's
+// directive, returning its arguments and the directive comment's
 // position, which waiver-use tracking keys on.
-func funcDirectivePos(fn *ast.FuncDecl, name string) (string, token.Pos, bool) {
+func funcDirective(fn *ast.FuncDecl, name string) (string, token.Pos, bool) {
 	for _, d := range parseDirectives(fn.Doc) {
 		if d.name == name {
 			return d.args, d.pos, true
@@ -327,35 +355,16 @@ func lineDirectiveAt(lines map[int][]directive, fset *token.FileSet, pos token.P
 	return directive{}, false
 }
 
-// hasLineDirective reports whether the line of pos carries the named
-// directive with a non-empty reason.
-func hasLineDirective(lines map[int][]directive, fset *token.FileSet, pos token.Pos, name string) bool {
-	_, ok := lineDirectiveAt(lines, fset, pos, name)
-	return ok
-}
-
-// suppressedBy reports whether a directive on pos's line waives a
-// finding, recording the suppression in uses (which may be nil) so
-// waiverdrift can tell live waivers from stale ones.
-func suppressedBy(lines map[int][]directive, fset *token.FileSet, pos token.Pos, name string, uses *waiverUse) bool {
-	d, ok := lineDirectiveAt(lines, fset, pos, name)
-	if ok {
-		uses.mark(d.pos)
-	}
-	return ok
-}
-
 // waiverUse records which waiver directives actually suppressed a
-// diagnostic, keyed by the directive comment's position. A nil tracker
-// is valid and records nothing, so analyzers behave identically with
-// and without tracking. mark is safe for concurrent analyzer goroutines.
+// diagnostic, keyed by the directive comment's position; one per run,
+// marked by the run's concurrent analyzers and read by waiverdrift.
 type waiverUse struct {
 	mu   sync.Mutex
 	used map[token.Pos]bool
 }
 
 func (w *waiverUse) mark(pos token.Pos) {
-	if w == nil || !pos.IsValid() {
+	if !pos.IsValid() {
 		return
 	}
 	w.mu.Lock()
@@ -367,10 +376,13 @@ func (w *waiverUse) mark(pos token.Pos) {
 }
 
 func (w *waiverUse) isUsed(pos token.Pos) bool {
-	if w == nil {
-		return false
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.used[pos]
+}
+
+func (w *waiverUse) count() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.used)
 }

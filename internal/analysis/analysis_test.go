@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"sort"
 	"strings"
@@ -143,10 +144,6 @@ func TestLockScopeCorpus(t *testing.T) {
 	runCorpus(t, "lockmod", []*Analyzer{LockScope})
 }
 
-func TestSchemaHashCorpus(t *testing.T) {
-	runCorpus(t, "schemamod", []*Analyzer{SchemaHash})
-}
-
 func TestLockOrderCorpus(t *testing.T) {
 	diags := runCorpus(t, "lockordermod", []*Analyzer{LockOrder})
 
@@ -227,24 +224,66 @@ func TestNetGuardCorpus(t *testing.T) {
 }
 
 func TestWaiverDriftCorpus(t *testing.T) {
+	// Selected alone, waiverdrift still needs the waiving analyzers' uses:
+	// the run executes them and discards what they report.
 	diags := runCorpus(t, "waivermod", []*Analyzer{WaiverDrift})
 
 	// Exactly the stale annotations may be reported: the live waivers in
-	// the same file must have been marked used by the tracked re-runs.
+	// the same file must have been marked used by the waiving analyzers.
 	for _, d := range diags {
 		if !strings.Contains(d.Message, "stale //apollo:") {
 			t.Errorf("waiverdrift emitted a non-staleness diagnostic: %s", d)
+		}
+	}
+
+	// Alone or as the last of the suite, it reads the same record.
+	dir, err := filepath.Abs(filepath.Join("testdata", "src", "waivermod"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inSuite []Diagnostic
+	for _, d := range RunAll(prog, All()) {
+		if d.Analyzer == WaiverDrift.Name {
+			inSuite = append(inSuite, d)
+		}
+	}
+	if !reflect.DeepEqual(diags, inSuite) {
+		t.Errorf("waiverdrift alone reported\n%v\nbut as part of the suite\n%v", diags, inSuite)
+	}
+}
+
+// TestOneFactBasePerRun pins the run model: however many analyzers are
+// selected — waiverdrift alone included, which makes the run execute
+// every waiving analyzer — the call graph is built once.
+func TestOneFactBasePerRun(t *testing.T) {
+	dir, err := filepath.Abs(filepath.Join("testdata", "src", "waivermod"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sel := range [][]*Analyzer{All(), {WaiverDrift}, {HotPath, LockOrder}} {
+		before := graphBuilds.Load()
+		RunAll(prog, sel)
+		if n := graphBuilds.Load() - before; n != 1 {
+			t.Errorf("RunAll over %d analyzers built the call graph %d times, want 1", len(sel), n)
 		}
 	}
 }
 
 // TestByName keeps the -analyzers flag surface honest.
 func TestByName(t *testing.T) {
-	got, err := ByName("hotpath,schemahash")
+	got, err := ByName("hotpath,atomicalign")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0] != HotPath || got[1] != SchemaHash {
+	if len(got) != 2 || got[0] != HotPath || got[1] != AtomicAlign {
 		t.Fatalf("ByName returned %v", got)
 	}
 	if _, err := ByName("nosuch"); err == nil {
@@ -285,10 +324,28 @@ func TestVetSelfCheck(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load module: %v", err)
 	}
-	diags := RunAll(prog, All())
+	diags, stats := RunAllStats(prog, All())
 	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos.Line < diags[j].Pos.Line })
 	for _, d := range diags {
 		t.Errorf("module is not vet-clean: %s", d)
+	}
+
+	// Every waiver directive in the module is live: the count the run
+	// reports (and results/VET_BASELINE.json ratchets) is the count of
+	// directives in the source, none stale.
+	waiverDirs := waiverDirectives()
+	directives := 0
+	for _, pkg := range prog.Packages {
+		for _, file := range pkg.Files {
+			for _, d := range parseDirectives(file.Comments...) {
+				if waiverDirs[d.name] {
+					directives++
+				}
+			}
+		}
+	}
+	if stats.WaiversUsed != directives || directives == 0 {
+		t.Errorf("WaiversUsed = %d, but the module carries %d waiver directives", stats.WaiversUsed, directives)
 	}
 	if len(diags) > 0 {
 		t.Log(fmt.Sprintf("%d finding(s); fix them or waive with //apollo:coldpath, //apollo:allocok, or //apollo:lockok plus a reason", len(diags)))

@@ -4,7 +4,10 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // funcInfo is one module function declaration with its annotations.
@@ -13,6 +16,9 @@ type funcInfo struct {
 	decl *ast.FuncDecl
 	pkg  *Package
 	file *ast.File
+	// lines is the directive index of the declaring file, shared by every
+	// function in it.
+	lines map[int][]directive
 
 	hot      bool
 	blocking bool
@@ -26,6 +32,48 @@ type funcInfo struct {
 	lockOKPos   token.Pos
 }
 
+// facts is what one run knows about the program before any analyzer
+// looks at it, built once by RunAllStats and shared by the analyzers it
+// runs concurrently: the call graph, the declared functions in position
+// order, the run's waiver-use record, and the module-wide summaries.
+// mut and errs fill their memos as they are asked and take no lock:
+// each has one reader (pubinit, errsink). chans is one scan of the
+// module on first use.
+type facts struct {
+	prog  *Program
+	g     *graph
+	funcs []*funcInfo
+	uses  waiverUse
+	mut   *mutParams
+	errs  *errReads
+	chans func() *chanBuffering
+	// waiverDirs is waiverDirectives(), handed to waiverdrift through the
+	// run because its own initializer cannot refer to All().
+	waiverDirs map[string]bool
+}
+
+func newFacts(prog *Program) *facts {
+	g := buildGraph(prog)
+	f := &facts{prog: prog, g: g, mut: newMutParams(g), errs: newErrReads(g),
+		chans:      sync.OnceValue(func() *chanBuffering { return buildChanBuffering(prog) }),
+		waiverDirs: waiverDirectives()}
+	for _, fi := range g.funcs {
+		f.funcs = append(f.funcs, fi)
+	}
+	sort.Slice(f.funcs, func(i, j int) bool { return f.funcs[i].decl.Pos() < f.funcs[j].decl.Pos() })
+	return f
+}
+
+// waived reports whether a //apollo:<name> directive with a reason on
+// pos's line waives a finding there, and records the directive as live.
+func (f *facts) waived(lines map[int][]directive, pos token.Pos, name string) bool {
+	d, ok := lineDirectiveAt(lines, f.prog.Fset, pos, name)
+	if ok {
+		f.uses.mark(d.pos)
+	}
+	return ok
+}
+
 // graph indexes every module function and resolves call sites through
 // the type-checked AST: direct calls, method calls, locally bound method
 // values, and interface dispatch onto module-local concrete types.
@@ -33,15 +81,22 @@ type graph struct {
 	prog  *Program
 	funcs map[*types.Func]*funcInfo
 	// impls caches interface-method resolution: interface type string +
-	// method name -> implementing module methods.
-	impls map[string][]*funcInfo
+	// method name -> implementing module methods. The analyzers of a run
+	// resolve calls concurrently, so it is filled under implMu.
+	implMu sync.Mutex
+	impls  map[string][]*funcInfo
 }
+
+// graphBuilds counts buildGraph calls, so a test can hold a run to one.
+var graphBuilds atomic.Int64
 
 // buildGraph indexes the program's function declarations.
 func buildGraph(prog *Program) *graph {
+	graphBuilds.Add(1)
 	g := &graph{prog: prog, funcs: map[*types.Func]*funcInfo{}, impls: map[string][]*funcInfo{}}
 	for _, pkg := range prog.Packages {
 		for _, file := range pkg.Files {
+			lines := lineDirectives(prog.Fset, file)
 			for _, decl := range file.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Name == nil {
@@ -51,14 +106,14 @@ func buildGraph(prog *Program) *graph {
 				if !ok {
 					continue
 				}
-				fi := &funcInfo{obj: obj, decl: fd, pkg: pkg, file: file}
-				_, fi.hot = funcDirective(fd, dirHotPath)
-				_, fi.blockingPos, fi.blocking = funcDirectivePos(fd, dirBlocking)
-				if args, pos, ok := funcDirectivePos(fd, dirColdPath); ok && args != "" {
+				fi := &funcInfo{obj: obj, decl: fd, pkg: pkg, file: file, lines: lines}
+				_, _, fi.hot = funcDirective(fd, dirHotPath)
+				_, fi.blockingPos, fi.blocking = funcDirective(fd, dirBlocking)
+				if args, pos, ok := funcDirective(fd, dirColdPath); ok && args != "" {
 					fi.cold = true
 					fi.coldPos = pos
 				}
-				if args, pos, ok := funcDirectivePos(fd, dirLockOK); ok && args != "" {
+				if args, pos, ok := funcDirective(fd, dirLockOK); ok && args != "" {
 					fi.lockOK = true
 					fi.lockOKPos = pos
 				}
@@ -165,6 +220,8 @@ func (g *graph) implementations(iface *types.Interface, ifaceType types.Type, me
 		return nil
 	}
 	key := types.TypeString(ifaceType, nil) + "." + method
+	g.implMu.Lock()
+	defer g.implMu.Unlock()
 	if impls, ok := g.impls[key]; ok {
 		return asCallees(impls, ifaceType)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"sort"
 )
 
 // CowSafe enforces the copy-on-write publication discipline every
@@ -22,50 +21,38 @@ import (
 // //apollo:cowok <reason> — on the write's line, or on the function's
 // doc comment to waive a whole deliberately-mutating function.
 var CowSafe = &Analyzer{
-	Name:       "cowsafe",
-	Doc:        "values published through atomic.Pointer are frozen; Load results are read-only",
-	Run:        runCowSafe,
-	runTracked: runCowSafeTracked,
+	Name:   "cowsafe",
+	Doc:    "values published through atomic.Pointer are frozen; Load results are read-only",
+	run:    runCowSafe,
+	waives: []string{dirCowOK},
 }
 
-func runCowSafe(prog *Program) []Diagnostic {
-	return runCowSafeTracked(prog, nil)
-}
-
-func runCowSafeTracked(prog *Program, uses *waiverUse) []Diagnostic {
-	g := buildGraph(prog)
-	var fis []*funcInfo
-	for _, fi := range g.funcs {
-		if fi.decl.Body != nil {
-			fis = append(fis, fi)
-		}
-	}
-	sort.Slice(fis, func(i, j int) bool { return fis[i].decl.Pos() < fis[j].decl.Pos() })
-
+func runCowSafe(f *facts) []Diagnostic {
 	var diags []Diagnostic
-	for _, fi := range fis {
-		diags = append(diags, cowCheckFunc(prog, fi, uses)...)
+	for _, fi := range f.funcs {
+		if fi.decl.Body != nil {
+			diags = append(diags, cowCheckFunc(f, fi)...)
+		}
 	}
 	return diags
 }
 
 // funcCowOK reports a function-level //apollo:cowok waiver (with a
 // reason), recording its use.
-func funcCowOK(fi *funcInfo, uses *waiverUse) bool {
-	if args, pos, ok := funcDirectivePos(fi.decl, dirCowOK); ok && args != "" {
-		uses.mark(pos)
+func funcCowOK(f *facts, fi *funcInfo) bool {
+	if args, pos, ok := funcDirective(fi.decl, dirCowOK); ok && args != "" {
+		f.uses.mark(pos)
 		return true
 	}
 	return false
 }
 
-func cowCheckFunc(prog *Program, fi *funcInfo, uses *waiverUse) []Diagnostic {
+func cowCheckFunc(f *facts, fi *funcInfo) []Diagnostic {
 	pkg := fi.pkg
-	fset := prog.Fset
-	lines := lineDirectives(fset, fi.file)
+	fset := f.prog.Fset
 	flow := newFnFlow(pkg, fi.decl)
 	writes := writesIn(pkg, fi.decl.Body)
-	fnWaived := funcCowOK(fi, uses)
+	fnWaived := funcCowOK(f, fi)
 
 	var diags []Diagnostic
 	seen := map[token.Pos]bool{}
@@ -73,7 +60,7 @@ func cowCheckFunc(prog *Program, fi *funcInfo, uses *waiverUse) []Diagnostic {
 		if seen[pos] {
 			return
 		}
-		if fnWaived || suppressedBy(lines, fset, pos, dirCowOK, uses) {
+		if fnWaived || f.waived(fi.lines, pos, dirCowOK) {
 			seen[pos] = true
 			return
 		}

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // CtxFlow enforces cancellation discipline on daemon code: every
@@ -35,14 +34,10 @@ import (
 // //apollo:ctxok <reason> on the line waives one finding; waiverdrift
 // reports the directive when it goes stale.
 var CtxFlow = &Analyzer{
-	Name:       "ctxflow",
-	Doc:        "blocking operations reachable from daemon roots must be cancellable",
-	Run:        runCtxFlow,
-	runTracked: runCtxFlowTracked,
-}
-
-func runCtxFlow(prog *Program) []Diagnostic {
-	return runCtxFlowTracked(prog, nil)
+	Name:   "ctxflow",
+	Doc:    "blocking operations reachable from daemon roots must be cancellable",
+	run:    runCtxFlow,
+	waives: []string{dirCtxOK},
 }
 
 // ctxRoot reports whether a function is a daemon serve/loop entry point.
@@ -56,18 +51,7 @@ func ctxRoot(fi *funcInfo) bool {
 	return name == "Run" || name == "Serve" || (len(name) >= 5 && name[:5] == "Start")
 }
 
-func runCtxFlowTracked(prog *Program, uses *waiverUse) []Diagnostic {
-	g := buildGraph(prog)
-	cb := buildChanBuffering(prog)
-
-	var roots []*funcInfo
-	for _, fi := range g.funcs {
-		if fi.decl.Body != nil && ctxRoot(fi) {
-			roots = append(roots, fi)
-		}
-	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i].decl.Pos() < roots[j].decl.Pos() })
-
+func runCtxFlow(f *facts) []Diagnostic {
 	// BFS over static module calls, keeping the first-discovery chain for
 	// diagnostics; each function is scanned once.
 	type item struct {
@@ -76,8 +60,8 @@ func runCtxFlowTracked(prog *Program, uses *waiverUse) []Diagnostic {
 	}
 	seen := map[*types.Func]bool{}
 	var queue []item
-	for _, r := range roots {
-		if !seen[r.obj] {
+	for _, r := range f.funcs {
+		if r.decl.Body != nil && ctxRoot(r) {
 			seen[r.obj] = true
 			queue = append(queue, item{r, []string{displayName(r.obj)}})
 		}
@@ -88,13 +72,13 @@ func runCtxFlowTracked(prog *Program, uses *waiverUse) []Diagnostic {
 		queue = queue[1:]
 		fi := it.fi
 		bindings := methodBindings(fi.pkg, fi.decl.Body)
-		diags = append(diags, ctxScanBody(prog, fi, cb, it.chain, uses)...)
+		diags = append(diags, ctxScanBody(f, fi, it.chain)...)
 		ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			callees, _ := g.resolve(fi.pkg, bindings, call)
+			callees, _ := f.g.resolve(fi.pkg, bindings, call)
 			for _, c := range callees {
 				if c.viaInterface != "" || c.fn.decl.Body == nil || seen[c.fn.obj] {
 					continue
@@ -110,15 +94,14 @@ func runCtxFlowTracked(prog *Program, uses *waiverUse) []Diagnostic {
 
 // ctxScanBody checks one reachable function body (goroutine and closure
 // literals included) for uncancellable blocking operations.
-func ctxScanBody(prog *Program, fi *funcInfo, cb *chanBuffering, chain []string, uses *waiverUse) []Diagnostic {
+func ctxScanBody(f *facts, fi *funcInfo, chain []string) []Diagnostic {
 	var diags []Diagnostic
-	lines := lineDirectives(prog.Fset, fi.file)
 	report := func(n ast.Node, format string, args ...any) {
-		if suppressedBy(lines, prog.Fset, n.Pos(), dirCtxOK, uses) {
+		if f.waived(fi.lines, n.Pos(), dirCtxOK) {
 			return
 		}
 		d := Diagnostic{
-			Pos:      prog.Fset.Position(n.Pos()),
+			Pos:      f.prog.Fset.Position(n.Pos()),
 			Analyzer: "ctxflow",
 			Message:  fmt.Sprintf(format, args...),
 		}
@@ -161,7 +144,7 @@ func ctxScanBody(prog *Program, fi *funcInfo, cb *chanBuffering, chain []string,
 			if inSelect[ast.Node(n)] {
 				return true
 			}
-			if v := chanVar(fi.pkg, n.Chan); cb.knownUnbuffered(v) && !stopNamed(n.Chan) {
+			if v := chanVar(fi.pkg, n.Chan); f.chans().knownUnbuffered(v) && !stopNamed(n.Chan) {
 				report(n, "send on unbuffered channel %s blocks forever if the receiver is gone; select with a stop case or buffer the channel", types.ExprString(n.Chan))
 			}
 		case *ast.UnaryExpr:

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -25,34 +24,20 @@ import (
 // or compared later). A deliberate order-insensitive use is waived with
 // //apollo:detorderok <reason> on the sink line or the range line.
 var DetOrder = &Analyzer{
-	Name:       "detorder",
-	Doc:        "map iteration must not feed serialization, hashing, or encoding",
-	Run:        runDetOrder,
-	runTracked: runDetOrderTracked,
+	Name:   "detorder",
+	Doc:    "map iteration must not feed serialization, hashing, or encoding",
+	run:    runDetOrder,
+	waives: []string{dirDetOrderOK},
 }
 
-func runDetOrder(prog *Program) []Diagnostic {
-	return runDetOrderTracked(prog, nil)
-}
-
-// runDetOrderTracked is runDetOrder recording //apollo:detorderok
-// suppressions into uses (nil disables tracking).
-func runDetOrderTracked(prog *Program, uses *waiverUse) []Diagnostic {
-	g := buildGraph(prog)
-	var fis []*funcInfo
-	for _, fi := range g.funcs {
-		fis = append(fis, fi)
-	}
-	sort.Slice(fis, func(i, j int) bool { return fis[i].decl.Pos() < fis[j].decl.Pos() })
-
-	fset := prog.Fset
+func runDetOrder(f *facts) []Diagnostic {
+	g, fset := f.g, f.prog.Fset
 	var diags []Diagnostic
 	seen := map[token.Pos]bool{}
-	for _, fi := range fis {
+	for _, fi := range f.funcs {
 		if fi.decl.Body == nil {
 			continue
 		}
-		lines := lineDirectives(fset, fi.file)
 		ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
 			rng, ok := n.(*ast.RangeStmt)
 			if !ok {
@@ -74,8 +59,7 @@ func runDetOrderTracked(prog *Program, uses *waiverUse) []Diagnostic {
 					if desc == "" || seen[m.Pos()] {
 						return true
 					}
-					if suppressedBy(lines, fset, m.Pos(), dirDetOrderOK, uses) ||
-						suppressedBy(lines, fset, rng.Pos(), dirDetOrderOK, uses) {
+					if f.waived(fi.lines, m.Pos(), dirDetOrderOK) || f.waived(fi.lines, rng.Pos(), dirDetOrderOK) {
 						return true
 					}
 					seen[m.Pos()] = true

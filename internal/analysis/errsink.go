@@ -28,44 +28,32 @@ import (
 // //apollo:errok <reason> on the offending line waives one finding;
 // waiverdrift reports the directive when it goes stale.
 var ErrSink = &Analyzer{
-	Name:       "errsink",
-	Doc:        "every error value must reach a sink (return, cold-path log, or metric)",
-	Run:        runErrSink,
-	runTracked: runErrSinkTracked,
+	Name:   "errsink",
+	Doc:    "every error value must reach a sink (return, cold-path log, or metric)",
+	run:    runErrSink,
+	waives: []string{dirErrOK},
 }
 
-func runErrSink(prog *Program) []Diagnostic {
-	return runErrSinkTracked(prog, nil)
-}
-
-func runErrSinkTracked(prog *Program, uses *waiverUse) []Diagnostic {
-	g := buildGraph(prog)
-	er := newErrReads(g)
-	var fis []*funcInfo
-	for _, fi := range g.funcs {
-		if fi.decl.Body != nil {
-			fis = append(fis, fi)
-		}
-	}
-	sort.Slice(fis, func(i, j int) bool { return fis[i].decl.Pos() < fis[j].decl.Pos() })
+func runErrSink(f *facts) []Diagnostic {
 	var diags []Diagnostic
-	for _, fi := range fis {
-		diags = append(diags, errSinkCheckFunc(prog, g, er, fi, uses)...)
+	for _, fi := range f.funcs {
+		if fi.decl.Body != nil {
+			diags = append(diags, errSinkCheckFunc(f, fi)...)
+		}
 	}
 	return diags
 }
 
 // errSinkCheckFunc scans one function body (closures included) for
 // discarded errors.
-func errSinkCheckFunc(prog *Program, g *graph, er *errReads, fi *funcInfo, uses *waiverUse) []Diagnostic {
+func errSinkCheckFunc(f *facts, fi *funcInfo) []Diagnostic {
 	var diags []Diagnostic
-	lines := lineDirectives(prog.Fset, fi.file)
 	report := func(pos ast.Node, format string, args ...any) {
-		if suppressedBy(lines, prog.Fset, pos.Pos(), dirErrOK, uses) {
+		if f.waived(fi.lines, pos.Pos(), dirErrOK) {
 			return
 		}
 		diags = append(diags, Diagnostic{
-			Pos:      prog.Fset.Position(pos.Pos()),
+			Pos:      f.prog.Fset.Position(pos.Pos()),
 			Analyzer: "errsink",
 			Message:  fmt.Sprintf(format, args...),
 		})
@@ -97,7 +85,7 @@ func errSinkCheckFunc(prog *Program, g *graph, er *errReads, fi *funcInfo, uses 
 	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			diags = append(diags, errBlankDiscards(prog, fi, lines, uses, n)...)
+			diags = append(diags, errBlankDiscards(f, fi, n)...)
 		case *ast.ExprStmt:
 			call, ok := n.X.(*ast.CallExpr)
 			if !ok {
@@ -115,7 +103,7 @@ func errSinkCheckFunc(prog *Program, g *graph, er *errReads, fi *funcInfo, uses 
 			if !hasErr {
 				return true
 			}
-			_, ext := g.resolve(fi.pkg, bindings, call)
+			_, ext := f.g.resolve(fi.pkg, bindings, call)
 			if ext != nil && infallibleExternal(ext) {
 				return true
 			}
@@ -155,7 +143,7 @@ func errSinkCheckFunc(prog *Program, g *graph, er *errReads, fi *funcInfo, uses 
 				}
 			case *ast.CallExpr:
 				if p.Fun != ast.Expr(n) {
-					if callee := deadErrForward(g, er, fi, bindings, p, n); callee != "" {
+					if callee := deadErrForward(f, fi, bindings, p, n); callee != "" {
 						st.forwarded++
 						st.discards = append(st.discards, callee)
 						return true
@@ -186,15 +174,15 @@ func errSinkCheckFunc(prog *Program, g *graph, er *errReads, fi *funcInfo, uses 
 
 // errBlankDiscards reports error results assigned to the blank
 // identifier in one assignment.
-func errBlankDiscards(prog *Program, fi *funcInfo, lines map[int][]directive, uses *waiverUse, n *ast.AssignStmt) []Diagnostic {
+func errBlankDiscards(f *facts, fi *funcInfo, n *ast.AssignStmt) []Diagnostic {
 	info := fi.pkg.Info
 	var diags []Diagnostic
 	report := func(pos ast.Node, what string) {
-		if suppressedBy(lines, prog.Fset, pos.Pos(), dirErrOK, uses) {
+		if f.waived(fi.lines, pos.Pos(), dirErrOK) {
 			return
 		}
 		diags = append(diags, Diagnostic{
-			Pos:      prog.Fset.Position(pos.Pos()),
+			Pos:      f.prog.Fset.Position(pos.Pos()),
 			Analyzer: "errsink",
 			Message:  fmt.Sprintf("error result of %s is discarded into _; handle it or waive with //apollo:errok", what),
 		})
@@ -230,9 +218,9 @@ func errBlankDiscards(prog *Program, fi *funcInfo, lines map[int][]directive, us
 // as an argument provably discards it: every static module callee
 // ignores the corresponding error parameter. Empty when the forward is
 // (or may be) a real sink.
-func deadErrForward(g *graph, er *errReads, fi *funcInfo,
+func deadErrForward(f *facts, fi *funcInfo,
 	bindings map[types.Object]*types.Func, call *ast.CallExpr, id *ast.Ident) string {
-	callees, ext := g.resolve(fi.pkg, bindings, call)
+	callees, ext := f.g.resolve(fi.pkg, bindings, call)
 	if ext != nil || len(callees) == 0 {
 		return ""
 	}
@@ -251,7 +239,7 @@ func deadErrForward(g *graph, er *errReads, fi *funcInfo,
 		if c.viaInterface != "" {
 			return ""
 		}
-		sub := er.reads(c.fn)
+		sub := f.errs.reads(c.fn)
 		if argIdx >= len(sub) || sub[argIdx] {
 			return ""
 		}

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strconv"
 )
 
@@ -31,38 +30,24 @@ import (
 // //apollo:goleakok <reason> on the construct's line or the go
 // statement's line.
 var GoLeak = &Analyzer{
-	Name:       "goleak",
-	Doc:        "spawned goroutines must have a guaranteed exit and unblockable channel use",
-	Run:        runGoLeak,
-	runTracked: runGoLeakTracked,
+	Name:   "goleak",
+	Doc:    "spawned goroutines must have a guaranteed exit and unblockable channel use",
+	run:    runGoLeak,
+	waives: []string{dirGoLeakOK},
 }
 
-func runGoLeak(prog *Program) []Diagnostic {
-	return runGoLeakTracked(prog, nil)
-}
-
-// runGoLeakTracked is runGoLeak recording //apollo:goleakok suppressions
-// into uses (nil disables tracking).
-func runGoLeakTracked(prog *Program, uses *waiverUse) []Diagnostic {
-	g := buildGraph(prog)
-	s := &goLeakScanner{g: g, uses: uses, checkedNamed: map[*types.Func]bool{}}
-	var fis []*funcInfo
-	for _, fi := range g.funcs {
-		fis = append(fis, fi)
-	}
-	sort.Slice(fis, func(i, j int) bool { return fis[i].decl.Pos() < fis[j].decl.Pos() })
-	for _, fi := range fis {
-		if fi.decl.Body == nil {
-			continue
+func runGoLeak(f *facts) []Diagnostic {
+	s := &goLeakScanner{f: f, checkedNamed: map[*types.Func]bool{}}
+	for _, fi := range f.funcs {
+		if fi.decl.Body != nil {
+			s.scanSpawner(fi)
 		}
-		s.scanSpawner(fi)
 	}
 	return s.diags
 }
 
 type goLeakScanner struct {
-	g            *graph
-	uses         *waiverUse
+	f            *facts
 	checkedNamed map[*types.Func]bool
 	diags        []Diagnostic
 }
@@ -79,8 +64,6 @@ type goBodyCtx struct {
 }
 
 func (s *goLeakScanner) scanSpawner(fi *funcInfo) {
-	fset := s.g.prog.Fset
-	spawnLines := lineDirectives(fset, fi.file)
 	bindings := methodBindings(fi.pkg, fi.decl.Body)
 	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
 		gs, ok := n.(*ast.GoStmt)
@@ -91,18 +74,18 @@ func (s *goLeakScanner) scanSpawner(fi *funcInfo) {
 		case *ast.FuncLit:
 			facts := spawnChanFacts(fi.pkg, fi.decl.Body, fun)
 			s.checkBody(goBodyCtx{
-				pkg: fi.pkg, lines: spawnLines, goPos: gs.Pos(), goLines: spawnLines,
+				pkg: fi.pkg, lines: fi.lines, goPos: gs.Pos(), goLines: fi.lines,
 				chain: []string{displayName(fi.obj)},
 			}, fun.Body, facts)
 		default:
-			callees, _ := s.g.resolve(fi.pkg, bindings, gs.Call)
+			callees, _ := s.f.g.resolve(fi.pkg, bindings, gs.Call)
 			for _, c := range callees {
 				if c.viaInterface != "" || c.fn.decl.Body == nil || s.checkedNamed[c.fn.obj] {
 					continue
 				}
 				s.checkedNamed[c.fn.obj] = true
 				s.checkBody(goBodyCtx{
-					pkg: c.fn.pkg, lines: lineDirectives(fset, c.fn.file), goPos: gs.Pos(), goLines: spawnLines,
+					pkg: c.fn.pkg, lines: c.fn.lines, goPos: gs.Pos(), goLines: fi.lines,
 					chain: []string{displayName(fi.obj), displayName(c.fn.obj)},
 				}, c.fn.decl.Body, nil)
 			}
@@ -115,12 +98,9 @@ func (s *goLeakScanner) scanSpawner(fi *funcInfo) {
 // the spawner-side channel analysis, nil for named callees (whose
 // channels arrive through parameters and fields and stay unresolved).
 func (s *goLeakScanner) checkBody(ctx goBodyCtx, body *ast.BlockStmt, facts *chanFacts) {
-	fset := s.g.prog.Fset
+	fset := s.f.prog.Fset
 	report := func(pos token.Pos, format string, args ...any) {
-		if suppressedBy(ctx.lines, fset, pos, dirGoLeakOK, s.uses) {
-			return
-		}
-		if suppressedBy(ctx.goLines, fset, ctx.goPos, dirGoLeakOK, s.uses) {
+		if s.f.waived(ctx.lines, pos, dirGoLeakOK) || s.f.waived(ctx.goLines, ctx.goPos, dirGoLeakOK) {
 			return
 		}
 		s.diags = append(s.diags, Diagnostic{

@@ -17,40 +17,28 @@ import (
 // annotated //apollo:coldpath (rare, amortized paths), and a single
 // finding can be waived with a line-level //apollo:allocok reason.
 var HotPath = &Analyzer{
-	Name:       "hotpath",
-	Doc:        "hot-path functions must be allocation-free and lock-free",
-	Run:        runHotPath,
-	runTracked: runHotPathTracked,
+	Name:   "hotpath",
+	Doc:    "hot-path functions must be allocation-free and lock-free",
+	run:    runHotPath,
+	waives: []string{dirAllocOK, dirColdPath},
 }
 
-func runHotPath(prog *Program) []Diagnostic {
-	return runHotPathTracked(prog, nil)
-}
-
-// runHotPathTracked is runHotPath with waiver-use tracking: every
-// //apollo:allocok that suppresses a finding and every //apollo:coldpath
-// that stops a traversal is recorded in uses (nil disables tracking).
-func runHotPathTracked(prog *Program, uses *waiverUse) []Diagnostic {
-	g := buildGraph(prog)
-	var roots []*funcInfo
-	for _, fi := range g.funcs {
+// runHotPath walks from every //apollo:hotpath root; an //apollo:allocok
+// that suppresses a finding and an //apollo:coldpath that stops a
+// traversal are recorded as live waivers.
+func runHotPath(f *facts) []Diagnostic {
+	h := &hotWalker{f: f, visited: map[*types.Func]bool{}}
+	for _, fi := range f.funcs {
 		if fi.hot {
-			roots = append(roots, fi)
+			h.walk(fi, nil)
 		}
-	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i].decl.Pos() < roots[j].decl.Pos() })
-
-	h := &hotWalker{g: g, visited: map[*types.Func]bool{}, uses: uses}
-	for _, root := range roots {
-		h.walk(root, nil)
 	}
 	return h.diags
 }
 
 type hotWalker struct {
-	g       *graph
+	f       *facts
 	visited map[*types.Func]bool
-	uses    *waiverUse
 	diags   []Diagnostic
 }
 
@@ -69,8 +57,7 @@ func (h *hotWalker) walk(fi *funcInfo, chain []string) {
 
 	pkg := fi.pkg
 	info := pkg.Info
-	fset := h.g.prog.Fset
-	lines := lineDirectives(fset, fi.file)
+	fset := h.f.prog.Fset
 	parents := parentsOf(fi.decl.Body)
 	bindings := methodBindings(pkg, fi.decl.Body)
 
@@ -83,7 +70,7 @@ func (h *hotWalker) walk(fi *funcInfo, chain []string) {
 		})
 	}
 	allocOK := func(pos token.Pos) bool {
-		return suppressedBy(lines, fset, pos, dirAllocOK, h.uses)
+		return h.f.waived(fi.lines, pos, dirAllocOK)
 	}
 
 	var edges []hotEdge
@@ -197,7 +184,7 @@ func (h *hotWalker) checkCall(fi *funcInfo, call *ast.CallExpr, parents map[ast.
 		}
 	}
 
-	callees, ext := h.g.resolve(fi.pkg, bindings, call)
+	callees, ext := h.f.g.resolve(fi.pkg, bindings, call)
 	if ext != nil {
 		if reason := bannedExternal(ext); reason != "" {
 			report(call.Pos(), "%s", reason)
@@ -214,7 +201,7 @@ func (h *hotWalker) checkCall(fi *funcInfo, call *ast.CallExpr, parents map[ast.
 			continue
 		}
 		if c.fn.cold {
-			h.uses.mark(c.fn.coldPos)
+			h.f.uses.mark(c.fn.coldPos)
 			continue
 		}
 		*edges = append(*edges, hotEdge{target: c.fn, via: c.viaInterface})
@@ -423,17 +410,8 @@ func bannedExternal(obj *types.Func) string {
 // receiverBaseName returns the receiver's named-type name ("" for
 // top-level functions).
 func receiverBaseName(obj *types.Func) string {
-	sig := obj.Type().(*types.Signature)
-	recv := sig.Recv()
-	if recv == nil {
-		return ""
-	}
-	t := recv.Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
+	if tn := namedRecv(obj); tn != nil {
+		return tn.Name()
 	}
 	return ""
 }

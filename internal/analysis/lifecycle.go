@@ -34,14 +34,10 @@ import (
 // fires the signal but never joins. //apollo:ctxok <reason> on the `go`
 // statement's line waives a finding (deliberately detached goroutine).
 var Lifecycle = &Analyzer{
-	Name:       "lifecycle",
-	Doc:        "component goroutines must pair with a stop signal that Close/Stop fires and joins",
-	Run:        runLifecycle,
-	runTracked: runLifecycleTracked,
-}
-
-func runLifecycle(prog *Program) []Diagnostic {
-	return runLifecycleTracked(prog, nil)
+	Name:   "lifecycle",
+	Doc:    "component goroutines must pair with a stop signal that Close/Stop fires and joins",
+	run:    runLifecycle,
+	waives: []string{dirCtxOK},
 }
 
 // component is a module named type with lifecycle methods.
@@ -133,9 +129,8 @@ func isStopName(name string) bool {
 	return name == "Close" || name == "Stop" || name == "Shutdown"
 }
 
-func runLifecycleTracked(prog *Program, uses *waiverUse) []Diagnostic {
-	g := buildGraph(prog)
-	comps := buildComponents(g)
+func runLifecycle(f *facts) []Diagnostic {
+	comps := buildComponents(f.g)
 
 	type site struct {
 		comp *component
@@ -170,21 +165,21 @@ func runLifecycleTracked(prog *Program, uses *waiverUse) []Diagnostic {
 			continue // a ctor returning two component types reports once
 		}
 		seen[s.stmt] = true
-		diags = append(diags, lifecycleCheckSpawn(prog, g, s.comp, s.fi, s.stmt, uses)...)
+		diags = append(diags, lifecycleCheckSpawn(f, s.comp, s.fi, s.stmt)...)
 	}
 	return diags
 }
 
 // lifecycleCheckSpawn verifies one go statement against the spawn/stop
 // pairing contract.
-func lifecycleCheckSpawn(prog *Program, g *graph, comp *component, fi *funcInfo, gs *ast.GoStmt, uses *waiverUse) []Diagnostic {
-	lines := lineDirectives(prog.Fset, fi.file)
+func lifecycleCheckSpawn(f *facts, comp *component, fi *funcInfo, gs *ast.GoStmt) []Diagnostic {
+	g := f.g
 	report := func(format string, args ...any) []Diagnostic {
-		if suppressedBy(lines, prog.Fset, gs.Pos(), dirCtxOK, uses) {
+		if f.waived(fi.lines, gs.Pos(), dirCtxOK) {
 			return nil
 		}
 		return []Diagnostic{{
-			Pos:      prog.Fset.Position(gs.Pos()),
+			Pos:      f.prog.Fset.Position(gs.Pos()),
 			Analyzer: "lifecycle",
 			Message:  fmt.Sprintf(format, args...),
 		}}
@@ -253,7 +248,7 @@ func lifecycleCheckSpawn(prog *Program, g *graph, comp *component, fi *funcInfo,
 	// needs the stop leg wired.
 	var firstFailure []Diagnostic
 	for _, sig := range signals {
-		diag := lifecycleCheckSignal(prog, comp, fi, bodyFi, gs, goroutineParams, sig.expr, report)
+		diag := lifecycleCheckSignal(comp, fi, bodyFi, gs, goroutineParams, sig.expr, report)
 		if diag == nil {
 			return nil
 		}
@@ -266,7 +261,7 @@ func lifecycleCheckSpawn(prog *Program, g *graph, comp *component, fi *funcInfo,
 
 // lifecycleCheckSignal proves one candidate exit signal satisfied, or
 // returns the diagnostic explaining why it is not.
-func lifecycleCheckSignal(prog *Program, comp *component, fi, bodyFi *funcInfo, gs *ast.GoStmt,
+func lifecycleCheckSignal(comp *component, fi, bodyFi *funcInfo, gs *ast.GoStmt,
 	goroutineParams []*types.Var, expr ast.Expr, report func(string, ...any) []Diagnostic) []Diagnostic {
 	root, path, ok := pathOf(bodyFi.pkg, expr)
 	if !ok {

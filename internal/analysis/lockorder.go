@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -32,25 +31,19 @@ import (
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc:  "nested mutex acquisitions must follow declared //apollo:lockrank order and be acyclic",
-	Run:  runLockOrder,
+	run:  runLockOrder,
 }
 
-func runLockOrder(prog *Program) []Diagnostic {
-	g := buildGraph(prog)
+func runLockOrder(f *facts) []Diagnostic {
 	s := &lockOrderScanner{
-		g:        g,
+		g:        f.g,
 		acq:      map[*types.Func]map[*types.Var][]string{},
 		visiting: map[*types.Func]bool{},
 		edgeSeen: map[[2]*types.Var]bool{},
 	}
-	s.ranks, s.names = collectLockRanks(prog, &s.diags)
+	s.ranks, s.names = collectLockRanks(f.prog, &s.diags)
 
-	var fis []*funcInfo
-	for _, fi := range g.funcs {
-		fis = append(fis, fi)
-	}
-	sort.Slice(fis, func(i, j int) bool { return fis[i].decl.Pos() < fis[j].decl.Pos() })
-	for _, fi := range fis {
+	for _, fi := range f.funcs {
 		if fi.decl.Body == nil {
 			continue
 		}

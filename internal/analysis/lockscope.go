@@ -18,41 +18,23 @@ import (
 // deliberate design choice (e.g. persisting under a publish mutex) is
 // waived with //apollo:lockok <reason> on the function or statement.
 var LockScope = &Analyzer{
-	Name:       "lockscope",
-	Doc:        "no blocking work while a mutex is held",
-	Run:        runLockScope,
-	runTracked: runLockScopeTracked,
+	Name:   "lockscope",
+	Doc:    "no blocking work while a mutex is held",
+	run:    runLockScope,
+	waives: []string{dirLockOK},
 }
 
-func runLockScope(prog *Program) []Diagnostic {
-	return runLockScopeTracked(prog, nil)
-}
-
-// runLockScopeTracked is runLockScope with waiver-use tracking. With a
-// non-nil uses, functions waived with //apollo:lockok are scanned anyway
-// — their findings are discarded, but producing any marks the waiver as
-// live; the same applies to statement- and line-level lockok waivers.
-func runLockScopeTracked(prog *Program, uses *waiverUse) []Diagnostic {
-	g := buildGraph(prog)
-	s := &lockScanner{g: g, summaries: map[*types.Func]*blockFact{}, visiting: map[*types.Func]bool{}, uses: uses}
-	var fis []*funcInfo
-	for _, fi := range g.funcs {
-		fis = append(fis, fi)
-	}
-	sort.Slice(fis, func(i, j int) bool { return fis[i].decl.Pos() < fis[j].decl.Pos() })
-	for _, fi := range fis {
+// runLockScope scans every function. One waived with //apollo:lockok is
+// scanned too, under its waiver: the findings are discarded, but
+// producing any marks the waiver live; the same goes for statement- and
+// line-level lockok.
+func runLockScope(f *facts) []Diagnostic {
+	s := &lockScanner{f: f, summaries: map[*types.Func]*blockFact{}, visiting: map[*types.Func]bool{}}
+	for _, fi := range f.funcs {
 		if fi.decl.Body == nil {
 			continue
 		}
-		if fi.lockOK {
-			if uses != nil {
-				pos := fi.lockOKPos
-				s.sink = func(Diagnostic) { uses.mark(pos) }
-				s.scanFunc(fi)
-				s.sink = nil
-			}
-			continue
-		}
+		s.under = fi.lockOKPos
 		s.scanFunc(fi)
 	}
 	return s.diags
@@ -66,20 +48,19 @@ type blockFact struct {
 }
 
 type lockScanner struct {
-	g         *graph
+	f         *facts
 	summaries map[*types.Func]*blockFact
 	visiting  map[*types.Func]bool
-	uses      *waiverUse
-	// sink, when set, consumes diagnostics instead of s.diags — the
-	// waiver-use tracking mode for //apollo:lockok'd regions.
-	sink  func(Diagnostic)
+	// under, when valid, is the //apollo:lockok waiver the scan is running
+	// under: a finding marks it live instead of being reported.
+	under token.Pos
 	diags []Diagnostic
 }
 
-// emit routes one diagnostic to the active sink or the result list.
+// emit reports one diagnostic, or spends it on the waiver in force.
 func (s *lockScanner) emit(d Diagnostic) {
-	if s.sink != nil {
-		s.sink(d)
+	if s.under.IsValid() {
+		s.f.uses.mark(s.under)
 		return
 	}
 	s.diags = append(s.diags, d)
@@ -87,55 +68,51 @@ func (s *lockScanner) emit(d Diagnostic) {
 
 // scanFunc walks one function's statement blocks tracking held locks.
 func (s *lockScanner) scanFunc(fi *funcInfo) {
-	lines := lineDirectives(s.g.prog.Fset, fi.file)
 	bindings := methodBindings(fi.pkg, fi.decl.Body)
-	s.scanStmts(fi, fi.decl.Body.List, map[string]bool{}, lines, bindings)
+	s.scanStmts(fi, fi.decl.Body.List, map[string]bool{}, bindings)
 }
 
 // scanStmts processes a statement sequence in order, maintaining the set
 // of held lock expressions and checking every statement executed while a
 // lock is held.
 func (s *lockScanner) scanStmts(fi *funcInfo, stmts []ast.Stmt, held map[string]bool,
-	lines map[int][]directive, bindings map[types.Object]*types.Func) {
-	fset := s.g.prog.Fset
+	bindings map[types.Object]*types.Func) {
+	fset := s.f.prog.Fset
 	for _, stmt := range stmts {
-		if recv, op, ok := lockOp(fi.pkg, stmt); ok {
-			switch op {
-			case "Lock", "RLock":
-				held[recv] = true
-			case "Unlock", "RUnlock":
-				delete(held, recv)
+		if es, ok := stmt.(*ast.ExprStmt); ok {
+			if recv, op, ok := lockCallExpr(fi.pkg, es.X); ok {
+				switch op {
+				case "Lock", "RLock":
+					held[types.ExprString(recv)] = true
+				case "Unlock", "RUnlock":
+					delete(held, types.ExprString(recv))
+				}
+				continue
 			}
-			continue
 		}
 		if d, ok := stmt.(*ast.DeferStmt); ok {
 			// defer x.Unlock() keeps the lock held to the end of the
 			// lexical region; any other defer is checked like a call if
 			// a lock is held.
-			if recv, op, ok := deferLockOp(fi.pkg, d); ok && (op == "Unlock" || op == "RUnlock") {
-				_ = recv
+			if _, op, ok := lockCallExpr(fi.pkg, d.Call); ok && (op == "Unlock" || op == "RUnlock") {
 				continue
 			}
 		}
 		if len(held) > 0 {
-			if d, ok := lineDirectiveAt(lines, fset, stmt.Pos(), dirLockOK); ok {
-				if s.uses != nil {
-					// Re-scan under a marking sink: the waiver is live
-					// only if it still suppresses something.
-					prev := s.sink
-					s.sink = func(Diagnostic) { s.uses.mark(d.pos) } //apollo:sharedcapok synchronous save/restore on one goroutine: checkHeld runs and returns before the sink is put back
-					s.checkHeld(fi, stmt, held, lines, bindings)
-					s.sink = prev
-				}
-				continue
+			// A statement-level waiver is live only if the statement
+			// still produces a finding: check it under the waiver.
+			prev := s.under
+			if d, ok := lineDirectiveAt(fi.lines, fset, stmt.Pos(), dirLockOK); ok {
+				s.under = d.pos
 			}
-			s.checkHeld(fi, stmt, held, lines, bindings)
+			s.checkHeld(fi, stmt, held, bindings)
+			s.under = prev
 			continue
 		}
 		// Not holding a lock: descend into nested blocks (and function
 		// literals) to find lock regions there.
 		for _, body := range childBlocks(stmt) {
-			s.scanStmts(fi, body, map[string]bool{}, lines, bindings)
+			s.scanStmts(fi, body, map[string]bool{}, bindings)
 		}
 	}
 }
@@ -143,8 +120,8 @@ func (s *lockScanner) scanStmts(fi *funcInfo, stmts []ast.Stmt, held map[string]
 // checkHeld inspects one statement executed under held locks, skipping
 // nested function literals (they run later, not under this lock).
 func (s *lockScanner) checkHeld(fi *funcInfo, stmt ast.Stmt, held map[string]bool,
-	lines map[int][]directive, bindings map[types.Object]*types.Func) {
-	fset := s.g.prog.Fset
+	bindings map[types.Object]*types.Func) {
+	fset := s.f.prog.Fset
 	heldNames := make([]string, 0, len(held))
 	for h := range held {
 		heldNames = append(heldNames, h)
@@ -153,7 +130,7 @@ func (s *lockScanner) checkHeld(fi *funcInfo, stmt ast.Stmt, held map[string]boo
 	heldDesc := strings.Join(heldNames, ", ")
 
 	report := func(pos token.Pos, msg string, chain []string) {
-		if suppressedBy(lines, fset, pos, dirLockOK, s.uses) {
+		if s.f.waived(fi.lines, pos, dirLockOK) {
 			return
 		}
 		s.emit(Diagnostic{
@@ -177,7 +154,7 @@ func (s *lockScanner) checkHeld(fi *funcInfo, stmt ast.Stmt, held map[string]boo
 		case *ast.SelectStmt:
 			report(n.Pos(), "select statement", nil)
 		case *ast.CallExpr:
-			callees, ext := s.g.resolve(fi.pkg, bindings, n)
+			callees, ext := s.f.g.resolve(fi.pkg, bindings, n)
 			if ext != nil {
 				if why := blockingExternal(ext); why != "" {
 					report(n.Pos(), why, nil)
@@ -234,7 +211,7 @@ func (s *lockScanner) summary(fi *funcInfo) *blockFact {
 			case *ast.SelectStmt:
 				fact = &blockFact{why: "select statement", path: []string{displayName(fi.obj)}}
 			case *ast.CallExpr:
-				callees, ext := s.g.resolve(fi.pkg, bindings, n)
+				callees, ext := s.f.g.resolve(fi.pkg, bindings, n)
 				if ext != nil {
 					if why := blockingExternal(ext); why != "" {
 						fact = &blockFact{why: why, path: []string{displayName(fi.obj)}}
@@ -293,33 +270,11 @@ func blockingExternal(obj *types.Func) string {
 	return ""
 }
 
-// lockOp matches a statement of the form x.Lock() / x.RLock() /
-// x.Unlock() / x.RUnlock() on a sync mutex, returning the rendered
-// receiver expression and the operation.
-func lockOp(pkg *Package, stmt ast.Stmt) (recv, op string, ok bool) {
-	es, isExpr := stmt.(*ast.ExprStmt)
-	if !isExpr {
-		return "", "", false
-	}
-	return lockCall(pkg, es.X)
-}
-
-// deferLockOp matches defer x.Unlock().
-func deferLockOp(pkg *Package, d *ast.DeferStmt) (recv, op string, ok bool) {
-	return lockCall(pkg, d.Call)
-}
-
-func lockCall(pkg *Package, e ast.Expr) (recv, op string, ok bool) {
-	expr, op, ok := lockCallExpr(pkg, e)
-	if !ok {
-		return "", "", false
-	}
-	return types.ExprString(expr), op, true
-}
-
-// lockCallExpr is lockCall returning the receiver expression itself,
-// which lockorder resolves to a lock identity (field or variable object)
-// instead of a rendered string.
+// lockCallExpr matches a call of the form x.Lock() / x.RLock() /
+// x.Unlock() / x.RUnlock() on a sync mutex, returning the receiver
+// expression — which lockscope renders to a string and lockorder
+// resolves to a lock identity (field or variable object) — and the
+// operation.
 func lockCallExpr(pkg *Package, e ast.Expr) (recv ast.Expr, op string, ok bool) {
 	call, isCall := ast.Unparen(e).(*ast.CallExpr)
 	if !isCall {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -27,21 +26,15 @@ import (
 var NetGuard = &Analyzer{
 	Name: "netguard",
 	Doc:  "outbound HTTP must carry deadlines and retry through jittered backoff",
-	Run:  runNetGuard,
+	run:  runNetGuard,
 }
 
-func runNetGuard(prog *Program) []Diagnostic {
-	g := buildGraph(prog)
-	var fis []*funcInfo
-	for _, fi := range g.funcs {
-		if fi.decl.Body != nil {
-			fis = append(fis, fi)
-		}
-	}
-	sort.Slice(fis, func(i, j int) bool { return fis[i].decl.Pos() < fis[j].decl.Pos() })
+func runNetGuard(f *facts) []Diagnostic {
 	var diags []Diagnostic
-	for _, fi := range fis {
-		diags = append(diags, netGuardCheckFunc(prog, g, fi)...)
+	for _, fi := range f.funcs {
+		if fi.decl.Body != nil {
+			diags = append(diags, netGuardCheckFunc(f.prog, f.g, fi)...)
+		}
 	}
 	return diags
 }

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // PubInit enforces publish-then-initialize hygiene: every write that
@@ -23,40 +22,27 @@ import (
 // <reason> on the call's line (or the function's doc comment); the
 // publication-discipline analyzers share one waiver vocabulary.
 var PubInit = &Analyzer{
-	Name:       "pubinit",
-	Doc:        "all initialization of a published value must precede its atomic publish",
-	Run:        runPubInit,
-	runTracked: runPubInitTracked,
+	Name:   "pubinit",
+	Doc:    "all initialization of a published value must precede its atomic publish",
+	run:    runPubInit,
+	waives: []string{dirCowOK},
 }
 
-func runPubInit(prog *Program) []Diagnostic {
-	return runPubInitTracked(prog, nil)
-}
-
-func runPubInitTracked(prog *Program, uses *waiverUse) []Diagnostic {
-	g := buildGraph(prog)
-	mp := newMutParams(g)
-	var fis []*funcInfo
-	for _, fi := range g.funcs {
-		if fi.decl.Body != nil {
-			fis = append(fis, fi)
-		}
-	}
-	sort.Slice(fis, func(i, j int) bool { return fis[i].decl.Pos() < fis[j].decl.Pos() })
-
+func runPubInit(f *facts) []Diagnostic {
 	var diags []Diagnostic
-	for _, fi := range fis {
-		diags = append(diags, pubInitCheckFunc(g, mp, fi, uses)...)
+	for _, fi := range f.funcs {
+		if fi.decl.Body != nil {
+			diags = append(diags, pubInitCheckFunc(f, fi)...)
+		}
 	}
 	return diags
 }
 
-func pubInitCheckFunc(g *graph, mp *mutParams, fi *funcInfo, uses *waiverUse) []Diagnostic {
+func pubInitCheckFunc(f *facts, fi *funcInfo) []Diagnostic {
 	pkg := fi.pkg
-	fset := g.prog.Fset
-	lines := lineDirectives(fset, fi.file)
+	fset := f.prog.Fset
 	flow := newFnFlow(pkg, fi.decl)
-	fnWaived := funcCowOK(fi, uses)
+	fnWaived := funcCowOK(f, fi)
 
 	var diags []Diagnostic
 	seen := map[token.Pos]bool{}
@@ -64,7 +50,7 @@ func pubInitCheckFunc(g *graph, mp *mutParams, fi *funcInfo, uses *waiverUse) []
 		if seen[pos] {
 			return
 		}
-		if fnWaived || suppressedBy(lines, fset, pos, dirCowOK, uses) {
+		if fnWaived || f.waived(fi.lines, pos, dirCowOK) {
 			seen[pos] = true
 			return
 		}
@@ -106,12 +92,12 @@ func pubInitCheckFunc(g *graph, mp *mutParams, fi *funcInfo, uses *waiverUse) []
 			if !ok || late == call || !after.contains(late.Pos()) {
 				return true
 			}
-			callees, _ := g.resolve(pkg, flow.bindings, late)
+			callees, _ := f.g.resolve(pkg, flow.bindings, late)
 			for _, c := range callees {
 				if c.viaInterface != "" {
 					continue
 				}
-				mask := mp.mutated(c.fn)
+				mask := f.mut.mutated(c.fn)
 				if mask == nil {
 					continue
 				}

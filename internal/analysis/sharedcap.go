@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // SharedCap flags the capture-then-keep-writing race: a goroutine
@@ -27,29 +26,18 @@ import (
 // state carries its own synchronization and is never written by
 // assignment.
 var SharedCap = &Analyzer{
-	Name:       "sharedcap",
-	Doc:        "goroutine closures and stored callbacks must not share locals the spawner keeps writing",
-	Run:        runSharedCap,
-	runTracked: runSharedCapTracked,
+	Name:   "sharedcap",
+	Doc:    "goroutine closures and stored callbacks must not share locals the spawner keeps writing",
+	run:    runSharedCap,
+	waives: []string{dirSharedCapOK},
 }
 
-func runSharedCap(prog *Program) []Diagnostic {
-	return runSharedCapTracked(prog, nil)
-}
-
-func runSharedCapTracked(prog *Program, uses *waiverUse) []Diagnostic {
-	g := buildGraph(prog)
-	var fis []*funcInfo
-	for _, fi := range g.funcs {
-		if fi.decl.Body != nil {
-			fis = append(fis, fi)
-		}
-	}
-	sort.Slice(fis, func(i, j int) bool { return fis[i].decl.Pos() < fis[j].decl.Pos() })
-
+func runSharedCap(f *facts) []Diagnostic {
 	var diags []Diagnostic
-	for _, fi := range fis {
-		diags = append(diags, sharedCapCheckFunc(g.prog, fi, uses)...)
+	for _, fi := range f.funcs {
+		if fi.decl.Body != nil {
+			diags = append(diags, sharedCapCheckFunc(f, fi)...)
+		}
 	}
 	return diags
 }
@@ -62,10 +50,9 @@ type escape struct {
 	kind string    // "go statement" or "stored callback"
 }
 
-func sharedCapCheckFunc(prog *Program, fi *funcInfo, uses *waiverUse) []Diagnostic {
+func sharedCapCheckFunc(f *facts, fi *funcInfo) []Diagnostic {
 	pkg := fi.pkg
-	fset := prog.Fset
-	lines := lineDirectives(fset, fi.file)
+	fset := f.prog.Fset
 	parents := parentsOf(fi.decl.Body)
 	writes := writesIn(pkg, fi.decl.Body)
 
@@ -110,8 +97,7 @@ func sharedCapCheckFunc(prog *Program, fi *funcInfo, uses *waiverUse) []Diagnost
 			if !ok || !captured[v] || reported[v] {
 				continue
 			}
-			if suppressedBy(lines, fset, esc.pos, dirSharedCapOK, uses) ||
-				suppressedBy(lines, fset, w.pos, dirSharedCapOK, uses) {
+			if f.waived(fi.lines, esc.pos, dirSharedCapOK) || f.waived(fi.lines, w.pos, dirSharedCapOK) {
 				reported[v] = true
 				continue
 			}

@@ -1,62 +1,54 @@
-// Package atomicmod is the atomicalign-analyzer corpus: raw 64-bit
-// sync/atomic operands laid out for GOARCH=386, where the compiler only
-// 4-byte-aligns uint64 struct fields.
+// Package atomicmod is the atomicalign-analyzer corpus: the typed
+// 64-bit atomics analyze clean, every use of a primitive 64-bit
+// sync/atomic function is a finding wherever its operand lives.
 package atomicmod
 
 import "sync/atomic"
 
-// misaligned puts the counter after a 4-byte field: offset 4 under
-// 32-bit layout.
-type misaligned struct {
+// counters uses the typed atomics, which carry their alignment in the
+// type: clean even behind a 4-byte field.
+type counters struct {
+	flags uint32
+	n     atomic.Uint64
+	d     atomic.Int64
+}
+
+func BumpTyped(c *counters, cs []counters, i int) uint64 {
+	c.n.Add(1)
+	c.d.Store(-1)
+	cs[i].n.Add(1)
+	return c.n.Load() + uint64(c.d.Swap(0))
+}
+
+// raw keeps a bare uint64 behind a 4-byte field: offset 4 under 32-bit
+// layout, where the primitive functions panic.
+type raw struct {
 	flags uint32
 	n     uint64
+	d     int64
 }
 
-// aligned leads with the 64-bit field: offset 0 is always safe.
-type aligned struct {
-	n     uint64
-	flags uint32
+func BumpField(r *raw) {
+	atomic.AddUint64(&r.n, 1)   // want `atomic.AddUint64 needs a 64-bit-aligned operand.*use atomic.Uint64`
+	_ = atomic.LoadUint64(&r.n) // want `atomic.LoadUint64 needs a 64-bit-aligned operand`
+	atomic.StoreInt64(&r.d, 0)  // want `atomic.StoreInt64 needs a 64-bit-aligned operand.*use atomic.Int64`
 }
 
-// oddElem has size 12 under 32-bit layout, so every second slice element
-// holds its counter at a 4-mod-8 address even though the field offset
-// within the struct is 0.
-type oddElem struct {
-	n    uint64
-	tail uint32
+func BumpElement(rs []raw, i int) {
+	atomic.AddUint64(&rs[i].n, 1) // want `atomic.AddUint64 needs a 64-bit-aligned operand`
 }
 
-// evenElem pads to 16 bytes; elements stay 64-bit aligned.
-type evenElem struct {
-	n    uint64
-	tail uint64
+var total int64
+
+func BumpPackageVar() bool {
+	atomic.AddInt64(&total, 1)                      // want `atomic.AddInt64 needs a 64-bit-aligned operand`
+	return atomic.CompareAndSwapInt64(&total, 1, 0) // want `atomic.CompareAndSwapInt64 needs a 64-bit-aligned operand`
 }
 
-func Bump(m *misaligned, a *aligned) {
-	atomic.AddUint64(&m.n, 1)   // want `offset 4 under GOARCH=386 layout`
-	atomic.AddUint64(&a.n, 1)   // aligned: no finding
-	_ = atomic.LoadUint64(&m.n) // want `offset 4 under GOARCH=386 layout`
-}
+// A function value is a use too: the call it feeds is no safer.
+var add = atomic.AddUint64 // want `atomic.AddUint64 needs a 64-bit-aligned operand`
 
-func BumpSlice(odd []oddElem, even []evenElem, i int) {
-	atomic.AddUint64(&odd[i].n, 1)  // want `element of size 12 under GOARCH=386`
-	atomic.AddUint64(&even[i].n, 1) // 16-byte elements: no finding
-}
-
-// Nested structs accumulate offsets through the selection path: inner
-// sits at offset 8, its counter at 8+4=12.
-type outer struct {
-	lead  uint64
-	inner misaligned
-}
-
-func BumpNested(o *outer) {
-	atomic.AddUint64(&o.inner.n, 1) // want `offset 12 under GOARCH=386 layout`
-}
-
-// Local 64-bit variables are allocation-start aligned: no finding.
-func BumpLocal() uint64 {
-	var n uint64
-	atomic.AddUint64(&n, 1)
-	return n
+// 32-bit primitives have no alignment hazard and stay allowed.
+func Bump32(r *raw) uint32 {
+	return atomic.AddUint32(&r.flags, 1)
 }

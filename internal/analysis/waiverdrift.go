@@ -5,14 +5,13 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // WaiverDrift keeps the annotation contract honest: a waiver that no
 // longer suppresses anything is a lie waiting to hide a future
-// regression. It re-runs the suppressing analyzers (hotpath, lockscope,
+// regression. It runs after the waiving analyzers (hotpath, lockscope,
 // goleak, detorder, cowsafe, pubinit, sharedcap, errsink, ctxflow,
-// lifecycle) in tracking mode, then reports:
+// lifecycle) and reads the waiver uses they recorded, then reports:
 //
 //   - every //apollo:allocok, //apollo:lockok, //apollo:coldpath,
 //     //apollo:goleakok, //apollo:detorderok, //apollo:cowok,
@@ -26,39 +25,17 @@ import (
 var WaiverDrift = &Analyzer{
 	Name: "waiverdrift",
 	Doc:  "waiver and blocking annotations must still be live",
-	Run:  runWaiverDrift,
+	run:  runWaiverDrift,
 }
 
-func runWaiverDrift(prog *Program) []Diagnostic {
-	uses := &waiverUse{}
-	_ = runHotPathTracked(prog, uses)
-	_ = runLockScopeTracked(prog, uses)
-	_ = runGoLeakTracked(prog, uses)
-	_ = runDetOrderTracked(prog, uses)
-	_ = runCowSafeTracked(prog, uses)
-	_ = runPubInitTracked(prog, uses)
-	_ = runSharedCapTracked(prog, uses)
-	_ = runErrSinkTracked(prog, uses)
-	_ = runCtxFlowTracked(prog, uses)
-	_ = runLifecycleTracked(prog, uses)
-
-	waiverDirs := map[string]bool{
-		dirAllocOK:     true,
-		dirLockOK:      true,
-		dirColdPath:    true,
-		dirGoLeakOK:    true,
-		dirDetOrderOK:  true,
-		dirCowOK:       true,
-		dirSharedCapOK: true,
-		dirErrOK:       true,
-		dirCtxOK:       true,
-	}
+func runWaiverDrift(f *facts) []Diagnostic {
+	prog := f.prog
 	var diags []Diagnostic
 	for _, pkg := range prog.Packages {
 		for _, file := range pkg.Files {
 			for _, grp := range file.Comments {
 				for _, d := range parseDirectives(grp) {
-					if !waiverDirs[d.name] || uses.isUsed(d.pos) {
+					if !f.waiverDirs[d.name] || f.uses.isUsed(d.pos) {
 						continue
 					}
 					diags = append(diags, Diagnostic{
@@ -73,20 +50,10 @@ func runWaiverDrift(prog *Program) []Diagnostic {
 
 	// Blocking truthfulness: //apollo:blocking on a function that cannot
 	// block misreports every caller.
-	g := buildGraph(prog)
-	bt := &blockTruth{g: g, memo: map[*types.Func]bool{}, visiting: map[*types.Func]bool{}}
-	var fis []*funcInfo
-	for _, fi := range g.funcs {
-		if fi.blocking {
-			fis = append(fis, fi)
-		}
-	}
-	sort.Slice(fis, func(i, j int) bool { return fis[i].decl.Pos() < fis[j].decl.Pos() })
-	for _, fi := range fis {
-		if fi.decl.Body == nil {
-			continue // bodyless declarations keep the annotation on trust
-		}
-		if !bt.mayBlock(fi) {
+	bt := &blockTruth{g: f.g, memo: map[*types.Func]bool{}, visiting: map[*types.Func]bool{}}
+	for _, fi := range f.funcs {
+		// Bodyless declarations keep the annotation on trust.
+		if fi.blocking && fi.decl.Body != nil && !bt.mayBlock(fi) {
 			diags = append(diags, Diagnostic{
 				Pos:      prog.Fset.Position(fi.blockingPos),
 				Analyzer: "waiverdrift",

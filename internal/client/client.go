@@ -66,10 +66,7 @@ type Client struct {
 	base string
 	hc   *http.Client
 
-	initialBackoff time.Duration
-	maxBackoff     time.Duration
-	nowFn          func() time.Time // injectable for backoff tests
-	rand           func() float64   // injectable jitter source in [0,1)
+	retry *backoff
 
 	// models is copy-on-write behind an atomic pointer: Predict reads it
 	// on every launch decision, so the read path must not take mu. mu
@@ -89,26 +86,55 @@ type modelState struct {
 
 // New returns a client for the service at base (e.g. "http://host:8080").
 func New(base string, opts Options) *Client {
+	return newClient(base, opts, newBackoff(opts))
+}
+
+// newClient is New on a given retry policy: a fleet's replica clients
+// all run the one their FleetClient hands its uploader.
+func newClient(base string, opts Options, retry *backoff) *Client {
 	if opts.HTTPClient == nil {
 		opts.HTTPClient = &http.Client{Timeout: 5 * time.Second}
 	}
-	if opts.InitialBackoff <= 0 {
-		opts.InitialBackoff = 100 * time.Millisecond
-	}
-	if opts.MaxBackoff <= 0 {
-		opts.MaxBackoff = 30 * time.Second
-	}
-	c := &Client{
-		base:           base,
-		hc:             opts.HTTPClient,
-		initialBackoff: opts.InitialBackoff,
-		maxBackoff:     opts.MaxBackoff,
-		nowFn:          time.Now,
-		rand:           rand.Float64,
-	}
+	c := &Client{base: base, hc: opts.HTTPClient, retry: retry}
 	c.models.Store(&map[string]*modelState{})
 	return c
 }
+
+// backoff is the package's one retry policy: full-jitter exponential
+// backoff, rand() * min(max, initial<<failures), on an injectable clock.
+// Spreading each delay uniformly over the exponential window keeps a
+// fleet of clients that all lost the server at once from retrying in
+// synchronized waves. A Client arms it per model and an Uploader per
+// upload stream, each keeping its own failure count and deadline.
+type backoff struct {
+	initial time.Duration
+	max     time.Duration
+	now     func() time.Time // injectable for backoff tests
+	rand    func() float64   // injectable jitter source in [0,1)
+}
+
+func newBackoff(opts Options) *backoff {
+	b := &backoff{initial: opts.InitialBackoff, max: opts.MaxBackoff, now: time.Now, rand: rand.Float64}
+	if b.initial <= 0 {
+		b.initial = 100 * time.Millisecond
+	}
+	if b.max <= 0 {
+		b.max = 30 * time.Second
+	}
+	return b
+}
+
+// delay returns the wait after the failures-th consecutive failure.
+func (b *backoff) delay(failures int) time.Duration {
+	d := b.initial << uint(failures)
+	if d > b.max || d <= 0 {
+		d = b.max
+	}
+	return time.Duration(b.rand() * float64(d))
+}
+
+// retryPolicy is the Service interface's hook for the uploader.
+func (c *Client) retryPolicy() *backoff { return c.retry }
 
 // Fetches returns how many network round trips the client has attempted
 // (successful or not) — backoff keeps this bounded under outages.
@@ -202,7 +228,7 @@ func (c *Client) Fetch(name string) (*Cached, error) {
 	cur := st.cur.Load()
 
 	c.mu.Lock()
-	wait := st.nextAttempt.After(c.now())
+	wait := st.nextAttempt.After(c.retry.now())
 	c.mu.Unlock()
 	if wait {
 		if cur != nil {
@@ -283,9 +309,6 @@ func (c *Client) Fetch(name string) (*Cached, error) {
 	}
 }
 
-// now reads the injectable clock (the Service interface's timing hook).
-func (c *Client) now() time.Time { return c.nowFn() }
-
 // ok clears the backoff after a successful round trip.
 func (c *Client) ok(st *modelState) {
 	c.mu.Lock()
@@ -297,24 +320,11 @@ func (c *Client) ok(st *modelState) {
 // fail arms the backoff after a failed round trip.
 func (c *Client) fail(st *modelState) {
 	c.mu.Lock()
-	st.nextAttempt = c.now().Add(c.backoff(st.failures))
+	st.nextAttempt = c.retry.now().Add(c.retry.delay(st.failures))
 	if st.failures < 30 {
 		st.failures++
 	}
 	c.mu.Unlock()
-}
-
-// backoff returns the delay after the failures-th consecutive failure:
-// full-jitter exponential backoff, rand() * min(MaxBackoff,
-// InitialBackoff<<failures). Spreading each delay uniformly over the
-// exponential window keeps a fleet of clients that all lost the server
-// at once from retrying in synchronized waves.
-func (c *Client) backoff(failures int) time.Duration {
-	d := c.initialBackoff << uint(failures)
-	if d > c.maxBackoff || d <= 0 {
-		d = c.maxBackoff
-	}
-	return time.Duration(c.rand() * float64(d))
 }
 
 // Predict evaluates the named model on a vector laid out by the model's

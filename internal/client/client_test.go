@@ -172,7 +172,7 @@ func TestDegradesToBaseParamsWhenUnreachable(t *testing.T) {
 		HTTPClient:     &http.Client{Timeout: 200 * time.Millisecond},
 		InitialBackoff: time.Hour,
 	})
-	c.rand = func() float64 { return 1 } // pin jitter: full 1h window
+	c.retry.rand = func() float64 { return 1 } // pin jitter: full 1h window
 	schema := features.TableI()
 	src := NewSource(c, schema, "lulesh/policy", "")
 	if err := src.Refresh(); err == nil {
@@ -206,10 +206,10 @@ func TestDegradesToBaseParamsWhenUnreachable(t *testing.T) {
 func TestBackoffExpiresAndRecovers(t *testing.T) {
 	ts, _ := newService(t)
 	c := New(ts.URL, Options{InitialBackoff: 50 * time.Millisecond})
-	c.rand = func() float64 { return 1 } // pin jitter: deterministic windows
+	c.retry.rand = func() float64 { return 1 } // pin jitter: deterministic windows
 	now := time.Now()
 	var mu sync.Mutex
-	c.nowFn = func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
+	c.retry.now = func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
 
 	// Unknown model: 404 arms the backoff.
 	if _, err := c.Fetch("late/policy"); err == nil {

@@ -12,10 +12,8 @@ package client
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"apollo/internal/fleet/hashring"
 	"apollo/internal/telemetry"
@@ -25,8 +23,8 @@ import (
 
 // Service is the narrow model-service surface a Source or Uploader
 // consumes: a single replica (*Client) or a ring-routed fleet
-// (*FleetClient). The unexported timing methods keep the uploader's
-// backoff schedule identical whichever implementation is behind it.
+// (*FleetClient). The unexported retryPolicy hands the uploader the
+// backoff policy of whichever implementation is behind it.
 type Service interface {
 	// Fetch returns the current model for name (possibly a cached copy
 	// during an outage; see Client.Fetch).
@@ -34,8 +32,7 @@ type Service interface {
 	// PostTelemetry ships one batch to the service.
 	PostTelemetry(b *telemetry.Batch) error
 
-	now() time.Time
-	backoff(failures int) time.Duration
+	retryPolicy() *backoff
 }
 
 // FleetClient fans a Client out across replicas behind a hash ring.
@@ -47,10 +44,7 @@ type FleetClient struct {
 	clients map[string]*Client
 	order   []string // sorted replica ids, the last-resort try order
 
-	initialBackoff time.Duration
-	maxBackoff     time.Duration
-	nowFn          func() time.Time
-	randFn         func() float64
+	retry *backoff // shared with every replica client
 
 	failovers atomic.Uint64 // requests answered by a non-primary replica
 	exhausted atomic.Uint64 // requests that failed on every replica
@@ -65,24 +59,15 @@ func NewFleet(replicas map[string]string, opts Options) (*FleetClient, error) {
 		return nil, fmt.Errorf("client: a fleet needs at least one replica")
 	}
 	f := &FleetClient{
-		ring:           hashring.New(0),
-		clients:        make(map[string]*Client, len(replicas)),
-		initialBackoff: opts.InitialBackoff,
-		maxBackoff:     opts.MaxBackoff,
-		nowFn:          time.Now,
-		randFn:         rand.Float64,
-	}
-	if f.initialBackoff <= 0 {
-		f.initialBackoff = 100 * time.Millisecond
-	}
-	if f.maxBackoff <= 0 {
-		f.maxBackoff = 30 * time.Second
+		ring:    hashring.New(0),
+		clients: make(map[string]*Client, len(replicas)),
+		retry:   newBackoff(opts),
 	}
 	for id, base := range replicas {
 		if id == "" || base == "" {
 			return nil, fmt.Errorf("client: fleet replica with empty id or URL")
 		}
-		f.clients[id] = New(base, opts)
+		f.clients[id] = newClient(base, opts, f.retry)
 		f.order = append(f.order, id)
 		f.ring.Add(id)
 	}
@@ -110,16 +95,7 @@ func (f *FleetClient) Failovers() uint64 { return f.failovers.Load() }
 // Exhausted returns how many requests failed on every tried replica.
 func (f *FleetClient) Exhausted() uint64 { return f.exhausted.Load() }
 
-func (f *FleetClient) now() time.Time { return f.nowFn() }
-
-// backoff mirrors Client.backoff for the uploader's retry schedule.
-func (f *FleetClient) backoff(failures int) time.Duration {
-	d := f.initialBackoff << uint(failures)
-	if d > f.maxBackoff || d <= 0 {
-		d = f.maxBackoff
-	}
-	return time.Duration(f.randFn() * float64(d))
-}
+func (f *FleetClient) retryPolicy() *backoff { return f.retry }
 
 // prefer returns the failover try order for key: the ring's distinct
 // preference walk, then any configured replicas the ring no longer
@@ -271,5 +247,5 @@ func (c *Client) backoffActive(name string) bool {
 	st := c.state(name)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return st.nextAttempt.After(c.now())
+	return st.nextAttempt.After(c.retry.now())
 }

@@ -34,7 +34,7 @@ func TestSourceServesStaleThroughOutageAndSwapsOnce(t *testing.T) {
 	c := New(ts.URL, Options{InitialBackoff: time.Second, MaxBackoff: time.Minute})
 	var mu sync.Mutex
 	now := time.Unix(1000, 0)
-	c.nowFn = func() time.Time {
+	c.retry.now = func() time.Time {
 		mu.Lock()
 		defer mu.Unlock()
 		return now
@@ -44,7 +44,7 @@ func TestSourceServesStaleThroughOutageAndSwapsOnce(t *testing.T) {
 		now = now.Add(d)
 		mu.Unlock()
 	}
-	c.rand = func() float64 { return 1 } // pin jitter
+	c.retry.rand = func() float64 { return 1 } // pin jitter
 
 	if v, err := c.Push("lulesh/policy", testModel(t, true)); err != nil || v != 1 {
 		t.Fatalf("push v1: v=%d err=%v", v, err)

@@ -67,6 +67,7 @@ type UploaderOptions struct {
 // whole fleet is unreachable.
 type Uploader struct {
 	c          Service
+	retry      *backoff
 	model      string
 	rec        *telemetry.Recorder
 	max        int
@@ -88,7 +89,7 @@ func NewUploader(c Service, model string, rec *telemetry.Recorder, opts Uploader
 	if opts.MaxPending <= 0 {
 		opts.MaxPending = 16384
 	}
-	return &Uploader{c: c, model: model, rec: rec, max: opts.MaxPending, attributes: opts.Attribution}
+	return &Uploader{c: c, retry: c.retryPolicy(), model: model, rec: rec, max: opts.MaxPending, attributes: opts.Attribution}
 }
 
 // Batches returns how many batches the service has accepted.
@@ -117,7 +118,7 @@ func (u *Uploader) Flush() error {
 		}
 	}
 	u.boundPendingLocked()
-	if u.pending == nil || u.pending.Len() == 0 || u.nextTry.After(u.c.now()) {
+	if u.pending == nil || u.pending.Len() == 0 || u.nextTry.After(u.retry.now()) {
 		u.mu.Unlock()
 		return nil
 	}
@@ -140,7 +141,7 @@ func (u *Uploader) Flush() error {
 		}
 		u.pending = sending
 		u.boundPendingLocked()
-		u.nextTry = u.c.now().Add(u.c.backoff(u.failures))
+		u.nextTry = u.retry.now().Add(u.retry.delay(u.failures))
 		if u.failures < 30 {
 			u.failures++
 		}

@@ -21,22 +21,22 @@ func TestBackoffFullJitter(t *testing.T) {
 		MaxBackoff:     time.Second,
 	})
 	// rand=1 gives the full exponential window, capped at MaxBackoff.
-	c.rand = func() float64 { return 1 }
+	c.retry.rand = func() float64 { return 1 }
 	for i, want := range []time.Duration{
 		100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond,
 		800 * time.Millisecond, time.Second, time.Second,
 	} {
-		if got := c.backoff(i); got != want {
+		if got := c.retry.delay(i); got != want {
 			t.Errorf("backoff(%d) = %v, want %v", i, got, want)
 		}
 	}
 	// The shift saturates rather than overflowing into a tiny delay.
-	if got := c.backoff(63); got != time.Second {
+	if got := c.retry.delay(63); got != time.Second {
 		t.Errorf("backoff(63) = %v, want cap", got)
 	}
 	// rand=0.5 spreads the delay across the window (full jitter).
-	c.rand = func() float64 { return 0.5 }
-	if got := c.backoff(1); got != 100*time.Millisecond {
+	c.retry.rand = func() float64 { return 0.5 }
+	if got := c.retry.delay(1); got != 100*time.Millisecond {
 		t.Errorf("jittered backoff(1) = %v, want half the 200ms window", got)
 	}
 }
@@ -124,10 +124,10 @@ func TestUploaderRetainsPendingAcrossOutage(t *testing.T) {
 	defer ts.Close()
 
 	c := New(ts.URL, Options{InitialBackoff: time.Minute})
-	c.rand = func() float64 { return 1 }
+	c.retry.rand = func() float64 { return 1 }
 	now := time.Now()
 	var nmu sync.Mutex
-	c.nowFn = func() time.Time { nmu.Lock(); defer nmu.Unlock(); return now }
+	c.retry.now = func() time.Time { nmu.Lock(); defer nmu.Unlock(); return now }
 
 	rec := telemetry.NewRecorder(features.TableI(), nil, telemetry.Options{})
 	u := NewUploader(c, "app/policy", rec, UploaderOptions{})
@@ -171,7 +171,7 @@ func TestUploaderBoundsPendingDuringOutage(t *testing.T) {
 	}))
 	defer ts.Close()
 	c := New(ts.URL, Options{InitialBackoff: time.Nanosecond})
-	c.rand = func() float64 { return 0 } // zero delay: every flush attempts
+	c.retry.rand = func() float64 { return 0 } // zero delay: every flush attempts
 	rec := telemetry.NewRecorder(features.TableI(), nil, telemetry.Options{})
 	u := NewUploader(c, "app/policy", rec, UploaderOptions{MaxPending: 4})
 

@@ -340,14 +340,12 @@ func (m *Model) SchemaHash() string {
 
 // TableISchemaHash is the golden fingerprint of the Table I feature
 // schema: features.Fingerprint over the kernel, instruction-mix, and
-// application feature names in vector order. apollo-vet's schemahash
-// analyzer recomputes this from the name lists in the AST (the sources
-// are named by the directive below) and fails the build on mismatch, so
-// renaming or reordering a feature — which silently shifts every
-// deployed model's vector layout — cannot land without deliberately
-// bumping this constant together with a model format version change.
-//
-//apollo:schemahash apollo/internal/features.KernelFeatureNames apollo/internal/instmix.groupNames apollo/internal/features.AppFeatureNames
+// application feature names in vector order.
+// features.TestTableIFingerprintMatchesGolden recomputes it from the
+// live schema in tier-1 and fails on mismatch, so renaming or reordering
+// a feature — which silently shifts every deployed model's vector
+// layout — cannot land without deliberately bumping this constant
+// together with a model format version change.
 const TableISchemaHash uint64 = 0x512005e953bd06e6
 
 // Envelope is the stable, versioned wire and disk form of a published

@@ -51,10 +51,8 @@ func AppFeatureNames() []string {
 
 // Fingerprint hashes a feature-name list with FNV-1a-64, seeded with
 // "apollo-schema-v1" and separating names with NUL so boundaries are
-// unambiguous. It is the runtime twin of apollo-vet's schemahash
-// analyzer, which computes the same hash from the AST at vet time and
-// compares it against a golden constant (core.TableISchemaHash): the two
-// implementations must agree, and a test pins them together.
+// unambiguous. TestTableIFingerprintMatchesGolden pins the Table I
+// schema's fingerprint to the golden constant core.TableISchemaHash.
 func Fingerprint(names []string) uint64 {
 	const offset64 = 14695981039346656037
 	const prime64 = 1099511628211

@@ -7,10 +7,10 @@ import (
 	"apollo/internal/features"
 )
 
-// The Table I schema must fingerprint to the golden constant apollo-vet
-// checks statically (the //apollo:schemahash directive on
-// core.TableISchemaHash). If this fails, the feature schema changed:
-// bump the model format version and the golden constant together.
+// The Table I schema must fingerprint to the golden constant
+// core.TableISchemaHash; this test is the only owner of that property.
+// If it fails, the feature schema changed: bump the model format version
+// and the golden constant together.
 func TestTableIFingerprintMatchesGolden(t *testing.T) {
 	got := features.Fingerprint(features.TableI().Names())
 	if got != core.TableISchemaHash {

@@ -22,13 +22,16 @@ var spoolRowSeeds = []string{
 	`[Inf]`, `[-Inf]`, `[NaN]`, `[0x1p-2]`, `[+1]`, `[.5]`, `[1.]`, `[1_0]`, `[01]`, `[-]`, `[1e]`, `[1e+]`, `[--1]`,
 	`[[1]]`, `[1,[2]]`, `[1] x`, `[1]]`, `[1],`, `[1,]`, `[,1]`, `[1,,2]`, `[1 2]`, `[`, `]`, `[1`, ``, ` `,
 	`1`, `"x"`, `["1"]`, `[true]`, `[false]`, `{}`, `[{}]`, `{"a":[1]}`, "\ufeff[1]", "[1]\x00",
+	// A row is one line: as the text of a segment these are a row spanning
+	// lines and two rows on one line.
+	"[\n1]", "[1\n]", `[1][2]`, `[1] [2]`,
 }
 
 func checkSpoolRow(t *testing.T, line []byte) {
 	t.Helper()
 	var want []float64
 	wantErr := json.Unmarshal(line, &want)
-	got, gotErr := parseSpoolRow(line, nil)
+	got, gotErr := dataset.ParseRow(line, nil)
 	if (gotErr == nil) != (wantErr == nil) {
 		t.Fatalf("%q: scanner error %v, json.Unmarshal error %v", line, gotErr, wantErr)
 	}
@@ -52,7 +55,7 @@ func TestParseSpoolRowMatchesJSON(t *testing.T) {
 	}
 	// The scanner appends into the caller's row and returns it.
 	row := make([]float64, 0, 4)
-	got, err := parseSpoolRow([]byte(`[7,8]`), row)
+	got, err := dataset.ParseRow([]byte(`[7,8]`), row)
 	if err != nil || len(got) != 2 || &got[0] != &row[:1][0] {
 		t.Fatalf("parse into a caller's row = %v, %v", got, err)
 	}
@@ -68,6 +71,46 @@ func FuzzParseSpoolRow(f *testing.F) {
 	f.Fuzz(func(t *testing.T, line []byte) {
 		checkSpoolRow(t, line)
 	})
+}
+
+// One definition of the frame format: whatever follows a header as the
+// text of a segment, dataset.ReadJSONL and Cursor.Poll accept or reject
+// it together and read the same values.
+func TestReadJSONLAgreesWithCursor(t *testing.T) {
+	for _, line := range spoolRowSeeds {
+		for _, cols := range [][]string{{}, {"a"}, {"a", "b"}, {"a", "b", "c"}} {
+			hdr, err := json.Marshal(dataset.Header{Format: dataset.FrameFormat, Columns: cols})
+			if err != nil {
+				t.Fatal(err)
+			}
+			text := string(hdr) + "\n" + line + "\n"
+			dir := t.TempDir()
+			appendFile(t, filepath.Join(dir, "seg-00000001.jsonl"), text)
+			polled, pollErr := NewCursor(dir).Poll()
+			read, readErr := dataset.ReadJSONL(strings.NewReader(text))
+			if (pollErr == nil) != (readErr == nil) {
+				t.Errorf("%q after %d columns: Cursor.Poll error %v, ReadJSONL error %v", line, len(cols), pollErr, readErr)
+				continue
+			}
+			if readErr != nil {
+				continue
+			}
+			if polled == nil {
+				polled = dataset.NewFrame(cols...) // a poll that found no rows
+			}
+			if polled.Len() != read.Len() {
+				t.Errorf("%q after %d columns: Cursor.Poll read %d rows, ReadJSONL %d", line, len(cols), polled.Len(), read.Len())
+				continue
+			}
+			for i := 0; i < read.Len(); i++ {
+				for j, v := range read.Row(i) {
+					if math.Float64bits(v) != math.Float64bits(polled.Row(i)[j]) {
+						t.Errorf("%q: row %d value %d is %v from ReadJSONL, %v from Cursor.Poll", line, i, j, v, polled.Row(i)[j])
+					}
+				}
+			}
+		}
+	}
 }
 
 func appendFile(t *testing.T, path, text string) {

@@ -14,6 +14,7 @@
 package telemetry
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -36,15 +37,6 @@ const (
 	segPrefix = "seg-"
 	segSuffix = ".jsonl"
 )
-
-// spoolHeader is the first line of every segment — the dataset JSONL
-// frame header, so segments double as ordinary training-data files.
-type spoolHeader struct {
-	Format  string   `json:"format"`
-	Columns []string `json:"columns"`
-}
-
-const spoolFrameFormatID = "apollo-frame-v1"
 
 // Spool appends telemetry rows durably under one directory.
 type Spool struct {
@@ -180,7 +172,7 @@ func (s *Spool) openSegmentLocked() error {
 	if err != nil {
 		return err
 	}
-	hdr, err := json.Marshal(spoolHeader{Format: spoolFrameFormatID, Columns: s.columns})
+	hdr, err := json.Marshal(dataset.Header{Format: dataset.FrameFormat, Columns: s.columns})
 	if err != nil {
 		f.Close() //apollo:errok Close on the error path; the write error is already being returned
 		return err
@@ -234,14 +226,15 @@ func readSegmentColumns(path string) ([]string, error) {
 		return nil, err
 	}
 	defer f.Close()
-	var hdr spoolHeader
-	if err := json.NewDecoder(f).Decode(&hdr); err != nil {
+	line, err := bufio.NewReader(f).ReadBytes('\n')
+	if err != nil && err != io.EOF {
 		return nil, err
 	}
-	if hdr.Format != spoolFrameFormatID {
-		return nil, fmt.Errorf("telemetry: segment %s has format %q, want %q", path, hdr.Format, spoolFrameFormatID)
+	cols, err := dataset.ParseHeader(line)
+	if err != nil {
+		return nil, fmt.Errorf("segment %s: %w", path, err)
 	}
-	return hdr.Columns, nil
+	return cols, nil
 }
 
 // Cursor tails a spool directory, returning only rows it has not
@@ -331,22 +324,19 @@ func (c *Cursor) pollSegmentLocked(path string, seq int, frame **dataset.Frame) 
 		buf = buf[nl+1:]
 		lineLen := int64(nl + 1)
 		if offset+consumed == 0 {
-			var hdr spoolHeader
-			if err := json.Unmarshal(line, &hdr); err != nil {
-				return fmt.Errorf("bad header: %w", err)
-			}
-			if hdr.Format != spoolFrameFormatID {
-				return fmt.Errorf("format %q, want %q", hdr.Format, spoolFrameFormatID)
+			cols, err := dataset.ParseHeader(line)
+			if err != nil {
+				return err
 			}
 			if c.columns == nil {
-				c.columns = append([]string(nil), hdr.Columns...)
-			} else if !equalColumns(c.columns, hdr.Columns) {
-				return fmt.Errorf("columns changed: %v -> %v", c.columns, hdr.Columns)
+				c.columns = cols
+			} else if !equalColumns(c.columns, cols) {
+				return fmt.Errorf("columns changed: %v -> %v", c.columns, cols)
 			}
 			consumed += lineLen
 			continue
 		}
-		if row, err = parseSpoolRow(line, row[:0]); err != nil {
+		if row, err = dataset.ParseRow(line, row[:0]); err != nil {
 			return fmt.Errorf("bad row: %w", err)
 		}
 		if len(row) != len(c.columns) {
@@ -379,121 +369,6 @@ func readTail(path string, offset, n int64) ([]byte, error) {
 		return nil, err
 	}
 	return buf[:got], nil
-}
-
-// parseSpoolRow decodes one spool line — a JSON array of numbers — and
-// appends its values to row. It accepts exactly the lines json.Unmarshal
-// accepts into a []float64, with the same values: JSON whitespace around
-// tokens, the JSON number grammar (no leading '+' or '.', no hex, no
-// Inf/NaN), a number out of float64 range is an error, a null element
-// reads as 0 and a bare null as the empty row.
-func parseSpoolRow(line []byte, row []float64) ([]float64, error) {
-	i := skipSpace(line, 0)
-	if hasNull(line, i) {
-		i += 4
-	} else if i == len(line) || line[i] != '[' {
-		return nil, fmt.Errorf("row is not a JSON array")
-	} else if i = skipSpace(line, i+1); i < len(line) && line[i] == ']' {
-		i++
-	} else {
-		for {
-			if hasNull(line, i) {
-				row = append(row, 0)
-				i += 4
-			} else {
-				end, v, err := scanNumber(line, i)
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, v)
-				i = end
-			}
-			i = skipSpace(line, i)
-			if i == len(line) {
-				return nil, fmt.Errorf("unterminated array")
-			}
-			if line[i] == ']' {
-				i++
-				break
-			}
-			if line[i] != ',' {
-				return nil, fmt.Errorf("unexpected %q in the row", line[i])
-			}
-			i = skipSpace(line, i+1)
-		}
-	}
-	if i = skipSpace(line, i); i != len(line) {
-		return nil, fmt.Errorf("unexpected %q after the row", line[i])
-	}
-	return row, nil
-}
-
-func skipSpace(b []byte, i int) int {
-	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\r' || b[i] == '\n') {
-		i++
-	}
-	return i
-}
-
-func hasNull(b []byte, i int) bool {
-	return len(b)-i >= 4 && string(b[i:i+4]) == "null"
-}
-
-// scanNumber checks b[i:] against the JSON number grammar and converts
-// the token; it returns the index just past it. A plain integer of up to
-// 15 digits — most of a telemetry row — is exact in a float64 and is
-// converted in place; everything else goes through strconv.ParseFloat.
-func scanNumber(b []byte, i int) (end int, v float64, err error) {
-	start := i
-	digits := func() int {
-		from := i
-		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-			i++
-		}
-		return i - from
-	}
-	neg := i < len(b) && b[i] == '-'
-	if neg {
-		i++
-	}
-	intStart := i
-	var n uint64 // the integer part; wraps past 19 digits, used up to 15
-	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-		n = n*10 + uint64(b[i]-'0')
-		i++
-	}
-	intDigits := i - intStart
-	if intDigits == 0 || (intDigits > 1 && b[intStart] == '0') {
-		return 0, 0, fmt.Errorf("invalid number at byte %d", start)
-	}
-	integer := true
-	if i < len(b) && b[i] == '.' {
-		integer = false
-		i++
-		if digits() == 0 {
-			return 0, 0, fmt.Errorf("invalid number at byte %d", start)
-		}
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		integer = false
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		if digits() == 0 {
-			return 0, 0, fmt.Errorf("invalid number at byte %d", start)
-		}
-	}
-	if integer && intDigits <= 15 {
-		if v = float64(n); neg {
-			v = -v
-		}
-		return i, v, nil
-	}
-	if v, err = strconv.ParseFloat(string(b[start:i]), 64); err != nil {
-		return 0, 0, err
-	}
-	return i, v, nil
 }
 
 func equalColumns(a, b []string) bool {

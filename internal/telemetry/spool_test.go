@@ -3,6 +3,7 @@ package telemetry
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"apollo/internal/dataset"
@@ -64,16 +65,31 @@ func TestSpoolAppendRotateAndCursorTail(t *testing.T) {
 		t.Errorf("appended = %d, want 32", s.Appended())
 	}
 
-	// Sealed segments are plain dataset JSONL frames.
+	// Sealed segments are plain dataset JSONL frames: loaded one by one
+	// through dataset.LoadJSONL they hold exactly what a fresh cursor
+	// reads from the directory.
 	if err := s.Rotate(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := dataset.LoadJSONL(filepath.Join(dir, "seg-00000001.jsonl"))
-	if err != nil {
-		t.Fatalf("sealed segment not a loadable frame: %v", err)
+	all, err := NewCursor(dir).Poll()
+	if err != nil || all == nil || all.Len() != 32 {
+		t.Fatalf("fresh cursor read %v, %v; want 32 rows", all, err)
 	}
-	if f.Col("a") < 0 || f.Col("b") < 0 {
-		t.Errorf("segment columns = %v", f.Cols())
+	loaded := dataset.NewFrame(cols...)
+	for _, seq := range segs {
+		f, err := dataset.LoadJSONL(s.segmentPath(seq))
+		if err != nil {
+			t.Fatalf("sealed segment %d not a loadable frame: %v", seq, err)
+		}
+		loaded.Append(f)
+	}
+	if !reflect.DeepEqual(loaded.Cols(), all.Cols()) || loaded.Len() != all.Len() {
+		t.Fatalf("segments load as %v x %d rows, the cursor read %v x %d", loaded.Cols(), loaded.Len(), all.Cols(), all.Len())
+	}
+	for i := 0; i < all.Len(); i++ {
+		if !reflect.DeepEqual(loaded.Row(i), all.Row(i)) {
+			t.Errorf("row %d: loaded %v, cursor read %v", i, loaded.Row(i), all.Row(i))
+		}
 	}
 }
 

@@ -79,6 +79,16 @@ func TestSummarize(t *testing.T) {
 	if small.MinIter != 10 || small.MaxIter != 10 || small.MeanIters != 10 {
 		t.Errorf("iteration stats wrong: %+v", small)
 	}
+	// Per-kernel totals are the launches' durations summed in launch
+	// order, and together they are the whole timeline.
+	events := tr.Events()
+	if want := events[0].DurationNS + events[1].DurationNS + events[2].DurationNS; small.TotalNS != want || want <= 0 {
+		t.Errorf("small total = %g, want %g", small.TotalNS, want)
+	}
+	last := events[len(events)-1]
+	if end := last.StartNS + last.DurationNS; sums[0].TotalNS+sums[1].TotalNS != end {
+		t.Errorf("totals sum to %g, the timeline ends at %g", sums[0].TotalNS+sums[1].TotalNS, end)
+	}
 }
 
 func TestChromeTraceFormat(t *testing.T) {
@@ -185,6 +195,17 @@ func TestTracerDelegates(t *testing.T) {
 	if inner.begins != 1 || inner.ends != 1 {
 		t.Error("inner hooks not called")
 	}
+
+	// With no inner hooks Begin leaves the context's parameters alone and
+	// End still records.
+	bare := New(nil, 0)
+	if _, ok := bare.Begin(k, raja.NewRange(0, 5)); ok {
+		t.Error("a tracer with no inner hooks overrode the launch parameters")
+	}
+	bare.End(k, raja.NewRange(0, 5), raja.Params{}, 10)
+	if bare.Len() != 1 {
+		t.Error("a tracer with no inner hooks recorded nothing")
+	}
 }
 
 type countingHooks struct{ begins, ends int }
@@ -244,7 +265,7 @@ func TestTracerLimitKeepsEarliest(t *testing.T) {
 	k := raja.NewKernel("trace::capped", nil)
 	iset := raja.NewRange(0, 10)
 	for i := 0; i < 10; i++ {
-		tr.End(k, iset, raja.Params{}, float64(100 + i))
+		tr.End(k, iset, raja.Params{}, float64(100+i))
 	}
 	events := tr.Events()
 	if len(events) != 3 {

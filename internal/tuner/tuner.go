@@ -434,79 +434,3 @@ func (t *Tuner) Explored() uint64 { return t.explored.Load() }
 
 // Decisions returns how many launches the tuner has parameterized.
 func (t *Tuner) Decisions() uint64 { return t.decisions.Load() }
-
-// KernelStat accumulates the observed cost of one kernel.
-type KernelStat struct {
-	Name    string
-	Count   int
-	TotalNS float64
-	MinNS   float64
-	MaxNS   float64
-}
-
-// Collector wraps another Hooks implementation (or none) and accumulates
-// per-kernel timing totals, which the harness uses to find each
-// application's most time-consuming and most variable kernels.
-type Collector struct {
-	Inner raja.Hooks
-
-	mu    sync.Mutex
-	stats map[string]*KernelStat
-}
-
-// NewCollector returns a collector delegating to inner (which may be nil).
-func NewCollector(inner raja.Hooks) *Collector {
-	return &Collector{Inner: inner, stats: make(map[string]*KernelStat)}
-}
-
-// Begin delegates to the inner hooks.
-func (c *Collector) Begin(k *raja.Kernel, iset *raja.IndexSet) (raja.Params, bool) {
-	if c.Inner != nil {
-		return c.Inner.Begin(k, iset)
-	}
-	return raja.Params{}, false
-}
-
-// End records the sample and delegates.
-func (c *Collector) End(k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedNS float64) {
-	c.mu.Lock()
-	st := c.stats[k.Name]
-	if st == nil {
-		st = &KernelStat{Name: k.Name, MinNS: elapsedNS, MaxNS: elapsedNS}
-		c.stats[k.Name] = st
-	}
-	st.Count++
-	st.TotalNS += elapsedNS
-	if elapsedNS < st.MinNS {
-		st.MinNS = elapsedNS
-	}
-	if elapsedNS > st.MaxNS {
-		st.MaxNS = elapsedNS
-	}
-	c.mu.Unlock()
-	if c.Inner != nil {
-		c.Inner.End(k, iset, p, elapsedNS)
-	}
-}
-
-// Stats returns a snapshot of the per-kernel statistics.
-func (c *Collector) Stats() map[string]KernelStat {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]KernelStat, len(c.stats))
-	for name, st := range c.stats {
-		out[name] = *st
-	}
-	return out
-}
-
-// TotalNS returns the total observed kernel time.
-func (c *Collector) TotalNS() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var total float64
-	for _, st := range c.stats {
-		total += st.TotalNS
-	}
-	return total
-}

@@ -167,42 +167,6 @@ func TestEndToEndRecordTrainTune(t *testing.T) {
 	}
 }
 
-func TestCollectorAccumulates(t *testing.T) {
-	col := NewCollector(nil)
-	ctx := simContext(col, raja.Params{Policy: raja.SeqExec})
-	k1 := raja.NewKernel("a", instmix.NewMix().With(instmix.Add, 2))
-	k2 := raja.NewKernel("b", instmix.NewMix().With(instmix.Add, 2))
-	raja.ForAll(ctx, k1, raja.NewRange(0, 100), func(int) {})
-	raja.ForAll(ctx, k1, raja.NewRange(0, 1000), func(int) {})
-	raja.ForAll(ctx, k2, raja.NewRange(0, 10), func(int) {})
-
-	st := col.Stats()
-	if st["a"].Count != 2 || st["b"].Count != 1 {
-		t.Errorf("counts wrong: %+v", st)
-	}
-	if st["a"].MaxNS <= st["a"].MinNS {
-		t.Error("min/max not tracked")
-	}
-	if col.TotalNS() <= 0 {
-		t.Error("total not tracked")
-	}
-}
-
-func TestCollectorDelegates(t *testing.T) {
-	schema := features.TableI()
-	rec := NewRecorder(schema, caliper.New(), raja.Params{Policy: raja.SeqExec})
-	col := NewCollector(rec)
-	ctx := simContext(col, raja.Params{Policy: raja.OmpParallelForExec})
-	raja.ForAll(ctx, raja.NewKernel("k", nil), raja.NewRange(0, 10), func(int) {})
-	if rec.Samples() != 1 {
-		t.Error("collector did not delegate to inner hooks")
-	}
-	// The recorder's forced policy must win through the collector.
-	if rec.Frame().At(0, core.ColPolicy) != float64(raja.SeqExec) {
-		t.Error("inner Begin override lost")
-	}
-}
-
 // TestConcurrentBeginIsRaceFree drives one tuner from two goroutines — the
 // multi-context case — while a third hot-swaps models through the tuner's
 // own source. Begin takes no locks, so this must pass under -race with no

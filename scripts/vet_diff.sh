@@ -5,7 +5,10 @@
 # stream against the committed baseline. Any diagnostic not in the
 # baseline fails the run, so the finding count can only go down;
 # diagnostics that disappeared are reported as a hint to re-baseline
-# (shrinking the baseline is a separate, deliberate commit).
+# (shrinking the baseline is a separate, deliberate commit). The live
+# waiver count is ratcheted the same way: a run whose summary reports
+# more waivers_used than the baseline's fails, so a finding cannot be
+# traded for a waiver without the baseline saying so.
 #
 # Usage: scripts/vet_diff.sh [baseline.json [target-dir]]
 #
@@ -15,8 +18,8 @@
 #
 #   go run ./cmd/apollo-vet -json ./... > results/VET_BASELINE.json
 #
-# Exit codes: 0 no new diagnostics, 1 ratchet regression, 2 vet itself
-# failed to load the module.
+# Exit codes: 0 no new diagnostics and no new waivers, 1 ratchet
+# regression, 2 vet itself failed to load the module.
 set -u -o pipefail
 
 baseline="${1:-results/VET_BASELINE.json}"
@@ -57,9 +60,23 @@ if [ -n "$new" ]; then
     echo "vet_diff: fix them or waive with a justified //apollo: directive" >&2
     exit 1
 fi
+# waivers_used of a stream's summary record; 0 when the record has none.
+waivers() {
+    local n
+    n="$(sed -n '/"summary":true/s/.*"waivers_used":\([0-9][0-9]*\).*/\1/p' "$1" | tail -n 1)"
+    echo "${n:-0}"
+}
+base_waivers="$(waivers "$baseline")"
+now_waivers="$(waivers "$tmp/run.json")"
+if [ "$now_waivers" -gt "$base_waivers" ]; then
+    echo "vet_diff: $now_waivers live waivers, $baseline allows $base_waivers" >&2
+    echo "vet_diff: fix the finding instead of waiving it, or re-baseline deliberately:" >&2
+    echo "  $GO run ./cmd/apollo-vet -json ./... > $baseline" >&2
+    exit 1
+fi
 if [ -n "$gone" ]; then
     count="$(printf '%s\n' "$gone" | wc -l)"
     echo "vet_diff: $count baseline diagnostic(s) no longer reported; consider re-baselining:"
     echo "  $GO run ./cmd/apollo-vet -json ./... > $baseline"
 fi
-echo "vet_diff: no new diagnostics ($(wc -l <"$tmp/now.txt") total, baseline $(wc -l <"$tmp/base.txt"))"
+echo "vet_diff: no new diagnostics ($(wc -l <"$tmp/now.txt") total, baseline $(wc -l <"$tmp/base.txt")); $now_waivers live waivers (baseline $base_waivers)"
