@@ -48,13 +48,17 @@ test:
 
 # Ten seconds of each fuzz target: the model decoder (whatever decodes
 # must be safe to walk), compiled-vs-interpreted prediction, and the
-# frame row scanner (dataset.ParseRow, under ReadJSONL and the spool
-# cursor) against encoding/json (same lines accepted, same values read).
-# go test takes one -fuzz target per package run.
+# three decoders of outside bytes built on the frame's number scanner,
+# each against encoding/json (same input accepted but for the documented
+# narrowings, same values read): the row scanner (dataset.ParseRow, under
+# ReadJSONL and the spool cursor), the telemetry batch decoder and the
+# predict body decoder. go test takes one -fuzz target per package run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseModelOrEnvelope$$' -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzCompiledPredict$$' -fuzztime=10s ./internal/ctree
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpoolRow$$' -fuzztime=10s ./internal/telemetry
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime=10s ./internal/telemetry
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodePredict$$' -fuzztime=10s ./internal/server
 
 race:
 	$(GO) test -race ./...
@@ -63,10 +67,11 @@ race:
 # => ../`) calls this module's packages directly; its own 8-second check
 # catches an API break against it before the benchmark pipeline runs. The
 # retrain step's two microbenchmarks (window labelling, incremental spool
-# poll) run once each, so they cannot rot.
+# poll) and the ingest path's two (batch decode, POST /telemetry handler)
+# run once each, so they cannot rot.
 bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
-	$(GO) test -run '^$$' -bench '^(BenchmarkLabel|BenchmarkCursorPollIncr)$$' -benchtime 1x ./internal/core ./internal/telemetry
+	$(GO) test -run '^$$' -bench '^(BenchmarkLabel|BenchmarkCursorPollIncr|BenchmarkDecodeBatch|BenchmarkIngestHandler)$$' -benchtime 1x ./internal/core ./internal/telemetry ./internal/server
 
 # The before/after a performance PR quotes: ten alternating parent/change
 # pairs of the repository benchmark, judged by `benchmark/run.sh -compare`

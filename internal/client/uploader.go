@@ -3,7 +3,6 @@ package client
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -19,7 +18,8 @@ import (
 // endpoint. It does not touch the model-fetch backoff state — telemetry
 // is best-effort and must never delay a model refresh.
 func (c *Client) PostTelemetry(b *telemetry.Batch) error {
-	body, err := json.Marshal(b)
+	// A count and its comma: about eight bytes a value.
+	body, err := telemetry.EncodeBatch(make([]byte, 0, 512+8*len(b.Columns)*len(b.Rows)), b)
 	if err != nil {
 		return err
 	}

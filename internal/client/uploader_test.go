@@ -1,15 +1,19 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
+	"apollo/internal/dataset"
 	"apollo/internal/features"
 	"apollo/internal/raja"
 	"apollo/internal/telemetry"
@@ -221,5 +225,49 @@ func TestUploaderStartFlushesOnShutdown(t *testing.T) {
 	defer mu.Unlock()
 	if rows != 2 {
 		t.Errorf("shutdown flush delivered %d rows, want 2", rows)
+	}
+}
+
+// PostTelemetry sends the bytes json.Marshal writes for the batch, though
+// it encodes the rows itself.
+func TestPostTelemetryBodyIsJSONMarshals(t *testing.T) {
+	var got []byte
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		got, _ = io.ReadAll(r.Body)
+		w.WriteHeader(http.StatusAccepted)
+	}))
+	t.Cleanup(ts.Close)
+	c := New(ts.URL, Options{})
+
+	frame := dataset.NewFrame("n", "mix<&>", "time_ns")
+	frame.AddRow([]float64{256, 0.30000000000000004, 4242.841692428767})
+	frame.AddRow([]float64{3660984585, math.Copysign(0, -1), 1e-7})
+	frame.AddRow([]float64{12345678901234567, 1e21, -2.5})
+	plain := telemetry.NewBatch("app/policy", frame)
+	attributed := telemetry.NewBatch(`app/<&>",\"rows\":null`, frame)
+	attributed.SourceVersion, attributed.LoopID = 7, `loop-<1>,"rows":null`
+	empty := telemetry.NewBatch("app/policy", dataset.NewFrame("n"))
+	noRows := *plain
+	noRows.Rows = nil
+	nullRow := *plain
+	nullRow.Rows = [][]float64{{1, 2, 3}, nil, {}}
+	for name, b := range map[string]*telemetry.Batch{
+		"plain": plain, "attributed": attributed, "empty rows": empty, "nil rows": &noRows, "nil row": &nullRow,
+	} {
+		want, err := json.Marshal(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.PostTelemetry(b); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: posted\n%s\njson.Marshal writes\n%s", name, got, want)
+		}
+	}
+	fetches := c.Fetches()
+	plain.Rows[1][1] = math.NaN()
+	if err := c.PostTelemetry(plain); err == nil || c.Fetches() != fetches {
+		t.Errorf("a NaN row: error %v after %d requests", err, c.Fetches()-fetches)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 )
@@ -34,22 +35,72 @@ func ParseHeader(line []byte) ([]string, error) {
 	return hdr.Columns, nil
 }
 
+// HeaderLine returns the header line, newline included, of a frame laid
+// out by cols.
+func HeaderLine(cols []string) ([]byte, error) {
+	line, err := json.Marshal(Header{Format: FrameFormat, Columns: cols})
+	return append(line, '\n'), err
+}
+
 // WriteJSONL writes the frame in a line-delimited JSON format: a header
 // object with the column names, then one array of values per row. The
 // format streams (no whole-frame buffering) and appends cheaply, which
 // suits long recording sessions better than CSV's quoting rules.
 func (f *Frame) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(Header{Format: FrameFormat, Columns: f.cols}); err != nil {
+	line, err := HeaderLine(f.cols)
+	if err != nil {
+		return err
+	}
+	if _, err := bw.Write(line); err != nil {
 		return err
 	}
 	for _, row := range f.rows {
-		if err := enc.Encode(row); err != nil {
+		if line, err = AppendRow(line[:0], row); err != nil {
+			return err
+		}
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
+}
+
+// AppendRow appends row as a JSON array of numbers, byte for byte what
+// encoding/json writes for a []float64 (a nil row is null). NaN and ±Inf
+// have no JSON form: they are an error and nothing is appended.
+func AppendRow(dst []byte, row []float64) ([]byte, error) {
+	if row == nil {
+		return append(dst, "null"...), nil
+	}
+	start := len(dst)
+	dst = append(dst, '[')
+	for i, v := range row {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		abs := math.Abs(v)
+		if abs < 1e15 && float64(int64(v)) == v && (v != 0 || !math.Signbit(v)) {
+			// An integer below 2^53 (but -0) is its own shortest decimal:
+			// most of a telemetry row.
+			dst = strconv.AppendInt(dst, int64(v), 10)
+			continue
+		}
+		if !(abs <= math.MaxFloat64) {
+			return dst[:start], fmt.Errorf("dataset: value %d of the row is %v, which JSON cannot carry", i, v)
+		}
+		// encoding/json's choice of format, and its e-09 written e-9.
+		format := byte('f')
+		if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+			format = 'e'
+		}
+		dst = strconv.AppendFloat(dst, v, format, -1, 64)
+		if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-2] == '0' {
+			dst[n-2], dst = dst[n-1], dst[:n-1]
+		}
+	}
+	return append(dst, ']'), nil
 }
 
 // ReadJSONL reads a frame written by WriteJSONL, line by line: the
@@ -123,48 +174,153 @@ func LoadJSONL(path string) (*Frame, error) {
 // Inf/NaN), a number out of float64 range is an error, a null element
 // reads as 0 and a bare null as the empty row.
 func ParseRow(line []byte, row []float64) ([]float64, error) {
-	i := skipSpace(line, 0)
-	if hasNull(line, i) {
-		i += 4
-	} else if i == len(line) || line[i] != '[' {
-		return nil, fmt.Errorf("row is not a JSON array")
-	} else if i = skipSpace(line, i+1); i < len(line) && line[i] == ']' {
-		i++
-	} else {
-		for {
-			if hasNull(line, i) {
-				row = append(row, 0)
-				i += 4
-			} else {
-				end, v, err := scanNumber(line, i)
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, v)
-				i = end
-			}
-			i = skipSpace(line, i)
-			if i == len(line) {
-				return nil, fmt.Errorf("unterminated array")
-			}
-			if line[i] == ']' {
-				i++
-				break
-			}
-			if line[i] != ',' {
-				return nil, fmt.Errorf("unexpected %q in the row", line[i])
-			}
-			i = skipSpace(line, i+1)
-		}
+	end, _, _, err := scanRow(line, skipSpace(line, 0), &row)
+	if err != nil {
+		return nil, err
 	}
-	if i = skipSpace(line, i); i != len(line) {
-		return nil, fmt.Errorf("unexpected %q after the row", line[i])
+	if end = skipSpace(line, end); end != len(line) {
+		return nil, fmt.Errorf("unexpected %q after the row", line[end])
 	}
 	return row, nil
 }
 
+// scanRow checks the row that starts at b[i] as ParseRow does and returns
+// the index just past it and its width, the values appended to *vals if
+// vals is set. plain: the row's text is a frame line as it stands, with no
+// whitespace inside it and no null.
+func scanRow(b []byte, i int, vals *[]float64) (end, width int, plain bool, err error) {
+	if hasNull(b, i) {
+		return i + 4, 0, false, nil
+	}
+	if i == len(b) || b[i] != '[' {
+		return 0, 0, false, fmt.Errorf("row is not a JSON array")
+	}
+	var out []float64
+	if vals != nil {
+		out = *vals
+	}
+	start, tokens, nulls := i, 0, false // tokens: the bytes that are numbers
+	if i = skipSpace(b, i+1); i < len(b) && b[i] == ']' {
+		return i + 1, 0, i == start+1, nil
+	}
+	for {
+		var v float64
+		if hasNull(b, i) {
+			nulls = true
+			i += 4
+		} else {
+			from := i
+			if i, v, err = scanNumber(b, i); err != nil {
+				return 0, 0, false, err
+			}
+			tokens += i - from
+		}
+		if vals != nil {
+			out = append(out, v)
+		}
+		width++
+		if i = skipSpace(b, i); i == len(b) {
+			return 0, 0, false, fmt.Errorf("unterminated array")
+		}
+		if b[i] == ']' {
+			if vals != nil {
+				*vals = out
+			}
+			// Plain: nothing but the numbers, their commas and the brackets.
+			return i + 1, width, !nulls && i+1-start == tokens+width+1, nil
+		}
+		if b[i] != ',' {
+			return 0, 0, false, fmt.Errorf("unexpected %q in the row", b[i])
+		}
+		i = skipSpace(b, i+1)
+	}
+}
+
+// Rows is the shape of an array of rows that ScanRows walked.
+type Rows struct {
+	N        int // rows
+	Width    int // values in the first
+	Odd      int // index of the first row of another width; 0: none
+	OddWidth int
+}
+
+// Mismatch returns the first row that does not hold want values.
+func (r Rows) Mismatch(want int) (row, width int, found bool) {
+	if r.N > 0 && r.Width != want {
+		return 0, r.Width, true
+	}
+	return r.Odd, r.OddWidth, r.Odd > 0
+}
+
+// ScanRows checks the array of rows (or null) that starts at b[i], each
+// row as ParseRow does, and returns the index just past it and its shape;
+// widths are the caller's to judge. If set, *vals takes every value, row
+// after row, and *lines every row as one frame line: its number tokens
+// verbatim, 0 for a null, no whitespace, "\n" after the bracket — the text
+// ParseRow reads back is the text that was checked. After an error either
+// holds the rows before it.
+func ScanRows(b []byte, i int, vals *[]float64, lines *[]byte) (end int, rows Rows, err error) {
+	if hasNull(b, i) {
+		return i + 4, rows, nil
+	}
+	if i == len(b) || b[i] != '[' {
+		return 0, rows, fmt.Errorf("rows are not a JSON array")
+	}
+	if i = skipSpace(b, i+1); i < len(b) && b[i] == ']' {
+		return i + 1, rows, nil
+	}
+	for {
+		end, width, plain, err := scanRow(b, i, vals)
+		if err != nil {
+			return 0, rows, fmt.Errorf("row %d: %w", rows.N, err)
+		}
+		if lines != nil {
+			*lines = appendLine(*lines, b[i:end], width, plain)
+		}
+		if rows.N == 0 {
+			rows.Width = width
+		} else if width != rows.Width && rows.Odd == 0 {
+			rows.Odd, rows.OddWidth = rows.N, width
+		}
+		rows.N++
+		if i = skipSpace(b, end); i == len(b) {
+			return 0, rows, fmt.Errorf("unterminated array of rows")
+		}
+		if b[i] == ']' {
+			return i + 1, rows, nil
+		}
+		if b[i] != ',' {
+			return 0, rows, fmt.Errorf("unexpected %q after row %d", b[i], rows.N-1)
+		}
+		i = skipSpace(b, i+1)
+	}
+}
+
+// appendLine appends the text of a row scanRow passed as one frame line.
+// Such a text holds 'n', 'u' and 'l' only as the letters of a null.
+func appendLine(dst, text []byte, width int, plain bool) []byte {
+	switch {
+	case width == 0: // [], [ ] or a null row
+		dst = append(dst, "[]"...)
+	case plain:
+		dst = append(dst, text...)
+	default:
+		for _, c := range text {
+			switch c {
+			case ' ', '\t', '\r', '\n', 'u', 'l':
+			case 'n':
+				dst = append(dst, '0')
+			default:
+				dst = append(dst, c)
+			}
+		}
+	}
+	return append(dst, '\n')
+}
+
 func skipSpace(b []byte, i int) int {
-	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\r' || b[i] == '\n') {
+	// Every JSON whitespace byte is at most ' ': most bytes take one test.
+	for i < len(b) && b[i] <= ' ' && (b[i] == ' ' || b[i] == '\t' || b[i] == '\r' || b[i] == '\n') {
 		i++
 	}
 	return i

@@ -19,6 +19,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -30,6 +31,7 @@ import (
 	"time"
 
 	"apollo/internal/ctree"
+	"apollo/internal/dataset"
 	"apollo/internal/flight"
 	"apollo/internal/looptrace"
 	"apollo/internal/metrics"
@@ -37,7 +39,7 @@ import (
 	"apollo/internal/telemetry"
 )
 
-// maxModelBytes caps PUT bodies; trained trees are tens of kilobytes.
+// maxModelBytes caps request bodies; trained trees are tens of kilobytes.
 const maxModelBytes = 16 << 20
 
 // Server wires a registry to HTTP handlers plus a metrics set.
@@ -150,6 +152,44 @@ func (s *Server) errorJSON(w http.ResponseWriter, status int, format string, arg
 	s.writeJSON(w, "error", map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// scratch is what one POST /telemetry or POST /predict borrows for its
+// body and for what the body decodes into.
+type scratch struct {
+	body    bytes.Buffer
+	batch   telemetry.Decoded
+	predict predictBody
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// maxPooledBytes caps what a pooled scratch holds on to: one a hostile
+// body grew past it is dropped, so such bodies cannot pin maxModelBytes
+// per P (a batch's lines are no longer than its body).
+const maxPooledBytes = 1 << 20
+
+func (sc *scratch) poolable() bool {
+	return sc.body.Cap() <= maxPooledBytes && cap(sc.predict.flat) <= maxPooledBytes/8 && cap(sc.predict.vectors) <= maxPooledBytes/24
+}
+
+func (sc *scratch) release() {
+	if sc.poolable() {
+		scratchPool.Put(sc)
+	}
+}
+
+// readBody reads r's body into buf. A body it refuses comes back as the
+// status to answer with: 413 over maxModelBytes, 400 for a failed read.
+func readBody(r *http.Request, buf *bytes.Buffer) (status int, err error) {
+	buf.Reset()
+	if _, err := buf.ReadFrom(io.LimitReader(r.Body, maxModelBytes+1)); err != nil {
+		return http.StatusBadRequest, fmt.Errorf("reading body: %w", err)
+	}
+	if buf.Len() > maxModelBytes {
+		return http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", maxModelBytes)
+	}
+	return http.StatusOK, nil
+}
+
 // modelInfo is the JSON summary of one registry entry. Compiled carries
 // the publish-time ctree compilation stats (node counts, flat-array
 // bytes).
@@ -177,16 +217,12 @@ func info(e *registry.Entry) modelInfo {
 
 func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxModelBytes+1))
-	if err != nil {
-		s.errorJSON(w, http.StatusBadRequest, "reading body: %v", err)
+	var body bytes.Buffer // the registry keeps the bytes: not pooled
+	if status, err := readBody(r, &body); err != nil {
+		s.errorJSON(w, status, "%v", err)
 		return
 	}
-	if len(data) > maxModelBytes {
-		s.errorJSON(w, http.StatusRequestEntityTooLarge, "model exceeds %d bytes", maxModelBytes)
-		return
-	}
-	e, err := s.reg.PublishRaw(name, data)
+	e, err := s.reg.PublishRaw(name, body.Bytes())
 	if err != nil {
 		s.errorJSON(w, http.StatusBadRequest, "%v", err)
 		return
@@ -254,14 +290,47 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, "models_list", map[string]any{"models": out})
 }
 
-// predictRequest is the POST /predict body. Exactly one of X, Batch, or
-// Features must be set. Vectors are laid out by the model's own schema;
-// Features names them instead, unset features default to 0.
-type predictRequest struct {
-	Model    string             `json:"model"`
-	X        []float64          `json:"x,omitempty"`
-	Batch    [][]float64        `json:"batch,omitempty"`
-	Features map[string]float64 `json:"features,omitempty"`
+// predictBody is a decoded POST /predict body. Exactly one of x, batch
+// and features must be set (there and not null). Vectors are laid out by
+// the model's own schema and scanned straight into flat, one after the
+// other; features names them instead, unset features default to 0.
+type predictBody struct {
+	model    string
+	features map[string]float64
+	x, batch bool         // the member is set
+	rows     dataset.Rows // the shape of x (one row) or of batch
+	flat     []float64    // reused by the next request
+	vectors  [][]float64  // views of flat, one a vector; reused
+}
+
+// decodePredict decodes a POST /predict body into p, reusing its slices.
+// It accepts what json.Unmarshal into a struct of the four members
+// accepts, with the same values, except a body whose top-level keys are
+// not exact-case and unique (dataset.WalkObject) or that has anything but
+// whitespace after the object.
+func decodePredict(body []byte, p *predictBody) error {
+	*p = predictBody{flat: p.flat[:0], vectors: p.vectors[:0]}
+	return dataset.WalkObject(body, []dataset.Field{
+		{Name: "model", Into: &p.model}, {Name: "features", Into: &p.features}, {Name: "x"}, {Name: "batch"},
+	}, func(k, i int) (end int, err error) {
+		set := body[i] != 'n' // a null member is an unset one
+		if k == 3 {
+			var rows dataset.Rows
+			if end, rows, err = dataset.ScanRows(body, i, &p.flat, nil); set {
+				p.batch, p.rows = true, rows
+			}
+			return end, err
+		}
+		if end, err = dataset.Value(body, i); err != nil {
+			return 0, err
+		}
+		x, err := dataset.ParseRow(body[i:end], p.flat)
+		if err == nil && set {
+			p.x, p.rows = true, dataset.Rows{N: 1, Width: len(x) - len(p.flat)}
+			p.flat = x
+		}
+		return end, err
+	})
 }
 
 // predictResponse answers both single and batched requests.
@@ -275,46 +344,53 @@ type predictResponse struct {
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	var req predictRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxModelBytes)).Decode(&req); err != nil {
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
+	if status, err := readBody(r, &sc.body); err != nil {
+		s.errorJSON(w, status, "%v", err)
+		return
+	}
+	req := &sc.predict
+	if err := decodePredict(sc.body.Bytes(), req); err != nil {
 		s.errorJSON(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
-	e, ok := s.reg.Get(req.Model)
+	e, ok := s.reg.Get(req.model)
 	if !ok {
-		s.errorJSON(w, http.StatusNotFound, "no model %q", req.Model)
+		s.errorJSON(w, http.StatusNotFound, "no model %q", req.model)
 		return
 	}
 	want := e.Model.Schema.Len()
-	vectors := req.Batch
 	single := false
 	switch {
-	case req.X != nil && req.Batch == nil && req.Features == nil:
-		vectors, single = [][]float64{req.X}, true
-	case req.Features != nil && req.X == nil && req.Batch == nil:
-		x := make([]float64, want)
-		for name, v := range req.Features {
+	case req.x && !req.batch && req.features == nil:
+		single = true
+	case req.features != nil && !req.x && !req.batch:
+		req.flat = append(req.flat[:0], make([]float64, want)...)
+		for name, v := range req.features {
 			i := e.Model.Schema.Index(name)
 			if i < 0 {
 				s.errorJSON(w, http.StatusBadRequest, "model %q has no feature %q (features: %v)",
-					req.Model, name, e.Model.Schema.Names())
+					req.model, name, e.Model.Schema.Names())
 				return
 			}
-			x[i] = v
+			req.flat[i] = v
 		}
-		vectors, single = [][]float64{x}, true
-	case req.Batch != nil && req.X == nil && req.Features == nil:
+		req.rows, single = dataset.Rows{N: 1, Width: want}, true
+	case req.batch && !req.x && req.features == nil:
 	default:
 		s.errorJSON(w, http.StatusBadRequest, "set exactly one of x, batch, or features")
 		return
 	}
-	for i, x := range vectors {
-		if len(x) != want {
-			s.errorJSON(w, http.StatusBadRequest, "vector %d has %d features, model %q wants %d",
-				i, len(x), req.Model, want)
-			return
-		}
+	if i, width, found := req.rows.Mismatch(want); found {
+		s.errorJSON(w, http.StatusBadRequest, "vector %d has %d features, model %q wants %d",
+			i, width, req.model, want)
+		return
 	}
+	for i := 0; i < req.rows.N; i++ {
+		req.vectors = append(req.vectors, req.flat[i*want:(i+1)*want])
+	}
+	vectors := req.vectors
 	resp := predictResponse{Model: e.Name, Version: e.Version}
 	if !single && len(vectors) > 1 {
 		resp.Classes = s.predictBatch(e, vectors)

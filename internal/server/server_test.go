@@ -216,6 +216,49 @@ func TestPredictSingleBatchAndFeatures(t *testing.T) {
 	}
 }
 
+// POST /predict reads one JSON object and nothing after it, and tells a
+// body over the cap from a malformed one.
+func TestPredictRejectsTrailingBytesAndOversizeBodies(t *testing.T) {
+	reg := registry.New()
+	h := New(reg).Handler()
+	m := testModel(t)
+	if _, err := reg.Publish("policy", m); err != nil {
+		t.Fatal(err)
+	}
+	x, _ := json.Marshal(make([]float64, m.Schema.Len()))
+	valid := fmt.Sprintf(`{"model":"policy","x":%s}`, x)
+	for _, tc := range []struct {
+		body   string
+		status int
+	}{
+		{valid, http.StatusOK},
+		{valid + " \n", http.StatusOK},
+		{valid + "garbage", http.StatusBadRequest},
+		{valid + valid, http.StatusBadRequest},
+		{strings.Replace(valid, `{`, `{"x":[],`, 1), http.StatusBadRequest},
+		{valid + strings.Repeat(" ", maxModelBytes), http.StatusRequestEntityTooLarge},
+	} {
+		// Straight into the handler: a server that answers before it has
+		// read 16 MiB may reset the connection under a real client.
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict", strings.NewReader(tc.body)))
+		if rec.Code != tc.status {
+			t.Errorf("%.60q (%d bytes): status %d, want %d", tc.body, len(tc.body), rec.Code, tc.status)
+		}
+	}
+	// What a hostile body grew past the cap is dropped, not pooled.
+	sc := new(scratch)
+	if !sc.poolable() {
+		t.Error("a fresh scratch is not pooled")
+	}
+	if sc.body.Grow(maxPooledBytes + 1); sc.poolable() {
+		t.Error("a scratch holding a body buffer over the cap is pooled")
+	}
+	if sc = (&scratch{predict: predictBody{flat: make([]float64, maxPooledBytes/8+1)}}); sc.poolable() {
+		t.Error("a scratch holding vectors over the cap is pooled")
+	}
+}
+
 // TestPredictCompiledOffsetsAndStats covers the compiled decision path
 // end to end at the server: the model listing exposes compilation stats,
 // a single predict records a compact offset trail the registered decoder

@@ -7,12 +7,12 @@
 package server
 
 import (
-	"encoding/json"
-	"io"
+	"errors"
 	"net/http"
 	"path/filepath"
 	"strings"
 
+	"apollo/internal/flight"
 	"apollo/internal/looptrace"
 	"apollo/internal/telemetry"
 )
@@ -85,13 +85,25 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 			"telemetry ingestion is disabled on this replica")
 		return
 	}
-	var b telemetry.Batch
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxModelBytes)).Decode(&b); err != nil {
-		s.rejectTelemetry(w, http.StatusBadRequest, "decode", "decoding batch: %v", err)
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
+	start := flight.Now()
+	if status, err := readBody(r, &sc.body); err != nil {
+		reason := "decode"
+		if status == http.StatusRequestEntityTooLarge {
+			reason = "too_large"
+		}
+		s.rejectTelemetry(w, status, reason, "%v", err)
 		return
 	}
-	if err := b.Validate(); err != nil {
-		s.rejectTelemetry(w, http.StatusBadRequest, "invalid", "%v", err)
+	read := flight.Now()
+	b := &sc.batch
+	if err := telemetry.DecodeBatch(sc.body.Bytes(), b); err != nil {
+		reason := "decode"
+		if errors.As(err, new(*telemetry.InvalidError)) {
+			reason = "invalid"
+		}
+		s.rejectTelemetry(w, http.StatusBadRequest, reason, "%v", err)
 		return
 	}
 	if strings.Contains(b.Model, "..") || strings.HasPrefix(b.Model, "/") {
@@ -114,24 +126,30 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
+	decoded := flight.Now()
 	sp, err := s.spool(b.Model)
 	if err != nil {
 		s.rejectTelemetry(w, http.StatusInternalServerError, "spool", "opening spool: %v", err)
 		return
 	}
-	if err := sp.Append(b.Columns, b.Rows); err != nil {
+	if err := sp.AppendDecoded(b); err != nil {
 		s.rejectTelemetry(w, http.StatusConflict, "spool", "%v", err)
 		return
 	}
+	appended := flight.Now()
+	const stageHelp = "POST /telemetry stage durations of accepted batches: body read, decode with every check, spool append."
+	s.met.ObserveLabeled("apollo_ingest_stage_seconds", "stage", "read", stageHelp, float64(read-start)/1e9)
+	s.met.ObserveLabeled("apollo_ingest_stage_seconds", "stage", "decode", stageHelp, float64(decoded-read)/1e9)
+	s.met.ObserveLabeled("apollo_ingest_stage_seconds", "stage", "append", stageHelp, float64(appended-decoded)/1e9)
 	s.met.CounterAdd("apollo_telemetry_batches_total", "model", b.Model,
 		"Telemetry batches ingested, by model.", 1)
 	s.met.CounterAdd("apollo_telemetry_rows_total", "model", b.Model,
-		"Telemetry sample rows ingested, by model.", uint64(len(b.Rows)))
+		"Telemetry sample rows ingested, by model.", uint64(b.NumRows))
 	// Attribute the spooled rows to the model version (and loop) that
 	// produced them; an unattributed batch still traces, just unscoped.
 	s.trace.Emit(looptrace.KindIngest, b.Model, b.LoopID,
-		looptrace.Fields{Version: int32(b.SourceVersion), Rows: int64(len(b.Rows))})
+		looptrace.Fields{Version: int32(b.SourceVersion), Rows: int64(b.NumRows)})
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
-	s.writeJSON(w, "telemetry", map[string]any{"rows": len(b.Rows), "spooled": sp.Appended()})
+	s.writeJSON(w, "telemetry", map[string]any{"rows": b.NumRows, "spooled": sp.Appended()})
 }

@@ -16,11 +16,11 @@ package telemetry
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -29,8 +29,11 @@ import (
 	"apollo/internal/dataset"
 )
 
-// DefaultSegmentBytes is the rotation threshold for spool segments.
-const DefaultSegmentBytes = 8 << 20
+// DefaultSegmentBytes is the rotation threshold for spool segments. A
+// segment is what its readers hold at once — a cold Cursor.Poll reads
+// each whole, as does anything that loads one as a frame — so the
+// threshold is their transient memory, not only a file count.
+const DefaultSegmentBytes = 4 << 20
 
 // segPrefix/segSuffix frame the zero-padded segment number.
 const (
@@ -100,23 +103,40 @@ func (s *Spool) Appended() uint64 {
 
 // Append writes rows laid out by columns. The first append fixes the
 // spool's layout; later appends must match it exactly or fail without
-// writing anything.
-//
-//apollo:lockok s.mu exists to serialize segment file writes and rotation; Append is the off-request ingest path
+// writing anything, as does a row of another width or one holding a NaN
+// or an infinity.
 func (s *Spool) Append(columns []string, rows [][]float64) error {
+	lines := make([]byte, 0, 8*len(columns)*len(rows)) // a count and its comma: about eight bytes
 	for i, row := range rows {
 		if len(row) != len(columns) {
 			return fmt.Errorf("telemetry: spool row %d has %d values, want %d", i, len(row), len(columns))
 		}
+		var err error
+		if lines, err = dataset.AppendRow(lines, row); err != nil {
+			return fmt.Errorf("telemetry: spool row %d: %w", i, err)
+		}
+		lines = append(lines, '\n')
 	}
+	return s.write(columns, lines, len(rows))
+}
+
+// AppendDecoded writes the rows of a decoded wire batch, under Append's
+// layout rule: the lines DecodeBatch checked and copied, as they are.
+func (s *Spool) AppendDecoded(d *Decoded) error { return s.write(d.Columns, d.lines, d.NumRows) }
+
+// write is the spool's one write path: it appends lines — rows frame
+// lines laid out by columns — to the active segment in one Write.
+//
+//apollo:lockok s.mu exists to serialize segment file writes and rotation; encoding and checking the rows happen before it is taken
+func (s *Spool) write(columns []string, lines []byte, rows int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.columns == nil {
 		s.columns = append([]string(nil), columns...)
-	} else if !equalColumns(s.columns, columns) {
+	} else if !slices.Equal(s.columns, columns) {
 		return fmt.Errorf("telemetry: spool %s expects columns %v, got %v", s.dir, s.columns, columns)
 	}
-	if len(rows) == 0 {
+	if rows == 0 {
 		return nil
 	}
 	if s.f == nil {
@@ -124,19 +144,12 @@ func (s *Spool) Append(columns []string, rows [][]float64) error {
 			return err
 		}
 	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for _, row := range rows {
-		if err := enc.Encode(row); err != nil {
-			return err
-		}
-	}
-	n, err := s.f.Write(buf.Bytes())
+	n, err := s.f.Write(lines)
 	s.size += int64(n)
 	if err != nil {
 		return err
 	}
-	s.appended += uint64(len(rows))
+	s.appended += uint64(rows)
 	if s.size >= s.maxBytes {
 		return s.rotateLocked()
 	}
@@ -172,12 +185,11 @@ func (s *Spool) openSegmentLocked() error {
 	if err != nil {
 		return err
 	}
-	hdr, err := json.Marshal(dataset.Header{Format: dataset.FrameFormat, Columns: s.columns})
+	hdr, err := dataset.HeaderLine(s.columns)
 	if err != nil {
 		f.Close() //apollo:errok Close on the error path; the write error is already being returned
 		return err
 	}
-	hdr = append(hdr, '\n')
 	n, err := f.Write(hdr)
 	if err != nil {
 		f.Close() //apollo:errok Close on the error path; the write error is already being returned
@@ -330,7 +342,7 @@ func (c *Cursor) pollSegmentLocked(path string, seq int, frame **dataset.Frame) 
 			}
 			if c.columns == nil {
 				c.columns = cols
-			} else if !equalColumns(c.columns, cols) {
+			} else if !slices.Equal(c.columns, cols) {
 				return fmt.Errorf("columns changed: %v -> %v", c.columns, cols)
 			}
 			consumed += lineLen
@@ -369,16 +381,4 @@ func readTail(path string, offset, n int64) ([]byte, error) {
 		return nil, err
 	}
 	return buf[:got], nil
-}
-
-func equalColumns(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
