@@ -21,6 +21,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -32,6 +33,7 @@ import (
 	"time"
 
 	"apollo/internal/app"
+	"apollo/internal/bg"
 	"apollo/internal/caliper"
 	"apollo/internal/client"
 	"apollo/internal/features"
@@ -101,12 +103,6 @@ func (l *latencies) quantile(q float64) float64 {
 	return s[i] / 1e3
 }
 
-func (l *latencies) count() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.ns)
-}
-
 // tally is one client's contribution to the fleet totals.
 type tally struct {
 	steps, decisions   int
@@ -120,7 +116,7 @@ type tally struct {
 	evictions          uint64
 }
 
-// liveGauges is what the -metrics-addr exporter can observe mid-run:
+// liveGauges is what a -metrics-addr scrape can observe mid-run:
 // ring membership and failover counters from the first client (every
 // client sees the same ring, so one is representative), and the
 // telemetry-ring drop count summed over every client's recorder.
@@ -190,78 +186,53 @@ func run(replicaSpec, model, appName, problem string, size, clients, steps, rank
 	predictLat, ingestLat := &latencies{}, &latencies{}
 	met := metrics.New()
 	var live liveGauges
-	exportMetrics := func(totals tally) {
-		live.export(met)
-		met.GaugeSet("apollo_fleet_failovers_total", "", "",
-			"Requests retried on a non-owner replica.", int64(totals.failovers))
-		met.GaugeSet("apollo_fleet_exhausted_total", "", "",
-			"Requests that failed on every replica.", int64(totals.exhausted))
-		met.GaugeSet("apollo_fleet_evictions_total", "", "",
-			"Replicas evicted from a client ring by failed health probes.", int64(totals.evictions))
-	}
+	// The metrics listener and the clients start through one group, stopped
+	// once every client has returned — at once if one of them fails.
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	g := bg.New(ctx, nil)
 	if metricsAddr != "" {
 		ln, err := net.Listen("tcp", metricsAddr)
 		if err != nil {
 			return totals, err
 		}
-		defer ln.Close()
 		mux := http.NewServeMux()
-		mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			met.WritePrometheus(w) //apollo:errok metrics endpoint: a client gone mid-scrape has no receiver for the error
-		})
+		mux.Handle("GET /metrics", metrics.Handler(met, func() { live.export(met) }))
 		fmt.Printf("apollo-fleet: metrics on http://%s/metrics\n", ln.Addr())
-		go http.Serve(ln, mux)
-		tick := time.NewTicker(time.Second)
-		defer tick.Stop()
-		stopExport := make(chan struct{})
-		defer close(stopExport)
-		go func() {
-			for {
-				select {
-				case <-stopExport:
-					return
-				case <-tick.C:
-					live.export(met)
-				}
-			}
-		}()
+		g.Serve("metrics", ln, mux)
 	}
 
 	fmt.Printf("apollo-fleet: %d clients x %d steps against %d replicas\n", clients, steps, len(peers))
-	results := make(chan tally, clients)
-	errs := make(chan error, clients)
-	for i := 0; i < clients; i++ {
-		go func(i int) {
-			t, err := runClient(i, peers, model, desc, problem, size, steps, ranks,
+	tallies := make([]tally, clients)
+	var clientDone []<-chan struct{}
+	for i := range tallies {
+		clientDone = append(clientDone, g.Go(fmt.Sprintf("client %d", i), func(ctx context.Context) (err error) {
+			tallies[i], err = runClient(ctx, i, peers, model, desc, problem, size, steps, ranks,
 				sampleEvery, exploreEvery, duration, poll, flush, healthEvery,
 				noise, seed+uint64(i), predictLat, ingestLat, &live)
-			if err != nil {
-				errs <- fmt.Errorf("client %d: %w", i, err)
-				return
-			}
-			results <- t
-		}(i)
+			return err
+		}))
 	}
-	for i := 0; i < clients; i++ {
-		select { //apollo:ctxok bounded collection: every spawned client sends exactly one result or error
-		case err := <-errs:
-			return totals, err
-		case t := <-results:
-			totals.steps += t.steps
-			totals.decisions += t.decisions
-			totals.predicts += t.predicts
-			totals.failedPredicts += t.failedPredicts
-			totals.posts += t.posts
-			totals.failedPosts += t.failedPosts
-			totals.rows += t.rows
-			totals.swaps += t.swaps
-			totals.failovers += t.failovers
-			totals.exhausted += t.exhausted
-			totals.evictions += t.evictions
-		}
+	for _, done := range clientDone {
+		<-done
 	}
-	exportMetrics(totals)
+	for _, t := range tallies {
+		totals.steps += t.steps
+		totals.decisions += t.decisions
+		totals.predicts += t.predicts
+		totals.failedPredicts += t.failedPredicts
+		totals.posts += t.posts
+		totals.failedPosts += t.failedPosts
+		totals.rows += t.rows
+		totals.swaps += t.swaps
+		totals.failovers += t.failovers
+		totals.exhausted += t.exhausted
+		totals.evictions += t.evictions
+	}
+	stop()
+	if err := g.Wait(); err != nil {
+		return totals, err
+	}
 
 	fmt.Printf("apollo-fleet: done clients=%d steps=%d decisions=%d predicts=%d failed_predicts=%d "+
 		"p50_predict_us=%.0f p99_predict_us=%.0f posts=%d failed_posts=%d p50_ingest_us=%.0f "+
@@ -275,7 +246,7 @@ func run(replicaSpec, model, appName, problem string, size, clients, steps, rank
 
 // runClient is one synthetic deployment: tuner-driven simulated launches
 // plus timed serving-path probes, all through a ring-routed FleetClient.
-func runClient(idx int, peers []fleet.Peer, model string, desc app.Descriptor, problem string,
+func runClient(ctx context.Context, idx int, peers []fleet.Peer, model string, desc app.Descriptor, problem string,
 	size, steps, ranks int, sampleEvery, exploreEvery uint64,
 	duration, poll, flush, healthEvery time.Duration, noise float64, seed uint64,
 	predictLat, ingestLat *latencies, live *liveGauges) (t tally, err error) {
@@ -304,14 +275,14 @@ func runClient(idx int, peers []fleet.Peer, model string, desc app.Descriptor, p
 	live.register(f, rec)
 	machine := platform.SandyBridgeNode()
 	clk := platform.NewSimClock(machine, noise, seed)
-	ctx := raja.NewSimContext(clk, desc.DefaultParams)
+	simCtx := raja.NewSimContext(clk, desc.DefaultParams)
 	tn := tuner.NewTuner(schema, ann, desc.DefaultParams).
 		UseSource(src).
 		UseTelemetry(rec).
 		ExploreEvery(exploreEvery)
 	timer := mpirt.NewTimer(tn, ann, ranks)
-	ctx.Hooks = timer
-	sim, err := desc.New(app.Config{Ctx: ctx, Ann: ann, Problem: problem, Size: size, Ranks: ranks})
+	simCtx.Hooks = timer
+	sim, err := desc.New(app.Config{Ctx: simCtx, Ann: ann, Problem: problem, Size: size, Ranks: ranks})
 	if err != nil {
 		return t, err
 	}
@@ -341,7 +312,7 @@ func runClient(idx int, peers []fleet.Peer, model string, desc app.Descriptor, p
 	swapsAtStart := src.Swaps()
 	start := time.Now()
 	lastFlush := start
-	for step := 0; step < steps || time.Since(start) < duration; step++ {
+	for step := 0; (step < steps || time.Since(start) < duration) && ctx.Err() == nil; step++ {
 		before := clk.NowNS()
 		sim.Step()
 		// Work the hooks saw is decomposed per rank; the remainder
@@ -371,7 +342,10 @@ func runClient(idx int, peers []fleet.Peer, model string, desc app.Descriptor, p
 		if duration > 0 && step >= steps {
 			// Past the minimum step count we only keep the loop alive for
 			// -duration; pace to the service cadence instead of spinning.
-			time.Sleep(flush / 4) //apollo:ctxok finite load loop paced to the flush cadence; exits via -duration
+			select {
+			case <-ctx.Done():
+			case <-time.After(flush / 4):
+			}
 		}
 	}
 	post()

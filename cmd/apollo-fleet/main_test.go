@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"apollo/internal/bg/bgtest"
 	"apollo/internal/client"
 	"apollo/internal/core"
 	"apollo/internal/dataset"
@@ -50,6 +51,7 @@ func testModel(t *testing.T) *core.Model {
 // against three in-process replicas, with the second replica killed
 // mid-run. No predict may fail and the summary tallies must move.
 func TestHarnessEndToEnd(t *testing.T) {
+	bgtest.NoLeaks(t)
 	m := testModel(t)
 	spec := ""
 	var victim *httptest.Server

@@ -28,12 +28,13 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"syscall"
 	"time"
 
+	"apollo/internal/bg"
 	"apollo/internal/fleet"
 	"apollo/internal/flight"
 	"apollo/internal/looptrace"
@@ -82,15 +83,7 @@ func run(ctx context.Context, addr, dir, telemetryDir, debugAddr, id, peerSpec, 
 	}
 	// Operators hand every replica the same -peers list; each one skips
 	// itself by -id so it never pulls its own publishes.
-	if id != "" {
-		kept := peers[:0]
-		for _, p := range peers {
-			if p.ID != id {
-				kept = append(kept, p)
-			}
-		}
-		peers = kept
-	}
+	peers = slices.DeleteFunc(peers, func(p fleet.Peer) bool { return p.ID == id })
 	var opts []server.Option
 	if telemetryDir != "" {
 		opts = append(opts, server.WithTelemetryDir(telemetryDir))
@@ -105,18 +98,20 @@ func run(ctx context.Context, addr, dir, telemetryDir, debugAddr, id, peerSpec, 
 		if err := tr.OpenJournal(loopJournal); err != nil {
 			return err
 		}
-		defer tr.Close()
-		flushDone := tr.Start(ctx, time.Second)
-		defer func() { <-flushDone }()
 		opts = append(opts, server.WithLoopTrace(tr))
 		fmt.Printf("apollo-serve: loop journal at %s\n", looptrace.JournalPath(loopJournal, actor))
 	}
 	srv := server.New(reg, opts...)
-	defer srv.CloseSpools()
+	// The stop order, on every way out: the group waited for (listeners
+	// drained, loops stopped, journal flushed), then the spools sealed, then
+	// the journal closed — its last drain takes what the handlers emitted.
+	closeAll := func(err error) error {
+		return errors.Join(err, srv.CloseSpools(), tr.Close())
+	}
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return err
+		return closeAll(err)
 	}
 	// The resolved address line is machine-readable: smoke tests and
 	// wrapper scripts parse it to find a port-0 listener.
@@ -125,29 +120,42 @@ func run(ctx context.Context, addr, dir, telemetryDir, debugAddr, id, peerSpec, 
 	if ready != nil {
 		ready(ln.Addr())
 	}
-
+	var dln net.Listener
 	if debugAddr != "" {
 		// The debug surface (flight recorder, pprof) lives on its own
 		// listener so operators can firewall it separately from the API.
-		dln, err := net.Listen("tcp", debugAddr)
-		if err != nil {
-			return err
+		if dln, err = net.Listen("tcp", debugAddr); err != nil {
+			return closeAll(errors.Join(err, ln.Close()))
 		}
-		defer dln.Close()
 		fmt.Printf("apollo-serve: debug on http://%s/debug/apollo/flight\n", dln.Addr())
 		if debugReady != nil {
 			debugReady(dln.Addr())
 		}
-		dmux := flight.DebugMux(srv.Flight())
-		looptrace.RegisterDebug(dmux, tr)
-		go http.Serve(dln, dmux)
 	}
 
-	go reg.Watch(ctx, poll, func(n int) {
-		srv.NoteReload(n)
-		fmt.Printf("apollo-serve: hot-reloaded %d model(s) from %s\n", n, dir)
+	// Everything below starts through one group; what a loop's step fails
+	// with is logged and counted here.
+	g := bg.New(ctx, func(loop string, err error) {
+		fmt.Fprintf(os.Stderr, "apollo-serve: %s: %v\n", loop, err)
+		srv.Metrics().CounterAdd("apollo_bg_step_errors_total", "loop", loop,
+			"Background loop steps that returned an error, by loop.", 1)
 	})
-
+	g.Serve("api", ln, srv.Handler())
+	if dln != nil {
+		dmux := flight.DebugMux(srv.Flight())
+		looptrace.RegisterDebug(dmux, tr)
+		g.Serve("debug", dln, dmux)
+	}
+	if tr != nil {
+		g.Every("loop-journal", time.Second, true, tr.Flush)
+	}
+	g.Go("registry-watch", func(ctx context.Context) error {
+		reg.Watch(ctx, poll, func(n int) {
+			srv.NoteReload(n)
+			fmt.Printf("apollo-serve: hot-reloaded %d model(s) from %s\n", n, dir)
+		})
+		return nil
+	})
 	if len(peers) > 0 {
 		sn := fleet.NewSyncer(reg, peers, fleet.SyncerOptions{
 			Logf: func(format string, args ...any) {
@@ -156,40 +164,20 @@ func run(ctx context.Context, addr, dir, telemetryDir, debugAddr, id, peerSpec, 
 			Trace: tr,
 		})
 		fmt.Printf("apollo-serve: syncing models from %d peer(s) every %v\n", len(peers), sync)
-		go func() {
-			t := time.NewTicker(sync)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-t.C:
-					// A pulled model is a hot reload from the fleet's point
-					// of view: connected tuners pick it up on their next
-					// conditional GET.
-					if n := sn.SyncOnce(); n > 0 {
-						srv.NoteReload(n)
-					}
-					sn.ExportMetrics(srv.Metrics())
-				}
+		g.Every("peer-sync", sync, false, func() error {
+			// A pulled model is a hot reload from the fleet's point of view:
+			// connected tuners pick it up on their next conditional GET.
+			if n := sn.SyncOnce(); n > 0 {
+				srv.NoteReload(n)
 			}
-		}()
+			sn.ExportMetrics(srv.Metrics())
+			return nil
+		})
 	}
-
-	hs := &http.Server{Handler: srv.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	fmt.Println("apollo-serve: shutting down")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(shutCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
+	g.Go("signal", func(ctx context.Context) error {
+		<-ctx.Done()
+		fmt.Println("apollo-serve: shutting down")
+		return nil
+	})
+	return closeAll(g.Wait())
 }

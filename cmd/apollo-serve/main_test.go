@@ -10,14 +10,19 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+	_ "unsafe" // go:linkname, for bgReadHeaderTimeout
 
+	"apollo/internal/bg/bgtest"
 	"apollo/internal/client"
 	"apollo/internal/core"
 	"apollo/internal/dataset"
 	"apollo/internal/features"
 	"apollo/internal/raja"
+	"apollo/internal/telemetry"
 )
 
 func trainTestModel(t *testing.T) *core.Model {
@@ -53,6 +58,7 @@ func trainTestModel(t *testing.T) *core.Model {
 // exercises the whole HTTP surface, drops a file into the registry
 // directory for the watcher to pick up, and shuts down cleanly.
 func TestServeEndToEnd(t *testing.T) {
+	bgtest.NoLeaks(t)
 	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	addrs := make(chan net.Addr, 1)
@@ -235,4 +241,186 @@ func TestServeRejectsBadListenAddr(t *testing.T) {
 		t.Fatal("bad listen address accepted")
 	}
 	_ = fmt.Sprint(err)
+}
+
+// startServe boots run on free ports with a debug listener (and a spool
+// when telemetryDir is set) and returns the two base URLs and a stop that
+// cancels the daemon and returns what run returned.
+func startServe(t *testing.T, telemetryDir string) (base, debugBase string, stop func() error) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	addrs, debugAddrs := make(chan net.Addr, 1), make(chan net.Addr, 1)
+	errc := make(chan error, 1)
+	go func() {
+		errc <- run(ctx, "127.0.0.1:0", t.TempDir(), telemetryDir, "127.0.0.1:0", "", "", "", time.Second, time.Second,
+			func(a net.Addr) { addrs <- a }, func(a net.Addr) { debugAddrs <- a })
+	}()
+	stop = func() error {
+		cancel()
+		select {
+		case err := <-errc:
+			errc <- err // stop may be called again
+			return err
+		case <-time.After(10 * time.Second):
+			return fmt.Errorf("run did not return within 10s of the cancel")
+		}
+	}
+	t.Cleanup(func() { stop() })
+	for _, l := range []struct {
+		ready chan net.Addr
+		base  *string
+	}{{addrs, &base}, {debugAddrs, &debugBase}} {
+		select {
+		case a := <-l.ready:
+			*l.base = "http://" + a.String()
+		case err := <-errc:
+			t.Fatalf("daemon exited before it was ready: %v", err)
+		case <-time.After(10 * time.Second):
+			t.Fatal("daemon never became ready")
+		}
+	}
+	return base, debugBase, stop
+}
+
+// bgReadHeaderTimeout is internal/bg's header deadline, the unexported
+// variable every listener of the product reads. The daemon under test is
+// this package's run, so the test reaches across by name rather than
+// growing an option nobody else would set.
+//
+//go:linkname bgReadHeaderTimeout apollo/internal/bg.readHeaderTimeout
+var bgReadHeaderTimeout time.Duration
+
+// TestServeDisconnectsStalledClients is the slowloris case: a client that
+// sends a request line and then nothing is cut off by the API listener
+// and by the debug listener once the header deadline passes, while a
+// well-formed request beside it is answered. Before the listeners went
+// through internal/bg neither had a deadline, and a stalled client held
+// its connection and its goroutine for as long as it liked.
+func TestServeDisconnectsStalledClients(t *testing.T) {
+	bgtest.NoLeaks(t)
+	defer func(d time.Duration) { bgReadHeaderTimeout = d }(bgReadHeaderTimeout)
+	bgReadHeaderTimeout = 200 * time.Millisecond
+	base, debugBase, stop := startServe(t, "")
+
+	hc := &http.Client{Timeout: 10 * time.Second}
+	defer hc.CloseIdleConnections()
+	for _, l := range []struct{ name, base, path string }{
+		{"api", base, "/healthz"},
+		{"debug", debugBase, "/debug/pprof/cmdline"},
+	} {
+		conn, err := net.Dial("tcp", strings.TrimPrefix(l.base, "http://"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		start := time.Now()
+		if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\n"); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := hc.Get(l.base + l.path)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s listener: well-formed request beside the stalled one: %v %v", l.name, resp, err)
+		}
+		resp.Body.Close()
+		// The server hangs up without a reply; five seconds of silence
+		// mean it is still waiting for the rest of the header.
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+			t.Fatalf("%s listener: stalled client read %d bytes, %v; want to be disconnected", l.name, n, err)
+		}
+		if waited := time.Since(start); waited < bgReadHeaderTimeout {
+			t.Errorf("%s listener: disconnected after %v, before the header deadline of %v", l.name, waited, bgReadHeaderTimeout)
+		}
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServeShutdownUnderLoad cancels the daemon while eight clients are
+// posting telemetry. After run has returned: every row answered 202 is in
+// the spool, once; nothing is there that was not sent (a post that failed
+// in flight may have landed — its answer was lost, not its rows); no
+// segment is still open; and no goroutine of the daemon is alive.
+func TestServeShutdownUnderLoad(t *testing.T) {
+	bgtest.NoLeaks(t)
+	spool := t.TempDir()
+	base, _, stop := startServe(t, spool)
+
+	const posters, rowsPerBatch = 8, 4
+	var acked, unknown sync.Map // row {poster, seq} -> true
+	var ackedBatches atomic.Int64
+	var wg sync.WaitGroup
+	for p := 0; p < posters; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := client.New(base, client.Options{})
+			for seq := 0; ; seq += rowsPerBatch {
+				frame := dataset.NewFrame("poster", "seq")
+				for i := 0; i < rowsPerBatch; i++ {
+					frame.AddRow([]float64{float64(p), float64(seq + i)})
+				}
+				into := &acked
+				err := c.PostTelemetry(telemetry.NewBatch("load/policy", frame))
+				if err != nil {
+					into = &unknown
+				}
+				for i := 0; i < rowsPerBatch; i++ {
+					into.Store([2]float64{float64(p), float64(seq + i)}, true)
+				}
+				if err != nil {
+					return // the daemon is gone
+				}
+				ackedBatches.Add(1)
+			}
+		}()
+	}
+	for deadline := time.Now().Add(10 * time.Second); ackedBatches.Load() < 20*posters; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the posters never got going")
+		}
+	}
+	if err := stop(); err != nil {
+		t.Fatalf("run under load: %v", err)
+	}
+	wg.Wait()
+
+	frame, err := telemetry.NewCursor(filepath.Join(spool, "load", "policy")).Poll()
+	if err != nil || frame == nil {
+		t.Fatalf("reading the spool back: %v %v", frame, err)
+	}
+	spooled := map[[2]float64]bool{}
+	for i := 0; i < frame.Len(); i++ {
+		row := [2]float64(frame.Row(i))
+		if spooled[row] {
+			t.Fatalf("row %v is in the spool twice", row)
+		}
+		spooled[row] = true
+		_, wasAcked := acked.Load(row)
+		_, wasUnknown := unknown.Load(row)
+		if !wasAcked && !wasUnknown {
+			t.Fatalf("row %v is in the spool but was never posted", row)
+		}
+	}
+	nAcked := 0
+	acked.Range(func(row, _ any) bool {
+		nAcked++
+		if !spooled[row.([2]float64)] {
+			t.Errorf("row %v was answered 202 and is not in the spool", row)
+		}
+		return true
+	})
+	t.Logf("%d rows answered 202, %d spooled", nAcked, len(spooled))
+
+	// Sealed means closed: the process holds no descriptor under the spool.
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd to check for open segments: %v", err)
+	}
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.HasPrefix(target, spool) {
+			t.Errorf("segment %s is still open after run returned", target)
+		}
+	}
 }

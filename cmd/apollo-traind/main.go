@@ -19,12 +19,11 @@
 // window holds the whole fleet's observations of the model. -replicas
 // takes id=url pairs; each replica's current champion becomes a publish
 // incumbent the challenger must beat on the holdout before shipping.
-// Setting APOLLO_COLLECTIVE_TRAINING=0 in the environment collapses both
-// back to single-replica behavior without editing the command line.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -33,10 +32,10 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
+	"apollo/internal/bg"
 	"apollo/internal/client"
 	"apollo/internal/core"
 	"apollo/internal/drift"
@@ -108,20 +107,6 @@ var trainerSiteFeatures = []string{
 	"new_rows", "window_rows", "trigger", "retrained", "published", "version",
 }
 
-// collectiveEnabled applies the APOLLO_COLLECTIVE_TRAINING switch: the
-// fleet flags opt in, the env var (0/false) forces single-replica
-// behavior without rewriting the command line.
-func collectiveEnabled(cfg daemonConfig) bool {
-	if cfg.spools == "" && cfg.replicas == "" {
-		return false
-	}
-	switch strings.ToLower(os.Getenv("APOLLO_COLLECTIVE_TRAINING")) {
-	case "0", "false", "off":
-		return false
-	}
-	return true
-}
-
 func run(ctx context.Context, cfg daemonConfig) error {
 	model := cfg.model
 	if model == "" {
@@ -137,10 +122,9 @@ func run(ctx context.Context, cfg daemonConfig) error {
 		return fmt.Errorf("unknown -param %q", cfg.param)
 	}
 
-	collective := collectiveEnabled(cfg)
 	var cur trainer.Cursor
 	var merged *fleet.MergedCursor
-	if collective && cfg.spools != "" {
+	if cfg.spools != "" {
 		roots, err := fleet.ParsePeers(cfg.spools)
 		if err != nil {
 			return fmt.Errorf("-spools: %w", err)
@@ -160,7 +144,7 @@ func run(ctx context.Context, cfg daemonConfig) error {
 	}
 
 	var incumbents []trainer.Publisher
-	if collective && cfg.replicas != "" {
+	if cfg.replicas != "" {
 		peers, err := fleet.ParsePeers(cfg.replicas)
 		if err != nil {
 			return fmt.Errorf("-replicas: %w", err)
@@ -178,9 +162,6 @@ func run(ctx context.Context, cfg daemonConfig) error {
 		if err := lt.OpenJournal(cfg.loopJournal); err != nil {
 			return err
 		}
-		defer lt.Close()
-		flushDone := lt.Start(ctx, time.Second)
-		defer func() { <-flushDone }()
 		fmt.Printf("apollo-traind: loop journal at %s\n", looptrace.JournalPath(cfg.loopJournal, "traind"))
 	}
 
@@ -204,7 +185,7 @@ func run(ctx context.Context, cfg daemonConfig) error {
 		},
 	})
 	if err != nil {
-		return err
+		return errors.Join(err, lt.Close())
 	}
 
 	met := metrics.New()
@@ -214,38 +195,55 @@ func run(ctx context.Context, cfg daemonConfig) error {
 	h.Write([]byte("apollo-traind/" + model))
 	siteID := h.Sum64()
 	fr.RegisterSite(siteID, "traind:"+model, trainerSiteFeatures)
+
+	// Every listener and loop starts through one group; what a loop's step
+	// fails with is logged and counted here.
+	ctx, stop := context.WithCancel(ctx)
+	defer stop()
+	g := bg.New(ctx, func(loop string, err error) {
+		fmt.Fprintf(os.Stderr, "apollo-traind: %s: %v\n", loop, err)
+		met.CounterAdd("apollo_bg_step_errors_total", "loop", loop,
+			"Background loop steps that returned an error, by loop.", 1)
+	})
+	// finish is every way out from here: the group waited for (listeners
+	// drained, loops stopped), then the journal closed after a last drain.
+	finish := func(err error) error {
+		if err != nil {
+			stop() // a failed start or step: there is no signal to wait for
+		}
+		return errors.Join(err, g.Wait(), lt.Close())
+	}
+	if lt != nil {
+		g.Every("loop-journal", time.Second, true, lt.Flush)
+	}
 	if cfg.debugAddr != "" {
 		dln, err := net.Listen("tcp", cfg.debugAddr)
 		if err != nil {
-			return err
+			return finish(err)
 		}
-		defer dln.Close()
 		fmt.Printf("apollo-traind: debug on http://%s/debug/apollo/flight\n", dln.Addr())
 		if cfg.debugReady != nil {
 			cfg.debugReady(dln.Addr())
 		}
 		dmux := flight.DebugMux(fr)
 		looptrace.RegisterDebug(dmux, lt)
-		go http.Serve(dln, dmux)
+		g.Serve("debug", dln, dmux)
 	}
 	if cfg.metricsAddr != "" {
 		ln, err := net.Listen("tcp", cfg.metricsAddr)
 		if err != nil {
-			return err
+			return finish(err)
 		}
-		defer ln.Close()
 		mux := http.NewServeMux()
-		mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		mux.Handle("GET /metrics", metrics.Handler(met, func() {
 			rc.Collect() // refresh goroutine/heap/GC-pause self-metrics
 			if lt != nil {
 				met.GaugeSet("apollo_loop_events_dropped_total", "", "",
 					"Loop events lost to a full looptrace ring.", int64(lt.Dropped()))
 			}
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			met.WritePrometheus(w) //apollo:errok metrics endpoint: a client gone mid-scrape has no receiver for the error
-		})
+		}))
 		fmt.Printf("apollo-traind: metrics on http://%s/metrics\n", ln.Addr())
-		go http.Serve(ln, mux)
+		g.Serve("metrics", ln, mux)
 	}
 
 	step := func() error {
@@ -321,24 +319,21 @@ func run(ctx context.Context, cfg daemonConfig) error {
 	}
 
 	if cfg.once {
-		return step()
+		err := step()
+		stop()
+		return finish(err)
 	}
 	watching := cfg.spool
 	if merged != nil {
 		watching = cfg.spools
 	}
 	fmt.Printf("apollo-traind: watching %s for %s every %v\n", watching, model, cfg.interval)
-	tick := time.NewTicker(cfg.interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			fmt.Println("apollo-traind: shutting down")
-			return nil
-		case <-tick.C:
-			if err := step(); err != nil {
-				fmt.Fprintln(os.Stderr, "apollo-traind: step:", err)
-			}
-		}
-	}
+	// One bad poll must not kill the daemon: the next tick tries again.
+	g.Every("step", cfg.interval, false, step)
+	g.Go("signal", func(ctx context.Context) error {
+		<-ctx.Done()
+		fmt.Println("apollo-traind: shutting down")
+		return nil
+	})
+	return finish(nil)
 }

@@ -1,9 +1,13 @@
 package main
 
 import (
+	"io"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"strings"
 
+	"apollo/internal/bg/bgtest"
 	"apollo/internal/core"
 	"apollo/internal/features"
 	"apollo/internal/raja"
@@ -23,6 +27,7 @@ import (
 // lands on the flight recorder, the trace endpoint speaks Chrome
 // trace-event JSON, and pprof is live.
 func TestTraindDebugEndpoints(t *testing.T) {
+	bgtest.NoLeaks(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	debugAddrs := make(chan net.Addr, 1)
 	errc := make(chan error, 1)
@@ -134,9 +139,8 @@ func TestTraindRequiresModel(t *testing.T) {
 }
 
 // TestTraindCollectiveFlags checks the fleet plumbing end to end in one
-// -once step: two replica spools merge into the training window, the
-// bootstrap publishes to the target service, and the env kill switch
-// collapses back to single-spool mode.
+// -once step: two replica spools merge into the training window and the
+// bootstrap publishes to the target service.
 func TestTraindCollectiveFlags(t *testing.T) {
 	reg := registry.New()
 	ts := httptest.NewServer(server.New(reg).Handler())
@@ -154,15 +158,6 @@ func TestTraindCollectiveFlags(t *testing.T) {
 		interval: time.Second, once: true,
 		mispredict: 0.25, shift: 6, minRows: 4, maxRegression: 0.02, holdout: 0.25,
 	}
-	if !collectiveEnabled(cfg) {
-		t.Fatal("fleet flags did not enable collective training")
-	}
-	t.Setenv("APOLLO_COLLECTIVE_TRAINING", "0")
-	if collectiveEnabled(cfg) {
-		t.Fatal("APOLLO_COLLECTIVE_TRAINING=0 did not disable collective training")
-	}
-	t.Setenv("APOLLO_COLLECTIVE_TRAINING", "1")
-
 	if err := run(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -210,5 +205,98 @@ func fillSpool(t *testing.T, dir string, ns []float64) {
 	}
 	if err := sp.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// freeAddr returns a loopback address nothing listens on at the moment.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return ln.Addr().String()
+}
+
+// TestTraindOnceStopsItsListenersAndJournal: a -once run with every
+// listener and the journal on returns when its step is done. It used to
+// wait for a signal: the journal flusher was joined before anything had
+// cancelled it.
+func TestTraindOnceStopsItsListenersAndJournal(t *testing.T) {
+	bgtest.NoLeaks(t)
+	journal := t.TempDir()
+	done := make(chan error, 1)
+	go func() {
+		done <- run(context.Background(), daemonConfig{
+			serverURL: "http://127.0.0.1:1", spool: t.TempDir(), model: "loop/policy", param: "execution_policy",
+			interval: time.Second, once: true, loopJournal: journal,
+			debugAddr: "127.0.0.1:0", metricsAddr: "127.0.0.1:0",
+			mispredict: 0.25, shift: 6, minRows: 8, maxRegression: 0.02, holdout: 0.25,
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a -once run with -loop-journal never returned")
+	}
+	if b, err := os.ReadFile(filepath.Join(journal, "loop-traind.jsonl")); err != nil || !strings.Contains(string(b), `"actor":"traind"`) {
+		t.Fatalf("journal after the run: %q, %v", b, err)
+	}
+}
+
+// TestTraindCountsFailedSteps: a step that fails does not stop the
+// daemon; the error goes to the one sink, which counts it by loop name on
+// the /metrics the daemon already serves.
+func TestTraindCountsFailedSteps(t *testing.T) {
+	bgtest.NoLeaks(t)
+	spool := t.TempDir()
+	seg := filepath.Join(spool, "loop", "policy", "seg-00000001.jsonl")
+	if err := os.MkdirAll(filepath.Dir(seg), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(seg, []byte("not a segment header\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	metricsAddr := freeAddr(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, daemonConfig{
+			serverURL: "http://127.0.0.1:1", spool: spool, model: "loop/policy", param: "execution_policy",
+			interval: 5 * time.Millisecond, metricsAddr: metricsAddr,
+			mispredict: 0.25, shift: 6, minRows: 8, maxRegression: 0.02, holdout: 0.25,
+		})
+	}()
+	hc := &http.Client{Timeout: 5 * time.Second}
+	defer hc.CloseIdleConnections()
+	counted := false
+	for deadline := time.Now().Add(10 * time.Second); !counted && time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		resp, err := hc.Get("http://" + metricsAddr + "/metrics")
+		if err != nil {
+			continue // not listening yet
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		for _, line := range strings.Split(string(body), "\n") {
+			if n, ok := strings.CutPrefix(line, `apollo_bg_step_errors_total{loop="step"} `); ok && n != "0" && n != "1" {
+				counted = true // it failed, was counted, and ticked again
+			}
+		}
+	}
+	if !counted {
+		t.Error(`/metrics never showed apollo_bg_step_errors_total{loop="step"} past 1`)
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("failed steps must not be fatal: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon did not shut down")
 	}
 }

@@ -16,14 +16,15 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"time"
 
 	"apollo/internal/app"
+	"apollo/internal/bg"
 	"apollo/internal/caliper"
 	"apollo/internal/client"
 	"apollo/internal/features"
@@ -64,7 +65,7 @@ func main() {
 
 func run(serverURL, model, appName, problem string, size, steps, maxSteps, waitSwaps int,
 	sampleEvery, exploreEvery uint64, poll, flush time.Duration, noise float64, seed uint64,
-	debugAddr, loopJournal string) error {
+	debugAddr, loopJournal string) (err error) {
 	if model == "" {
 		return fmt.Errorf("-model is required")
 	}
@@ -86,13 +87,14 @@ func run(serverURL, model, appName, problem string, size, steps, maxSteps, waitS
 	ann := caliper.New()
 	c := client.New(serverURL, client.Options{})
 	src := client.NewSource(c, schema, model, "")
-	var lt *looptrace.Tracer
 	if loopJournal != "" {
-		lt = looptrace.New("tune", looptrace.Options{})
+		lt := looptrace.New("tune", looptrace.Options{})
 		if err := lt.OpenJournal(loopJournal); err != nil {
 			return err
 		}
-		defer lt.Close()
+		// Closed last, after the group below has been waited for: the
+		// final drain takes the last swap's event.
+		defer func() { err = errors.Join(err, lt.Close()) }()
 		src.SetTrace(lt)
 		fmt.Printf("apollo-tune: loop journal at %s\n", looptrace.JournalPath(loopJournal, "tune"))
 	}
@@ -101,8 +103,6 @@ func run(serverURL, model, appName, problem string, size, steps, maxSteps, waitS
 		// and picks the model up when the service appears.
 		fmt.Fprintln(os.Stderr, "apollo-tune: starting degraded:", err)
 	}
-	stopPoll := src.StartPolling(poll)
-	defer stopPoll()
 
 	rec := telemetry.NewRecorder(schema, ann, telemetry.Options{SampleEvery: sampleEvery})
 	up := client.NewUploader(c, model, rec, client.UploaderOptions{
@@ -120,36 +120,40 @@ func run(serverURL, model, appName, problem string, size, steps, maxSteps, waitS
 			return cached.Version, loop
 		},
 	})
-	upCtx, upCancel := context.WithCancel(context.Background())
-	defer upCancel()
-	upDone := up.Start(upCtx, flush)
 
 	machine := platform.SandyBridgeNode()
 	clk := platform.NewSimClock(machine, noise, seed)
-	ctx := raja.NewSimContext(clk, desc.DefaultParams)
+	simCtx := raja.NewSimContext(clk, desc.DefaultParams)
 	tn := tuner.NewTuner(schema, ann, desc.DefaultParams).
 		UseSource(src).
 		UseTelemetry(rec).
 		ExploreEvery(exploreEvery)
-	ctx.Hooks = tn
+	simCtx.Hooks = tn
+	sim, err := desc.New(app.Config{Ctx: simCtx, Ann: ann, Problem: problem, Size: size})
+	if err != nil {
+		return err
+	}
 
-	var fr *flight.Recorder
+	// The debug listener, the model poll and the telemetry upload start
+	// through one group, stopped when the application is done. A failed
+	// poll keeps the cached model; a failed upload keeps its rows pending.
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	g := bg.New(ctx, func(loop string, err error) {
+		fmt.Fprintf(os.Stderr, "apollo-tune: %s: %v\n", loop, err)
+	})
 	if debugAddr != "" {
-		fr = flight.New(flight.Options{FeatureNames: schema.Names()})
+		fr := flight.New(flight.Options{FeatureNames: schema.Names()})
 		tn.UseFlight(fr)
 		ln, err := net.Listen("tcp", debugAddr)
 		if err != nil {
 			return err
 		}
-		defer ln.Close()
 		fmt.Printf("apollo-tune: debug on http://%s/debug/apollo/flight\n", ln.Addr())
-		go http.Serve(ln, flight.DebugMux(fr))
+		g.Serve("debug", ln, flight.DebugMux(fr))
 	}
-
-	sim, err := desc.New(app.Config{Ctx: ctx, Ann: ann, Problem: problem, Size: size})
-	if err != nil {
-		return err
-	}
+	g.Every("model-poll", poll, false, src.Refresh)
+	g.Every("telemetry-upload", flush, true, up.Flush)
 
 	swapsAtStart := src.Swaps()
 	ran := 0
@@ -160,17 +164,19 @@ func run(serverURL, model, appName, problem string, size, steps, maxSteps, waitS
 		sim.Step()
 		if waitSwaps > 0 && ran >= steps {
 			// The app's work is done; we are only waiting on the loop,
-			// so pace the extra steps to the service cadence. The uploader
-			// context doubles as the cancel signal for the wait.
+			// so pace the extra steps to the service cadence.
 			select {
-			case <-upCtx.Done():
+			case <-ctx.Done():
 			case <-time.After(poll / 4):
 			}
 		}
 	}
 
-	upCancel()
-	<-upDone
+	// The upload loop's last flush ships what the recorder still holds.
+	stop()
+	if err := g.Wait(); err != nil {
+		return err
+	}
 	fmt.Printf("apollo-tune: done steps=%d decisions=%d explored=%d seen=%d recorded=%d dropped=%d uploaded_rows=%d uploaded_batches=%d swaps=%d\n",
 		ran, tn.Decisions(), tn.Explored(), rec.Seen(), rec.Recorded(), rec.Dropped(),
 		up.Rows(), up.Batches(), src.Swaps()-swapsAtStart)

@@ -4,9 +4,8 @@
 // atomic.Int64/Uint64, which every target aligns, never the primitive
 // sync/atomic functions), lockscope (no blocking work while a mutex is
 // held), lockorder (nested mutex acquisitions must follow declared
-// //apollo:lockrank order and stay acyclic), goleak (spawned goroutines
-// must have a guaranteed exit), detorder (map iteration must not feed
-// serialization or hashing), cowsafe (values published through an
+// //apollo:lockrank order and stay acyclic), detorder (map iteration must
+// not feed serialization or hashing), cowsafe (values published through an
 // atomic.Pointer are frozen and Load results are read-only), pubinit
 // (initialization must precede the publish, including through calls
 // that mutate their argument), sharedcap (goroutine closures must not

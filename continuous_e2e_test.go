@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"apollo/internal/app"
+	"apollo/internal/bg/bgtest"
 	"apollo/internal/caliper"
 	"apollo/internal/client"
 	"apollo/internal/drift"
@@ -31,6 +32,7 @@ import (
 )
 
 func TestClosedLoopRetrainsAndHotSwapsMidRun(t *testing.T) {
+	bgtest.NoLeaks(t)
 	runClosedLoopScenario(t)
 }
 

@@ -12,7 +12,6 @@ package amr
 
 import (
 	"fmt"
-	"sort"
 
 	"apollo/internal/mesh"
 )
@@ -40,16 +39,6 @@ func (p *Patch) Field(name string) *mesh.Field {
 		panic(fmt.Sprintf("amr: patch %d has no field %q", p.ID, name))
 	}
 	return f
-}
-
-// FieldNames returns the patch's field names, sorted.
-func (p *Patch) FieldNames() []string {
-	names := make([]string, 0, len(p.fields))
-	for n := range p.fields {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Config describes a hierarchy.
@@ -149,9 +138,6 @@ func (h *Hierarchy) newPatch(level int, box mesh.Box) *Patch {
 	}
 	return p
 }
-
-// Config returns the hierarchy's configuration (with defaults applied).
-func (h *Hierarchy) Config() Config { return h.cfg }
 
 // NumLevels returns the configured number of levels.
 func (h *Hierarchy) NumLevels() int { return len(h.levels) }

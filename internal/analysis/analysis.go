@@ -23,9 +23,6 @@
 //     with //apollo:lockrank on the mutex declarations (lock identity is
 //     the package-qualified field or variable), and the global
 //     acquisition graph must be acyclic;
-//   - goleak: spawned goroutines must have a guaranteed exit (no
-//     condition-less loop without return/break, no empty select, no bare
-//     send on an unbuffered channel) and sound WaitGroup use;
 //   - detorder: range-over-map bodies must not feed serialization,
 //     hashing, or encoding sinks (nondeterministic model bytes);
 //   - cowsafe: values published through atomic.Pointer
@@ -81,8 +78,6 @@
 //	//apollo:lockrank <N>              on a sync.Mutex/RWMutex field or
 //	                                   var declaration: nested acquisitions
 //	                                   must strictly increase the rank
-//	//apollo:goleakok <reason>         suppress a goleak finding on this
-//	                                   line (or the go statement's line)
 //	//apollo:detorderok <reason>       suppress a detorder finding on this
 //	                                   line (range or sink); reason required
 //	//apollo:cowok <reason>            suppress cowsafe/pubinit findings on
@@ -147,9 +142,9 @@ type Analyzer struct {
 
 // All returns the full apollo-vet analyzer suite.
 func All() []*Analyzer {
-	return []*Analyzer{HotPath, AtomicAlign, LockScope, LockOrder, GoLeak,
-		DetOrder, CowSafe, PubInit, SharedCap, ErrSink, CtxFlow, Lifecycle,
-		NetGuard, WaiverDrift}
+	return []*Analyzer{HotPath, AtomicAlign, LockScope, LockOrder, DetOrder,
+		CowSafe, PubInit, SharedCap, ErrSink, CtxFlow, Lifecycle, NetGuard,
+		WaiverDrift}
 }
 
 // waiverDirectives is every directive some analyzer of the suite honours
@@ -285,7 +280,6 @@ const (
 	dirAllocOK     = "allocok"
 	dirLockOK      = "lockok"
 	dirLockRank    = "lockrank"
-	dirGoLeakOK    = "goleakok"
 	dirDetOrderOK  = "detorderok"
 	dirCowOK       = "cowok"
 	dirSharedCapOK = "sharedcapok"

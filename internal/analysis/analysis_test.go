@@ -160,10 +160,6 @@ func TestLockOrderCorpus(t *testing.T) {
 	}
 }
 
-func TestGoLeakCorpus(t *testing.T) {
-	runCorpus(t, "goleakmod", []*Analyzer{GoLeak})
-}
-
 func TestDetOrderCorpus(t *testing.T) {
 	runCorpus(t, "detordermod", []*Analyzer{DetOrder})
 }
@@ -286,8 +282,15 @@ func TestByName(t *testing.T) {
 	if len(got) != 2 || got[0] != HotPath || got[1] != AtomicAlign {
 		t.Fatalf("ByName returned %v", got)
 	}
-	if _, err := ByName("nosuch"); err == nil {
-		t.Fatal("ByName accepted an unknown analyzer")
+	// goleak retired for the spawn-site test and bgtest.NoLeaks
+	// (internal/bg): selecting it is an error like any unknown name.
+	for _, unknown := range []string{"nosuch", "goleak"} {
+		if _, err := ByName(unknown); err == nil {
+			t.Fatalf("ByName accepted the unknown analyzer %q", unknown)
+		}
+	}
+	if n := len(All()); n != 13 {
+		t.Fatalf("All() returns %d analyzers, want the thirteen DESIGN §8 lists", n)
 	}
 }
 

@@ -257,8 +257,8 @@ func buildChanBuffering(prog *Program) *chanBuffering {
 		}
 		buffered := len(call.Args) >= 2
 		if buffered {
-			if c, known := makeChanCap(pkg, rhs); known && c == 0 {
-				buffered = false
+			if tv := pkg.Info.Types[call.Args[1]]; tv.Value != nil && tv.Value.ExactString() == "0" {
+				buffered = false // make(chan T, 0), spelled out
 			}
 		}
 		if cb.known[v] && cb.buffered[v] != buffered {
@@ -347,6 +347,17 @@ func stopNamed(e ast.Expr) bool {
 	return false
 }
 
+// chanVar resolves a channel expression to its variable object, nil for
+// fields, map elements, and calls.
+func chanVar(pkg *Package, e ast.Expr) *types.Var {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	v, _ := pkg.Info.Uses[id].(*types.Var)
+	return v
+}
+
 // longRunningBody reports whether a goroutine body is long-running: it
 // contains (outside nested function literals) a condition-less for loop
 // or a range over a channel — the shapes that only a stop signal ends.
@@ -391,9 +402,11 @@ func bodyJoins(pkg *Package, body ast.Node) bool {
 			if _, isChan := exprChanType(pkg.Info, n.X); isChan {
 				joins = true
 			}
-		case *ast.CallExpr:
-			if m := waitGroupMethod(pkg, n); m != nil && m.Name() == "Wait" {
-				joins = true
+		case *ast.CallExpr: // sync.WaitGroup.Wait
+			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" {
+				if m, ok := pkg.Info.Uses[sel.Sel].(*types.Func); ok && m.Pkg() != nil && m.Pkg().Path() == "sync" && receiverBaseName(m) == "WaitGroup" {
+					joins = true
+				}
 			}
 		}
 		return true

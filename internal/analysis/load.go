@@ -45,12 +45,6 @@ type Program struct {
 	byPath map[string]*Package
 }
 
-// ByPath returns the module package with the given import path.
-func (p *Program) ByPath(path string) (*Package, bool) {
-	pkg, ok := p.byPath[path]
-	return pkg, ok
-}
-
 // FindModuleRoot walks up from dir to the nearest directory containing a
 // go.mod file.
 func FindModuleRoot(dir string) (string, error) {

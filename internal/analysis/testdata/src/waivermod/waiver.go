@@ -61,23 +61,6 @@ func orphanFill() *entry { return &entry{} }
 
 type entry struct{ n int }
 
-// Live goleakok: the heartbeat loop is flagged without it.
-func Heartbeat() {
-	go func() {
-		for { //apollo:goleakok heartbeat runs for the process lifetime
-			time.Sleep(time.Second)
-		}
-	}()
-}
-
-// Stale goleakok: a ranged loop terminates on close; nothing to waive.
-func Drain(ch chan int) {
-	go func() {
-		for range ch { //apollo:goleakok drained at shutdown // want `stale //apollo:goleakok waiver: it no longer suppresses any diagnostic; delete it`
-		}
-	}()
-}
-
 // Live detorderok: the marshal inside the map range is a real finding.
 func DumpStats(m map[string]int) [][]byte {
 	var out [][]byte

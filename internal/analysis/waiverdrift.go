@@ -10,14 +10,14 @@ import (
 // WaiverDrift keeps the annotation contract honest: a waiver that no
 // longer suppresses anything is a lie waiting to hide a future
 // regression. It runs after the waiving analyzers (hotpath, lockscope,
-// goleak, detorder, cowsafe, pubinit, sharedcap, errsink, ctxflow,
-// lifecycle) and reads the waiver uses they recorded, then reports:
+// detorder, cowsafe, pubinit, sharedcap, errsink, ctxflow, lifecycle)
+// and reads the waiver uses they recorded, then reports:
 //
 //   - every //apollo:allocok, //apollo:lockok, //apollo:coldpath,
-//     //apollo:goleakok, //apollo:detorderok, //apollo:cowok,
-//     //apollo:sharedcapok, //apollo:errok, or //apollo:ctxok directive
-//     that did not suppress a single diagnostic (for coldpath: that no
-//     hot-path traversal stopped at);
+//     //apollo:detorderok, //apollo:cowok, //apollo:sharedcapok,
+//     //apollo:errok, or //apollo:ctxok directive that did not suppress
+//     a single diagnostic (for coldpath: that no hot-path traversal
+//     stopped at);
 //   - every //apollo:blocking function whose body provably cannot block
 //     (no channel operation, mutex acquisition, blocking external call,
 //     or transitively blocking module callee), so stale blocking

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"apollo/internal/bg/bgtest"
 	"apollo/internal/caliper"
 	"apollo/internal/core"
 	"apollo/internal/dataset"
@@ -314,6 +315,7 @@ func TestSourceRejectsWrongParameterModel(t *testing.T) {
 }
 
 func TestSourcePollingPicksUpNewVersion(t *testing.T) {
+	bgtest.NoLeaks(t)
 	ts, _ := newService(t)
 	c := New(ts.URL, Options{})
 	schema := features.TableI()

@@ -12,13 +12,12 @@ package client
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
 	"apollo/internal/fleet/hashring"
 	"apollo/internal/telemetry"
-
-	"apollo/internal/core"
 )
 
 // Service is the narrow model-service surface a Source or Uploader
@@ -81,13 +80,6 @@ func NewFleet(replicas map[string]string, opts Options) (*FleetClient, error) {
 // replica resumes serving instantly.
 func (f *FleetClient) Ring() *hashring.Ring { return f.ring }
 
-// Replicas returns the sorted ids of every configured replica (ring
-// members and currently-unhealthy ones alike).
-func (f *FleetClient) Replicas() []string { return append([]string(nil), f.order...) }
-
-// ReplicaClient returns the per-replica client for id (nil if unknown).
-func (f *FleetClient) ReplicaClient(id string) *Client { return f.clients[id] }
-
 // Failovers returns how many requests were answered by a replica other
 // than the key's primary owner.
 func (f *FleetClient) Failovers() uint64 { return f.failovers.Load() }
@@ -106,14 +98,7 @@ func (f *FleetClient) prefer(key string, dst []string) []string {
 		return dst
 	}
 	for _, id := range f.order {
-		seen := false
-		for _, d := range dst {
-			if d == id {
-				seen = true
-				break
-			}
-		}
-		if !seen {
+		if !slices.Contains(dst, id) {
 			dst = append(dst, id)
 		}
 	}
@@ -151,28 +136,6 @@ func (f *FleetClient) Fetch(name string) (*Cached, error) {
 		return stale, nil
 	}
 	return nil, firstErr
-}
-
-// Push publishes a model through the first reachable replica in ring
-// order; the fleet's delta syncers propagate it to the rest.
-func (f *FleetClient) Push(name string, m *core.Model) (int, error) {
-	var firstErr error
-	primary := true
-	for _, id := range f.prefer(name, make([]string, 0, len(f.order))) {
-		v, err := f.clients[id].Push(name, m)
-		if err == nil {
-			if !primary {
-				f.failovers.Add(1)
-			}
-			return v, nil
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-		primary = false
-	}
-	f.exhausted.Add(1)
-	return 0, firstErr
 }
 
 // PostTelemetry ships the batch to the first reachable replica in the

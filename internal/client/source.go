@@ -1,12 +1,14 @@
 package client
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"apollo/internal/bg"
 	"apollo/internal/core"
 	"apollo/internal/features"
 	"apollo/internal/looptrace"
@@ -163,34 +165,16 @@ func (s *Source) emitSwapLocked(c *Cached) {
 }
 
 // StartPolling refreshes the source every interval on a background
-// goroutine until the returned stop function is called. Refresh errors
-// are retained in Err; the poll keeps going (the next retrain must not
-// be lost to one outage).
+// goroutine until the returned stop function is called (idempotent, waits
+// for exit). Refresh errors are retained in Err; the poll keeps going
+// (the next retrain must not be lost to one outage).
 func (s *Source) StartPolling(interval time.Duration) (stop func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.stopPoll != nil {
-		return s.stopPoll
-	}
-	stopCh := make(chan struct{})
-	doneCh := make(chan struct{})
-	go func() {
-		defer close(doneCh)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stopCh:
-				return
-			case <-t.C:
-				s.Refresh() //apollo:errok Refresh records its failure in lastErr, surfaced via Err()
-			}
-		}
-	}()
-	var once sync.Once
-	s.stopPoll = func() {
-		once.Do(func() { close(stopCh) })
-		<-doneCh
+	if s.stopPoll == nil {
+		ctx, cancel := context.WithCancel(context.Background())
+		done := bg.New(ctx, nil).Every("model-poll", interval, false, s.Refresh)
+		s.stopPoll = func() { cancel(); <-done }
 	}
 	return s.stopPoll
 }

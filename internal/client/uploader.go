@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"apollo/internal/bg"
 	"apollo/internal/dataset"
 	"apollo/internal/telemetry"
 )
@@ -171,22 +172,8 @@ func (u *Uploader) boundPendingLocked() {
 
 // Start flushes every interval until ctx is done, then performs one
 // final flush so shutdown does not strand buffered samples. It returns
-// a done channel that closes when the loop exits.
+// a done channel that closes when the loop exits. A failed flush keeps
+// its rows pending (bounded) for the next one.
 func (u *Uploader) Start(ctx context.Context, interval time.Duration) <-chan struct{} {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				u.Flush() //apollo:errok Flush requeues failed batches and counts terminal drops
-				return
-			case <-t.C:
-				u.Flush() //apollo:errok Flush requeues failed batches and counts terminal drops
-			}
-		}
-	}()
-	return done
+	return bg.New(ctx, nil).Every("telemetry-upload", interval, true, u.Flush)
 }

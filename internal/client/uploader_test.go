@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"apollo/internal/bg/bgtest"
 	"apollo/internal/dataset"
 	"apollo/internal/features"
 	"apollo/internal/raja"
@@ -202,6 +203,7 @@ func TestUploaderBoundsPendingDuringOutage(t *testing.T) {
 }
 
 func TestUploaderStartFlushesOnShutdown(t *testing.T) {
+	bgtest.NoLeaks(t)
 	var rows int
 	var mu sync.Mutex
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -18,7 +18,6 @@ import (
 	"math"
 
 	"apollo/internal/core"
-	"apollo/internal/dataset"
 	"apollo/internal/features"
 	"apollo/internal/stats"
 )
@@ -176,26 +175,6 @@ type Snapshot struct {
 // SnapshotSet summarizes a labeled set's feature columns.
 func SnapshotSet(set *core.LabeledSet) *Snapshot {
 	return snapshot(set.Schema, set.X)
-}
-
-// SnapshotFrame summarizes schema's feature columns of a raw frame.
-func SnapshotFrame(frame *dataset.Frame, schema *features.Schema) (*Snapshot, error) {
-	rows := make([][]float64, frame.Len())
-	idx := make([]int, schema.Len())
-	for i, name := range schema.Names() {
-		if idx[i] = frame.Col(name); idx[i] < 0 {
-			return nil, fmt.Errorf("drift: frame is missing feature column %q", name)
-		}
-	}
-	for r := range rows {
-		row := frame.Row(r)
-		x := make([]float64, len(idx))
-		for i, j := range idx {
-			x[i] = row[j]
-		}
-		rows[r] = x
-	}
-	return snapshot(schema, rows), nil
 }
 
 func snapshot(schema *features.Schema, rows [][]float64) *Snapshot {

@@ -3,6 +3,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -56,9 +57,6 @@ func NewMergedCursor(sources map[string]string) (*MergedCursor, error) {
 	return m, nil
 }
 
-// Sources returns the sorted source names.
-func (m *MergedCursor) Sources() []string { return append([]string(nil), m.names...) }
-
 // Poll reads every source's newly appended rows and returns their union
 // (nil when nothing is new anywhere). The first source fixes the column
 // layout; a source whose spool disagrees is counted as an error and
@@ -88,7 +86,7 @@ func (m *MergedCursor) Poll() (*dataset.Frame, error) {
 			merged = f
 			continue
 		}
-		if !equalColumns(merged.Cols(), f.Cols()) {
+		if !slices.Equal(merged.Cols(), f.Cols()) {
 			failed++
 			m.errs++
 			errs = append(errs, fmt.Errorf("%s: columns %v do not match %v",
@@ -154,16 +152,4 @@ func (m *MergedCursor) ExportMetrics(met *metrics.Metrics) {
 	}
 	met.GaugeSet("apollo_fleet_merge_errors_total", "", "",
 		"Failed per-source polls while merging the collective window.", int64(errs))
-}
-
-func equalColumns(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

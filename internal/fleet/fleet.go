@@ -13,7 +13,7 @@
 //   - MergedCursor: collective training's input. It unions the fleet's
 //     per-replica telemetry spools into one training window, which is
 //     how apollo-traind learns from every client's observations instead
-//     of one process's (the APOLLO_COLLECTIVE_TRAINING behavior).
+//     of one process's (apollo-traind -spools).
 //
 // Everything here is control-plane code: seconds-cadence polling loops
 // that never sit on a launch path.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"apollo/internal/bg/bgtest"
 	"apollo/internal/core"
 	"apollo/internal/dataset"
 	"apollo/internal/features"
@@ -214,6 +215,7 @@ func TestHealthEvictsAndReadmits(t *testing.T) {
 }
 
 func TestHealthStartStopIdempotent(t *testing.T) {
+	bgtest.NoLeaks(t)
 	_, ts := newReplica(t)
 	ring := hashring.New(64)
 	ring.Add("a")

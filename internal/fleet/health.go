@@ -1,15 +1,15 @@
 package fleet
 
 import (
-	"fmt"
+	"context"
 	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"apollo/internal/bg"
 	"apollo/internal/looptrace"
-	"apollo/internal/metrics"
 )
 
 // HealthOptions tunes a Health checker; the zero value picks defaults.
@@ -156,58 +156,10 @@ func (h *Health) markDown(p Peer) {
 func (h *Health) Start(interval time.Duration) (stop func()) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.stopFn != nil {
-		return h.stopFn
-	}
-	stopCh := make(chan struct{})
-	doneCh := make(chan struct{})
-	go func() {
-		defer close(doneCh)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stopCh:
-				return
-			case <-t.C:
-				h.CheckOnce()
-			}
-		}
-	}()
-	var once sync.Once
-	h.stopFn = func() {
-		once.Do(func() { close(stopCh) })
-		<-doneCh
+	if h.stopFn == nil {
+		ctx, cancel := context.WithCancel(context.Background())
+		done := bg.New(ctx, nil).Every("health", interval, false, func() error { h.CheckOnce(); return nil })
+		h.stopFn = func() { cancel(); <-done }
 	}
 	return h.stopFn
-}
-
-// ExportMetrics refreshes the health gauges: per-replica up/down and the
-// eviction counter-as-gauge (the checker owns the monotonic count).
-func (h *Health) ExportMetrics(met *metrics.Metrics) {
-	for _, p := range h.peers {
-		up := int64(0)
-		if h.Up(p.ID) {
-			up = 1
-		}
-		met.GaugeSet("apollo_fleet_replica_up", "replica", p.ID,
-			"1 when the replica's last health probe succeeded.", up)
-	}
-	met.GaugeSet("apollo_fleet_evictions_total", "", "",
-		"Replicas evicted from the ring by failed health probes.", int64(h.Evictions()))
-}
-
-// String summarizes health state for logs and the inspect tool.
-func (h *Health) String() string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	up, down := 0, 0
-	for _, p := range h.peers {
-		if h.down[p.ID] {
-			down++
-		} else {
-			up++
-		}
-	}
-	return fmt.Sprintf("fleet health: %d up, %d down", up, down)
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -47,9 +46,6 @@ type Syncer struct {
 	hc    *http.Client
 	logf  func(format string, args ...any)
 	trace *looptrace.Tracer
-
-	mu     sync.Mutex //apollo:lockrank 17
-	stopFn func()
 
 	pulls       atomic.Uint64 // models pulled from peers
 	errors      atomic.Uint64 // failed list or pull round trips
@@ -181,41 +177,6 @@ func (s *Syncer) pull(p Peer, m peerModel) error {
 	})
 	s.logf("fleet: pulled %s v%d from %s", e.Name, e.Version, p.ID)
 	return nil
-}
-
-// Start syncs every interval on a background goroutine until the
-// returned stop function is called (idempotent, waits for exit).
-// onPull (optional) fires after every round that pulled at least one
-// model, with the count — the daemon uses it to refresh version gauges.
-func (s *Syncer) Start(interval time.Duration, onPull func(n int)) (stop func()) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stopFn != nil {
-		return s.stopFn
-	}
-	stopCh := make(chan struct{})
-	doneCh := make(chan struct{})
-	go func() {
-		defer close(doneCh)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stopCh:
-				return
-			case <-t.C:
-				if n := s.SyncOnce(); n > 0 && onPull != nil {
-					onPull(n)
-				}
-			}
-		}
-	}()
-	var once sync.Once
-	s.stopFn = func() {
-		once.Do(func() { close(stopCh) })
-		<-doneCh
-	}
-	return s.stopFn
 }
 
 // ExportMetrics refreshes the syncer gauges on met.

@@ -90,9 +90,9 @@ func RegisterDebug(mux *http.ServeMux, rec *Recorder) {
 }
 
 // DebugMux returns a mux with RegisterDebug applied — the embeddable
-// debug surface an application hangs off its own listener:
+// debug surface a process hangs off its own listener:
 //
-//	go http.Serve(ln, flight.DebugMux(rec))
+//	g.Serve("debug", ln, flight.DebugMux(rec)) // g a bg.Group
 func DebugMux(rec *Recorder) *http.ServeMux {
 	mux := http.NewServeMux()
 	RegisterDebug(mux, rec)

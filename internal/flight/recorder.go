@@ -267,9 +267,6 @@ func (r *Recorder) Emitted() uint64 { return r.emitted.Load() }
 // Dropped returns the number of reservations dropped on slot collisions.
 func (r *Recorder) Dropped() uint64 { return r.dropped.Load() }
 
-// Capacity returns the total ring capacity in records.
-func (r *Recorder) Capacity() int { return len(r.shards) * (int(r.ringMask) + 1) }
-
 // Occupancy reports how many ring slots hold live records in each shard
 // (capped at the shard capacity — the ring wraps, so a position past
 // capacity means the shard is full, not overfull). Metrics exporters

@@ -115,13 +115,6 @@ func (m *Mix) With(g Group, n float64) *Mix {
 // Count returns the number of occurrences of group g.
 func (m *Mix) Count(g Group) float64 { return m.counts[g] }
 
-// Counts returns a copy of all group counts in group order.
-func (m *Mix) Counts() []float64 {
-	c := make([]float64, NumGroups)
-	copy(c, m.counts[:])
-	return c
-}
-
 // FuncSize returns the total instruction count of the kernel body,
 // the paper's func_size feature.
 func (m *Mix) FuncSize() float64 {

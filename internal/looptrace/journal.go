@@ -28,6 +28,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"apollo/internal/bg"
 )
 
 // JournalFormatID identifies the loop-journal JSONL format (also used
@@ -121,22 +123,8 @@ func (t *Tracer) OpenJournal(dir string) error {
 	if err != nil {
 		return err
 	}
-	hdr, err := json.Marshal(journalHeader{Format: JournalFormatID, Actor: t.actor, OpenNS: time.Now().UnixNano()})
-	if err != nil {
-		f.Close() //apollo:errok Close on the error path; the marshal error is already being returned
-		return err
-	}
-	// A non-empty file that does not end in a newline was torn by a writer
-	// that died mid-append: terminate the fragment before the header.
-	if st, err := f.Stat(); err == nil && st.Size() > 0 {
-		var last [1]byte
-		if _, err := f.ReadAt(last[:], st.Size()-1); err != nil || last[0] != '\n' {
-			hdr = append([]byte{'\n'}, hdr...)
-		}
-	}
-	hdr = append(hdr, '\n')
-	if _, err := f.Write(hdr); err != nil {
-		f.Close() //apollo:errok Close on the error path; the write error is already being returned
+	if err := writeJournalHeader(f, t.actor); err != nil {
+		f.Close() //apollo:errok Close on the error path; the header error is already being returned
 		return err
 	}
 	t.mu.Lock()
@@ -150,6 +138,28 @@ func (t *Tracer) OpenJournal(dir string) error {
 	return nil
 }
 
+// writeJournalHeader appends a header line to a journal just opened. A
+// non-empty file that does not end in a newline was torn by a writer that
+// died mid-append: the fragment is terminated before the header.
+func writeJournalHeader(f *os.File, actor string) error {
+	hdr, err := json.Marshal(journalHeader{Format: JournalFormatID, Actor: actor, OpenNS: time.Now().UnixNano()})
+	if err != nil {
+		return err
+	}
+	st, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	if st.Size() > 0 {
+		var last [1]byte
+		if _, err := f.ReadAt(last[:], st.Size()-1); err != nil || last[0] != '\n' {
+			hdr = append([]byte{'\n'}, hdr...)
+		}
+	}
+	_, err = f.Write(append(hdr, '\n'))
+	return err
+}
+
 // Flush drains the ring into the retained window and the journal (if
 // one is attached) and syncs the journal's buffer to the file.
 func (t *Tracer) Flush() error {
@@ -159,10 +169,13 @@ func (t *Tracer) Flush() error {
 }
 
 // Close flushes and detaches the journal. The tracer stays usable
-// (Emit, Snapshot); only durability stops.
+// (Emit, Snapshot); only durability stops. Safe on a nil tracer, like Emit.
 //
 //apollo:lockok t.mu serializes the cold consumer side (journal flush, debug capture); never on an emit path
 func (t *Tracer) Close() error {
+	if t == nil {
+		return nil
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	err := t.drainLocked()
@@ -176,25 +189,10 @@ func (t *Tracer) Close() error {
 }
 
 // Start flushes the tracer every interval until ctx is done, then does
-// a final flush, and reports completion on the returned channel. This
-// is the background journal writer a daemon runs next to its tracer.
+// a final flush, and reports completion on the returned channel. A flush
+// that fails is tried again at the next tick; Close reports what persists.
 func (t *Tracer) Start(ctx context.Context, interval time.Duration) <-chan struct{} {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				t.Flush() //apollo:errok final flush: the daemon is exiting and Close will surface persistent journal errors
-				return
-			case <-tick.C:
-				t.Flush() //apollo:errok a transient journal write error must not kill the flusher; the next tick retries
-			}
-		}
-	}()
-	return done
+	return bg.New(ctx, nil).Every("loop-journal", interval, true, t.Flush)
 }
 
 // NewLoopID mints a correlation ID for one retrain cycle: a fixed-width

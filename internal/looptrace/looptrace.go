@@ -195,9 +195,6 @@ func New(actor string, opts Options) *Tracer {
 	}
 }
 
-// Actor returns the tracer's process identity.
-func (t *Tracer) Actor() string { return t.actor }
-
 // Emitted returns how many events entered the ring.
 func (t *Tracer) Emitted() uint64 {
 	if t == nil {

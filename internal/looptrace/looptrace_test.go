@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"apollo/internal/bg/bgtest"
 )
 
 // Emit is //apollo:hotpath — the tuner/client path calls it on every
@@ -253,6 +255,7 @@ func TestJournalTornTailAtEveryOffset(t *testing.T) {
 // The background flusher journals without an explicit Flush and stops
 // cleanly on context cancel.
 func TestStartFlushes(t *testing.T) {
+	bgtest.NoLeaks(t)
 	dir := t.TempDir()
 	tr := New("traind", Options{})
 	if err := tr.OpenJournal(dir); err != nil {

@@ -7,7 +7,9 @@ package metrics
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math"
+	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -102,7 +104,7 @@ func (m *Metrics) counterSeriesSlow(metric, labelName, labelValue, help string) 
 		next.counterLbl[metric] = labelName
 		next.help[metric] = help
 	} else {
-		series = cloneSeries(series)
+		series = maps.Clone(series)
 	}
 	c := &atomic.Uint64{}
 	series[labelValue] = c
@@ -141,7 +143,7 @@ func (m *Metrics) gaugeSeriesSlow(metric, labelName, labelValue, help string) *a
 		next.gaugeLbl[metric] = labelName
 		next.help[metric] = help
 	} else {
-		series = cloneSeries(series)
+		series = maps.Clone(series)
 	}
 	g := &atomic.Int64{}
 	series[labelValue] = g
@@ -198,7 +200,7 @@ func (m *Metrics) histSlow(metric, labelName, labelValue, help string) *histogra
 		next.histLbl[metric] = labelName
 		next.help[metric] = help
 	} else {
-		series = cloneSeries(series)
+		series = maps.Clone(series)
 	}
 	h := &histogram{bounds: DefaultLatencyBuckets, counts: make([]atomic.Uint64, len(DefaultLatencyBuckets))}
 	series[labelValue] = h
@@ -225,45 +227,15 @@ func (h *histogram) record(seconds float64) {
 // without disturbing published readers. Inner series maps are shared:
 // they are themselves copy-on-write and never mutated after publication.
 func (s *metricsSnapshot) clone() *metricsSnapshot {
-	next := &metricsSnapshot{
-		counters:   make(map[string]map[string]*atomic.Uint64, len(s.counters)+1),
-		gauges:     make(map[string]map[string]*atomic.Int64, len(s.gauges)+1),
-		counterLbl: make(map[string]string, len(s.counterLbl)+1),
-		gaugeLbl:   make(map[string]string, len(s.gaugeLbl)+1),
-		histLbl:    make(map[string]string, len(s.histLbl)+1),
-		help:       make(map[string]string, len(s.help)+1),
-		hists:      make(map[string]map[string]*histogram, len(s.hists)+1),
+	return &metricsSnapshot{
+		counters:   maps.Clone(s.counters),
+		gauges:     maps.Clone(s.gauges),
+		counterLbl: maps.Clone(s.counterLbl),
+		gaugeLbl:   maps.Clone(s.gaugeLbl),
+		histLbl:    maps.Clone(s.histLbl),
+		help:       maps.Clone(s.help),
+		hists:      maps.Clone(s.hists),
 	}
-	for k, v := range s.counters {
-		next.counters[k] = v
-	}
-	for k, v := range s.gauges {
-		next.gauges[k] = v
-	}
-	for k, v := range s.counterLbl {
-		next.counterLbl[k] = v
-	}
-	for k, v := range s.gaugeLbl {
-		next.gaugeLbl[k] = v
-	}
-	for k, v := range s.histLbl {
-		next.histLbl[k] = v
-	}
-	for k, v := range s.help {
-		next.help[k] = v
-	}
-	for k, v := range s.hists {
-		next.hists[k] = v
-	}
-	return next
-}
-
-func cloneSeries[T any](series map[string]*T) map[string]*T {
-	next := make(map[string]*T, len(series)+1)
-	for k, v := range series {
-		next[k] = v
-	}
-	return next
 }
 
 // WritePrometheus renders every metric in the Prometheus text exposition
@@ -312,6 +284,28 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// WriteError counts a failed response write under its handler's name. By
+// the time a body write fails the client has hung up mid-response, so
+// there is nobody left to answer; the counter is the error's sink.
+func (m *Metrics) WriteError(handler string, err error) {
+	if err != nil {
+		m.CounterAdd("apollo_response_write_errors_total", "handler", handler,
+			"Response bodies that failed to write (client gone mid-response).", 1)
+	}
+}
+
+// Handler returns the /metrics endpoint over m. collect (optional)
+// refreshes scrape-time gauges before the set is rendered.
+func Handler(m *Metrics, collect func()) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		if collect != nil {
+			collect()
+		}
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		m.WriteError("metrics", m.WritePrometheus(w))
+	})
 }
 
 // writeHistFamily renders one histogram family, label values sorted.

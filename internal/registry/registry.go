@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"apollo/internal/bg"
 	"apollo/internal/core"
 	"apollo/internal/ctree"
 )
@@ -105,9 +106,6 @@ func Open(dir string) (*Registry, error) {
 	}
 	return r, nil
 }
-
-// Dir returns the backing directory ("" for a memory-only registry).
-func (r *Registry) Dir() string { return r.dir }
 
 // ValidateName checks a model name: slash-separated segments of
 // [A-Za-z0-9._-], no empty or ".."/"." segments, at most 200 bytes. The
@@ -403,18 +401,15 @@ func (r *Registry) Watch(ctx context.Context, interval time.Duration, onReload f
 	if r.dir == "" || interval <= 0 {
 		return
 	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			if n, err := r.scan(); err == nil && n > 0 && onReload != nil {
-				onReload(n)
-			}
+	logErr := func(_ string, err error) { r.logf("registry: rescanning %s: %v", r.dir, err) }
+	done := bg.New(ctx, logErr).Every("registry-watch", interval, false, func() error {
+		n, err := r.scan()
+		if err == nil && n > 0 && onReload != nil {
+			onReload(n)
 		}
-	}
+		return err
+	})
+	<-done
 }
 
 // contentETag hashes raw bytes into a quoted HTTP entity tag.

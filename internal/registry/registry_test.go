@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"apollo/internal/bg/bgtest"
 	"apollo/internal/core"
 	"apollo/internal/dataset"
 	"apollo/internal/features"
@@ -187,6 +188,7 @@ func TestScanHotReloadsDroppedFile(t *testing.T) {
 }
 
 func TestWatchPublishesOnTick(t *testing.T) {
+	bgtest.NoLeaks(t)
 	dir := t.TempDir()
 	r, err := Open(dir)
 	if err != nil {

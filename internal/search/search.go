@@ -70,7 +70,6 @@ type OnlineSearch struct {
 	kernels map[uint64]*state
 
 	explorationNS float64
-	decisions     uint64
 }
 
 // New returns an on-line search tuner with the given configuration.
@@ -100,7 +99,6 @@ func (s *OnlineSearch) stateFor(id uint64) *state {
 func (s *OnlineSearch) Begin(k *raja.Kernel, iset *raja.IndexSet) (raja.Params, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.decisions++
 	st := s.stateFor(k.ID)
 	switch st.phase {
 	case exploring:
@@ -179,13 +177,6 @@ func (s *OnlineSearch) ExplorationNS() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.explorationNS
-}
-
-// Decisions returns the number of launches the searcher has directed.
-func (s *OnlineSearch) Decisions() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.decisions
 }
 
 // TrialsToConverge returns the number of launches a kernel needs before

@@ -25,7 +25,6 @@ import (
 	"hash/fnv"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -79,7 +78,7 @@ func New(reg *registry.Registry, opts ...Option) *Server {
 	s.mux.HandleFunc("POST /predict", s.instrument("predict", s.handlePredict))
 	s.mux.HandleFunc("POST /telemetry", s.instrument("telemetry", s.handleTelemetry))
 	s.mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealthz))
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.mux.Handle("GET /metrics", metrics.Handler(s.met, s.collect))
 	// Seed version gauges for models loaded from disk at open.
 	for _, name := range reg.Names() {
 		if e, ok := reg.Get(name); ok {
@@ -128,21 +127,10 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// noteWriteError counts a failed response write. By the time a body
-// write fails the client has hung up mid-response, so there is nobody
-// left to answer; the counter is the error's sink.
-func (s *Server) noteWriteError(where string, err error) {
-	if err == nil {
-		return
-	}
-	s.met.CounterAdd("apollo_response_write_errors_total", "handler", where,
-		"Response bodies that failed to write (client gone mid-response).", 1)
-}
-
 // writeJSON encodes v into the response and counts write failures under
 // the given handler label.
 func (s *Server) writeJSON(w http.ResponseWriter, where string, v any) {
-	s.noteWriteError(where, json.NewEncoder(w).Encode(v))
+	s.met.WriteError(where, json.NewEncoder(w).Encode(v))
 }
 
 // errorJSON writes a JSON error body with the given status.
@@ -274,7 +262,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_, err := w.Write(e.Raw)
-	s.noteWriteError("models_get", err)
+	s.met.WriteError("models_get", err)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -285,7 +273,6 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 			out = append(out, info(e))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	w.Header().Set("Content-Type", "application/json")
 	s.writeJSON(w, "models_list", map[string]any{"models": out})
 }
@@ -471,18 +458,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, "healthz", map[string]any{"status": "ok", "models": s.reg.Len()})
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.rc.Collect() // refresh goroutine/heap/GC-pause self-metrics
-	s.collectFlight()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.noteWriteError("metrics", s.met.WritePrometheus(w))
-}
-
-// collectFlight snapshots the flight recorder's counters and the loop
+// collect refreshes the runtime self-metrics (goroutines, heap, GC
+// pauses) and snapshots the flight recorder's counters and the loop
 // tracer's drop count into the metrics set on each scrape (the rings are
 // the source of truth; the gauges mirror their monotonic counters,
 // matching how other components' counters are exported here).
-func (s *Server) collectFlight() {
+func (s *Server) collect() {
+	s.rc.Collect()
 	s.met.GaugeSet("apollo_flight_emitted_total", "", "",
 		"Decision records committed to the flight recorder.", int64(s.fl.Emitted()))
 	s.met.GaugeSet("apollo_flight_drops_total", "", "",

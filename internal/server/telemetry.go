@@ -34,12 +34,6 @@ func WithLoopTrace(tr *looptrace.Tracer) Option {
 	return func(s *Server) { s.trace = tr }
 }
 
-// LoopTrace returns the server's loop tracer (nil when tracing is off).
-func (s *Server) LoopTrace() *looptrace.Tracer { return s.trace }
-
-// TelemetryDir returns the spool root ("" when ingestion is disabled).
-func (s *Server) TelemetryDir() string { return s.telemetryDir }
-
 // spool returns (opening if needed) the spool for model name.
 //
 //apollo:lockok spool opening is a once-per-model event and spoolMu exists to serialize exactly it

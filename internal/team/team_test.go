@@ -4,6 +4,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"apollo/internal/bg/bgtest"
 )
 
 func TestParallelForCoversEveryIndexOnce(t *testing.T) {
@@ -92,6 +94,7 @@ func TestRegionsCounter(t *testing.T) {
 }
 
 func TestCloseIdempotentAndPanicsAfter(t *testing.T) {
+	bgtest.NoLeaks(t)
 	tm := New(2)
 	tm.Close()
 	tm.Close() // must not panic

@@ -82,9 +82,6 @@ func OpenSpool(dir string, maxSegmentBytes int64) (*Spool, error) {
 	return s, nil
 }
 
-// Dir returns the spool directory.
-func (s *Spool) Dir() string { return s.dir }
-
 // Columns returns the spool's row layout (nil before the first append of
 // a fresh spool).
 func (s *Spool) Columns() []string {
@@ -199,8 +196,11 @@ func (s *Spool) openSegmentLocked() error {
 	return nil
 }
 
-func (s *Spool) segmentPath(seq int) string {
-	return filepath.Join(s.dir, fmt.Sprintf("%s%08d%s", segPrefix, seq, segSuffix))
+func (s *Spool) segmentPath(seq int) string { return segmentPath(s.dir, seq) }
+
+// segmentPath names segment seq of the spool at dir, for writer and cursor alike.
+func segmentPath(dir string, seq int) string {
+	return filepath.Join(dir, fmt.Sprintf("%s%08d%s", segPrefix, seq, segSuffix))
 }
 
 // listSegments returns the segment numbers present in dir, ascending.
@@ -298,7 +298,7 @@ func (c *Cursor) Poll() (*dataset.Frame, error) {
 	}
 	var frame *dataset.Frame
 	for _, seq := range segs {
-		path := filepath.Join(c.dir, fmt.Sprintf("%s%08d%s", segPrefix, seq, segSuffix))
+		path := segmentPath(c.dir, seq)
 		if err := c.pollSegmentLocked(path, seq, &frame); err != nil {
 			return nil, fmt.Errorf("telemetry: tailing %s: %w", path, err)
 		}

@@ -88,13 +88,6 @@ func NewRecorder(schema *features.Schema, ann *caliper.Annotations, opts Options
 	return r
 }
 
-// Columns returns the row layout: the schema's features, then the
-// policy, chunk, and time_ns columns (core.RecordColumns order).
-func (r *Recorder) Columns() []string { return append([]string(nil), r.columns...) }
-
-// Schema returns the capture schema.
-func (r *Recorder) Schema() *features.Schema { return r.schema }
-
 // Seen returns how many launches the recorder has observed.
 func (r *Recorder) Seen() uint64 { return r.seq.Load() }
 

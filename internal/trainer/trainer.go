@@ -11,7 +11,6 @@
 package trainer
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -204,7 +203,6 @@ type Trainer struct {
 	det    *drift.Detector
 	window *core.Labeler // the newest MaxWindowRows telemetry rows
 
-	steps     atomic.Uint64
 	triggers  atomic.Uint64
 	retrains  atomic.Uint64
 	publishes atomic.Uint64
@@ -230,9 +228,8 @@ func New(cursor Cursor, pub Publisher, cfg Config) (*Trainer, error) {
 	}, nil
 }
 
-// Steps, Triggers, Retrains, Publishes, Rejects expose loop counters
-// for the daemon's metrics endpoint.
-func (t *Trainer) Steps() uint64     { return t.steps.Load() }
+// Triggers, Retrains, Publishes, Rejects expose loop counters for the
+// daemon's metrics endpoint.
 func (t *Trainer) Triggers() uint64  { return t.triggers.Load() }
 func (t *Trainer) Retrains() uint64  { return t.retrains.Load() }
 func (t *Trainer) Publishes() uint64 { return t.publishes.Load() }
@@ -244,7 +241,6 @@ func (t *Trainer) Vetoes() uint64 { return t.vetoes.Load() }
 // Step runs one poll-check-retrain cycle. It never blocks on the spool:
 // no new rows (or a window too thin to label) is a clean no-op result.
 func (t *Trainer) Step() (*Result, error) {
-	t.steps.Add(1)
 	pollStart := time.Now()
 	fresh, err := t.cursor.Poll()
 	if err != nil {
@@ -459,23 +455,6 @@ func (t *Trainer) incumbentVeto(challengerNS float64, eval *core.LabeledSet) (by
 		}
 	}
 	return "", 0
-}
-
-// Run steps every interval until ctx is done, reporting step errors to
-// Logf (one bad poll must not kill the daemon).
-func (t *Trainer) Run(ctx context.Context, interval time.Duration) {
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-			if _, err := t.Step(); err != nil {
-				t.cfg.Logf("trainer: step: %v", err)
-			}
-		}
-	}
 }
 
 // split partitions a labeled set into train and holdout slices by a

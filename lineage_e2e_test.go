@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"apollo/internal/app"
+	"apollo/internal/bg/bgtest"
 	"apollo/internal/caliper"
 	"apollo/internal/client"
 	"apollo/internal/drift"
@@ -34,6 +35,7 @@ import (
 )
 
 func TestClosedLoopLineageChain(t *testing.T) {
+	bgtest.NoLeaks(t)
 	schema := features.TableI()
 	machine := platform.SandyBridgeNode()
 	desc := descFor(t, "LULESH")

@@ -96,7 +96,7 @@ grep "converged" "$WORK/converge.log"
 echo "== start collective apollo-traind over the merged spools"
 # traind publishes to r2: r1 is the ring owner of fleet/policy and is the
 # replica the harness run below kills, so the publish target must survive.
-APOLLO_COLLECTIVE_TRAINING=1 "$WORK/bin/apollo-traind" \
+"$WORK/bin/apollo-traind" \
     -server "http://127.0.0.1:$P2" \
     -spools "r1=$WORK/spool1,r2=$WORK/spool2,r3=$WORK/spool3" \
     -replicas "$PEERS" \

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"apollo/internal/app"
+	"apollo/internal/bg/bgtest"
 	"apollo/internal/caliper"
 	"apollo/internal/client"
 	"apollo/internal/core"
@@ -58,6 +59,7 @@ func trainOmpEverywhereModel(t *testing.T, schema *features.Schema) *core.Model 
 }
 
 func TestModelServiceHotSwapEndToEnd(t *testing.T) {
+	bgtest.NoLeaks(t)
 	schema := features.TableI()
 	machine := platform.SandyBridgeNode()
 	desc := descFor(t, "LULESH")
