@@ -41,15 +41,9 @@ func main() {
 }
 
 func run(appName, problem string, size, steps int, dir string, traceOut bool) error {
-	var desc app.Descriptor
-	found := false
-	for _, d := range harness.Apps() {
-		if d.Name == appName {
-			desc, found = d, true
-		}
-	}
-	if !found {
-		return fmt.Errorf("unknown application %q", appName)
+	desc, err := harness.AppByName(appName)
+	if err != nil {
+		return err
 	}
 	if dir == "" {
 		var err error

@@ -169,15 +169,9 @@ func run(replicaSpec, model, appName, problem string, size, clients, steps, rank
 	if len(peers) == 0 {
 		return totals, fmt.Errorf("-replicas is required")
 	}
-	var desc app.Descriptor
-	found := false
-	for _, d := range harness.Apps() {
-		if d.Name == appName {
-			desc, found = d, true
-		}
-	}
-	if !found {
-		return totals, fmt.Errorf("unknown application %q", appName)
+	desc, err := harness.AppByName(appName)
+	if err != nil {
+		return totals, err
 	}
 	if clients < 1 {
 		clients = 1
@@ -313,15 +307,7 @@ func runClient(ctx context.Context, idx int, peers []fleet.Peer, model string, d
 	start := time.Now()
 	lastFlush := start
 	for step := 0; (step < steps || time.Since(start) < duration) && ctx.Err() == nil; step++ {
-		before := clk.NowNS()
-		sim.Step()
-		// Work the hooks saw is decomposed per rank; the remainder
-		// partitions perfectly (same model as the scaling experiments).
-		extra := clk.NowNS() - before - timer.PendingNS()
-		if extra < 0 {
-			extra = 0
-		}
-		timer.StepBarrier(extra)
+		timer.Step(clk.NowNS, sim.Step) // the scaling experiments' rank model
 		t.steps++
 
 		// One serving-path probe per step: a live /predict against the

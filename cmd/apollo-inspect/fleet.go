@@ -1,14 +1,13 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"time"
 
+	"apollo/internal/client"
 	"apollo/internal/fleet"
 )
 
@@ -37,14 +36,8 @@ func runFleetCmd(args []string) error {
 // replicaModels is one replica's view of the registry.
 type replicaModels struct {
 	peer   fleet.Peer
-	up     bool
-	err    error
-	models map[string]modelVersion
-}
-
-type modelVersion struct {
-	Version int    `json:"version"`
-	ETag    string `json:"etag"`
+	err    error // nil: the replica is up and models is its list
+	models map[string]client.ModelInfo
 }
 
 func inspectFleet(peers []fleet.Peer, hc *http.Client) error {
@@ -56,7 +49,7 @@ func inspectFleet(peers []fleet.Peer, hc *http.Client) error {
 	// Per-replica status lines first.
 	unreachable := 0
 	for _, v := range views {
-		if !v.up {
+		if v.err != nil {
 			unreachable++
 			fmt.Printf("replica %-8s %-24s DOWN (%v)\n", v.peer.ID, v.peer.Base, v.err)
 			continue
@@ -79,11 +72,11 @@ func inspectFleet(peers []fleet.Peer, hc *http.Client) error {
 
 	diverged := 0
 	for _, name := range sorted {
-		var first *modelVersion
+		var first *client.ModelInfo
 		missing := 0
 		same := true
 		for _, v := range views {
-			if !v.up {
+			if v.err != nil {
 				continue
 			}
 			mv, ok := v.models[name]
@@ -103,7 +96,7 @@ func inspectFleet(peers []fleet.Peer, hc *http.Client) error {
 			diverged++
 			fmt.Printf("model %-28s DIVERGED\n", name)
 			for _, v := range views {
-				if mv, ok := v.models[name]; v.up && ok {
+				if mv, ok := v.models[name]; ok {
 					fmt.Printf("  %-8s v%-4d %s\n", v.peer.ID, mv.Version, mv.ETag)
 				}
 			}
@@ -124,37 +117,15 @@ func inspectFleet(peers []fleet.Peer, hc *http.Client) error {
 }
 
 func probeReplica(p fleet.Peer, hc *http.Client) replicaModels {
-	v := replicaModels{peer: p, models: map[string]modelVersion{}}
-	resp, err := hc.Get(p.Base + "/healthz")
-	if err != nil {
-		v.err = err
+	v := replicaModels{peer: p, models: map[string]client.ModelInfo{}}
+	c := p.Client(hc)
+	if v.err = c.Healthy(); v.err != nil {
 		return v
 	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16)) //apollo:errok best-effort drain so the probe connection can be reused
-	resp.Body.Close()                                     //apollo:errok probe body already read and drained; Close failure changes nothing
-	if resp.StatusCode != http.StatusOK {
-		v.err = fmt.Errorf("healthz: %s", resp.Status)
-		return v
-	}
-	resp, err = hc.Get(p.Base + "/models")
-	if err != nil {
-		v.err = err
-		return v
-	}
-	defer resp.Body.Close()
-	var list struct {
-		Models []struct {
-			Name string `json:"name"`
-			modelVersion
-		} `json:"models"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&list); err != nil {
-		v.err = fmt.Errorf("decoding model list: %w", err)
-		return v
-	}
-	v.up = true
-	for _, m := range list.Models {
-		v.models[m.Name] = m.modelVersion
+	var list []client.ModelInfo
+	list, v.err = c.List()
+	for _, m := range list {
+		v.models[m.Name] = m
 	}
 	return v
 }

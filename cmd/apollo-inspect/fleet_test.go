@@ -1,7 +1,9 @@
 package main
 
 import (
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"apollo/internal/core"
@@ -77,5 +79,70 @@ func TestFleetCmdConvergenceVerdict(t *testing.T) {
 
 	if err := runFleetCmd([]string{"-replicas="}); err == nil {
 		t.Fatal("missing -replicas accepted")
+	}
+}
+
+// A replica that answers /healthz but whose model list answers 500 with a
+// JSON error body is reported DOWN with the status — it used to read as
+// "up, 0 model(s)" and its models as MISSING.
+func TestFleetCmdReportsFailedListAsDown(t *testing.T) {
+	reg := registry.New()
+	if _, err := reg.Publish("lulesh/policy", fleetModel(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	good := httptest.NewServer(server.New(reg).Handler())
+	defer good.Close()
+	broken := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			w.Write([]byte(`{"status":"ok"}`))
+			return
+		}
+		w.WriteHeader(http.StatusInternalServerError)
+		w.Write([]byte(`{"error":"registry unavailable"}`))
+	}))
+	defer broken.Close()
+
+	out, err := captureStdout(t, func() error {
+		return runFleetCmd([]string{"-replicas=a=" + good.URL + ",b=" + broken.URL})
+	})
+	if err == nil || !strings.Contains(err.Error(), "1 unreachable replica(s)") {
+		t.Fatalf("verdict = %v\n%s", err, out)
+	}
+	for _, want := range []string{"DOWN (client: GET /models: 500 Internal Server Error)", "up, 1 model(s)", "converged v1"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report lacks %q:\n%s", want, out)
+		}
+	}
+}
+
+// models -url lists and fetches through the client: the report for a
+// served registry is the report for the same registry on disk.
+func TestModelsCmdFromURLMatchesDir(t *testing.T) {
+	dir := t.TempDir()
+	reg, err := registry.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range []string{"lulesh/policy", "ares/policy", "ares/policy"} {
+		if _, err := reg.Publish(name, fleetModel(t, float64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(server.New(reg).Handler())
+	defer ts.Close()
+	fromURL, err := captureStdout(t, func() error { return runModelsCmd([]string{"-url", ts.URL, "-verify", "-vectors", "16"}) })
+	if err != nil {
+		t.Fatalf("models -url: %v\n%s", err, fromURL)
+	}
+	fromDir, err := captureStdout(t, func() error { return runModelsCmd([]string{"-dir", dir}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(fromURL, fromDir) || !strings.Contains(fromDir, "ares/policy") {
+		t.Errorf("-url report does not begin with the -dir report:\n%s\nvs\n%s", fromURL, fromDir)
+	}
+	ts.Close()
+	if err := runModelsCmd([]string{"-url", ts.URL, "-timeout", "200ms"}); err == nil {
+		t.Error("a dead service listed models")
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"time"
 
+	"apollo/internal/client"
 	"apollo/internal/core"
 	"apollo/internal/dtree"
 	"apollo/internal/registry"
@@ -118,29 +119,18 @@ func modelsFromDir(dir string) ([]inspectedModel, error) {
 }
 
 func modelsFromURL(hc *http.Client, base string) ([]inspectedModel, error) {
-	data, err := httpGet(hc, base+"/models")
+	c := client.New(base, client.Options{HTTPClient: hc})
+	list, err := c.List()
 	if err != nil {
 		return nil, err
 	}
-	var list struct {
-		Models []struct {
-			Name string `json:"name"`
-		} `json:"models"`
-	}
-	if err := json.Unmarshal(data, &list); err != nil {
-		return nil, fmt.Errorf("decoding model list: %w", err)
-	}
 	var out []inspectedModel
-	for _, mi := range list.Models {
-		data, err := httpGet(hc, base+"/models/"+mi.Name)
+	for _, mi := range list {
+		got, err := c.Fetch(mi.Name)
 		if err != nil {
 			return nil, err
 		}
-		env, err := core.ParseModelOrEnvelope(data)
-		if err != nil {
-			return nil, fmt.Errorf("model %s: %w", mi.Name, err)
-		}
-		out = append(out, inspectedModel{Name: mi.Name, Version: env.Version, Model: env.Model})
+		out = append(out, inspectedModel{Name: mi.Name, Version: got.Version, Model: got.Model})
 	}
 	return out, nil
 }
@@ -159,18 +149,6 @@ func modelsFromFile(path string) ([]inspectedModel, error) {
 		name = path
 	}
 	return []inspectedModel{{Name: name, Version: env.Version, Model: env.Model}}, nil
-}
-
-func httpGet(hc *http.Client, url string) ([]byte, error) {
-	resp, err := hc.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: %s", url, resp.Status)
-	}
-	return io.ReadAll(resp.Body)
 }
 
 // probeVectors builds the differential corpus for one model: for every

@@ -47,15 +47,9 @@ func main() {
 }
 
 func run(appName, problem string, size, steps int, policy string, chunk int, sweep bool, noise float64, seed uint64, out string) error {
-	var desc app.Descriptor
-	found := false
-	for _, d := range harness.Apps() {
-		if d.Name == appName {
-			desc, found = d, true
-		}
-	}
-	if !found {
-		return fmt.Errorf("unknown application %q", appName)
+	desc, err := harness.AppByName(appName)
+	if err != nil {
+		return err
 	}
 	schema := features.TableI()
 	ann := caliper.New()

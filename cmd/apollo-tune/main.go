@@ -69,15 +69,9 @@ func run(serverURL, model, appName, problem string, size, steps, maxSteps, waitS
 	if model == "" {
 		return fmt.Errorf("-model is required")
 	}
-	var desc app.Descriptor
-	found := false
-	for _, d := range harness.Apps() {
-		if d.Name == appName {
-			desc, found = d, true
-		}
-	}
-	if !found {
-		return fmt.Errorf("unknown application %q", appName)
+	desc, err := harness.AppByName(appName)
+	if err != nil {
+		return err
 	}
 	if maxSteps <= 0 {
 		maxSteps = 20 * steps

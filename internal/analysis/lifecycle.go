@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -12,27 +13,27 @@ import (
 // Lifecycle enforces spawn/stop pairing on components: a named type with
 // a Start*/Run/Serve or Close/Stop/Shutdown method owns every goroutine
 // its methods and constructors spawn, so each long-running spawn must be
-// tied to a stop
-// signal the component (or its caller) provably fires — and firing it
-// must join, or Close returns while workers still run. For every `go`
-// statement in a component method or constructor whose body is
+// tied to a stop signal the component (or its caller) provably fires —
+// and firing it must join, or Close returns while workers still run. For
+// every `go` statement in a component method or constructor whose body is
 // long-running (a condition-less loop or a range over a channel), the
 // analyzer classifies the body's exit signals:
 //
 //   - a ctx.Done()-style accessor or a channel parameter: caller-owned,
 //     accepted;
-//   - a local channel of the spawning function: something must close or
-//     signal it — either the spawning function itself (including defers)
-//     or an escaping closure (returned stop func, stored field) — and an
-//     escaping closure must also join (receive or WaitGroup.Wait) before
-//     returning;
 //   - a channel field of the component: the component's
-//     Close/Stop/Shutdown method must fire that field and must join.
+//     Close/Stop/Shutdown method must fire that field and must join;
+//   - a local channel of the spawning function: reported outright. A
+//     component outlives the call that spawned its worker, so only a
+//     closure the spawner hands out could stop it later — the shape
+//     bg.Group replaced. bg's TestSpawnSitesOnlyHere forbids a `go`
+//     statement outside internal/bg and internal/team, so stop closures
+//     are not traced.
 //
-// Diagnostics: a long-running spawn with no exit signal at all, a stop
-// channel nothing ever fires, and a Close/Stop (or stop closure) that
-// fires the signal but never joins. //apollo:ctxok <reason> on the `go`
-// statement's line waives a finding (deliberately detached goroutine).
+// Diagnostics: a long-running spawn with no exit signal at all, a
+// spawner-local stop channel, and a Close/Stop that fires the signal but
+// never joins. //apollo:ctxok <reason> on the `go` statement's line
+// waives a finding (deliberately detached goroutine).
 var Lifecycle = &Analyzer{
 	Name:   "lifecycle",
 	Doc:    "component goroutines must pair with a stop signal that Close/Stop fires and joins",
@@ -209,20 +210,17 @@ func lifecycleCheckSpawn(f *facts, comp *component, fi *funcInfo, gs *ast.GoStmt
 
 	// Collect candidate exit signals: receives and channel ranges in the
 	// goroutine body (select cases included).
-	type signal struct {
-		expr ast.Expr
-	}
-	var signals []signal
+	var signals []ast.Expr
 	sawDone := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
-				signals = append(signals, signal{n.X})
+				signals = append(signals, n.X)
 			}
 		case *ast.RangeStmt:
 			if _, isChan := exprChanType(bodyFi.pkg.Info, n.X); isChan {
-				signals = append(signals, signal{n.X})
+				signals = append(signals, n.X)
 			}
 		case *ast.CallExpr:
 			// ctx.Done()-style accessor: a zero-arg Done() returning a
@@ -248,7 +246,7 @@ func lifecycleCheckSpawn(f *facts, comp *component, fi *funcInfo, gs *ast.GoStmt
 	// needs the stop leg wired.
 	var firstFailure []Diagnostic
 	for _, sig := range signals {
-		diag := lifecycleCheckSignal(comp, fi, bodyFi, gs, goroutineParams, sig.expr, report)
+		diag := lifecycleCheckSignal(comp, fi, bodyFi, gs, goroutineParams, sig, report)
 		if diag == nil {
 			return nil
 		}
@@ -313,21 +311,11 @@ func lifecycleCheckSignal(comp *component, fi, bodyFi *funcInfo, gs *ast.GoStmt,
 			return nil // untraceable pass-through: trust the caller
 		}
 	}
-	if isParamOf(fi, v) {
+	if slices.Contains(paramObjs(fi), v) {
 		return nil // caller-owned channel: the caller fires it
 	}
 
-	// Spawner-local channel: find the fire site.
-	fire := findFire(fi, v)
-	if fire == fireNone {
-		return report("%s spawns a goroutine stopped by %s, but nothing ever closes or signals it",
-			displayName(fi.obj), v.Name())
-	}
-	if fire == fireEscaping && !fireJoins(fi, v) {
-		return report("the stop closure for %s fires the signal but never joins; receive from a done channel or Wait on a WaitGroup before returning",
-			v.Name())
-	}
-	return nil
+	return report("%s spawns a goroutine stopped by its own local channel %s; start it through bg", displayName(fi.obj), v.Name())
 }
 
 // fieldOf extracts the first field segment of a pathOf path
@@ -422,146 +410,6 @@ func methodFiresField(fi *funcInfo, field string) bool {
 		return true
 	})
 	return fires
-}
-
-// fire classification for a spawner-local stop channel.
-type fireKind int
-
-const (
-	fireNone fireKind = iota
-	// fireLocal: fired at the spawning function's own top level
-	// (including defers): runs when the function returns.
-	fireLocal
-	// fireEscaping: fired inside a closure that escapes (returned,
-	// stored, or passed); the closure is the stop path and must join.
-	fireEscaping
-)
-
-// findFire locates close(v) / v <- sites for a local stop channel and
-// classifies where they run.
-func findFire(fi *funcInfo, v *types.Var) fireKind {
-	kind := fireNone
-	parents := parentsOf(fi.decl.Body)
-	markFire := func(n ast.Node) {
-		// Classify by the outermost enclosing function literal: none means
-		// the fire runs in the spawner's own frame (a return/defer path).
-		var outermost *ast.FuncLit
-		for p := parents[n]; p != nil; p = parents[p] {
-			if lit, ok := p.(*ast.FuncLit); ok {
-				outermost = lit
-			}
-		}
-		if outermost == nil {
-			kind = fireLocal
-			return
-		}
-		if kind != fireLocal && funcLitEscapes(fi, parents, outermost) {
-			kind = fireEscaping
-		}
-	}
-	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "close" && len(n.Args) == 1 {
-				if av := chanVar(fi.pkg, n.Args[0]); av == v {
-					markFire(n)
-				}
-			}
-		case *ast.SendStmt:
-			if av := chanVar(fi.pkg, n.Chan); av == v {
-				markFire(n)
-			}
-		}
-		return true
-	})
-	return kind
-}
-
-// funcLitEscapes reports whether a function literal leaves the spawning
-// function: returned, assigned to a field, passed as an argument, or
-// bound to a local that is used again.
-func funcLitEscapes(fi *funcInfo, parents map[ast.Node]ast.Node, lit *ast.FuncLit) bool {
-	switch p := parents[lit].(type) {
-	case *ast.ReturnStmt, *ast.CallExpr, *ast.CompositeLit, *ast.KeyValueExpr:
-		return true
-	case *ast.AssignStmt:
-		for i, rhs := range p.Rhs {
-			if rhs != ast.Expr(lit) {
-				continue
-			}
-			if i >= len(p.Lhs) {
-				return true
-			}
-			switch lhs := p.Lhs[i].(type) {
-			case *ast.SelectorExpr, *ast.IndexExpr:
-				return true // stored into a field or collection
-			case *ast.Ident:
-				// Bound to a local: escaping iff the local is used after.
-				obj := fi.pkg.Info.Defs[lhs]
-				if obj == nil {
-					obj = fi.pkg.Info.Uses[lhs]
-				}
-				used := 0
-				ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok && fi.pkg.Info.Uses[id] == obj && obj != nil {
-						used++
-					}
-					return true
-				})
-				return used > 0
-			}
-		}
-	}
-	return false
-}
-
-// fireJoins reports whether some escaping closure that fires v also
-// joins (receives or Waits) before returning.
-func fireJoins(fi *funcInfo, v *types.Var) bool {
-	parents := parentsOf(fi.decl.Body)
-	joins := false
-	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
-		if joins {
-			return false
-		}
-		fires := false
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "close" && len(n.Args) == 1 {
-				if av := chanVar(fi.pkg, n.Args[0]); av == v {
-					fires = true
-				}
-			}
-		case *ast.SendStmt:
-			if av := chanVar(fi.pkg, n.Chan); av == v {
-				fires = true
-			}
-		}
-		if !fires {
-			return true
-		}
-		var outermost *ast.FuncLit
-		for p := parents[n]; p != nil; p = parents[p] {
-			if lit, ok := p.(*ast.FuncLit); ok {
-				outermost = lit
-			}
-		}
-		if outermost != nil && bodyJoins(fi.pkg, outermost.Body) {
-			joins = true
-		}
-		return true
-	})
-	return joins
-}
-
-// isParamOf reports whether v is a parameter (or receiver) of fi.
-func isParamOf(fi *funcInfo, v *types.Var) bool {
-	for _, p := range paramObjs(fi) {
-		if p == v {
-			return true
-		}
-	}
-	return false
 }
 
 // lifecycleArgAt maps a goroutine callee's paramObjs index back to the

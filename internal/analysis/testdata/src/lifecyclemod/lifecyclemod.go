@@ -84,7 +84,7 @@ type Orphan struct{ v int }
 
 func (o *Orphan) Start() {
 	quit := make(chan struct{})
-	go func() { // want `stopped by quit, but nothing ever closes or signals it`
+	go func() { // want `stopped by its own local channel quit; start it through bg`
 		for {
 			select {
 			case <-quit:

@@ -207,6 +207,59 @@ func (c *Client) PushLineage(name string, m *core.Model, lin *core.Lineage) (int
 	return out.Version, nil
 }
 
+// ModelInfo is one entry of the service's GET /models list, the part of
+// it a peer needs to tell whether it holds the same model.
+type ModelInfo struct {
+	Name    string `json:"name"`
+	Version int    `json:"version"`
+	ETag    string `json:"etag"`
+}
+
+// List returns the service's GET /models list. It is the one reader of
+// that wire shape: the syncer, the health tooling and apollo-inspect all
+// come through it.
+func (c *Client) List() ([]ModelInfo, error) {
+	data, err := c.get("/models", 16<<20)
+	if err != nil {
+		return nil, err
+	}
+	var list struct {
+		Models []ModelInfo `json:"models"`
+	}
+	if err := unmarshal(data, &list); err != nil {
+		return nil, err
+	}
+	return list.Models, nil
+}
+
+// Healthy is one /healthz probe: nil when the service answers 200.
+func (c *Client) Healthy() error {
+	_, err := c.get("/healthz", 1<<16)
+	return err
+}
+
+// get is one GET with the status checked and the body capped: anything
+// but 200 is an error naming the status (a JSON error body must never
+// read as an empty answer), and so is a body over limit bytes.
+func (c *Client) get(path string, limit int) ([]byte, error) {
+	c.fetches.Add(1)
+	resp, err := c.hc.Get(c.base + path)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(io.LimitReader(resp.Body, int64(limit)+1))
+	switch {
+	case resp.StatusCode != http.StatusOK:
+		return nil, fmt.Errorf("client: GET %s: %s", path, resp.Status)
+	case err != nil:
+		return nil, fmt.Errorf("client: GET %s: %w", path, err)
+	case len(data) > limit:
+		return nil, fmt.Errorf("client: GET %s: body exceeds %d bytes", path, limit)
+	}
+	return data, nil
+}
+
 // Cached returns the in-process copy of name without touching the
 // network, or nil if nothing has been fetched yet.
 func (c *Client) Cached(name string) *Cached {

@@ -16,6 +16,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"apollo/internal/features"
@@ -114,3 +115,58 @@ type LabeledSet struct {
 
 // Len returns the number of labeled samples.
 func (s *LabeledSet) Len() int { return len(s.X) }
+
+// TimeOf returns the mean runtime of vector i under class: what that
+// choice costs on this window. It is the one place a class indexes
+// MeanTimes. A class the set has no column for, or that was never
+// observed for the vector, costs the vector's worst observed time — the
+// pessimistic reading, since an unobserved variant carries no evidence
+// it would have been fast.
+func (s *LabeledSet) TimeOf(i, class int) float64 {
+	times := s.MeanTimes[i]
+	if class >= 0 && class < len(times) && !math.IsNaN(times[class]) {
+		return times[class]
+	}
+	worst := 0.0
+	for _, t := range times {
+		if !math.IsNaN(t) && t > worst {
+			worst = t
+		}
+	}
+	return worst
+}
+
+// weight returns vector i's launch weight; absent or non-positive counts 1.
+func (s *LabeledSet) weight(i int) float64 {
+	if i < len(s.Weights) && s.Weights[i] > 0 {
+		return s.Weights[i]
+	}
+	return 1
+}
+
+// Subset returns the labeled vectors at idx, in that order; the rows are
+// shared with s, and columns s lacks (MeanTimes, Weights) stay absent.
+func (s *LabeledSet) Subset(idx []int) *LabeledSet {
+	out := &LabeledSet{Schema: s.Schema, Param: s.Param}
+	for _, i := range idx {
+		out.X = append(out.X, s.X[i])
+		out.Y = append(out.Y, s.Y[i])
+		if i < len(s.MeanTimes) {
+			out.MeanTimes = append(out.MeanTimes, s.MeanTimes[i])
+		}
+		if i < len(s.Weights) {
+			out.Weights = append(out.Weights, s.Weights[i])
+		}
+	}
+	return out
+}
+
+// Project returns s laid out by schema, a selection of s's features:
+// every vector re-projected, labels, times and weights shared.
+func (s *LabeledSet) Project(schema *features.Schema) *LabeledSet {
+	out := &LabeledSet{Schema: schema, Param: s.Param, Y: s.Y, MeanTimes: s.MeanTimes, Weights: s.Weights}
+	for _, x := range s.X {
+		out.X = append(out.X, s.Schema.Project(x, schema))
+	}
+	return out
+}

@@ -362,3 +362,78 @@ func TestCVResultReport(t *testing.T) {
 		}
 	}
 }
+
+// Subset picks rows by index with every column still aligned, in the
+// order asked for, and leaves columns the set lacks absent.
+func TestSubsetKeepsColumnsAligned(t *testing.T) {
+	schema := features.TableI()
+	set, err := Label(syntheticFrame(schema), schema, ExecutionPolicy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range set.Weights {
+		set.Weights[i] = float64(i + 2) // tell the rows apart
+	}
+	idx := []int{7, 0, 3, 3, 9}
+	sub := set.Subset(idx)
+	if sub.Schema != set.Schema || sub.Param != set.Param || sub.Len() != len(idx) ||
+		len(sub.Y) != len(idx) || len(sub.MeanTimes) != len(idx) || len(sub.Weights) != len(idx) {
+		t.Fatalf("subset = %d/%d/%d/%d rows under %v/%v, want %d of each", sub.Len(), len(sub.Y),
+			len(sub.MeanTimes), len(sub.Weights), sub.Schema, sub.Param, len(idx))
+	}
+	for k, i := range idx {
+		if &sub.X[k][0] != &set.X[i][0] || sub.Y[k] != set.Y[i] ||
+			&sub.MeanTimes[k][0] != &set.MeanTimes[i][0] || sub.Weights[k] != set.Weights[i] {
+			t.Errorf("subset row %d is not set row %d in every column", k, i)
+		}
+		for c := 0; c < 2; c++ {
+			if sub.TimeOf(k, c) != set.TimeOf(i, c) {
+				t.Errorf("TimeOf(%d, %d) = %g after the subset, %g before", k, c, sub.TimeOf(k, c), set.TimeOf(i, c))
+			}
+		}
+	}
+	bare := (&LabeledSet{Schema: schema, Param: ExecutionPolicy, X: set.X, Y: set.Y}).Subset(idx)
+	if bare.Len() != len(idx) || bare.MeanTimes != nil || bare.Weights != nil {
+		t.Errorf("subset of a set without times or weights grew them: %d rows, %v, %v", bare.Len(), bare.MeanTimes, bare.Weights)
+	}
+}
+
+// Project is Schema.Project row by row, everything else shared.
+func TestProjectMatchesSchemaProject(t *testing.T) {
+	schema := features.TableI()
+	set, err := Label(syntheticFrame(schema), schema, ExecutionPolicy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrow := schema.Select(features.Timestep, features.NumIndices)
+	got := set.Project(narrow)
+	if got.Schema != narrow || got.Param != set.Param || got.Len() != set.Len() ||
+		&got.Y[0] != &set.Y[0] || &got.MeanTimes[0] != &set.MeanTimes[0] || &got.Weights[0] != &set.Weights[0] {
+		t.Fatalf("projection does not share the set's labels, times and weights")
+	}
+	for i, x := range set.X {
+		want := schema.Project(x, narrow)
+		if len(got.X[i]) != len(want) {
+			t.Fatalf("row %d has %d features, want %d", i, len(got.X[i]), len(want))
+		}
+		for j := range want {
+			if got.X[i][j] != want[j] {
+				t.Errorf("row %d feature %d = %g, Schema.Project gives %g", i, j, got.X[i][j], want[j])
+			}
+		}
+	}
+}
+
+// TimeOf is the checked lookup: an unobserved class, a negative one and
+// one past the row all cost the vector's worst observed time.
+func TestTimeOfFallsBackToWorstObserved(t *testing.T) {
+	set := &LabeledSet{MeanTimes: [][]float64{{math.NaN(), 40, 70}, {5, math.NaN(), math.NaN()}}}
+	for _, tc := range []struct {
+		i, class int
+		want     float64
+	}{{0, 1, 40}, {0, 2, 70}, {0, 0, 70}, {0, -1, 70}, {0, 3, 70}, {0, 7, 70}, {1, 0, 5}, {1, 2, 5}} {
+		if got := set.TimeOf(tc.i, tc.class); got != tc.want {
+			t.Errorf("TimeOf(%d, %d) = %g, want %g", tc.i, tc.class, got, tc.want)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"apollo/internal/dataset"
 )
@@ -36,14 +35,7 @@ func CrossValidate(set *LabeledSet, k int, seed uint64, cfg TrainConfig) (*CVRes
 	}
 
 	for _, fold := range folds {
-		trainX := make([][]float64, 0, len(fold.Train))
-		trainY := make([]int, 0, len(fold.Train))
-		for _, i := range fold.Train {
-			trainX = append(trainX, set.X[i])
-			trainY = append(trainY, set.Y[i])
-		}
-		sub := &LabeledSet{Schema: set.Schema, Param: set.Param, X: trainX, Y: trainY}
-		model, err := Train(sub, cfg)
+		model, err := Train(set.Subset(fold.Train), cfg)
 		if err != nil {
 			return nil, fmt.Errorf("core: training fold model: %w", err)
 		}
@@ -87,37 +79,46 @@ func (m *Model) Evaluate(set *LabeledSet) float64 {
 	return float64(correct) / float64(len(set.X))
 }
 
-// PredictedTimeNS returns the total mean runtime of the set under the
-// model's predictions, alongside the totals for the best possible choice
-// (oracle) and a fixed static class. Vectors whose chosen class was never
-// observed fall back to the vector's worst observed time, a conservative
-// penalty. These totals drive the paper's Fig. 6 and Fig. 7 comparisons.
-func (m *Model) PredictedTimeNS(set *LabeledSet, staticClass int) (predicted, best, static float64) {
-	proj := m.NewProjector(set.Schema)
-	for i, x := range set.X {
-		times := set.MeanTimes[i]
-		w := 1.0
-		if i < len(set.Weights) && set.Weights[i] > 0 {
-			w = set.Weights[i]
-		}
-		predicted += w * timeOrWorst(times, proj.Predict(x))
-		best += w * timeOrWorst(times, set.Y[i])
-		static += w * timeOrWorst(times, staticClass)
-	}
-	return
+// Score is what a model costs on a labeled window, launch-weighted: the
+// achieved-against-oracle quantity every publish and drift decision is
+// written in.
+type Score struct {
+	// PredictedNS is the total runtime of the variants the model picks.
+	PredictedNS float64
+	// OracleNS is the total runtime of the labels, the fastest observed.
+	OracleNS float64
+	// Mispredicted is the weight of the vectors where pick and label differ.
+	Mispredicted float64
+	// Weight is the set's total weight.
+	Weight float64
 }
 
-// timeOrWorst returns times[class], or the worst observed time when the
-// class was not observed for this vector.
-func timeOrWorst(times []float64, class int) float64 {
-	if class >= 0 && class < len(times) && !math.IsNaN(times[class]) {
-		return times[class]
-	}
-	worst := 0.0
-	for _, t := range times {
-		if !math.IsNaN(t) && t > worst {
-			worst = t
+// Score walks the set once under the model's predictions. The set's
+// schema may be a superset of the model's; vectors are projected by
+// feature name.
+func (m *Model) Score(set *LabeledSet) Score {
+	var sc Score
+	proj := m.NewProjector(set.Schema)
+	for i, x := range set.X {
+		w, pick := set.weight(i), proj.Predict(x)
+		sc.PredictedNS += w * set.TimeOf(i, pick)
+		sc.OracleNS += w * set.TimeOf(i, set.Y[i])
+		if pick != set.Y[i] {
+			sc.Mispredicted += w
 		}
+		sc.Weight += w
 	}
-	return worst
+	return sc
+}
+
+// PredictedTimeNS returns the total mean runtime of the set under the
+// model's predictions, alongside the totals for the best possible choice
+// (oracle) and a fixed static class — the paper's Fig. 6 and Fig. 7
+// comparisons.
+func (m *Model) PredictedTimeNS(set *LabeledSet, staticClass int) (predicted, best, static float64) {
+	for i := range set.X {
+		static += set.weight(i) * set.TimeOf(i, staticClass)
+	}
+	sc := m.Score(set)
+	return sc.PredictedNS, sc.OracleNS, static
 }

@@ -227,20 +227,8 @@ func (m *Model) Reduce(set *LabeledSet, topK, maxDepth int, cfg TrainConfig) (*M
 	if topK > len(names) {
 		topK = len(names)
 	}
-	keep := names[:topK]
-	reducedSchema := set.Schema.Select(keep...)
-	reduced := &LabeledSet{
-		Schema:    reducedSchema,
-		Param:     set.Param,
-		Y:         set.Y,
-		MeanTimes: set.MeanTimes,
-		Weights:   set.Weights,
-	}
-	for _, x := range set.X {
-		reduced.X = append(reduced.X, set.Schema.Project(x, reducedSchema))
-	}
 	cfg.Tree.MaxDepth = maxDepth
-	return Train(reduced, cfg)
+	return Train(set.Project(set.Schema.Select(names[:topK]...)), cfg)
 }
 
 // modelJSON is the on-disk form of a Model.

@@ -117,50 +117,24 @@ func (d *Detector) Check(m *core.Model, set *core.LabeledSet) *Trigger {
 }
 
 // MispredictRate returns the launch-weighted fraction of labeled vectors
-// where m disagrees with the observed-fastest variant. The model's
-// features are projected out of the set's schema, so a telemetry layout
-// that is a superset of the model's works directly.
+// where m disagrees with the observed-fastest variant (0 on an empty
+// set). Scoring lives in core (Model.Score): the model's features are
+// projected out of the set's schema, so a telemetry layout that is a
+// superset of the model's works directly.
 func MispredictRate(m *core.Model, set *core.LabeledSet) float64 {
-	proj := m.NewProjector(set.Schema)
-	var wrong, total float64
-	for i, x := range set.X {
-		w := set.Weights[i]
-		total += w
-		if proj.Predict(x) != set.Y[i] {
-			wrong += w
-		}
+	if sc := m.Score(set); sc.Weight > 0 {
+		return sc.Mispredicted / sc.Weight
 	}
-	if total == 0 {
-		return 0
-	}
-	return wrong / total
+	return 0
 }
 
 // PredictedTimeNS scores a model on labeled telemetry: the launch-
 // weighted mean of the measured runtime of whichever variant the model
-// picks per vector. A pick that telemetry never observed costs the
-// vector's worst observed time — the pessimistic reading, since an
-// unobserved variant carries no evidence it would have been fast.
+// picks per vector (core.LabeledSet.TimeOf prices a pick telemetry never
+// observed), NaN on an empty set.
 func PredictedTimeNS(m *core.Model, set *core.LabeledSet) float64 {
-	proj := m.NewProjector(set.Schema)
-	var sum, total float64
-	for i, x := range set.X {
-		t := set.MeanTimes[i][proj.Predict(x)]
-		if math.IsNaN(t) {
-			for _, v := range set.MeanTimes[i] {
-				if !math.IsNaN(v) && (math.IsNaN(t) || v > t) {
-					t = v
-				}
-			}
-		}
-		w := set.Weights[i]
-		sum += w * t
-		total += w
-	}
-	if total == 0 {
-		return math.NaN()
-	}
-	return sum / total
+	sc := m.Score(set)
+	return sc.PredictedNS / sc.Weight
 }
 
 // Snapshot is a per-feature summary (mean and standard deviation) of

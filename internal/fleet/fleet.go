@@ -21,9 +21,11 @@ package fleet
 
 import (
 	"fmt"
+	"net/http"
 	"sort"
 	"strings"
 
+	"apollo/internal/client"
 	"apollo/internal/fleet/hashring"
 	"apollo/internal/metrics"
 )
@@ -33,6 +35,13 @@ import (
 type Peer struct {
 	ID   string
 	Base string
+}
+
+// Client returns a model-service client for the replica on transport hc:
+// how the syncer, the health checker and apollo-inspect list and probe a
+// peer. A cheap handle: callers that keep no model cache build one a call.
+func (p Peer) Client(hc *http.Client) *client.Client {
+	return client.New(p.Base, client.Options{HTTPClient: hc})
 }
 
 // ParsePeers parses a "-peers"-style flag: comma-separated id=url pairs,

@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -332,5 +334,50 @@ func TestMergedCursorToleratesAbsentSpool(t *testing.T) {
 	f, err := m.Poll()
 	if err != nil || f == nil || f.Len() != 2 {
 		t.Fatalf("poll with absent source: %v, %v", f, err)
+	}
+}
+
+// brokenList is a replica that is alive — /healthz answers — but whose
+// model list answers 500 with a JSON error body, which decodes cleanly
+// as a list with no models.
+func brokenList(t *testing.T) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			w.Write([]byte(`{"status":"ok"}`))
+			return
+		}
+		w.WriteHeader(http.StatusInternalServerError)
+		w.Write([]byte(`{"error":"registry unavailable"}`))
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// A peer whose list fails is a failed round trip, not a peer that holds
+// nothing: before the syncer read the list through client.List it pulled
+// 0 and counted no error.
+func TestSyncerCountsFailedListAsError(t *testing.T) {
+	reg, _ := newReplica(t)
+	var logged []string
+	s := NewSyncer(reg, []Peer{{ID: "broken", Base: brokenList(t).URL}}, SyncerOptions{
+		Logf: func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) },
+	})
+	if n := s.SyncOnce(); n != 0 {
+		t.Fatalf("pulled %d models from a peer with no list", n)
+	}
+	if s.Errors() != 1 || len(logged) != 1 || !strings.Contains(logged[0], "broken") || !strings.Contains(logged[0], "500") {
+		t.Fatalf("errors = %d, log %q; want one error naming the peer and the status", s.Errors(), logged)
+	}
+}
+
+// Health reads /healthz alone: a replica that is up keeps its ring seat
+// whatever its model list answers.
+func TestHealthIgnoresBrokenList(t *testing.T) {
+	ring := hashring.New(64)
+	ring.Add("broken")
+	h := NewHealth([]Peer{{ID: "broken", Base: brokenList(t).URL}}, ring, HealthOptions{FailAfter: 1})
+	if n := h.CheckOnce(); n != 1 || !h.Up("broken") || ring.Len() != 1 {
+		t.Fatalf("%d healthy, up=%v, ring %d; want the replica kept", n, h.Up("broken"), ring.Len())
 	}
 }

@@ -58,11 +58,6 @@ func New(vnodes int) *Ring {
 // Len returns the current member count.
 func (r *Ring) Len() int { return len(r.cur.Load().members) }
 
-// Members returns the sorted member ids.
-func (r *Ring) Members() []string {
-	return append([]string(nil), r.cur.Load().members...)
-}
-
 // Add inserts member id, a no-op if it is already present.
 func (r *Ring) Add(id string) {
 	if id == "" {

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -97,7 +96,7 @@ func (h *Health) CheckOnce() int {
 	healthy := 0
 	for _, p := range h.peers {
 		h.probes.Add(1)
-		if h.probe(p) {
+		if p.Client(h.hc).Healthy() == nil {
 			healthy++
 			h.markUp(p)
 		} else {
@@ -105,17 +104,6 @@ func (h *Health) CheckOnce() int {
 		}
 	}
 	return healthy
-}
-
-// probe is one /healthz round trip.
-func (h *Health) probe(p Peer) bool {
-	resp, err := h.hc.Get(p.Base + "/healthz")
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16)) //apollo:errok best-effort drain so the probe connection can be reused
-	return resp.StatusCode == http.StatusOK
 }
 
 // markUp clears failure state and (re)admits the replica to the ring.

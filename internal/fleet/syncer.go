@@ -1,13 +1,13 @@
 package fleet
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"sync/atomic"
 	"time"
 
+	"apollo/internal/client"
 	"apollo/internal/looptrace"
 	"apollo/internal/metrics"
 	"apollo/internal/registry"
@@ -81,13 +81,6 @@ func (s *Syncer) Errors() uint64 { return s.errors.Load() }
 // have been observed (a split champion needs operator attention).
 func (s *Syncer) Divergences() uint64 { return s.divergences.Load() }
 
-// peerModel mirrors the server's /models list entry.
-type peerModel struct {
-	Name    string `json:"name"`
-	Version int    `json:"version"`
-	ETag    string `json:"etag"`
-}
-
 // SyncOnce polls every peer once and returns how many models it pulled.
 // A peer that is down just counts an error — the fleet keeps serving.
 func (s *Syncer) SyncOnce() int {
@@ -106,20 +99,12 @@ func (s *Syncer) SyncOnce() int {
 // syncPeer diffs one peer's list against the local registry and pulls
 // what is strictly newer.
 func (s *Syncer) syncPeer(p Peer) (int, error) {
-	resp, err := s.hc.Get(p.Base + "/models")
+	list, err := p.Client(s.hc).List()
 	if err != nil {
 		return 0, err
 	}
-	var list struct {
-		Models []peerModel `json:"models"`
-	}
-	err = json.NewDecoder(io.LimitReader(resp.Body, maxSyncModelBytes)).Decode(&list)
-	resp.Body.Close() //apollo:errok probe body already drained; the reachability verdict is recorded
-	if err != nil {
-		return 0, fmt.Errorf("decoding model list: %w", err)
-	}
 	pulled := 0
-	for _, m := range list.Models {
+	for _, m := range list {
 		local, ok := s.reg.Get(m.Name)
 		if ok {
 			if m.Version < local.Version {
@@ -147,7 +132,7 @@ func (s *Syncer) syncPeer(p Peer) (int, error) {
 // pull fetches one model envelope and installs it locally. PublishRaw
 // honors the envelope's own (ahead) version, so the version number — and
 // with deterministic marshaling, the ETag — carries over unchanged.
-func (s *Syncer) pull(p Peer, m peerModel) error {
+func (s *Syncer) pull(p Peer, m client.ModelInfo) error {
 	start := time.Now()
 	resp, err := s.hc.Get(p.Base + "/models/" + m.Name)
 	if err != nil {

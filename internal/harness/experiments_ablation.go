@@ -21,7 +21,7 @@ import (
 // seq/parallel crossover. The accuracy drop is the reason Apollo trains
 // on the target architecture (the paper's training runs are per-machine).
 func (r *Runner) AblMachine() error {
-	desc, err := appByName("CleverLeaf")
+	desc, err := AppByName("CleverLeaf")
 	if err != nil {
 		return err
 	}
@@ -92,7 +92,7 @@ func (r *Runner) AblClassifier() error {
 		}
 		// Forest: 80/20 holdout (bagging already resamples internally).
 		folds := dataset.KFold(set.Len(), 5, r.opts.Seed)
-		train, test := subset(set, folds[0].Train), subset(set, folds[0].Test)
+		train, test := set.Subset(folds[0].Train), set.Subset(folds[0].Test)
 		forest, err := dtree.TrainForest(train.X, train.Y, set.Param.NumClasses(),
 			dtree.ForestConfig{Size: 15, Seed: r.opts.Seed})
 		if err != nil {
@@ -118,7 +118,7 @@ func (r *Runner) AblClassifier() error {
 // (seq and omp differ by large factors) while chunk labels drown in it
 // (most chunks tie within a few percent).
 func (r *Runner) AblNoise() error {
-	desc, err := appByName("CleverLeaf")
+	desc, err := AppByName("CleverLeaf")
 	if err != nil {
 		return err
 	}

@@ -112,7 +112,7 @@ func (r *Runner) Fig2() error {
 		return err
 	}
 	names := kernelNames()
-	perKernel := kernelTotals(set, r.schema, names, int(raja.OmpParallelForExec))
+	perKernel := kernelTotals(set, nil, names, int(raja.OmpParallelForExec))
 	top := topKernelsByStatic(perKernel, 8)
 	tbl := newTable("kernel", "static OpenMP", "dynamic best", "improvement")
 	var totStatic, totBest float64
@@ -133,9 +133,13 @@ type kernelTotal struct {
 }
 
 // kernelTotals accumulates per-kernel weighted time totals for the best
-// and static choices (predicted filled by callers that have a model).
-func kernelTotals(set *core.LabeledSet, schema *features.Schema, names map[float64]string, staticClass int) map[string]*kernelTotal {
+// and static choices and, given a model, for its predictions.
+func kernelTotals(set *core.LabeledSet, model *core.Model, names map[float64]string, staticClass int) map[string]*kernelTotal {
 	funcIdx := set.Schema.Index(features.Func)
+	var proj *core.Projector
+	if model != nil {
+		proj = model.NewProjector(set.Schema)
+	}
 	out := make(map[string]*kernelTotal)
 	for i, x := range set.X {
 		name := names[x[funcIdx]]
@@ -148,24 +152,13 @@ func kernelTotals(set *core.LabeledSet, schema *features.Schema, names map[float
 			out[name] = kt
 		}
 		w := set.Weights[i]
-		kt.best += w * timeOf(set.MeanTimes[i], set.Y[i])
-		kt.static += w * timeOf(set.MeanTimes[i], staticClass)
-	}
-	return out
-}
-
-// timeOf reads a class's mean time, falling back to the worst observed.
-func timeOf(times []float64, class int) float64 {
-	if class >= 0 && class < len(times) && times[class] == times[class] { // not NaN
-		return times[class]
-	}
-	worst := 0.0
-	for _, t := range times {
-		if t == t && t > worst {
-			worst = t
+		kt.best += w * set.TimeOf(i, set.Y[i])
+		kt.static += w * set.TimeOf(i, staticClass)
+		if proj != nil {
+			kt.predicted += w * set.TimeOf(i, proj.Predict(x))
 		}
 	}
-	return worst
+	return out
 }
 
 // topKernelsByStatic returns the k kernels with the highest
@@ -178,8 +171,8 @@ func topKernelsByStatic(per map[string]*kernelTotal, k int) []*kernelTotal {
 	// Sort by improvement ratio descending.
 	for i := 1; i < len(all); i++ {
 		for j := i; j > 0; j-- {
-			ri := all[j].static / maxf(all[j].best, 1)
-			rj := all[j-1].static / maxf(all[j-1].best, 1)
+			ri := all[j].static / max(all[j].best, 1)
+			rj := all[j-1].static / max(all[j-1].best, 1)
 			if ri > rj || (ri == rj && all[j].static > all[j-1].static) {
 				all[j], all[j-1] = all[j-1], all[j]
 			} else {
@@ -191,13 +184,6 @@ func topKernelsByStatic(per map[string]*kernelTotal, k int) []*kernelTotal {
 		all = all[:k]
 	}
 	return all
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Fig4 prints an example decision tree in the paper's form — thresholds

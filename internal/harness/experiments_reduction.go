@@ -5,7 +5,6 @@ import (
 
 	"apollo/internal/core"
 	"apollo/internal/dtree"
-	"apollo/internal/features"
 	"apollo/internal/raja"
 	"apollo/internal/stats"
 )
@@ -37,43 +36,24 @@ func (r *Runner) predictedVsBest(param core.Parameter, staticClass int, staticNa
 		if err != nil {
 			return err
 		}
-		perKernel := kernelTotals(set, r.schema, names, staticClass)
-		fillPredicted(perKernel, set, model, names)
+		perKernel := kernelTotals(set, model, names, staticClass)
 		top := topKernelsByStatic(perKernel, 8)
 
 		tbl := newTable("kernel", "best", "predicted/best", staticName+"/best")
 		var totPred, totBest, totStatic float64
 		for _, kt := range top {
 			tbl.addRow(kt.name, stats.FormatNS(kt.best),
-				ratio(kt.predicted/maxf(kt.best, 1)), ratio(kt.static/maxf(kt.best, 1)))
+				ratio(kt.predicted/max(kt.best, 1)), ratio(kt.static/max(kt.best, 1)))
 			totPred += kt.predicted
 			totBest += kt.best
 			totStatic += kt.static
 		}
 		tbl.addRow("TOTAL", stats.FormatNS(totBest),
-			ratio(totPred/maxf(totBest, 1)), ratio(totStatic/maxf(totBest, 1)))
+			ratio(totPred/max(totBest, 1)), ratio(totStatic/max(totBest, 1)))
 		fmt.Fprintf(r.opts.Out, "\n[%s — %s]\n", desc.Name, param)
 		tbl.write(r.opts.Out)
 	}
 	return nil
-}
-
-// fillPredicted computes each kernel's weighted total under the model's
-// predictions.
-func fillPredicted(per map[string]*kernelTotal, set *core.LabeledSet, model *core.Model, names map[float64]string) {
-	funcIdx := set.Schema.Index(features.Func)
-	proj := model.NewProjector(set.Schema)
-	for i, x := range set.X {
-		name := names[x[funcIdx]]
-		if name == "" {
-			name = fmt.Sprintf("func_%g", x[funcIdx])
-		}
-		kt := per[name]
-		if kt == nil {
-			continue
-		}
-		kt.predicted += set.Weights[i] * timeOf(set.MeanTimes[i], proj.Predict(x))
-	}
 }
 
 // Fig8 reports the normalized Gini importance of the top five features of
@@ -173,17 +153,7 @@ func (r *Runner) reducedCV(set *core.LabeledSet, ranked []string, topK, maxDepth
 	if topK > len(ranked) {
 		topK = len(ranked)
 	}
-	schema := set.Schema.Select(ranked[:topK]...)
-	reduced := &core.LabeledSet{
-		Schema:    schema,
-		Param:     set.Param,
-		Y:         set.Y,
-		MeanTimes: set.MeanTimes,
-		Weights:   set.Weights,
-	}
-	for _, x := range set.X {
-		reduced.X = append(reduced.X, set.Schema.Project(x, schema))
-	}
+	reduced := set.Project(set.Schema.Select(ranked[:topK]...))
 	cfg := core.TrainConfig{Tree: dtree.Config{MaxDepth: maxDepth}}
 	cv, err := core.CrossValidate(reduced, r.opts.Folds, r.opts.Seed, cfg)
 	if err != nil {

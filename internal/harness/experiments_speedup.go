@@ -105,16 +105,7 @@ func (r *Runner) scalingRun(desc app.Descriptor, problem string, size, steps, ra
 		return 0, err
 	}
 	for i := 0; i < steps; i++ {
-		before := clk.NowNS()
-		sim.Step()
-		delta := clk.NowNS() - before
-		// Work the hooks saw is decomposed per rank; the remainder
-		// (e.g. ARES's unported physics) partitions perfectly.
-		extra := delta - timer.PendingNS()
-		if extra < 0 {
-			extra = 0
-		}
-		timer.StepBarrier(extra)
+		timer.Step(clk.NowNS, sim.Step)
 	}
 	return timer.TotalNS(), nil
 }
@@ -130,7 +121,7 @@ func (r *Runner) scalingRanks() []int {
 // scalingTable renders a strong-scaling comparison for one application
 // and a set of input problems.
 func (r *Runner) scalingTable(appName string, problems []string, size int) error {
-	desc, err := appByName(appName)
+	desc, err := AppByName(appName)
 	if err != nil {
 		return err
 	}
@@ -243,8 +234,8 @@ func (r *Runner) Table3() error {
 		folds := dataset.KFold(set.Len(), 5, r.opts.Seed)
 		splits[i] = split{
 			full:  set,
-			train: subset(set, folds[0].Train),
-			test:  subset(set, folds[0].Test),
+			train: set.Subset(folds[0].Train),
+			test:  set.Subset(folds[0].Test),
 		}
 	}
 	header := []string{"train \\ test"}
@@ -271,18 +262,6 @@ func (r *Runner) Table3() error {
 	}
 	tbl.write(r.opts.Out)
 	return nil
-}
-
-// subset builds a labeled set from the rows at the given indices.
-func subset(set *core.LabeledSet, idx []int) *core.LabeledSet {
-	out := &core.LabeledSet{Schema: set.Schema, Param: set.Param}
-	for _, i := range idx {
-		out.X = append(out.X, set.X[i])
-		out.Y = append(out.Y, set.Y[i])
-		out.MeanTimes = append(out.MeanTimes, set.MeanTimes[i])
-		out.Weights = append(out.Weights, set.Weights[i])
-	}
-	return out
 }
 
 // Table4 reproduces the taxonomy of tuning techniques and adds measured

@@ -93,14 +93,14 @@ func Apps() []app.Descriptor {
 	}
 }
 
-// appByName returns the named application descriptor.
-func appByName(name string) (app.Descriptor, error) {
+// AppByName returns the named application descriptor.
+func AppByName(name string) (app.Descriptor, error) {
 	for _, d := range Apps() {
 		if d.Name == name {
 			return d, nil
 		}
 	}
-	return app.Descriptor{}, fmt.Errorf("harness: unknown application %q", name)
+	return app.Descriptor{}, fmt.Errorf("unknown application %q", name)
 }
 
 // Experiment is one reproducible artifact of the evaluation.

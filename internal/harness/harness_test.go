@@ -116,7 +116,7 @@ func TestFig11SpeedupShape(t *testing.T) {
 	var buf bytes.Buffer
 	r := testRunner(&buf)
 	for _, appName := range []string{"CleverLeaf", "ARES"} {
-		desc, err := appByName(appName)
+		desc, err := AppByName(appName)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +194,7 @@ func TestFig4EmitsTreeAndCode(t *testing.T) {
 func TestScalingRunFasterWithApolloAtScale(t *testing.T) {
 	var buf bytes.Buffer
 	r := testRunner(&buf)
-	desc, _ := appByName("CleverLeaf")
+	desc, _ := AppByName("CleverLeaf")
 	model, _, err := r.policyModel("CleverLeaf")
 	if err != nil {
 		t.Fatal(err)

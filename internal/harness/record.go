@@ -109,7 +109,7 @@ func (r *Runner) record(appName string) (*appData, error) {
 	if d, ok := r.data[appName]; ok {
 		return d, nil
 	}
-	desc, err := appByName(appName)
+	desc, err := AppByName(appName)
 	if err != nil {
 		return nil, err
 	}

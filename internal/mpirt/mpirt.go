@@ -98,6 +98,19 @@ func (t *Timer) StepBarrier(extraNS float64) {
 	t.steps++
 }
 
+// Step runs one application step on the clock nowNS reads and closes it
+// with a barrier: work the hooks saw is decomposed per rank; the rest of
+// the clock's advance partitions perfectly.
+func (t *Timer) Step(nowNS func() float64, step func()) {
+	before := nowNS()
+	step()
+	extra := nowNS() - before - t.PendingNS()
+	if extra < 0 {
+		extra = 0
+	}
+	t.StepBarrier(extra)
+}
+
 // TotalNS returns the accumulated simulated wall time.
 func (t *Timer) TotalNS() float64 { return t.totalNS }
 

@@ -121,3 +121,25 @@ func TestMoreRanksFasterForBalancedWork(t *testing.T) {
 		t.Error("8 ranks should be faster than 2 for balanced work")
 	}
 }
+
+// Step charges what the hooks saw to its ranks and partitions the rest of
+// the clock's advance; a clock that advanced less than the hooks saw
+// partitions nothing.
+func TestStepSplitsHookedFromUnhookedWork(t *testing.T) {
+	ann := caliper.New()
+	tm := NewTimer(nil, ann, 4)
+	clock := 1000.0
+	tm.Step(func() float64 { return clock }, func() {
+		fakeLaunch(tm, ann, 0, 100)
+		fakeLaunch(tm, ann, 2, 300)
+		clock += 400 + 800 // the two launches, then 800 ns no hook saw
+	})
+	want := 300 + 800.0/4 + tm.commNS()
+	if got := tm.TotalNS(); got != want || tm.Steps() != 1 || tm.PendingNS() != 0 {
+		t.Errorf("after one step: total %g (want %g), %d steps, %g pending", got, want, tm.Steps(), tm.PendingNS())
+	}
+	tm.Step(func() float64 { return clock }, func() { fakeLaunch(tm, ann, 1, 50) })
+	if got := tm.TotalNS(); got != want+50+tm.commNS() {
+		t.Errorf("a step on a stopped clock partitioned %g ns", got-want-50-tm.commNS())
+	}
+}

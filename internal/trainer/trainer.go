@@ -267,104 +267,78 @@ func (t *Trainer) Step() (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trainer: reading champion %s: %w", t.cfg.Name, err)
 	}
-	if champion == nil {
-		// Bootstrap: no local champion to defend, ship the first model —
-		// unless a fleet incumbent already beats it, in which case the
-		// syncer pulling that incumbent is the better bootstrap.
-		res.LoopID = looptrace.NewLoopID(t.cfg.Name, 0, time.Now().UnixNano())
-		t.emit(looptrace.KindRetrainStart, res.LoopID,
-			looptrace.Fields{Rows: int64(set.Len()), A: res.PollNS, B: res.LabelNS})
-		trainStart := time.Now()
-		m, err := core.Train(set, t.cfg.Train)
-		if err != nil {
-			return nil, fmt.Errorf("trainer: bootstrap train: %w", err)
+	// Bootstrap — no local champion to defend — trains on the whole window
+	// and is scored in-sample; a retrain waits for the drift detector and
+	// holds a slice of the window out for the gate.
+	bootstrap, boot := champion == nil, "bootstrap "
+	trainSet, eval := set, set
+	if !bootstrap {
+		if champion.Param != t.cfg.Param {
+			return nil, fmt.Errorf("trainer: champion %s v%d predicts %v, this trainer trains %v: nothing to compare",
+				t.cfg.Name, champVer, champion.Param, t.cfg.Param)
 		}
-		res.RetrainNS = float64(time.Since(trainStart))
-		t.retrains.Add(1)
-		res.Retrained = true
-		t.emit(looptrace.KindRetrainEnd, res.LoopID,
-			looptrace.Fields{Rows: int64(set.Len()), DurNS: res.RetrainNS})
-		if by, incNS := t.incumbentVeto(drift.PredictedTimeNS(m, set), set); by != "" {
-			t.vetoes.Add(1)
-			res.Vetoed = true
-			t.emit(looptrace.KindDuel, res.LoopID,
-				looptrace.Fields{Peer: "veto", A: incNS, Rows: int64(set.Len())})
-			t.cfg.Logf("trainer: %s: bootstrap vetoed by fleet incumbent %s (%.0fns)", t.cfg.Name, by, incNS)
+		if res.Trigger = t.det.Check(champion, set); res.Trigger == nil {
 			return res, nil
 		}
-		pubStart := time.Now()
-		v, err := t.pub.Publish(t.cfg.Name, m, t.lineage(res, set.Len(), 0, nil))
-		if err != nil {
-			return nil, fmt.Errorf("trainer: bootstrap publish: %w", err)
-		}
-		res.PublishNS = float64(time.Since(pubStart))
-		t.publishes.Add(1)
-		t.det.SetBaseline(drift.SnapshotSet(set))
-		res.Published, res.Version = true, v
-		t.emit(looptrace.KindPublish, res.LoopID,
-			looptrace.Fields{Version: int32(v), DurNS: res.PublishNS})
-		t.cfg.Logf("trainer: bootstrapped %s v%d from %d vectors", t.cfg.Name, v, set.Len())
-		return res, nil
+		t.triggers.Add(1)
+		res.ParentVersion, boot = champVer, ""
+		trainSet, eval = split(set, t.cfg.Holdout, t.cfg.Seed)
 	}
-
-	trig := t.det.Check(champion, set)
-	if trig == nil {
-		return res, nil
-	}
-	t.triggers.Add(1)
-	res.Trigger = trig
 	res.LoopID = looptrace.NewLoopID(t.cfg.Name, champVer, time.Now().UnixNano())
-	res.ParentVersion = champVer
-	t.emit(looptrace.KindDriftFired, res.LoopID, looptrace.Fields{
-		Parent: int32(champVer), Rows: int64(trig.Rows),
-		A: trig.MispredictRate, B: trig.Shift,
-	})
-	t.cfg.Logf("trainer: %s: %s", t.cfg.Name, trig)
+	if trig := res.Trigger; trig != nil {
+		t.emit(looptrace.KindDriftFired, res.LoopID, looptrace.Fields{
+			Parent: int32(champVer), Rows: int64(trig.Rows),
+			A: trig.MispredictRate, B: trig.Shift,
+		})
+		t.cfg.Logf("trainer: %s: %s", t.cfg.Name, trig)
+	}
 
-	trainSet, holdout := split(set, t.cfg.Holdout, t.cfg.Seed)
 	t.emit(looptrace.KindRetrainStart, res.LoopID,
 		looptrace.Fields{Parent: int32(champVer), Rows: int64(trainSet.Len()), A: res.PollNS, B: res.LabelNS})
 	trainStart := time.Now()
 	challenger, err := core.Train(trainSet, t.cfg.Train)
 	if err != nil {
-		return nil, fmt.Errorf("trainer: retrain: %w", err)
+		return nil, fmt.Errorf("trainer: %strain: %w", boot, err)
 	}
 	res.RetrainNS = float64(time.Since(trainStart))
 	t.retrains.Add(1)
 	res.Retrained = true
 	t.emit(looptrace.KindRetrainEnd, res.LoopID,
 		looptrace.Fields{Parent: int32(champVer), Rows: int64(trainSet.Len()), DurNS: res.RetrainNS})
-	duelStart := time.Now()
-	res.ChampionNS = drift.PredictedTimeNS(champion, holdout)
-	res.ChallengerNS = drift.PredictedTimeNS(challenger, holdout)
-	res.DuelNS = float64(time.Since(duelStart))
+
+	verdict, by, byNS := t.gate(res, champion, challenger, eval)
 	duel := looptrace.Fields{
-		Parent: int32(champVer), Rows: int64(holdout.Len()), DurNS: res.DuelNS,
-		A: res.ChampionNS, B: res.ChallengerNS,
+		Parent: int32(champVer), Rows: int64(eval.Len()), DurNS: res.DuelNS,
+		A: res.ChampionNS, B: res.ChallengerNS, Peer: verdict,
 	}
-	if res.ChallengerNS > res.ChampionNS*(1+t.cfg.MaxRegression) {
-		t.rejects.Add(1)
-		duel.Peer = "reject"
+	if bootstrap {
+		duel.A = byNS // no champion's time to report: the vetoing incumbent's
+	}
+	if !bootstrap || verdict == "veto" {
 		t.emit(looptrace.KindDuel, res.LoopID, duel)
-		t.cfg.Logf("trainer: %s: challenger rejected (%.0fns vs champion %.0fns on %d holdout vectors)",
-			t.cfg.Name, res.ChallengerNS, res.ChampionNS, holdout.Len())
-		return res, nil
 	}
-	if by, incNS := t.incumbentVeto(res.ChallengerNS, holdout); by != "" {
+	switch verdict {
+	case "reject":
+		t.rejects.Add(1)
+		t.cfg.Logf("trainer: %s: challenger rejected (%.0fns vs champion %.0fns on %d holdout vectors)",
+			t.cfg.Name, res.ChallengerNS, res.ChampionNS, eval.Len())
+		return res, nil
+	case "veto":
 		t.vetoes.Add(1)
 		res.Vetoed = true
-		duel.Peer = "veto"
-		t.emit(looptrace.KindDuel, res.LoopID, duel)
-		t.cfg.Logf("trainer: %s: challenger vetoed by fleet incumbent %s (%.0fns vs challenger %.0fns)",
-			t.cfg.Name, by, incNS, res.ChallengerNS)
+		if bootstrap {
+			t.cfg.Logf("trainer: %s: bootstrap vetoed by fleet incumbent #%d (%.0fns)", t.cfg.Name, by, byNS)
+		} else {
+			t.cfg.Logf("trainer: %s: challenger vetoed by fleet incumbent #%d (%.0fns vs challenger %.0fns)",
+				t.cfg.Name, by, byNS, res.ChallengerNS)
+		}
 		return res, nil
 	}
-	duel.Peer = "publish"
-	t.emit(looptrace.KindDuel, res.LoopID, duel)
+
 	pubStart := time.Now()
-	v, err := t.pub.Publish(t.cfg.Name, challenger, t.lineage(res, trainSet.Len(), holdout.Len(), trig))
+	v, err := t.pub.Publish(t.cfg.Name, challenger, t.lineage(res, trainSet.Len(), eval.Len()))
 	if err != nil {
-		return nil, fmt.Errorf("trainer: publish: %w", err)
+		return nil, fmt.Errorf("trainer: %spublish: %w", boot, err)
 	}
 	res.PublishNS = float64(time.Since(pubStart))
 	t.publishes.Add(1)
@@ -372,9 +346,55 @@ func (t *Trainer) Step() (*Result, error) {
 	res.Published, res.Version = true, v
 	t.emit(looptrace.KindPublish, res.LoopID,
 		looptrace.Fields{Version: int32(v), Parent: int32(champVer), DurNS: res.PublishNS})
-	t.cfg.Logf("trainer: published %s v%d (%.0fns vs champion %.0fns on %d holdout vectors)",
-		t.cfg.Name, v, res.ChallengerNS, res.ChampionNS, holdout.Len())
+	if bootstrap {
+		t.cfg.Logf("trainer: bootstrapped %s v%d from %d vectors", t.cfg.Name, v, set.Len())
+	} else {
+		t.cfg.Logf("trainer: published %s v%d (%.0fns vs champion %.0fns on %d holdout vectors)",
+			t.cfg.Name, v, res.ChallengerNS, res.ChampionNS, eval.Len())
+	}
 	return res, nil
+}
+
+// gate decides whether the challenger may publish: one loop over
+// opponents, each scored on eval by core's one scorer under one rule —
+// the challenger loses when its predicted time exceeds the opponent's by
+// more than MaxRegression. The local champion comes first (none on
+// bootstrap) and its win is a "reject"; then every Config.Incumbents
+// entry, whose win is a "veto". An incumbent that cannot be read (its
+// replica is down: the health checker's job) or that predicts another
+// parameter is skipped with a log line. gate returns the verdict
+// ("publish" when no opponent won), the winning incumbent's index and the
+// winner's predicted time, and records the champion's duel in res.
+func (t *Trainer) gate(res *Result, champion, challenger *core.Model, eval *core.LabeledSet) (verdict string, by int, byNS float64) {
+	duelStart := time.Now()
+	challengerNS := drift.PredictedTimeNS(challenger, eval)
+	for i := -1; i < len(t.cfg.Incumbents); i++ {
+		opponent, win := champion, "reject"
+		if i >= 0 {
+			var err error
+			opponent, _, err = t.cfg.Incumbents[i].Champion(t.cfg.Name)
+			switch {
+			case err != nil:
+				t.cfg.Logf("trainer: %s: incumbent %d unreadable, skipping: %v", t.cfg.Name, i, err)
+				continue
+			case opponent != nil && opponent.Param != t.cfg.Param:
+				t.cfg.Logf("trainer: %s: incumbent %d predicts %v, not %v, skipping", t.cfg.Name, i, opponent.Param, t.cfg.Param)
+				continue
+			}
+			win = "veto"
+		}
+		if opponent == nil {
+			continue
+		}
+		ns := drift.PredictedTimeNS(opponent, eval)
+		if i < 0 {
+			res.ChampionNS, res.ChallengerNS, res.DuelNS = ns, challengerNS, float64(time.Since(duelStart))
+		}
+		if challengerNS > ns*(1+t.cfg.MaxRegression) {
+			return win, i, ns
+		}
+	}
+	return "publish", 0, 0
 }
 
 // label takes the fresh rows into the window, ages the oldest rows out
@@ -400,15 +420,15 @@ type RowSourcer interface {
 	SourceRows() map[string]uint64
 }
 
-// lineage assembles the provenance block for a model about to publish.
-func (t *Trainer) lineage(res *Result, windowRows, holdoutRows int, trig *drift.Trigger) *core.Lineage {
+// lineage assembles the provenance block for a model about to publish
+// (a bootstrap, scored in-sample, records no holdout).
+func (t *Trainer) lineage(res *Result, windowRows, holdoutRows int) *core.Lineage {
 	lin := &core.Lineage{
 		LoopID:        res.LoopID,
 		ParentVersion: res.ParentVersion,
 		Trainer:       t.cfg.ID,
 		TrainedAtNS:   time.Now().UnixNano(),
 		WindowRows:    windowRows,
-		HoldoutRows:   holdoutRows,
 	}
 	if rs, ok := t.cursor.(RowSourcer); ok {
 		counts := rs.SourceRows()
@@ -421,7 +441,8 @@ func (t *Trainer) lineage(res *Result, windowRows, holdoutRows int, trig *drift.
 	} else {
 		lin.SampleCounts = map[string]int{"local": windowRows}
 	}
-	if trig != nil {
+	if trig := res.Trigger; trig != nil {
+		lin.HoldoutRows = holdoutRows
 		lin.DriftReason = trig.Reason
 		lin.DriftMispredict = trig.MispredictRate
 		lin.DriftShift = trig.Shift
@@ -432,29 +453,6 @@ func (t *Trainer) lineage(res *Result, windowRows, holdoutRows int, trig *drift.
 		lin.DriftReason = "bootstrap"
 	}
 	return lin
-}
-
-// incumbentVeto scores every fleet incumbent's champion on eval and
-// returns the index (as a label) and predicted time of the first one the
-// challenger fails to beat within MaxRegression. An unreadable incumbent
-// (its replica is down) is skipped: the publish gate protects against
-// regressing live replicas, and dead ones are the health checker's job.
-func (t *Trainer) incumbentVeto(challengerNS float64, eval *core.LabeledSet) (by string, incNS float64) {
-	for i, inc := range t.cfg.Incumbents {
-		champ, _, err := inc.Champion(t.cfg.Name)
-		if err != nil {
-			t.cfg.Logf("trainer: %s: incumbent %d unreadable, skipping: %v", t.cfg.Name, i, err)
-			continue
-		}
-		if champ == nil {
-			continue
-		}
-		ns := drift.PredictedTimeNS(champ, eval)
-		if challengerNS > ns*(1+t.cfg.MaxRegression) {
-			return fmt.Sprintf("#%d", i), ns
-		}
-	}
-	return "", 0
 }
 
 // split partitions a labeled set into train and holdout slices by a
@@ -474,17 +472,5 @@ func split(set *core.LabeledSet, holdout float64, seed uint64) (train, eval *cor
 		h = n - 1
 	}
 	perm := dataset.NewRNG(seed).Perm(n)
-	return subset(set, perm[h:]), subset(set, perm[:h])
-}
-
-// subset selects labeled vectors by index.
-func subset(set *core.LabeledSet, idx []int) *core.LabeledSet {
-	out := &core.LabeledSet{Schema: set.Schema, Param: set.Param}
-	for _, i := range idx {
-		out.X = append(out.X, set.X[i])
-		out.Y = append(out.Y, set.Y[i])
-		out.MeanTimes = append(out.MeanTimes, set.MeanTimes[i])
-		out.Weights = append(out.Weights, set.Weights[i])
-	}
-	return out
+	return set.Subset(perm[h:]), set.Subset(perm[:h])
 }

@@ -462,3 +462,87 @@ func TestTrainerPoisonRowBlocksUntilItAgesOut(t *testing.T) {
 		}
 	}
 }
+
+// chunkModel is a chunk_size model that always picks class 7 — past the
+// two columns a policy window's MeanTimes rows have.
+func chunkModel(t *testing.T) *core.Model {
+	t.Helper()
+	schema := features.TableI()
+	m, err := core.NewModel(core.ChunkSize, schema, &dtree.Tree{
+		Root: &dtree.Node{Feature: -1, Label: 7}, NumFeatures: schema.Len(), NumClasses: core.ChunkSize.NumClasses(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// A model of another parameter published under the trainer's name is not
+// something the gate can compare against: the step says so and does
+// nothing (it indexed MeanTimes out of range and panicked before PR 19),
+// and the loop resumes once a champion of its own parameter is there.
+func TestStepRefusesForeignParamChampion(t *testing.T) {
+	dir := t.TempDir()
+	reg := registry.New()
+	if _, err := reg.Publish("app/policy", chunkModel(t)); err != nil {
+		t.Fatal(err)
+	}
+	tr := newTrainer(t, dir, NewRegistryPublisher(reg), Config{Drift: drift.Config{MinRows: 4}})
+	appendObs(t, dir, crossover(32, 64, 128, 16384, 131072))
+	res, err := tr.Step()
+	if err == nil {
+		t.Fatalf("step against a chunk_size champion = %+v, want an error", res)
+	}
+	for _, want := range []string{"chunk_size", "execution_policy", "app/policy v1"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	if e, _ := reg.Get("app/policy"); e.Version != 1 || tr.Retrains() != 0 || tr.Publishes() != 0 || tr.Triggers() != 0 {
+		t.Errorf("refused step still acted: registry v%d, retrains=%d publishes=%d triggers=%d",
+			e.Version, tr.Retrains(), tr.Publishes(), tr.Triggers())
+	}
+
+	// A stale policy champion replaces it: the next step duels as usual.
+	var ompWins []obs
+	for _, n := range []float64{32, 256, 2048, 16384, 131072} {
+		ompWins = append(ompWins, obs{n: n, seqNS: n * 100, ompNS: n})
+	}
+	if _, err := reg.Publish("app/policy", trainModel(t, ompWins)); err != nil {
+		t.Fatal(err)
+	}
+	appendObs(t, dir, crossover(32, 64, 128, 16384, 131072))
+	res, err = tr.Step()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Trigger == nil || !res.Published || res.Version != 3 || res.ParentVersion != 2 {
+		t.Fatalf("step after a policy champion arrived = %+v", res)
+	}
+}
+
+// A fleet incumbent of another parameter has no say: it is skipped with a
+// log line, like one that cannot be read, and the publish goes through.
+func TestStepSkipsForeignParamIncumbent(t *testing.T) {
+	dir := t.TempDir()
+	local, incumbent := registry.New(), registry.New()
+	if _, err := incumbent.Publish("app/policy", chunkModel(t)); err != nil {
+		t.Fatal(err)
+	}
+	var logged []string
+	tr := newTrainer(t, dir, NewRegistryPublisher(local), Config{
+		Incumbents: []Publisher{NewRegistryPublisher(incumbent)},
+		Logf:       func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) },
+	})
+	appendObs(t, dir, crossover(32, 256, 2048, 16384, 131072))
+	res, err := tr.Step()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Published || res.Vetoed || tr.Vetoes() != 0 {
+		t.Fatalf("a chunk_size incumbent blocked a policy bootstrap: %+v", res)
+	}
+	if want := "incumbent 0 predicts chunk_size, not execution_policy, skipping"; len(logged) != 2 || !strings.Contains(logged[0], want) {
+		t.Errorf("log %q; want a first line with %q, then the publish", logged, want)
+	}
+}
