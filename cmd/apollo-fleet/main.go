@@ -58,7 +58,7 @@ func main() {
 	duration := flag.Duration("duration", 0, "minimum wall-clock run time per client (keeps stepping past -steps)")
 	ranks := flag.Int("ranks", 4, "simulated MPI ranks per client (mpirt decomposition)")
 	sampleEvery := flag.Uint64("sample-every", 1, "record one launch in this many (power of two)")
-	exploreEvery := flag.Uint64("explore-every", 8, "flip the chosen policy on every n-th launch (0 disables)")
+	exploreEvery := flag.Uint64("explore-every", 8, "every n-th launch of a site may run the other policy, within 1/64 of that site's kernel time; 0 disables")
 	poll := flag.Duration("poll", 500*time.Millisecond, "model source poll interval")
 	flush := flag.Duration("flush", 300*time.Millisecond, "telemetry upload interval")
 	health := flag.Duration("health", 250*time.Millisecond, "replica health-probe interval (0 disables eviction)")

@@ -308,12 +308,12 @@ func TestServeDisconnectsStalledClients(t *testing.T) {
 		{"api", base, "/healthz"},
 		{"debug", debugBase, "/debug/pprof/cmdline"},
 	} {
+		start := time.Now() // before the dial: the server arms the header deadline when it accepts
 		conn, err := net.Dial("tcp", strings.TrimPrefix(l.base, "http://"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		start := time.Now()
 		if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\n"); err != nil {
 			t.Fatal(err)
 		}

@@ -194,7 +194,7 @@ func run(ctx context.Context, cfg daemonConfig) error {
 	h := fnv.New64a()
 	h.Write([]byte("apollo-traind/" + model))
 	siteID := h.Sum64()
-	fr.RegisterSite(siteID, "traind:"+model, trainerSiteFeatures)
+	site := fr.RegisterSite(siteID, "traind:"+model, trainerSiteFeatures)
 
 	// Every listener and loop starts through one group; what a loop's step
 	// fails with is logged and counted here.
@@ -278,7 +278,7 @@ func run(ctx context.Context, cfg daemonConfig) error {
 			rec.Features[4] = b2f(res.Published)
 			rec.Features[5] = float64(res.Version)
 			rec.ObservedNS = stepNS
-			rec.PredictedNS = fr.PredictObserve(siteID, class, stepNS)
+			rec.PredictedNS = site.PredictObserve(class, stepNS)
 		}
 		fr.Commit(tok)
 		gauge := func(name, help string, v int64) {

@@ -2,9 +2,9 @@
 // service — the deployed half of the closed loop. The tuner fetches the
 // named policy model, decides every kernel launch through it, records
 // sampled (features, parameters, runtime) telemetry, explores the
-// non-chosen variant on a fixed cadence so the telemetry carries
-// counterfactuals, and uploads batches to the service's spool. While it
-// runs, it polls for retrained models and hot-swaps them mid-run.
+// non-chosen variant within a per-site share of kernel time so the
+// telemetry carries counterfactuals, and uploads batches to the service's
+// spool. While it runs, it polls for retrained models and hot-swaps them.
 //
 //	apollo-tune -server http://127.0.0.1:8080 -model lulesh/policy \
 //	    -app LULESH -problem sedov -size 16 -steps 50
@@ -47,7 +47,7 @@ func main() {
 	maxSteps := flag.Int("max-steps", 0, "hard timestep cap when -wait-swaps keeps the run alive (0 = 20x steps)")
 	waitSwaps := flag.Int("wait-swaps", 0, "keep stepping until this many model swaps arrived (0 disables)")
 	sampleEvery := flag.Uint64("sample-every", 1, "record one launch in this many (power of two)")
-	exploreEvery := flag.Uint64("explore-every", 8, "flip the chosen policy on every n-th launch (0 disables)")
+	exploreEvery := flag.Uint64("explore-every", 8, "every n-th launch of a site may run the other policy, within 1/64 of that site's kernel time; 0 disables")
 	poll := flag.Duration("poll", 500*time.Millisecond, "model source poll interval")
 	flush := flag.Duration("flush", 500*time.Millisecond, "telemetry upload interval")
 	noise := flag.Float64("noise", 0.05, "measurement noise amplitude")
@@ -171,8 +171,8 @@ func run(serverURL, model, appName, problem string, size, steps, maxSteps, waitS
 	if err := g.Wait(); err != nil {
 		return err
 	}
-	fmt.Printf("apollo-tune: done steps=%d decisions=%d explored=%d seen=%d recorded=%d dropped=%d uploaded_rows=%d uploaded_batches=%d swaps=%d\n",
-		ran, tn.Decisions(), tn.Explored(), rec.Seen(), rec.Recorded(), rec.Dropped(),
+	fmt.Printf("apollo-tune: done steps=%d decisions=%d explored=%d explore_share=%.4f seen=%d recorded=%d dropped=%d uploaded_rows=%d uploaded_batches=%d swaps=%d\n",
+		ran, tn.Decisions(), tn.Explored(), tn.ExploreShare(), rec.Seen(), rec.Recorded(), rec.Dropped(),
 		up.Rows(), up.Batches(), src.Swaps()-swapsAtStart)
 	if waitSwaps > 0 && int(src.Swaps()-swapsAtStart) < waitSwaps {
 		return fmt.Errorf("run ended after %d steps with %d swaps, wanted %d",

@@ -72,24 +72,22 @@ func (r *Recorder) Capture() *Capture {
 		Sites:   []CaptureSite{},
 		Records: make([]CaptureRecord, 0, len(recs)),
 	}
-	if m := r.sites.Load(); m != nil {
-		for id, s := range *m {
-			cs := CaptureSite{ID: fmt.Sprintf("%#x", id), Name: s.name}
-			if len(s.features) > 0 {
-				cs.Features = s.features
-			} else {
-				cs.Features = r.featureNames
-			}
-			if d := s.dec.Load(); d != nil {
-				if d.Tree != nil {
-					cs.CTree, cs.Src = d.Tree.Layout(), d.Src
-				}
-				if d.ChunkTree != nil {
-					cs.ChunkCTree, cs.ChunkSrc = d.ChunkTree.Layout(), d.ChunkSrc
-				}
-			}
-			c.Sites = append(c.Sites, cs)
+	for id, s := range *r.sites.Load() {
+		cs := CaptureSite{ID: fmt.Sprintf("%#x", id), Name: s.name}
+		if len(s.features) > 0 {
+			cs.Features = s.features
+		} else {
+			cs.Features = r.featureNames
 		}
+		if d := s.dec.Load(); d != nil {
+			if d.Tree != nil {
+				cs.CTree, cs.Src = d.Tree.Layout(), d.Src
+			}
+			if d.ChunkTree != nil {
+				cs.ChunkCTree, cs.ChunkSrc = d.ChunkTree.Layout(), d.ChunkSrc
+			}
+		}
+		c.Sites = append(c.Sites, cs)
 	}
 	sort.Slice(c.Sites, func(i, j int) bool { return c.Sites[i].ID < c.Sites[j].ID })
 	for i := range recs {
@@ -102,7 +100,7 @@ func (r *Recorder) captureRecord(rec *Record) CaptureRecord {
 	names := r.featureNames
 	siteName := ""
 	var dec *TrailDecoder
-	if s := r.siteFor(rec.Site); s != nil {
+	if s := r.Site(rec.Site); s != nil {
 		siteName = s.name
 		if len(s.features) > 0 {
 			names = s.features

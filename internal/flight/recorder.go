@@ -1,6 +1,7 @@
 package flight
 
 import (
+	"maps"
 	"math"
 	"runtime"
 	"sort"
@@ -99,7 +100,7 @@ type Recorder struct {
 	ringMask  uint64
 	shards    []shard
 
-	sites atomic.Pointer[map[uint64]*site]
+	sites atomic.Pointer[map[uint64]*Site]
 	// siteMu serializes site registration (readers go through the
 	// copy-on-write sites pointer and never take it).
 	siteMu sync.Mutex //apollo:lockrank 30
@@ -113,9 +114,10 @@ type Recorder struct {
 	retainCap int
 }
 
-// site is the interned metadata for one decision site, registered on
-// the cold path and read lock-free on the hot path.
-type site struct {
+// Site is the interned entry of one decision site, registered on the
+// cold path and looked up once per record on the hot path (Recorder.Site).
+// Its methods treat a nil *Site, an unregistered site, as holding nothing.
+type Site struct {
 	// ewma holds the per-class observed-runtime EWMA as float64 bits.
 	// Updates race benignly (a lost update loses one sample's weight);
 	// each load/store is atomic so values are never torn.
@@ -162,6 +164,7 @@ func New(opts Options) *Recorder {
 		featureNames: append([]string(nil), opts.FeatureNames...),
 		retainCap:    opts.Retain,
 	}
+	r.sites.Store(&map[uint64]*Site{})
 	for i := range r.shards {
 		r.shards[i].buf.Store(newRing(capacity))
 		r.shards[i].spare = newRing(capacity)
@@ -284,99 +287,79 @@ func (r *Recorder) Occupancy() []int {
 	return out
 }
 
-// SiteKnown reports whether the site has been registered. It is the
-// hot-path gate in front of the cold RegisterSite call.
+// Site returns the site's entry, nil when unregistered: the one map load
+// an emitter pays per record, and the gate in front of RegisterSite.
 //
 //apollo:hotpath
-func (r *Recorder) SiteKnown(id uint64) bool {
-	m := r.sites.Load()
-	if m == nil {
-		return false
-	}
-	_, ok := (*m)[id]
-	return ok
-}
+func (r *Recorder) Site(id uint64) *Site { return (*r.sites.Load())[id] }
 
 // RegisterSite attaches a human-readable name and optional per-site
-// feature names to a site ID. It is idempotent (first registration
-// wins, preserving the runtime EWMAs) and safe to call concurrently
-// with hot-path readers, which go through the copy-on-write map.
+// feature names to a site ID and returns its entry. It is idempotent
+// (first registration wins, preserving the runtime EWMAs) and safe beside
+// hot-path readers, which go through the copy-on-write map.
 //
 //apollo:coldpath first-launch site interning, amortized over every later emit
-func (r *Recorder) RegisterSite(id uint64, name string, featureNames []string) {
+func (r *Recorder) RegisterSite(id uint64, name string, featureNames []string) *Site {
 	r.siteMu.Lock()
 	defer r.siteMu.Unlock()
-	old := r.sites.Load()
-	if old != nil {
-		if _, ok := (*old)[id]; ok {
-			return
-		}
+	if s := r.Site(id); s != nil {
+		return s
 	}
-	m := make(map[uint64]*site, 1)
-	if old != nil {
-		for k, v := range *old {
-			m[k] = v
-		}
-	}
-	m[id] = &site{name: name, features: append([]string(nil), featureNames...)}
+	m := maps.Clone(*r.sites.Load())
+	m[id] = &Site{name: name, features: append([]string(nil), featureNames...)}
 	r.sites.Store(&m)
+	return m[id]
 }
 
-// siteFor returns the interned site entry, or nil if unregistered.
-func (r *Recorder) siteFor(id uint64) *site {
-	m := r.sites.Load()
-	if m == nil {
-		return nil
-	}
-	return (*m)[id]
-}
-
-// SiteDecoder returns the site's current offset-trail decoder (nil when
-// the site is unregistered or has never installed one). Emitters read it
-// per launch to detect model swaps, so it is one lock-free map load.
+// Decoder returns the site's current offset-trail decoder (nil when it
+// has never installed one). Emitters read it per launch to detect model
+// swaps: one atomic load.
 //
 //apollo:hotpath
-func (r *Recorder) SiteDecoder(id uint64) *TrailDecoder {
-	s := r.siteFor(id)
+func (s *Site) Decoder() *TrailDecoder {
 	if s == nil {
 		return nil
 	}
 	return s.dec.Load()
 }
 
-// SetSiteDecoder installs the decoder for a site's compact offset
-// trails. Call it after RegisterSite, and again whenever the site's
-// compiled model changes; records written under an older decoder decode
-// against the new one only as far as the layouts agree, which is why
-// emitters swap the decoder before writing the first record of a new
-// model. A no-op for unregistered sites. Runs at model-swap time, never
+// SetDecoder installs the decoder for the site's compact offset trails.
+// Call it again whenever the site's compiled model changes; records
+// written under an older decoder decode against the new one only as far
+// as the layouts agree, which is why emitters swap the decoder before
+// writing the first record of a new model. Runs at model-swap time, never
 // per launch (the TrailDecoder the caller allocates is what keeps it off
 // the hot path; the install itself is one atomic pointer store).
-func (r *Recorder) SetSiteDecoder(id uint64, d *TrailDecoder) {
-	if s := r.siteFor(id); s != nil {
+func (s *Site) SetDecoder(d *TrailDecoder) {
+	if s != nil {
 		s.dec.Store(d)
 	}
 }
 
+// SiteKnown, SiteDecoder and SetSiteDecoder are Site, Decoder and
+// SetDecoder by site ID, for callers off the emit path.
+func (r *Recorder) SiteKnown(id uint64) bool                  { return r.Site(id) != nil }
+func (r *Recorder) SiteDecoder(id uint64) *TrailDecoder       { return r.Site(id).Decoder() }
+func (r *Recorder) SetSiteDecoder(id uint64, d *TrailDecoder) { r.Site(id).SetDecoder(d) }
+
 // SiteName returns the registered name for a site ID ("" when unknown).
 func (r *Recorder) SiteName(id uint64) string {
-	if s := r.siteFor(id); s != nil {
+	if s := r.Site(id); s != nil {
 		return s.name
 	}
 	return ""
 }
 
-// PredictObserve folds one observed runtime into the (site, class) EWMA
-// and returns the prediction that EWMA made *before* the update — the
-// runtime the recorder expected for this choice, 0 for the first
+// PredictObserve folds one observed runtime into the site's EWMA for the
+// class and returns the prediction that EWMA made *before* the update —
+// the runtime the recorder expected for this choice, 0 for the first
 // observation. Callers store the return value in Record.PredictedNS and
 // the argument in Record.ObservedNS, giving the predicted-vs-observed
 // pair the misprediction analysis runs on. Unregistered sites predict 0
 // and learn nothing.
 //
 //apollo:hotpath
-func (r *Recorder) PredictObserve(siteID uint64, class int, observedNS float64) (predictedNS float64) {
-	s := r.siteFor(siteID)
+func (s *Site) PredictObserve(class int, observedNS float64) (predictedNS float64) {
 	if s == nil {
 		return 0
 	}
@@ -396,6 +379,11 @@ func (r *Recorder) PredictObserve(siteID uint64, class int, observedNS float64) 
 	// weight — benign for an EWMA, and keeps the hot path CAS-free.
 	a.Store(math.Float64bits((1-ewmaAlpha)*prior + ewmaAlpha*observedNS))
 	return prior
+}
+
+// PredictObserve is Site.PredictObserve by site ID.
+func (r *Recorder) PredictObserve(id uint64, class int, ns float64) float64 {
+	return r.Site(id).PredictObserve(class, ns)
 }
 
 // Snapshot drains the rings into the retained history and returns a copy

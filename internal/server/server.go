@@ -404,14 +404,15 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 // the decision trail, and the evaluation time.
 func (s *Server) predict(e *registry.Entry, x []float64) int {
 	siteID := siteIDFor(e.Name)
-	if !s.fl.SiteKnown(siteID) {
-		s.fl.RegisterSite(siteID, e.Name, e.Model.Schema.Names())
+	site := s.fl.Site(siteID)
+	if site == nil {
+		site = s.fl.RegisterSite(siteID, e.Name, e.Model.Schema.Names())
 	}
 	// Server vectors are already in the model's own schema, so the
 	// decoder needs no source mapping; re-register only when a republish
 	// swapped the compiled tree.
-	if d := s.fl.SiteDecoder(siteID); d == nil || d.Tree != e.Compiled {
-		s.fl.SetSiteDecoder(siteID, &flight.TrailDecoder{Tree: e.Compiled})
+	if d := site.Decoder(); d == nil || d.Tree != e.Compiled {
+		site.SetDecoder(&flight.TrailDecoder{Tree: e.Compiled})
 	}
 	t0 := flight.Now()
 	rec, tok := s.fl.Reserve(siteID)
@@ -427,7 +428,7 @@ func (s *Server) predict(e *registry.Entry, x []float64) int {
 	evalNS := float64(flight.Now() - t0)
 	rec.ModelNS = evalNS
 	rec.ObservedNS = evalNS
-	rec.PredictedNS = s.fl.PredictObserve(siteID, class, evalNS)
+	rec.PredictedNS = site.PredictObserve(class, evalNS)
 	s.fl.Commit(tok)
 	return class
 }

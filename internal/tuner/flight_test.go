@@ -115,15 +115,26 @@ func TestTunerFlightMarksExploration(t *testing.T) {
 		UsePolicyModel(model).UseFlight(fr).ExploreEvery(1)
 
 	k := raja.NewKernel("explore", nil)
-	iset := raja.NewRange(0, 50)
-	p, _ := tn.Begin(k, iset) // every launch explores: policy flipped
-	tn.End(k, iset, p, 100)
+	iset := raja.NewRange(0, 50) // model picks seq
+	// Every launch is a candidate; the site's first look comes once its
+	// kernel time affords one more launch, after about 1/ε of them.
+	flipped := false
+	for i := 0; i < 200 && !flipped; i++ {
+		p, _ := tn.Begin(k, iset)
+		tn.End(k, iset, p, 100)
+		flipped = p.Policy != raja.SeqExec
+	}
+	if !flipped {
+		t.Fatal("a warmed site never explored at ExploreEvery(1)")
+	}
 
 	recs := fr.Snapshot()
-	if len(recs) != 1 {
-		t.Fatalf("got %d records, want 1", len(recs))
+	for _, rec := range recs[:len(recs)-1] {
+		if rec.Explored {
+			t.Fatalf("record %d marked Explored before the flipped launch", rec.Seq)
+		}
 	}
-	rec := recs[0]
+	rec := recs[len(recs)-1]
 	if !rec.Explored {
 		t.Fatal("exploration launch not marked Explored")
 	}

@@ -15,6 +15,8 @@
 package tuner
 
 import (
+	"maps"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -178,14 +180,78 @@ type Tuner struct {
 	// phase timings). Nil costs one atomic load and a branch.
 	fl atomic.Pointer[flight.Recorder]
 
-	// exploreEvery > 0 flips the predicted execution policy on every
-	// exploreEvery-th launch, so telemetry contains counterfactual
-	// observations (how fast would the other variant have been?) that
-	// let the continuous trainer relabel vectors the deployed model
-	// gets wrong. 0 disables exploration.
+	// exploreEvery > 0 lets every exploreEvery-th launch of a site run the
+	// execution policy the model did not pick, within the site's time
+	// budget, so telemetry contains counterfactual observations (how fast
+	// would the other variant have been?) that let the continuous trainer
+	// relabel vectors the deployed model gets wrong. 0 disables exploration.
 	exploreEvery atomic.Uint64
-	exploreSeq   atomic.Uint64
 	explored     atomic.Uint64
+	// sites is copy-on-write: a site's first launch republishes it under siteMu.
+	sites  atomic.Pointer[map[uint64]*siteBudget]
+	siteMu sync.Mutex
+}
+
+// exploreShare is ε, the share of a site's kernel time that launches
+// running the policy the model did not pick may take. A constant: the
+// budget scales itself (a variant k× dearer is looked at k× less often).
+const exploreShare = 1.0 / 64
+
+// siteBudget is one launch site's exploration account (DESIGN §6). Each
+// field is one atomic word (floats as float64 bits) updated load-then-
+// store: racing launches of a site can lose an update, never tear a value,
+// as the flight recorder's EWMA does. It reads no clock and draws no random
+// number: decisions are a function of the launches and the times End is handed.
+type siteBudget struct {
+	launches   atomic.Uint64
+	totalNS    atomic.Uint64 // kernel time of every launch End has seen
+	exploredNS atomic.Uint64 // the part spent in launches Begin flipped
+	// perIterNS is the EWMA (α = 0.25) of elapsed ÷ iterations per policy —
+	// per iteration because one site launches index sets of many sizes.
+	perIterNS [raja.NumPolicies]atomic.Uint64
+	inFlight  atomic.Int32 // 1 + the policy of a flipped launch End has yet to see
+}
+
+func loadNS(a *atomic.Uint64) float64    { return math.Float64frombits(a.Load()) }
+func addNS(a *atomic.Uint64, ns float64) { a.Store(math.Float64bits(loadNS(a) + ns)) }
+
+// affords reports whether this launch may run the policy the model did not
+// choose: it is the site's every-th launch and its price, that policy's
+// EWMA × iters, fits the budget. A policy never seen here is priced as the
+// chosen one (a first look costs one more launch of what is running now);
+// with neither seen nothing is explored.
+//
+//apollo:hotpath
+func (s *siteBudget) affords(chosen raja.Policy, iters int, every uint64) bool {
+	if s.launches.Add(1)%every != 0 || uint(chosen) >= uint(len(s.perIterNS)) {
+		return false
+	}
+	perIter := loadNS(&s.perIterNS[flipPolicy(chosen)])
+	if perIter == 0 {
+		perIter = loadNS(&s.perIterNS[chosen])
+	}
+	price := perIter * float64(iters)
+	return price > 0 && loadNS(&s.exploredNS)+price <= exploreShare*(loadNS(&s.totalNS)+price)
+}
+
+// settle books a finished launch: its time into the site's total and, when
+// it is the flipped launch in flight, into the explored time; its time per
+// iteration into the EWMA of the policy it ran.
+//
+//apollo:hotpath
+func (s *siteBudget) settle(ran raja.Policy, iters int, elapsedNS float64) {
+	addNS(&s.totalNS, elapsedNS)
+	if s.inFlight.Load() == int32(ran)+1 {
+		s.inFlight.Store(0)
+		addNS(&s.exploredNS, elapsedNS)
+	}
+	if iters > 0 && uint(ran) < uint(len(s.perIterNS)) {
+		a, obs := &s.perIterNS[ran], elapsedNS/float64(iters)
+		if prior := loadNS(a); prior != 0 {
+			obs = 0.75*prior + 0.25*obs
+		}
+		a.Store(math.Float64bits(obs))
+	}
 }
 
 // sourceBox makes the ModelSource interface value atomically swappable.
@@ -200,6 +266,7 @@ func NewTuner(schema *features.Schema, ann *caliper.Annotations, base raja.Param
 		return &v
 	}
 	t.src.Store(&sourceBox{s: &t.own})
+	t.sites.Store(&map[uint64]*siteBudget{})
 	return t
 }
 
@@ -265,11 +332,38 @@ func (t *Tuner) Begin(k *raja.Kernel, iset *raja.IndexSet) (raja.Params, bool) {
 			params.Chunk = raja.ChunkSizes[class]
 		}
 	}
-	if every := t.exploreEvery.Load(); every > 0 && t.exploreSeq.Add(1)%every == 0 {
-		params.Policy = flipPolicy(params.Policy)
-		t.explored.Add(1)
+	if every := t.exploreEvery.Load(); every > 0 {
+		s := t.site(k.ID)
+		if s == nil {
+			s = t.registerSite(k.ID)
+		}
+		if s.affords(params.Policy, iset.Len(), every) {
+			params.Policy = flipPolicy(params.Policy)
+			s.inFlight.Store(int32(params.Policy) + 1)
+			t.explored.Add(1)
+		}
 	}
 	return params, true
+}
+
+// site returns the site's account, nil before its first launch with exploration on.
+//
+//apollo:hotpath
+func (t *Tuner) site(id uint64) *siteBudget { return (*t.sites.Load())[id] }
+
+// registerSite publishes a fresh account for the site; the first wins.
+//
+//apollo:coldpath first-launch site interning, amortized over every later launch
+func (t *Tuner) registerSite(id uint64) *siteBudget {
+	t.siteMu.Lock()
+	defer t.siteMu.Unlock()
+	if s := t.site(id); s != nil {
+		return s
+	}
+	m := maps.Clone(*t.sites.Load())
+	m[id] = &siteBudget{}
+	t.sites.Store(&m)
+	return m[id]
 }
 
 // flipPolicy returns the other execution policy — the exploration move.
@@ -290,6 +384,11 @@ func flipPolicy(p raja.Policy) raja.Policy {
 //
 //apollo:hotpath
 func (t *Tuner) End(k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedNS float64) {
+	if t.exploreEvery.Load() > 0 {
+		if s := t.site(k.ID); s != nil {
+			s.settle(p.Policy, iset.Len(), elapsedNS)
+		}
+	}
 	rec, fr := t.telem.Load(), t.fl.Load()
 	shares := rec != nil && rec.Captures(t.schema, t.ann)
 	if rec != nil && !shares {
@@ -331,8 +430,9 @@ func (t *Tuner) End(k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedN
 //
 //apollo:hotpath
 func (t *Tuner) emitFlight(fr *flight.Recorder, k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedNS float64, x []float64, featureNS float64) {
-	if !fr.SiteKnown(k.ID) {
-		fr.RegisterSite(k.ID, k.Name, nil)
+	site := fr.Site(k.ID)
+	if site == nil {
+		site = fr.RegisterSite(k.ID, k.Name, nil)
 	}
 	rec, tok := fr.Reserve(k.ID)
 	if rec == nil {
@@ -368,8 +468,8 @@ func (t *Tuner) emitFlight(fr *flight.Recorder, k *raja.Kernel, iset *raja.Index
 			}
 		}
 		rec.OffsetsLen = int32(n)
-		if d := fr.SiteDecoder(k.ID); d == nil || d.Tree != policyTree || d.ChunkTree != chunkTree {
-			registerDecoder(fr, k.ID, ps)
+		if d := site.Decoder(); d == nil || d.Tree != policyTree || d.ChunkTree != chunkTree {
+			registerDecoder(site, ps)
 		}
 	}
 	t2 := flight.Now()
@@ -379,7 +479,7 @@ func (t *Tuner) emitFlight(fr *flight.Recorder, k *raja.Kernel, iset *raja.Index
 	rec.Predicted = predicted
 	rec.Explored = predicted >= 0 && chosen.Policy != p.Policy
 	rec.ObservedNS = elapsedNS
-	rec.PredictedNS = fr.PredictObserve(k.ID, int(p.Policy), elapsedNS)
+	rec.PredictedNS = site.PredictObserve(int(p.Policy), elapsedNS)
 	rec.FeatureNS = featureNS
 	rec.ModelNS = float64(t2 - t1)
 	fr.Commit(tok)
@@ -391,7 +491,7 @@ func (t *Tuner) emitFlight(fr *flight.Recorder, k *raja.Kernel, iset *raja.Index
 // per launch.
 //
 //apollo:coldpath decoder registration runs once per site model swap
-func registerDecoder(fr *flight.Recorder, id uint64, ps *Projectors) {
+func registerDecoder(site *flight.Site, ps *Projectors) {
 	d := &flight.TrailDecoder{}
 	if ps.Policy != nil {
 		d.Tree, d.Src = ps.Policy.Compiled(), ps.Policy.SourceIndex()
@@ -399,7 +499,7 @@ func registerDecoder(fr *flight.Recorder, id uint64, ps *Projectors) {
 	if ps.Chunk != nil {
 		d.ChunkTree, d.ChunkSrc = ps.Chunk.Compiled(), ps.Chunk.SourceIndex()
 	}
-	fr.SetSiteDecoder(id, d)
+	site.SetDecoder(d)
 }
 
 // UseTelemetry attaches (or, with nil, detaches) a telemetry recorder;
@@ -419,11 +519,12 @@ func (t *Tuner) UseFlight(fr *flight.Recorder) *Tuner {
 // Flight returns the attached flight recorder (nil when detached).
 func (t *Tuner) Flight() *flight.Recorder { return t.fl.Load() }
 
-// ExploreEvery makes every n-th launch execute the opposite execution
-// policy from the model's pick (0 disables). A small exploration rate is
-// what gives the telemetry stream observations of both variants per
-// feature vector — without it the closed loop could never learn that the
-// deployed model's choice has become the slower one.
+// ExploreEvery lets every n-th launch of a site execute the opposite
+// execution policy from the model's pick while such launches stay within
+// exploreShare of the site's kernel time (0 disables). Exploration is what
+// gives the telemetry stream observations of both variants per feature
+// vector — without it the closed loop could never learn that the deployed
+// model's choice has become the slower one.
 func (t *Tuner) ExploreEvery(n uint64) *Tuner {
 	t.exploreEvery.Store(n)
 	return t
@@ -431,6 +532,18 @@ func (t *Tuner) ExploreEvery(n uint64) *Tuner {
 
 // Explored returns how many launches ran an exploration variant.
 func (t *Tuner) Explored() uint64 { return t.explored.Load() }
+
+// ExploreShare returns what exploration has cost: the kernel time of the
+// launches that ran an exploration variant as a share of all kernel time
+// End has seen with exploration on (0 before any).
+func (t *Tuner) ExploreShare() float64 {
+	var explored, total float64
+	for _, s := range *t.sites.Load() {
+		explored += loadNS(&s.exploredNS)
+		total += loadNS(&s.totalNS)
+	}
+	return explored / max(total, math.SmallestNonzeroFloat64)
+}
 
 // Decisions returns how many launches the tuner has parameterized.
 func (t *Tuner) Decisions() uint64 { return t.decisions.Load() }

@@ -350,24 +350,42 @@ func TestTunerExploreEveryFlipsPolicy(t *testing.T) {
 
 	k := raja.NewKernel("explore", nil)
 	small := raja.NewRange(0, 50) // model picks seq
-	var seq, omp int
-	for i := 0; i < 16; i++ {
+	// Both policies cost 100 ns here, so the budget alone sets the rate:
+	// one look per 1/ε launches, each on the site's own fourth launch.
+	const launches, ns = 2000, 100.0
+	flips, last := 0, -2
+	for i := 0; i < launches; i++ {
 		p, _ := tn.Begin(k, small)
+		tn.End(k, small, p, ns)
 		if p.Policy == raja.SeqExec {
-			seq++
-		} else {
-			omp++
+			continue
 		}
+		flips++
+		if i == last+1 {
+			t.Fatalf("launches %d and %d both flipped", last, i)
+		}
+		if (i+1)%4 != 0 {
+			t.Fatalf("launch %d flipped off the site's every-4th cadence", i)
+		}
+		if spent, budget := float64(flips)*ns, exploreShare*float64(i+1)*ns; spent > budget {
+			t.Fatalf("after launch %d exploration took %g ns of a budget of %g", i, spent, budget)
+		}
+		last = i
 	}
-	if omp != 4 || seq != 12 {
-		t.Errorf("explored %d omp / %d seq, want 4/12", omp, seq)
+	if flips > launches/4 || flips < launches/128 {
+		t.Errorf("%d of %d launches flipped, want about 1 in %g and never more than 1 in 4", flips, launches, 1/exploreShare)
 	}
-	if tn.Explored() != 4 {
-		t.Errorf("Explored() = %d, want 4", tn.Explored())
+	if tn.Explored() != uint64(flips) {
+		t.Errorf("Explored() = %d, want the %d flips seen", tn.Explored(), flips)
+	}
+	if got, want := tn.ExploreShare(), float64(flips)/launches; got != want {
+		t.Errorf("ExploreShare() = %g, want %g", got, want)
 	}
 	tn.ExploreEvery(0)
-	for i := 0; i < 8; i++ {
-		if p, _ := tn.Begin(k, small); p.Policy != raja.SeqExec {
+	for i := 0; i < 256; i++ {
+		p, _ := tn.Begin(k, small)
+		tn.End(k, small, p, ns)
+		if p.Policy != raja.SeqExec {
 			t.Fatal("exploration still active after disable")
 		}
 	}

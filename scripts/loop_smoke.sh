@@ -73,6 +73,13 @@ echo "== run apollo-tune at size 8 until the retrained model hot-swaps in"
     -poll 100ms -flush 100ms | tee "$WORK/tune.log"
 
 echo "== loop evidence"
+# The stale-model case of the exploration budget: looks keep flowing (the
+# retrain needs them) and stay inside their share of kernel time.
+DONE="$(grep '^apollo-tune: done' "$WORK/tune.log")"
+EXPLORED="$(sed -n 's/.* explored=\([0-9]*\) .*/\1/p' <<<"$DONE")"
+SHARE="$(sed -n 's/.* explore_share=\([0-9.]*\) .*/\1/p' <<<"$DONE")"
+[[ "${EXPLORED:-0}" -gt 0 ]] || { echo "FAIL: explored=$EXPLORED, want > 0"; exit 1; }
+awk -v s="${SHARE:-1}" 'BEGIN { exit !(s <= 0.02) }' || { echo "FAIL: explore_share=$SHARE, want <= 0.02"; exit 1; }
 grep -q "published=true" "$WORK/traind.log" || {
     cat "$WORK/traind.log"; echo "FAIL: trainer never published"; exit 1; }
 fetch "$BASE/models" | grep -q '"loop/policy"'
