@@ -11,15 +11,17 @@ build:
 	$(GO) build ./...
 	$(GO) vet ./...
 
-# apollo-vet enforces the project invariants — hot-path no-alloc /
-# lock-free, typed 64-bit atomics only, lock-rank order, deterministic
-# serialization, copy-on-write publication discipline, failure-path
-# hygiene (error sinks, cancellable blocking, spawn/stop pairing,
-# outbound HTTP deadlines), and live waivers — over the whole module,
-# thirteen analyzers in one pass over one fact base; the 386 cross-build
-# is the atomics rule's dynamic twin: the module must keep compiling for a
-# 32-bit target. Goroutine-leak freedom is not a lint: spawns live in
-# internal/bg, whose spawn-site test and bgtest.NoLeaks run in `make test`.
+# apollo-vet enforces the project invariants that have forced fixes —
+# hot-path no-alloc / lock-free, typed 64-bit atomics only, lock scope
+# and lock-rank order, failure-path hygiene (error sinks, cancellable
+# blocking, outbound HTTP deadlines), and live waivers — over the whole
+# module, eight analyzers in one pass over one fact base; the 386
+# cross-build is the atomics rule's dynamic twin: the module must keep
+# compiling for a 32-bit target. Copy-on-write publication, deterministic
+# bytes and goroutine-leak freedom are not lints but tests that run in
+# `make test`: the frozen-snapshot audits (internal/bg/cowtest, again
+# under -race in `make race` and `make stress`), TestSameInputsSameBytes,
+# and internal/bg's spawn-site test with bgtest.NoLeaks.
 lint:
 	$(GO) run ./cmd/apollo-vet ./...
 	GOARCH=386 $(GO) build ./...
@@ -84,12 +86,17 @@ bench-smoke:
 bench-compare:
 	bash scripts/bench_compare.sh $(PARENT)
 
-# Scheduler stress: the closed-loop e2e scenario repeated under the
-# race detector across a GOMAXPROCS sweep, multiplying the goroutine
-# interleavings the single-shot race run explores.
+# Scheduler stress under the race detector across a GOMAXPROCS sweep,
+# multiplying the goroutine interleavings the single-shot race run
+# explores: the closed-loop e2e scenario (it sweeps inside the test), and
+# the frozen-snapshot audits of the eight publishing packages, whose
+# reader runs beside each package's own writers (-cpu sweeps those).
 STRESS_COUNT ?= 3
+FROZEN_PKGS = ./internal/bg/cowtest ./internal/caliper ./internal/metrics ./internal/features \
+	./internal/flight ./internal/registry ./internal/client ./internal/fleet/hashring ./internal/tuner
 stress:
 	$(GO) test -race -count=$(STRESS_COUNT) -run 'ClosedLoop' .
+	$(GO) test -race -count=$(STRESS_COUNT) -cpu 1,2,4 -run 'Frozen' $(FROZEN_PKGS)
 
 # One benchmark per paper table/figure plus overhead/ablation benches.
 bench:

@@ -182,9 +182,27 @@ func readInput(in, url string, timeout time.Duration) ([]byte, error) {
 		if resp.StatusCode != http.StatusOK {
 			return nil, fmt.Errorf("GET %s: %s", url, resp.Status)
 		}
-		return io.ReadAll(resp.Body)
+		return readCapped(resp.Body, "GET "+url)
 	}
 	return nil, fmt.Errorf("set -in or -url")
+}
+
+// maxReplyBytes caps what one reply of a live endpoint may hold: a flight
+// or loop capture is a few megabytes, a /predict answer kilobytes. A
+// variable so tests can answer over it without a 64 MiB body.
+var maxReplyBytes int64 = 64 << 20
+
+// readCapped reads a reply of at most maxReplyBytes; a longer one is an
+// error naming the request, never a truncated body handed on to a decoder.
+func readCapped(r io.Reader, what string) ([]byte, error) {
+	data, err := io.ReadAll(io.LimitReader(r, maxReplyBytes+1))
+	if err != nil {
+		return nil, fmt.Errorf("%s: reading reply: %w", what, err)
+	}
+	if int64(len(data)) > maxReplyBytes {
+		return nil, fmt.Errorf("%s: reply exceeds %d bytes", what, maxReplyBytes)
+	}
+	return data, nil
 }
 
 // variantStat accumulates one region's observations of one variant.

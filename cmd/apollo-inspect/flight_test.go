@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -114,6 +116,27 @@ func TestFlightCmdReadsCaptureFile(t *testing.T) {
 	}
 	if err := runFlightCmd(nil); err == nil {
 		t.Error("no input accepted")
+	}
+}
+
+// shrinkReplyCap lowers the live-reply cap for one test.
+func shrinkReplyCap(t *testing.T, limit int64) {
+	old := maxReplyBytes
+	maxReplyBytes = limit
+	t.Cleanup(func() { maxReplyBytes = old })
+}
+
+// A live endpoint answering more than the cap is an error naming the
+// request and the cap, not a capture truncated mid-record.
+func TestFlightCmdRejectsOversizeReply(t *testing.T) {
+	shrinkReplyCap(t, 1<<10)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"format":"apollo-flight-v1","records":[` + strings.Repeat(" ", 1<<10) + `]}`))
+	}))
+	defer ts.Close()
+	err := runFlightCmd([]string{"-url", ts.URL})
+	if err == nil || !strings.Contains(err.Error(), "GET "+ts.URL) || !strings.Contains(err.Error(), "exceeds 1024 bytes") {
+		t.Errorf("oversize capture reply: %v", err)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -248,9 +247,9 @@ func verifyLive(hc *http.Client, base, name string, m *core.Model, probes [][]fl
 			return nil, err
 		}
 		defer resp.Body.Close()
-		data, err := io.ReadAll(resp.Body)
+		data, err := readCapped(resp.Body, "POST /predict")
 		if err != nil {
-			return nil, fmt.Errorf("POST /predict: reading response: %w", err)
+			return nil, err
 		}
 		if resp.StatusCode != http.StatusOK {
 			return nil, fmt.Errorf("POST /predict: %s: %s", resp.Status, data)

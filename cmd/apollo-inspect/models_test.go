@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
@@ -94,5 +96,23 @@ func TestProbeVectorsCoverBoundaries(t *testing.T) {
 	}
 	if err := verifyCompiled(m, probes); err != nil {
 		t.Fatalf("differential verification failed: %v", err)
+	}
+}
+
+// A /predict answer over the reply cap fails -verify with an error naming
+// the request and the cap, not a JSON error from a body cut short.
+func TestVerifyLiveRejectsOversizeReply(t *testing.T) {
+	shrinkReplyCap(t, 1<<10)
+	m, err := core.LoadModel(savedModel(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"classes":[` + strings.Repeat(" ", 1<<10) + `]}`))
+	}))
+	defer ts.Close()
+	_, err = verifyLive(ts.Client(), ts.URL, "lulesh/policy", m, probeVectors(m, 4))
+	if err == nil || !strings.Contains(err.Error(), "POST /predict") || !strings.Contains(err.Error(), "exceeds 1024 bytes") {
+		t.Errorf("oversize /predict reply: %v", err)
 	}
 }

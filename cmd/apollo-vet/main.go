@@ -4,22 +4,18 @@
 // atomic.Int64/Uint64, which every target aligns, never the primitive
 // sync/atomic functions), lockscope (no blocking work while a mutex is
 // held), lockorder (nested mutex acquisitions must follow declared
-// //apollo:lockrank order and stay acyclic), detorder (map iteration must
-// not feed serialization or hashing), cowsafe (values published through an
-// atomic.Pointer are frozen and Load results are read-only), pubinit
-// (initialization must precede the publish, including through calls
-// that mutate their argument), sharedcap (goroutine closures must not
-// capture locals the spawner keeps writing), errsink (every error value
+// //apollo:lockrank order and stay acyclic), errsink (every error value
 // must reach a sink — return, cold-path log, or metric), ctxflow
 // (blocking operations reachable from serve roots must be cancellable),
-// lifecycle (component goroutines must pair with a stop signal their
-// Close/Stop provably fires and joins), netguard (outbound HTTP must
-// carry deadlines and retry through jittered backoff), and waiverdrift
-// (waiver and blocking annotations must still be live). One run builds
-// one fact base — call graph, function list, directive index — that all
-// selected analyzers share; waiverdrift reads the waiver uses the others
-// recorded, so selecting it alone runs the waiving analyzers too and
-// discards what they report.
+// netguard (outbound HTTP must carry deadlines and retry through
+// jittered backoff), and waiverdrift (waiver and blocking annotations
+// must still be live). Copy-on-write publication, deterministic bytes and
+// goroutine lifetimes are held by tests that run (internal/bg/cowtest,
+// TestSameInputsSameBytes, bgtest.NoLeaks; DESIGN §8), not by analyzers.
+// One run builds one fact base — call graph, function list, directive
+// index — that all selected analyzers share; waiverdrift reads the waiver
+// uses the others recorded, so selecting it alone runs the waiving
+// analyzers too and discards what they report.
 //
 // Usage:
 //
@@ -61,7 +57,8 @@ type jsonDiagnostic struct {
 }
 
 // jsonSummary is the final machine-readable record of one run: the
-// shape archived by CI and recorded in results/BENCH_vet.json.
+// shape CI archives and `make vet-bench` writes to
+// results/vet_summary.json.
 type jsonSummary struct {
 	Summary     bool           `json:"summary"`
 	Diagnostics int            `json:"diagnostics"`

@@ -23,19 +23,6 @@
 //     with //apollo:lockrank on the mutex declarations (lock identity is
 //     the package-qualified field or variable), and the global
 //     acquisition graph must be acyclic;
-//   - detorder: range-over-map bodies must not feed serialization,
-//     hashing, or encoding sinks (nondeterministic model bytes);
-//   - cowsafe: values published through atomic.Pointer
-//     Store/Swap/CompareAndSwap are frozen — no write through any alias
-//     after the publish — and Load results are read-only (the
-//     copy-on-write publication discipline, checked through a per-
-//     function def-use/alias layer);
-//   - pubinit: every write initializing a published value must precede
-//     the publish, including call-mediated writes proven through
-//     module-wide "mutates its argument" summaries over the call graph;
-//   - sharedcap: goroutine closures and stored callbacks must not
-//     capture locals the spawner keeps writing after the spawn
-//     (unsynchronized shared write);
 //   - errsink: every error value must reach a sink — returned, logged on
 //     a cold path, or counted into a metric; discards into _, dropped
 //     error results of statement calls, and errors forwarded to functions
@@ -45,10 +32,6 @@
 //     roots (main/run* in main packages, Run/Serve/Start* methods) must
 //     be cancellable — no time.Sleep, no bare receive or unbuffered send
 //     outside a select, no select without a default or stop-signal case;
-//   - lifecycle: every long-running goroutine spawned by a component (a
-//     type with a Start*/Run/Serve or Close/Stop/Shutdown method) must be
-//     tied to a stop signal the component's Close/Stop provably fires,
-//     and firing it must join before returning;
 //   - netguard: outbound HTTP must carry deadlines — no http.Get /
 //     http.DefaultClient / timeout-less http.Client literal — and retry
 //     loops around network calls must route through the jittered backoff
@@ -78,22 +61,11 @@
 //	//apollo:lockrank <N>              on a sync.Mutex/RWMutex field or
 //	                                   var declaration: nested acquisitions
 //	                                   must strictly increase the rank
-//	//apollo:detorderok <reason>       suppress a detorder finding on this
-//	                                   line (range or sink); reason required
-//	//apollo:cowok <reason>            suppress cowsafe/pubinit findings on
-//	                                   this line, or on the whole function
-//	                                   when placed in its doc comment;
-//	                                   reason required
-//	//apollo:sharedcapok <reason>      suppress a sharedcap finding on the
-//	                                   escape's or the write's line;
-//	                                   reason required
 //	//apollo:errok <reason>            suppress an errsink finding on this
 //	                                   line (deliberate best-effort
 //	                                   discard); reason required
 //	//apollo:ctxok <reason>            suppress a ctxflow finding on this
-//	                                   line, or a lifecycle finding on the
-//	                                   go statement's line (deliberately
-//	                                   detached goroutine); reason required
+//	                                   line; reason required
 package analysis
 
 import (
@@ -142,9 +114,8 @@ type Analyzer struct {
 
 // All returns the full apollo-vet analyzer suite.
 func All() []*Analyzer {
-	return []*Analyzer{HotPath, AtomicAlign, LockScope, LockOrder, DetOrder,
-		CowSafe, PubInit, SharedCap, ErrSink, CtxFlow, Lifecycle, NetGuard,
-		WaiverDrift}
+	return []*Analyzer{HotPath, AtomicAlign, LockScope, LockOrder, ErrSink,
+		CtxFlow, NetGuard, WaiverDrift}
 }
 
 // waiverDirectives is every directive some analyzer of the suite honours
@@ -274,17 +245,14 @@ func RunAllStats(prog *Program, analyzers []*Analyzer) ([]Diagnostic, Stats) {
 
 // Directive names (the text after "//apollo:").
 const (
-	dirHotPath     = "hotpath"
-	dirBlocking    = "blocking"
-	dirColdPath    = "coldpath"
-	dirAllocOK     = "allocok"
-	dirLockOK      = "lockok"
-	dirLockRank    = "lockrank"
-	dirDetOrderOK  = "detorderok"
-	dirCowOK       = "cowok"
-	dirSharedCapOK = "sharedcapok"
-	dirErrOK       = "errok"
-	dirCtxOK       = "ctxok"
+	dirHotPath  = "hotpath"
+	dirBlocking = "blocking"
+	dirColdPath = "coldpath"
+	dirAllocOK  = "allocok"
+	dirLockOK   = "lockok"
+	dirLockRank = "lockrank"
+	dirErrOK    = "errok"
+	dirCtxOK    = "ctxok"
 )
 
 // directive is one parsed //apollo:* comment.

@@ -36,15 +36,13 @@ type funcInfo struct {
 // looks at it, built once by RunAllStats and shared by the analyzers it
 // runs concurrently: the call graph, the declared functions in position
 // order, the run's waiver-use record, and the module-wide summaries.
-// mut and errs fill their memos as they are asked and take no lock:
-// each has one reader (pubinit, errsink). chans is one scan of the
-// module on first use.
+// errs fills its memo as it is asked and takes no lock: it has one
+// reader (errsink). chans is one scan of the module on first use.
 type facts struct {
 	prog  *Program
 	g     *graph
 	funcs []*funcInfo
 	uses  waiverUse
-	mut   *mutParams
 	errs  *errReads
 	chans func() *chanBuffering
 	// waiverDirs is waiverDirectives(), handed to waiverdrift through the
@@ -54,7 +52,7 @@ type facts struct {
 
 func newFacts(prog *Program) *facts {
 	g := buildGraph(prog)
-	f := &facts{prog: prog, g: g, mut: newMutParams(g), errs: newErrReads(g),
+	f := &facts{prog: prog, g: g, errs: newErrReads(g),
 		chans:      sync.OnceValue(func() *chanBuffering { return buildChanBuffering(prog) }),
 		waiverDirs: waiverDirectives()}
 	for _, fi := range g.funcs {

@@ -1,11 +1,11 @@
 package analysis
 
-// errflow.go is the failure-path fact layer shared by the errsink,
-// ctxflow, and lifecycle analyzers: error-value def-use summaries over
-// the module call graph (which error parameters a function actually
-// observes), module-wide channel-buffering facts, stop-signal shape
-// classification, and the allowlist of calls whose error results are
-// infallible by contract.
+// errflow.go is the failure-path fact layer shared by the errsink and
+// ctxflow analyzers: error-value def-use summaries over the module call
+// graph (which error parameters a function actually observes),
+// module-wide channel-buffering facts, stop-signal shape classification,
+// and the allowlist of calls whose error results are infallible by
+// contract.
 
 import (
 	"go/ast"
@@ -98,6 +98,52 @@ func infallibleReceiver(pkg *Package, call *ast.CallExpr) bool {
 		return named.Obj().Name() == "Buffer"
 	}
 	return false
+}
+
+// paramObjs returns the receiver (if any) followed by the declared
+// parameters: the slot layout errReads' masks and callArgVars share.
+func paramObjs(fi *funcInfo) []*types.Var {
+	var out []*types.Var
+	sig := fi.obj.Type().(*types.Signature)
+	if recv := sig.Recv(); recv != nil {
+		out = append(out, recv)
+	}
+	for i := 0; i < sig.Params().Len(); i++ {
+		out = append(out, sig.Params().At(i))
+	}
+	return out
+}
+
+// callArgVars maps a call's receiver and arguments onto the variables
+// they pass, aligned with paramObjs' layout (receiver first for method
+// calls). Non-variable arguments yield nil entries.
+func callArgVars(pkg *Package, call *ast.CallExpr) []*types.Var {
+	var out []*types.Var
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		if s, ok := pkg.Info.Selections[sel]; ok && s.Kind() == types.MethodVal {
+			out = append(out, argVar(pkg, sel.X))
+		}
+	}
+	for _, a := range call.Args {
+		out = append(out, argVar(pkg, a))
+	}
+	return out
+}
+
+// argVar resolves an argument to the variable it passes (unwrapping an
+// address-of), nil when it is not a plain variable.
+func argVar(pkg *Package, e ast.Expr) *types.Var {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		if v, ok := pkg.Info.Uses[x].(*types.Var); ok {
+			return v
+		}
+	case *ast.UnaryExpr:
+		if x.Op == token.AND {
+			return argVar(pkg, x.X)
+		}
+	}
+	return nil
 }
 
 // errReads computes, per module function, which receiver/parameter slots
@@ -356,60 +402,4 @@ func chanVar(pkg *Package, e ast.Expr) *types.Var {
 	}
 	v, _ := pkg.Info.Uses[id].(*types.Var)
 	return v
-}
-
-// longRunningBody reports whether a goroutine body is long-running: it
-// contains (outside nested function literals) a condition-less for loop
-// or a range over a channel — the shapes that only a stop signal ends.
-func longRunningBody(pkg *Package, body *ast.BlockStmt) bool {
-	long := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if long {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.ForStmt:
-			if n.Cond == nil {
-				long = true
-			}
-		case *ast.RangeStmt:
-			if _, isChan := exprChanType(pkg.Info, n.X); isChan {
-				long = true
-			}
-		}
-		return true
-	})
-	return long
-}
-
-// bodyJoins reports whether a body waits for goroutine exit: a channel
-// receive or a sync.WaitGroup.Wait call anywhere inside (including
-// nested literals).
-func bodyJoins(pkg *Package, body ast.Node) bool {
-	joins := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if joins {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				joins = true
-			}
-		case *ast.RangeStmt:
-			if _, isChan := exprChanType(pkg.Info, n.X); isChan {
-				joins = true
-			}
-		case *ast.CallExpr: // sync.WaitGroup.Wait
-			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" {
-				if m, ok := pkg.Info.Uses[sel.Sel].(*types.Func); ok && m.Pkg() != nil && m.Pkg().Path() == "sync" && receiverBaseName(m) == "WaitGroup" {
-					joins = true
-				}
-			}
-		}
-		return true
-	})
-	return joins
 }

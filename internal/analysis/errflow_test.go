@@ -104,8 +104,8 @@ func TestChanBuffering(t *testing.T) {
 	}
 }
 
-// TestStopNamed pins the stop-signal name classifier used by both
-// ctxflow (select cases) and lifecycle (spawn/stop pairing).
+// TestStopNamed pins the stop-signal name classifier ctxflow applies to
+// select cases.
 func TestStopNamed(t *testing.T) {
 	cases := []struct {
 		expr string
@@ -129,38 +129,5 @@ func TestStopNamed(t *testing.T) {
 		if got := stopNamed(e); got != c.want {
 			t.Errorf("stopNamed(%s) = %v, want %v", c.expr, got, c.want)
 		}
-	}
-}
-
-// TestLifecycleFacts pins the spawn/stop pairing facts over the
-// lifecycle corpus: Pump's ctor spawn resolves to a long-running body
-// whose stop field the Close method provably fires and joins.
-func TestLifecycleFacts(t *testing.T) {
-	_, g := loadModule(t, "lifecyclemod")
-	comps := buildComponents(g)
-
-	var pump *component
-	for _, c := range comps {
-		if c.name.Name() == "Pump" {
-			pump = c
-		}
-	}
-	if pump == nil {
-		t.Fatal("Pump not classified as a component")
-	}
-	stop := componentStopMethod(pump)
-	if stop == nil || stop.obj.Name() != "Close" {
-		t.Fatalf("Pump stop method = %v, want Close", stop)
-	}
-	if !methodFiresField(stop, "work") {
-		t.Error("Pump.Close does not fire the work field it provably closes")
-	}
-	if !bodyJoins(stop.pkg, stop.decl.Body) {
-		t.Error("Pump.Close's <-p.done receive not recognized as a join")
-	}
-
-	loop := funcNamed(t, g, "loop")
-	if !longRunningBody(loop.pkg, loop.decl.Body) {
-		t.Error("Pump.loop's range over a channel not recognized as long-running")
 	}
 }

@@ -410,8 +410,16 @@ func bannedExternal(obj *types.Func) string {
 // receiverBaseName returns the receiver's named-type name ("" for
 // top-level functions).
 func receiverBaseName(obj *types.Func) string {
-	if tn := namedRecv(obj); tn != nil {
-		return tn.Name()
+	recv := obj.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return ""
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj().Name()
 	}
 	return ""
 }

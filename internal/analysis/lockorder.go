@@ -48,7 +48,7 @@ func runLockOrder(f *facts) []Diagnostic {
 			continue
 		}
 		s.bindings = methodBindings(fi.pkg, fi.decl.Body)
-		s.scanStmts(fi, fi.decl.Body.List, map[*types.Var]bool{})
+		s.scanFunc(fi)
 	}
 
 	s.checkEdges()
@@ -237,51 +237,32 @@ func (s *lockOrderScanner) addEdge(from, to *types.Var, pos token.Pos, chain []s
 	s.edges = append(s.edges, lockEdge{from: from, to: to, pos: pos, chain: chain})
 }
 
-// scanStmts walks a statement sequence in execution order, maintaining
-// the set of held lock identities. Nested control-flow blocks inherit a
-// copy of the held set; function literals start fresh (they run later,
-// on their own goroutine or deferred).
-func (s *lockOrderScanner) scanStmts(fi *funcInfo, stmts []ast.Stmt, held map[*types.Var]bool) {
-	for _, stmt := range stmts {
-		if es, ok := stmt.(*ast.ExprStmt); ok {
-			if expr, op, ok := lockCallExpr(fi.pkg, es.X); ok {
-				v := resolveLockIdent(fi.pkg, expr)
-				if v == nil {
-					continue
-				}
-				switch op {
-				case "Lock", "RLock":
-					if held[v] {
-						s.report(stmt.Pos(), nil, "acquires %s while it is already held (self-deadlock)", s.lockName(v))
-						continue
-					}
-					for a := range held {
-						s.addEdge(a, v, stmt.Pos(), nil)
-					}
-					held[v] = true
-				case "Unlock", "RUnlock":
-					delete(held, v)
-				}
-				continue
+// scanFunc walks one function's statement blocks tracking held lock
+// identities: an acquisition adds an edge from every lock already held,
+// and a statement under a held lock is checked for module calls that
+// acquire more.
+func (s *lockOrderScanner) scanFunc(fi *funcInfo) {
+	w := heldWalk[*types.Var]{
+		pkg: fi.pkg,
+		key: func(recv ast.Expr) (*types.Var, bool) {
+			v := resolveLockIdent(fi.pkg, recv)
+			return v, v != nil
+		},
+		acquire: func(stmt ast.Stmt, v *types.Var, held map[*types.Var]bool) {
+			if held[v] {
+				s.report(stmt.Pos(), nil, "acquires %s while it is already held (self-deadlock)", s.lockName(v))
+				return
 			}
-		}
-		if d, ok := stmt.(*ast.DeferStmt); ok {
-			if _, op, ok := lockCallExpr(fi.pkg, d.Call); ok && (op == "Unlock" || op == "RUnlock") {
-				// defer x.Unlock(): the lock stays held to the end of the
-				// lexical region, which the held set already models.
-				continue
+			for a := range held {
+				s.addEdge(a, v, stmt.Pos(), nil)
 			}
-		}
-		if len(held) > 0 {
+		},
+		under: func(stmt ast.Stmt, held map[*types.Var]bool) bool {
 			s.checkCallsUnder(fi, stmt, held)
-		}
-		for _, body := range flowBlocks(stmt) {
-			s.scanStmts(fi, body, copyHeldVars(held))
-		}
-		for _, lit := range topFuncLits(stmt) {
-			s.scanStmts(fi, lit.Body.List, map[*types.Var]bool{})
-		}
+			return true
+		},
 	}
+	w.stmts(fi.decl.Body.List, map[*types.Var]bool{})
 }
 
 // checkCallsUnder inspects one statement's own expressions (not its
@@ -382,7 +363,7 @@ func (s *lockOrderScanner) checkEdges() {
 			for _, v := range path {
 				cycle = append(cycle, s.lockName(v))
 			}
-			s.report(e.pos, e.chain, "lock-order cycle: %s", joinArrow(cycle))
+			s.report(e.pos, e.chain, "lock-order cycle: %s", strings.Join(cycle, " -> "))
 			continue
 		}
 		rf, okf := s.ranks[e.from]
@@ -423,83 +404,4 @@ func (s *lockOrderScanner) findPath(adj map[*types.Var][]*types.Var, from, to *t
 		return nil
 	}
 	return dfs(from)
-}
-
-func joinArrow(names []string) string {
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += " -> "
-		}
-		out += n
-	}
-	return out
-}
-
-func copyHeldVars(held map[*types.Var]bool) map[*types.Var]bool {
-	out := make(map[*types.Var]bool, len(held))
-	for v := range held {
-		out[v] = true
-	}
-	return out
-}
-
-// flowBlocks returns the same-goroutine statement blocks nested directly
-// inside a statement (if/for/range/switch/select bodies and bare
-// blocks). Function literals are deliberately excluded — they execute
-// later, with their own lock context.
-func flowBlocks(stmt ast.Stmt) [][]ast.Stmt {
-	var out [][]ast.Stmt
-	switch st := stmt.(type) {
-	case *ast.BlockStmt:
-		out = append(out, st.List)
-	case *ast.IfStmt:
-		out = append(out, st.Body.List)
-		if st.Else != nil {
-			out = append(out, flowBlocks(st.Else)...)
-		}
-	case *ast.ForStmt:
-		out = append(out, st.Body.List)
-	case *ast.RangeStmt:
-		out = append(out, st.Body.List)
-	case *ast.SwitchStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				out = append(out, cc.Body)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				out = append(out, cc.Body)
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				out = append(out, cc.Body)
-			}
-		}
-	case *ast.LabeledStmt:
-		out = append(out, flowBlocks(st.Stmt)...)
-	}
-	return out
-}
-
-// topFuncLits collects the function literals syntactically inside a
-// statement but outside its nested flow blocks (those are collected when
-// the blocks themselves are scanned).
-func topFuncLits(stmt ast.Stmt) []*ast.FuncLit {
-	var out []*ast.FuncLit
-	ast.Inspect(stmt, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.BlockStmt:
-			return false
-		case *ast.FuncLit:
-			out = append(out, n)
-			return false
-		}
-		return true
-	})
-	return out
 }

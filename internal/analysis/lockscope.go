@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -66,55 +67,27 @@ func (s *lockScanner) emit(d Diagnostic) {
 	s.diags = append(s.diags, d)
 }
 
-// scanFunc walks one function's statement blocks tracking held locks.
+// scanFunc walks one function's statement blocks tracking held locks by
+// their rendered receiver. A statement under a held lock is checked
+// whole, nested blocks included, so the walk does not descend into it.
 func (s *lockScanner) scanFunc(fi *funcInfo) {
 	bindings := methodBindings(fi.pkg, fi.decl.Body)
-	s.scanStmts(fi, fi.decl.Body.List, map[string]bool{}, bindings)
-}
-
-// scanStmts processes a statement sequence in order, maintaining the set
-// of held lock expressions and checking every statement executed while a
-// lock is held.
-func (s *lockScanner) scanStmts(fi *funcInfo, stmts []ast.Stmt, held map[string]bool,
-	bindings map[types.Object]*types.Func) {
-	fset := s.f.prog.Fset
-	for _, stmt := range stmts {
-		if es, ok := stmt.(*ast.ExprStmt); ok {
-			if recv, op, ok := lockCallExpr(fi.pkg, es.X); ok {
-				switch op {
-				case "Lock", "RLock":
-					held[types.ExprString(recv)] = true
-				case "Unlock", "RUnlock":
-					delete(held, types.ExprString(recv))
-				}
-				continue
-			}
-		}
-		if d, ok := stmt.(*ast.DeferStmt); ok {
-			// defer x.Unlock() keeps the lock held to the end of the
-			// lexical region; any other defer is checked like a call if
-			// a lock is held.
-			if _, op, ok := lockCallExpr(fi.pkg, d.Call); ok && (op == "Unlock" || op == "RUnlock") {
-				continue
-			}
-		}
-		if len(held) > 0 {
+	w := heldWalk[string]{
+		pkg: fi.pkg,
+		key: func(recv ast.Expr) (string, bool) { return types.ExprString(recv), true },
+		under: func(stmt ast.Stmt, held map[string]bool) bool {
 			// A statement-level waiver is live only if the statement
 			// still produces a finding: check it under the waiver.
 			prev := s.under
-			if d, ok := lineDirectiveAt(fi.lines, fset, stmt.Pos(), dirLockOK); ok {
+			if d, ok := lineDirectiveAt(fi.lines, s.f.prog.Fset, stmt.Pos(), dirLockOK); ok {
 				s.under = d.pos
 			}
 			s.checkHeld(fi, stmt, held, bindings)
 			s.under = prev
-			continue
-		}
-		// Not holding a lock: descend into nested blocks (and function
-		// literals) to find lock regions there.
-		for _, body := range childBlocks(stmt) {
-			s.scanStmts(fi, body, map[string]bool{}, bindings)
-		}
+			return false
+		},
 	}
+	w.stmts(fi.decl.Body.List, map[string]bool{})
 }
 
 // checkHeld inspects one statement executed under held locks, skipping
@@ -299,9 +272,69 @@ func lockCallExpr(pkg *Package, e ast.Expr) (recv ast.Expr, op string, ok bool) 
 	return nil, "", false
 }
 
-// childBlocks returns the statement lists nested directly inside a
-// statement (if/for/switch/select bodies, blocks, function literals).
-func childBlocks(stmt ast.Stmt) [][]ast.Stmt {
+// heldWalk is the one held-set walk lockscope and lockorder share: it
+// runs a function body's statement lists in execution order, keeping the
+// set of mutexes held between x.Lock()/x.RLock() and the matching unlock
+// in the same list (a deferred unlock holds to the end of the lexical
+// region). Control-flow blocks nested in a statement inherit a copy of
+// the held set; function literals start empty — they run later, deferred
+// or on their own goroutine. The analyzers differ in the lock's key
+// (lockscope: the rendered receiver; lockorder: the field or variable
+// object) and in what they do at an acquisition and at a statement under
+// a held lock.
+type heldWalk[K comparable] struct {
+	pkg *Package
+	// key is the identity of the mutex a lock call's receiver names;
+	// false leaves the call out of the held set.
+	key func(recv ast.Expr) (K, bool)
+	// acquire, when set, sees each Lock/RLock statement and the set held
+	// before it.
+	acquire func(stmt ast.Stmt, k K, held map[K]bool)
+	// under sees each other statement executed while a lock is held and
+	// reports whether the walk should still descend into it.
+	under func(stmt ast.Stmt, held map[K]bool) bool
+}
+
+func (w *heldWalk[K]) stmts(list []ast.Stmt, held map[K]bool) {
+	for _, stmt := range list {
+		if es, ok := stmt.(*ast.ExprStmt); ok {
+			if recv, op, ok := lockCallExpr(w.pkg, es.X); ok {
+				k, tracked := w.key(recv)
+				switch {
+				case !tracked:
+				case op == "Unlock" || op == "RUnlock":
+					delete(held, k)
+				default:
+					if w.acquire != nil {
+						w.acquire(stmt, k, held)
+					}
+					held[k] = true
+				}
+				continue
+			}
+		}
+		if d, ok := stmt.(*ast.DeferStmt); ok {
+			if _, op, ok := lockCallExpr(w.pkg, d.Call); ok && (op == "Unlock" || op == "RUnlock") {
+				continue
+			}
+		}
+		if len(held) > 0 && !w.under(stmt, held) {
+			continue
+		}
+		for _, body := range flowBlocks(stmt) {
+			w.stmts(body, maps.Clone(held))
+		}
+		for _, lit := range topFuncLits(stmt) {
+			w.stmts(lit.Body.List, map[K]bool{})
+		}
+	}
+}
+
+// flowBlocks returns the same-goroutine statement blocks nested directly
+// inside a statement (if/for/range/switch/select bodies and bare
+// blocks). Function literals are deliberately excluded — they execute
+// later, with their own lock context.
+func flowBlocks(stmt ast.Stmt) [][]ast.Stmt {
 	var out [][]ast.Stmt
 	switch st := stmt.(type) {
 	case *ast.BlockStmt:
@@ -309,7 +342,7 @@ func childBlocks(stmt ast.Stmt) [][]ast.Stmt {
 	case *ast.IfStmt:
 		out = append(out, st.Body.List)
 		if st.Else != nil {
-			out = append(out, childBlocks(st.Else)...)
+			out = append(out, flowBlocks(st.Else)...)
 		}
 	case *ast.ForStmt:
 		out = append(out, st.Body.List)
@@ -334,23 +367,25 @@ func childBlocks(stmt ast.Stmt) [][]ast.Stmt {
 			}
 		}
 	case *ast.LabeledStmt:
-		out = append(out, childBlocks(st.Stmt)...)
-	case *ast.ExprStmt:
-		ast.Inspect(st, func(n ast.Node) bool {
-			if lit, ok := n.(*ast.FuncLit); ok {
-				out = append(out, lit.Body.List)
-				return false
-			}
-			return true
-		})
-	case *ast.AssignStmt, *ast.GoStmt, *ast.DeferStmt, *ast.ReturnStmt:
-		ast.Inspect(stmt, func(n ast.Node) bool {
-			if lit, ok := n.(*ast.FuncLit); ok {
-				out = append(out, lit.Body.List)
-				return false
-			}
-			return true
-		})
+		out = append(out, flowBlocks(st.Stmt)...)
 	}
+	return out
+}
+
+// topFuncLits collects the function literals syntactically inside a
+// statement but outside its nested flow blocks (those are collected when
+// the blocks themselves are scanned).
+func topFuncLits(stmt ast.Stmt) []*ast.FuncLit {
+	var out []*ast.FuncLit
+	ast.Inspect(stmt, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.BlockStmt:
+			return false
+		case *ast.FuncLit:
+			out = append(out, n)
+			return false
+		}
+		return true
+	})
 	return out
 }

@@ -4,10 +4,8 @@
 package waivermod
 
 import (
-	"encoding/json"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -60,59 +58,6 @@ func missFill() *entry { return &entry{} }
 func orphanFill() *entry { return &entry{} }
 
 type entry struct{ n int }
-
-// Live detorderok: the marshal inside the map range is a real finding.
-func DumpStats(m map[string]int) [][]byte {
-	var out [][]byte
-	for k, v := range m {
-		b, _ := json.Marshal(map[string]int{k: v}) //apollo:detorderok fed to an order-insensitive set diff
-		out = append(out, b)
-	}
-	return out
-}
-
-// Stale detorderok: iterating a slice is already deterministic.
-func DumpList(xs []int) [][]byte {
-	var out [][]byte
-	for _, v := range xs {
-		b, _ := json.Marshal(v) //apollo:detorderok sorted upstream // want `stale //apollo:detorderok waiver: it no longer suppresses any diagnostic; delete it`
-		out = append(out, b)
-	}
-	return out
-}
-
-type snapshot struct{ n int }
-
-var snap atomic.Pointer[snapshot]
-
-// Live cowok: the post-publish write is a real cowsafe finding.
-func PublishLate() {
-	s := &snapshot{}
-	snap.Store(s)
-	s.n = 1 //apollo:cowok readers tolerate the late count; fenced by the warmup gate
-}
-
-// Stale cowok: every write precedes the publish; nothing to waive.
-func PublishClean() {
-	s := &snapshot{}
-	s.n = 1 //apollo:cowok left over from the old late-fill // want `stale //apollo:cowok waiver: it no longer suppresses any diagnostic; delete it`
-	snap.Store(s)
-}
-
-// Live sharedcapok: the spawner really does keep writing the capture.
-func SpawnShared() {
-	n := 0
-	go func() { _ = n }() //apollo:sharedcapok generation counter fences the reuse
-	n = 1
-}
-
-// Stale sharedcapok: the goroutine takes its argument by value, so
-// there is no shared capture left.
-func SpawnCopied() {
-	n := 0
-	go func(int) {}(n) //apollo:sharedcapok copied at spawn // want `stale //apollo:sharedcapok waiver: it no longer suppresses any diagnostic; delete it`
-	n = 1
-}
 
 // Truthful blocking: the receive really can block.
 //

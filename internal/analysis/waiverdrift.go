@@ -10,11 +10,10 @@ import (
 // WaiverDrift keeps the annotation contract honest: a waiver that no
 // longer suppresses anything is a lie waiting to hide a future
 // regression. It runs after the waiving analyzers (hotpath, lockscope,
-// detorder, cowsafe, pubinit, sharedcap, errsink, ctxflow, lifecycle)
-// and reads the waiver uses they recorded, then reports:
+// errsink, ctxflow) and reads the waiver uses they recorded, then
+// reports:
 //
 //   - every //apollo:allocok, //apollo:lockok, //apollo:coldpath,
-//     //apollo:detorderok, //apollo:cowok, //apollo:sharedcapok,
 //     //apollo:errok, or //apollo:ctxok directive that did not suppress
 //     a single diagnostic (for coldpath: that no hot-path traversal
 //     stopped at);

@@ -238,6 +238,13 @@ func (c *Client) Healthy() error {
 	return err
 }
 
+// FetchRaw returns name's envelope byte for byte as the service stores
+// it, at most limit bytes long — what a peer replica installs through
+// registry.PublishRaw — under get's contract.
+func (c *Client) FetchRaw(name string, limit int) ([]byte, error) {
+	return c.get("/models/"+name, limit)
+}
+
 // get is one GET with the status checked and the body capped: anything
 // but 200 is an error naming the status (a JSON error body must never
 // read as an empty answer), and so is a body over limit bytes.

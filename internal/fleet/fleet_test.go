@@ -371,6 +371,47 @@ func TestSyncerCountsFailedListAsError(t *testing.T) {
 	}
 }
 
+// A peer whose model GET fails must publish nothing: a 500 with a JSON
+// error body is an error naming the status, never bytes handed to
+// PublishRaw, and a body over maxSyncModelBytes is an error, not a model
+// truncated at the cap. Both went through the syncer's own http.Get
+// before it pulled through client.FetchRaw.
+func TestSyncerPullPublishesNothingOnABadBody(t *testing.T) {
+	for name, body := range map[string]func(w http.ResponseWriter){
+		"500": func(w http.ResponseWriter) {
+			w.WriteHeader(http.StatusInternalServerError)
+			w.Write([]byte(`{"error":"registry unavailable"}`))
+		},
+		"exceeds": func(w http.ResponseWriter) {
+			chunk := []byte(strings.Repeat(" ", 1<<16))
+			for n := 0; n <= maxSyncModelBytes; n += len(chunk) {
+				w.Write(chunk)
+			}
+		},
+	} {
+		peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/models" {
+				w.Write([]byte(`{"models":[{"name":"lulesh/policy","version":3,"etag":"\"x\""}]}`))
+				return
+			}
+			body(w)
+		}))
+		reg, _ := newReplica(t)
+		var logged []string
+		s := NewSyncer(reg, []Peer{{ID: "bad", Base: peer.URL}}, SyncerOptions{
+			Logf: func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) },
+		})
+		n := s.SyncOnce()
+		peer.Close()
+		if n != 0 || reg.Len() != 0 || s.Pulls() != 0 {
+			t.Errorf("%s: pulled %d, registry holds %d models; want nothing published", name, n, reg.Len())
+		}
+		if s.Errors() != 1 || len(logged) != 1 || !strings.Contains(logged[0], "lulesh/policy") || !strings.Contains(logged[0], name) {
+			t.Errorf("%s: errors = %d, log %q; want one error naming the model and %q", name, s.Errors(), logged, name)
+		}
+	}
+}
+
 // Health reads /healthz alone: a replica that is up keeps its ring seat
 // whatever its model list answers.
 func TestHealthIgnoresBrokenList(t *testing.T) {

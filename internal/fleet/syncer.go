@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"fmt"
-	"io"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -99,7 +97,8 @@ func (s *Syncer) SyncOnce() int {
 // syncPeer diffs one peer's list against the local registry and pulls
 // what is strictly newer.
 func (s *Syncer) syncPeer(p Peer) (int, error) {
-	list, err := p.Client(s.hc).List()
+	pc := p.Client(s.hc)
+	list, err := pc.List()
 	if err != nil {
 		return 0, err
 	}
@@ -119,7 +118,7 @@ func (s *Syncer) syncPeer(p Peer) (int, error) {
 				continue
 			}
 		}
-		if err := s.pull(p, m); err != nil {
+		if err := s.pull(p, pc, m); err != nil {
 			s.errors.Add(1)
 			s.logf("fleet: pulling %s v%d from %s: %v", m.Name, m.Version, p.ID, err)
 			continue
@@ -132,18 +131,9 @@ func (s *Syncer) syncPeer(p Peer) (int, error) {
 // pull fetches one model envelope and installs it locally. PublishRaw
 // honors the envelope's own (ahead) version, so the version number — and
 // with deterministic marshaling, the ETag — carries over unchanged.
-func (s *Syncer) pull(p Peer, m client.ModelInfo) error {
+func (s *Syncer) pull(p Peer, pc *client.Client, m client.ModelInfo) error {
 	start := time.Now()
-	resp, err := s.hc.Get(p.Base + "/models/" + m.Name)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16)) //apollo:errok best-effort drain so the connection can be reused
-		return fmt.Errorf("%s", resp.Status)
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxSyncModelBytes))
+	data, err := pc.FetchRaw(m.Name, maxSyncModelBytes)
 	if err != nil {
 		return err
 	}

@@ -210,8 +210,11 @@ type Token struct {
 // lapping writer still owns the slot; callers must tolerate that (skip
 // the fill, still call Commit).
 //
+// The ring behind buf is a mutable arena, not a copy-on-write value:
+// slots are claimed by CAS before any write and released by Commit, and
+// drains quiesce on the active pin count before reading.
+//
 //apollo:hotpath
-//apollo:cowok the ring behind buf is a mutable arena, not a COW value: slots are claimed by CAS before any write and released by Commit, and drains quiesce on the active pin count before reading
 func (r *Recorder) Reserve(siteID uint64) (*Record, Token) {
 	sh := &r.shards[mix(siteID)&r.shardMask]
 	var rb *ring
@@ -422,7 +425,10 @@ func (r *Recorder) drainLocked() {
 			s := &old.slots[j]
 			if s.rec.Seq != 0 {
 				r.retained = append(r.retained, s.rec)
-				s.rec.Seq = 0 //apollo:cowok old ring was unpublished by the swap above and quiesced on active==0; clearing Seq recycles it as the next spare
+				// The old ring was unpublished by the swap above and
+				// quiesced on active==0; clearing Seq recycles it as the
+				// next spare.
+				s.rec.Seq = 0
 			}
 		}
 		old.pos.Store(0)
