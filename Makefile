@@ -54,18 +54,24 @@ test:
 	$(GO) test ./...
 
 # Ten seconds of each fuzz target: the model decoder (whatever decodes
-# must be safe to walk), compiled-vs-interpreted prediction, and the
-# three decoders of outside bytes built on the frame's number scanner,
-# each against encoding/json (same input accepted but for the documented
+# must be safe to walk), compiled-vs-interpreted prediction, the three
+# decoders of outside bytes built on the frame's number scanner, each
+# against encoding/json (same input accepted but for the documented
 # narrowings, same values read): the row scanner (dataset.ParseRow, under
 # ReadJSONL and the spool cursor), the telemetry batch decoder and the
-# predict body decoder. go test takes one -fuzz target per package run.
+# predict body decoder; and the two readers of segment files — the tail
+# over arbitrary bytes cut anywhere (whole lines only, the longest
+# newline-terminated prefix, offsets never back) and the loop-journal
+# reader (events or an error). go test takes one -fuzz target per package
+# run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseModelOrEnvelope$$' -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzCompiledPredict$$' -fuzztime=10s ./internal/ctree
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpoolRow$$' -fuzztime=10s ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime=10s ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePredict$$' -fuzztime=10s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzTailRead$$' -fuzztime=10s ./internal/journal
+	$(GO) test -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime=10s ./internal/looptrace
 
 race:
 	$(GO) test -race ./...

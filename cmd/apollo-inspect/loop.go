@@ -16,8 +16,8 @@ import (
 // tuner) into per-loop causal timelines and the loop-reaction-time
 // distribution.
 //
-//	apollo-inspect loop -dir ./loopjournal           stitch loop-*.jsonl
-//	apollo-inspect loop -in loop-traind.jsonl        one journal
+//	apollo-inspect loop -dir ./loopjournal           stitch every loop-*/
+//	apollo-inspect loop -in loopjournal/loop-traind  one actor's journal
 //	apollo-inspect loop -url http://127.0.0.1:9999/debug/apollo/loop
 //	apollo-inspect loop -dir a,b -json               machine-readable report
 //
@@ -25,8 +25,8 @@ import (
 // combine: the stitcher merges every event it is given by wall time.
 func runLoopCmd(args []string) error {
 	fs := flag.NewFlagSet("loop", flag.ContinueOnError)
-	dir := fs.String("dir", "", "journal directory holding loop-*.jsonl files (comma-separated for several)")
-	in := fs.String("in", "", "single loop journal file (comma-separated for several)")
+	dir := fs.String("dir", "", "directory holding loop-<actor>/ journals (comma-separated for several)")
+	in := fs.String("in", "", "one actor's journal directory (comma-separated for several)")
 	url := fs.String("url", "", "fetch live events from /debug/apollo/loop endpoints (comma-separated for several)")
 	jsonOut := fs.Bool("json", false, "emit the stitched apollo-loop-report-v1 JSON instead of the text timeline")
 	timeout := fs.Duration("timeout", 3*time.Second, "HTTP timeout for -url fetches")
@@ -37,20 +37,19 @@ func runLoopCmd(args []string) error {
 		return fmt.Errorf("set at least one of -dir, -in, or -url")
 	}
 	var events []looptrace.EventJSON
-	skipped := 0
 	for _, d := range splitList(*dir) {
-		evs, n, err := looptrace.ReadJournalDir(d)
+		evs, err := looptrace.ReadJournalDir(d)
 		if err != nil {
 			return err
 		}
-		events, skipped = append(events, evs...), skipped+n
+		events = append(events, evs...)
 	}
 	for _, path := range splitList(*in) {
-		evs, n, err := looptrace.ReadJournal(path)
+		evs, err := looptrace.ReadJournal(path)
 		if err != nil {
 			return err
 		}
-		events, skipped = append(events, evs...), skipped+n
+		events = append(events, evs...)
 	}
 	for _, u := range splitList(*url) {
 		data, err := readInput("", u, *timeout)
@@ -68,7 +67,6 @@ func runLoopCmd(args []string) error {
 		events = append(events, c.Events...)
 	}
 	rep := looptrace.Stitch(events)
-	rep.SkippedLines = skipped
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -21,6 +23,7 @@ import (
 	"apollo/internal/core"
 	"apollo/internal/dataset"
 	"apollo/internal/features"
+	"apollo/internal/journal"
 	"apollo/internal/raja"
 	"apollo/internal/telemetry"
 )
@@ -422,5 +425,152 @@ func TestServeShutdownUnderLoad(t *testing.T) {
 		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.HasPrefix(target, spool) {
 			t.Errorf("segment %s is still open after run returned", target)
 		}
+	}
+}
+
+// crashChildEnv carries "<registry dir>\n<spool dir>" to the re-exec'd
+// test binary that TestServeCrashChild turns into a daemon.
+const crashChildEnv = "APOLLO_SERVE_TEST_CRASH_CHILD"
+
+// TestServeCrashChild is not a test: re-exec'd by startCrashChild it is
+// apollo-serve with -telemetry, serving until it is killed.
+func TestServeCrashChild(t *testing.T) {
+	dirs := strings.Split(os.Getenv(crashChildEnv), "\n")
+	if len(dirs) != 2 {
+		t.Skip("the daemon half of TestServeKilledMidStreamLosesNoAckedRow")
+	}
+	t.Fatal(run(context.Background(), "127.0.0.1:0", dirs[0], dirs[1], "", "", "", "", time.Second, time.Second, nil, nil))
+}
+
+// startCrashChild starts the daemon as a child process and returns its
+// base URL and a kill that SIGKILLs it and waits for it to be gone.
+func startCrashChild(t *testing.T, registryDir, spoolDir string) (base string, kill func()) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], "-test.run=^TestServeCrashChild$")
+	cmd.Env = append(os.Environ(), crashChildEnv+"="+registryDir+"\n"+spoolDir)
+	out, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var once sync.Once
+	kill = func() {
+		once.Do(func() {
+			cmd.Process.Kill() // SIGKILL: no handler runs, nothing is flushed or sealed
+			io.Copy(io.Discard, out)
+			cmd.Wait()
+		})
+	}
+	t.Cleanup(kill)
+	lines := bufio.NewScanner(out)
+	for lines.Scan() {
+		if _, rest, ok := strings.Cut(lines.Text(), "apollo-serve: listening on "); ok {
+			return strings.Fields(rest)[0], kill
+		}
+	}
+	t.Fatalf("the child exited before it listened: %v", lines.Err())
+	return "", nil
+}
+
+// TestServeKilledMidStreamLosesNoAckedRow is kill -9 against the
+// durability contract: a daemon is SIGKILLed while four clients post
+// telemetry, and every row it answered 202 is read back by a fresh cursor,
+// once; a row nobody was answered for may be there (once) or not. A
+// restarted daemon leaves the dead one's last segment as it found it and
+// resumes on the next, and the same cursor reads only the new rows.
+func TestServeKilledMidStreamLosesNoAckedRow(t *testing.T) {
+	registryDir, spoolDir := t.TempDir(), t.TempDir()
+	base, kill := startCrashChild(t, registryDir, spoolDir)
+
+	const posters, rowsPerBatch = 4, 4
+	var acked, unknown sync.Map // row {poster, seq} -> true
+	var ackedBatches atomic.Int64
+	post := func(c *client.Client, poster, seq int) error {
+		frame := dataset.NewFrame("poster", "seq")
+		for i := 0; i < rowsPerBatch; i++ {
+			frame.AddRow([]float64{float64(poster), float64(seq + i)})
+		}
+		err := c.PostTelemetry(telemetry.NewBatch("load/policy", frame))
+		into := &acked
+		if err != nil {
+			into = &unknown
+		}
+		for i := 0; i < rowsPerBatch; i++ {
+			into.Store([2]float64{float64(poster), float64(seq + i)}, true)
+		}
+		return err
+	}
+	var wg sync.WaitGroup
+	for p := 0; p < posters; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := client.New(base, client.Options{})
+			for seq := 0; post(c, p, seq) == nil; seq += rowsPerBatch {
+				ackedBatches.Add(1)
+			}
+		}()
+	}
+	for deadline := time.Now().Add(10 * time.Second); ackedBatches.Load() < 20*posters; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the posters never got going")
+		}
+	}
+	kill()
+	wg.Wait()
+
+	spool := filepath.Join(spoolDir, "load", "policy")
+	cur := telemetry.NewCursor(spool)
+	frame, err := cur.Poll()
+	if err != nil || frame == nil {
+		t.Fatalf("reading the dead daemon's spool: %v %v", frame, err)
+	}
+	spooled := map[[2]float64]bool{}
+	for i := 0; i < frame.Len(); i++ {
+		row := [2]float64(frame.Row(i))
+		if spooled[row] {
+			t.Fatalf("row %v is in the spool twice", row)
+		}
+		spooled[row] = true
+		_, wasAcked := acked.Load(row)
+		_, wasUnknown := unknown.Load(row)
+		if !wasAcked && !wasUnknown {
+			t.Fatalf("row %v is in the spool but was never posted", row)
+		}
+	}
+	nAcked := 0
+	acked.Range(func(row, _ any) bool {
+		nAcked++
+		if !spooled[row.([2]float64)] {
+			t.Errorf("row %v was answered 202 and did not survive the kill", row)
+		}
+		return true
+	})
+	t.Logf("%d rows answered 202, %d spooled", nAcked, len(spooled))
+
+	before, err := journal.Segments(spool)
+	if err != nil || len(before) == 0 {
+		t.Fatalf("segments after the kill = %v, %v", before, err)
+	}
+	last, err := os.ReadFile(before[len(before)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, kill = startCrashChild(t, registryDir, spoolDir)
+	if err := post(client.New(base, client.Options{}), posters, 0); err != nil {
+		t.Fatalf("posting to the restarted daemon: %v", err)
+	}
+	kill()
+	after, err := journal.Segments(spool)
+	if err != nil || len(after) != len(before)+1 {
+		t.Fatalf("segments after the restart = %v, %v; want one more than %v", after, err, before)
+	}
+	if now, err := os.ReadFile(before[len(before)-1]); err != nil || string(now) != string(last) {
+		t.Errorf("the restarted daemon wrote into the dead one's last segment (%v)", err)
+	}
+	if frame, err = cur.Poll(); err != nil || frame == nil || frame.Len() != rowsPerBatch || frame.At(0, "poster") != posters {
+		t.Fatalf("the cursor read %v, %v after the restart; want the %d new rows", frame, err, rowsPerBatch)
 	}
 }

@@ -243,7 +243,7 @@ func TestTraindOnceStopsItsListenersAndJournal(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("a -once run with -loop-journal never returned")
 	}
-	if b, err := os.ReadFile(filepath.Join(journal, "loop-traind.jsonl")); err != nil || !strings.Contains(string(b), `"actor":"traind"`) {
+	if b, err := os.ReadFile(filepath.Join(journal, "loop-traind", "seg-00000001.jsonl")); err != nil || !strings.Contains(string(b), `"actor":"traind"`) {
 		t.Fatalf("journal after the run: %q, %v", b, err)
 	}
 }

@@ -19,7 +19,7 @@ func emitOne(r *Recorder, site uint64, class int, observed float64) {
 		rec.Policy = int32(class)
 		rec.Predicted = int32(class)
 		rec.ObservedNS = observed
-		rec.PredictedNS = r.PredictObserve(site, class, observed)
+		rec.PredictedNS = r.Site(site).PredictObserve(class, observed)
 		rec.NumFeatures = 2
 		rec.Features[0] = observed
 		rec.Features[1] = float64(class)
@@ -174,7 +174,7 @@ func TestEmitAllocFree(t *testing.T) {
 		if rec != nil {
 			rec.Policy = 1
 			rec.ObservedNS = 5
-			rec.PredictedNS = r.PredictObserve(42, 1, 5)
+			rec.PredictedNS = r.Site(42).PredictObserve(1, 5)
 		}
 		r.Commit(tok)
 	})
@@ -186,42 +186,42 @@ func TestEmitAllocFree(t *testing.T) {
 func TestPredictObserveEWMA(t *testing.T) {
 	r := New(Options{Shards: 1, ShardCapacity: 8})
 	r.RegisterSite(1, "k", nil)
-	if got := r.PredictObserve(1, 0, 100); got != 0 {
+	if got := r.Site(1).PredictObserve(0, 100); got != 0 {
 		t.Fatalf("first observation predicted %g, want 0", got)
 	}
-	if got := r.PredictObserve(1, 0, 200); got != 100 {
+	if got := r.Site(1).PredictObserve(0, 200); got != 100 {
 		t.Fatalf("second observation predicted %g, want 100", got)
 	}
 	// EWMA after 100 then 200: 0.75*100 + 0.25*200 = 125.
-	if got := r.PredictObserve(1, 0, 0); got != 125 {
+	if got := r.Site(1).PredictObserve(0, 0); got != 125 {
 		t.Fatalf("third observation predicted %g, want 125", got)
 	}
 	// Classes are independent.
-	if got := r.PredictObserve(1, 3, 50); got != 0 {
+	if got := r.Site(1).PredictObserve(3, 50); got != 0 {
 		t.Fatalf("fresh class predicted %g, want 0", got)
 	}
 	// Unregistered sites predict 0 and learn nothing.
-	if got := r.PredictObserve(99, 0, 1e9); got != 0 {
+	if got := r.Site(99).PredictObserve(0, 1e9); got != 0 {
 		t.Fatalf("unregistered site predicted %g, want 0", got)
 	}
 	// Out-of-range classes clamp instead of crashing.
-	_ = r.PredictObserve(1, maxClasses+5, 1)
-	_ = r.PredictObserve(1, -3, 1)
+	_ = r.Site(1).PredictObserve(maxClasses+5, 1)
+	_ = r.Site(1).PredictObserve(-3, 1)
 }
 
 func TestRegisterSiteIdempotent(t *testing.T) {
 	r := New(Options{Shards: 1, ShardCapacity: 8})
 	r.RegisterSite(1, "first", []string{"a"})
-	r.PredictObserve(1, 0, 100) // seed an EWMA
+	r.Site(1).PredictObserve(0, 100) // seed an EWMA
 	r.RegisterSite(1, "second", nil)
 	if got := r.SiteName(1); got != "first" {
 		t.Fatalf("re-registration replaced site: name = %q", got)
 	}
-	if got := r.PredictObserve(1, 0, 100); got != 100 {
+	if got := r.Site(1).PredictObserve(0, 100); got != 100 {
 		t.Fatalf("re-registration lost EWMA: predicted %g, want 100", got)
 	}
-	if !r.SiteKnown(1) || r.SiteKnown(2) {
-		t.Fatalf("SiteKnown wrong: 1=%v 2=%v", r.SiteKnown(1), r.SiteKnown(2))
+	if r.Site(1) == nil || r.Site(2) != nil {
+		t.Fatalf("Site wrong: 1=%v 2=%v", r.Site(1), r.Site(2))
 	}
 }
 
@@ -257,7 +257,7 @@ func TestCaptureExplains(t *testing.T) {
 	r := New(Options{Shards: 1, ShardCapacity: 8, FeatureNames: names})
 	r.RegisterSite(7, "daxpy", nil)
 	// The chunk model sees the source features swapped.
-	r.SetSiteDecoder(7, &TrailDecoder{Tree: policy, Src: []int32{0, 1}, ChunkTree: chunk, ChunkSrc: []int32{1, 0}})
+	r.Site(7).SetDecoder(&TrailDecoder{Tree: policy, Src: []int32{0, 1}, ChunkTree: chunk, ChunkSrc: []int32{1, 0}})
 	rec, tok := r.Reserve(7)
 	if rec == nil {
 		t.Fatal("reservation dropped on an empty ring")
@@ -327,9 +327,9 @@ func TestCaptureDecodesOffsets(t *testing.T) {
 
 	r := New(Options{Shards: 1, ShardCapacity: 8, FeatureNames: names})
 	r.RegisterSite(7, "daxpy", nil)
-	r.SetSiteDecoder(7, &TrailDecoder{Tree: ct, Src: []int32{0, 1}})
-	if d := r.SiteDecoder(7); d == nil || d.Tree != ct {
-		t.Fatal("SiteDecoder does not return the registered decoder")
+	r.Site(7).SetDecoder(&TrailDecoder{Tree: ct, Src: []int32{0, 1}})
+	if d := r.Site(7).Decoder(); d == nil || d.Tree != ct {
+		t.Fatal("Site.Decoder does not return the registered decoder")
 	}
 
 	rec, tok := r.Reserve(7)
@@ -419,7 +419,7 @@ func BenchmarkEmit(b *testing.B) {
 			rec.OffsetsLen = int32(copy(rec.Offsets[:], trail[:]))
 			rec.OffsetsSplit = rec.OffsetsLen
 			rec.ObservedNS = 1000
-			rec.PredictedNS = r.PredictObserve(1, 1, 1000)
+			rec.PredictedNS = r.Site(1).PredictObserve(1, 1000)
 			rec.FeatureNS = 50
 			rec.ModelNS = 20
 		}
@@ -439,7 +439,7 @@ func BenchmarkEmitParallel(b *testing.B) {
 			if rec != nil {
 				rec.Policy = 1
 				rec.ObservedNS = 1000
-				rec.PredictedNS = r.PredictObserve(1, 1, 1000)
+				rec.PredictedNS = r.Site(1).PredictObserve(1, 1000)
 			}
 			r.Commit(tok)
 		}

@@ -339,12 +339,6 @@ func (s *Site) SetDecoder(d *TrailDecoder) {
 	}
 }
 
-// SiteKnown, SiteDecoder and SetSiteDecoder are Site, Decoder and
-// SetDecoder by site ID, for callers off the emit path.
-func (r *Recorder) SiteKnown(id uint64) bool                  { return r.Site(id) != nil }
-func (r *Recorder) SiteDecoder(id uint64) *TrailDecoder       { return r.Site(id).Decoder() }
-func (r *Recorder) SetSiteDecoder(id uint64, d *TrailDecoder) { r.Site(id).SetDecoder(d) }
-
 // SiteName returns the registered name for a site ID ("" when unknown).
 func (r *Recorder) SiteName(id uint64) string {
 	if s := r.Site(id); s != nil {
@@ -382,11 +376,6 @@ func (s *Site) PredictObserve(class int, observedNS float64) (predictedNS float6
 	// weight — benign for an EWMA, and keeps the hot path CAS-free.
 	a.Store(math.Float64bits((1-ewmaAlpha)*prior + ewmaAlpha*observedNS))
 	return prior
-}
-
-// PredictObserve is Site.PredictObserve by site ID.
-func (r *Recorder) PredictObserve(id uint64, class int, ns float64) float64 {
-	return r.Site(id).PredictObserve(class, ns)
 }
 
 // Snapshot drains the rings into the retained history and returns a copy

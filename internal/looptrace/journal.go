@@ -1,27 +1,20 @@
-// Journal files make loop events durable and stitchable across
-// processes. A journal is one JSONL file per tracer: a header line
-// identifying the format and actor, then one self-contained event
-// object per line (each line repeats the actor, so a stitcher can
-// concatenate journals without header bookkeeping and a torn tail line
-// costs one event, not the file). Files open in append mode — a
-// restarted daemon continues its journal, writing a fresh header line,
-// which readers skip like any other header.
-//
-// Torn-tail contract: a crash can leave the last line unterminated.
-// OpenJournal terminates such a tail before its header, so the torn
-// fragment stays one (unparseable) line of its own; ReadJournal skips
-// and counts lines that are not valid JSON and ignores an unterminated
-// tail. Readers therefore get every intact event, never an error for a
-// tear, and never a duplicate. A line that parses but declares another
-// format is still an error — that is a foreign file, not a tear.
+// Journals make loop events durable and stitchable across processes. A
+// tracer's journal is an internal/journal log — see that package for what
+// is durable when, and what a reader may assume about a tail — in its own
+// directory, <dir>/loop-<actor>/: every segment opens with a header line
+// identifying the format and actor, then holds one self-contained event
+// object per line (each line repeats the actor, so a stitcher can merge
+// journals without header bookkeeping). A restarted daemon continues on
+// the next segment; whatever line its predecessor died in is never read.
+// A line that is complete and still not an event, or a header declaring
+// another format, is an error — that is a foreign file, not a tear.
 
 package looptrace
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -30,6 +23,7 @@ import (
 	"time"
 
 	"apollo/internal/bg"
+	"apollo/internal/journal"
 )
 
 // JournalFormatID identifies the loop-journal JSONL format (also used
@@ -80,26 +74,8 @@ func (e *Event) toJSON(actor string) EventJSON {
 	}
 }
 
-// journalWriter buffers JSONL appends to one journal file.
-type journalWriter struct {
-	f  *os.File
-	bw *bufio.Writer
-}
-
-func (j *journalWriter) append(actor string, ev *Event) error {
-	line, err := json.Marshal(ev.toJSON(actor))
-	if err != nil {
-		return err
-	}
-	line = append(line, '\n')
-	_, err = j.bw.Write(line)
-	return err
-}
-
-func (j *journalWriter) flush() error { return j.bw.Flush() }
-
-// JournalPath returns the journal file a tracer for actor writes under
-// dir: loop-<actor>.jsonl with path separators and spaces flattened.
+// JournalPath returns the journal directory a tracer for actor writes
+// under dir: loop-<actor> with path separators and spaces flattened.
 func JournalPath(dir, actor string) string {
 	s := strings.Map(func(r rune) rune {
 		switch r {
@@ -108,82 +84,67 @@ func JournalPath(dir, actor string) string {
 		}
 		return r
 	}, actor)
-	return filepath.Join(dir, "loop-"+s+".jsonl")
+	return filepath.Join(dir, "loop-"+s)
 }
 
 // OpenJournal attaches a durable journal under dir (created if needed):
-// subsequent flushes append this tracer's events to
-// JournalPath(dir, actor). Opening writes a header line immediately so
-// an idle process still leaves an identifiable journal.
+// subsequent flushes append this tracer's events to the log at
+// JournalPath(dir, actor). Opening starts a segment at once, so an idle
+// process still leaves an identifiable journal. Close before reopening.
 func (t *Tracer) OpenJournal(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(JournalPath(dir, t.actor), os.O_CREATE|os.O_APPEND|os.O_RDWR, 0o644)
+	hdr, err := json.Marshal(journalHeader{Format: JournalFormatID, Actor: t.actor, OpenNS: time.Now().UnixNano()})
 	if err != nil {
 		return err
 	}
-	if err := writeJournalHeader(f, t.actor); err != nil {
-		f.Close() //apollo:errok Close on the error path; the header error is already being returned
+	hdr = append(hdr, '\n')
+	log, err := journal.Open(JournalPath(dir, t.actor), 0, func() ([]byte, error) { return hdr, nil })
+	if err != nil {
 		return err
 	}
-	t.mu.Lock()
-	old := t.journal
-	t.journal = &journalWriter{f: f, bw: bufio.NewWriter(f)}
-	t.mu.Unlock()
-	if old != nil { // swapped out under the lock; only this goroutine holds it now
-		old.flush()   //apollo:errok replacing a journal mid-run is a test/tooling move; the old file's tail is best-effort
-		old.f.Close() //apollo:errok same: the new journal is what matters now
+	if err := log.Append(nil); err != nil {
+		return errors.Join(err, log.Close())
 	}
+	t.mu.Lock()
+	t.journal = log
+	t.mu.Unlock()
 	return nil
 }
 
-// writeJournalHeader appends a header line to a journal just opened. A
-// non-empty file that does not end in a newline was torn by a writer that
-// died mid-append: the fragment is terminated before the header.
-func writeJournalHeader(f *os.File, actor string) error {
-	hdr, err := json.Marshal(journalHeader{Format: JournalFormatID, Actor: actor, OpenNS: time.Now().UnixNano()})
-	if err != nil {
-		return err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	if st.Size() > 0 {
-		var last [1]byte
-		if _, err := f.ReadAt(last[:], st.Size()-1); err != nil || last[0] != '\n' {
-			hdr = append([]byte{'\n'}, hdr...)
-		}
-	}
-	_, err = f.Write(append(hdr, '\n'))
-	return err
-}
+// Flush drains the ring into the retained window and, if a journal is
+// attached, appends what was drained since the last flush to it.
+func (t *Tracer) Flush() error { return t.flush(false) }
 
-// Flush drains the ring into the retained window and the journal (if
-// one is attached) and syncs the journal's buffer to the file.
-func (t *Tracer) Flush() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.drainLocked()
-}
-
-// Close flushes and detaches the journal. The tracer stays usable
-// (Emit, Snapshot); only durability stops. Safe on a nil tracer, like Emit.
-//
-//apollo:lockok t.mu serializes the cold consumer side (journal flush, debug capture); never on an emit path
+// Close flushes and detaches the journal, closing it. The tracer stays
+// usable (Emit, Snapshot); only durability stops. Safe on a nil tracer,
+// like Emit.
 func (t *Tracer) Close() error {
 	if t == nil {
 		return nil
 	}
+	return t.flush(true)
+}
+
+// flush takes the drained lines under t.mu and writes them after it is
+// released: the log serializes its own writes, and a debug capture never
+// waits behind a disk. (Two flushes at once may land out of emit order;
+// every event carries its seq and wall time, and Stitch sorts.)
+func (t *Tracer) flush(detach bool) error {
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	err := t.drainLocked()
-	if t.journal != nil {
-		if cerr := t.journal.f.Close(); err == nil {
-			err = cerr
-		}
+	log, lines := t.journal, t.pending
+	t.pending = nil
+	if detach {
 		t.journal = nil
+	}
+	t.mu.Unlock()
+	if log == nil {
+		return err
+	}
+	if len(lines) > 0 {
+		err = errors.Join(err, log.Append(lines))
+	}
+	if detach {
+		err = errors.Join(err, log.Close())
 	}
 	return err
 }
@@ -208,70 +169,62 @@ func NewLoopID(model string, parent int, wallNS int64) string {
 	return fmt.Sprintf("L%016x-%08x", h^uint64(wallNS), uint32(parent)<<24|uint32(wallNS)&0xffffff)
 }
 
-// ReadJournal parses one journal file per the torn-tail contract (see
-// the file comment): lines that are not valid JSON are skipped and
-// counted in skipped, an unterminated tail is ignored, and header lines
-// from restarts are consumed. Events missing an actor field inherit the
-// most recent header's actor.
-func ReadJournal(path string) (events []EventJSON, skipped int, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, err
-	}
+// ReadJournal parses one tracer's journal, the directory JournalPath
+// names: every complete event line of every segment, in order. Events
+// missing an actor field inherit their segment header's actor.
+func ReadJournal(dir string) ([]EventJSON, error) {
+	var events []EventJSON
 	actor := ""
-	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
-		if nl < 0 {
-			break // torn tail: the writer is mid-append
-		}
-		line := data[:nl]
-		data = data[nl+1:]
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var probe struct {
-			Format string `json:"format"`
-			Actor  string `json:"actor"`
-		}
-		if json.Unmarshal(line, &probe) != nil {
-			skipped++ // a torn line a later open terminated
-			continue
-		}
-		if probe.Format != "" {
-			if probe.Format != JournalFormatID {
-				return nil, skipped, fmt.Errorf("looptrace: %s has format %q, want %q", path, probe.Format, JournalFormatID)
+	tail := journal.NewTail(dir)
+	err := tail.Read(func(first bool, line []byte) error {
+		if first {
+			var hdr journalHeader
+			if err := json.Unmarshal(line, &hdr); err != nil {
+				return fmt.Errorf("bad header: %w", err)
 			}
-			actor = probe.Actor
-			continue
+			if hdr.Format != JournalFormatID {
+				return fmt.Errorf("format %q, want %q", hdr.Format, JournalFormatID)
+			}
+			actor = hdr.Actor
+			return nil
 		}
 		var ev EventJSON
 		if err := json.Unmarshal(line, &ev); err != nil {
-			return nil, skipped, fmt.Errorf("looptrace: %s: bad event: %w", path, err)
+			return fmt.Errorf("bad event: %w", err)
 		}
 		if ev.Actor == "" {
 			ev.Actor = actor
 		}
 		events = append(events, ev)
+		return nil
+	})
+	if err == nil && tail.Len() == 0 {
+		err = fmt.Errorf("%s holds no journal segments", dir)
 	}
-	return events, skipped, nil
+	if err != nil {
+		return nil, fmt.Errorf("looptrace: %w", err)
+	}
+	return events, nil
 }
 
-// ReadJournalDir parses every loop-*.jsonl journal under dir and
-// returns the union of their events (unsorted; Stitch orders them) and
-// the total of skipped lines.
-func ReadJournalDir(dir string) (all []EventJSON, skipped int, err error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "loop-*.jsonl"))
+// ReadJournalDir parses every loop-*/ journal under dir and returns the
+// union of their events (unsorted; Stitch orders them).
+func ReadJournalDir(dir string) ([]EventJSON, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "loop-*"))
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	sort.Strings(paths)
+	var all []EventJSON
 	for _, p := range paths {
-		events, n, err := ReadJournal(p)
+		if fi, err := os.Stat(p); err != nil || !fi.IsDir() {
+			continue // not a journal: the directory is shared
+		}
+		events, err := ReadJournal(p)
 		if err != nil {
-			return nil, skipped, err
+			return nil, err
 		}
 		all = append(all, events...)
-		skipped += n
 	}
-	return all, skipped, nil
+	return all, nil
 }

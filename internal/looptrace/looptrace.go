@@ -23,11 +23,14 @@
 package looptrace
 
 import (
+	"cmp"
+	"encoding/json"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"apollo/internal/flight"
+	"apollo/internal/journal"
 	"apollo/internal/ring"
 )
 
@@ -169,12 +172,13 @@ type Tracer struct {
 	events  *ring.Ring[Event]
 
 	// mu serializes the cold consumer side: draining the ring into the
-	// retained window and appending journal lines. Never touched by
-	// Emit.
+	// retained window and into pending, the encoded lines the next flush
+	// appends to the journal. Never touched by Emit, never held over I/O.
 	mu       sync.Mutex //apollo:lockrank 50
 	retained []Event
 	retain   int
-	journal  *journalWriter
+	journal  *journal.Log
+	pending  []byte
 }
 
 // New returns a tracer identified by actor (e.g. "traind", "serve:r1",
@@ -242,8 +246,8 @@ func (t *Tracer) Emit(kind Kind, model, loop string, f Fields) {
 }
 
 // drainLocked moves every ring event into the retained window (bounded,
-// oldest first out) and appends it to the journal when one is attached.
-// Caller holds t.mu.
+// oldest first out) and, when a journal is attached, its line into
+// pending. Caller holds t.mu.
 func (t *Tracer) drainLocked() error {
 	var firstErr error
 	for {
@@ -255,18 +259,16 @@ func (t *Tracer) drainLocked() error {
 		t.events.Release(ticket)
 		t.retained = append(t.retained, ev)
 		if t.journal != nil {
-			if err := t.journal.append(t.actor, &ev); err != nil && firstErr == nil {
-				firstErr = err
+			line, err := json.Marshal(ev.toJSON(t.actor))
+			if err != nil {
+				firstErr = cmp.Or(firstErr, err)
+				continue
 			}
+			t.pending = append(append(t.pending, line...), '\n')
 		}
 	}
 	if n := len(t.retained) - t.retain; n > 0 {
 		t.retained = append(t.retained[:0], t.retained[n:]...)
-	}
-	if t.journal != nil {
-		if err := t.journal.flush(); err != nil && firstErr == nil {
-			firstErr = err
-		}
 	}
 	return firstErr
 }
@@ -277,6 +279,6 @@ func (t *Tracer) drainLocked() error {
 func (t *Tracer) Snapshot() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.drainLocked() //apollo:errok journal append failures are surfaced by Flush/Close; a debug snapshot must still serve what it has
+	t.drainLocked() //apollo:errok an event JSON cannot carry (a NaN) stays out of the journal whoever drains it; a debug snapshot must still serve what it has
 	return append([]Event(nil), t.retained...)
 }

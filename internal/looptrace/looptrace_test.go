@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"apollo/internal/bg/bgtest"
+	"apollo/internal/journal"
 )
 
 // Emit is //apollo:hotpath — the tuner/client path calls it on every
@@ -129,8 +130,8 @@ func TestConcurrentEmitDrain(t *testing.T) {
 }
 
 // Journal round trip: events written by a flushing tracer (including a
-// reopen, which appends a second header) read back in order with the
-// actor attached.
+// reopen, which starts the journal's next segment) read back in order
+// with the actor attached.
 func TestJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	tr := New("serve:r1", Options{})
@@ -141,7 +142,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.OpenJournal(dir); err != nil { // restart: append mode
+	if err := tr.OpenJournal(dir); err != nil { // restart: the next segment
 		t.Fatal(err)
 	}
 	tr.Emit(KindSyncPull, "m", "L1", Fields{Version: 2, Peer: "r2", DurNS: 1e6})
@@ -150,12 +151,15 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 
 	path := JournalPath(dir, "serve:r1")
-	if filepath.Base(path) != "loop-serve-r1.jsonl" {
+	if filepath.Base(path) != "loop-serve-r1" {
 		t.Errorf("journal path %q", path)
 	}
-	events, skipped, err := ReadJournal(path)
-	if err != nil || skipped != 0 {
-		t.Fatalf("ReadJournal: %v (%d skipped)", err, skipped)
+	if segs, err := journal.Segments(path); err != nil || len(segs) != 2 {
+		t.Errorf("journal segments = %v, %v; want one per open", segs, err)
+	}
+	events, err := ReadJournal(path)
+	if err != nil {
+		t.Fatalf("ReadJournal: %v", err)
 	}
 	if len(events) != 2 {
 		t.Fatalf("read %d events, want 2", len(events))
@@ -167,19 +171,27 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Errorf("event 1: %+v", events[1])
 	}
 
-	all, _, err := ReadJournalDir(dir)
+	// A file beside the journals (the directory is shared) is not one.
+	if err := os.WriteFile(filepath.Join(dir, "loop-notes.txt"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	all, err := ReadJournalDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(all) != 2 {
 		t.Errorf("dir read %d events, want 2", len(all))
 	}
+	if _, err := ReadJournal(filepath.Join(dir, "loop-nobody")); err == nil {
+		t.Error("a directory holding no journal read as an empty one")
+	}
 }
 
 // A crash can tear the journal's last line at any byte. Whatever the
-// offset, a restarted tracer must be able to reopen the file and keep
-// journaling, and a reader must get the intact prefix plus the new
-// events — never an error for the whole file, never a duplicate.
+// offset, a restarted tracer must be able to open the journal and keep
+// journaling — on the next segment, never in the torn one — and a reader
+// must get the intact prefix plus the new events: never an error for the
+// whole journal, never a duplicate, never the torn bytes.
 func TestJournalTornTailAtEveryOffset(t *testing.T) {
 	dir := t.TempDir()
 	tr := New("traind", Options{})
@@ -193,25 +205,26 @@ func TestJournalTornTailAtEveryOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := JournalPath(dir, "traind")
-	whole, err := os.ReadFile(path)
+	seg := filepath.Join(path, "seg-00000001.jsonl")
+	whole, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lastLine := bytes.LastIndexByte(whole[:len(whole)-1], '\n') + 1
 
 	for cut := lastLine; cut < len(whole); cut++ {
-		if err := os.WriteFile(path, whole[:cut], 0o644); err != nil {
+		if err := os.RemoveAll(path); err != nil {
 			t.Fatal(err)
 		}
-		// Only a cut that took nothing but the newline leaves event 3 whole.
-		wantVersions := []int32{1, 2, 9}
-		wantSkipped := 1
-		switch cut {
-		case lastLine:
-			wantSkipped = 0 // the whole line is gone: nothing torn
-		case len(whole) - 1:
-			wantVersions, wantSkipped = []int32{1, 2, 3, 9}, 0
+		if err := os.Mkdir(path, 0o755); err != nil {
+			t.Fatal(err)
 		}
+		if err := os.WriteFile(seg, whole[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// Event 3 is torn at every cut — the one that took only its
+		// newline leaves it whole and unterminated, waiting for ever.
+		wantVersions := []int32{1, 2, 9}
 		restarted := New("traind", Options{})
 		if err := restarted.OpenJournal(dir); err != nil {
 			t.Fatalf("cut=%d: reopen: %v", cut, err)
@@ -220,7 +233,10 @@ func TestJournalTornTailAtEveryOffset(t *testing.T) {
 		if err := restarted.Close(); err != nil {
 			t.Fatalf("cut=%d: close: %v", cut, err)
 		}
-		events, skipped, err := ReadJournal(path)
+		if torn, err := os.ReadFile(seg); err != nil || !bytes.Equal(torn, whole[:cut]) {
+			t.Fatalf("cut=%d: the restart wrote into the torn segment (%v)", cut, err)
+		}
+		events, err := ReadJournal(path)
 		if err != nil {
 			t.Fatalf("cut=%d: torn tail poisoned the journal: %v", cut, err)
 		}
@@ -231,25 +247,56 @@ func TestJournalTornTailAtEveryOffset(t *testing.T) {
 				t.Errorf("cut=%d: mangled event %+v", cut, ev)
 			}
 		}
-		if fmt.Sprint(versions) != fmt.Sprint(wantVersions) || skipped != wantSkipped {
-			t.Errorf("cut=%d: read versions %v (%d skipped), want %v (%d skipped)", cut, versions, skipped, wantVersions, wantSkipped)
+		if fmt.Sprint(versions) != fmt.Sprint(wantVersions) {
+			t.Errorf("cut=%d: read versions %v, want %v", cut, versions, wantVersions)
 		}
 	}
 
-	// A reader racing the writer sees the unterminated tail and ignores it.
-	if err := os.WriteFile(path, whole[:len(whole)-5], 0o644); err != nil {
+	// A reader racing the writer sees the unterminated tail and ignores
+	// it: events 1 and 2, and the last restart's one in the next segment.
+	if err := os.WriteFile(seg, whole[:len(whole)-5], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if events, skipped, err := ReadJournal(path); err != nil || len(events) != 2 || skipped != 0 {
-		t.Errorf("mid-append read: %d events, %d skipped, err %v; want 2, 0, nil", len(events), skipped, err)
+	if events, err := ReadJournal(path); err != nil || len(events) != 3 {
+		t.Errorf("mid-append read: %d events, err %v; want 3, nil", len(events), err)
 	}
 	// A foreign file is still refused, tear or no tear.
-	if err := os.WriteFile(path, []byte(`{"format":"apollo-telemetry-v1"}`+"\n"), 0o644); err != nil {
+	if err := os.WriteFile(seg, []byte(`{"format":"apollo-telemetry-v1"}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadJournal(path); err == nil || !strings.Contains(err.Error(), "apollo-telemetry-v1") {
+	if _, err := ReadJournal(path); err == nil || !strings.Contains(err.Error(), "apollo-telemetry-v1") {
 		t.Errorf("wrong-format journal accepted: %v", err)
 	}
+	// So is a complete line that is not an event.
+	if err := os.WriteFile(seg, append(bytes.Clone(whole), "{not json\n"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadJournal(path); err == nil || !strings.Contains(err.Error(), "bad event") {
+		t.Errorf("a garbage line read as an event: %v", err)
+	}
+}
+
+// FuzzReadJournal: whatever bytes a loop segment holds, reading the
+// journal yields events or an error, never a panic.
+func FuzzReadJournal(f *testing.F) {
+	f.Add([]byte(`{"format":"apollo-loop-v1","actor":"traind","open_unix_ns":1}` + "\n" +
+		`{"kind":"publish","seq":1,"wall_ns":2,"model":"m","version":3}` + "\n" + `{"kind":"pub`))
+	f.Add([]byte(`{"format":"apollo-frame-v1","columns":["x"]}` + "\n[1]\n"))
+	f.Add([]byte("\n\n{}\nnull\n[]\n1e999\n"))
+	f.Add([]byte(`{"format":"apollo-loop-v1"}` + "\n" + `{"kind":7,"seq":-1}` + "\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "seg-00000001.jsonl"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		events, err := ReadJournal(dir)
+		if err != nil && events != nil {
+			t.Fatalf("ReadJournal returned %d events beside %v", len(events), err)
+		}
+		if n := bytes.Count(data, []byte("\n")); len(events) > n {
+			t.Fatalf("%d events from %d lines", len(events), n)
+		}
+	})
 }
 
 // The background flusher journals without an explicit Flush and stops
@@ -266,7 +313,7 @@ func TestStartFlushes(t *testing.T) {
 	tr.Emit(KindDriftFired, "m", "L1", Fields{A: 0.5, Rows: 100})
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		events, _, err := ReadJournal(JournalPath(dir, "traind"))
+		events, err := ReadJournal(JournalPath(dir, "traind"))
 		if err == nil && len(events) == 1 {
 			break
 		}

@@ -60,9 +60,6 @@ type Report struct {
 	Actors   []string `json:"actors"`
 	Events   int      `json:"events"`
 	Unscoped int      `json:"unscoped_events"` // events with no loop ID (ring evict/readmit, hand publishes)
-	// SkippedLines counts journal lines the reader could not parse (torn
-	// by a crash mid-append); the caller that read the journals sets it.
-	SkippedLines int `json:"skipped_lines,omitempty"`
 
 	Loops         []LoopTimeline `json:"loops"`
 	CompleteLoops int            `json:"complete_loops"`
@@ -225,9 +222,6 @@ func summarize(samples []float64) Stats {
 func (r *Report) WriteTimeline(w io.Writer) error {
 	fmt.Fprintf(w, "loop journals: %d events, %d actors, %d loops (%d complete), %d unscoped\n",
 		r.Events, len(r.Actors), len(r.Loops), r.CompleteLoops, r.Unscoped)
-	if r.SkippedLines > 0 {
-		fmt.Fprintf(w, "skipped %d torn journal lines\n", r.SkippedLines)
-	}
 	for i := range r.Loops {
 		tl := &r.Loops[i]
 		status := "incomplete"

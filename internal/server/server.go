@@ -51,11 +51,12 @@ type Server struct {
 	mux   *http.ServeMux
 
 	// telemetry ingestion (off when telemetryDir is empty). spoolMu
-	// nests outside each Spool's own mutex (CloseSpools seals segments
+	// nests outside each spool's log mutex (CloseSpools closes the logs
 	// while holding it), hence the lower rank.
 	telemetryDir string
 	spoolMu      sync.Mutex //apollo:lockrank 21
 	spools       map[string]*telemetry.Spool
+	spoolsClosed bool
 }
 
 // New returns a server over reg with a fresh metrics set.

@@ -312,7 +312,7 @@ func TestPredictCompiledOffsetsAndStats(t *testing.T) {
 	if len(trail) == 0 || len(second) != 0 {
 		t.Fatalf("single predict recorded trails of %d/%d offsets, want one trail", len(trail), len(second))
 	}
-	dec := srv.Flight().SiteDecoder(rec.Site)
+	dec := srv.Flight().Site(rec.Site).Decoder()
 	if dec == nil || dec.Tree == nil {
 		t.Fatal("compiled site has no registered decoder")
 	}

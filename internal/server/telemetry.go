@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"apollo/internal/flight"
+	"apollo/internal/journal"
 	"apollo/internal/looptrace"
 	"apollo/internal/telemetry"
 )
@@ -34,7 +35,9 @@ func WithLoopTrace(tr *looptrace.Tracer) Option {
 	return func(s *Server) { s.trace = tr }
 }
 
-// spool returns (opening if needed) the spool for model name.
+// spool returns (opening if needed) the spool for model name. Once
+// CloseSpools has run none is opened: a new model's first batch is as
+// late as a known model's next one.
 //
 //apollo:lockok spool opening is a once-per-model event and spoolMu exists to serialize exactly it
 func (s *Server) spool(name string) (*telemetry.Spool, error) {
@@ -42,6 +45,9 @@ func (s *Server) spool(name string) (*telemetry.Spool, error) {
 	defer s.spoolMu.Unlock()
 	if sp, ok := s.spools[name]; ok {
 		return sp, nil
+	}
+	if s.spoolsClosed {
+		return nil, journal.ErrClosed
 	}
 	sp, err := telemetry.OpenSpool(filepath.Join(s.telemetryDir, filepath.FromSlash(name)), 0)
 	if err != nil {
@@ -51,12 +57,14 @@ func (s *Server) spool(name string) (*telemetry.Spool, error) {
 	return sp, nil
 }
 
-// CloseSpools seals every open telemetry spool segment.
+// CloseSpools closes every telemetry spool, for good: a batch that
+// arrives later is answered 503, whichever model it is for.
 //
 //apollo:lockok shutdown path; holding spoolMu keeps late ingests from racing the close
 func (s *Server) CloseSpools() error {
 	s.spoolMu.Lock()
 	defer s.spoolMu.Unlock()
+	s.spoolsClosed = true
 	var first error
 	for _, sp := range s.spools {
 		if err := sp.Close(); err != nil && first == nil {
@@ -121,13 +129,18 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	decoded := flight.Now()
+	status := http.StatusInternalServerError
 	sp, err := s.spool(b.Model)
-	if err != nil {
-		s.rejectTelemetry(w, http.StatusInternalServerError, "spool", "opening spool: %v", err)
-		return
+	if err == nil {
+		status = http.StatusConflict // past the open, what fails is a batch of another layout
+		err = sp.AppendDecoded(b)
 	}
-	if err := sp.AppendDecoded(b); err != nil {
-		s.rejectTelemetry(w, http.StatusConflict, "spool", "%v", err)
+	if err != nil {
+		reason := "spool"
+		if errors.Is(err, journal.ErrClosed) { // shutting down: a read-only replica's answer, the client keeps its rows
+			status, reason = http.StatusServiceUnavailable, "closed"
+		}
+		s.rejectTelemetry(w, status, reason, "%v", err)
 		return
 	}
 	appended := flight.Now()

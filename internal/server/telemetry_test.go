@@ -16,6 +16,7 @@ import (
 
 	"apollo/internal/core"
 	"apollo/internal/dataset"
+	"apollo/internal/journal"
 	"apollo/internal/registry"
 	"apollo/internal/telemetry"
 )
@@ -188,6 +189,43 @@ func TestTelemetryDisabledAnswers503(t *testing.T) {
 	resp := postBatch(t, ts.URL, testBatch(t, "app/policy", [][]float64{{1}}))
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("disabled ingest: status %s", resp.Status)
+	}
+}
+
+// After CloseSpools a batch is answered 503 and counted as "closed" —
+// for a model whose spool was open and for one that never had a spool —
+// and nothing is written: no new segment, no new directory. A layout
+// mismatch is still the 409 it was.
+func TestTelemetryAfterCloseSpoolsAnswers503(t *testing.T) {
+	dir := t.TempDir()
+	srv := New(registry.New(), WithTelemetryDir(dir))
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	if resp := postBatch(t, ts.URL, testBatch(t, "app/policy", [][]float64{{1}})); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("ingest before the close: status %s", resp.Status)
+	}
+	narrow := telemetry.NewBatch("app/policy", dataset.NewFrame("only"))
+	if resp := postBatch(t, ts.URL, narrow); resp.StatusCode != http.StatusConflict {
+		t.Errorf("another layout before the close: status %s, want 409", resp.Status)
+	}
+	if err := srv.CloseSpools(); err != nil {
+		t.Fatal(err)
+	}
+	for _, model := range []string{"app/policy", "late/policy"} {
+		resp := postBatch(t, ts.URL, testBatch(t, model, [][]float64{{2}}))
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Errorf("%s after CloseSpools: status %s, want 503", model, resp.Status)
+		}
+	}
+	if want := `apollo_telemetry_rejected_total{reason="closed"} 2`; !strings.Contains(metricsText(t, ts), want) {
+		t.Errorf("metrics missing %q", want)
+	}
+	if segs, _ := journal.Segments(filepath.Join(dir, "app", "policy")); len(segs) != 1 {
+		t.Errorf("segments after the refused batch = %v, want the 1 written before the close", segs)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "late")); !os.IsNotExist(err) {
+		t.Errorf("a spool was opened for a model first seen after CloseSpools (%v)", err)
 	}
 }
 

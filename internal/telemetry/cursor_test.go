@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -113,10 +114,15 @@ func TestReadJSONLAgreesWithCursor(t *testing.T) {
 	}
 }
 
+// appendFile grows the file at path by text, as a writer outside the
+// spool would: no byte already there moves.
 func appendFile(t *testing.T, path, text string) {
 	t.Helper()
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Seek(0, io.SeekEnd); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.WriteString(text); err != nil {
@@ -253,8 +259,8 @@ func TestCursorForgetsRemovedSegments(t *testing.T) {
 			}
 		}
 		wantColumn(t, "after pruning", pollColumn(t, cur))
-		if len(cur.offsets) > 2 {
-			t.Fatalf("after segment %d: %d offsets kept for 2 segments", seq, len(cur.offsets))
+		if cur.tail.Len() > 2 {
+			t.Fatalf("after segment %d: %d offsets kept for 2 segments", seq, cur.tail.Len())
 		}
 	}
 }
@@ -279,6 +285,42 @@ func TestCursorRejectsBadRows(t *testing.T) {
 			t.Errorf("line %q: second poll error %v, want %q", line, err, want)
 		}
 	}
+}
+
+// A bad line fails the whole poll and moves nothing: the rows read before
+// it — in earlier segments too — are not lost with the frame the error
+// dropped. They come back, each once, when the line is repaired.
+func TestCursorKeepsRowsBehindABadLine(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenSpool(dir, DefaultSegmentBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := []string{"x"}
+	if err := s.Append(cols, [][]float64{{1}, {2}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(cols, [][]float64{{3}}); err != nil {
+		t.Fatal(err)
+	}
+	seg2 := filepath.Join(dir, "seg-00000002.jsonl")
+	good, err := os.ReadFile(seg2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendFile(t, seg2, "[oops]\n")
+	cur := NewCursor(dir)
+	if frame, err := cur.Poll(); err == nil || !strings.Contains(err.Error(), "bad row") || frame != nil {
+		t.Fatalf("poll over a bad line = %v, %v; want a bad-row error and no frame", frame, err)
+	}
+	if err := os.WriteFile(seg2, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wantColumn(t, "after the repair", pollColumn(t, cur), 1, 2, 3)
+	wantColumn(t, "idle", pollColumn(t, cur))
 }
 
 var benchFrame *dataset.Frame

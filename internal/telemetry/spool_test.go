@@ -1,12 +1,12 @@
 package telemetry
 
 import (
-	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"apollo/internal/dataset"
+	"apollo/internal/journal"
 )
 
 func TestSpoolAppendRotateAndCursorTail(t *testing.T) {
@@ -44,7 +44,7 @@ func TestSpoolAppendRotateAndCursorTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	segs, err := listSegments(dir)
+	segs, err := journal.Segments(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +76,10 @@ func TestSpoolAppendRotateAndCursorTail(t *testing.T) {
 		t.Fatalf("fresh cursor read %v, %v; want 32 rows", all, err)
 	}
 	loaded := dataset.NewFrame(cols...)
-	for _, seq := range segs {
-		f, err := dataset.LoadJSONL(s.segmentPath(seq))
+	for _, seg := range segs {
+		f, err := dataset.LoadJSONL(seg)
 		if err != nil {
-			t.Fatalf("sealed segment %d not a loadable frame: %v", seq, err)
+			t.Fatalf("sealed segment %s not a loadable frame: %v", seg, err)
 		}
 		loaded.Append(f)
 	}
@@ -104,14 +104,7 @@ func TestCursorToleratesTornTailLine(t *testing.T) {
 	}
 	// Simulate a writer mid-line: append bytes with no trailing newline.
 	seg := filepath.Join(dir, "seg-00000001.jsonl")
-	f, err := os.OpenFile(seg, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString("[2"); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	appendFile(t, seg, "[2")
 
 	cur := NewCursor(dir)
 	frame, err := cur.Poll()
@@ -123,14 +116,7 @@ func TestCursorToleratesTornTailLine(t *testing.T) {
 	}
 
 	// The line completes; the next poll picks up exactly the new row.
-	f, err = os.OpenFile(seg, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString("]\n"); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	appendFile(t, seg, "]\n")
 	frame, err = cur.Poll()
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +153,7 @@ func TestSpoolReopenResumesOnFreshSegment(t *testing.T) {
 	if err := s2.Append([]string{"x"}, [][]float64{{2}}); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := listSegments(dir)
+	segs, err := journal.Segments(dir)
 	if err != nil || len(segs) != 2 {
 		t.Fatalf("segments after reopen = %v (%v), want 2", segs, err)
 	}

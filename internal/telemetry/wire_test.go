@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"apollo/internal/dataset"
+	"apollo/internal/journal"
 )
 
 // wireBody builds a batch body around a rows member given as text, with
@@ -274,7 +275,7 @@ func TestSpoolSegmentBytesAreGolden(t *testing.T) {
 	if err := s.Append([]string{"a"}, [][]float64{{1}, {math.Inf(1)}}); err == nil {
 		t.Error("an infinity was spooled")
 	}
-	if segs, _ := listSegments(dir); len(segs) != 0 || s.Appended() != 0 {
+	if segs, _ := journal.Segments(dir); len(segs) != 0 || s.Appended() != 0 {
 		t.Errorf("a refused append left segments %v, %d rows", segs, s.Appended())
 	}
 }

@@ -68,7 +68,7 @@ func TestTunerEndEmitsFlight(t *testing.T) {
 	// Decoding the offsets against the site's registered decoder must
 	// reconstruct the interpreted walk's trail, which consults num_indices
 	// (the model's only informative feature) in source-schema indexing.
-	dec := fr.SiteDecoder(first.Site)
+	dec := fr.Site(first.Site).Decoder()
 	if dec == nil || dec.Tree == nil || dec.ChunkTree != nil {
 		t.Fatalf("single-model site registered decoder %+v, want a policy tree only", dec)
 	}
@@ -214,7 +214,7 @@ func TestTunerEndDualModelFlight(t *testing.T) {
 	if len(recs) != 2 {
 		t.Fatalf("got %d records, want 2", len(recs))
 	}
-	dec := fr.SiteDecoder(k.ID)
+	dec := fr.Site(k.ID).Decoder()
 	if dec == nil || dec.Tree == nil || dec.ChunkTree == nil {
 		t.Fatalf("dual site registered decoder %+v, want both trees", dec)
 	}
@@ -264,7 +264,7 @@ func TestTunerEndDualModelFlight(t *testing.T) {
 	// Swapping either model re-registers both decoder pairs together.
 	tn.UseChunkModel(chunkModelOnReducedSchema(t))
 	tn.End(k, iset, p, 100)
-	if next := fr.SiteDecoder(k.ID); next == dec || next.Tree != dec.Tree || next.ChunkTree == dec.ChunkTree {
+	if next := fr.Site(k.ID).Decoder(); next == dec || next.Tree != dec.Tree || next.ChunkTree == dec.ChunkTree {
 		t.Fatalf("chunk-model swap left decoder %+v (was %+v)", next, dec)
 	}
 }

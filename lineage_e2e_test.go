@@ -207,7 +207,7 @@ func TestClosedLoopLineageChain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	events, _, err := looptrace.ReadJournalDir(journalDir)
+	events, err := looptrace.ReadJournalDir(journalDir)
 	if err != nil {
 		t.Fatal(err)
 	}

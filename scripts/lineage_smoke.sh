@@ -147,7 +147,7 @@ grep 'loop reaction time' "$WORK/timeline.txt"
 
 if [[ -n "${LINEAGE_SMOKE_OUT:-}" ]]; then
     mkdir -p "$LINEAGE_SMOKE_OUT"
-    cp "$JOURNAL"/loop-*.jsonl "$WORK/loop_report.json" "$WORK/timeline.txt" "$LINEAGE_SMOKE_OUT/"
+    cp -r "$JOURNAL"/loop-* "$WORK/loop_report.json" "$WORK/timeline.txt" "$LINEAGE_SMOKE_OUT/"
     echo "   journals and report copied to $LINEAGE_SMOKE_OUT"
 fi
 
