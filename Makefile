@@ -2,10 +2,10 @@
 
 GO ?= go
 
-.PHONY: all build lint test fuzz-smoke race stress bench results quick-results cover clean serve-smoke loop-smoke flight-smoke fleet-smoke compile-smoke lineage-smoke vet-bench vet-diff loc bench-smoke bench-compare
+.PHONY: all build lint test fuzz-smoke race stress bench results quick-results cover clean serve-smoke loop-smoke flight-smoke fleet-smoke compile-smoke lineage-smoke vet-bench vet-diff loc bench-smoke bench-compare examples
 
 # One command is the gate: everything CI's lint, test and race jobs run.
-all: build lint vet-diff loc test fuzz-smoke bench-smoke race serve-smoke loop-smoke flight-smoke fleet-smoke compile-smoke lineage-smoke
+all: build lint vet-diff loc test examples fuzz-smoke bench-smoke race serve-smoke loop-smoke flight-smoke fleet-smoke compile-smoke lineage-smoke
 
 build:
 	$(GO) build ./...
@@ -53,16 +53,23 @@ vet-bench:
 test:
 	$(GO) test ./...
 
+# The five example programs, run and diffed against
+# results/examples_output.txt (quickstart's temporary path masked).
+examples:
+	GO="$(GO)" bash scripts/examples.sh
+
 # Ten seconds of each fuzz target: the model decoder (whatever decodes
 # must be safe to walk), compiled-vs-interpreted prediction, the three
 # decoders of outside bytes built on the frame's number scanner, each
 # against encoding/json (same input accepted but for the documented
 # narrowings, same values read): the row scanner (dataset.ParseRow, under
 # ReadJSONL and the spool cursor), the telemetry batch decoder and the
-# predict body decoder; the two readers of segment files — the tail
-# over arbitrary bytes cut anywhere (whole lines only, the longest
-# newline-terminated prefix, offsets never back) and the loop-journal
-# reader (events or an error); and the flight capture's decoders — a
+# predict body decoder; the frame header (it round-trips, and a segment
+# that starts with it polls to rows or an error); the two readers of
+# segment files — the tail over arbitrary bytes cut anywhere (whole
+# lines only, the longest newline-terminated prefix, offsets never back)
+# and the loop-journal reader (events or an error); and the flight
+# capture's decoders — a
 # compiled-tree layout and the offset trails decoded against it, then a
 # whole capture through apollo-inspect flight's analyses. go test takes
 # one -fuzz target per package run.
@@ -70,6 +77,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseModelOrEnvelope$$' -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzCompiledPredict$$' -fuzztime=10s ./internal/ctree
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpoolRow$$' -fuzztime=10s ./internal/telemetry
+	$(GO) test -run '^$$' -fuzz '^FuzzParseHeader$$' -fuzztime=10s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime=10s ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePredict$$' -fuzztime=10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzTailRead$$' -fuzztime=10s ./internal/journal

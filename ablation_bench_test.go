@@ -156,8 +156,8 @@ func BenchmarkAblationForestVsTree(b *testing.B) {
 func BenchmarkAblationRecorderOverhead(b *testing.B) {
 	schema := features.TableI()
 	ann := caliper.New()
-	rec := tuner.NewRecorder(schema, ann, raja.Params{Policy: raja.SeqExec})
-	ctx := &raja.Context{Default: raja.Params{Policy: raja.SeqExec}, Hooks: rec}
+	rec := tuner.NewRecorder(schema, ann)
+	ctx := &raja.Context{Default: raja.Params{Policy: raja.SeqExec}, Observe: rec.Observe}
 	k := raja.NewKernel("ablation::recorded", nil)
 	iset := raja.NewRange(0, 64)
 	body := func(int) {}

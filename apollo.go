@@ -16,13 +16,15 @@
 //		With(apollo.OpAdd, 4).With(apollo.OpMovsd, 6))
 //	apollo.ForAll(ctx, k, apollo.NewRange(0, n), func(i int) { ... })
 //
-// A training run installs a Recorder to capture a feature vector and
-// runtime per launch, once per candidate parameter value. Train labels
-// each unique feature vector with its fastest variant and fits a decision
-// tree; the model serializes to JSON and loads at runtime without
-// recompilation. A production run installs a Tuner, which evaluates the
-// model at every launch and writes the chosen parameters to the policy
-// switcher.
+// A training run is the application with one candidate parameter value
+// as its context's Default and a Recorder observing (ctx.Observe =
+// rec.Observe), capturing a feature vector and runtime per launch — one
+// run per candidate value. Train labels each unique feature vector with
+// its fastest variant and fits a decision tree; the model serializes to
+// JSON and loads at runtime without recompilation. A production run
+// installs a Tuner as the context's Hooks, which evaluates the model at
+// every launch and writes the chosen parameters to the policy switcher.
+// Hooks decide; observers (a Recorder, a Tracer) only watch.
 //
 // The deeper machinery lives in internal packages (raja, team, platform,
 // dtree, core, tuner, codegen, harness); this package re-exports the
@@ -58,9 +60,10 @@ type (
 	Policy = raja.Policy
 	// Params is a full tunable parameter assignment (policy + chunk).
 	Params = raja.Params
-	// Hooks is the recorder/tuner interface around each launch.
+	// Hooks is the decider interface around each launch (a Tuner).
 	Hooks = raja.Hooks
-	// Context carries the execution environment for ForAll.
+	// Context carries the execution environment for ForAll: its
+	// decider (Hooks), static Default and observer (Observe).
 	Context = raja.Context
 	// Team is a goroutine worker team with OpenMP-style scheduling.
 	Team = team.Team
@@ -181,7 +184,8 @@ type Parameter = core.Parameter
 
 // Runtime components.
 type (
-	// Recorder collects training samples (one variant per run).
+	// Recorder observes launches and collects training samples (one
+	// variant per run, the context's Default).
 	Recorder = tuner.Recorder
 	// Tuner evaluates trained models at every kernel launch.
 	Tuner = tuner.Tuner
@@ -195,10 +199,11 @@ type (
 	TreeConfig = dtree.Config
 )
 
-// NewRecorder returns a recorder that forces the sweep parameters and
-// records one sample per launch against the schema and blackboard.
-func NewRecorder(schema *Schema, ann *Annotations, sweep Params) *Recorder {
-	return tuner.NewRecorder(schema, ann, sweep)
+// NewRecorder returns a recorder that records one sample per observed
+// launch against the schema and blackboard; install its Observe as the
+// context's observer.
+func NewRecorder(schema *Schema, ann *Annotations) *Recorder {
+	return tuner.NewRecorder(schema, ann)
 }
 
 // Model serving. A tuner's projector reads go through a ModelSource,
@@ -261,7 +266,7 @@ func RecordColumns(schema *Schema) []string { return core.RecordColumns(schema) 
 
 // Tracing.
 type (
-	// Tracer records a per-launch timeline around any Hooks component.
+	// Tracer records a per-launch timeline of the launches it observes.
 	Tracer = trace.Tracer
 	// TraceEvent is one recorded kernel launch.
 	TraceEvent = trace.Event
@@ -269,9 +274,9 @@ type (
 	TraceSummary = trace.Summary
 )
 
-// NewTracer wraps inner hooks (which may be nil) with timeline recording;
-// limit > 0 caps retained events.
-func NewTracer(inner Hooks, limit int) *Tracer { return trace.New(inner, limit) }
+// NewTracer returns a timeline recorder to install as the context's
+// observer (ctx.Observe = tr.Observe); limit > 0 caps retained events.
+func NewTracer(limit int) *Tracer { return trace.New(limit) }
 
 // SummarizeTrace aggregates trace events per kernel, by total time.
 func SummarizeTrace(events []TraceEvent) []TraceSummary { return trace.Summarize(events) }

@@ -23,9 +23,9 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	// Record one run per policy variant.
 	var frames []*apollo.Frame
 	for _, pol := range []apollo.Policy{apollo.SeqExec, apollo.OmpParallelForExec} {
-		rec := apollo.NewRecorder(schema, ann, apollo.Params{Policy: pol})
-		ctx := apollo.NewSimContext(clk, apollo.Params{})
-		ctx.Hooks = rec
+		rec := apollo.NewRecorder(schema, ann)
+		ctx := apollo.NewSimContext(clk, apollo.Params{Policy: pol})
+		ctx.Observe = rec.Observe
 		for _, n := range sizes {
 			apollo.ForAll(ctx, k, apollo.NewRange(0, n), func(int) {})
 		}
@@ -123,9 +123,9 @@ func TestAnnotationsFlowIntoSamples(t *testing.T) {
 	ann.Set("timestep", 9)
 	ann.SetString("problem_name", "sedov")
 	clk := apollo.NewSimClock(apollo.SandyBridgeNode(), 0, 0)
-	rec := apollo.NewRecorder(schema, ann, apollo.Params{Policy: apollo.SeqExec})
-	ctx := apollo.NewSimContext(clk, apollo.Params{})
-	ctx.Hooks = rec
+	rec := apollo.NewRecorder(schema, ann)
+	ctx := apollo.NewSimContext(clk, apollo.Params{Policy: apollo.SeqExec})
+	ctx.Observe = rec.Observe
 	apollo.ForAll(ctx, apollo.NewKernel("api::k", nil), apollo.NewRange(0, 8), func(int) {})
 	frame := rec.Frame()
 	if frame.Len() != 1 {
@@ -153,8 +153,8 @@ func TestRecordColumnsLayout(t *testing.T) {
 func TestTraceFacade(t *testing.T) {
 	clk := apollo.NewSimClock(apollo.SandyBridgeNode(), 0, 0)
 	ctx := apollo.NewSimContext(clk, apollo.Params{Policy: apollo.SeqExec})
-	tr := apollo.NewTracer(nil, 0)
-	ctx.Hooks = tr
+	tr := apollo.NewTracer(0)
+	ctx.Observe = tr.Observe
 	k := apollo.NewKernel("facade::traced", nil)
 	apollo.ForAll(ctx, k, apollo.NewRange(0, 32), func(int) {})
 	apollo.ForAll(ctx, k, apollo.NewRange(0, 64), func(int) {})

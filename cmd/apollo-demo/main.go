@@ -63,10 +63,10 @@ func run(appName, problem string, size, steps int, dir string, traceOut bool) er
 	all := dataset.NewFrame(core.RecordColumns(schema)...)
 	for _, pol := range []raja.Policy{raja.SeqExec, raja.OmpParallelForExec} {
 		ann := caliper.New()
-		rec := tuner.NewRecorder(schema, ann, raja.Params{Policy: pol})
+		rec := tuner.NewRecorder(schema, ann)
 		clk := platform.NewSimClock(machine, 0.08, 3)
-		ctx := raja.NewSimContext(clk, desc.DefaultParams)
-		ctx.Hooks = rec
+		ctx := raja.NewSimContext(clk, raja.Params{Policy: pol})
+		ctx.Observe = rec.Observe
 		sim, err := desc.New(app.Config{Ctx: ctx, Ann: ann, Problem: problem, Size: size})
 		if err != nil {
 			return err
@@ -114,11 +114,11 @@ func run(appName, problem string, size, steps int, dir string, traceOut bool) er
 	if err != nil {
 		return err
 	}
-	timed := func(hooks func(ann *caliper.Annotations) raja.Hooks) (float64, error) {
+	timed := func(install func(ctx *raja.Context, ann *caliper.Annotations)) (float64, error) {
 		ann := caliper.New()
 		clk := platform.NewSimClock(machine, 0, 0)
 		ctx := raja.NewSimContext(clk, desc.DefaultParams)
-		ctx.Hooks = hooks(ann)
+		install(ctx, ann)
 		sim, err := desc.New(app.Config{Ctx: ctx, Ann: ann, Problem: problem, Size: size})
 		if err != nil {
 			return 0, err
@@ -128,23 +128,21 @@ func run(appName, problem string, size, steps int, dir string, traceOut bool) er
 		}
 		return clk.NowNS(), nil
 	}
-	def, err := timed(func(*caliper.Annotations) raja.Hooks {
+	def, err := timed(func(ctx *raja.Context, _ *caliper.Annotations) {
 		if desc.NewDefaultHooks != nil {
-			return desc.NewDefaultHooks()
+			ctx.Hooks = desc.NewDefaultHooks()
 		}
-		return nil
 	})
 	if err != nil {
 		return err
 	}
 	var tracer *trace.Tracer
-	tuned, err := timed(func(ann *caliper.Annotations) raja.Hooks {
-		tn := tuner.NewTuner(schema, ann, desc.DefaultParams).UsePolicyModel(loaded)
-		if !traceOut {
-			return tn
+	tuned, err := timed(func(ctx *raja.Context, ann *caliper.Annotations) {
+		ctx.Hooks = tuner.NewTuner(schema, ann, desc.DefaultParams).UsePolicyModel(loaded)
+		if traceOut {
+			tracer = trace.New(0)
+			ctx.Observe = tracer.Observe
 		}
-		tracer = trace.New(tn, 0)
-		return tracer
 	})
 	if err != nil {
 		return err

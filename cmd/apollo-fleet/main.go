@@ -274,8 +274,8 @@ func runClient(ctx context.Context, idx int, peers []fleet.Peer, model string, d
 		UseSource(src).
 		UseTelemetry(rec).
 		ExploreEvery(exploreEvery)
-	timer := mpirt.NewTimer(tn, ann, ranks)
-	simCtx.Hooks = timer
+	timer := mpirt.NewTimer(ann, ranks)
+	simCtx.Hooks, simCtx.Observe = tn, timer.Observe
 	sim, err := desc.New(app.Config{Ctx: simCtx, Ann: ann, Problem: problem, Size: size, Ranks: ranks})
 	if err != nil {
 		return t, err

@@ -67,8 +67,8 @@ func run(appName, problem string, size, steps int, policy string, chunk int, swe
 		if !ok {
 			return fmt.Errorf("unknown policy %q", policy)
 		}
-		rec := tuner.NewRecorder(schema, ann, raja.Params{Policy: pol, Chunk: chunk})
-		ctx.Hooks = rec
+		rec := tuner.NewRecorder(schema, ann)
+		ctx.Default, ctx.Observe = raja.Params{Policy: pol, Chunk: chunk}, rec.Observe
 		frame = rec.Frame
 	}
 

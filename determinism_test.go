@@ -67,9 +67,9 @@ func recordSamples(t *testing.T, schema *features.Schema) []byte {
 	frame := dataset.NewFrame(core.RecordColumns(schema)...)
 	for _, pol := range []raja.Policy{raja.SeqExec, raja.OmpParallelForExec} {
 		ann := caliper.New()
-		rec := tuner.NewRecorder(schema, ann, raja.Params{Policy: pol})
-		ctx := raja.NewSimContext(platform.NewSimClock(platform.SandyBridgeNode(), 0.05, 2), desc.DefaultParams)
-		ctx.Hooks = rec
+		rec := tuner.NewRecorder(schema, ann)
+		ctx := raja.NewSimContext(platform.NewSimClock(platform.SandyBridgeNode(), 0.05, 2), raja.Params{Policy: pol})
+		ctx.Observe = rec.Observe
 		sim, err := desc.New(app.Config{Ctx: ctx, Ann: ann, Problem: "sedov", Size: 8})
 		if err != nil {
 			t.Fatal(err)

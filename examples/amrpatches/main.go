@@ -35,10 +35,10 @@ func main() {
 	var all *apollo.Frame
 	for _, pol := range []apollo.Policy{apollo.SeqExec, apollo.OmpParallelForExec} {
 		ann := apollo.NewAnnotations()
-		rec := apollo.NewRecorder(schema, ann, apollo.Params{Policy: pol})
+		rec := apollo.NewRecorder(schema, ann)
 		clk := apollo.NewSimClock(machine, 0.05, 7)
-		ctx := apollo.NewSimContext(clk, apollo.Params{})
-		ctx.Hooks = rec
+		ctx := apollo.NewSimContext(clk, apollo.Params{Policy: pol})
+		ctx.Observe = rec.Observe
 		sim, err := cleverleaf.New(ccapp.Config{Ctx: ctx, Ann: ann, Problem: problem, Size: size})
 		if err != nil {
 			log.Fatal(err)
@@ -76,8 +76,8 @@ func main() {
 		ann := apollo.NewAnnotations()
 		clk := apollo.NewSimClock(machine, 0, 0)
 		ctx := apollo.NewSimContext(clk, def)
-		tr := apollo.NewTracer(hooks(ann), 0)
-		ctx.Hooks = tr
+		tr := apollo.NewTracer(0)
+		ctx.Hooks, ctx.Observe = hooks(ann), tr.Observe
 		sim, err := cleverleaf.New(ccapp.Config{Ctx: ctx, Ann: ann, Problem: problem, Size: size})
 		if err != nil {
 			log.Fatal(err)

@@ -31,10 +31,10 @@ func main() {
 		var all *apollo.Frame
 		for _, pol := range []apollo.Policy{apollo.SeqExec, apollo.OmpParallelForExec} {
 			ann := apollo.NewAnnotations()
-			rec := apollo.NewRecorder(schema, ann, apollo.Params{Policy: pol})
+			rec := apollo.NewRecorder(schema, ann)
 			clk := apollo.NewSimClock(machine, 0.05, 21)
-			ctx := apollo.NewSimContext(clk, apollo.Params{})
-			ctx.Hooks = rec
+			ctx := apollo.NewSimContext(clk, apollo.Params{Policy: pol})
+			ctx.Observe = rec.Observe
 			sim, err := desc.New(appcfg.Config{Ctx: ctx, Ann: ann, Problem: problem, Size: size})
 			if err != nil {
 				log.Fatal(err)

@@ -49,10 +49,10 @@ func main() {
 	trainKernel := apollo.NewKernel("kokkosport::train", stencilMix.Clone())
 	var all *apollo.Frame
 	for _, pol := range []apollo.Policy{apollo.SeqExec, apollo.OmpParallelForExec} {
-		rec := apollo.NewRecorder(schema, ann, apollo.Params{Policy: pol})
+		rec := apollo.NewRecorder(schema, ann)
 		clk := apollo.NewSimClock(machine, 0.05, 9)
-		ctx := apollo.NewSimContext(clk, apollo.Params{})
-		ctx.Hooks = rec
+		ctx := apollo.NewSimContext(clk, apollo.Params{Policy: pol})
+		ctx.Observe = rec.Observe
 		for n := 32; n <= 1<<20; n *= 4 {
 			apollo.ForAll(ctx, trainKernel, apollo.NewRange(0, n), func(int) {})
 		}

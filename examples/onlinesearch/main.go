@@ -52,10 +52,10 @@ func main() {
 	var all *apollo.Frame
 	for _, pol := range []apollo.Policy{apollo.SeqExec, apollo.OmpParallelForExec} {
 		ann := apollo.NewAnnotations()
-		rec := apollo.NewRecorder(schema, ann, apollo.Params{Policy: pol})
+		rec := apollo.NewRecorder(schema, ann)
 		clk := apollo.NewSimClock(machine, 0.05, 5)
-		ctx := apollo.NewSimContext(clk, apollo.Params{})
-		ctx.Hooks = rec
+		ctx := apollo.NewSimContext(clk, apollo.Params{Policy: pol})
+		ctx.Observe = rec.Observe
 		for n := 32; n <= 1<<20; n *= 2 {
 			apollo.ForAll(ctx, kTrain, apollo.NewRange(0, n), func(int) {})
 		}

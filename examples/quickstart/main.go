@@ -52,9 +52,9 @@ func main() {
 	// --- 1. Record: one training run per execution policy. ---
 	var all *apollo.Frame
 	for _, pol := range []apollo.Policy{apollo.SeqExec, apollo.OmpParallelForExec} {
-		rec := apollo.NewRecorder(schema, ann, apollo.Params{Policy: pol})
-		ctx := apollo.NewSimContext(clk, apollo.Params{})
-		ctx.Hooks = rec
+		rec := apollo.NewRecorder(schema, ann)
+		ctx := apollo.NewSimContext(clk, apollo.Params{Policy: pol})
+		ctx.Observe = rec.Observe
 		runAll(ctx)
 		if all == nil {
 			all = rec.Frame()

@@ -60,10 +60,10 @@ func TestFullWorkflowPerApplication(t *testing.T) {
 			all := dataset.NewFrame(core.RecordColumns(schema)...)
 			for _, pol := range []raja.Policy{raja.SeqExec, raja.OmpParallelForExec} {
 				ann := caliper.New()
-				rec := tuner.NewRecorder(schema, ann, raja.Params{Policy: pol})
+				rec := tuner.NewRecorder(schema, ann)
 				clk := platform.NewSimClock(machine, 0.05, 2)
-				ctx := raja.NewSimContext(clk, desc.DefaultParams)
-				ctx.Hooks = rec
+				ctx := raja.NewSimContext(clk, raja.Params{Policy: pol})
+				ctx.Observe = rec.Observe
 				sim, err := desc.New(app.Config{Ctx: ctx, Ann: ann, Problem: tc.problem, Size: tc.size})
 				if err != nil {
 					t.Fatal(err)
@@ -150,10 +150,10 @@ func TestChunkModelWorkflow(t *testing.T) {
 	all := dataset.NewFrame(core.RecordColumns(schema)...)
 	for _, chunk := range []int{1, 16, 128, 1024} {
 		ann := caliper.New()
-		rec := tuner.NewRecorder(schema, ann, raja.Params{Policy: raja.OmpParallelForExec, Chunk: chunk})
+		rec := tuner.NewRecorder(schema, ann)
 		clk := platform.NewSimClock(machine, 0.02, 4)
-		ctx := raja.NewSimContext(clk, desc.DefaultParams)
-		ctx.Hooks = rec
+		ctx := raja.NewSimContext(clk, raja.Params{Policy: raja.OmpParallelForExec, Chunk: chunk})
+		ctx.Observe = rec.Observe
 		sim, err := desc.New(app.Config{Ctx: ctx, Ann: ann, Problem: "sedov", Size: 32})
 		if err != nil {
 			t.Fatal(err)

@@ -51,7 +51,9 @@ type Descriptor struct {
 	DefaultParams raja.Params
 	// NewDefaultHooks, when non-nil, builds the application's
 	// hand-assigned per-kernel static policies (ARES's developer
-	// defaults). Nil means DefaultParams applies to every kernel.
+	// defaults). Nil means DefaultParams applies to every kernel. A pin
+	// belongs in the context's Default; this stays a raja.Hooks only
+	// because the repository benchmark installs it as one.
 	NewDefaultHooks func() raja.Hooks
 	// New creates a run.
 	New func(cfg Config) (Sim, error)

@@ -102,10 +102,10 @@ func TestExtraPhysicsOnlyForJetAndHotspot(t *testing.T) {
 	rec := func(problem string) map[string]bool {
 		schema := features.TableI()
 		ann := caliper.New()
-		r := tuner.NewRecorder(schema, ann, raja.Params{Policy: raja.SeqExec})
+		r := tuner.NewRecorder(schema, ann)
 		clk := platform.NewSimClock(platform.SandyBridgeNode(), 0, 0)
-		ctx := raja.NewSimContext(clk, raja.Params{})
-		ctx.Hooks = r
+		ctx := raja.NewSimContext(clk, raja.Params{Policy: raja.SeqExec})
+		ctx.Observe = r.Observe
 		s, err := New(app.Config{Ctx: ctx, Ann: ann, Problem: problem, Size: 32})
 		if err != nil {
 			t.Fatal(err)
@@ -131,10 +131,10 @@ func TestExtraPhysicsOnlyForJetAndHotspot(t *testing.T) {
 func TestUnportedPhaseIsNotRecorded(t *testing.T) {
 	schema := features.TableI()
 	ann := caliper.New()
-	rec := tuner.NewRecorder(schema, ann, raja.Params{Policy: raja.SeqExec})
+	rec := tuner.NewRecorder(schema, ann)
 	clk := platform.NewSimClock(platform.SandyBridgeNode(), 0, 0)
-	ctx := raja.NewSimContext(clk, raja.Params{})
-	ctx.Hooks = rec
+	ctx := raja.NewSimContext(clk, raja.Params{Policy: raja.SeqExec})
+	ctx.Observe = rec.Observe
 	s, err := New(app.Config{Ctx: ctx, Ann: ann, Problem: "sedov", Size: 32})
 	if err != nil {
 		t.Fatal(err)

@@ -112,10 +112,10 @@ func TestShockExpandsRefinement(t *testing.T) {
 func TestKernelLaunchesRecordPatchFeatures(t *testing.T) {
 	schema := features.TableI()
 	ann := caliper.New()
-	rec := tuner.NewRecorder(schema, ann, raja.Params{Policy: raja.SeqExec})
+	rec := tuner.NewRecorder(schema, ann)
 	clk := platform.NewSimClock(platform.SandyBridgeNode(), 0, 0)
-	ctx := raja.NewSimContext(clk, raja.Params{})
-	ctx.Hooks = rec
+	ctx := raja.NewSimContext(clk, raja.Params{Policy: raja.SeqExec})
+	ctx.Observe = rec.Observe
 	s, err := New(app.Config{Ctx: ctx, Ann: ann, Problem: "sod", Size: 32})
 	if err != nil {
 		t.Fatal(err)

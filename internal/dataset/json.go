@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 )
 
@@ -23,7 +25,8 @@ type Header struct {
 	Columns []string `json:"columns"`
 }
 
-// ParseHeader decodes a frame's header line and returns its columns.
+// ParseHeader decodes a frame's header line and returns its columns,
+// which are distinct.
 func ParseHeader(line []byte) ([]string, error) {
 	var hdr Header
 	if err := json.Unmarshal(line, &hdr); err != nil {
@@ -31,6 +34,11 @@ func ParseHeader(line []byte) ([]string, error) {
 	}
 	if hdr.Format != FrameFormat {
 		return nil, fmt.Errorf("unknown frame format %q (want %q)", hdr.Format, FrameFormat)
+	}
+	sorted := slices.Clone(hdr.Columns)
+	slices.Sort(sorted)
+	if len(slices.Compact(sorted)) != len(hdr.Columns) {
+		return nil, errors.New("bad frame header: a column is named twice")
 	}
 	return hdr.Columns, nil
 }

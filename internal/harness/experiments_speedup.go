@@ -98,8 +98,8 @@ func (r *Runner) scalingRun(desc app.Descriptor, problem string, size, steps, ra
 	ann := caliper.New()
 	clk := platform.NewSimClock(r.machine, r.opts.NoiseAmp, r.opts.Seed+13)
 	ctx := raja.NewSimContext(clk, desc.DefaultParams)
-	timer := mpirt.NewTimer(factory(ann), ann, ranks)
-	ctx.Hooks = timer
+	timer := mpirt.NewTimer(ann, ranks)
+	ctx.Hooks, ctx.Observe = factory(ann), timer.Observe
 	sim, err := desc.New(app.Config{Ctx: ctx, Ann: ann, Problem: problem, Size: size, Ranks: ranks})
 	if err != nil {
 		return 0, err

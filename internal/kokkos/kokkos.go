@@ -7,10 +7,10 @@
 // The package mirrors the Kokkos programming model's surface — execution
 // spaces, ParallelFor/ParallelReduce over RangePolicy, MDRangePolicy and
 // TeamPolicy — and lowers every dispatch onto the shared raja execution
-// core (kernel sites, index sets, the Apollo hooks, and the policy
-// switcher). A model trained from RAJA-recorded samples therefore tunes
-// Kokkos dispatches unchanged, because both frontends emit the same
-// Table I feature vectors.
+// core (kernel sites, index sets, the context's decider and observer,
+// and the policy switcher). It has no hooks of its own: a model trained
+// from RAJA-recorded samples tunes Kokkos dispatches unchanged, because
+// both frontends emit the same Table I feature vectors.
 package kokkos
 
 import (
@@ -128,36 +128,15 @@ func spaceParams(space ExecSpace, chunk int) (raja.Params, bool) {
 	}
 }
 
-// forcedHooks pins a launch to fixed parameters while still reporting to
-// the inner hooks (so recording works for explicitly spaced dispatches).
-type forcedHooks struct {
-	params raja.Params
-	inner  raja.Hooks
-}
-
-// Begin reports the launch to the inner hooks and returns the pinned
-// parameters.
-func (h forcedHooks) Begin(k *raja.Kernel, iset *raja.IndexSet) (raja.Params, bool) {
-	if h.inner != nil {
-		h.inner.Begin(k, iset)
-	}
-	return h.params, true
-}
-
-// End forwards the measurement to the inner hooks.
-func (h forcedHooks) End(k *raja.Kernel, iset *raja.IndexSet, p raja.Params, ns float64) {
-	if h.inner != nil {
-		h.inner.End(k, iset, p, ns)
-	}
-}
-
-// dispatch runs one lowering through the raja core.
+// dispatch runs one lowering through the raja core. An explicit
+// execution space pins the launch, as a hard-coded Kokkos space
+// annotation would: it runs with the space's parameters as the context's
+// Default and no decider, so the context's observer still sees it and
+// its decider never does.
 func dispatch(ctx *raja.Context, space ExecSpace, chunk int, k *raja.Kernel, iset *raja.IndexSet, body func(i int)) float64 {
-	if params, forced := spaceParams(space, chunk); forced {
-		// An explicit execution space overrides Apollo, as a
-		// hard-coded Kokkos space annotation would.
+	if params, pinned := spaceParams(space, chunk); pinned {
 		sub := *ctx
-		sub.Hooks = forcedHooks{params: params, inner: ctx.Hooks}
+		sub.Default, sub.Hooks = params, nil
 		return raja.ForAll(&sub, k, iset, body)
 	}
 	return raja.ForAll(ctx, k, iset, body)

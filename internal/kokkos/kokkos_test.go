@@ -108,12 +108,30 @@ func TestDefaultSpaceUsesApolloHooks(t *testing.T) {
 	}
 }
 
+// TestExplicitSpaceIsNotADecision pins the contract of an explicit
+// execution space: the launch reaches no decider, so a tuner on the
+// context, even one exploring at every launch, books neither a decision
+// nor exploration for it.
+func TestExplicitSpaceIsNotADecision(t *testing.T) {
+	tn := tuner.NewTuner(features.TableI(), caliper.New(), raja.Params{Policy: raja.OmpParallelForExec}).ExploreEvery(1)
+	ctx, _ := simCtx(raja.Params{})
+	ctx.Hooks = tn
+	mix := instmix.NewMix().With(instmix.Add, 6)
+	for i := 0; i < 2000; i++ {
+		ParallelFor(ctx, "kokkos_test::pinned", mix, RangePolicy{Space: Serial, End: 256}, func(int) {})
+	}
+	ParallelFor(ctx, "kokkos_test::pinned", mix, RangePolicy{Space: OpenMP, End: 256}, func(int) {})
+	if d, e, sh := tn.Decisions(), tn.Explored(), tn.ExploreShare(); d != 0 || e != 0 || sh != 0 {
+		t.Errorf("pinned dispatches booked decisions=%d explored=%d explore_share=%g, want all 0", d, e, sh)
+	}
+}
+
 func TestRecorderSeesForcedSpaceDispatches(t *testing.T) {
 	schema := features.TableI()
 	ann := caliper.New()
-	rec := tuner.NewRecorder(schema, ann, raja.Params{Policy: raja.SeqExec})
-	ctx, _ := simCtx(raja.Params{})
-	ctx.Hooks = rec
+	rec := tuner.NewRecorder(schema, ann)
+	ctx, _ := simCtx(raja.Params{Policy: raja.SeqExec})
+	ctx.Observe = rec.Observe
 	ParallelFor(ctx, "kokkos_test::recorded", nil, RangePolicy{Space: OpenMP, End: 50}, func(int) {})
 	if rec.Samples() != 1 {
 		t.Errorf("recorder saw %d samples, want 1", rec.Samples())
@@ -194,10 +212,10 @@ func TestCrossFrontendModelReuse(t *testing.T) {
 	k := raja.NewKernel("kokkos_test::rajakernel", mix)
 	var all *dataset.Frame
 	for _, pol := range []raja.Policy{raja.SeqExec, raja.OmpParallelForExec} {
-		rec := tuner.NewRecorder(schema, ann, raja.Params{Policy: pol})
+		rec := tuner.NewRecorder(schema, ann)
 		clk := platform.NewSimClock(machine, 0, 0)
-		ctx := raja.NewSimContext(clk, raja.Params{})
-		ctx.Hooks = rec
+		ctx := raja.NewSimContext(clk, raja.Params{Policy: pol})
+		ctx.Observe = rec.Observe
 		for _, n := range []int{16, 128, 1024, 8192, 65536, 524288} {
 			raja.ForAll(ctx, k, raja.NewRange(0, n), func(int) {})
 		}

@@ -2,8 +2,8 @@
 // strong-scaling experiments (paper Figs. 12 and 13).
 //
 // The applications partition their AMR patches across R ranks; this
-// package's Timer wraps the Apollo hooks, attributes every kernel launch
-// to the owning rank (read from the caliper blackboard), and models each
+// package's Timer observes every kernel launch, attributes it to the
+// owning rank (read from the caliper blackboard), and models each
 // bulk-synchronous timestep as the maximum per-rank kernel time plus a
 // communication term. Strong scaling is therefore a partitioning
 // property, exactly as in the paper: more ranks mean smaller per-rank
@@ -18,11 +18,9 @@ import (
 	"apollo/internal/raja"
 )
 
-// Timer is a raja.Hooks wrapper that accounts kernel time per rank and
-// models bulk-synchronous steps.
+// Timer accounts observed kernel time per rank and models
+// bulk-synchronous steps; install its Observe as a context's observer.
 type Timer struct {
-	// Inner is the wrapped hooks component (tuner, recorder, or nil).
-	Inner raja.Hooks
 	// Ann supplies the current rank annotation.
 	Ann *caliper.Annotations
 	// Ranks is the simulated rank count.
@@ -37,15 +35,14 @@ type Timer struct {
 	steps   int
 }
 
-// NewTimer wraps hooks for an R-rank simulation with default
+// NewTimer returns a timer for an R-rank simulation with default
 // communication constants (a 40 us halo exchange plus a 12 us-per-hop
 // allreduce tree).
-func NewTimer(inner raja.Hooks, ann *caliper.Annotations, ranks int) *Timer {
+func NewTimer(ann *caliper.Annotations, ranks int) *Timer {
 	if ranks < 1 {
 		ranks = 1
 	}
 	return &Timer{
-		Inner:     inner,
 		Ann:       ann,
 		Ranks:     ranks,
 		LatencyNS: 40e3,
@@ -54,24 +51,13 @@ func NewTimer(inner raja.Hooks, ann *caliper.Annotations, ranks int) *Timer {
 	}
 }
 
-// Begin delegates to the wrapped hooks.
-func (t *Timer) Begin(k *raja.Kernel, iset *raja.IndexSet) (raja.Params, bool) {
-	if t.Inner != nil {
-		return t.Inner.Begin(k, iset)
-	}
-	return raja.Params{}, false
-}
-
-// End attributes the launch to its rank and delegates.
-func (t *Timer) End(k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedNS float64) {
+// Observe attributes the launch to its rank.
+func (t *Timer) Observe(k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedNS float64) {
 	rank := int(t.Ann.GetOr("rank", 0))
 	if rank < 0 || rank >= t.Ranks {
 		rank = 0
 	}
 	t.perRank[rank] += elapsedNS
-	if t.Inner != nil {
-		t.Inner.End(k, iset, p, elapsedNS)
-	}
 }
 
 // commNS models the per-step communication cost.
@@ -99,7 +85,7 @@ func (t *Timer) StepBarrier(extraNS float64) {
 }
 
 // Step runs one application step on the clock nowNS reads and closes it
-// with a barrier: work the hooks saw is decomposed per rank; the rest of
+// with a barrier: work the timer observed is decomposed per rank; the rest of
 // the clock's advance partitions perfectly.
 func (t *Timer) Step(nowNS func() float64, step func()) {
 	before := nowNS()
@@ -118,7 +104,7 @@ func (t *Timer) TotalNS() float64 { return t.totalNS }
 func (t *Timer) Steps() int { return t.steps }
 
 // PendingNS returns the kernel time accumulated since the last barrier,
-// summed over ranks (useful to separate hook-tracked work from clock
+// summed over ranks (useful to separate observed work from clock
 // deltas).
 func (t *Timer) PendingNS() float64 {
 	var s float64

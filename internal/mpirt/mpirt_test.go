@@ -4,18 +4,19 @@ import (
 	"testing"
 
 	"apollo/internal/caliper"
+	"apollo/internal/platform"
 	"apollo/internal/raja"
 )
 
 func fakeLaunch(t *Timer, ann *caliper.Annotations, rank int, ns float64) {
 	ann.Set("rank", float64(rank))
 	k := raja.NewKernel("k", nil)
-	t.End(k, raja.NewRange(0, 10), raja.Params{}, ns)
+	t.Observe(k, raja.NewRange(0, 10), raja.Params{}, ns)
 }
 
 func TestStepBarrierTakesMaxRank(t *testing.T) {
 	ann := caliper.New()
-	tm := NewTimer(nil, ann, 4)
+	tm := NewTimer(ann, 4)
 	fakeLaunch(tm, ann, 0, 100)
 	fakeLaunch(tm, ann, 1, 300)
 	fakeLaunch(tm, ann, 1, 200) // rank 1 total: 500
@@ -32,7 +33,7 @@ func TestStepBarrierTakesMaxRank(t *testing.T) {
 
 func TestBarrierResetsAccumulators(t *testing.T) {
 	ann := caliper.New()
-	tm := NewTimer(nil, ann, 2)
+	tm := NewTimer(ann, 2)
 	fakeLaunch(tm, ann, 0, 100)
 	tm.StepBarrier(0)
 	if tm.PendingNS() != 0 {
@@ -46,7 +47,7 @@ func TestBarrierResetsAccumulators(t *testing.T) {
 
 func TestExtraWorkIsPartitioned(t *testing.T) {
 	ann := caliper.New()
-	tm := NewTimer(nil, ann, 8)
+	tm := NewTimer(ann, 8)
 	tm.StepBarrier(800)
 	want := 100 + tm.commNS() // 800 / 8 ranks
 	if got := tm.TotalNS(); got != want {
@@ -55,15 +56,15 @@ func TestExtraWorkIsPartitioned(t *testing.T) {
 }
 
 func TestSingleRankHasNoComm(t *testing.T) {
-	tm := NewTimer(nil, caliper.New(), 1)
+	tm := NewTimer(caliper.New(), 1)
 	if tm.commNS() != 0 {
 		t.Error("1-rank run should have no communication cost")
 	}
 }
 
 func TestCommGrowsWithRanks(t *testing.T) {
-	a := NewTimer(nil, caliper.New(), 16)
-	b := NewTimer(nil, caliper.New(), 256)
+	a := NewTimer(caliper.New(), 16)
+	b := NewTimer(caliper.New(), 256)
 	if b.commNS() <= a.commNS() {
 		t.Error("communication cost should grow with rank count")
 	}
@@ -71,7 +72,7 @@ func TestCommGrowsWithRanks(t *testing.T) {
 
 func TestOutOfRangeRankClamps(t *testing.T) {
 	ann := caliper.New()
-	tm := NewTimer(nil, ann, 2)
+	tm := NewTimer(ann, 2)
 	fakeLaunch(tm, ann, 99, 100) // invalid -> rank 0
 	tm.StepBarrier(0)
 	if tm.TotalNS() != 100+tm.commNS() {
@@ -93,16 +94,29 @@ func (h *recHooks) End(k *raja.Kernel, iset *raja.IndexSet, p raja.Params, ns fl
 }
 
 func TestDelegatesToInner(t *testing.T) {
+	// The timer charges the launch the context's hooks chose to its rank,
+	// and the hooks see exactly one Begin and one End.
 	ann := caliper.New()
-	inner := &recHooks{}
-	tm := NewTimer(inner, ann, 2)
+	ann.Set("rank", 1)
+	hooks := &recHooks{}
+	tm := NewTimer(ann, 2)
+	clk := platform.NewSimClock(platform.SandyBridgeNode(), 0, 0)
+	ctx := raja.NewSimContext(clk, raja.Params{Policy: raja.OmpParallelForExec})
+	ctx.Hooks, ctx.Observe = hooks, tm.Observe
 	k := raja.NewKernel("k", nil)
-	if p, ok := tm.Begin(k, raja.NewRange(0, 5)); !ok || p.Policy != raja.SeqExec {
-		t.Error("Begin not delegated")
+	ns := raja.ForAll(ctx, k, raja.NewRange(0, 5), func(int) {})
+	if hooks.begins != 1 || hooks.ends != 1 {
+		t.Errorf("hooks saw %d begins and %d ends, want 1 and 1", hooks.begins, hooks.ends)
 	}
-	tm.End(k, raja.NewRange(0, 5), raja.Params{}, 10)
-	if inner.begins != 1 || inner.ends != 1 {
-		t.Error("inner hooks not called")
+	if tm.perRank[1] != ns || ns <= 0 || tm.perRank[0] != 0 {
+		t.Errorf("per-rank time %v, want %g on rank 1", tm.perRank, ns)
+	}
+
+	// With no hooks the launch runs with the Default and is still charged.
+	ctx.Hooks = nil
+	ns += raja.ForAll(ctx, k, raja.NewRange(0, 5), func(int) {})
+	if tm.perRank[1] != ns {
+		t.Errorf("per-rank time %v, want %g on rank 1", tm.perRank, ns)
 	}
 }
 
@@ -110,7 +124,7 @@ func TestMoreRanksFasterForBalancedWork(t *testing.T) {
 	// 64 equal patches: 8 ranks should beat 2 ranks on kernel time.
 	run := func(ranks int) float64 {
 		ann := caliper.New()
-		tm := NewTimer(nil, ann, ranks)
+		tm := NewTimer(ann, ranks)
 		for p := 0; p < 64; p++ {
 			fakeLaunch(tm, ann, p%ranks, 1e6)
 		}
@@ -127,7 +141,7 @@ func TestMoreRanksFasterForBalancedWork(t *testing.T) {
 // partitions nothing.
 func TestStepSplitsHookedFromUnhookedWork(t *testing.T) {
 	ann := caliper.New()
-	tm := NewTimer(nil, ann, 4)
+	tm := NewTimer(ann, 4)
 	clock := 1000.0
 	tm.Step(func() float64 { return clock }, func() {
 		fakeLaunch(tm, ann, 0, 100)

@@ -48,9 +48,9 @@ func (k *Kernel) Invocations() uint64 { return k.invocations.Load() }
 
 // Hooks is the interface between ForAll and Apollo, corresponding to the
 // apollo::begin / apollo::end calls the paper adds around each RAJA loop
-// template. A Recorder implementation stores observed features and
-// runtimes; a Tuner implementation evaluates a decision model and returns
-// the execution parameters to use.
+// template. Hooks are for deciding, as a Tuner does; a component that
+// only watches launches is the context's Observe, and one that only
+// forces parameters is its Default with no Hooks.
 type Hooks interface {
 	// Begin is called before the launch with the kernel and its index
 	// set. If override is true, the returned Params replace the
@@ -62,8 +62,9 @@ type Hooks interface {
 }
 
 // Context carries the execution environment for ForAll: the worker team,
-// the optional simulated clock, the Apollo hooks, and the static default
-// execution parameters used when no hooks override them.
+// the optional simulated clock, the decider, the static default and the
+// observer. A pinned launch (Default the fixed choice, Hooks nil) reaches
+// no decider; its observer still sees it.
 type Context struct {
 	// Team executes parallel policies. May be nil in pure-simulation
 	// contexts, in which case parallel launches run sequentially but
@@ -72,13 +73,15 @@ type Context struct {
 	// Sim, when non-nil, supplies kernel timings from the analytic
 	// machine model instead of the wall clock (see package platform).
 	Sim *platform.SimClock
-	// Hooks is the installed Apollo component (recorder or tuner).
-	// Nil means uninstrumented execution with Default parameters.
+	// Hooks is the installed decider (a tuner or an online search).
 	Hooks Hooks
 	// Default is the static parameter choice used when Hooks is nil or
 	// declines to override — e.g. OpenMP-everywhere, the default the
-	// paper compares against.
+	// paper compares against, or the candidate variant of a training run.
 	Default Params
+	// Observe, when non-nil, sees every launch after Hooks.End: a
+	// recorder, a tracer or a rank timer. It never changes what runs.
+	Observe func(k *Kernel, iset *IndexSet, p Params, elapsedNS float64)
 }
 
 // NewSimContext returns a context that executes kernels under the analytic
@@ -88,8 +91,8 @@ func NewSimContext(clock *platform.SimClock, def Params) *Context {
 }
 
 // ForAll launches the kernel body over the index set, selecting execution
-// parameters through the context's hooks, and returns the elapsed time in
-// nanoseconds. It is the analogue of RAJA::forall with the paper's Apollo
+// parameters through the context's hooks, reports the launch to the
+// context's observer, and returns the elapsed time in nanoseconds. It is the analogue of RAJA::forall with the paper's Apollo
 // begin/end hooks inlined.
 func ForAll(ctx *Context, k *Kernel, iset *IndexSet, body func(i int)) float64 {
 	params := ctx.Default
@@ -116,6 +119,9 @@ func ForAll(ctx *Context, k *Kernel, iset *IndexSet, body func(i int)) float64 {
 
 	if ctx.Hooks != nil {
 		ctx.Hooks.End(k, iset, params, elapsed)
+	}
+	if ctx.Observe != nil {
+		ctx.Observe(k, iset, params, elapsed)
 	}
 	return elapsed
 }

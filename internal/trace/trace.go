@@ -37,34 +37,25 @@ type Event struct {
 	Args map[string]string
 }
 
-// Tracer wraps an inner raja.Hooks and records every launch.
+// Tracer records every launch it observes; install its Observe as a
+// context's observer.
 type Tracer struct {
-	// Inner is the wrapped component (tuner, recorder, or nil).
-	Inner raja.Hooks
-
 	mu     sync.Mutex
 	nowNS  float64
 	events []Event
 	limit  int
 }
 
-// New returns a tracer delegating to inner. A limit > 0 caps the number
-// of retained events (the earliest are kept).
-func New(inner raja.Hooks, limit int) *Tracer {
-	return &Tracer{Inner: inner, limit: limit}
+// New returns a tracer. A limit > 0 caps the number of retained events
+// (the earliest are kept).
+func New(limit int) *Tracer {
+	return &Tracer{limit: limit}
 }
 
-// Begin delegates to the inner hooks.
-func (t *Tracer) Begin(k *raja.Kernel, iset *raja.IndexSet) (raja.Params, bool) {
-	if t.Inner != nil {
-		return t.Inner.Begin(k, iset)
-	}
-	return raja.Params{}, false
-}
-
-// End records the launch on a contiguous virtual timeline and delegates.
-func (t *Tracer) End(k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedNS float64) {
+// Observe records the launch on a contiguous virtual timeline.
+func (t *Tracer) Observe(k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedNS float64) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.limit <= 0 || len(t.events) < t.limit {
 		t.events = append(t.events, Event{
 			Kernel:     k.Name,
@@ -75,10 +66,6 @@ func (t *Tracer) End(k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsed
 		})
 	}
 	t.nowNS += elapsedNS
-	t.mu.Unlock()
-	if t.Inner != nil {
-		t.Inner.End(k, iset, p, elapsedNS)
-	}
 }
 
 // Events returns a snapshot of the recorded launches.

@@ -16,17 +16,17 @@ import (
 
 func tracedRun(t *testing.T, limit int) *Tracer {
 	t.Helper()
-	tr := New(nil, limit)
+	tr := New(limit)
 	clk := platform.NewSimClock(platform.SandyBridgeNode(), 0, 0)
 	ctx := raja.NewSimContext(clk, raja.Params{Policy: raja.SeqExec})
-	ctx.Hooks = tr
+	ctx.Observe = tr.Observe
 	kSmall := raja.NewKernel("trace::small", instmix.NewMix().With(instmix.Add, 2))
 	kBig := raja.NewKernel("trace::big", instmix.NewMix().With(instmix.Add, 2))
 	for i := 0; i < 3; i++ {
 		raja.ForAll(ctx, kSmall, raja.NewRange(0, 10), func(int) {})
 	}
 	ctxPar := raja.NewSimContext(clk, raja.Params{Policy: raja.OmpParallelForExec})
-	ctxPar.Hooks = tr
+	ctxPar.Observe = tr.Observe
 	raja.ForAll(ctxPar, kBig, raja.NewRange(0, 100000), func(int) {})
 	return tr
 }
@@ -185,26 +185,28 @@ func TestSaveChromeTraceRoundTrip(t *testing.T) {
 }
 
 func TestTracerDelegates(t *testing.T) {
-	inner := &countingHooks{}
-	tr := New(inner, 0)
+	// The tracer records the parameters the context's hooks chose, and
+	// the hooks see exactly one Begin and one End.
+	hooks := &countingHooks{}
+	tr := New(0)
+	clk := platform.NewSimClock(platform.SandyBridgeNode(), 0, 0)
+	ctx := raja.NewSimContext(clk, raja.Params{Policy: raja.OmpParallelForExec})
+	ctx.Hooks, ctx.Observe = hooks, tr.Observe
 	k := raja.NewKernel("trace::delegate", nil)
-	if p, ok := tr.Begin(k, raja.NewRange(0, 5)); !ok || p.Policy != raja.SeqExec {
-		t.Error("Begin not delegated")
+	raja.ForAll(ctx, k, raja.NewRange(0, 5), func(int) {})
+	if hooks.begins != 1 || hooks.ends != 1 {
+		t.Errorf("hooks saw %d begins and %d ends, want 1 and 1", hooks.begins, hooks.ends)
 	}
-	tr.End(k, raja.NewRange(0, 5), raja.Params{}, 10)
-	if inner.begins != 1 || inner.ends != 1 {
-		t.Error("inner hooks not called")
+	if ev := tr.Events(); len(ev) != 1 || ev[0].Params.Policy != raja.SeqExec {
+		t.Errorf("tracer recorded %+v, want one launch with the hooks' choice", ev)
 	}
 
-	// With no inner hooks Begin leaves the context's parameters alone and
-	// End still records.
-	bare := New(nil, 0)
-	if _, ok := bare.Begin(k, raja.NewRange(0, 5)); ok {
-		t.Error("a tracer with no inner hooks overrode the launch parameters")
-	}
-	bare.End(k, raja.NewRange(0, 5), raja.Params{}, 10)
-	if bare.Len() != 1 {
-		t.Error("a tracer with no inner hooks recorded nothing")
+	// With no hooks the tracer records the context's Default.
+	bare := New(0)
+	ctx.Hooks, ctx.Observe = nil, bare.Observe
+	raja.ForAll(ctx, k, raja.NewRange(0, 5), func(int) {})
+	if ev := bare.Events(); len(ev) != 1 || ev[0].Params.Policy != raja.OmpParallelForExec {
+		t.Errorf("a tracer with no hooks recorded %+v, want one launch with the Default", ev)
 	}
 }
 
@@ -224,7 +226,7 @@ func (h *countingHooks) End(k *raja.Kernel, iset *raja.IndexSet, p raja.Params, 
 // contexts — and verifies (under -race) that the timeline stays
 // internally consistent: no lost events, no overlapping virtual spans.
 func TestTracerConcurrentLaunchesRaceFree(t *testing.T) {
-	tr := New(nil, 0)
+	tr := New(0)
 	const workers = 8
 	const perWorker = 200
 	var wg sync.WaitGroup
@@ -235,8 +237,7 @@ func TestTracerConcurrentLaunchesRaceFree(t *testing.T) {
 			k := raja.NewKernel(fmt.Sprintf("trace::worker%d", w), nil)
 			iset := raja.NewRange(0, 10)
 			for i := 0; i < perWorker; i++ {
-				p, _ := tr.Begin(k, iset)
-				tr.End(k, iset, p, 5)
+				tr.Observe(k, iset, raja.Params{}, 5)
 			}
 		}(w)
 	}
@@ -261,11 +262,11 @@ func TestTracerConcurrentLaunchesRaceFree(t *testing.T) {
 // which is what a bounded trace is for), later ones are dropped, and
 // the virtual clock still advances past the cap.
 func TestTracerLimitKeepsEarliest(t *testing.T) {
-	tr := New(nil, 3)
+	tr := New(3)
 	k := raja.NewKernel("trace::capped", nil)
 	iset := raja.NewRange(0, 10)
 	for i := 0; i < 10; i++ {
-		tr.End(k, iset, raja.Params{}, float64(100+i))
+		tr.Observe(k, iset, raja.Params{}, float64(100+i))
 	}
 	events := tr.Events()
 	if len(events) != 3 {

@@ -2,16 +2,17 @@
 // loads behind RAJA's apollo::begin / apollo::end hooks:
 //
 //   - Recorder collects a Table I feature vector and the measured runtime
-//     of every kernel execution into a training-data frame, while forcing
-//     the parameter variant under test (training runs execute the whole
-//     problem once per candidate parameter value);
+//     of every kernel execution into a training-data frame. It observes
+//     (raja.Context.Observe) and never decides: a training run is the
+//     application with the candidate variant as its context's Default,
+//     one run per candidate parameter value;
 //   - Tuner evaluates trained decision models at every launch and writes
 //     the predicted execution parameters to the blackboard for the
-//     policy switcher to consume.
+//     policy switcher to consume. It decides: it implements raja.Hooks.
 //
-// Both implement raja.Hooks, so the same application binary runs in either
-// recording or tuning mode just by installing a different component —
-// the decoupling the paper gets from dynamic loading.
+// The same application binary runs in either recording or tuning mode
+// just by installing a different component on its context — the
+// decoupling the paper gets from dynamic loading.
 package tuner
 
 import (
@@ -34,34 +35,27 @@ import (
 type Recorder struct {
 	schema *features.Schema
 	ann    *caliper.Annotations
-	sweep  raja.Params
 
 	mu    sync.Mutex
 	frame *dataset.Frame
 	row   []float64
 }
 
-// NewRecorder returns a recorder that forces every launch to use the
-// sweep parameters and records samples against the given schema and
-// annotation blackboard.
-func NewRecorder(schema *features.Schema, ann *caliper.Annotations, sweep raja.Params) *Recorder {
+// NewRecorder returns a recorder that records samples against the given
+// schema and annotation blackboard; install its Observe as a context's
+// observer.
+func NewRecorder(schema *features.Schema, ann *caliper.Annotations) *Recorder {
 	return &Recorder{
 		schema: schema,
 		ann:    ann,
-		sweep:  sweep,
 		frame:  dataset.NewFrame(core.RecordColumns(schema)...),
 		row:    make([]float64, schema.Len()+3),
 	}
 }
 
-// Begin forces the sweep parameters for the launch.
-func (r *Recorder) Begin(k *raja.Kernel, iset *raja.IndexSet) (raja.Params, bool) {
-	return r.sweep, true
-}
-
-// End appends the sample: the feature vector, the parameters used, and
-// the elapsed time.
-func (r *Recorder) End(k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedNS float64) {
+// Observe appends the sample: the feature vector, the parameters used,
+// and the elapsed time.
+func (r *Recorder) Observe(k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedNS float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := len(r.schema.ExtractInto(r.row, k, iset, r.ann))
@@ -72,7 +66,7 @@ func (r *Recorder) End(k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elaps
 }
 
 // Frame returns the live recording frame. Ownership contract: the frame
-// remains owned by the recorder, and End keeps appending to it for as
+// remains owned by the recorder, and Observe keeps appending to it for as
 // long as the application runs — callers that only read it after all
 // launches have finished (the offline training pipeline) may use it
 // directly, but callers that export while recording may continue (e.g. a

@@ -27,8 +27,9 @@ func TestRecorderForcesSweepAndRecords(t *testing.T) {
 	ann := caliper.New()
 	ann.Set(features.Timestep, 3)
 	sweep := raja.Params{Policy: raja.OmpParallelForExec, Chunk: 64}
-	rec := NewRecorder(schema, ann, sweep)
-	ctx := simContext(rec, raja.Params{Policy: raja.SeqExec})
+	rec := NewRecorder(schema, ann)
+	ctx := simContext(nil, sweep)
+	ctx.Observe = rec.Observe
 
 	k := raja.NewKernel("stress", instmix.NewMix().With(instmix.Add, 6))
 	raja.ForAll(ctx, k, raja.NewRange(0, 100), func(int) {})
@@ -131,8 +132,9 @@ func TestEndToEndRecordTrainTune(t *testing.T) {
 	// Record one run per policy variant, as the paper's training does.
 	frame := dataset.NewFrame(core.RecordColumns(schema)...)
 	for _, pol := range []raja.Policy{raja.SeqExec, raja.OmpParallelForExec} {
-		rec := NewRecorder(schema, ann, raja.Params{Policy: pol})
-		ctx := simContext(rec, raja.Params{})
+		rec := NewRecorder(schema, ann)
+		ctx := simContext(nil, raja.Params{Policy: pol})
+		ctx.Observe = rec.Observe
 		for _, n := range sizes {
 			raja.ForAll(ctx, k, raja.NewRange(0, n), func(int) {})
 		}
@@ -254,8 +256,9 @@ func TestUseSourceHotSwapsMidRun(t *testing.T) {
 
 func TestSnapshotIsIndependentCopy(t *testing.T) {
 	schema := features.TableI()
-	rec := NewRecorder(schema, caliper.New(), raja.Params{Policy: raja.SeqExec})
-	ctx := simContext(rec, raja.Params{})
+	rec := NewRecorder(schema, caliper.New())
+	ctx := simContext(nil, raja.Params{Policy: raja.SeqExec})
+	ctx.Observe = rec.Observe
 	k := raja.NewKernel("k", nil)
 	raja.ForAll(ctx, k, raja.NewRange(0, 100), func(int) {})
 
@@ -282,12 +285,13 @@ func TestSnapshotIsIndependentCopy(t *testing.T) {
 // Snapshot is the safe way to export mid-run. Run under -race.
 func TestSnapshotWhileRecordingRaceFree(t *testing.T) {
 	schema := features.TableI()
-	rec := NewRecorder(schema, caliper.New(), raja.Params{Policy: raja.SeqExec})
+	rec := NewRecorder(schema, caliper.New())
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		ctx := simContext(rec, raja.Params{})
+		ctx := simContext(nil, raja.Params{Policy: raja.SeqExec})
+		ctx.Observe = rec.Observe
 		k := raja.NewKernel("k", nil)
 		for i := 0; i < 500; i++ {
 			raja.ForAll(ctx, k, raja.NewRange(0, 10+i), func(int) {})

@@ -69,10 +69,10 @@ func TestModelServiceHotSwapEndToEnd(t *testing.T) {
 	all := dataset.NewFrame(core.RecordColumns(schema)...)
 	for _, pol := range []raja.Policy{raja.SeqExec, raja.OmpParallelForExec} {
 		ann := caliper.New()
-		rec := tuner.NewRecorder(schema, ann, raja.Params{Policy: pol})
+		rec := tuner.NewRecorder(schema, ann)
 		clk := platform.NewSimClock(machine, 0.05, 2)
-		ctx := raja.NewSimContext(clk, desc.DefaultParams)
-		ctx.Hooks = rec
+		ctx := raja.NewSimContext(clk, raja.Params{Policy: pol})
+		ctx.Observe = rec.Observe
 		sim, err := desc.New(app.Config{Ctx: ctx, Ann: ann, Problem: "sedov", Size: 10})
 		if err != nil {
 			t.Fatal(err)
