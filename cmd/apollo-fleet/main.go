@@ -57,7 +57,6 @@ func main() {
 	steps := flag.Int("steps", 40, "minimum timesteps per client")
 	duration := flag.Duration("duration", 0, "minimum wall-clock run time per client (keeps stepping past -steps)")
 	ranks := flag.Int("ranks", 4, "simulated MPI ranks per client (mpirt decomposition)")
-	sampleEvery := flag.Uint64("sample-every", 1, "record one launch in this many (power of two)")
 	exploreEvery := flag.Uint64("explore-every", 8, "every n-th launch of a site may run the other policy, within 1/64 of that site's kernel time; 0 disables")
 	poll := flag.Duration("poll", 500*time.Millisecond, "model source poll interval")
 	flush := flag.Duration("flush", 300*time.Millisecond, "telemetry upload interval")
@@ -68,7 +67,7 @@ func main() {
 	flag.Parse()
 
 	if _, err := run(*replicas, *model, *appName, *problem, *size, *clients, *steps, *ranks,
-		*sampleEvery, *exploreEvery, *duration, *poll, *flush, *health, *noise, *seed,
+		*exploreEvery, *duration, *poll, *flush, *health, *noise, *seed,
 		*metricsAddr); err != nil {
 		fmt.Fprintln(os.Stderr, "apollo-fleet:", err)
 		os.Exit(1)
@@ -156,7 +155,7 @@ func (l *liveGauges) export(met *metrics.Metrics) {
 }
 
 func run(replicaSpec, model, appName, problem string, size, clients, steps, ranks int,
-	sampleEvery, exploreEvery uint64, duration, poll, flush, healthEvery time.Duration,
+	exploreEvery uint64, duration, poll, flush, healthEvery time.Duration,
 	noise float64, seed uint64, metricsAddr string) (tally, error) {
 	var totals tally
 	if model == "" {
@@ -202,7 +201,7 @@ func run(replicaSpec, model, appName, problem string, size, clients, steps, rank
 	for i := range tallies {
 		clientDone = append(clientDone, g.Go(fmt.Sprintf("client %d", i), func(ctx context.Context) (err error) {
 			tallies[i], err = runClient(ctx, i, peers, model, desc, problem, size, steps, ranks,
-				sampleEvery, exploreEvery, duration, poll, flush, healthEvery,
+				exploreEvery, duration, poll, flush, healthEvery,
 				noise, seed+uint64(i), predictLat, ingestLat, &live)
 			return err
 		}))
@@ -241,7 +240,7 @@ func run(replicaSpec, model, appName, problem string, size, clients, steps, rank
 // runClient is one synthetic deployment: tuner-driven simulated launches
 // plus timed serving-path probes, all through a ring-routed FleetClient.
 func runClient(ctx context.Context, idx int, peers []fleet.Peer, model string, desc app.Descriptor, problem string,
-	size, steps, ranks int, sampleEvery, exploreEvery uint64,
+	size, steps, ranks int, exploreEvery uint64,
 	duration, poll, flush, healthEvery time.Duration, noise float64, seed uint64,
 	predictLat, ingestLat *latencies, live *liveGauges) (t tally, err error) {
 	// Named results: the health checker's eviction count is harvested in a
@@ -265,7 +264,7 @@ func runClient(ctx context.Context, idx int, peers []fleet.Peer, model string, d
 	stopPoll := src.StartPolling(poll)
 	defer stopPoll()
 
-	rec := telemetry.NewRecorder(schema, ann, telemetry.Options{SampleEvery: sampleEvery})
+	rec := telemetry.NewRecorder(schema, ann, telemetry.Options{})
 	live.register(f, rec)
 	machine := platform.SandyBridgeNode()
 	clk := platform.NewSimClock(machine, noise, seed)

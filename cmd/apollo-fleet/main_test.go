@@ -76,7 +76,7 @@ func TestHarnessEndToEnd(t *testing.T) {
 		victim.Close()
 	}()
 	totals, err := run(spec, "lulesh/policy", "LULESH", "sedov", 8, 2, 5, 2,
-		1, 8, time.Second, 100*time.Millisecond, 50*time.Millisecond, 50*time.Millisecond,
+		8, time.Second, 100*time.Millisecond, 50*time.Millisecond, 50*time.Millisecond,
 		0.05, 1, "")
 	if err != nil {
 		t.Fatal(err)
@@ -93,15 +93,15 @@ func TestHarnessEndToEnd(t *testing.T) {
 }
 
 func TestHarnessRejectsBadFlags(t *testing.T) {
-	if _, err := run("", "m", "LULESH", "sedov", 8, 1, 1, 1, 1, 8,
+	if _, err := run("", "m", "LULESH", "sedov", 8, 1, 1, 1, 8,
 		0, time.Second, time.Second, 0, 0, 1, ""); err == nil {
 		t.Fatal("missing -replicas accepted")
 	}
-	if _, err := run("a=http://x", "", "LULESH", "sedov", 8, 1, 1, 1, 1, 8,
+	if _, err := run("a=http://x", "", "LULESH", "sedov", 8, 1, 1, 1, 8,
 		0, time.Second, time.Second, 0, 0, 1, ""); err == nil {
 		t.Fatal("missing -model accepted")
 	}
-	if _, err := run("a=http://x", "m", "NoSuchApp", "sedov", 8, 1, 1, 1, 1, 8,
+	if _, err := run("a=http://x", "m", "NoSuchApp", "sedov", 8, 1, 1, 1, 8,
 		0, time.Second, time.Second, 0, 0, 1, ""); err == nil {
 		t.Fatal("unknown app accepted")
 	}

@@ -46,7 +46,6 @@ func main() {
 	steps := flag.Int("steps", 50, "timesteps to run")
 	maxSteps := flag.Int("max-steps", 0, "hard timestep cap when -wait-swaps keeps the run alive (0 = 20x steps)")
 	waitSwaps := flag.Int("wait-swaps", 0, "keep stepping until this many model swaps arrived (0 disables)")
-	sampleEvery := flag.Uint64("sample-every", 1, "record one launch in this many (power of two)")
 	exploreEvery := flag.Uint64("explore-every", 8, "every n-th launch of a site may run the other policy, within 1/64 of that site's kernel time; 0 disables")
 	poll := flag.Duration("poll", 500*time.Millisecond, "model source poll interval")
 	flush := flag.Duration("flush", 500*time.Millisecond, "telemetry upload interval")
@@ -57,14 +56,14 @@ func main() {
 	flag.Parse()
 
 	if err := run(*serverURL, *model, *appName, *problem, *size, *steps, *maxSteps, *waitSwaps,
-		*sampleEvery, *exploreEvery, *poll, *flush, *noise, *seed, *debugAddr, *loopJournal); err != nil {
+		*exploreEvery, *poll, *flush, *noise, *seed, *debugAddr, *loopJournal); err != nil {
 		fmt.Fprintln(os.Stderr, "apollo-tune:", err)
 		os.Exit(1)
 	}
 }
 
 func run(serverURL, model, appName, problem string, size, steps, maxSteps, waitSwaps int,
-	sampleEvery, exploreEvery uint64, poll, flush time.Duration, noise float64, seed uint64,
+	exploreEvery uint64, poll, flush time.Duration, noise float64, seed uint64,
 	debugAddr, loopJournal string) (err error) {
 	if model == "" {
 		return fmt.Errorf("-model is required")
@@ -98,7 +97,7 @@ func run(serverURL, model, appName, problem string, size, steps, maxSteps, waitS
 		fmt.Fprintln(os.Stderr, "apollo-tune: starting degraded:", err)
 	}
 
-	rec := telemetry.NewRecorder(schema, ann, telemetry.Options{SampleEvery: sampleEvery})
+	rec := telemetry.NewRecorder(schema, ann, telemetry.Options{})
 	up := client.NewUploader(c, model, rec, client.UploaderOptions{
 		// Stamp every batch with the model version (and its loop ID) the
 		// tuner is running, so the service can attribute ingested spools.
@@ -175,8 +174,8 @@ func run(serverURL, model, appName, problem string, size, steps, maxSteps, waitS
 	if fr := tn.Flight(); fr != nil {
 		flightRecords = fr.Emitted()
 	}
-	fmt.Printf("apollo-tune: done steps=%d decisions=%d explored=%d explore_share=%.4f flight_records=%d seen=%d recorded=%d dropped=%d uploaded_rows=%d uploaded_batches=%d swaps=%d\n",
-		ran, tn.Decisions(), tn.Explored(), tn.ExploreShare(), flightRecords, rec.Seen(), rec.Recorded(), rec.Dropped(),
+	fmt.Printf("apollo-tune: done steps=%d decisions=%d explored=%d explore_share=%.4f flight_records=%d row_weight=%d recorded=%d dropped=%d uploaded_rows=%d uploaded_batches=%d swaps=%d\n",
+		ran, tn.Decisions(), tn.Explored(), tn.ExploreShare(), flightRecords, rec.Weight(), rec.Recorded(), rec.Dropped(),
 		up.Rows(), up.Batches(), src.Swaps()-swapsAtStart)
 	if waitSwaps > 0 && int(src.Swaps()-swapsAtStart) < waitSwaps {
 		return fmt.Errorf("run ended after %d steps with %d swaps, wanted %d",

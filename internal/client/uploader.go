@@ -76,6 +76,7 @@ type Uploader struct {
 
 	mu       sync.Mutex //apollo:lockrank 12
 	pending  *dataset.Frame
+	posting  chan struct{} // a POST in flight, closed at its verdict
 	failures int
 	nextTry  time.Time
 
@@ -108,24 +109,18 @@ func (u *Uploader) Discarded() uint64 { return u.discards.Load() }
 // nil without a network attempt; a failed attempt keeps the rows for the
 // next flush and arms the backoff. The rows being posted are taken out
 // of the pending frame before the network call, so u.mu is never held
-// across I/O and concurrent flushes cannot double-send.
+// across I/O and concurrent flushes cannot double-send. One POST is in
+// flight at a time: a Flush that finds another's rows mid-POST waits for
+// its verdict first, so when Flush returns every row drained before the
+// call has been acknowledged or is back in pending.
 func (u *Uploader) Flush() error {
-	u.mu.Lock()
-	if f := u.rec.Drain(0); f != nil {
-		if u.pending == nil {
-			u.pending = f
-		} else {
-			u.pending.Append(f)
-		}
+	sending, inFlight := u.take()
+	for ; inFlight != nil; sending, inFlight = u.take() {
+		<-inFlight
 	}
-	u.boundPendingLocked()
-	if u.pending == nil || u.pending.Len() == 0 || u.nextTry.After(u.retry.now()) {
-		u.mu.Unlock()
+	if sending == nil {
 		return nil
 	}
-	sending := u.pending
-	u.pending = nil
-	u.mu.Unlock()
 
 	b := telemetry.NewBatch(u.model, sending)
 	if u.attributes != nil {
@@ -135,6 +130,7 @@ func (u *Uploader) Flush() error {
 
 	u.mu.Lock()
 	defer u.mu.Unlock()
+	defer func() { close(u.posting); u.posting = nil }() // after the rows are booked below
 	if err != nil {
 		// Put the rows back ahead of anything drained meanwhile.
 		if u.pending != nil {
@@ -153,6 +149,31 @@ func (u *Uploader) Flush() error {
 	u.failures = 0
 	u.nextTry = time.Time{}
 	return nil
+}
+
+// take drains the recorder and claims everything pending for one POST, or
+// nothing: with nothing pending, inside a backoff window, or — returning
+// its mark — while another flush's POST is in flight.
+func (u *Uploader) take() (sending *dataset.Frame, inFlight chan struct{}) {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	if u.posting != nil {
+		return nil, u.posting
+	}
+	if f := u.rec.Drain(0); f != nil {
+		if u.pending == nil {
+			u.pending = f
+		} else {
+			u.pending.Append(f)
+		}
+	}
+	u.boundPendingLocked()
+	if u.pending == nil || u.pending.Len() == 0 || u.nextTry.After(u.retry.now()) {
+		return nil, nil
+	}
+	sending, u.pending = u.pending, nil
+	u.posting = make(chan struct{})
+	return sending, nil
 }
 
 // boundPendingLocked discards the oldest pending rows past MaxPending.

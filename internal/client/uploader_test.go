@@ -273,3 +273,48 @@ func TestPostTelemetryBodyIsJSONMarshals(t *testing.T) {
 		t.Errorf("a NaN row: error %v after %d requests", err, c.Fetches()-fetches)
 	}
 }
+
+// blockingService holds every PostTelemetry until release is closed.
+type blockingService struct {
+	*Client
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (s *blockingService) PostTelemetry(b *telemetry.Batch) error {
+	s.entered <- struct{}{}
+	<-s.release
+	return nil
+}
+
+// TestUploaderFlushWaitsForARacingPost: a Flush that starts while another
+// flush holds the drained rows mid-POST returns only after that POST's
+// verdict, so a caller that flushed sees every row it recorded before the
+// call acknowledged.
+func TestUploaderFlushWaitsForARacingPost(t *testing.T) {
+	svc := &blockingService{Client: New("http://unused", Options{}), entered: make(chan struct{}, 1), release: make(chan struct{})}
+	rec := telemetry.NewRecorder(features.TableI(), nil, telemetry.Options{})
+	up := NewUploader(svc, "m", rec, UploaderOptions{})
+	fillRecorder(rec, 10)
+	first := make(chan error, 1)
+	go func() { first <- up.Flush() }()
+	<-svc.entered // the background flush drained the rows and is posting them
+
+	second := make(chan error, 1)
+	go func() { second <- up.Flush() }()
+	select {
+	case err := <-second:
+		t.Fatalf("Flush returned %v with %d rows acknowledged while 10 were mid-POST", err, up.Rows())
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(svc.release)
+	if err := <-second; err != nil {
+		t.Fatal(err)
+	}
+	if up.Rows() != 10 {
+		t.Fatalf("after Flush returned, %d rows acknowledged, want 10", up.Rows())
+	}
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+}

@@ -71,11 +71,13 @@ func (p Parameter) ClassName(label int) string {
 }
 
 // Reserved column names in recorded sample frames, alongside the feature
-// columns of the schema.
+// columns of the schema. ColWeight is optional: the number of launches a
+// thinned telemetry row stands for; a frame without it weighs every row 1.
 const (
 	ColPolicy = "policy"
 	ColChunk  = "chunk"
 	ColTimeNS = "time_ns"
+	ColWeight = "weight"
 )
 
 // RecordColumns returns the full column list of a recorded-sample frame

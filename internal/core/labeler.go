@@ -52,6 +52,7 @@ type labelRow struct {
 	group int32 // interned slot, or rowSkipped / rowPoison
 	class int
 	ns    float64
+	w     float64 // launches the row stands for (ColWeight; 1 without it)
 }
 
 const (
@@ -60,14 +61,14 @@ const (
 	// It still occupies a window row.
 	rowSkipped int32 = -1
 	// rowPoison marks a sample whose class is outside the parameter's
-	// range; Set reports it until Trim ages it out.
+	// range, or weight not finite and positive; Set reports it until Trim.
 	rowPoison int32 = -2
 )
 
 // variantStats accumulates runtimes of one feature vector under one class.
 type variantStats struct {
 	total float64
-	count int
+	count float64
 }
 
 type labelGroup struct {
@@ -95,9 +96,10 @@ func (l *Labeler) Len() int { return len(l.rows) }
 
 // Add appends every row of frame to the window. The frame must contain
 // every feature of the schema plus the policy, chunk and time_ns columns;
-// a frame that does not is rejected whole. For ExecutionPolicy all samples
-// participate and the class is the policy; for ChunkSize only parallel
-// samples whose chunk lies on the training grid do.
+// a frame that does not is rejected whole; a weight column counts a row as
+// that many launches. For ExecutionPolicy all samples participate and the
+// class is the policy; for ChunkSize only parallel samples whose chunk
+// lies on the training grid do.
 func (l *Labeler) Add(frame *dataset.Frame) error {
 	featIdx := make([]int, l.width)
 	for i, name := range l.schema.Names() {
@@ -114,15 +116,20 @@ func (l *Labeler) Add(frame *dataset.Frame) error {
 		return fmt.Errorf("core: frame is missing policy/chunk/time_ns columns")
 	}
 
+	weightIdx := frame.Col(ColWeight)
+
 	l.rows = slices.Grow(l.rows, frame.Len())
 	for r := 0; r < frame.Len(); r++ {
 		row := frame.Row(r)
-		out := labelRow{group: rowSkipped, ns: row[timeIdx]}
+		out := labelRow{group: rowSkipped, ns: row[timeIdx], w: 1}
+		if weightIdx >= 0 {
+			out.w = row[weightIdx]
+		}
 		var takesPart bool
 		out.class, takesPart = l.classOf(row[polIdx], row[chunkIdx])
 		switch {
 		case !takesPart:
-		case out.class < 0 || out.class >= l.numClasses:
+		case out.class < 0 || out.class >= l.numClasses || !(out.w > 0 && out.w <= math.MaxFloat64):
 			out.group = rowPoison
 			l.poisoned++
 		default:
@@ -180,13 +187,16 @@ func (l *Labeler) Trim(max int) {
 
 // Set labels the window: each unique feature vector observed under at
 // least two classes becomes one labeled sample whose label is the class
-// with the lowest mean runtime. Vectors are listed in the order of their
-// first row in the window. The returned set shares no storage with the
-// labeler.
+// with the lowest mean runtime, each row counting as the launches its
+// weight says. Vectors are listed in the order of their first row in the
+// window. The returned set shares no storage with the labeler.
 func (l *Labeler) Set() (*LabeledSet, error) {
 	if l.poisoned > 0 {
 		for r, row := range l.rows {
 			if row.group == rowPoison {
+				if row.class >= 0 && row.class < l.numClasses {
+					return nil, fmt.Errorf("core: row %d has weight %v, want a positive finite launch count", r, row.w)
+				}
 				return nil, fmt.Errorf("core: row %d has out-of-range class %d for %v", r, row.class, l.param)
 			}
 		}
@@ -207,8 +217,8 @@ func (l *Labeler) Set() (*LabeledSet, error) {
 			}
 		}
 		st := &stats[int(g.order)*nc+row.class]
-		st.total += row.ns
-		st.count++
+		st.total += row.ns * row.w
+		st.count += row.w
 	}
 	l.stats, l.order = stats, order
 	for _, slot := range order {
@@ -245,14 +255,14 @@ func (l *Labeler) Set() (*LabeledSet, error) {
 		best, bestTime := -1, math.Inf(1)
 		m := means[:nc:nc]
 		means = means[nc:]
-		totalCount := 0
+		totalCount := 0.0
 		for c, st := range groupStats {
 			if st.count == 0 {
 				m[c] = math.NaN()
 				continue
 			}
 			totalCount += st.count
-			m[c] = st.total / float64(st.count)
+			m[c] = st.total / st.count
 			if m[c] < bestTime {
 				best, bestTime = c, m[c]
 			}
@@ -263,7 +273,7 @@ func (l *Labeler) Set() (*LabeledSet, error) {
 		set.X = append(set.X, x)
 		set.Y = append(set.Y, best)
 		set.MeanTimes = append(set.MeanTimes, m)
-		set.Weights = append(set.Weights, float64(totalCount)/float64(observed))
+		set.Weights = append(set.Weights, totalCount/float64(observed))
 	}
 	return set, nil
 }

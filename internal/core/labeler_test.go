@@ -17,13 +17,15 @@ import (
 // taken in row order, groups listed by first row. The Labeler must agree
 // with it bit for bit on any window. The one liberty: a NaN feature is
 // stored as math.NaN(), since the key never told NaN payloads apart and
-// the Labeler keeps one.
+// the Labeler keeps one. A weight column, when the frame has one, counts
+// each row as that many launches.
 func referenceLabel(frame *dataset.Frame, schema *features.Schema, param Parameter) (*LabeledSet, error) {
 	featIdx := make([]int, schema.Len())
 	for i, name := range schema.Names() {
 		featIdx[i] = frame.MustCol(name)
 	}
 	polIdx, chunkIdx, timeIdx := frame.MustCol(ColPolicy), frame.MustCol(ColChunk), frame.MustCol(ColTimeNS)
+	weightIdx := frame.Col(ColWeight)
 	numClasses := param.NumClasses()
 	type group struct {
 		x     []float64
@@ -50,6 +52,10 @@ func referenceLabel(frame *dataset.Frame, schema *features.Schema, param Paramet
 		if class < 0 || class >= numClasses {
 			return nil, fmt.Errorf("core: row %d has out-of-range class %d for %v", r, class, param)
 		}
+		w := 1.0
+		if weightIdx >= 0 {
+			w = row[weightIdx]
+		}
 		keyBuf.Reset()
 		for _, j := range featIdx {
 			keyBuf.WriteString(strconv.FormatFloat(row[j], 'g', -1, 64))
@@ -67,14 +73,14 @@ func referenceLabel(frame *dataset.Frame, schema *features.Schema, param Paramet
 			groups[keyBuf.String()] = g
 			ordered = append(ordered, g)
 		}
-		g.stats[class].total += row[timeIdx]
-		g.stats[class].count++
+		g.stats[class].total += row[timeIdx] * w
+		g.stats[class].count += w
 	}
 	set := &LabeledSet{Schema: schema, Param: param}
 	for _, g := range ordered {
 		best, bestTime := -1, math.Inf(1)
 		means := make([]float64, numClasses)
-		observed, totalCount := 0, 0
+		observed, totalCount := 0, 0.0
 		for c, st := range g.stats {
 			if st.count == 0 {
 				means[c] = math.NaN()
@@ -82,7 +88,7 @@ func referenceLabel(frame *dataset.Frame, schema *features.Schema, param Paramet
 			}
 			observed++
 			totalCount += st.count
-			means[c] = st.total / float64(st.count)
+			means[c] = st.total / st.count
 			if means[c] < bestTime {
 				best, bestTime = c, means[c]
 			}
@@ -93,7 +99,7 @@ func referenceLabel(frame *dataset.Frame, schema *features.Schema, param Paramet
 		set.X = append(set.X, g.x)
 		set.Y = append(set.Y, best)
 		set.MeanTimes = append(set.MeanTimes, means)
-		set.Weights = append(set.Weights, float64(totalCount)/float64(observed))
+		set.Weights = append(set.Weights, totalCount/float64(observed))
 	}
 	if len(set.X) == 0 {
 		return nil, fmt.Errorf("core: no feature vector was observed under multiple %v variants", param)
@@ -166,17 +172,26 @@ func randomSample(rng *dataset.RNG) []float64 {
 // checks after every step that Set equals the reference labelling of the
 // rows then in the window — same set bit for bit, or the same error — for
 // both parameters, and with the hash seam forcing every vector, or most,
-// onto one collision chain.
+// onto one collision chain; and again with a weight column of the
+// strides a tuner thins by.
 func TestLabelerMatchesBatchLabelling(t *testing.T) {
 	schema := features.NewSchema(features.NumIndices, features.FuncSize, features.Stride)
-	cols := RecordColumns(schema)
 	hashes := map[string]func([]float64) uint64{
 		"hashVector": hashVector,
 		"constant":   func([]float64) uint64 { return 42 },
 		"two-bit":    func(x []float64) uint64 { return hashVector(x) & 3 },
+		"weighted":   hashVector,
 	}
 	for _, param := range []Parameter{ExecutionPolicy, ChunkSize} {
 		for name, hash := range hashes {
+			cols := RecordColumns(schema)
+			sample := randomSample
+			if name == "weighted" {
+				cols = append(cols, ColWeight)
+				sample = func(rng *dataset.RNG) []float64 {
+					return append(randomSample(rng), float64(int(1)<<rng.Intn(7)))
+				}
+			}
 			t.Run(param.String()+"/"+name, func(t *testing.T) {
 				for seed := uint64(1); seed <= 20; seed++ {
 					rng := dataset.NewRNG(seed)
@@ -187,7 +202,7 @@ func TestLabelerMatchesBatchLabelling(t *testing.T) {
 					for step := 0; step < 60; step++ {
 						fresh := dataset.NewFrame(cols...)
 						for n := rng.Intn(30); n > 0; n-- {
-							fresh.AddRow(randomSample(rng))
+							fresh.AddRow(sample(rng))
 						}
 						if err := l.Add(fresh); err != nil {
 							t.Fatal(err)
@@ -464,5 +479,46 @@ func BenchmarkLabel(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestLabelerWeightCountsLaunches: a row of weight w labels as w copies of
+// it would, and a weight that is not a positive finite count poisons the
+// window like an out-of-range class.
+func TestLabelerWeightCountsLaunches(t *testing.T) {
+	schema := features.NewSchema(features.NumIndices)
+	rows := [][]float64{
+		{64, float64(raja.SeqExec), float64(raja.DefaultChunk), 100},
+		{64, float64(raja.OmpParallelForExec), float64(raja.DefaultChunk), 300},
+		{64, float64(raja.SeqExec), float64(raja.DefaultChunk), 500},
+	}
+	copies, weighted := dataset.NewFrame(RecordColumns(schema)...), dataset.NewFrame(append(RecordColumns(schema), ColWeight)...)
+	for i, row := range rows {
+		w := []int{4, 1, 1}[i]
+		weighted.AddRow(append(append([]float64(nil), row...), float64(w)))
+		for ; w > 0; w-- {
+			copies.AddRow(row)
+		}
+	}
+	want, err := Label(copies, schema, ExecutionPolicy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Label(weighted, schema, ExecutionPolicy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := diffSets(got, want); d != "" {
+		t.Fatal(d)
+	}
+	if got.Y[0] != int(raja.SeqExec) || got.Weights[0] != 3 {
+		t.Fatalf("label %d weight %v, want seq (mean 180 ns against 300) over 6 launches of 2 variants", got.Y[0], got.Weights[0])
+	}
+	for _, bad := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		f := dataset.NewFrame(append(RecordColumns(schema), ColWeight)...)
+		f.AddRow([]float64{64, 0, float64(raja.DefaultChunk), 100, bad})
+		if _, err := Label(f, schema, ExecutionPolicy); err == nil || !strings.Contains(err.Error(), "weight") {
+			t.Errorf("weight %v: Label error %v, want the weight named", bad, err)
+		}
 	}
 }

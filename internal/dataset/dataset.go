@@ -179,6 +179,9 @@ func ReadCSV(r io.Reader) (*Frame, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dataset: reading CSV header: %w", err)
 	}
+	if err := distinctColumns(header); err != nil {
+		return nil, fmt.Errorf("dataset: CSV header: %w", err)
+	}
 	f := NewFrame(header...)
 	row := make([]float64, len(header))
 	for line := 2; ; line++ {

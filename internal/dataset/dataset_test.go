@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -126,6 +127,9 @@ func TestReadCSVBadData(t *testing.T) {
 	}
 	if _, err := ReadCSV(bytes.NewBufferString("")); err == nil {
 		t.Error("empty input should fail (no header)")
+	}
+	if _, err := ReadCSV(bytes.NewBufferString("a,a\n1,2\n")); err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Errorf("a header naming a column twice: err = %v, want it named", err)
 	}
 }
 

@@ -25,6 +25,17 @@ type Header struct {
 	Columns []string `json:"columns"`
 }
 
+// distinctColumns rejects a column list that names a column twice, which
+// NewFrame treats as the program's own bug and panics on.
+func distinctColumns(cols []string) error {
+	sorted := slices.Clone(cols)
+	slices.Sort(sorted)
+	if len(slices.Compact(sorted)) != len(cols) {
+		return errors.New("a column is named twice")
+	}
+	return nil
+}
+
 // ParseHeader decodes a frame's header line and returns its columns,
 // which are distinct.
 func ParseHeader(line []byte) ([]string, error) {
@@ -35,10 +46,8 @@ func ParseHeader(line []byte) ([]string, error) {
 	if hdr.Format != FrameFormat {
 		return nil, fmt.Errorf("unknown frame format %q (want %q)", hdr.Format, FrameFormat)
 	}
-	sorted := slices.Clone(hdr.Columns)
-	slices.Sort(sorted)
-	if len(slices.Compact(sorted)) != len(hdr.Columns) {
-		return nil, errors.New("bad frame header: a column is named twice")
+	if err := distinctColumns(hdr.Columns); err != nil {
+		return nil, fmt.Errorf("bad frame header: %w", err)
 	}
 	return hdr.Columns, nil
 }

@@ -13,6 +13,8 @@ package features
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync/atomic"
 
 	"apollo/internal/caliper"
@@ -183,8 +185,8 @@ func (s *Schema) Extract(k *raja.Kernel, iset *raja.IndexSet, ann *caliper.Annot
 	return s.ExtractInto(make([]float64, len(s.names)), k, iset, ann)
 }
 
-// ExtractInto assembles the feature vector into dst, which must have at
-// least Len() capacity, and returns dst[:Len()]. A launch costs a copy of
+// ExtractInto assembles the feature vector into dst, grown when its
+// capacity falls short, and returns dst[:Len()]. A launch costs a copy of
 // the kernel site's static block, the index-set getters and a pointer
 // compare against the blackboard's published state: names are resolved
 // once per schema (compile), kernel constants once per site (bake),
@@ -196,17 +198,67 @@ func (s *Schema) Extract(k *raja.Kernel, iset *raja.IndexSet, ann *caliper.Annot
 //
 //apollo:hotpath
 func (s *Schema) ExtractInto(dst []float64, k *raja.Kernel, iset *raja.IndexSet, ann *caliper.Annotations) []float64 {
+	return s.full(k).Fill(dst, iset, ann)
+}
+
+// full returns k's full-width site, compiling and baking on first use.
+//
+//apollo:hotpath
+func (s *Schema) full(k *raja.Kernel) *Site {
 	p := s.plan.Load()
 	if p == nil {
 		p = s.compile()
 	}
-	block, ok := (*p.sites.Load())[k]
+	site, ok := (*p.sites.Load())[k]
 	if !ok {
-		block = p.bake(k)
+		site = p.bake(k)
 	}
-	dst = dst[:len(s.names)]
-	copy(dst, block)
-	for _, o := range p.launch {
+	return site
+}
+
+// Site is a selection of a schema's features compiled for one kernel, its
+// kernel-constant features (func, func_size, loop_id, the mnemonic counts)
+// in place and the index-set and blackboard positions listed for Fill: the
+// full vector ExtractInto fills, or, from Schema.Site, what one model reads.
+type Site struct {
+	p             *plan
+	static        []float64
+	launch, board []op // dst is a position in the site's vector
+}
+
+// Site compiles for kernel k the projection src of the schema's features
+// (position i reads the schema's feature src[i], -1 reads 0): once per
+// launch site and model, never per launch.
+func (s *Schema) Site(k *raja.Kernel, src []int32) *Site {
+	full := s.full(k)
+	site := &Site{p: full.p, static: make([]float64, len(src))}
+	for i, j := range src {
+		if j < 0 {
+			continue
+		}
+		site.static[i] = full.static[j]
+		for _, o := range full.launch {
+			if o.dst == int(j) {
+				site.launch = append(site.launch, op{dst: i, kind: o.kind})
+			}
+		}
+		for _, b := range full.board {
+			if b.dst == int(j) {
+				site.board = append(site.board, op{dst: i, kind: opBoard, val: b.val})
+			}
+		}
+	}
+	return site
+}
+
+// Fill writes the site's vector for one launch into dst, grown when its
+// capacity falls short, and returns it.
+//
+//apollo:hotpath
+func (s *Site) Fill(dst []float64, iset *raja.IndexSet, ann *caliper.Annotations) []float64 {
+	dst = slices.Grow(dst[:0], len(s.static))[:len(s.static)]
+	copy(dst, s.static)
+	for _, o := range s.launch {
 		switch o.kind {
 		case opIndexType:
 			dst[o.dst] = float64(iset.Type())
@@ -218,14 +270,14 @@ func (s *Schema) ExtractInto(dst []float64, k *raja.Kernel, iset *raja.IndexSet,
 			dst[o.dst] = float64(iset.Stride())
 		}
 	}
-	if ann != nil && len(p.board) > 0 {
+	if ann != nil && len(s.board) > 0 {
 		st := ann.State()
-		v := p.view.Load()
+		v := s.p.view.Load()
 		if v == nil || v.state != st {
-			v = p.resolve(st)
+			v = s.p.resolve(st)
 		}
-		for i, o := range p.board {
-			dst[o.dst] = v.vals[i]
+		for _, b := range s.board {
+			dst[b.dst] = v.vals[b.val]
 		}
 	}
 	return dst
@@ -259,6 +311,7 @@ type op struct {
 	kind  opKind
 	group instmix.Group
 	key   string
+	val   int // opBoard: its value's index in the plan's boardView
 }
 
 // plan is a schema's names compiled into typed ops, with the two caches
@@ -266,12 +319,12 @@ type op struct {
 type plan struct {
 	static, launch, board []op
 
-	// sites holds each launched kernel's static block: a full-width
-	// vector, the kernel-constant features filled in and every other
+	// sites holds each launched kernel's full-width site, its static
+	// block the kernel-constant features filled in and every other
 	// position zero (what an unset blackboard reads). Copy-on-write, and
 	// correct only because a launched kernel's name, ID and mix never
 	// change (the contract on raja.Kernel).
-	sites atomic.Pointer[map[*raja.Kernel][]float64]
+	sites atomic.Pointer[map[*raja.Kernel]*Site]
 	// view holds the board ops' values under one blackboard state; it is
 	// current exactly while that state is (see caliper.State).
 	view atomic.Pointer[boardView]
@@ -300,10 +353,11 @@ func (s *Schema) compile() *plan {
 		case o.kind < opBoard:
 			p.launch = append(p.launch, o)
 		default:
+			o.val = len(p.board)
 			p.board = append(p.board, o)
 		}
 	}
-	sites := map[*raja.Kernel][]float64{}
+	sites := map[*raja.Kernel]*Site{}
 	p.sites.Store(&sites)
 	if !s.plan.CompareAndSwap(nil, p) {
 		return s.plan.Load() // a concurrent first extraction won; share its caches
@@ -311,10 +365,10 @@ func (s *Schema) compile() *plan {
 	return p
 }
 
-// bake computes and publishes k's static block.
+// bake computes and publishes k's full-width site.
 //
 //apollo:coldpath the static block is baked once per (schema, kernel site), never per launch
-func (p *plan) bake(k *raja.Kernel) []float64 {
+func (p *plan) bake(k *raja.Kernel) *Site {
 	block := make([]float64, len(p.static)+len(p.launch)+len(p.board))
 	for _, o := range p.static {
 		switch o.kind {
@@ -328,25 +382,18 @@ func (p *plan) bake(k *raja.Kernel) []float64 {
 			block[o.dst] = k.Mix.Count(o.group)
 		}
 	}
+	site := &Site{p: p, static: block, launch: p.launch, board: p.board}
 	for {
 		old := p.sites.Load()
 		if won, ok := (*old)[k]; ok {
 			return won
 		}
-		if p.sites.CompareAndSwap(old, withSite(*old, k, block)) {
-			return block
+		next := maps.Clone(*old)
+		next[k] = site
+		if p.sites.CompareAndSwap(old, &next) {
+			return site
 		}
 	}
-}
-
-// withSite returns a copy of sites with k's block added.
-func withSite(sites map[*raja.Kernel][]float64, k *raja.Kernel, block []float64) *map[*raja.Kernel][]float64 {
-	next := make(map[*raja.Kernel][]float64, len(sites)+1)
-	for site, b := range sites {
-		next[site] = b
-	}
-	next[k] = block
-	return &next
 }
 
 // resolve caches the board ops' values under st as the current view.

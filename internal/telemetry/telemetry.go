@@ -2,10 +2,11 @@
 // loop. A deployed tuner only evaluates its model; it never learns
 // whether the chosen variant was actually the fastest. This package
 // records a sampled stream of (feature vector, chosen parameters,
-// elapsed time) tuples from the launch hot path, buffers them in a
-// bounded lock-free ring, and defines the wire batch the uploader ships
+// elapsed time, weight) tuples from the launch hot path, buffers them in
+// a bounded lock-free ring, and defines the wire batch the uploader ships
 // to the model service — where the spool (see spool.go) makes them
-// durable for the continuous trainer.
+// durable for the continuous trainer. A row's weight (core.ColWeight) is
+// the number of launches it stands for.
 //
 // The capture contract is strict because Tuner.End runs inside every
 // kernel launch: the unsampled path costs one atomic load plus one
@@ -29,11 +30,10 @@ import (
 
 // Options tunes a Recorder; the zero value picks sensible defaults.
 type Options struct {
-	// SampleEvery records one launch in every SampleEvery, rounded up
-	// to a power of two so the unsampled decision is a mask test, not a
-	// division (default 1: record everything; a production tuner
-	// deciding millions of times per second would set this in the
-	// thousands).
+	// SampleEvery makes Record keep, and weigh as, one launch in every
+	// SampleEvery, rounded up to a power of two so the unsampled decision
+	// is a mask test (default 1: record everything). A tuner on the
+	// recorder's schema and blackboard thins by its own cadence instead.
 	SampleEvery uint64
 	// Capacity is the ring size in samples, rounded up to a power of
 	// two (default 4096). When the uploader falls behind, the oldest
@@ -51,7 +51,7 @@ type Recorder struct {
 	sampleMask uint64 // SampleEvery rounded up to a power of two, minus one
 	columns    []string
 
-	seq      atomic.Uint64 // launches seen (sampling counter)
+	seq      atomic.Uint64 // Record calls plus the weights handed to RecordVector
 	recorded atomic.Uint64 // samples enqueued
 
 	// rows is the sample queue: each record is a preallocated row (a
@@ -77,10 +77,10 @@ func NewRecorder(schema *features.Schema, ann *caliper.Annotations, opts Options
 		schema:     schema,
 		ann:        ann,
 		sampleMask: every - 1,
-		columns:    core.RecordColumns(schema),
+		columns:    append(core.RecordColumns(schema), core.ColWeight),
 		rows:       ring.New[[]float64](opts.Capacity),
 	}
-	width := schema.Len() + 3
+	width := schema.Len() + 4
 	backing := make([]float64, r.rows.Cap()*width)
 	r.rows.Prefill(func(i int, row *[]float64) {
 		*row = backing[i*width : (i+1)*width : (i+1)*width]
@@ -88,8 +88,11 @@ func NewRecorder(schema *features.Schema, ann *caliper.Annotations, opts Options
 	return r
 }
 
-// Seen returns how many launches the recorder has observed.
-func (r *Recorder) Seen() uint64 { return r.seq.Load() }
+// Weight returns the launches the recorder has been handed: one per Record
+// call plus each RecordVector row's weight. Behind a thinning tuner it is
+// an estimate that runs high, since a twin kept inside a stride counts
+// twice and a look cuts a stride short.
+func (r *Recorder) Weight() uint64 { return r.seq.Load() }
 
 // Recorded returns how many samples entered the ring.
 func (r *Recorder) Recorded() uint64 { return r.recorded.Load() }
@@ -104,48 +107,42 @@ func (r *Recorder) Dropped() uint64 { return r.rows.Dropped() }
 //
 //apollo:hotpath
 func (r *Recorder) Record(k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedNS float64) {
-	if !r.Sample() {
+	if r.seq.Add(1)&r.sampleMask != 0 {
 		return
 	}
 	if rec, ticket := r.rows.Reserve(); rec != nil {
 		r.schema.ExtractInto(*rec, k, iset, r.ann)
-		r.publish(*rec, ticket, p, elapsedNS)
+		r.publish(*rec, ticket, p, elapsedNS, float64(r.sampleMask+1))
 	}
 }
 
 // Captures reports whether a vector extracted against schema and ann is
 // the one Record would extract, so a caller that holds the launch's
-// vector may use Sample + RecordVector instead of Record.
+// vector may use RecordVector instead of Record.
 func (r *Recorder) Captures(schema *features.Schema, ann *caliper.Annotations) bool {
 	return r.schema == schema && r.ann == ann
 }
 
-// Sample counts one finished launch and reports whether it is sampled.
-// Record calls it itself; Tuner.End, which shares one extraction with the
-// flight record, calls it before extracting — an unsampled launch stays
-// two atomic operations — and then RecordVector.
+// RecordVector enqueues a row the caller chose to keep, standing for weight
+// launches: its extracted vector x (laid out by Schema) is copied into the
+// ring row. Like Record it never blocks and never allocates.
 //
 //apollo:hotpath
-func (r *Recorder) Sample() bool { return r.seq.Add(1)&r.sampleMask == 0 }
-
-// RecordVector enqueues a launch that Sample selected, copying its
-// extracted vector x (laid out by Schema) into the ring row. Like Record
-// it never blocks and never allocates.
-//
-//apollo:hotpath
-func (r *Recorder) RecordVector(x []float64, p raja.Params, elapsedNS float64) {
+func (r *Recorder) RecordVector(x []float64, p raja.Params, elapsedNS, weight float64) {
+	r.seq.Add(uint64(weight))
 	if rec, ticket := r.rows.Reserve(); rec != nil {
 		copy(*rec, x)
-		r.publish(*rec, ticket, p, elapsedNS)
+		r.publish(*rec, ticket, p, elapsedNS, weight)
 	}
 }
 
 // publish completes a reserved row whose feature columns are filled.
-func (r *Recorder) publish(row []float64, ticket ring.Ticket, p raja.Params, elapsedNS float64) {
+func (r *Recorder) publish(row []float64, ticket ring.Ticket, p raja.Params, elapsedNS, weight float64) {
 	n := r.schema.Len()
 	row[n] = float64(p.Policy)
 	row[n+1] = float64(p.Chunk)
 	row[n+2] = elapsedNS
+	row[n+3] = weight
 	r.rows.Publish(ticket)
 	r.recorded.Add(1)
 }

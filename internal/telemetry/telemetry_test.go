@@ -28,8 +28,8 @@ func TestRecorderCapturesSampleRows(t *testing.T) {
 	r := NewRecorder(schema, ann, Options{})
 
 	record(r, 128, 1234)
-	if r.Recorded() != 1 || r.Seen() != 1 {
-		t.Fatalf("recorded=%d seen=%d, want 1/1", r.Recorded(), r.Seen())
+	if r.Recorded() != 1 || r.Weight() != 1 {
+		t.Fatalf("recorded=%d weight=%d, want 1/1", r.Recorded(), r.Weight())
 	}
 	frame := r.Drain(0)
 	if frame == nil || frame.Len() != 1 {
@@ -150,8 +150,8 @@ func TestRecorderConcurrentProducersAndConsumer(t *testing.T) {
 	if uint64(drained) != total {
 		t.Errorf("drained %d rows, recorder says %d", drained, total)
 	}
-	if r.Seen() != producers*perProducer {
-		t.Errorf("seen = %d, want %d", r.Seen(), producers*perProducer)
+	if r.Weight() != producers*perProducer {
+		t.Errorf("weight = %d, want %d", r.Weight(), producers*perProducer)
 	}
 }
 

@@ -27,7 +27,7 @@ func TestBeginAllocationFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		tn.Begin(k, iset)
 	})
-	if allocs != 0 && !raceEnabled { // Begin crosses two sync.Pools (see raceEnabled)
+	if allocs != 0 {
 		t.Errorf("Tuner.Begin allocates %.1f objects per launch, want 0", allocs)
 	}
 }
@@ -36,13 +36,17 @@ func TestEndUnsampledAllocationFree(t *testing.T) {
 	schema := features.TableI()
 	ann := caliper.New()
 	tn := NewTuner(schema, ann, raja.Params{Policy: raja.SeqExec})
-	// A huge sampling interval keeps Record on its unsampled path
-	// (two atomic ops) for every call the guard measures.
-	rec := telemetry.NewRecorder(schema, ann, telemetry.Options{SampleEvery: 1 << 40})
+	// The guard measures End past the site's first 16 launches (every one
+	// kept): launches 17 on keep one row per stride of 2, 4, …, 64, and
+	// the launches inside a stride cost the cadence arithmetic alone.
+	rec := telemetry.NewRecorder(schema, ann, telemetry.Options{})
 	tn.UseTelemetry(rec)
 	k := raja.NewKernel("allocguard", instmix.NewMix().With(instmix.Add, 4))
 	iset := raja.NewRange(0, 4096)
 	p := raja.Params{Policy: raja.SeqExec}
+	for range 16 {
+		tn.End(k, iset, p, 1234)
+	}
 
 	allocs := testing.AllocsPerRun(200, func() {
 		tn.End(k, iset, p, 1234)

@@ -9,10 +9,12 @@ import (
 	"apollo/internal/app"
 	"apollo/internal/caliper"
 	"apollo/internal/core"
+	"apollo/internal/dataset"
 	"apollo/internal/dtree"
 	"apollo/internal/features"
 	"apollo/internal/flight"
 	"apollo/internal/lulesh"
+	"apollo/internal/platform"
 	"apollo/internal/raja"
 	"apollo/internal/telemetry"
 )
@@ -328,6 +330,7 @@ type loggedLaunch struct {
 	p       raja.Params
 	ns      float64
 	flipped bool
+	looks   bool // a look was near, as End saw it
 }
 
 func (l *launchLog) Begin(k *raja.Kernel, iset *raja.IndexSet) (raja.Params, bool) {
@@ -339,7 +342,8 @@ func (l *launchLog) Begin(k *raja.Kernel, iset *raja.IndexSet) (raja.Params, boo
 
 func (l *launchLog) End(k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedNS float64) {
 	l.tn.End(k, iset, p, elapsedNS)
-	l.launches = append(l.launches, loggedLaunch{k: k, iset: iset, p: p, ns: elapsedNS, flipped: l.flipped})
+	looks := l.tn.exploreEvery.Load() > 0 && l.tn.site(k.ID).fits(p.Policy, iset.Len(), rowsFirst*elapsedNS)
+	l.launches = append(l.launches, loggedLaunch{k: k, iset: iset, p: p, ns: elapsedNS, flipped: l.flipped, looks: looks})
 }
 
 // recordedLaunches replays the flight cadence over a launch log: the
@@ -356,12 +360,36 @@ func recordedLaunches(launches []loggedLaunch) []int {
 	return out
 }
 
+// keptRows replays the telemetry row cadence over a launch log: the
+// indices of the launches End keeps a row of, and each row's weight.
+func keptRows(launches []loggedLaunch) (idx []int, weights []float64) {
+	ended, flip, origin := map[uint64]uint64{}, map[uint64]uint64{}, map[uint64]uint64{}
+	for i, l := range launches {
+		id := l.k.ID
+		ended[id]++
+		n, w := ended[id], 1.0
+		if l.flipped {
+			if prev := flip[id]; prev == 0 || n-prev > lookGap {
+				origin[id] = n
+			}
+			flip[id] = n
+		} else if w = rowWeight(n - origin[id]); w == 0 && n-flip[id] > lookGap && l.looks {
+			w = 1
+		}
+		if w > 0 {
+			idx, weights = append(idx, i), append(weights, w)
+		}
+	}
+	return idx, weights
+}
+
 // TestTunerEndSharesOneExtraction runs a hydro application under the
 // stock wiring (telemetry and flight on one schema and blackboard) and
-// checks that the flight records are exactly the launches the cadence
-// selects and that each record's feature snapshot is its launch's
-// telemetry row bit for bit — End extracts once and both are copies of
-// it — and that steady-state End with both attached allocates nothing.
+// checks that the rows and the flight records are exactly the launches
+// their cadences select, that each record's feature snapshot is its
+// launch's telemetry row bit for bit where the launch has one — End
+// extracts once and both are copies of it — and that steady-state End
+// with both attached allocates nothing.
 func TestTunerEndSharesOneExtraction(t *testing.T) {
 	schema := features.TableI()
 	ann := caliper.New()
@@ -376,21 +404,40 @@ func TestTunerEndSharesOneExtraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 40; i++ {
 		sim.Step()
 	}
 	rows, recs := rec.Drain(0), fr.Snapshot()
-	if rows == nil || rows.Len() != len(log.launches) || rows.Len() != int(tn.Decisions()) {
-		t.Fatalf("%v telemetry rows, %d launches logged, %d decisions: want one row per launch", rows, len(log.launches), tn.Decisions())
-	}
-	want := recordedLaunches(log.launches)
-	if len(recs) != len(want) || len(want) >= rows.Len()/4 {
-		t.Fatalf("%d flight records, the cadence selects %d of %d launches", len(recs), len(want), rows.Len())
+	kept, weights := keptRows(log.launches)
+	if rows == nil || rows.Len() != len(kept) || len(log.launches) != int(tn.Decisions()) || len(kept) >= len(log.launches)/2 {
+		t.Fatalf("%v telemetry rows, %d launches logged, %d decisions: the cadence keeps %d", rows, len(log.launches), tn.Decisions(), len(kept))
 	}
 	n := schema.Len()
+	rowOf := map[int]int{}
+	var seen float64
+	for r, i := range kept {
+		rowOf[i] = r
+		seen += weights[r]
+		if got := rows.Row(r)[n+3]; got != weights[r] || rows.Row(r)[n+2] != log.launches[i].ns {
+			t.Fatalf("row %d: weight %v, %v ns; launch %d: weight %v, %v ns", r, got, rows.Row(r)[n+2], i, weights[r], log.launches[i].ns)
+		}
+	}
+	if float64(rec.Weight()) != seen || math.Abs(seen-float64(len(log.launches))) > 0.1*float64(len(log.launches)) {
+		t.Fatalf("recorder weighs %d launches, the rows %v, %d ran", rec.Weight(), seen, len(log.launches))
+	}
+	want := recordedLaunches(log.launches)
+	if len(recs) != len(want) || len(want) >= len(log.launches)/4 {
+		t.Fatalf("%d flight records, the cadence selects %d of %d launches", len(recs), len(want), len(log.launches))
+	}
+	shared := 0
 	for j, fl := range recs {
 		i := want[j]
-		row := rows.Row(i)
+		r, ok := rowOf[i]
+		if !ok {
+			continue
+		}
+		shared++
+		row := rows.Row(r)
 		if int(fl.NumFeatures) != n {
 			t.Fatalf("launch %d: flight record holds %d features, want %d", i, fl.NumFeatures, n)
 		}
@@ -403,6 +450,9 @@ func TestTunerEndSharesOneExtraction(t *testing.T) {
 			t.Fatalf("launch %d: row (policy %v, %v ns) and record (site %#x, policy %d, %v ns) are different launches", i, row[n], row[n+2], fl.Site, fl.Policy, fl.ObservedNS)
 		}
 	}
+	if shared < len(recs)/2 {
+		t.Fatalf("only %d of %d flight records have a telemetry row to compare with", shared, len(recs))
+	}
 	steps := map[float64]bool{}
 	for i := 0; i < rows.Len(); i++ {
 		steps[rows.Row(i)[schema.Index(features.Timestep)]] = true
@@ -413,13 +463,13 @@ func TestTunerEndSharesOneExtraction(t *testing.T) {
 
 	k, iset := raja.NewKernel("alloc", nil), raja.NewRange(0, 100)
 	p := raja.Params{Policy: raja.SeqExec}
-	rec.Drain(0) // the ring (4096 rows) now outlasts the measured calls: every End is sampled and enqueued
+	rec.Drain(0)
 	allocs := testing.AllocsPerRun(1000, func() { tn.End(k, iset, p, 100) })
 	if allocs != 0 && !raceEnabled {
 		t.Errorf("End with telemetry and flight attached: %v allocs/run, want 0", allocs)
 	}
-	if rec.Dropped() != 0 {
-		t.Errorf("%d rows dropped: the measured Ends did not all take the sampled path", rec.Dropped())
+	if got := rec.Drain(0); got == nil || got.Len() < rowsFirst || rec.Dropped() != 0 {
+		t.Errorf("the measured Ends kept %v rows and dropped %d: want the site's first %d and its strides after", got, rec.Dropped(), rowsFirst)
 	}
 }
 
@@ -603,15 +653,57 @@ func TestTunerFlightDropStillFolds(t *testing.T) {
 	}
 }
 
+// deployedModel trains the policy model the repository benchmark deploys
+// on LULESH sedov 8: a two-step recording under each policy, labelled and
+// fitted, then reduced to its top 5 features at depth 15 (the paper's
+// Section IV-B configuration).
+func deployedModel(tb testing.TB, schema *features.Schema) *core.Model {
+	tb.Helper()
+	desc := lulesh.Descriptor()
+	var frame *dataset.Frame
+	for _, pol := range []raja.Policy{raja.SeqExec, raja.OmpParallelForExec} {
+		ann, p := caliper.New(), desc.DefaultParams
+		p.Policy = pol
+		rec := NewRecorder(schema, ann)
+		ctx := raja.NewSimContext(platform.NewSimClock(platform.SandyBridgeNode(), 0.05, 1), p)
+		ctx.Observe = rec.Observe
+		sim, err := desc.New(app.Config{Ctx: ctx, Ann: ann, Problem: "sedov", Size: 8})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		sim.Step()
+		sim.Step()
+		if frame == nil {
+			frame = rec.Frame()
+		} else {
+			frame.Append(rec.Frame())
+		}
+	}
+	set, err := core.Label(frame, schema, core.ExecutionPolicy)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	full, err := core.Train(set, core.TrainConfig{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m, err := full.Reduce(set, 5, 15, core.TrainConfig{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
+
 // BenchmarkTunerLaunch prices one launch's Begin + End under the stock
-// apollo-tune wiring (telemetry sampling every launch, flight on,
-// ExploreEvery(8)) over the launch sites of a LULESH sedov 8 run, each
-// handed the time it took there: ns/launch is Apollo's own cost per launch.
+// apollo-tune wiring (the deployed top-5, depth-15 model, telemetry at the
+// tuner's row cadence, flight on, ExploreEvery(8)) over the launch sites of
+// a LULESH sedov 8 run, each handed the time it took there: ns/launch is
+// Apollo's own cost per launch.
 func BenchmarkTunerLaunch(b *testing.B) {
 	schema, ann, desc := features.TableI(), caliper.New(), lulesh.Descriptor()
 	rec := telemetry.NewRecorder(schema, ann, telemetry.Options{SampleEvery: 1, Capacity: 1 << 12})
 	tn := NewTuner(schema, ann, desc.DefaultParams).
-		UsePolicyModel(trainPolicyModel(b, schema)).UseTelemetry(rec).
+		UsePolicyModel(deployedModel(b, schema)).UseTelemetry(rec).
 		UseFlight(flight.New(flight.Options{FeatureNames: schema.Names()})).ExploreEvery(8)
 	log := &launchLog{tn: tn}
 	sim, err := desc.New(app.Config{Ctx: simContext(log, desc.DefaultParams), Ann: ann, Problem: "sedov", Size: 8})
@@ -619,7 +711,7 @@ func BenchmarkTunerLaunch(b *testing.B) {
 		b.Fatal(err)
 	}
 	sim.Step()
-	sites := log.launches
+	sites, rows := log.launches, rec.Recorded()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -633,4 +725,5 @@ func BenchmarkTunerLaunch(b *testing.B) {
 		tn.End(l.k, l.iset, p, l.ns)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/launch")
+	b.ReportMetric(float64(rec.Recorded()-rows)/float64(b.N), "rows/launch")
 }

@@ -18,6 +18,7 @@ package tuner
 import (
 	"maps"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -154,19 +155,15 @@ type Tuner struct {
 	ann    *caliper.Annotations
 	base   raja.Params
 
-	// scratch pools feature-vector buffers (len == schema.Len()) so
-	// Begin extracts without allocating.
-	scratch sync.Pool
-
 	own    SwapSource // backs UsePolicyModel / UseChunkModel
 	src    atomic.Pointer[sourceBox]
 	instMu sync.Mutex // serializes model installs, not launches
 
 	decisions atomic.Uint64
 
-	// telem, when set, receives a sampled (features, params, elapsed)
-	// measurement from End — the capture side of the closed training
-	// loop. Nil keeps End a two-instruction no-op.
+	// telem, when set, receives a weighted (features, params, elapsed)
+	// row from End at the rowWeight cadence — the capture side of the
+	// closed training loop.
 	telem atomic.Pointer[telemetry.Recorder]
 
 	// fl, when set, gets every launch's runtime (its site's EWMA) and a full
@@ -199,14 +196,58 @@ const exploreShare = 1.0 / 64
 // benchmark's resolution and for a quarter of the records (EXPERIMENTS.md).
 const flightEvery = 16
 
-// siteRegion is all End keeps per launch site, one load of the copy-on-write
-// sites map away: the exploration account, the site's entry in the attached
-// flight recorder, and the launch count the flight cadence selects by.
+// The telemetry row cadence (rowWeight): a site's first rowsFirst launches,
+// then one in 2, 4, … as its count doubles, up to one in rowStrideMax. The
+// labeler ranks policies only on a vector seen under both, so End also
+// keeps every flipped launch and, around a lone look (none other within
+// lookGap launches), its likely twins: the look restarts the cadence, and
+// a launch whose twin would fit the budget within rowsFirst is kept.
+const (
+	rowsFirst    = 16
+	rowStrideMax = 64
+	lookGap      = 2 * rowsFirst
+)
+
+// rowWeight returns the weight of the row kept of the m-th launch (1-based)
+// of a site's cadence — the launches it stands for — or 0 for none.
+func rowWeight(m uint64) float64 {
+	stride := uint64(1) << min(bits.Len64((m-1)/rowsFirst), bits.Len64(rowStrideMax)-1)
+	if (m-1)%stride != 0 {
+		return 0
+	}
+	return float64(stride)
+}
+
+// siteRegion is all a launch keeps per site, one load of the copy-on-write
+// sites map away: Begin's plan, the exploration account, the site's flight
+// recorder entry, and the launch counts End's two cadences select by.
 type siteRegion struct {
 	siteBudget
-	fl    atomic.Pointer[siteFlight]
-	ended atomic.Uint64 // launches End has seen with a flight recorder attached
+	plan   atomic.Pointer[sitePlan]
+	fl     atomic.Pointer[siteFlight]
+	ended  atomic.Uint64 // launches End has seen with exploration, telemetry or flight on
+	flip   atomic.Uint64 // ended at the last flipped launch
+	origin atomic.Uint64 // ended at the last lone look, where the row cadence restarts
 }
+
+// sitePlan is each installed model's input compiled for a site under one
+// projector set; a swap makes it stale, and the next Begin compiles again.
+type sitePlan struct {
+	ps            *Projectors
+	policy, chunk *features.Site
+}
+
+// predict walks p's tree over its input at the site for this launch.
+//
+//apollo:hotpath
+func predict(p *core.Projector, in *features.Site, iset *raja.IndexSet, ann *caliper.Annotations) int {
+	var buf [planWidth]float64
+	return p.Compiled().Predict(in.Fill(buf[:0], iset, ann))
+}
+
+// planWidth is the widest vector a launch fills on its stack (Table I has
+// 41 features); Fill allocates a wider one.
+const planWidth = 64
 
 // siteFlight is a site's entry in one flight recorder; UseFlight swapping
 // recorders makes it stale, and the site's next End re-resolves it.
@@ -247,15 +288,16 @@ type siteBudget struct {
 func loadNS(a *atomic.Uint64) float64    { return math.Float64frombits(a.Load()) }
 func addNS(a *atomic.Uint64, ns float64) { a.Store(math.Float64bits(loadNS(a) + ns)) }
 
-// affords reports whether this launch may run the policy the model did not
-// choose: it is the site's every-th launch and its price, that policy's
-// EWMA × iters, fits the budget. A policy never seen here is priced as the
-// chosen one (a first look costs one more launch of what is running now);
-// with neither seen nothing is explored.
+// fits reports whether a launch of iters iterations may run the policy the
+// model did not choose: its price, that policy's EWMA × iters, fits the
+// budget once aheadNS more kernel time is booked (Begin: 0, on the site's
+// every-th launch). A policy never seen here is priced as the chosen one (a
+// first look costs one more launch of what is running now); with neither
+// seen nothing is explored.
 //
 //apollo:hotpath
-func (s *siteBudget) affords(chosen raja.Policy, iters int, every uint64) bool {
-	if s.launches.Add(1)%every != 0 || uint(chosen) >= uint(len(s.perIterNS)) {
+func (s *siteBudget) fits(chosen raja.Policy, iters int, aheadNS float64) bool {
+	if uint(chosen) >= uint(len(s.perIterNS)) {
 		return false
 	}
 	perIter := loadNS(&s.perIterNS[flipPolicy(chosen)])
@@ -263,7 +305,7 @@ func (s *siteBudget) affords(chosen raja.Policy, iters int, every uint64) bool {
 		perIter = loadNS(&s.perIterNS[chosen])
 	}
 	price := perIter * float64(iters)
-	return price > 0 && loadNS(&s.exploredNS)+price <= exploreShare*(loadNS(&s.totalNS)+price)
+	return price > 0 && loadNS(&s.exploredNS)+price <= exploreShare*(loadNS(&s.totalNS)+price+aheadNS)
 }
 
 // settle books a finished launch: its time into the site's total and, when
@@ -295,10 +337,6 @@ type sourceBox struct{ s ModelSource }
 // and blackboard, starting from base parameters.
 func NewTuner(schema *features.Schema, ann *caliper.Annotations, base raja.Params) *Tuner {
 	t := &Tuner{schema: schema, ann: ann, base: base}
-	t.scratch.New = func() any {
-		v := make([]float64, schema.Len())
-		return &v
-	}
 	t.src.Store(&sourceBox{s: &t.own})
 	t.sites.Store(&map[uint64]*siteRegion{})
 	return t
@@ -341,47 +379,46 @@ func (t *Tuner) UseSource(src ModelSource) *Tuner {
 	return t
 }
 
-// Begin extracts the launch's features, evaluates the installed models,
-// and returns the predicted parameters. It takes no locks and allocates
-// nothing: the scratch vector is pooled, the projector pools its own
-// buffers, and the projector set is one atomic pointer load.
+// Begin evaluates the installed models on the launch and returns the
+// predicted parameters. It takes no locks and allocates nothing: after one
+// load of the projector set and one of the site's region, the site's plan
+// fills each model's input on the stack, its constant features already in
+// place, and walks the tree.
 //
 //apollo:hotpath
 func (t *Tuner) Begin(k *raja.Kernel, iset *raja.IndexSet) (raja.Params, bool) {
 	t.decisions.Add(1)
-	xp := t.scratch.Get().(*[]float64)
-	defer t.scratch.Put(xp)
-	x := t.schema.ExtractInto(*xp, k, iset, t.ann)
 	params := t.base
 	ps := t.src.Load().s.Projectors()
 	if ps == nil {
 		return params, true
 	}
+	s := t.site(k.ID)
+	if s == nil {
+		s, _ = t.registerSite(k, nil)
+	}
+	pl := s.plan.Load()
+	if pl == nil || pl.ps != ps {
+		pl = t.compilePlan(s, k, ps)
+	}
 	if ps.Policy != nil {
-		params.Policy = raja.Policy(ps.Policy.Predict(x))
+		params.Policy = raja.Policy(predict(ps.Policy, pl.policy, iset, t.ann))
 	}
 	if ps.Chunk != nil {
-		class := ps.Chunk.Predict(x)
+		class := predict(ps.Chunk, pl.chunk, iset, t.ann)
 		if class >= 0 && class < len(raja.ChunkSizes) {
 			params.Chunk = raja.ChunkSizes[class]
 		}
 	}
-	if every := t.exploreEvery.Load(); every > 0 {
-		s := t.site(k.ID)
-		if s == nil {
-			s, _ = t.registerSite(k, nil)
-		}
-		if s.affords(params.Policy, iset.Len(), every) {
-			params.Policy = flipPolicy(params.Policy)
-			s.inFlight.Store(int32(params.Policy) + 1)
-			t.explored.Add(1)
-		}
+	if every := t.exploreEvery.Load(); every > 0 && s.launches.Add(1)%every == 0 && s.fits(params.Policy, iset.Len(), 0) {
+		params.Policy = flipPolicy(params.Policy)
+		s.inFlight.Store(int32(params.Policy) + 1)
+		t.explored.Add(1)
 	}
 	return params, true
 }
 
-// site returns the site's region, nil before its first launch with
-// exploration or a flight recorder on.
+// site returns the site's region, nil before its first launch.
 //
 //apollo:hotpath
 func (t *Tuner) site(id uint64) *siteRegion { return (*t.sites.Load())[id] }
@@ -408,6 +445,22 @@ func (t *Tuner) registerSite(k *raja.Kernel, fr *flight.Recorder) (*siteRegion, 
 	return s, h
 }
 
+// compilePlan builds and publishes the site's plan under ps; racing
+// compiles publish equivalent plans.
+//
+//apollo:coldpath a site's first launch under each projector set, amortized over every later launch
+func (t *Tuner) compilePlan(s *siteRegion, k *raja.Kernel, ps *Projectors) *sitePlan {
+	pl := &sitePlan{ps: ps}
+	if ps.Policy != nil {
+		pl.policy = t.schema.Site(k, ps.Policy.SourceIndex())
+	}
+	if ps.Chunk != nil {
+		pl.chunk = t.schema.Site(k, ps.Chunk.SourceIndex())
+	}
+	s.plan.Store(pl)
+	return pl
+}
+
 // flipPolicy returns the other execution policy — the exploration move.
 func flipPolicy(p raja.Policy) raja.Policy {
 	if p == raja.SeqExec {
@@ -417,54 +470,61 @@ func flipPolicy(p raja.Policy) raja.Policy {
 }
 
 // End settles the launch on its site's region and feeds the measurement
-// to the attached telemetry recorder and flight recorder. With neither (or
-// on the telemetry recorder's unsampled path and a launch the flight
-// cadence skips) it performs a few atomic operations and allocates
-// nothing — End runs inside every kernel launch, so this path must stay
-// effectively free. Otherwise it extracts the launch's features once, and
-// the ring row and the flight record are both copies of that one vector.
+// to the attached telemetry recorder (a row at the rowWeight cadence) and
+// flight recorder (a record at the flightEvery one). A launch that gets
+// neither costs a few atomic operations and allocates nothing — End runs
+// inside every kernel launch. Otherwise End extracts the launch's features
+// once, and the ring row and the flight record are both copies of it.
 //
 //apollo:hotpath
 func (t *Tuner) End(k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedNS float64) {
-	fr := t.fl.Load()
-	var h *siteFlight
-	var predictedNS float64
-	record := false
-	if explore := t.exploreEvery.Load() > 0; explore || fr != nil {
-		s := t.site(k.ID)
-		h = s.entry(fr)
-		if s == nil || fr != nil && h == nil {
-			s, h = t.registerSite(k, fr)
-		}
-		flipped := explore && s.settle(p.Policy, iset.Len(), elapsedNS)
-		if h != nil {
-			// Fold first: the EWMA sees every launch, recorded or not.
-			predictedNS = h.site.PredictObserve(int(p.Policy), elapsedNS)
-			record = s.ended.Add(1)%flightEvery == 1 || flipped
-		}
-	}
-	rec := t.telem.Load()
-	shares := rec != nil && rec.Captures(t.schema, t.ann)
-	if rec != nil && !shares {
-		rec.Record(k, iset, p, elapsedNS) // another schema or blackboard: it extracts its own
-	}
-	sampled := shares && rec.Sample()
-	if !sampled && !record {
+	fr, rec := t.fl.Load(), t.telem.Load()
+	explore := t.exploreEvery.Load() > 0
+	if !explore && fr == nil && rec == nil {
 		return
 	}
-	xp := t.scratch.Get().(*[]float64)
+	s := t.site(k.ID)
+	h := s.entry(fr)
+	if s == nil || fr != nil && h == nil {
+		s, h = t.registerSite(k, fr)
+	}
+	flipped := explore && s.settle(p.Policy, iset.Len(), elapsedNS)
+	n := s.ended.Add(1)
+	var predictedNS float64
+	record := false
+	if h != nil {
+		// Fold first: the EWMA sees every launch, recorded or not.
+		predictedNS = h.site.PredictObserve(int(p.Policy), elapsedNS)
+		record = n%flightEvery == 1 || flipped
+	}
+	weight := 0.0
+	if rec != nil {
+		if !rec.Captures(t.schema, t.ann) {
+			rec.Record(k, iset, p, elapsedNS) // another schema or blackboard: it extracts and samples its own
+		} else if flipped {
+			if prev := s.flip.Swap(n); prev == 0 || n-prev > lookGap {
+				s.origin.Store(n)
+			}
+			weight = 1 // a flipped launch stands for itself
+		} else if weight = rowWeight(n - s.origin.Load()); weight == 0 && explore && n-s.flip.Load() > lookGap && s.fits(p.Policy, iset.Len(), rowsFirst*elapsedNS) {
+			weight = 1 // a look is near: this launch may be its twin
+		}
+	}
+	if weight == 0 && !record {
+		return
+	}
+	var buf [planWidth]float64
 	var t0 int64
 	if record {
 		t0 = flight.Now() // only a flight record reports the extraction's cost
 	}
-	x := t.schema.ExtractInto(*xp, k, iset, t.ann)
+	x := t.schema.ExtractInto(buf[:0], k, iset, t.ann)
 	if record {
 		t.emitFlight(h, k, iset, p, elapsedNS, predictedNS, x, float64(flight.Now()-t0))
 	}
-	if sampled {
-		rec.RecordVector(x, p, elapsedNS)
+	if weight > 0 {
+		rec.RecordVector(x, p, elapsedNS, weight)
 	}
-	t.scratch.Put(xp)
 }
 
 // emitFlight writes one decision-provenance record from x, the vector
@@ -553,7 +613,10 @@ func registerDecoder(site *flight.Site, ps *Projectors) {
 }
 
 // UseTelemetry attaches (or, with nil, detaches) a telemetry recorder;
-// End starts feeding it immediately, with no pause in launches.
+// End starts feeding it immediately, with no pause in launches. A recorder
+// on the tuner's schema and blackboard gets the rows the rowWeight cadence
+// keeps, each weighted; one on another schema or blackboard samples every
+// launch by its own Options.SampleEvery.
 func (t *Tuner) UseTelemetry(rec *telemetry.Recorder) *Tuner {
 	t.telem.Store(rec)
 	return t

@@ -215,6 +215,43 @@ func TestConcurrentBeginIsRaceFree(t *testing.T) {
 	}
 }
 
+// TestPlanCompileRace has two goroutines make a fresh site's first launch
+// at once, so both compile its plan (run under -race), while the model set
+// swaps between rounds: every decision equals the extraction through the
+// projector, whichever compile's plan the site keeps.
+func TestPlanCompileRace(t *testing.T) {
+	schema, ann := features.TableI(), caliper.New()
+	sets := []*Projectors{{Policy: trainPolicyModel(t, schema).NewProjector(schema)}, {Policy: deployedModel(t, schema).NewProjector(schema)}}
+	src := &SwapSource{}
+	tn := NewTuner(schema, ann, raja.Params{}).UseSource(src)
+	for round := 0; round < 200; round++ {
+		ps := sets[round%2]
+		src.Store(ps)
+		k := raja.NewKernel("racing", instmix.NewMix().With(instmix.Add, float64(round%7)))
+		iset := raja.NewRange(0, 40<<(round%12))
+		want := raja.Policy(ps.Policy.Predict(schema.Extract(k, iset, ann)))
+		var start, wg sync.WaitGroup
+		start.Add(1)
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				start.Wait()
+				for i := 0; i < 3; i++ {
+					if p, _ := tn.Begin(k, iset); p.Policy != want {
+						t.Errorf("round %d: Begin decided %v, extract + predict %v", round, p.Policy, want)
+					}
+				}
+			}()
+		}
+		start.Done()
+		wg.Wait()
+		if pl := tn.site(k.ID).plan.Load(); pl == nil || pl.ps != ps {
+			t.Fatalf("round %d: the site kept no plan under the installed set", round)
+		}
+	}
+}
+
 // swapCount is a ModelSource that counts reads, proving Begin loads the
 // source exactly once per launch.
 type countingSource struct {
@@ -341,8 +378,8 @@ func TestTunerEndFeedsTelemetry(t *testing.T) {
 	// Detaching stops the feed without stopping launches.
 	tn.UseTelemetry(nil)
 	raja.ForAll(ctx, k, raja.NewRange(0, 64), func(int) {})
-	if rec.Seen() != 1 {
-		t.Errorf("detached recorder saw %d launches, want 1", rec.Seen())
+	if rec.Weight() != 1 {
+		t.Errorf("detached recorder weighs %d launches, want 1", rec.Weight())
 	}
 }
 
@@ -410,30 +447,32 @@ func TestTunerEndUnsampledZeroAlloc(t *testing.T) {
 		t.Errorf("End with no recorder: %v allocs/run, want 0", allocs)
 	}
 
-	// Recorder attached, but this launch is unsampled (1 in 1<<62).
-	rec := telemetry.NewRecorder(schema, ann, telemetry.Options{SampleEvery: 1 << 62})
+	// Recorder attached: the tuner keeps rows at its own cadence, the
+	// site's first 16 launches and then one per stride of 2, 4, …, 64,
+	// here into a ring that is soon full.
+	rec := telemetry.NewRecorder(schema, ann, telemetry.Options{Capacity: 4})
 	tn.UseTelemetry(rec)
 	if allocs := testing.AllocsPerRun(1000, func() { tn.End(k, iset, p, 100) }); allocs != 0 {
-		t.Errorf("unsampled End: %v allocs/run, want 0", allocs)
+		t.Errorf("End into a full ring: %v allocs/run, want 0", allocs)
 	}
 
-	// The sampled path itself must not allocate either: features are
-	// extracted straight into the preallocated ring slot.
-	rec2 := telemetry.NewRecorder(schema, ann, telemetry.Options{SampleEvery: 1, Capacity: 1 << 12})
+	// A kept row must not allocate either: features are extracted into
+	// a stack vector and copied into the preallocated ring slot.
+	rec2 := telemetry.NewRecorder(schema, ann, telemetry.Options{Capacity: 1 << 12})
 	tn.UseTelemetry(rec2)
 	if allocs := testing.AllocsPerRun(1000, func() { tn.End(k, iset, p, 100) }); allocs != 0 {
-		t.Errorf("sampled End: %v allocs/run, want 0", allocs)
+		t.Errorf("End keeping rows: %v allocs/run, want 0", allocs)
 	}
 }
 
 // BenchmarkTunerEndUnsampled measures the per-launch cost of the
-// telemetry hook when the launch is not sampled — the price every
-// production launch pays once telemetry is on (EXPERIMENTS.md).
+// telemetry hook on a long-running site: past its first 16 launches End
+// keeps one row in 64 and the rest cost the cadence arithmetic alone.
 func BenchmarkTunerEndUnsampled(b *testing.B) {
 	schema := features.TableI()
 	ann := caliper.New()
 	tn := NewTuner(schema, ann, raja.Params{})
-	rec := telemetry.NewRecorder(schema, ann, telemetry.Options{SampleEvery: 1 << 62})
+	rec := telemetry.NewRecorder(schema, ann, telemetry.Options{})
 	tn.UseTelemetry(rec)
 	k := raja.NewKernel("bench", nil)
 	iset := raja.NewRange(0, 100)
@@ -441,27 +480,6 @@ func BenchmarkTunerEndUnsampled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tn.End(k, iset, p, 100)
-	}
-}
-
-// BenchmarkTunerEndSampled measures the full capture cost when every
-// launch is sampled: extract into the ring slot and publish.
-func BenchmarkTunerEndSampled(b *testing.B) {
-	schema := features.TableI()
-	ann := caliper.New()
-	tn := NewTuner(schema, ann, raja.Params{})
-	rec := telemetry.NewRecorder(schema, ann, telemetry.Options{SampleEvery: 1, Capacity: 1 << 16})
-	tn.UseTelemetry(rec)
-	k := raja.NewKernel("bench", nil)
-	iset := raja.NewRange(0, 100)
-	p := raja.Params{Policy: raja.OmpParallelForExec}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%1024 == 0 {
-			rec.Drain(0) // keep the ring from filling
-		}
 		tn.End(k, iset, p, 100)
 	}
 }
