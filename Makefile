@@ -63,9 +63,10 @@ examples:
 # decoders of outside bytes built on the frame's number scanner, each
 # against encoding/json (same input accepted but for the documented
 # narrowings, same values read): the row scanner (dataset.ParseRow, under
-# ReadJSONL and the spool cursor), the telemetry batch decoder and the
-# predict body decoder; the frame header (it round-trips, and a segment
-# that starts with it polls to rows or an error); the two readers of
+# ReadJSONL and the spool cursor, and both paths of dataset.ScanRows), the
+# telemetry batch decoder and the predict body decoder; the frame header
+# (it round-trips, and a segment that starts with it polls to rows or an
+# error); the two readers of
 # segment files — the tail over arbitrary bytes cut anywhere (whole
 # lines only, the longest newline-terminated prefix, offsets never back)
 # and the loop-journal reader (events or an error); and the flight
@@ -76,7 +77,7 @@ examples:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseModelOrEnvelope$$' -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzCompiledPredict$$' -fuzztime=10s ./internal/ctree
-	$(GO) test -run '^$$' -fuzz '^FuzzParseSpoolRow$$' -fuzztime=10s ./internal/telemetry
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRow$$' -fuzztime=10s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz '^FuzzParseHeader$$' -fuzztime=10s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime=10s ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePredict$$' -fuzztime=10s ./internal/server

@@ -269,13 +269,64 @@ func (r Rows) Mismatch(want int) (row, width int, found bool) {
 	return r.Odd, r.OddWidth, r.Odd > 0
 }
 
+// plainRow checks, in one pass that converts nothing, that the row at
+// b[start] is a frame line as it stands: '[', tokens -?(0|[1-9][0-9]*)(.[0-9]+)?
+// of at most 308 bytes (inside float64's range) split by bare commas, ']'
+// — what every Go encoder writes for values in [1e-6, 1e21). It returns
+// the index just past the row and its width, or width 0 for any other row
+// (whitespace, null, an exponent, [], a longer token, an error), which is
+// scanRow's to judge.
+func plainRow(b []byte, start int) (end, width int) {
+	// Unsigned indices into the row: the compiler drops every bounds check.
+	row := b[start:]
+	n := uint(len(row))
+	if n == 0 || row[0] != '[' {
+		return 0, 0
+	}
+	for i := uint(1); ; i++ {
+		tok := i
+		if i < n && row[i] == '-' {
+			i++
+		}
+		if i >= n || row[i]-'0' > 9 {
+			return 0, 0
+		}
+		if i++; row[i-1] != '0' {
+			for i < n && row[i]-'0' <= 9 {
+				i++
+			}
+		}
+		if i < n && row[i] == '.' {
+			i++
+			frac := i
+			for i < n && row[i]-'0' <= 9 {
+				i++
+			}
+			if i == frac {
+				return 0, 0
+			}
+		}
+		if i >= n || i-tok > 308 {
+			return 0, 0
+		}
+		width++
+		if row[i] == ']' {
+			return start + int(i) + 1, width
+		}
+		if row[i] != ',' {
+			return 0, 0
+		}
+	}
+}
+
 // ScanRows checks the array of rows (or null) that starts at b[i], each
 // row as ParseRow does, and returns the index just past it and its shape;
 // widths are the caller's to judge. If set, *vals takes every value, row
 // after row, and *lines every row as one frame line: its number tokens
 // verbatim, 0 for a null, no whitespace, "\n" after the bracket — the text
 // ParseRow reads back is the text that was checked. After an error either
-// holds the rows before it.
+// holds the rows before it. Without vals, a plain row (plainRow) is checked
+// in one pass and copied as it stands; any other goes to scanRow.
 func ScanRows(b []byte, i int, vals *[]float64, lines *[]byte) (end int, rows Rows, err error) {
 	if hasNull(b, i) {
 		return i + 4, rows, nil
@@ -287,9 +338,15 @@ func ScanRows(b []byte, i int, vals *[]float64, lines *[]byte) (end int, rows Ro
 		return i + 1, rows, nil
 	}
 	for {
-		end, width, plain, err := scanRow(b, i, vals)
-		if err != nil {
-			return 0, rows, fmt.Errorf("row %d: %w", rows.N, err)
+		var end, width int
+		if vals == nil {
+			end, width = plainRow(b, i)
+		}
+		plain := width > 0
+		if !plain {
+			if end, width, plain, err = scanRow(b, i, vals); err != nil {
+				return 0, rows, fmt.Errorf("row %d: %w", rows.N, err)
+			}
 		}
 		if lines != nil {
 			*lines = appendLine(*lines, b[i:end], width, plain)

@@ -1,0 +1,132 @@
+package dataset
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"os"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// rowSeeds returns the row texts the scanner must judge exactly as
+// encoding/json judges them: testdata/rows.json (telemetry's cursor tests
+// read it too, each seed as a spool line — "[\n1]" and "[1][2]" are then a
+// row spanning lines and two rows on one line), then a 300-digit integer,
+// which plainRow takes, and a 309-digit one past float64's range, which it
+// hands back.
+func rowSeeds(tb testing.TB) []string {
+	tb.Helper()
+	text, err := os.ReadFile("testdata/rows.json")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var seeds []string
+	if err := json.Unmarshal(text, &seeds); err != nil {
+		tb.Fatal(err)
+	}
+	return append(seeds, "[1,"+strings.Repeat("7", 300)+"]", "[2"+strings.Repeat("0", 308)+",1]")
+}
+
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// checkRow holds the row scanner to encoding/json on one row text. ParseRow
+// reads what json.Unmarshal reads into a []float64. As the second row of
+// an array, after a plain one, ScanRows without values (the one-pass check
+// for plain rows) and with them (the converting path) end at the same
+// byte with the same shape, error and lines — after an error, the rows
+// before the bad one — and they accept the array exactly when
+// json.Unmarshal takes it into a [][]float64, the lines reading back to
+// its values.
+func checkRow(t *testing.T, line []byte) {
+	t.Helper()
+	var want []float64
+	wantErr := json.Unmarshal(line, &want)
+	got, gotErr := ParseRow(line, nil)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("%q: ParseRow error %v, json.Unmarshal error %v", line, gotErr, wantErr)
+	}
+	if wantErr == nil && !sameBits(got, want) {
+		t.Fatalf("%q: ParseRow read %v, json.Unmarshal %v", line, got, want)
+	}
+
+	text := append(append([]byte("[[7,-0.5],"), line...), ']')
+	var checkLines, convLines []byte
+	var vals []float64
+	checkEnd, checkRows, checkErr := ScanRows(text, 0, nil, &checkLines)
+	convEnd, convRows, convErr := ScanRows(text, 0, &vals, &convLines)
+	if checkEnd != convEnd || checkRows != convRows || (checkErr == nil) != (convErr == nil) ||
+		(checkErr != nil && checkErr.Error() != convErr.Error()) || !bytes.Equal(checkLines, convLines) {
+		t.Fatalf("%q: ScanRows without values ended at %d, %+v, %v, lines %q; with them at %d, %+v, %v, lines %q",
+			text, checkEnd, checkRows, checkErr, checkLines, convEnd, convRows, convErr, convLines)
+	}
+	if n := bytes.Count(checkLines, []byte("\n")); n != checkRows.N || (n > 0 && !bytes.HasPrefix(checkLines, []byte("[7,-0.5]\n"))) {
+		t.Fatalf("%q: ScanRows counted %d rows, %v, and left the lines %q", text, checkRows.N, checkErr, checkLines)
+	}
+	var wantRows [][]float64
+	wantErr = json.Unmarshal(text, &wantRows)
+	if accept := checkErr == nil && skipSpace(text, checkEnd) == len(text); accept != (wantErr == nil) {
+		t.Fatalf("%q: ScanRows ended at %d of %d, %v; json.Unmarshal error %v", text, checkEnd, len(text), checkErr, wantErr)
+	}
+	if wantErr != nil {
+		return
+	}
+	var flat []float64
+	for i, line := range bytes.SplitAfter(checkLines, []byte("\n"))[:len(wantRows)] {
+		if row, err := ParseRow(bytes.TrimSuffix(line, []byte("\n")), nil); err != nil || !sameBits(row, wantRows[i]) {
+			t.Fatalf("%q: line %q reads back as %v, %v; json.Unmarshal read %v", text, line, row, err, wantRows[i])
+		}
+		flat = append(flat, wantRows[i]...)
+	}
+	if !sameBits(vals, flat) {
+		t.Fatalf("%q: ScanRows read %v, json.Unmarshal %v", text, vals, flat)
+	}
+}
+
+func TestParseRowMatchesJSON(t *testing.T) {
+	for _, line := range rowSeeds(t) {
+		checkRow(t, []byte(line))
+	}
+	// The scanner appends into the caller's row and returns it.
+	row := make([]float64, 0, 4)
+	got, err := ParseRow([]byte(`[7,8]`), row)
+	if err != nil || len(got) != 2 || &got[0] != &row[:1][0] {
+		t.Fatalf("parse into a caller's row = %v, %v", got, err)
+	}
+}
+
+// FuzzParseRow is differential: the row scanner, on both of ScanRows'
+// paths, accepts exactly the rows encoding/json accepts, reads the same
+// values, and panics on nothing.
+func FuzzParseRow(f *testing.F) {
+	for _, line := range rowSeeds(f) {
+		f.Add([]byte(line))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		checkRow(t, line)
+	})
+}
+
+// After an error, on either path, the lines hold exactly the rows before
+// the bad one, whether it is refused by the one-pass check or by scanRow
+// and whether the good rows took the one or the other.
+func TestScanRowsKeepsRowsBeforeAnError(t *testing.T) {
+	for _, bad := range []string{`[1,-]`, `[1,01]`, `[1,x]`, `[1,2e999]`, `[1 ,]`, `[1,2`} {
+		text := []byte(`[[1,2.5],[3, 4],[null,1e2],[5,6],` + bad + `,[7,8]]`)
+		for _, vals := range []*[]float64{nil, new([]float64)} {
+			var lines []byte
+			if _, _, err := ScanRows(text, 0, vals, &lines); err == nil || !strings.HasPrefix(err.Error(), "row 4: ") {
+				t.Errorf("%s: error %v, want one at row 4", text, err)
+			}
+			if want := "[1,2.5]\n[3,4]\n[0,1e2]\n[5,6]\n"; string(lines) != want {
+				t.Errorf("%s (values: %v): lines %q, want %q", text, vals != nil, lines, want)
+			}
+			if vals != nil && !sameBits(*vals, []float64{1, 2.5, 3, 4, 0, 100, 5, 6}) {
+				t.Errorf("%s: values %v", text, *vals)
+			}
+		}
+	}
+}

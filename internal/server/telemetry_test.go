@@ -355,7 +355,9 @@ func TestTelemetryIngestConcurrentWithTailingCursor(t *testing.T) {
 }
 
 // ingestBody is a Go-encoded batch of 256 rows of 44 columns shaped like
-// captured telemetry: counts, one measured time last.
+// Table I telemetry rows, as the repository benchmark and real recorders
+// send them: one-digit counts, 10-digit FNV codes for func and
+// problem_name, a measured time of 15–17 significant digits last.
 func ingestBody(tb testing.TB, model string) []byte {
 	tb.Helper()
 	cols := make([]string, 44)
@@ -367,9 +369,10 @@ func ingestBody(tb testing.TB, model string) []byte {
 	row := make([]float64, len(cols))
 	for i := 0; i < 256; i++ {
 		for j := range row {
-			row[j] = float64(rng.Intn(100000))
+			row[j] = float64(rng.Intn(10))
 		}
-		row[len(row)-1] = 1000 * (1 + rng.Float64())
+		row[0], row[39] = 1e9+3*float64(rng.Intn(1e9)), 1e9+3*float64(rng.Intn(1e9))
+		row[len(row)-1] = 4000 * (1 + rng.Float64())
 		frame.AddRow(row)
 	}
 	body, err := json.Marshal(telemetry.NewBatch(model, frame))

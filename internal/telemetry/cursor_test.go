@@ -13,105 +13,71 @@ import (
 	"apollo/internal/dataset"
 )
 
-// spoolRowSeeds are lines the row scanner must judge exactly as
-// json.Unmarshal into a []float64 does.
-var spoolRowSeeds = []string{
-	`[1,2.5,-3e2]`, ` [ 1 ,	2 ] `, `[]`, `[0]`, `[-0]`, `[-0.0e-0]`, `[1E+2,1e-2]`, "[1]\r",
-	`[1e308]`, `[1e309]`, `[-1e309]`, `[1e-400]`, `[4.9e-324]`, `[123456789012345678901234567890]`,
-	`[0.1000000000000000055511151231257827021181583404541015625]`,
-	`null`, ` null `, `nullx`, `[null]`, `[1,null,2]`, `[nul]`,
-	`[Inf]`, `[-Inf]`, `[NaN]`, `[0x1p-2]`, `[+1]`, `[.5]`, `[1.]`, `[1_0]`, `[01]`, `[-]`, `[1e]`, `[1e+]`, `[--1]`,
-	`[[1]]`, `[1,[2]]`, `[1] x`, `[1]]`, `[1],`, `[1,]`, `[,1]`, `[1,,2]`, `[1 2]`, `[`, `]`, `[1`, ``, ` `,
-	`1`, `"x"`, `["1"]`, `[true]`, `[false]`, `{}`, `[{}]`, `{"a":[1]}`, "\ufeff[1]", "[1]\x00",
-	// A row is one line: as the text of a segment these are a row spanning
-	// lines and two rows on one line.
-	"[\n1]", "[1\n]", `[1][2]`, `[1] [2]`,
-}
+// spoolRowSeeds are the row scanner's seeds (dataset's FuzzParseRow), each
+// one here the text of a spool line.
+var spoolRowSeeds = func() []string {
+	text, err := os.ReadFile("../dataset/testdata/rows.json")
+	if err != nil {
+		panic(err)
+	}
+	var seeds []string
+	if err := json.Unmarshal(text, &seeds); err != nil {
+		panic(err)
+	}
+	return seeds
+}()
 
-func checkSpoolRow(t *testing.T, line []byte) {
+// checkSpoolRow holds the frame format to one definition: whatever line
+// follows a header as the text of a segment, dataset.ReadJSONL and
+// Cursor.Poll accept or reject it together and read the same values.
+func checkSpoolRow(t *testing.T, line string) {
 	t.Helper()
-	var want []float64
-	wantErr := json.Unmarshal(line, &want)
-	got, gotErr := dataset.ParseRow(line, nil)
-	if (gotErr == nil) != (wantErr == nil) {
-		t.Fatalf("%q: scanner error %v, json.Unmarshal error %v", line, gotErr, wantErr)
-	}
-	if wantErr != nil {
-		return
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%q: scanner read %v, json.Unmarshal %v", line, got, want)
-	}
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%q: value %d is %v (%#x), json.Unmarshal read %v (%#x)",
-				line, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+	for _, cols := range [][]string{{}, {"a"}, {"a", "b"}, {"a", "b", "c"}} {
+		hdr, err := json.Marshal(dataset.Header{Format: dataset.FrameFormat, Columns: cols})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-func TestParseSpoolRowMatchesJSON(t *testing.T) {
-	for _, line := range spoolRowSeeds {
-		checkSpoolRow(t, []byte(line))
-	}
-	// The scanner appends into the caller's row and returns it.
-	row := make([]float64, 0, 4)
-	got, err := dataset.ParseRow([]byte(`[7,8]`), row)
-	if err != nil || len(got) != 2 || &got[0] != &row[:1][0] {
-		t.Fatalf("parse into a caller's row = %v, %v", got, err)
-	}
-}
-
-// FuzzParseSpoolRow is differential: the scanner accepts exactly the
-// lines encoding/json accepts into a []float64, reads the same values,
-// and panics on nothing.
-func FuzzParseSpoolRow(f *testing.F) {
-	for _, line := range spoolRowSeeds {
-		f.Add([]byte(line))
-	}
-	f.Fuzz(func(t *testing.T, line []byte) {
-		checkSpoolRow(t, line)
-	})
-}
-
-// One definition of the frame format: whatever follows a header as the
-// text of a segment, dataset.ReadJSONL and Cursor.Poll accept or reject
-// it together and read the same values.
-func TestReadJSONLAgreesWithCursor(t *testing.T) {
-	for _, line := range spoolRowSeeds {
-		for _, cols := range [][]string{{}, {"a"}, {"a", "b"}, {"a", "b", "c"}} {
-			hdr, err := json.Marshal(dataset.Header{Format: dataset.FrameFormat, Columns: cols})
-			if err != nil {
-				t.Fatal(err)
-			}
-			text := string(hdr) + "\n" + line + "\n"
-			dir := t.TempDir()
-			appendFile(t, filepath.Join(dir, "seg-00000001.jsonl"), text)
-			polled, pollErr := NewCursor(dir).Poll()
-			read, readErr := dataset.ReadJSONL(strings.NewReader(text))
-			if (pollErr == nil) != (readErr == nil) {
-				t.Errorf("%q after %d columns: Cursor.Poll error %v, ReadJSONL error %v", line, len(cols), pollErr, readErr)
-				continue
-			}
-			if readErr != nil {
-				continue
-			}
-			if polled == nil {
-				polled = dataset.NewFrame(cols...) // a poll that found no rows
-			}
-			if polled.Len() != read.Len() {
-				t.Errorf("%q after %d columns: Cursor.Poll read %d rows, ReadJSONL %d", line, len(cols), polled.Len(), read.Len())
-				continue
-			}
-			for i := 0; i < read.Len(); i++ {
-				for j, v := range read.Row(i) {
-					if math.Float64bits(v) != math.Float64bits(polled.Row(i)[j]) {
-						t.Errorf("%q: row %d value %d is %v from ReadJSONL, %v from Cursor.Poll", line, i, j, v, polled.Row(i)[j])
-					}
+		text := string(hdr) + "\n" + line + "\n"
+		dir := t.TempDir()
+		appendFile(t, filepath.Join(dir, "seg-00000001.jsonl"), text)
+		polled, pollErr := NewCursor(dir).Poll()
+		read, readErr := dataset.ReadJSONL(strings.NewReader(text))
+		if (pollErr == nil) != (readErr == nil) {
+			t.Fatalf("%q after %d columns: Cursor.Poll error %v, ReadJSONL error %v", line, len(cols), pollErr, readErr)
+		}
+		if readErr != nil {
+			continue
+		}
+		if polled == nil {
+			polled = dataset.NewFrame(cols...) // a poll that found no rows
+		}
+		if polled.Len() != read.Len() {
+			t.Fatalf("%q after %d columns: Cursor.Poll read %d rows, ReadJSONL %d", line, len(cols), polled.Len(), read.Len())
+		}
+		for i := 0; i < read.Len(); i++ {
+			for j, v := range read.Row(i) {
+				if math.Float64bits(v) != math.Float64bits(polled.Row(i)[j]) {
+					t.Fatalf("%q: row %d value %d is %v from ReadJSONL, %v from Cursor.Poll", line, i, j, v, polled.Row(i)[j])
 				}
 			}
 		}
 	}
+}
+
+func TestReadJSONLAgreesWithCursor(t *testing.T) {
+	for _, line := range spoolRowSeeds {
+		checkSpoolRow(t, line)
+	}
+}
+
+// FuzzParseSpoolRow is TestReadJSONLAgreesWithCursor on any line: the
+// cursor reads a spool line as the frame reader does, and panics on
+// nothing.
+func FuzzParseSpoolRow(f *testing.F) {
+	for _, line := range spoolRowSeeds {
+		f.Add(line)
+	}
+	f.Fuzz(checkSpoolRow)
 }
 
 // appendFile grows the file at path by text, as a writer outside the

@@ -35,6 +35,9 @@ func batchSeeds() []string {
 		wireBody(two, `[[1,2],null]`), wireBody(two, `[null]`), wireBody(two, `[[1,null],[null,null]]`),
 		wireBody(two, `[[1,2],[3]]`), wireBody(two, `[[1],[3,4]]`), wireBody(two, `[[1,2,3],[4,5,6]]`), wireBody(two, `[[]]`),
 		wireBody(two, `[[1e21,12345678901234567],[0.30000000000000004,1e-400]]`), wireBody(two, `[[1,2],[3,1e309]]`),
+		// plain rows between rows of the general path, and a bad row after good ones
+		wireBody(two, `[[1,2],[3, 4],[5,6],[null,7],[8,9],[1e3,2],[0.5,-0],[4242.841692428767,12345678901234567],[6,7]]`),
+		wireBody(two, `[[1,2],[3,4],[5, 6],[7,-]]`), wireBody(two, `[[1,2],[3,4],[5,06]]`), wireBody(two, `[[1,2],[3,4],[5,6e999]]`),
 		wireBody(two, `[[1,2]`), wireBody(two, `[[1,2],]`), wireBody(two, `[[1,2] [3,4]]`), wireBody(two, `[1,2]`),
 		wireBody(two, `{}`), wireBody(two, `"x"`), wireBody(two, `[[1,"2"]]`), wireBody(two, `[[1,[2]]]`), wireBody(two, `[[1,true]]`),
 		wireBody(nil, `[]`), wireBody(nil, `[[]]`), wireBody([]string{}, `null`),
@@ -280,8 +283,11 @@ func TestSpoolSegmentBytesAreGolden(t *testing.T) {
 	}
 }
 
-// benchBody is a Go-encoded batch of rows × width values shaped like
-// captured telemetry: counts, one measured time last.
+// benchBody is a Go-encoded batch of rows × width values shaped like a
+// Table I telemetry row, as the repository benchmark and real recorders
+// send it: one-digit counts, 10-digit FNV codes for func (first) and
+// problem_name (fifth from last), a measured time of 15–17 significant
+// digits last.
 func benchBody(tb testing.TB, rows, width int) []byte {
 	tb.Helper()
 	cols := make([]string, width)
@@ -293,9 +299,10 @@ func benchBody(tb testing.TB, rows, width int) []byte {
 	row := make([]float64, width)
 	for i := 0; i < rows; i++ {
 		for j := range row {
-			row[j] = float64(rng.Intn(100000))
+			row[j] = float64(rng.Intn(10))
 		}
-		row[width-1] = 1000 * (1 + rng.Float64())
+		row[0], row[width-5] = 1e9+3*float64(rng.Intn(1e9)), 1e9+3*float64(rng.Intn(1e9))
+		row[width-1] = 4000 * (1 + rng.Float64())
 		frame.AddRow(row)
 	}
 	body, err := json.Marshal(NewBatch("bench/model", frame))
