@@ -20,6 +20,10 @@
 //     code uses RAJA, so end-to-end speedups are diluted (paper Fig. 11
 //     reports 1.15x). The proxy models the unported remainder as a fixed
 //     per-step cost outside Apollo's control.
+//
+// The Lagrange and remap phases run on package amrhydro's block-AMR hydro
+// core, which CleverLeaf shares; this package declares their kernels and
+// adds the material, extra-physics and unported phases.
 package ares
 
 import (
@@ -27,9 +31,8 @@ import (
 	"math"
 
 	"apollo/internal/amr"
+	"apollo/internal/amrhydro"
 	"apollo/internal/app"
-	"apollo/internal/caliper"
-	"apollo/internal/features"
 	"apollo/internal/hydro"
 	"apollo/internal/instmix"
 	"apollo/internal/mesh"
@@ -41,17 +44,17 @@ const MaxMaterials = 4
 
 // Field names.
 const (
-	FRho  = "density"
-	FMu   = "xmom"
-	FMv   = "ymom"
-	FE    = "energy"
-	FP    = "pressure"
+	FRho  = amrhydro.FRho
+	FMu   = amrhydro.FMu
+	FMv   = amrhydro.FMv
+	FE    = amrhydro.FE
+	FP    = amrhydro.FP
 	FQ    = "artificial_q"
-	FWs   = "wavespeed"
-	FRhoN = "density_new"
-	FMuN  = "xmom_new"
-	FMvN  = "ymom_new"
-	FEN   = "energy_new"
+	FWs   = amrhydro.FWs
+	FRhoN = amrhydro.FRhoN
+	FMuN  = amrhydro.FMuN
+	FMvN  = amrhydro.FMvN
+	FEN   = amrhydro.FEN
 )
 
 // vfField names the volume-fraction field of material m.
@@ -64,8 +67,6 @@ func allFields() []string {
 	}
 	return fs
 }
-
-var conservedFields = []string{FRho, FMu, FMv, FE}
 
 // Kernel launch sites.
 var (
@@ -120,6 +121,12 @@ var (
 	kUnported = raja.NewKernel("ares::unported_physics", instmix.NewMix().
 			With(instmix.Movsd, 12).With(instmix.Mulpd, 8).With(instmix.Add, 8).
 			With(instmix.Divsd, 2).With(instmix.Mov, 8))
+
+	// halos reflects every conserved field, one kernel per direction.
+	halos = []amrhydro.Halo{
+		{Kernel: kHaloX, Dir: 0, Fields: amrhydro.Conserved},
+		{Kernel: kHaloY, Dir: 1, Fields: amrhydro.Conserved},
+	}
 )
 
 func remapMix() *instmix.Mix {
@@ -189,15 +196,10 @@ func (h *StaticHooks) End(k *raja.Kernel, iset *raja.IndexSet, p raja.Params, el
 
 // Sim is an ARES run.
 type Sim struct {
-	cfg   app.Config
-	deck  hydro.Deck
-	h     *amr.Hierarchy
-	cycle int
-	time  float64
+	solver *amrhydro.Solver
 
-	numMat      int
-	extraPhys   bool // radiation + conduction packages (jet, hotspot)
-	regridEvery int
+	numMat    int
+	extraPhys bool // radiation + conduction packages (jet, hotspot)
 
 	// unportedCtx executes the unported remainder outside Apollo's
 	// hooks with a fixed policy.
@@ -236,156 +238,50 @@ func New(cfg app.Config) (*Sim, error) {
 	default:
 		return nil, fmt.Errorf("ares: unknown problem %q", cfg.Problem)
 	}
-	if cfg.Size < 16 {
-		return nil, fmt.Errorf("ares: size %d too small (min 16)", cfg.Size)
+	solver, err := amrhydro.New("ares", cfg, deck, allFields(), FQ)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Ann == nil {
-		cfg.Ann = caliper.New()
-	}
-	if cfg.Ranks < 1 {
-		cfg.Ranks = 1
-	}
-	base := 32
-	if cfg.Size < base {
-		base = cfg.Size
-	}
-	if cfg.Ranks > 1 {
-		// Distributed runs decompose the base grid so each rank owns
-		// roughly one base block; strong scaling shrinks the blocks.
-		side := int(math.Ceil(math.Sqrt(float64(cfg.Ranks))))
-		base = cfg.Size / side
-		if base < 8 {
-			base = 8
-		}
-	}
-	maxBlock := 0
-	if cfg.Ranks > 1 {
-		// Cap patch sizes so refined work stays divisible across ranks
-		// (SAMRAI's largest-patch-size constraint).
-		maxBlock = base * 2
-	}
-	h := amr.New(amr.Config{
-		Domain:    mesh.NewBox(0, 0, cfg.Size, cfg.Size),
-		MaxLevels: 2,
-		Ratio:     2,
-		Ghost:     2,
-		TileSize:  4,
-		TagBuffer: 1,
-		BaseBlock: base,
-		MaxBlock:  maxBlock,
-		Fields:    allFields(),
-	})
 	s := &Sim{
-		cfg:         cfg,
-		deck:        deck,
-		h:           h,
-		numMat:      deck.NumMaterials,
-		extraPhys:   cfg.Problem == "jet" || cfg.Problem == "hotspot",
-		regridEvery: 4,
+		solver:    solver,
+		numMat:    deck.NumMaterials,
+		extraPhys: cfg.Problem == "jet" || cfg.Problem == "hotspot",
 	}
 	s.unportedCtx = &raja.Context{
 		Team:    cfg.Ctx.Team,
 		Sim:     cfg.Ctx.Sim,
 		Default: raja.Params{Policy: raja.OmpParallelForExec},
 	}
-	s.cfg.Ann.SetString(features.ProblemName, deck.Name)
-	s.cfg.Ann.Set(features.ProblemSize, float64(cfg.Size))
-	s.cfg.Ann.Set(features.Timestep, 0)
-	s.cfg.Ann.Set("num_materials", float64(s.numMat))
-
-	s.applyDeck(0)
-	s.regrid()
-	s.applyDeck(1)
+	solver.Cfg.Ann.Set("num_materials", float64(s.numMat))
+	solver.Init(func(p *amr.Patch, i, j, mat int) {
+		for m := 0; m < MaxMaterials; m++ {
+			vf := 0.0
+			if m == mat {
+				vf = 1.0
+			}
+			p.Field(vfField(m)).Set(i, j, vf)
+		}
+	})
 	return s, nil
 }
 
-// applyDeck initializes conserved fields and material volume fractions.
-func (s *Sim) applyDeck(l int) {
-	if l >= s.h.NumLevels() {
-		return
-	}
-	domain := s.h.LevelDomain(l)
-	nx, ny := float64(domain.NX()), float64(domain.NY())
-	for _, p := range s.h.Level(l) {
-		rho, mu, mv, e := p.Field(FRho), p.Field(FMu), p.Field(FMv), p.Field(FE)
-		for j := p.Box.Y0; j < p.Box.Y1; j++ {
-			for i := p.Box.X0; i < p.Box.X1; i++ {
-				x := (float64(i) + 0.5) / nx
-				y := (float64(j) + 0.5) / ny
-				r, u, v, pr, mat := s.deck.Init(x, y)
-				st := hydro.Conserved(r, u, v, pr)
-				rho.Set(i, j, st.Rho)
-				mu.Set(i, j, st.Mu)
-				mv.Set(i, j, st.Mv)
-				e.Set(i, j, st.E)
-				for m := 0; m < MaxMaterials; m++ {
-					vf := 0.0
-					if m == mat {
-						vf = 1.0
-					}
-					p.Field(vfField(m)).Set(i, j, vf)
-				}
-			}
-		}
-	}
-}
-
 // Hierarchy exposes the AMR hierarchy.
-func (s *Sim) Hierarchy() *amr.Hierarchy { return s.h }
+func (s *Sim) Hierarchy() *amr.Hierarchy { return s.solver.H }
 
 // Cycle returns completed steps.
-func (s *Sim) Cycle() int { return s.cycle }
+func (s *Sim) Cycle() int { return s.solver.Cycle() }
 
 // Time returns simulated time.
-func (s *Sim) Time() float64 { return s.time }
+func (s *Sim) Time() float64 { return s.solver.Time() }
 
 // NumMaterials returns the deck's material count.
 func (s *Sim) NumMaterials() int { return s.numMat }
 
-func (s *Sim) regrid() {
-	s.h.Regrid(func(p *amr.Patch, tag func(i, j int)) {
-		rho, e := p.Field(FRho), p.Field(FE)
-		relGrad := func(f *mesh.Field, i, j int) float64 {
-			c := f.At(i, j)
-			if c <= 0 {
-				return 0
-			}
-			return (math.Abs(f.At(i+1, j)-f.At(i-1, j)) +
-				math.Abs(f.At(i, j+1)-f.At(i, j-1))) / c
-		}
-		for j := p.Box.Y0 + 1; j < p.Box.Y1-1; j++ {
-			for i := p.Box.X0 + 1; i < p.Box.X1-1; i++ {
-				if relGrad(rho, i, j) > 0.2 || relGrad(e, i, j) > 0.4 {
-					tag(i, j)
-				}
-			}
-		}
-	})
-	for idx, p := range s.h.Patches() {
-		p.Rank = idx % s.cfg.Ranks
-	}
-}
-
-func (s *Sim) launch(p *amr.Patch, k *raja.Kernel, iset *raja.IndexSet, body func(i int)) {
-	s.cfg.Ann.Set(features.PatchID, float64(p.ID))
-	s.cfg.Ann.Set("rank", float64(p.Rank))
-	raja.ForAll(s.cfg.Ctx, k, iset, body)
-}
-
-func interiorSet(p *amr.Patch) *raja.IndexSet {
-	return raja.NewRange(0, p.Box.Count())
-}
-
 // Step advances one timestep: Lagrange phase, remap phase, material
 // phase, optional extra physics, and the unported remainder.
 func (s *Sim) Step() {
-	if s.cycle > 0 && s.cycle%s.regridEvery == 0 {
-		s.regrid()
-	}
-	s.cfg.Ann.Set(features.Timestep, float64(s.cycle))
-
-	dt := s.computeDt()
-	for l := 0; l < s.h.NumLevels(); l++ {
+	dt := s.solver.BeginStep(kEOS, kCalcDt)
+	for l := 0; l < s.solver.H.NumLevels(); l++ {
 		s.lagrangePhase(l, dt)
 		s.remapPhase(l, dt)
 		s.materialPhase(l, dt)
@@ -393,199 +289,38 @@ func (s *Sim) Step() {
 			s.extraPhysics(l, dt)
 		}
 	}
-	s.h.Restrict(1, conservedFields)
+	s.solver.EndStep(dt)
 	s.unportedPhase()
-	s.time += dt
-	s.cycle++
-}
-
-func (s *Sim) computeDt() float64 {
-	maxSpeed := 0.0
-	for l := 0; l < s.h.NumLevels(); l++ {
-		for _, p := range s.h.Level(l) {
-			s.eos(p)
-			s.calcDt(p)
-			_, hi := p.Field(FWs).MinMaxInterior()
-			if hi > maxSpeed {
-				maxSpeed = hi
-			}
-		}
-	}
-	dxFine := 1.0 / float64(s.h.LevelDomain(s.h.NumLevels()-1).NX())
-	return hydro.Dt(maxSpeed, dxFine)
-}
-
-// exchange fills ghosts and applies physical boundaries through the
-// update_halo strip kernels (width 2, matching the AMR ghost width).
-func (s *Sim) exchange(l int) {
-	s.h.FillGhosts(l, conservedFields, nil)
-	domain := s.h.LevelDomain(l)
-	for _, p := range s.h.Level(l) {
-		s.updateHalo(p, kHaloX, 0, domain)
-		s.updateHalo(p, kHaloY, 1, domain)
-	}
-}
-
-// updateHalo reflects every conserved field at the physical boundary in
-// one direction; the normal momentum flips sign.
-func (s *Sim) updateHalo(p *amr.Patch, k *raja.Kernel, dir int, domain mesh.Box) {
-	b := p.Box
-	var strip int
-	var lo, hi bool
-	if dir == 0 {
-		strip = 2 * b.NY()
-		lo, hi = b.X0 == domain.X0, b.X1 == domain.X1
-	} else {
-		strip = 2 * b.NX()
-		lo, hi = b.Y0 == domain.Y0, b.Y1 == domain.Y1
-	}
-	iset := raja.NewIndexSet()
-	if lo {
-		iset.Push(raja.RangeSegment{Begin: 0, End: strip})
-	}
-	if hi {
-		iset.Push(raja.RangeSegment{Begin: strip, End: 2 * strip})
-	}
-	if iset.Len() == 0 {
-		return
-	}
-	fields := make([]*mesh.Field, len(conservedFields))
-	signs := make([]float64, len(conservedFields))
-	for fi, name := range conservedFields {
-		fields[fi] = p.Field(name)
-		signs[fi] = 1
-		if (name == FMu && dir == 0) || (name == FMv && dir == 1) {
-			signs[fi] = -1
-		}
-	}
-	s.launch(p, k, iset, func(kk int) {
-		side := kk / strip
-		r := kk % strip
-		layer := r / (strip / 2)
-		pos := r % (strip / 2)
-		for fi, f := range fields {
-			if dir == 0 {
-				j := b.Y0 + pos
-				if side == 0 {
-					f.Set(b.X0-1-layer, j, signs[fi]*f.At(b.X0+layer, j))
-				} else {
-					f.Set(b.X1+layer, j, signs[fi]*f.At(b.X1-1-layer, j))
-				}
-			} else {
-				i := b.X0 + pos
-				if side == 0 {
-					f.Set(i, b.Y0-1-layer, signs[fi]*f.At(i, b.Y0+layer))
-				} else {
-					f.Set(i, b.Y1+layer, signs[fi]*f.At(i, b.Y1-1-layer))
-				}
-			}
-		}
-	})
-}
-
-func state(rho, mu, mv, e *mesh.Field, i, j int) hydro.State {
-	return hydro.State{Rho: rho.At(i, j), Mu: mu.At(i, j), Mv: mv.At(i, j), E: e.At(i, j)}
-}
-
-func (s *Sim) eos(p *amr.Patch) {
-	rho, mu, mv, e, pr := p.Field(FRho), p.Field(FMu), p.Field(FMv), p.Field(FE), p.Field(FP)
-	s.launch(p, kEOS, interiorSet(p), func(k int) {
-		i, j := rho.CellOf(k)
-		pr.Set(i, j, hydro.Pressure(state(rho, mu, mv, e, i, j)))
-	})
-}
-
-func (s *Sim) calcDt(p *amr.Patch) {
-	rho, mu, mv, e, ws := p.Field(FRho), p.Field(FMu), p.Field(FMv), p.Field(FE), p.Field(FWs)
-	s.launch(p, kCalcDt, interiorSet(p), func(k int) {
-		i, j := rho.CellOf(k)
-		st := state(rho, mu, mv, e, i, j)
-		ws.Set(i, j, math.Max(hydro.WaveSpeedX(st), hydro.WaveSpeedY(st)))
-	})
 }
 
 // lagrangePhase computes artificial viscosity and applies it as a
 // momentum damping source.
 func (s *Sim) lagrangePhase(l int, dt float64) {
-	s.exchange(l)
-	for _, p := range s.h.Level(l) {
-		rho, mu, mv, q := p.Field(FRho), p.Field(FMu), p.Field(FMv), p.Field(FQ)
-		s.launch(p, kLagrangeQ, interiorSet(p), func(k int) {
-			i, j := rho.CellOf(k)
-			r := math.Max(rho.At(i, j), hydro.RhoFloor)
-			div := (mu.At(i+1, j)-mu.At(i-1, j))/(2*r) + (mv.At(i, j+1)-mv.At(i, j-1))/(2*r)
-			if div < 0 {
-				q.Set(i, j, 0.1*r*div*div)
-			} else {
-				q.Set(i, j, 0)
-			}
-		})
-		s.launch(p, kLagrangeAccel, interiorSet(p), func(k int) {
-			i, j := mu.CellOf(k)
-			damp := 1 / (1 + dt*q.At(i, j))
-			mu.Set(i, j, mu.At(i, j)*damp)
-			mv.Set(i, j, mv.At(i, j)*damp)
-		})
+	s.solver.Exchange(l, halos)
+	for _, p := range s.solver.H.Level(l) {
+		s.solver.Viscosity(p, kLagrangeQ)
+		s.solver.Accelerate(p, kLagrangeAccel, dt)
 	}
 }
 
 // remapPhase performs the dimension-split conservative update plus
 // volume-fraction advection.
 func (s *Sim) remapPhase(l int, dt float64) {
-	dx := 1.0 / float64(s.h.LevelDomain(l).NX())
+	dx := 1.0 / float64(s.solver.H.LevelDomain(l).NX())
 	lambda := dt / dx
 
-	s.exchange(l)
-	for _, p := range s.h.Level(l) {
-		s.sweep(p, lambda, 0)
+	s.solver.Exchange(l, halos)
+	for _, p := range s.solver.H.Level(l) {
+		s.solver.Sweep(p, lambda, 0, kRemapRhoX, kRemapMomX, kRemapEneX)
 		s.advecVof(p, lambda, 0)
 		s.reset(p, kResetX)
 	}
-	s.exchange(l)
-	for _, p := range s.h.Level(l) {
-		s.sweep(p, lambda, 1)
+	s.solver.Exchange(l, halos)
+	for _, p := range s.solver.H.Level(l) {
+		s.solver.Sweep(p, lambda, 1, kRemapRhoY, kRemapMomY, kRemapEneY)
 		s.advecVof(p, lambda, 1)
 		s.reset(p, kResetY)
 	}
-}
-
-// sweep advances conserved components in direction dir (0 = x, 1 = y).
-func (s *Sim) sweep(p *amr.Patch, lambda float64, dir int) {
-	rho, mu, mv, e := p.Field(FRho), p.Field(FMu), p.Field(FMv), p.Field(FE)
-	rhoN, muN, mvN, eN := p.Field(FRhoN), p.Field(FMuN), p.Field(FMvN), p.Field(FEN)
-	var kRho, kMom, kEne *raja.Kernel
-	var flux func(i, j int) (hydro.State, hydro.State)
-	if dir == 0 {
-		kRho, kMom, kEne = kRemapRhoX, kRemapMomX, kRemapEneX
-		flux = func(i, j int) (hydro.State, hydro.State) {
-			lo := hydro.RusanovX(state(rho, mu, mv, e, i-1, j), state(rho, mu, mv, e, i, j))
-			hi := hydro.RusanovX(state(rho, mu, mv, e, i, j), state(rho, mu, mv, e, i+1, j))
-			return lo, hi
-		}
-	} else {
-		kRho, kMom, kEne = kRemapRhoY, kRemapMomY, kRemapEneY
-		flux = func(i, j int) (hydro.State, hydro.State) {
-			lo := hydro.RusanovY(state(rho, mu, mv, e, i, j-1), state(rho, mu, mv, e, i, j))
-			hi := hydro.RusanovY(state(rho, mu, mv, e, i, j), state(rho, mu, mv, e, i, j+1))
-			return lo, hi
-		}
-	}
-	s.launch(p, kRho, interiorSet(p), func(k int) {
-		i, j := rho.CellOf(k)
-		lo, hi := flux(i, j)
-		rhoN.Set(i, j, math.Max(rho.At(i, j)-lambda*(hi.Rho-lo.Rho), hydro.RhoFloor))
-	})
-	s.launch(p, kMom, interiorSet(p), func(k int) {
-		i, j := rho.CellOf(k)
-		lo, hi := flux(i, j)
-		muN.Set(i, j, mu.At(i, j)-lambda*(hi.Mu-lo.Mu))
-		mvN.Set(i, j, mv.At(i, j)-lambda*(hi.Mv-lo.Mv))
-	})
-	s.launch(p, kEne, interiorSet(p), func(k int) {
-		i, j := rho.CellOf(k)
-		lo, hi := flux(i, j)
-		eN.Set(i, j, math.Max(e.At(i, j)-lambda*(hi.E-lo.E), hydro.PFloor))
-	})
 }
 
 // advecVof advects every material's volume fraction with donor-cell
@@ -602,7 +337,7 @@ func (s *Sim) advecVof(p *amr.Patch, lambda float64, dir int) {
 		vfs[m] = p.Field(vfField(m))
 		vfsN[m] = p.Field(vfField(m) + "_new")
 	}
-	s.launch(p, k, interiorSet(p), func(kk int) {
+	s.solver.Launch(p, k, amrhydro.InteriorSet(p), func(kk int) {
 		i, j := rho.CellOf(kk)
 		r := math.Max(rho.At(i, j), hydro.RhoFloor)
 		var vel float64
@@ -635,25 +370,19 @@ func (s *Sim) advecVof(p *amr.Patch, lambda float64, dir int) {
 // reset copies the *_new fields back, including volume fractions, and
 // renormalizes the fractions to sum to one.
 func (s *Sim) reset(p *amr.Patch, k *raja.Kernel) {
-	rho, mu, mv, e := p.Field(FRho), p.Field(FMu), p.Field(FMv), p.Field(FE)
-	rhoN, muN, mvN, eN := p.Field(FRhoN), p.Field(FMuN), p.Field(FMvN), p.Field(FEN)
 	vfs := make([]*mesh.Field, s.numMat)
 	vfsN := make([]*mesh.Field, s.numMat)
 	for m := 0; m < s.numMat; m++ {
 		vfs[m] = p.Field(vfField(m))
 		vfsN[m] = p.Field(vfField(m) + "_new")
 	}
-	s.launch(p, k, interiorSet(p), func(kk int) {
-		i, j := rho.CellOf(kk)
-		rho.Set(i, j, rhoN.At(i, j))
-		mu.Set(i, j, muN.At(i, j))
-		mv.Set(i, j, mvN.At(i, j))
-		e.Set(i, j, eN.At(i, j))
+	s.solver.Reset(p, k, func(i, j int) {
 		for m := range vfs {
 			vfs[m].Set(i, j, vfsN[m].At(i, j))
 		}
 	})
-	s.launch(p, kVofNorm, interiorSet(p), func(kk int) {
+	rho := p.Field(FRho)
+	s.solver.Launch(p, kVofNorm, amrhydro.InteriorSet(p), func(kk int) {
 		i, j := rho.CellOf(kk)
 		var sum float64
 		for m := range vfs {
@@ -672,14 +401,14 @@ func (s *Sim) reset(p *amr.Patch, k *raja.Kernel) {
 // lengths change dynamically as materials mix — the paper's key ARES
 // input dependence.
 func (s *Sim) materialPhase(l int, dt float64) {
-	for _, p := range s.h.Level(l) {
+	for _, p := range s.solver.H.Level(l) {
 		pr := p.Field(FP)
 		for m := 0; m < s.numMat; m++ {
 			vf := p.Field(vfField(m))
 			mixed, dominant := s.materialLists(p, vf)
 			if len(mixed) > 0 {
 				iset := raja.NewList(mixed)
-				s.launch(p, kMixRelax, iset, func(k int) {
+				s.solver.Launch(p, kMixRelax, iset, func(k int) {
 					i, j := pr.CellOf(k)
 					// Relax pressure toward the volume-weighted value.
 					w := vf.At(i, j)
@@ -689,7 +418,7 @@ func (s *Sim) materialPhase(l int, dt float64) {
 			}
 			if len(dominant) > 0 {
 				iset := raja.NewList(dominant)
-				s.launch(p, kMatEOS, iset, func(k int) {
+				s.solver.Launch(p, kMatEOS, iset, func(k int) {
 					i, j := pr.CellOf(k)
 					pr.Set(i, j, math.Max(pr.At(i, j), hydro.PFloor))
 				})
@@ -697,7 +426,7 @@ func (s *Sim) materialPhase(l int, dt float64) {
 		}
 		// A tiny kernel iterating over the materials themselves.
 		counts := make([]float64, s.numMat)
-		s.launch(p, kMatUpdate, raja.NewRange(0, s.numMat), func(m int) {
+		s.solver.Launch(p, kMatUpdate, raja.NewRange(0, s.numMat), func(m int) {
 			vf := p.Field(vfField(m))
 			counts[m] = vf.SumInterior()
 		})
@@ -725,7 +454,7 @@ func (s *Sim) materialLists(p *amr.Patch, vf *mesh.Field) (mixed, dominant []int
 // hierarchy — a measurable proxy for how far materials have mixed.
 func (s *Sim) MixedCellCount() int {
 	total := 0
-	for _, p := range s.h.Patches() {
+	for _, p := range s.solver.H.Patches() {
 		for m := 0; m < s.numMat; m++ {
 			mixed, _ := s.materialLists(p, p.Field(vfField(m)))
 			total += len(mixed)
@@ -737,16 +466,16 @@ func (s *Sim) MixedCellCount() int {
 // extraPhysics runs the radiation-diffusion and conduction packages the
 // Jet and Hotspot decks enable: explicit 5-point diffusion of energy.
 func (s *Sim) extraPhysics(l int, dt float64) {
-	s.exchange(l)
+	s.solver.Exchange(l, halos)
 	const kappa = 0.02
-	for _, p := range s.h.Level(l) {
+	for _, p := range s.solver.H.Level(l) {
 		e, eN := p.Field(FE), p.Field(FEN)
-		s.launch(p, kRadDiffusion, interiorSet(p), func(k int) {
+		s.solver.Launch(p, kRadDiffusion, amrhydro.InteriorSet(p), func(k int) {
 			i, j := e.CellOf(k)
 			lap := e.At(i+1, j) + e.At(i-1, j) + e.At(i, j+1) + e.At(i, j-1) - 4*e.At(i, j)
 			eN.Set(i, j, e.At(i, j)+kappa*lap*0.25)
 		})
-		s.launch(p, kConduction, interiorSet(p), func(k int) {
+		s.solver.Launch(p, kConduction, amrhydro.InteriorSet(p), func(k int) {
 			i, j := e.CellOf(k)
 			e.Set(i, j, math.Max(eN.At(i, j), hydro.PFloor))
 		})
@@ -757,7 +486,7 @@ func (s *Sim) extraPhysics(l int, dt float64) {
 // code that does not use RAJA: a fixed-cost parallel workload per step
 // outside Apollo's hooks, sized against the level-0 domain.
 func (s *Sim) unportedPhase() {
-	n := s.h.LevelDomain(0).Count() * 3
+	n := s.solver.H.LevelDomain(0).Count() * 3
 	raja.ForAll(s.unportedCtx, kUnported, raja.NewRange(0, n), func(int) {})
 }
 

@@ -68,10 +68,10 @@ func TestTuningNeverChangesTheAnswer(t *testing.T) {
 
 // stateDiff names the first state that is not bit for bit equal.
 func stateDiff(a, b *Sim) string {
-	if a.cycle != b.cycle || math.Float64bits(a.time) != math.Float64bits(b.time) {
-		return fmt.Sprintf("cycle %d time %g, want %d %g", b.cycle, b.time, a.cycle, a.time)
+	if a.Cycle() != b.Cycle() || math.Float64bits(a.Time()) != math.Float64bits(b.Time()) {
+		return fmt.Sprintf("cycle %d time %g, want %d %g", b.Cycle(), b.Time(), a.Cycle(), a.Time())
 	}
-	ap, bp := a.h.Patches(), b.h.Patches()
+	ap, bp := a.Hierarchy().Patches(), b.Hierarchy().Patches()
 	if len(ap) != len(bp) {
 		return fmt.Sprintf("%d patches, want %d", len(bp), len(ap))
 	}

@@ -3,8 +3,9 @@
 // (package amr standing in for SAMRAI), mirroring the application the
 // paper tunes most successfully.
 //
-// The solver is a dimension-split first-order finite-volume scheme with
-// Rusanov fluxes, organized into many small RAJA kernels in the
+// The solver is package amrhydro's dimension-split first-order
+// finite-volume scheme with Rusanov fluxes, which ARES shares; this
+// package declares its launch sites, many small RAJA kernels in the
 // CloverLeaf style: per-patch interior kernels (ideal_gas, viscosity,
 // advection sweeps per conserved component, resets, field summary) and
 // width-2 boundary-strip kernels applying the physical boundary
@@ -16,37 +17,31 @@ package cleverleaf
 
 import (
 	"fmt"
-	"math"
 
 	"apollo/internal/amr"
+	"apollo/internal/amrhydro"
 	"apollo/internal/app"
-	"apollo/internal/caliper"
-	"apollo/internal/features"
 	"apollo/internal/hydro"
 	"apollo/internal/instmix"
-	"apollo/internal/mesh"
 	"apollo/internal/raja"
 )
 
 // Field names on every patch.
 const (
-	FRho  = "density"
-	FMu   = "xmom"
-	FMv   = "ymom"
-	FE    = "energy"
-	FP    = "pressure"
+	FRho  = amrhydro.FRho
+	FMu   = amrhydro.FMu
+	FMv   = amrhydro.FMv
+	FE    = amrhydro.FE
+	FP    = amrhydro.FP
 	FQ    = "viscosity"
-	FWs   = "wavespeed"
-	FRhoN = "density_new"
-	FMuN  = "xmom_new"
-	FMvN  = "ymom_new"
-	FEN   = "energy_new"
+	FWs   = amrhydro.FWs
+	FRhoN = amrhydro.FRhoN
+	FMuN  = amrhydro.FMuN
+	FMvN  = amrhydro.FMvN
+	FEN   = amrhydro.FEN
 )
 
 var allFields = []string{FRho, FMu, FMv, FE, FP, FQ, FWs, FRhoN, FMuN, FMvN, FEN}
-
-// conservedFields are exchanged between patches and levels.
-var conservedFields = []string{FRho, FMu, FMv, FE}
 
 // Kernel launch sites. As in RAJA, each source loop is a distinct site
 // with a stable identity and a registered instruction mix (see package
@@ -99,35 +94,21 @@ func resetMix() *instmix.Mix {
 		With(instmix.Movsd, 8).With(instmix.Mov, 8).With(instmix.Lea, 2)
 }
 
-// haloKernel identifies one update_halo launch site: a field exchanged at
-// a physical boundary in one direction.
-type haloKernel struct {
-	field  string
-	dir    int // 0 = x edges, 1 = y edges
-	sign   float64
-	kernel *raja.Kernel
-}
-
-func buildHaloKernels() []haloKernel {
+// buildHaloKernels declares one update_halo launch site per conserved
+// field and direction.
+func buildHaloKernels() []amrhydro.Halo {
 	mix := func() *instmix.Mix {
 		return instmix.NewMix().
 			With(instmix.Movsd, 2).With(instmix.Mov, 4).With(instmix.Cmp, 2).
 			With(instmix.Jb, 1).With(instmix.Lea, 1)
 	}
-	var out []haloKernel
-	for _, f := range conservedFields {
-		for dir := 0; dir < 2; dir++ {
-			sign := 1.0
-			if (f == FMu && dir == 0) || (f == FMv && dir == 1) {
-				sign = -1 // reflect normal momentum
-			}
-			dirName := "x"
-			if dir == 1 {
-				dirName = "y"
-			}
-			out = append(out, haloKernel{
-				field: f, dir: dir, sign: sign,
-				kernel: raja.NewKernel(fmt.Sprintf("cleverleaf::update_halo_%s_%s", f, dirName), mix()),
+	var out []amrhydro.Halo
+	for _, f := range amrhydro.Conserved {
+		for dir, dirName := range []string{"x", "y"} {
+			out = append(out, amrhydro.Halo{
+				Kernel: raja.NewKernel(fmt.Sprintf("cleverleaf::update_halo_%s_%s", f, dirName), mix()),
+				Dir:    dir,
+				Fields: []string{f},
 			})
 		}
 	}
@@ -136,13 +117,7 @@ func buildHaloKernels() []haloKernel {
 
 // Sim is a CleverLeaf run.
 type Sim struct {
-	cfg   app.Config
-	deck  hydro.Deck
-	h     *amr.Hierarchy
-	cycle int
-	time  float64
-
-	regridEvery int
+	solver *amrhydro.Solver
 }
 
 // Descriptor returns the harness descriptor for CleverLeaf.
@@ -164,372 +139,62 @@ func New(cfg app.Config) (*Sim, error) {
 	if !ok {
 		return nil, fmt.Errorf("cleverleaf: unknown problem %q", cfg.Problem)
 	}
-	if cfg.Size < 16 {
-		return nil, fmt.Errorf("cleverleaf: size %d too small (min 16)", cfg.Size)
+	solver, err := amrhydro.New("cleverleaf", cfg, deck, allFields, FQ)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Ann == nil {
-		cfg.Ann = caliper.New()
-	}
-	if cfg.Ranks < 1 {
-		cfg.Ranks = 1
-	}
-	base := 32
-	if cfg.Size < base {
-		base = cfg.Size
-	}
-	if cfg.Ranks > 1 {
-		// Distributed runs decompose the base grid so each rank owns
-		// roughly one base block; strong scaling shrinks the blocks.
-		side := int(math.Ceil(math.Sqrt(float64(cfg.Ranks))))
-		base = cfg.Size / side
-		if base < 8 {
-			base = 8
-		}
-	}
-	maxBlock := 0
-	if cfg.Ranks > 1 {
-		// Cap patch sizes so refined work stays divisible across ranks
-		// (SAMRAI's largest-patch-size constraint).
-		maxBlock = base * 2
-	}
-	h := amr.New(amr.Config{
-		Domain:    mesh.NewBox(0, 0, cfg.Size, cfg.Size),
-		MaxLevels: 2,
-		Ratio:     2,
-		Ghost:     2,
-		TileSize:  4,
-		TagBuffer: 1,
-		BaseBlock: base,
-		MaxBlock:  maxBlock,
-		Fields:    allFields,
-	})
-	s := &Sim{cfg: cfg, deck: deck, h: h, regridEvery: 4}
-	s.cfg.Ann.SetString(features.ProblemName, deck.Name)
-	s.cfg.Ann.Set(features.ProblemSize, float64(cfg.Size))
-	s.cfg.Ann.Set(features.Timestep, 0)
-
-	s.applyDeck(0)
-	s.regrid()
-	s.applyDeck(1) // refine initial condition on the new fine patches
-	return s, nil
-}
-
-// applyDeck writes the deck's initial condition on every patch of level l.
-func (s *Sim) applyDeck(l int) {
-	if l >= s.h.NumLevels() {
-		return
-	}
-	domain := s.h.LevelDomain(l)
-	nx, ny := float64(domain.NX()), float64(domain.NY())
-	for _, p := range s.h.Level(l) {
-		rho, mu, mv, e := p.Field(FRho), p.Field(FMu), p.Field(FMv), p.Field(FE)
-		for j := p.Box.Y0; j < p.Box.Y1; j++ {
-			for i := p.Box.X0; i < p.Box.X1; i++ {
-				x := (float64(i) + 0.5) / nx
-				y := (float64(j) + 0.5) / ny
-				r, u, v, pr, _ := s.deck.Init(x, y)
-				st := hydro.Conserved(r, u, v, pr)
-				rho.Set(i, j, st.Rho)
-				mu.Set(i, j, st.Mu)
-				mv.Set(i, j, st.Mv)
-				e.Set(i, j, st.E)
-			}
-		}
-	}
+	solver.Init(nil)
+	return &Sim{solver: solver}, nil
 }
 
 // Hierarchy exposes the AMR hierarchy (for tests and visual summaries).
-func (s *Sim) Hierarchy() *amr.Hierarchy { return s.h }
+func (s *Sim) Hierarchy() *amr.Hierarchy { return s.solver.H }
 
 // Cycle returns the number of completed steps.
-func (s *Sim) Cycle() int { return s.cycle }
+func (s *Sim) Cycle() int { return s.solver.Cycle() }
 
 // Time returns the simulated time.
-func (s *Sim) Time() float64 { return s.time }
-
-// regrid rebuilds the fine level from the density-gradient tagger and
-// reassigns patch ranks.
-func (s *Sim) regrid() {
-	s.h.Regrid(func(p *amr.Patch, tag func(i, j int)) {
-		rho, e := p.Field(FRho), p.Field(FE)
-		relGrad := func(f *mesh.Field, i, j int) float64 {
-			c := f.At(i, j)
-			if c <= 0 {
-				return 0
-			}
-			return (math.Abs(f.At(i+1, j)-f.At(i-1, j)) +
-				math.Abs(f.At(i, j+1)-f.At(i, j-1))) / c
-		}
-		for j := p.Box.Y0 + 1; j < p.Box.Y1-1; j++ {
-			for i := p.Box.X0 + 1; i < p.Box.X1-1; i++ {
-				if relGrad(rho, i, j) > 0.2 || relGrad(e, i, j) > 0.4 {
-					tag(i, j)
-				}
-			}
-		}
-	})
-	for idx, p := range s.h.Patches() {
-		p.Rank = idx % s.cfg.Ranks
-	}
-}
-
-// launch runs one kernel over a patch with patch-scoped annotations.
-func (s *Sim) launch(p *amr.Patch, k *raja.Kernel, iset *raja.IndexSet, body func(i int)) {
-	s.cfg.Ann.Set(features.PatchID, float64(p.ID))
-	s.cfg.Ann.Set("rank", float64(p.Rank))
-	raja.ForAll(s.cfg.Ctx, k, iset, body)
-}
-
-// interiorSet returns the flat interior index set of a patch.
-func interiorSet(p *amr.Patch) *raja.IndexSet {
-	return raja.NewRange(0, p.Box.Count())
-}
+func (s *Sim) Time() float64 { return s.solver.Time() }
 
 // Step advances the simulation one timestep.
 func (s *Sim) Step() {
-	if s.cycle > 0 && s.cycle%s.regridEvery == 0 {
-		s.regrid()
-	}
-	s.cfg.Ann.Set(features.Timestep, float64(s.cycle))
-
-	dt := s.computeDt()
-	for l := 0; l < s.h.NumLevels(); l++ {
+	dt := s.solver.BeginStep(kIdealGas, kCalcDt)
+	for l := 0; l < s.solver.H.NumLevels(); l++ {
 		s.advanceLevel(l, dt)
 	}
-	s.h.Restrict(1, conservedFields)
+	s.solver.EndStep(dt)
 	s.fieldSummary()
-	s.time += dt
-	s.cycle++
-}
-
-// computeDt runs ideal_gas and calc_dt on every patch and reduces the
-// stable timestep against the finest cell width.
-func (s *Sim) computeDt() float64 {
-	maxSpeed := 0.0
-	for l := 0; l < s.h.NumLevels(); l++ {
-		for _, p := range s.h.Level(l) {
-			s.idealGas(p)
-			s.calcDt(p)
-			_, hi := p.Field(FWs).MinMaxInterior()
-			if hi > maxSpeed {
-				maxSpeed = hi
-			}
-		}
-	}
-	dxFine := 1.0 / float64(s.h.LevelDomain(s.h.NumLevels()-1).NX())
-	return hydro.Dt(maxSpeed, dxFine)
 }
 
 // advanceLevel performs the dimension-split update of one level.
 func (s *Sim) advanceLevel(l int, dt float64) {
-	dx := 1.0 / float64(s.h.LevelDomain(l).NX())
+	sv := s.solver
+	dx := 1.0 / float64(sv.H.LevelDomain(l).NX())
 
-	s.exchange(l)
-	for _, p := range s.h.Level(l) {
-		s.viscosity(p)
-		s.accelerate(p, dt)
+	sv.Exchange(l, haloKernels)
+	for _, p := range sv.H.Level(l) {
+		sv.Viscosity(p, kViscosity)
+		sv.Accelerate(p, kAccelerate, dt)
 	}
-	s.exchange(l)
-	for _, p := range s.h.Level(l) {
-		s.sweepX(p, dt/dx)
-		s.reset(p, kResetX)
+	sv.Exchange(l, haloKernels)
+	for _, p := range sv.H.Level(l) {
+		sv.Sweep(p, dt/dx, 0, kAdvecCellX, kAdvecMomX, kAdvecEneX)
+		sv.Reset(p, kResetX, nil)
 	}
-	s.exchange(l)
-	for _, p := range s.h.Level(l) {
-		s.sweepY(p, dt/dx)
-		s.reset(p, kResetY)
+	sv.Exchange(l, haloKernels)
+	for _, p := range sv.H.Level(l) {
+		sv.Sweep(p, dt/dx, 1, kAdvecCellY, kAdvecMomY, kAdvecEneY)
+		sv.Reset(p, kResetY, nil)
 	}
-}
-
-// exchange fills ghosts (coarse prolongation + sibling copies) and then
-// applies the physical boundary conditions through the strip kernels.
-func (s *Sim) exchange(l int) {
-	s.h.FillGhosts(l, conservedFields, nil)
-	domain := s.h.LevelDomain(l)
-	for _, p := range s.h.Level(l) {
-		for _, hk := range haloKernels {
-			s.updateHalo(p, hk, domain)
-		}
-	}
-}
-
-// updateHalo launches one boundary-strip kernel: width-2 ghost strips on
-// the physical edges the patch touches, reflecting the interior.
-func (s *Sim) updateHalo(p *amr.Patch, hk haloKernel, domain mesh.Box) {
-	f := p.Field(hk.field)
-	b := p.Box
-	iset := raja.NewIndexSet()
-	var lo, hi bool
-	var strip int
-	if hk.dir == 0 {
-		strip = 2 * b.NY()
-		lo, hi = b.X0 == domain.X0, b.X1 == domain.X1
-	} else {
-		strip = 2 * b.NX()
-		lo, hi = b.Y0 == domain.Y0, b.Y1 == domain.Y1
-	}
-	if lo {
-		iset.Push(raja.RangeSegment{Begin: 0, End: strip})
-	}
-	if hi {
-		iset.Push(raja.RangeSegment{Begin: strip, End: 2 * strip})
-	}
-	if iset.Len() == 0 {
-		return
-	}
-	sign := hk.sign
-	s.launch(p, hk.kernel, iset, func(k int) {
-		side := k / strip // 0 = low edge, 1 = high edge
-		r := k % strip
-		layer := r / (strip / 2) // ghost layer 0 or 1
-		pos := r % (strip / 2)
-		if hk.dir == 0 {
-			j := b.Y0 + pos
-			if side == 0 {
-				f.Set(b.X0-1-layer, j, sign*f.At(b.X0+layer, j))
-			} else {
-				f.Set(b.X1+layer, j, sign*f.At(b.X1-1-layer, j))
-			}
-		} else {
-			i := b.X0 + pos
-			if side == 0 {
-				f.Set(i, b.Y0-1-layer, sign*f.At(i, b.Y0+layer))
-			} else {
-				f.Set(i, b.Y1+layer, sign*f.At(i, b.Y1-1-layer))
-			}
-		}
-	})
-}
-
-// state reads the conserved state of cell (i, j) on a patch.
-func state(rho, mu, mv, e *mesh.Field, i, j int) hydro.State {
-	return hydro.State{Rho: rho.At(i, j), Mu: mu.At(i, j), Mv: mv.At(i, j), E: e.At(i, j)}
-}
-
-func (s *Sim) idealGas(p *amr.Patch) {
-	rho, mu, mv, e := p.Field(FRho), p.Field(FMu), p.Field(FMv), p.Field(FE)
-	pr := p.Field(FP)
-	s.launch(p, kIdealGas, interiorSet(p), func(k int) {
-		i, j := rho.CellOf(k)
-		st := state(rho, mu, mv, e, i, j)
-		pr.Set(i, j, hydro.Pressure(st))
-	})
-}
-
-func (s *Sim) calcDt(p *amr.Patch) {
-	rho, mu, mv, e := p.Field(FRho), p.Field(FMu), p.Field(FMv), p.Field(FE)
-	ws := p.Field(FWs)
-	s.launch(p, kCalcDt, interiorSet(p), func(k int) {
-		i, j := rho.CellOf(k)
-		st := state(rho, mu, mv, e, i, j)
-		sx := hydro.WaveSpeedX(st)
-		sy := hydro.WaveSpeedY(st)
-		ws.Set(i, j, math.Max(sx, sy))
-	})
-}
-
-func (s *Sim) viscosity(p *amr.Patch) {
-	rho, mu := p.Field(FRho), p.Field(FMu)
-	mv, q := p.Field(FMv), p.Field(FQ)
-	s.launch(p, kViscosity, interiorSet(p), func(k int) {
-		i, j := rho.CellOf(k)
-		r := math.Max(rho.At(i, j), hydro.RhoFloor)
-		dudx := (mu.At(i+1, j) - mu.At(i-1, j)) / (2 * r)
-		dvdy := (mv.At(i, j+1) - mv.At(i, j-1)) / (2 * r)
-		div := dudx + dvdy
-		if div < 0 {
-			q.Set(i, j, 0.1*r*div*div)
-		} else {
-			q.Set(i, j, 0)
-		}
-	})
-}
-
-func (s *Sim) accelerate(p *amr.Patch, dt float64) {
-	mu, mv, q := p.Field(FMu), p.Field(FMv), p.Field(FQ)
-	s.launch(p, kAccelerate, interiorSet(p), func(k int) {
-		i, j := mu.CellOf(k)
-		damp := 1 / (1 + dt*q.At(i, j))
-		mu.Set(i, j, mu.At(i, j)*damp)
-		mv.Set(i, j, mv.At(i, j)*damp)
-	})
-}
-
-// sweepX advances all conserved components in x via three kernels
-// (density, momentum, energy), writing the *_new fields.
-func (s *Sim) sweepX(p *amr.Patch, lambda float64) {
-	rho, mu, mv, e := p.Field(FRho), p.Field(FMu), p.Field(FMv), p.Field(FE)
-	rhoN, muN, mvN, eN := p.Field(FRhoN), p.Field(FMuN), p.Field(FMvN), p.Field(FEN)
-	flux := func(i, j int) (hydro.State, hydro.State) {
-		l := hydro.RusanovX(state(rho, mu, mv, e, i-1, j), state(rho, mu, mv, e, i, j))
-		r := hydro.RusanovX(state(rho, mu, mv, e, i, j), state(rho, mu, mv, e, i+1, j))
-		return l, r
-	}
-	s.launch(p, kAdvecCellX, interiorSet(p), func(k int) {
-		i, j := rho.CellOf(k)
-		fl, fr := flux(i, j)
-		rhoN.Set(i, j, math.Max(rho.At(i, j)-lambda*(fr.Rho-fl.Rho), hydro.RhoFloor))
-	})
-	s.launch(p, kAdvecMomX, interiorSet(p), func(k int) {
-		i, j := rho.CellOf(k)
-		fl, fr := flux(i, j)
-		muN.Set(i, j, mu.At(i, j)-lambda*(fr.Mu-fl.Mu))
-		mvN.Set(i, j, mv.At(i, j)-lambda*(fr.Mv-fl.Mv))
-	})
-	s.launch(p, kAdvecEneX, interiorSet(p), func(k int) {
-		i, j := rho.CellOf(k)
-		fl, fr := flux(i, j)
-		eN.Set(i, j, math.Max(e.At(i, j)-lambda*(fr.E-fl.E), hydro.PFloor))
-	})
-}
-
-// sweepY advances all conserved components in y.
-func (s *Sim) sweepY(p *amr.Patch, lambda float64) {
-	rho, mu, mv, e := p.Field(FRho), p.Field(FMu), p.Field(FMv), p.Field(FE)
-	rhoN, muN, mvN, eN := p.Field(FRhoN), p.Field(FMuN), p.Field(FMvN), p.Field(FEN)
-	flux := func(i, j int) (hydro.State, hydro.State) {
-		b := hydro.RusanovY(state(rho, mu, mv, e, i, j-1), state(rho, mu, mv, e, i, j))
-		t := hydro.RusanovY(state(rho, mu, mv, e, i, j), state(rho, mu, mv, e, i, j+1))
-		return b, t
-	}
-	s.launch(p, kAdvecCellY, interiorSet(p), func(k int) {
-		i, j := rho.CellOf(k)
-		fb, ft := flux(i, j)
-		rhoN.Set(i, j, math.Max(rho.At(i, j)-lambda*(ft.Rho-fb.Rho), hydro.RhoFloor))
-	})
-	s.launch(p, kAdvecMomY, interiorSet(p), func(k int) {
-		i, j := rho.CellOf(k)
-		fb, ft := flux(i, j)
-		muN.Set(i, j, mu.At(i, j)-lambda*(ft.Mu-fb.Mu))
-		mvN.Set(i, j, mv.At(i, j)-lambda*(ft.Mv-fb.Mv))
-	})
-	s.launch(p, kAdvecEneY, interiorSet(p), func(k int) {
-		i, j := rho.CellOf(k)
-		fb, ft := flux(i, j)
-		eN.Set(i, j, math.Max(e.At(i, j)-lambda*(ft.E-fb.E), hydro.PFloor))
-	})
-}
-
-// reset copies the *_new fields back into the conserved fields.
-func (s *Sim) reset(p *amr.Patch, k *raja.Kernel) {
-	rho, mu, mv, e := p.Field(FRho), p.Field(FMu), p.Field(FMv), p.Field(FE)
-	rhoN, muN, mvN, eN := p.Field(FRhoN), p.Field(FMuN), p.Field(FMvN), p.Field(FEN)
-	s.launch(p, k, interiorSet(p), func(kk int) {
-		i, j := rho.CellOf(kk)
-		rho.Set(i, j, rhoN.At(i, j))
-		mu.Set(i, j, muN.At(i, j))
-		mv.Set(i, j, mvN.At(i, j))
-		e.Set(i, j, eN.At(i, j))
-	})
 }
 
 // fieldSummary computes per-cell total energy into the scratch field on
 // the coarse level; the hierarchy-wide sums are used for conservation
 // reporting and tests.
 func (s *Sim) fieldSummary() {
-	for _, p := range s.h.Level(0) {
+	for _, p := range s.solver.H.Level(0) {
 		e, ws := p.Field(FE), p.Field(FWs)
-		s.launch(p, kSummary, interiorSet(p), func(k int) {
+		s.solver.Launch(p, kSummary, amrhydro.InteriorSet(p), func(k int) {
 			i, j := e.CellOf(k)
 			ws.Set(i, j, e.At(i, j))
 		})
@@ -538,26 +203,10 @@ func (s *Sim) fieldSummary() {
 
 // TotalMass returns the level-0 mass (density sum scaled by cell area),
 // a conserved quantity of the scheme up to boundary fluxes.
-func (s *Sim) TotalMass() float64 {
-	domain := s.h.LevelDomain(0)
-	area := 1.0 / float64(domain.NX()) / float64(domain.NY())
-	var total float64
-	for _, p := range s.h.Level(0) {
-		total += p.Field(FRho).SumInterior() * area
-	}
-	return total
-}
+func (s *Sim) TotalMass() float64 { return s.solver.Total(FRho) }
 
 // TotalEnergy returns the level-0 total energy.
-func (s *Sim) TotalEnergy() float64 {
-	domain := s.h.LevelDomain(0)
-	area := 1.0 / float64(domain.NX()) / float64(domain.NY())
-	var total float64
-	for _, p := range s.h.Level(0) {
-		total += p.Field(FE).SumInterior() * area
-	}
-	return total
-}
+func (s *Sim) TotalEnergy() float64 { return s.solver.Total(FE) }
 
 // Kernels lists the package's kernel launch sites (for reporting).
 func Kernels() []*raja.Kernel {
@@ -568,7 +217,7 @@ func Kernels() []*raja.Kernel {
 		kResetX, kResetY, kSummary,
 	}
 	for _, hk := range haloKernels {
-		out = append(out, hk.kernel)
+		out = append(out, hk.Kernel)
 	}
 	return out
 }

@@ -8,7 +8,11 @@
 // segment exclusively (O_EXCL) under the next number, never renames and
 // never reopens one: a Log opened over existing segments starts the next
 // number, so whatever a dead writer left — a torn last line included —
-// is never appended to.
+// is never appended to. Append creates a segment and then writes its
+// header, so a writer that dies (or fails a write) between the two leaves
+// a segment that is empty or holds a torn header: it has no lines, and a
+// reader takes its layout from the first segment with a whole header
+// line, as telemetry.OpenSpool does.
 //
 //   - Append writes whole '\n'-terminated lines with one Write under the
 //     log's lock. At nil the bytes are in the kernel: they survive the
@@ -31,7 +35,7 @@
 //     caller refused, and everything read beside it, comes back.
 //
 // What is not here: fsync before an acknowledgement or at rotation
-// (ROADMAP item 4's other half; a benchmark PR has to price it).
+// (ROADMAP item 8; a benchmark PR has to price it).
 package journal
 
 import (

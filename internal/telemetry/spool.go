@@ -37,8 +37,9 @@ type Spool struct {
 
 // OpenSpool opens (creating if needed) the spool at dir. Appends rotate
 // to a new segment once the active one exceeds maxSegmentBytes
-// (DefaultSegmentBytes when <= 0). If segments already exist, their
-// column layout is adopted and writing resumes on a fresh segment, so a
+// (DefaultSegmentBytes when <= 0). If segments already exist, the layout
+// of the first one with a whole header line is adopted (a segment left
+// without one holds no rows) and writing resumes on a fresh segment, so a
 // restarted daemon never appends mid-file.
 func OpenSpool(dir string, maxSegmentBytes int64) (*Spool, error) {
 	s := &Spool{dir: dir}
@@ -51,12 +52,15 @@ func OpenSpool(dir string, maxSegmentBytes int64) (*Spool, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(segs) > 0 {
-		cols, err := readSegmentColumns(segs[0])
+	for _, seg := range segs {
+		cols, err := readSegmentColumns(seg)
 		if err != nil {
 			return nil, fmt.Errorf("telemetry: reading spool %s: %w", dir, err)
 		}
-		s.columns.Store(&cols)
+		if cols != nil {
+			s.columns.Store(&cols)
+			break
+		}
 	}
 	return s, nil
 }
@@ -126,7 +130,9 @@ func (s *Spool) Rotate() error { return s.log.Rotate() }
 // Close seals the active segment and the spool: a later append fails.
 func (s *Spool) Close() error { return s.log.Close() }
 
-// readSegmentColumns parses a segment's header line.
+// readSegmentColumns parses a segment's header line. A segment whose
+// header line is empty or torn — its writer died between creating it and
+// writing the header — holds no rows and names no layout: nil, nil.
 func readSegmentColumns(path string) ([]string, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -134,7 +140,10 @@ func readSegmentColumns(path string) ([]string, error) {
 	}
 	defer f.Close()
 	line, err := bufio.NewReader(f).ReadBytes('\n')
-	if err != nil && err != io.EOF {
+	if err == io.EOF {
+		return nil, nil
+	}
+	if err != nil {
 		return nil, err
 	}
 	return dataset.ParseHeader(line)

@@ -163,3 +163,40 @@ func TestSpoolReopenResumesOnFreshSegment(t *testing.T) {
 		t.Fatalf("cursor over reopened spool = %v, %v", frame, err)
 	}
 }
+
+// TestOpenSpoolSkipsHeaderlessSegment is the crash window between a
+// segment's exclusive create and its header write: a first segment left
+// empty, or with half a header, holds no rows, so the spool opens as
+// fresh, the rows appended after it read back, and a later reopen adopts
+// the layout of the segment that has a header.
+func TestOpenSpoolSkipsHeaderlessSegment(t *testing.T) {
+	for name, left := range map[string]string{"empty": "", "torn header": `{"format":"apollo-fr`} {
+		dir := t.TempDir()
+		appendFile(t, filepath.Join(dir, "seg-00000001.jsonl"), left)
+		s, err := OpenSpool(dir, DefaultSegmentBytes)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := s.Columns(); got != nil {
+			t.Errorf("%s: columns %v before any append, want none", name, got)
+		}
+		if err := s.Append([]string{"x"}, [][]float64{{1}, {2}}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		frame, err := NewCursor(dir).Poll()
+		if err != nil || frame == nil || frame.Len() != 2 || frame.At(1, "x") != 2 {
+			t.Fatalf("%s: poll = %v, %v, want rows [1] [2]", name, frame, err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s2, err := OpenSpool(dir, DefaultSegmentBytes)
+		if err != nil {
+			t.Fatalf("%s: reopen: %v", name, err)
+		}
+		if got := s2.Columns(); len(got) != 1 || got[0] != "x" {
+			t.Errorf("%s: reopened columns = %v, want [x]", name, got)
+		}
+		s2.Close()
+	}
+}
