@@ -21,8 +21,11 @@ build:
 # bytes and goroutine-leak freedom are not lints but tests that run in
 # `make test`: the frozen-snapshot audits (internal/bg/cowtest, again
 # under -race in `make race` and `make stress`), TestSameInputsSameBytes,
-# and internal/bg's spawn-site test with bgtest.NoLeaks.
+# and internal/bg's spawn-site test with bgtest.NoLeaks. Every Go file,
+# untracked new ones too, must be as gofmt writes it.
 lint:
+	@out=$$(gofmt -l $$(git ls-files -co --exclude-standard '*.go')); \
+	[ -z "$$out" ] || { echo "lint: not gofmt-clean (run gofmt -w):" $$out >&2; exit 1; }
 	$(GO) run ./cmd/apollo-vet ./...
 	GOARCH=386 $(GO) build ./...
 
@@ -66,8 +69,10 @@ examples:
 # decoders of outside bytes built on the frame's number scanner, each
 # against encoding/json (same input accepted but for the documented
 # narrowings, same values read): the row scanner (dataset.ParseRow, under
-# ReadJSONL and the spool cursor, and both paths of dataset.ScanRows), the
-# telemetry batch decoder and the predict body decoder; the frame header
+# ReadJSONL and the spool cursor, and both paths of dataset.ScanRows: the
+# one-pass plain-row walk, checking only or converting too, and scanRow,
+# which takes every row the walk hands back), the telemetry batch decoder
+# and the predict body decoder; the frame header
 # (it round-trips, and a segment that starts with it polls to rows or an
 # error); the two readers of
 # segment files — the tail over arbitrary bytes cut anywhere (whole

@@ -57,13 +57,21 @@ const (
 	FEN   = amrhydro.FEN
 )
 
-// vfField names the volume-fraction field of material m.
-func vfField(m int) string { return fmt.Sprintf("vof_%d", m) }
+// vfField[m] and vfNewField[m] name material m's volume-fraction field and
+// its advected update, built once: they are looked up per cell and patch.
+var vfField, vfNewField = vofNames(""), vofNames("_new")
+
+func vofNames(suffix string) (names [MaxMaterials]string) {
+	for m := range names {
+		names[m] = fmt.Sprintf("vof_%d%s", m, suffix)
+	}
+	return names
+}
 
 func allFields() []string {
 	fs := []string{FRho, FMu, FMv, FE, FP, FQ, FWs, FRhoN, FMuN, FMvN, FEN}
 	for m := 0; m < MaxMaterials; m++ {
-		fs = append(fs, vfField(m), vfField(m)+"_new")
+		fs = append(fs, vfField[m], vfNewField[m])
 	}
 	return fs
 }
@@ -259,7 +267,7 @@ func New(cfg app.Config) (*Sim, error) {
 			if m == mat {
 				vf = 1.0
 			}
-			p.Field(vfField(m)).Set(i, j, vf)
+			p.Field(vfField[m]).Set(i, j, vf)
 		}
 	})
 	return s, nil
@@ -334,8 +342,8 @@ func (s *Sim) advecVof(p *amr.Patch, lambda float64, dir int) {
 	vfs := make([]*mesh.Field, s.numMat)
 	vfsN := make([]*mesh.Field, s.numMat)
 	for m := 0; m < s.numMat; m++ {
-		vfs[m] = p.Field(vfField(m))
-		vfsN[m] = p.Field(vfField(m) + "_new")
+		vfs[m] = p.Field(vfField[m])
+		vfsN[m] = p.Field(vfNewField[m])
 	}
 	s.solver.Launch(p, k, amrhydro.InteriorSet(p), func(kk int) {
 		i, j := rho.CellOf(kk)
@@ -373,8 +381,8 @@ func (s *Sim) reset(p *amr.Patch, k *raja.Kernel) {
 	vfs := make([]*mesh.Field, s.numMat)
 	vfsN := make([]*mesh.Field, s.numMat)
 	for m := 0; m < s.numMat; m++ {
-		vfs[m] = p.Field(vfField(m))
-		vfsN[m] = p.Field(vfField(m) + "_new")
+		vfs[m] = p.Field(vfField[m])
+		vfsN[m] = p.Field(vfNewField[m])
 	}
 	s.solver.Reset(p, k, func(i, j int) {
 		for m := range vfs {
@@ -404,7 +412,7 @@ func (s *Sim) materialPhase(l int, dt float64) {
 	for _, p := range s.solver.H.Level(l) {
 		pr := p.Field(FP)
 		for m := 0; m < s.numMat; m++ {
-			vf := p.Field(vfField(m))
+			vf := p.Field(vfField[m])
 			mixed, dominant := s.materialLists(p, vf)
 			if len(mixed) > 0 {
 				iset := raja.NewList(mixed)
@@ -427,7 +435,7 @@ func (s *Sim) materialPhase(l int, dt float64) {
 		// A tiny kernel iterating over the materials themselves.
 		counts := make([]float64, s.numMat)
 		s.solver.Launch(p, kMatUpdate, raja.NewRange(0, s.numMat), func(m int) {
-			vf := p.Field(vfField(m))
+			vf := p.Field(vfField[m])
 			counts[m] = vf.SumInterior()
 		})
 	}
@@ -456,7 +464,7 @@ func (s *Sim) MixedCellCount() int {
 	total := 0
 	for _, p := range s.solver.H.Patches() {
 		for m := 0; m < s.numMat; m++ {
-			mixed, _ := s.materialLists(p, p.Field(vfField(m)))
+			mixed, _ := s.materialLists(p, p.Field(vfField[m]))
 			total += len(mixed)
 		}
 	}

@@ -191,9 +191,13 @@ func LoadJSONL(path string) (*Frame, error) {
 // Inf/NaN), a number out of float64 range is an error, a null element
 // reads as 0 and a bare null as the empty row.
 func ParseRow(line []byte, row []float64) ([]float64, error) {
-	end, _, _, err := scanRow(line, skipSpace(line, 0), &row)
-	if err != nil {
-		return nil, err
+	start := skipSpace(line, 0)
+	end, width := plainRow(line, start, &row)
+	if width == 0 {
+		var err error
+		if end, _, _, err = scanRow(line, start, &row); err != nil {
+			return nil, err
+		}
 	}
 	if end = skipSpace(line, end); end != len(line) {
 		return nil, fmt.Errorf("unexpected %q after the row", line[end])
@@ -269,19 +273,24 @@ func (r Rows) Mismatch(want int) (row, width int, found bool) {
 	return r.Odd, r.OddWidth, r.Odd > 0
 }
 
-// plainRow checks, in one pass that converts nothing, that the row at
-// b[start] is a frame line as it stands: '[', tokens -?(0|[1-9][0-9]*)(.[0-9]+)?
-// of at most 308 bytes (inside float64's range) split by bare commas, ']'
-// — what every Go encoder writes for values in [1e-6, 1e21). It returns
-// the index just past the row and its width, or width 0 for any other row
-// (whitespace, null, an exponent, [], a longer token, an error), which is
-// scanRow's to judge.
-func plainRow(b []byte, start int) (end, width int) {
+// plainRow checks, in one pass, that the row at b[start] is a frame line
+// as it stands: '[', tokens -?(0|[1-9][0-9]*)(.[0-9]+)? of at most 308
+// bytes (inside float64's range) split by bare commas, ']' — what every Go
+// encoder writes for values in [1e-6, 1e21). It returns the index just
+// past the row and its width, or width 0 for any other row (whitespace,
+// null, an exponent, [], a longer token, an error), which is scanRow's to
+// judge. With vals, each token is converted from the digits collected as
+// it is walked, onto *vals, which a row handed back leaves as it was.
+func plainRow(b []byte, start int, vals *[]float64) (end, width int) {
 	// Unsigned indices into the row: the compiler drops every bounds check.
 	row := b[start:]
 	n := uint(len(row))
 	if n == 0 || row[0] != '[' {
 		return 0, 0
+	}
+	var out []float64
+	if vals != nil {
+		out = *vals
 	}
 	for i := uint(1); ; i++ {
 		tok := i
@@ -291,26 +300,44 @@ func plainRow(b []byte, start int) (end, width int) {
 		if i >= n || row[i]-'0' > 9 {
 			return 0, 0
 		}
-		if i++; row[i-1] != '0' {
-			for i < n && row[i]-'0' <= 9 {
-				i++
-			}
+		m := uint64(row[i] - '0') // the digits, the point dropped, if vals is set
+		if i++; m != 0 {
+			i, m = digits(row, i, m, vals != nil)
 		}
+		frac := uint(0)
 		if i < n && row[i] == '.' {
-			i++
-			frac := i
-			for i < n && row[i]-'0' <= 9 {
-				i++
-			}
-			if i == frac {
+			point := i + 1
+			if i, m = digits(row, point, m, vals != nil); i == point {
 				return 0, 0
 			}
+			frac = i - point
 		}
 		if i >= n || i-tok > 308 {
 			return 0, 0
 		}
+		if vals != nil {
+			// Up to 19 bytes, m has not wrapped and frac ≤ 17: with m ≤ 2^53,
+			// m and 10^frac are exact floats and their correctly rounded
+			// quotient is the value, strconv's own exact fast path.
+			var v float64
+			var err error
+			if i-tok <= 19 && m <= 1<<53 {
+				if v = float64(m); frac > 0 {
+					v /= pow10[frac]
+				}
+				if row[tok] == '-' {
+					v = -v
+				}
+			} else if v, err = strconv.ParseFloat(string(row[tok:i]), 64); err != nil {
+				return 0, 0
+			}
+			out = append(out, v)
+		}
 		width++
 		if row[i] == ']' {
+			if vals != nil {
+				*vals = out
+			}
 			return start + int(i) + 1, width
 		}
 		if row[i] != ',' {
@@ -319,14 +346,29 @@ func plainRow(b []byte, start int) (end, width int) {
 	}
 }
 
+// digits returns the index past the digits at row[i:] and, if conv, m
+// with them appended as decimal digits (it wraps past 19 of them).
+func digits(row []byte, i uint, m uint64, conv bool) (uint, uint64) {
+	for ; i < uint(len(row)) && row[i]-'0' <= 9; i++ {
+		if conv {
+			m = m*10 + uint64(row[i]-'0')
+		}
+	}
+	return i, m
+}
+
+// pow10 holds the powers of ten plainRow divides by, each exact in a float64.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17}
+
 // ScanRows checks the array of rows (or null) that starts at b[i], each
 // row as ParseRow does, and returns the index just past it and its shape;
 // widths are the caller's to judge. If set, *vals takes every value, row
 // after row, and *lines every row as one frame line: its number tokens
 // verbatim, 0 for a null, no whitespace, "\n" after the bracket — the text
 // ParseRow reads back is the text that was checked. After an error either
-// holds the rows before it. Without vals, a plain row (plainRow) is checked
-// in one pass and copied as it stands; any other goes to scanRow.
+// holds the rows before it. A plain row (plainRow) is checked, converted
+// if vals is set, and copied as it stands in one pass; others go to scanRow.
 func ScanRows(b []byte, i int, vals *[]float64, lines *[]byte) (end int, rows Rows, err error) {
 	if hasNull(b, i) {
 		return i + 4, rows, nil
@@ -338,10 +380,7 @@ func ScanRows(b []byte, i int, vals *[]float64, lines *[]byte) (end int, rows Ro
 		return i + 1, rows, nil
 	}
 	for {
-		var end, width int
-		if vals == nil {
-			end, width = plainRow(b, i)
-		}
+		end, width := plainRow(b, i, vals)
 		plain := width > 0
 		if !plain {
 			if end, width, plain, err = scanRow(b, i, vals); err != nil {
@@ -406,8 +445,8 @@ func hasNull(b []byte, i int) bool {
 
 // scanNumber checks b[i:] against the JSON number grammar and converts
 // the token; it returns the index just past it. A plain integer of up to
-// 15 digits — most of a telemetry row — is exact in a float64 and is
-// converted in place; everything else goes through strconv.ParseFloat.
+// 15 digits is exact in a float64 and converted in place; everything else
+// goes through strconv.ParseFloat. Only rows plainRow hands back reach it.
 func scanNumber(b []byte, i int) (end int, v float64, err error) {
 	start := i
 	digits := func() int {

@@ -36,7 +36,7 @@ func sameBits(a, b []float64) bool {
 // checkRow holds the row scanner to encoding/json on one row text. ParseRow
 // reads what json.Unmarshal reads into a []float64. As the second row of
 // an array, after a plain one, ScanRows without values (the one-pass check
-// for plain rows) and with them (the converting path) end at the same
+// for plain rows) and with them (the same pass converting) end at the same
 // byte with the same shape, error and lines — after an error, the rows
 // before the bad one — and they accept the array exactly when
 // json.Unmarshal takes it into a [][]float64, the lines reading back to
@@ -128,5 +128,31 @@ func TestScanRowsKeepsRowsBeforeAnError(t *testing.T) {
 				t.Errorf("%s: values %v", text, *vals)
 			}
 		}
+	}
+}
+
+// A telemetry row as AppendRow writes it — 41 Table I features (counts,
+// a ratio, a mean), the policy, the chunk and a measured time — takes the
+// one-pass plain path whole and reads back bit for bit: a loop row never
+// reaches scanRow.
+func TestAppendRowTakesThePlainPath(t *testing.T) {
+	row := make([]float64, 44)
+	for i := range row {
+		row[i] = float64(i * 7919 % 100003)
+	}
+	row[3], row[17], row[29] = 0.3333333333333333, 12.5, -0.000125
+	row[41], row[42], row[43] = 1, 64, 1234.5678901234567
+	line, err := AppendRow([]byte("  "), row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := []float64{-1}
+	if end, width := plainRow(line, 2, &vals); end != len(line) || width != len(row) || !sameBits(vals[1:], row) || vals[0] != -1 {
+		t.Fatalf("plainRow(%s) = %d, %d, %v; want %d, %d, -1 then %v", line, end, width, vals, len(line), len(row), row)
+	}
+	// A row handed back mid-row leaves the values as they were.
+	vals = vals[:1]
+	if _, width := plainRow([]byte("[1,2.5,3e2]"), 0, &vals); width != 0 || len(vals) != 1 {
+		t.Fatalf("plainRow took [1,2.5,3e2]: width %d, values %v", width, vals)
 	}
 }

@@ -12,7 +12,7 @@ import (
 type RuntimeCollector struct {
 	m *Metrics
 
-	mu       sync.Mutex
+	mu        sync.Mutex
 	lastNumGC uint32
 }
 
