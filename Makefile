@@ -80,11 +80,13 @@ examples:
 # and the loop-journal reader (events or an error); and the flight
 # capture's decoders — a
 # compiled-tree layout and the offset trails decoded against it, then a
-# whole capture through apollo-inspect flight's analyses. go test takes
-# one -fuzz target per package run.
+# whole capture through apollo-inspect flight's analyses; and the tree fit
+# (dtree.Train against the re-sorting reference trainer, same bytes, every
+# split separating). go test takes one -fuzz target per package run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseModelOrEnvelope$$' -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzCompiledPredict$$' -fuzztime=10s ./internal/ctree
+	$(GO) test -run '^$$' -fuzz '^FuzzTrain$$' -fuzztime=10s ./internal/dtree
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRow$$' -fuzztime=10s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz '^FuzzParseHeader$$' -fuzztime=10s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime=10s ./internal/telemetry

@@ -327,6 +327,47 @@ func TestTrainConfigDepthCap(t *testing.T) {
 	}
 }
 
+// edgeFrame records two vectors, each under both policies with opposite
+// winners, whose num_indices are a and b.
+func edgeFrame(schema *features.Schema, a, b float64) *dataset.Frame {
+	frame := dataset.NewFrame(RecordColumns(schema)...)
+	for _, r := range [][4]float64{{a, 0, 0, 10}, {a, 1, 0, 20}, {b, 0, 0, 20}, {b, 1, 0, 10}} {
+		frame.AddRow(r[:])
+	}
+	return frame
+}
+
+// TestTrainEdgeValues: adjacent floats, whose midpoint rounds up to the
+// larger, must split into two non-empty children; non-finite features
+// must be refused, not recursed on.
+func TestTrainEdgeValues(t *testing.T) {
+	schema := testSchema()
+	v := math.Nextafter(1, 2)
+	set, err := Label(edgeFrame(schema, v, math.Nextafter(v, 2)), schema, ExecutionPolicy)
+	if err != nil || set.Len() != 2 {
+		t.Fatalf("Label: %v, %d vectors", err, set.Len())
+	}
+	for _, depth := range []int{5, 0} {
+		m, err := Train(set, TrainConfig{Tree: dtree.Config{MaxDepth: depth}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := m.Tree.Root
+		if root.IsLeaf() || root.Left.Samples != 1 || root.Right.Samples != 1 || m.Evaluate(set) != 1 {
+			t.Errorf("MaxDepth %d: the split at %v does not separate the two vectors", depth, root.Threshold)
+		}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		set, err := Label(edgeFrame(schema, 1, bad), schema, ExecutionPolicy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Train(set, TrainConfig{}); err == nil || !strings.Contains(err.Error(), "not finite") {
+			t.Errorf("num_indices %v: Train error %v, want a non-finite feature refused", bad, err)
+		}
+	}
+}
+
 func TestCVResultClassMetrics(t *testing.T) {
 	r := &CVResult{Confusion: [][]int{{8, 2}, {1, 9}}}
 	if got := r.ClassAccuracy(0); got != 0.8 {

@@ -32,7 +32,12 @@
 //     returned). A segment that shrank below its offset is read again
 //     from its start; one that left the directory takes its offset with
 //     it. Offsets move only when a whole Read succeeded, so a line the
-//     caller refused, and everything read beside it, comes back.
+//     caller refused, and everything read beside it, comes back. Only the
+//     newest segment is appended to, so once a Read finds the oldest
+//     segments as an earlier Read left them, at their ends, and returns
+//     lines from a newer one, they are sealed for the tail: never stat'd
+//     again, and bytes written into them behind the writer's back are not
+//     seen. Pruning one, or leaving a sealed one the newest, unseals all.
 //
 // What is not here: fsync before an acknowledgement or at rotation
 // (ROADMAP item 8; a benchmark PR has to price it).
@@ -46,6 +51,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -92,9 +98,7 @@ func Open(dir string, maxSegmentBytes int64, header func() ([]byte, error)) (*Lo
 	}
 	l := &Log{dir: dir, maxBytes: maxSegmentBytes, header: header}
 	if len(segs) > 0 {
-		if _, err := fmt.Sscanf(filepath.Base(segs[len(segs)-1]), segmentName, &l.seq); err != nil {
-			return nil, err
-		}
+		l.seq, _ = segmentSeq(filepath.Base(segs[len(segs)-1]))
 	}
 	return l, nil
 }
@@ -192,12 +196,21 @@ func Segments(dir string) ([]string, error) {
 	}
 	var paths []string
 	for _, e := range entries {
-		num, _ := strings.CutPrefix(strings.TrimSuffix(e.Name(), ".jsonl"), "seg-")
-		if seq, err := strconv.Atoi(num); err == nil && seq > 0 && !e.IsDir() && e.Name() == fmt.Sprintf(segmentName, seq) {
+		if _, ok := segmentSeq(e.Name()); ok && !e.IsDir() {
 			paths = append(paths, filepath.Join(dir, e.Name()))
 		}
 	}
 	return paths, nil
+}
+
+// segmentSeq returns the number of the segment named name, and false for
+// a name that is not segmentName's spelling of a positive number.
+func segmentSeq(name string) (int, bool) {
+	num, okPrefix := strings.CutPrefix(name, "seg-")
+	num, okSuffix := strings.CutSuffix(num, ".jsonl")
+	seq, err := strconv.Atoi(num) // all digits but a sign; seq > 0 rules out '-'
+	return seq, okPrefix && okSuffix && err == nil && seq > 0 && num[0] != '+' &&
+		(len(num) == 8 || len(num) > 8 && num[0] != '0')
 }
 
 // Tail follows the log at a directory, returning only lines it has not
@@ -206,6 +219,7 @@ func Segments(dir string) ([]string, error) {
 type Tail struct {
 	dir     string
 	offsets map[string]int64 // by segment path
+	sealed  string           // every listed path up to this one is drained for good
 }
 
 // NewTail returns a tail over the log at dir, positioned at the beginning
@@ -225,48 +239,70 @@ func (t *Tail) Read(line func(first bool, line []byte) error) error {
 	if err != nil {
 		return err
 	}
+	through := t.sealed
+	if _, listed := slices.BinarySearch(segs, through); !listed || segs[len(segs)-1] <= through {
+		through = "" // pruned or renumbered: seal again what is listed, one stat each
+	}
 	next := make(map[string]int64, len(segs))
+	drained, prefix, grew := through, true, ""
 	for _, path := range segs {
-		if next[path], err = readFrom(path, t.offsets[path], line); err != nil {
+		from, ok := t.offsets[path]
+		if next[path] = from; path <= through {
+			continue
+		}
+		at, end, err := readFrom(path, from, line)
+		if err != nil {
 			return fmt.Errorf("tailing %s: %w", path, err)
 		}
+		if next[path] = at; at != from {
+			grew = path
+		}
+		// The sealed run starts at the oldest segment: each read to its
+		// end by an earlier Read and unchanged by this one.
+		if prefix = prefix && ok && at == from && end; prefix {
+			drained = path
+		}
 	}
-	t.offsets = next
+	t.offsets, t.sealed = next, through
+	if grew > drained {
+		t.sealed = drained // lines arrived in a later segment: its writer has moved on
+	}
 	return nil
 }
 
 // readFrom feeds line the complete lines of the segment at path past
-// offset and returns the offset after them. A segment whose size equals
-// its offset costs one stat.
-func readFrom(path string, offset int64, line func(first bool, line []byte) error) (int64, error) {
+// offset and returns the offset after them, and whether that is the size
+// the segment had when it was stat'd. A segment whose size equals its
+// offset costs one stat.
+func readFrom(path string, offset int64, line func(first bool, line []byte) error) (int64, bool, error) {
 	info, err := os.Stat(path)
 	if errors.Is(err, fs.ErrNotExist) {
-		return offset, nil // pruned since the listing; the next Read drops it
+		return offset, false, nil // pruned since the listing; the next Read drops it
 	}
 	if err != nil || offset == info.Size() {
-		return offset, err
+		return offset, err == nil, err
 	}
 	if offset > info.Size() {
 		offset = 0 // the segment shrank (operator intervention): restart it
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		return offset, err
+		return offset, false, err
 	}
 	defer f.Close()
 	buf := make([]byte, info.Size()-offset)
 	n, err := f.ReadAt(buf, offset)
 	if err != nil && err != io.EOF {
-		return offset, err
+		return offset, false, err
 	}
 	buf = buf[:bytes.LastIndexByte(buf[:n], '\n')+1] // a torn tail waits
 	for len(buf) > 0 {
 		nl := bytes.IndexByte(buf, '\n')
 		if err := line(offset == 0, buf[:nl]); err != nil {
-			return offset, err
+			return offset, false, err
 		}
 		buf = buf[nl+1:]
 		offset += int64(nl + 1)
 	}
-	return offset, nil
+	return offset, offset == info.Size(), nil
 }

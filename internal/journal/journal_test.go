@@ -348,3 +348,76 @@ func FuzzTailRead(f *testing.F) {
 		}
 	})
 }
+
+// A drained segment is sealed for the tail once lines arrive in a newer
+// one: bytes written into it behind the writer's back are seen before
+// that and not after, and its removal is still seen.
+func TestTailSealsDrainedSegments(t *testing.T) {
+	dir := t.TempDir()
+	l := openTest(t, dir, 0)
+	appendLines := func(lines string) {
+		t.Helper()
+		if err := l.Append([]byte(lines)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sneak := func(path, lines string) {
+		t.Helper()
+		f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteString(lines); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendLines("a1\n")
+	if err := l.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	appendLines("b1\n")
+	first := segmentPath(dir, 1)
+	tail := NewTail(dir)
+	if got := readAll(t, tail); !slices.Equal(got, []string{"H:" + testHeader[:len(testHeader)-1], "a1", "H:" + testHeader[:len(testHeader)-1], "b1"}) {
+		t.Fatalf("cold read = %q", got)
+	}
+	sneak(first, "a2\n")
+	if got := readAll(t, tail); !slices.Equal(got, []string{"a2"}) || tail.sealed != "" {
+		t.Fatalf("before any line in a newer segment: read %q, sealed %q; want a2 and nothing sealed", got, tail.sealed)
+	}
+	appendLines("b2\n")
+	if got := readAll(t, tail); !slices.Equal(got, []string{"b2"}) || tail.sealed != first {
+		t.Fatalf("read %q, sealed %q; want b2 and the first segment sealed", got, tail.sealed)
+	}
+	sneak(first, "a3\n")
+	appendLines("b3\n")
+	if got := readAll(t, tail); !slices.Equal(got, []string{"b3"}) {
+		t.Fatalf("read %q from a sealed and a live segment, want b3 only", got)
+	}
+	if err := os.Remove(first); err != nil {
+		t.Fatal(err)
+	}
+	appendLines("b4\n")
+	if got := readAll(t, tail); !slices.Equal(got, []string{"b4"}) || tail.Len() != 1 || tail.sealed != "" {
+		t.Fatalf("after pruning: read %q, %d offsets, sealed %q; want b4, 1 and nothing", got, tail.Len(), tail.sealed)
+	}
+}
+
+func TestSegmentSeq(t *testing.T) {
+	for name, want := range map[string]int{
+		"seg-00000001.jsonl": 1, "seg-12345678.jsonl": 12345678, "seg-123456789.jsonl": 123456789,
+		"seg-00000000.jsonl": 0, "seg-0000001.jsonl": 0, "seg-012345678.jsonl": 0, "seg-+0000001.jsonl": 0,
+		"seg--0000001.jsonl": 0, "seg-0000000a.jsonl": 0, "seg-00000001.json": 0, "xseg-00000001.jsonl": 0,
+	} {
+		seq, ok := segmentSeq(name)
+		if ok != (want > 0) || seq != want && ok {
+			t.Errorf("segmentSeq(%q) = %d, %v; want %d", name, seq, ok, want)
+		}
+		if ok && fmt.Sprintf(segmentName, seq) != name {
+			t.Errorf("segmentSeq(%q) = %d, which segmentName spells otherwise", name, seq)
+		}
+	}
+}

@@ -29,7 +29,9 @@ var spoolRowSeeds = func() []string {
 
 // checkSpoolRow holds the frame format to one definition: whatever line
 // follows a header as the text of a segment, dataset.ReadJSONL and
-// Cursor.Poll accept or reject it together and read the same values.
+// Cursor.Poll accept or reject it together and read the same values —
+// and those are the values encoding/json decodes from the line, an
+// oracle that does not share dataset.ParseRow with both.
 func checkSpoolRow(t *testing.T, line string) {
 	t.Helper()
 	for _, cols := range [][]string{{}, {"a"}, {"a", "b"}, {"a", "b", "c"}} {
@@ -59,6 +61,18 @@ func checkSpoolRow(t *testing.T, line string) {
 				if math.Float64bits(v) != math.Float64bits(polled.Row(i)[j]) {
 					t.Fatalf("%q: row %d value %d is %v from ReadJSONL, %v from Cursor.Poll", line, i, j, v, polled.Row(i)[j])
 				}
+			}
+		}
+		if read.Len() == 0 {
+			continue
+		}
+		var want []float64
+		if err := json.Unmarshal([]byte(line), &want); err != nil || len(want) != len(cols) {
+			t.Fatalf("%q after %d columns: polled as a row, but encoding/json reads %v, %v", line, len(cols), want, err)
+		}
+		for j, v := range want {
+			if got := polled.Row(0)[j]; math.Float64bits(v) != math.Float64bits(got) {
+				t.Fatalf("%q: value %d is %v from encoding/json, %v from Cursor.Poll", line, j, v, got)
 			}
 		}
 	}
