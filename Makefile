@@ -155,8 +155,8 @@ loop-smoke:
 	GO="$(GO)" ./scripts/loop_smoke.sh
 
 # End-to-end smoke test of the flight recorder: capture a timed Chrome
-# trace and a decision capture from the live debug endpoints of running
-# daemons, then validate both with apollo-inspect.
+# trace and a decision capture from the live debug endpoints of a running
+# tuner, then validate both with apollo-inspect.
 flight-smoke:
 	GO="$(GO)" ./scripts/flight_smoke.sh
 

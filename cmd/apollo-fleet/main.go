@@ -12,8 +12,12 @@
 // simulated kernel launches (rank-decomposed through the mpirt timer, so
 // the traffic has the strong-scaling shape of the paper's experiments),
 // a telemetry recorder, and a timed upload loop. On top of the simulated
-// launches every client probes the serving path itself with timed
-// /predict round trips.
+// launches every client times one FleetClient.Predict a step: a ring
+// lookup, then a walk of the owning replica's cached compiled tree, in
+// process. Only a client's first decision (before the model is cached)
+// or a failover fetches the model over HTTP: p50_predict_us reads the
+// in-process walk, and those fetches land in the tail p99_predict_us
+// reads. No probe posts to /predict.
 //
 // The final "apollo-fleet: done ..." line is machine-parsable
 // (key=value); scripts/fleet_smoke.sh asserts on failed_predicts,
@@ -309,8 +313,9 @@ func runClient(ctx context.Context, idx int, peers []fleet.Peer, model string, d
 		timer.Step(clk.NowNS, sim.Step) // the scaling experiments' rank model
 		t.steps++
 
-		// One serving-path probe per step: a live /predict against the
-		// ring owner (failing over if it is gone).
+		// One decision probe per step: the ring owner's cached model,
+		// walked in process (fetched, or failed over, only when the owner
+		// has none cached).
 		x[ni] = float64(int(64) << (step % 8))
 		t0 := time.Now()
 		_, err := f.Predict(model, x)

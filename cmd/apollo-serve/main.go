@@ -15,6 +15,12 @@
 //	GET  /healthz         liveness
 //	GET  /metrics         Prometheus text format
 //
+// -debug-addr serves pprof and, with -loop-journal, the loop tracer's
+// /debug/apollo/loop on a listener of its own. A /predict answer is not
+// a launch decision and leaves no flight record: decisions are recorded
+// where they are made, in the tuner, so /debug/apollo/flight here
+// answers 503.
+//
 // Fleet mode: -id names this replica and -peers lists the others
 // (id=url pairs). The replica then polls its peers' model lists every
 // -sync and pulls any strictly newer version, so a champion published on
@@ -47,7 +53,7 @@ func main() {
 	dir := flag.String("dir", "apollo-models", "registry directory (versioned model files)")
 	poll := flag.Duration("poll", 2*time.Second, "watcher poll interval for external model-file changes (0 disables)")
 	telemetry := flag.String("telemetry", "", "telemetry spool directory; enables POST /telemetry ingestion")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/apollo/{flight,trace} and pprof on this separate address (empty disables)")
+	debugAddr := flag.String("debug-addr", "", "serve pprof and /debug/apollo/loop on this separate address (empty disables)")
 	id := flag.String("id", "", "fleet replica id (used to skip self in -peers)")
 	peers := flag.String("peers", "", "fleet peers as comma-separated id=url pairs; enables model sync")
 	sync := flag.Duration("sync", 2*time.Second, "fleet model-sync poll interval")
@@ -122,12 +128,12 @@ func run(ctx context.Context, addr, dir, telemetryDir, debugAddr, id, peerSpec, 
 	}
 	var dln net.Listener
 	if debugAddr != "" {
-		// The debug surface (flight recorder, pprof) lives on its own
+		// The debug surface (pprof, the loop tracer) lives on its own
 		// listener so operators can firewall it separately from the API.
 		if dln, err = net.Listen("tcp", debugAddr); err != nil {
 			return closeAll(errors.Join(err, ln.Close()))
 		}
-		fmt.Printf("apollo-serve: debug on http://%s/debug/apollo/flight\n", dln.Addr())
+		fmt.Printf("apollo-serve: debug on http://%s/debug/pprof/\n", dln.Addr())
 		if debugReady != nil {
 			debugReady(dln.Addr())
 		}
@@ -142,7 +148,7 @@ func run(ctx context.Context, addr, dir, telemetryDir, debugAddr, id, peerSpec, 
 	})
 	g.Serve("api", ln, srv.Handler())
 	if dln != nil {
-		dmux := flight.DebugMux(srv.Flight())
+		dmux := flight.DebugMux(nil)
 		looptrace.RegisterDebug(dmux, tr)
 		g.Serve("debug", dln, dmux)
 	}

@@ -26,7 +26,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"net"
 	"net/http"
 	"os"
@@ -84,7 +83,7 @@ func main() {
 	flag.DurationVar(&cfg.interval, "interval", 5*time.Second, "poll-check-retrain cadence")
 	flag.BoolVar(&cfg.once, "once", false, "run one step and exit")
 	flag.StringVar(&cfg.metricsAddr, "metrics-addr", "", "serve /metrics on this address (empty disables)")
-	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "serve /debug/apollo/{flight,trace} and pprof on this address (empty disables)")
+	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "serve pprof and /debug/apollo/loop on this address (empty disables)")
 	flag.StringVar(&cfg.loopJournal, "loop-journal", "", "directory for the closed-loop event journal; enables loop tracing and /debug/apollo/loop")
 	flag.Float64Var(&cfg.mispredict, "mispredict", 0.25, "mispredict-rate retrain threshold")
 	flag.Float64Var(&cfg.shift, "shift", 6, "feature-shift (z-score) retrain threshold")
@@ -99,12 +98,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "apollo-traind:", err)
 		os.Exit(1)
 	}
-}
-
-// trainerSiteFeatures names the "feature vector" of a trainer step's
-// flight record: the loop state that drove the step's decision.
-var trainerSiteFeatures = []string{
-	"new_rows", "window_rows", "trigger", "retrained", "published", "version",
 }
 
 func run(ctx context.Context, cfg daemonConfig) error {
@@ -190,11 +183,6 @@ func run(ctx context.Context, cfg daemonConfig) error {
 
 	met := metrics.New()
 	rc := metrics.NewRuntimeCollector(met)
-	fr := flight.New(flight.Options{Shards: 1, ShardCapacity: 256, FeatureNames: trainerSiteFeatures})
-	h := fnv.New64a()
-	h.Write([]byte("apollo-traind/" + model))
-	siteID := h.Sum64()
-	site := fr.RegisterSite(siteID, "traind:"+model, trainerSiteFeatures)
 
 	// Every listener and loop starts through one group; what a loop's step
 	// fails with is logged and counted here.
@@ -221,11 +209,11 @@ func run(ctx context.Context, cfg daemonConfig) error {
 		if err != nil {
 			return finish(err)
 		}
-		fmt.Printf("apollo-traind: debug on http://%s/debug/apollo/flight\n", dln.Addr())
+		fmt.Printf("apollo-traind: debug on http://%s/debug/pprof/\n", dln.Addr())
 		if cfg.debugReady != nil {
 			cfg.debugReady(dln.Addr())
 		}
-		dmux := flight.DebugMux(fr)
+		dmux := flight.DebugMux(nil)
 		looptrace.RegisterDebug(dmux, lt)
 		g.Serve("debug", dln, dmux)
 	}
@@ -253,35 +241,6 @@ func run(ctx context.Context, cfg daemonConfig) error {
 		if err != nil {
 			return err
 		}
-		// Each loop step is one "decision" on the flight recorder: the
-		// features are the loop state, the class is whether a challenger
-		// was published, and the observed runtime is the step's cost.
-		b2f := func(b bool) float64 {
-			if b {
-				return 1
-			}
-			return 0
-		}
-		class := 0
-		if res.Published {
-			class = 1
-		}
-		predictedNS := site.PredictObserve(class, stepNS) // fold first: a dropped record still moves the EWMA
-		rec, tok := fr.Reserve(siteID)
-		if rec != nil {
-			rec.Policy = int32(class)
-			rec.Predicted = int32(class)
-			rec.NumFeatures = 6
-			rec.Features[0] = float64(res.NewRows)
-			rec.Features[1] = float64(res.WindowRows)
-			rec.Features[2] = b2f(res.Trigger != nil)
-			rec.Features[3] = b2f(res.Retrained)
-			rec.Features[4] = b2f(res.Published)
-			rec.Features[5] = float64(res.Version)
-			rec.ObservedNS = stepNS
-			rec.PredictedNS = predictedNS
-		}
-		fr.Commit(tok)
 		gauge := func(name, help string, v int64) {
 			met.GaugeSet(name, "model", model, help, v)
 		}

@@ -23,9 +23,10 @@ import (
 )
 
 // TestTraindDebugEndpoints boots the daemon against an empty spool (a
-// clean no-op loop) and exercises the debug listener: every loop step
-// lands on the flight recorder, the trace endpoint speaks Chrome
-// trace-event JSON, and pprof is live.
+// clean no-op loop) with a loop journal and exercises the debug
+// listener: the loop endpoint serves the daemon's apollo-loop-v1
+// capture, pprof is live, and the flight endpoint answers 503 — the
+// daemon keeps no flight recorder.
 func TestTraindDebugEndpoints(t *testing.T) {
 	bgtest.NoLeaks(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -39,6 +40,7 @@ func TestTraindDebugEndpoints(t *testing.T) {
 			param:         "execution_policy",
 			interval:      10 * time.Millisecond,
 			debugAddr:     "127.0.0.1:0",
+			loopJournal:   t.TempDir(),
 			mispredict:    0.25,
 			shift:         6,
 			minRows:       8,
@@ -57,64 +59,32 @@ func TestTraindDebugEndpoints(t *testing.T) {
 		t.Fatal("debug listener never became ready")
 	}
 
-	// Each loop step emits one flight record; wait for the first.
-	var capture struct {
-		Format  string `json:"format"`
-		Records []struct {
-			Site     string             `json:"site"`
-			Features map[string]float64 `json:"features"`
-		} `json:"records"`
+	resp, err := http.Get(debugBase + "/debug/apollo/loop")
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("loop endpoint: %v %v", resp, err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Get(debugBase + "/debug/apollo/flight")
+	var loop struct {
+		Format string `json:"format"`
+		Actor  string `json:"actor"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&loop)
+	resp.Body.Close()
+	if err != nil || loop.Format != "apollo-loop-v1" || loop.Actor != "traind" {
+		t.Fatalf("loop capture: %+v (%v)", loop, err)
+	}
+	for path, want := range map[string]int{
+		"/debug/pprof/":        http.StatusOK,
+		"/debug/apollo/flight": http.StatusServiceUnavailable,
+	} {
+		resp, err = http.Get(debugBase + path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("flight endpoint status %d", resp.StatusCode)
-		}
-		capture.Records = nil
-		if err := json.NewDecoder(resp.Body).Decode(&capture); err != nil {
-			t.Fatalf("flight body: %v", err)
-		}
 		resp.Body.Close()
-		if len(capture.Records) > 0 || time.Now().After(deadline) {
-			break
+		if resp.StatusCode != want {
+			t.Errorf("GET %s: status %d, want %d", path, resp.StatusCode, want)
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
-	if capture.Format != "apollo-flight-v1" {
-		t.Fatalf("capture format %q", capture.Format)
-	}
-	if len(capture.Records) == 0 {
-		t.Fatal("no flight records after 10s of loop steps")
-	}
-	rec := capture.Records[0]
-	if rec.Site != "traind:loop/policy" {
-		t.Errorf("record site %q", rec.Site)
-	}
-	if _, ok := rec.Features["window_rows"]; !ok {
-		t.Errorf("record lacks loop-state features: %v", rec.Features)
-	}
-
-	// Timed trace capture.
-	resp, err := http.Get(debugBase + "/debug/apollo/trace?sec=0.05")
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("trace endpoint: %v %v", resp, err)
-	}
-	var events []map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&events); err != nil {
-		t.Fatalf("trace body not a JSON array: %v", err)
-	}
-	resp.Body.Close()
-
-	// pprof on the same listener.
-	resp, err = http.Get(debugBase + "/debug/pprof/cmdline")
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("pprof: %v %v", resp, err)
-	}
-	resp.Body.Close()
 
 	cancel()
 	select {

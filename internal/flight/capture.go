@@ -73,12 +73,7 @@ func (r *Recorder) Capture() *Capture {
 		Records: make([]CaptureRecord, 0, len(recs)),
 	}
 	for id, s := range *r.sites.Load() {
-		cs := CaptureSite{ID: fmt.Sprintf("%#x", id), Name: s.name}
-		if len(s.features) > 0 {
-			cs.Features = s.features
-		} else {
-			cs.Features = r.featureNames
-		}
+		cs := CaptureSite{ID: fmt.Sprintf("%#x", id), Name: s.name, Features: r.featureNames}
 		if d := s.dec.Load(); d != nil {
 			if d.Tree != nil {
 				cs.CTree, cs.Src = d.Tree.Layout(), d.Src
@@ -97,15 +92,10 @@ func (r *Recorder) Capture() *Capture {
 }
 
 func (r *Recorder) captureRecord(rec *Record) CaptureRecord {
-	names := r.featureNames
 	siteName := ""
 	var dec *TrailDecoder
 	if s := r.Site(rec.Site); s != nil {
-		siteName = s.name
-		if len(s.features) > 0 {
-			names = s.features
-		}
-		dec = s.dec.Load()
+		siteName, dec = s.name, s.dec.Load()
 	}
 	out := CaptureRecord{
 		Seq:         rec.Seq,
@@ -126,14 +116,14 @@ func (r *Recorder) captureRecord(rec *Record) CaptureRecord {
 	if nf > 0 {
 		out.Features = make(map[string]float64, nf)
 		for i := 0; i < nf; i++ {
-			out.Features[featureName(names, i)] = rec.Features[i]
+			out.Features[featureName(r.featureNames, i)] = rec.Features[i]
 		}
 	}
 	first, second := rec.Trails()
 	out.TrailOffsets = append([]int32(nil), first...)
 	out.ChunkTrailOffsets = append([]int32(nil), second...)
 	if dec != nil && len(first)+len(second) > 0 {
-		out.Path = dec.Explain(first, second, rec.Features[:nf], names)
+		out.Path = dec.Explain(first, second, rec.Features[:nf], r.featureNames)
 	}
 	return out
 }

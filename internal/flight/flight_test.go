@@ -31,7 +31,7 @@ func emitOne(r *Recorder, site uint64, class int, observed float64) {
 
 func TestEmitSnapshotRoundTrip(t *testing.T) {
 	r := New(Options{Shards: 1, ShardCapacity: 8, FeatureNames: []string{"obs", "class"}})
-	r.RegisterSite(7, "daxpy", nil)
+	r.RegisterSite(7, "daxpy")
 	emitOne(r, 7, 2, 100)
 	emitOne(r, 7, 2, 200)
 	recs := r.Snapshot()
@@ -63,7 +63,7 @@ func TestEmitSnapshotRoundTrip(t *testing.T) {
 func TestWraparoundKeepsNewest(t *testing.T) {
 	const capacity = 8
 	r := New(Options{Shards: 1, ShardCapacity: capacity, Retain: capacity})
-	r.RegisterSite(1, "k", nil)
+	r.RegisterSite(1, "k")
 	// 3x capacity emissions without an intervening drain: the ring laps
 	// itself twice; only the newest `capacity` survive, and the retained
 	// window then bounds history at `capacity`.
@@ -106,7 +106,7 @@ func TestConcurrentEmit(t *testing.T) {
 			r := New(Options{Shards: 4, ShardCapacity: 64})
 			const perWriter = 500
 			for w := 0; w < writers; w++ {
-				r.RegisterSite(uint64(w), fmt.Sprintf("site%d", w), nil)
+				r.RegisterSite(uint64(w), fmt.Sprintf("site%d", w))
 			}
 			var readerWG, writerWG sync.WaitGroup
 			stop := make(chan struct{})
@@ -168,7 +168,7 @@ func TestConcurrentEmit(t *testing.T) {
 
 func TestEmitAllocFree(t *testing.T) {
 	r := New(Options{Shards: 2, ShardCapacity: 32})
-	r.RegisterSite(42, "k", nil)
+	r.RegisterSite(42, "k")
 	avg := testing.AllocsPerRun(1000, func() {
 		rec, tok := r.Reserve(42)
 		if rec != nil {
@@ -185,7 +185,7 @@ func TestEmitAllocFree(t *testing.T) {
 
 func TestPredictObserveEWMA(t *testing.T) {
 	r := New(Options{Shards: 1, ShardCapacity: 8})
-	r.RegisterSite(1, "k", nil)
+	r.RegisterSite(1, "k")
 	if got := r.Site(1).PredictObserve(0, 100); got != 0 {
 		t.Fatalf("first observation predicted %g, want 0", got)
 	}
@@ -211,9 +211,9 @@ func TestPredictObserveEWMA(t *testing.T) {
 
 func TestRegisterSiteIdempotent(t *testing.T) {
 	r := New(Options{Shards: 1, ShardCapacity: 8})
-	r.RegisterSite(1, "first", []string{"a"})
+	r.RegisterSite(1, "first")
 	r.Site(1).PredictObserve(0, 100) // seed an EWMA
-	r.RegisterSite(1, "second", nil)
+	r.RegisterSite(1, "second")
 	if got := r.SiteName(1); got != "first" {
 		t.Fatalf("re-registration replaced site: name = %q", got)
 	}
@@ -255,7 +255,7 @@ func TestCaptureExplains(t *testing.T) {
 	names := []string{"num_indices", "trip_count"}
 	policy, chunk := twoSplitTree(t, 96, 256), twoSplitTree(t, 8, 1e6)
 	r := New(Options{Shards: 1, ShardCapacity: 8, FeatureNames: names})
-	r.RegisterSite(7, "daxpy", nil)
+	r.RegisterSite(7, "daxpy")
 	// The chunk model sees the source features swapped.
 	r.Site(7).SetDecoder(&TrailDecoder{Tree: policy, Src: []int32{0, 1}, ChunkTree: chunk, ChunkSrc: []int32{1, 0}})
 	rec, tok := r.Reserve(7)
@@ -326,7 +326,7 @@ func TestCaptureDecodesOffsets(t *testing.T) {
 	ct := twoSplitTree(t, 96, 256)
 
 	r := New(Options{Shards: 1, ShardCapacity: 8, FeatureNames: names})
-	r.RegisterSite(7, "daxpy", nil)
+	r.RegisterSite(7, "daxpy")
 	r.Site(7).SetDecoder(&TrailDecoder{Tree: ct, Src: []int32{0, 1}})
 	if d := r.Site(7).Decoder(); d == nil || d.Tree != ct {
 		t.Fatal("Site.Decoder does not return the registered decoder")
@@ -401,7 +401,7 @@ func TestExplainTrailFallbacks(t *testing.T) {
 // The b.ReportAllocs figure is the EXPERIMENTS.md 0-allocs claim.
 func BenchmarkEmit(b *testing.B) {
 	r := New(Options{})
-	r.RegisterSite(1, "k", nil)
+	r.RegisterSite(1, "k")
 	trail := [9]int32{0, 1, 2, 3, 4, 5, 6, 7, -1}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -431,7 +431,7 @@ func BenchmarkEmit(b *testing.B) {
 // same site (worst case: one shard).
 func BenchmarkEmitParallel(b *testing.B) {
 	r := New(Options{})
-	r.RegisterSite(1, "k", nil)
+	r.RegisterSite(1, "k")
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {

@@ -14,8 +14,8 @@ import (
 func TestFrozenSnapshots(t *testing.T) {
 	r := New(Options{})
 	cowtest.Frozen(t, "flight.Recorder.sites", func() any { return r.sites.Load() }, func(i int) {
-		s := r.RegisterSite(uint64(i), "site-"+strconv.Itoa(i), []string{"num_indices"})
+		s := r.RegisterSite(uint64(i), "site-"+strconv.Itoa(i))
 		s.SetDecoder(&TrailDecoder{})
-		r.RegisterSite(uint64(i/2), "again", nil)
+		r.RegisterSite(uint64(i/2), "again")
 	})
 }

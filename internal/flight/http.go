@@ -3,6 +3,7 @@ package flight
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -37,6 +38,22 @@ func (r *Recorder) CaptureTrace(ctx context.Context, d time.Duration) []trace.Ev
 // request handler (and its client connection) open for hours.
 const maxTraceCapture = 5 * time.Minute
 
+// traceWindow parses /debug/apollo/trace's sec parameter ("" means one
+// second) into the capture window, clamped to maxTraceCapture. ok is
+// false for anything but a finite, non-negative number. The clamp runs
+// in float: a huge sec converted first would overflow time.Duration into
+// a negative window.
+func traceWindow(sec string) (d time.Duration, ok bool) {
+	v := 1.0
+	if sec != "" {
+		var err error
+		if v, err = strconv.ParseFloat(sec, 64); err != nil || v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			return 0, false
+		}
+	}
+	return time.Duration(min(v, maxTraceCapture.Seconds()) * float64(time.Second)), true
+}
+
 // RegisterDebug installs the flight-recorder debug endpoints and the
 // pprof profiler on mux:
 //
@@ -65,18 +82,10 @@ func RegisterDebug(mux *http.ServeMux, rec *Recorder) {
 			http.Error(w, "flight recorder not enabled", http.StatusServiceUnavailable)
 			return
 		}
-		sec := 1.0
-		if s := req.URL.Query().Get("sec"); s != "" {
-			v, err := strconv.ParseFloat(s, 64)
-			if err != nil || v < 0 {
-				http.Error(w, "bad sec parameter", http.StatusBadRequest)
-				return
-			}
-			sec = v
-		}
-		d := time.Duration(sec * float64(time.Second))
-		if d > maxTraceCapture {
-			d = maxTraceCapture
+		d, ok := traceWindow(req.URL.Query().Get("sec"))
+		if !ok {
+			http.Error(w, "bad sec parameter", http.StatusBadRequest)
+			return
 		}
 		events := rec.CaptureTrace(req.Context(), d)
 		w.Header().Set("Content-Type", "application/json")

@@ -4,13 +4,15 @@
 // nanoseconds, zero allocations) and that live debug endpoints read
 // without stopping the writers.
 //
-// Each record captures one decision end to end: which site (kernel or
-// model) decided, the feature snapshot the model saw, the root-to-leaf
-// trail through the decision tree (feature, threshold, direction at each
-// split), the chosen parameters, the runtime the recorder predicted from
-// past observations of that choice versus the runtime actually observed,
-// and how the decision's own overhead broke down into feature
-// extraction, model evaluation, and execution.
+// Its one producer is the tuner (tuner.Tuner.End): a decision is made at
+// the kernel launch, so that is where it is recorded. Each record
+// captures one decision end to end: which launch site decided, the
+// feature snapshot the model saw, the root-to-leaf trail through the
+// decision tree (feature, threshold, direction at each split), the
+// chosen parameters, the runtime the recorder predicted from past
+// observations of that choice versus the runtime actually observed, and
+// how the decision's own overhead broke down into feature extraction,
+// model evaluation, and execution.
 //
 // The write side is //apollo:hotpath-clean and wait-free in steady
 // state; see Recorder for the protocol. The read side (Snapshot,
@@ -48,7 +50,7 @@ type Record struct {
 	Seq uint64
 	// TimeNS is the monotonic emission timestamp (flight.Now clock).
 	TimeNS int64
-	// Site identifies the decision site (kernel ID, model hash, ...);
+	// Site identifies the decision site (the tuned kernel's ID);
 	// RegisterSite attaches a human-readable name.
 	Site uint64
 	// Iterations is the tuned region's iteration count (0 if unknown).

@@ -67,9 +67,8 @@ type Options struct {
 	// Retain is how many drained records the recorder keeps for the
 	// "recent decisions" view after they age out of the rings.
 	Retain int
-	// FeatureNames names feature-vector indices for explanations, for
-	// sites that do not register their own names (typically the Table I
-	// schema names).
+	// FeatureNames names feature-vector indices for explanations
+	// (typically the Table I schema names).
 	FeatureNames []string
 }
 
@@ -121,9 +120,8 @@ type Site struct {
 	// ewma holds the per-class observed-runtime EWMA as float64 bits.
 	// Updates race benignly (a lost update loses one sample's weight);
 	// each load/store is atomic so values are never torn.
-	ewma     [maxClasses]atomic.Uint64
-	name     string
-	features []string
+	ewma [maxClasses]atomic.Uint64
+	name string
 	// dec is the decoder for the site's offset trails, swapped whenever
 	// either of the site's compiled models changes.
 	dec atomic.Pointer[TrailDecoder]
@@ -273,41 +271,24 @@ func (r *Recorder) Emitted() uint64 { return r.emitted.Load() }
 // Dropped returns the number of reservations dropped on slot collisions.
 func (r *Recorder) Dropped() uint64 { return r.dropped.Load() }
 
-// Occupancy reports how many ring slots hold live records in each shard
-// (capped at the shard capacity — the ring wraps, so a position past
-// capacity means the shard is full, not overfull). Metrics exporters
-// poll it; the plain loads race benignly with writers.
-func (r *Recorder) Occupancy() []int {
-	out := make([]int, len(r.shards))
-	capacity := int(r.ringMask) + 1
-	for i := range r.shards {
-		used := int(r.shards[i].buf.Load().pos.Load())
-		if used > capacity {
-			used = capacity
-		}
-		out[i] = used
-	}
-	return out
-}
-
 // Site returns the site's entry, nil when unregistered: the one map load
 // an emitter pays per record, and the gate in front of RegisterSite.
 //
 //apollo:hotpath
 func (r *Recorder) Site(id uint64) *Site { return (*r.sites.Load())[id] }
 
-// RegisterSite attaches a human-readable name and optional per-site
-// feature names to a site ID and returns its entry. It is idempotent
-// (first registration wins, preserving the runtime EWMAs) and safe beside
-// hot-path readers, which go through the copy-on-write map.
-func (r *Recorder) RegisterSite(id uint64, name string, featureNames []string) *Site {
+// RegisterSite attaches a human-readable name to a site ID and returns
+// its entry. It is idempotent (first registration wins, preserving the
+// runtime EWMAs) and safe beside hot-path readers, which go through the
+// copy-on-write map.
+func (r *Recorder) RegisterSite(id uint64, name string) *Site {
 	r.siteMu.Lock()
 	defer r.siteMu.Unlock()
 	if s := r.Site(id); s != nil {
 		return s
 	}
 	m := maps.Clone(*r.sites.Load())
-	m[id] = &Site{name: name, features: append([]string(nil), featureNames...)}
+	m[id] = &Site{name: name}
 	r.sites.Store(&m)
 	return m[id]
 }

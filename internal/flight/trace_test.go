@@ -3,14 +3,17 @@ package flight
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"testing"
+	"time"
 
 	"apollo/internal/trace"
 )
 
 func TestTraceEventsFromRecords(t *testing.T) {
 	r := New(Options{Shards: 1, ShardCapacity: 8})
-	r.RegisterSite(7, "daxpy", nil)
+	r.RegisterSite(7, "daxpy")
 	rec, tok := r.Reserve(7)
 	if rec == nil {
 		t.Fatal("reservation dropped")
@@ -92,5 +95,65 @@ func TestTraceEventsUnknownSite(t *testing.T) {
 	events := r.TraceEvents(r.Snapshot())
 	if len(events) != 1 || events[0].Kernel != "site-0xbeef" {
 		t.Fatalf("unknown site not named positionally: %+v", events)
+	}
+}
+
+// TestTraceWindow: /debug/apollo/trace's sec parameter clamps to
+// maxTraceCapture before it becomes a Duration, so a huge value cannot
+// overflow into a negative window that returns at once and empty, and
+// anything but a finite, non-negative number is refused.
+func TestTraceWindow(t *testing.T) {
+	for _, c := range []struct {
+		sec  string
+		want time.Duration
+		ok   bool
+	}{
+		{"", time.Second, true},
+		{"1", time.Second, true},
+		{"0", 0, true},
+		{"0.05", 50 * time.Millisecond, true},
+		{"301", maxTraceCapture, true},
+		{"1e10", maxTraceCapture, true},
+		{"-1", 0, false},
+		{"NaN", 0, false},
+		{"Inf", 0, false},
+		{"bogus", 0, false},
+	} {
+		if d, ok := traceWindow(c.sec); d != c.want || ok != c.ok {
+			t.Errorf("traceWindow(%q) = %v, %v; want %v, %v", c.sec, d, ok, c.want, c.ok)
+		}
+	}
+}
+
+// TestDebugTraceEndpoint: the trace endpoint answers a zero-second
+// capture as a Chrome trace-event array and refuses a sec traceWindow
+// rejects; a nil recorder's endpoints answer 503.
+func TestDebugTraceEndpoint(t *testing.T) {
+	on := httptest.NewServer(DebugMux(New(Options{})))
+	defer on.Close()
+	off := httptest.NewServer(DebugMux(nil))
+	defer off.Close()
+	for _, c := range []struct {
+		base, path string
+		want       int
+	}{
+		{on.URL, "/debug/apollo/trace?sec=0", http.StatusOK},
+		{on.URL, "/debug/apollo/trace?sec=bogus", http.StatusBadRequest},
+		{on.URL, "/debug/apollo/trace?sec=Inf", http.StatusBadRequest},
+		{off.URL, "/debug/apollo/trace?sec=0", http.StatusServiceUnavailable},
+		{off.URL, "/debug/apollo/flight", http.StatusServiceUnavailable},
+	} {
+		resp, err := http.Get(c.base + c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var events []json.RawMessage
+		if resp.StatusCode == http.StatusOK {
+			err = json.NewDecoder(resp.Body).Decode(&events)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want || err != nil {
+			t.Errorf("GET %s: status %d (%v), want %d", c.path, resp.StatusCode, err, c.want)
+		}
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"strconv"
@@ -31,7 +30,6 @@ import (
 
 	"apollo/internal/ctree"
 	"apollo/internal/dataset"
-	"apollo/internal/flight"
 	"apollo/internal/looptrace"
 	"apollo/internal/metrics"
 	"apollo/internal/registry"
@@ -46,7 +44,6 @@ type Server struct {
 	reg   *registry.Registry
 	met   *metrics.Metrics
 	rc    *metrics.RuntimeCollector
-	fl    *flight.Recorder
 	trace *looptrace.Tracer // nil = loop events off
 	mux   *http.ServeMux
 
@@ -68,7 +65,6 @@ func New(reg *registry.Registry, opts ...Option) *Server {
 		spools: make(map[string]*telemetry.Spool),
 	}
 	s.rc = metrics.NewRuntimeCollector(s.met)
-	s.fl = flight.New(flight.Options{Shards: 4, ShardCapacity: 256})
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -96,11 +92,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Metrics returns the server's metrics set (the registry watcher's
 // reload hook feeds it too).
 func (s *Server) Metrics() *metrics.Metrics { return s.met }
-
-// Flight returns the server's always-on flight recorder. Every single-
-// vector /predict evaluation emits a decision record to it; the daemon
-// hangs the flight debug endpoints off it via flight.RegisterDebug.
-func (s *Server) Flight() *flight.Recorder { return s.fl }
 
 // NoteReload records watcher hot-reloads and refreshes version gauges.
 func (s *Server) NoteReload(n int) {
@@ -384,7 +375,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		resp.Classes = s.predictBatch(e, vectors)
 	} else {
 		for _, x := range vectors {
-			resp.Classes = append(resp.Classes, s.predict(e, x))
+			resp.Classes = append(resp.Classes, e.Compiled.Predict(x))
 		}
 	}
 	resp.Labels = make([]string, len(resp.Classes))
@@ -401,47 +392,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, "predict", resp)
 }
 
-// predict evaluates one vector and emits its flight record: the vector,
-// the decision trail, and the evaluation time.
-func (s *Server) predict(e *registry.Entry, x []float64) int {
-	siteID := siteIDFor(e.Name)
-	site := s.fl.Site(siteID)
-	if site == nil {
-		site = s.fl.RegisterSite(siteID, e.Name, e.Model.Schema.Names())
-	}
-	// Server vectors are already in the model's own schema, so the
-	// decoder needs no source mapping; re-register only when a republish
-	// swapped the compiled tree.
-	if d := site.Decoder(); d == nil || d.Tree != e.Compiled {
-		site.SetDecoder(&flight.TrailDecoder{Tree: e.Compiled})
-	}
-	// Fold first, reserve second: a dropped record still moves the EWMA.
-	var offs [flight.MaxOffsets]int32
-	t0 := flight.Now()
-	class, n := e.Compiled.PredictOffsets(x, offs[:])
-	evalNS := float64(flight.Now() - t0)
-	predictedNS := site.PredictObserve(class, evalNS)
-	rec, tok := s.fl.Reserve(siteID)
-	if rec == nil {
-		return class // slot collision: the recorder counted the drop
-	}
-	copy(rec.Offsets[:], offs[:n])
-	rec.OffsetsSplit, rec.OffsetsLen = int32(n), int32(n)
-	rec.NumFeatures = int32(copy(rec.Features[:], x))
-	rec.Predicted = int32(class)
-	rec.Policy = int32(class)
-	rec.ModelNS = evalNS
-	rec.ObservedNS = evalNS
-	rec.PredictedNS = predictedNS
-	s.fl.Commit(tok)
-	return class
-}
-
 // predictBatch evaluates a multi-vector request in one compiled PredictN
 // sweep — one bounds-checked dispatch for the whole batch instead of a
-// call per vector. Batched vectors skip per-vector flight records (bulk
-// scoring is not an interactive decision site); they surface in the
-// batched-predictions counter instead.
+// call per vector — and counts its vectors in the batched-predictions
+// counter.
 func (s *Server) predictBatch(e *registry.Entry, vectors [][]float64) []int {
 	classes := make([]int, len(vectors))
 	e.Compiled.PredictN(vectors, classes)
@@ -450,34 +404,18 @@ func (s *Server) predictBatch(e *registry.Entry, vectors [][]float64) []int {
 	return classes
 }
 
-// siteIDFor derives the stable flight-recorder site ID for a model name
-// (version-independent, so runtime EWMAs survive republishes).
-func siteIDFor(name string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return h.Sum64()
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	s.writeJSON(w, "healthz", map[string]any{"status": "ok", "models": s.reg.Len()})
 }
 
 // collect refreshes the runtime self-metrics (goroutines, heap, GC
-// pauses) and snapshots the flight recorder's counters and the loop
-// tracer's drop count into the metrics set on each scrape (the rings are
-// the source of truth; the gauges mirror their monotonic counters,
-// matching how other components' counters are exported here).
+// pauses) and snapshots the loop tracer's drop count into the metrics
+// set on each scrape (the ring is the source of truth; the gauge mirrors
+// its monotonic counter, matching how other components' counters are
+// exported here).
 func (s *Server) collect() {
 	s.rc.Collect()
-	s.met.GaugeSet("apollo_flight_emitted_total", "", "",
-		"Decision records committed to the flight recorder.", int64(s.fl.Emitted()))
-	s.met.GaugeSet("apollo_flight_drops_total", "", "",
-		"Flight-recorder reservations dropped on slot collisions.", int64(s.fl.Dropped()))
-	for i, used := range s.fl.Occupancy() {
-		s.met.GaugeSet("apollo_flight_ring_used", "shard", strconv.Itoa(i),
-			"Live records in each flight-recorder ring shard.", int64(used))
-	}
 	if s.trace != nil {
 		s.met.GaugeSet("apollo_loop_events_dropped_total", "", "",
 			"Loop events lost to a full looptrace ring.", int64(s.trace.Dropped()))

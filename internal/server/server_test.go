@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,9 +14,7 @@ import (
 
 	"apollo/internal/core"
 	"apollo/internal/dataset"
-	"apollo/internal/dtree"
 	"apollo/internal/features"
-	"apollo/internal/flight"
 	"apollo/internal/looptrace"
 	"apollo/internal/raja"
 	"apollo/internal/registry"
@@ -261,10 +258,10 @@ func TestPredictRejectsTrailingBytesAndOversizeBodies(t *testing.T) {
 
 // TestPredictCompiledOffsetsAndStats covers the compiled decision path
 // end to end at the server: the model listing exposes compilation stats,
-// a single predict records a compact offset trail the registered decoder
-// can expand, and a batch request runs every one of its vectors — seen
-// before or not — through the compiled batch walk (batched counter)
-// while agreeing with single-vector answers.
+// a single predict answers the interpreted walk's class, and a batch
+// request runs every one of its vectors — seen before or not — through
+// the compiled batch walk (batched counter) while agreeing with
+// single-vector answers.
 func TestPredictCompiledOffsetsAndStats(t *testing.T) {
 	reg := registry.New()
 	srv := New(reg)
@@ -296,34 +293,12 @@ func TestPredictCompiledOffsetsAndStats(t *testing.T) {
 		return out
 	}
 
-	// Single predict: the flight record carries one compact offset
-	// trail, which the site decoder expands to the interpreted walk's
-	// path, and the response reports the recorded class.
+	// Single predict: the response reports the interpreted walk's class.
 	x := make([]float64, m.Schema.Len())
 	x[m.Schema.Index(features.NumIndices)] = 131072
 	body, _ := json.Marshal(map[string]any{"model": "policy", "x": x})
-	out := post(body)
-	recs := srv.Flight().Snapshot()
-	if len(recs) != 1 {
-		t.Fatalf("got %d flight records, want 1", len(recs))
-	}
-	rec := recs[0]
-	trail, second := rec.Trails()
-	if len(trail) == 0 || len(second) != 0 {
-		t.Fatalf("single predict recorded trails of %d/%d offsets, want one trail", len(trail), len(second))
-	}
-	dec := srv.Flight().Site(rec.Site).Decoder()
-	if dec == nil || dec.Tree == nil {
-		t.Fatal("compiled site has no registered decoder")
-	}
-	var steps, want [flight.MaxTrail]dtree.TrailStep
-	n := dec.Tree.DecodeOffsets(trail, dec.Src, rec.Features[:rec.NumFeatures], steps[:])
-	_, wantN := m.Tree.PredictTrail(x, want[:])
-	if n == 0 || n != wantN || steps != want {
-		t.Fatalf("offset trail decoded to %v, interpreted walk took %v", steps[:n], want[:wantN])
-	}
-	if got := out["class"].(float64); got != float64(rec.Predicted) {
-		t.Errorf("response class %g != recorded prediction %d", got, rec.Predicted)
+	if got, want := post(body)["class"].(float64), m.Predict(x); got != float64(want) {
+		t.Errorf("response class %g != interpreted walk's %d", got, want)
 	}
 
 	// Batch of fresh vectors plus the one just answered: all of them go
@@ -338,8 +313,7 @@ func TestPredictCompiledOffsetsAndStats(t *testing.T) {
 	batch = append(batch, x)
 	single := make([]float64, len(batch))
 	body, _ = json.Marshal(map[string]any{"model": "policy", "batch": batch})
-	out = post(body)
-	classes := out["classes"].([]any)
+	classes := post(body)["classes"].([]any)
 	if len(classes) != len(batch) {
 		t.Fatalf("batch returned %d classes, want %d", len(classes), len(batch))
 	}
@@ -474,8 +448,8 @@ func TestMetricsEndpointExposesCountersAndHistograms(t *testing.T) {
 	m := testModel(t)
 	putModel(t, ts, "policy", m)
 
-	// Two identical predictions: each is evaluated and recorded — same
-	// class, same decision trail, no hit/miss difference between them.
+	// Two identical predictions: each is evaluated — same class, no
+	// hit/miss difference between them.
 	x := make([]float64, m.Schema.Len())
 	x[m.Schema.Index(features.NumIndices)] = 42
 	body, _ := json.Marshal(map[string]any{"model": "policy", "x": x})
@@ -497,15 +471,6 @@ func TestMetricsEndpointExposesCountersAndHistograms(t *testing.T) {
 	}
 	if classes[0] != classes[1] {
 		t.Errorf("identical predicts answered classes %v", classes)
-	}
-	recs := srv.Flight().Snapshot()
-	if len(recs) != 2 {
-		t.Fatalf("two single predicts left %d flight records, want 2", len(recs))
-	}
-	first, _ := recs[0].Trails()
-	second, _ := recs[1].Trails()
-	if len(first) == 0 || !slices.Equal(first, second) {
-		t.Errorf("identical predicts recorded offset trails %v and %v", first, second)
 	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -569,11 +534,10 @@ func TestMetricsEndpointExposesCountersAndHistograms(t *testing.T) {
 	}
 }
 
-// Server.predict is one compiled walk plus its flight record: no memo
-// key to build, nothing allocated per call once the site is registered.
+// A vector's prediction is one walk of the entry's compiled tree: no
+// memo key to build, nothing allocated per call.
 func TestPredictAllocationFree(t *testing.T) {
 	reg := registry.New()
-	srv := New(reg)
 	m := testModel(t)
 	e, err := reg.Publish("policy", m)
 	if err != nil {
@@ -581,51 +545,25 @@ func TestPredictAllocationFree(t *testing.T) {
 	}
 	ni := m.Schema.Index(features.NumIndices)
 	x := make([]float64, m.Schema.Len())
-	srv.predict(e, x) // registers the site and its decoder
 	i := 0.0
 	allocs := testing.AllocsPerRun(200, func() {
 		i++
 		x[ni] = i * 997
-		if got, want := srv.predict(e, x), m.Predict(x); got != want {
+		if got, want := e.Compiled.Predict(x), m.Predict(x); got != want {
 			t.Fatalf("predict = %d, interpreted reference = %d", got, want)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("Server.predict allocates %.1f objects per call, want 0", allocs)
+		t.Errorf("a compiled predict allocates %.1f objects per call, want 0", allocs)
 	}
 }
 
-// TestPredictDropStillFolds: a predict whose flight reservation is
-// dropped — the recorder's only slot is held by a writer that has not
-// committed — still moves its site's runtime EWMA.
-func TestPredictDropStillFolds(t *testing.T) {
-	reg := registry.New()
-	srv := New(reg)
-	srv.fl = flight.New(flight.Options{Shards: 1, ShardCapacity: 1})
-	m := testModel(t)
-	e, err := reg.Publish("policy", m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := siteIDFor("policy")
-	if held, _ := srv.fl.Reserve(id); held == nil {
-		t.Fatal("the empty recorder refused a reservation")
-	}
-	class := srv.predict(e, make([]float64, m.Schema.Len()))
-	if srv.fl.Dropped() != 1 || srv.fl.Emitted() != 0 {
-		t.Fatalf("dropped %d, emitted %d: want the predict's record dropped", srv.fl.Dropped(), srv.fl.Emitted())
-	}
-	if got := srv.fl.Site(id).PredictObserve(class, 0); got <= 0 {
-		t.Fatalf("after a dropped predict the EWMA reads %v, want the predict's evaluation time", got)
-	}
-}
-
-// BenchmarkServerPredict prices Server.predict — walk, offset trail,
-// flight record, EWMA — on a repeated vector and on never-repeating
-// ones (the two cases the deleted memo used to tell apart).
+// BenchmarkServerPredict prices what POST /predict runs per vector — one
+// walk of the entry's compiled tree — on a repeated vector and on
+// never-repeating ones (the two cases the deleted memo used to tell
+// apart).
 func BenchmarkServerPredict(b *testing.B) {
 	reg := registry.New()
-	srv := New(reg)
 	m := testModel(b)
 	e, err := reg.Publish("policy", m)
 	if err != nil {
@@ -648,7 +586,7 @@ func BenchmarkServerPredict(b *testing.B) {
 				if fresh {
 					x[ni] = float64(i)
 				}
-				sink += srv.predict(e, x)
+				sink += e.Compiled.Predict(x)
 			}
 			_ = sink
 		})

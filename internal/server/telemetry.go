@@ -11,8 +11,8 @@ import (
 	"net/http"
 	"path/filepath"
 	"strings"
+	"time"
 
-	"apollo/internal/flight"
 	"apollo/internal/journal"
 	"apollo/internal/looptrace"
 	"apollo/internal/telemetry"
@@ -89,7 +89,7 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	}
 	sc := scratchPool.Get().(*scratch)
 	defer sc.release()
-	start := flight.Now()
+	start := time.Now()
 	if status, err := readBody(r, &sc.body); err != nil {
 		reason := "decode"
 		if status == http.StatusRequestEntityTooLarge {
@@ -98,7 +98,7 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 		s.rejectTelemetry(w, status, reason, "%v", err)
 		return
 	}
-	read := flight.Now()
+	read := time.Now()
 	b := &sc.batch
 	if err := telemetry.DecodeBatch(sc.body.Bytes(), b); err != nil {
 		reason := "decode"
@@ -128,7 +128,7 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	decoded := flight.Now()
+	decoded := time.Now()
 	status := http.StatusInternalServerError
 	sp, err := s.spool(b.Model)
 	if err == nil {
@@ -143,11 +143,11 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 		s.rejectTelemetry(w, status, reason, "%v", err)
 		return
 	}
-	appended := flight.Now()
+	appended := time.Now()
 	const stageHelp = "POST /telemetry stage durations of accepted batches: body read, decode with every check, spool append."
-	s.met.ObserveLabeled("apollo_ingest_stage_seconds", "stage", "read", stageHelp, float64(read-start)/1e9)
-	s.met.ObserveLabeled("apollo_ingest_stage_seconds", "stage", "decode", stageHelp, float64(decoded-read)/1e9)
-	s.met.ObserveLabeled("apollo_ingest_stage_seconds", "stage", "append", stageHelp, float64(appended-decoded)/1e9)
+	s.met.ObserveLabeled("apollo_ingest_stage_seconds", "stage", "read", stageHelp, read.Sub(start).Seconds())
+	s.met.ObserveLabeled("apollo_ingest_stage_seconds", "stage", "decode", stageHelp, decoded.Sub(read).Seconds())
+	s.met.ObserveLabeled("apollo_ingest_stage_seconds", "stage", "append", stageHelp, appended.Sub(decoded).Seconds())
 	s.met.CounterAdd("apollo_telemetry_batches_total", "model", b.Model,
 		"Telemetry batches ingested, by model.", 1)
 	s.met.CounterAdd("apollo_telemetry_rows_total", "model", b.Model,

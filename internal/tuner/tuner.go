@@ -440,7 +440,7 @@ func (t *Tuner) registerSite(k *raja.Kernel, fr *flight.Recorder) (*siteRegion, 
 	if fr == nil {
 		return s, nil
 	}
-	h := &siteFlight{fr: fr, site: fr.RegisterSite(k.ID, k.Name, nil)}
+	h := &siteFlight{fr: fr, site: fr.RegisterSite(k.ID, k.Name)}
 	s.fl.Store(h)
 	return s, h
 }

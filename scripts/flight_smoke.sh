@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Smoke-test the flight recorder end to end against real daemons: train
-# a model, serve it with a debug listener, run apollo-tune with its own
-# debug listener, capture a timed Chrome trace and a flight capture from
+# a model, serve it, run apollo-tune with a debug listener (the tuner is
+# the recorder's one producer: decisions are made at the launch), capture a timed Chrome trace and a flight capture from
 # the live endpoints while the tuner is deciding, and require that
 # apollo-inspect validates the trace and renders the decision analyses.
 # Exits non-zero on any failure.
@@ -32,14 +32,6 @@ fetch() { # fetch URL [outfile]
     fi
 }
 
-post() { # post URL JSON-BODY
-    if command -v curl >/dev/null 2>&1; then
-        curl -fsS -H 'Content-Type: application/json' -d "$2" "$1"
-    else
-        wget -qO- --header='Content-Type: application/json' --post-data="$2" "$1"
-    fi
-}
-
 wait_line() { # wait_line LOGFILE SED-PATTERN PID -> echoes first match
     local out=""
     for _ in $(seq 1 100); do
@@ -62,26 +54,16 @@ echo "== train a policy model"
 "$WORK/bin/apollo-record" -app LULESH -problem sedov -size 16 -steps 3 \
     -policy omp_parallel_for_exec -out "$WORK/omp.csv"
 
-echo "== start apollo-serve with a debug listener"
-"$WORK/bin/apollo-serve" -addr 127.0.0.1:0 -debug-addr 127.0.0.1:0 \
+echo "== start apollo-serve"
+"$WORK/bin/apollo-serve" -addr 127.0.0.1:0 \
     -dir "$WORK/registry" -poll 100ms >"$WORK/serve.log" 2>&1 &
 SERVE_PID=$!
 BASE="$(wait_line "$WORK/serve.log" \
     's/^apollo-serve: listening on \(http:\/\/[^ ]*\).*/\1/p' "$SERVE_PID")"
-SERVE_DEBUG="$(wait_line "$WORK/serve.log" \
-    's/^apollo-serve: debug on \(http:\/\/[^/]*\).*/\1/p' "$SERVE_PID")"
-echo "   api at $BASE, debug at $SERVE_DEBUG"
+echo "   api at $BASE"
 
 "$WORK/bin/apollo-train" -data "$WORK/seq.csv,$WORK/omp.csv" -cv 0 \
     -out "$WORK/model.json" -push "$BASE" -push-name flight/policy | tail -n1
-
-echo "== server-side flight records from /predict decisions"
-post "$BASE/predict" '{"model":"flight/policy","features":{"num_indices":64}}' >/dev/null
-post "$BASE/predict" '{"model":"flight/policy","features":{"num_indices":65536}}' >/dev/null
-fetch "$SERVE_DEBUG/debug/apollo/flight" "$WORK/serve-flight.json"
-"$WORK/bin/apollo-inspect" flight -in "$WORK/serve-flight.json" | tee "$WORK/serve-flight.txt"
-grep -q 'flight capture: [1-9]' "$WORK/serve-flight.txt" || {
-    echo "FAIL: serve flight capture holds no records"; exit 1; }
 
 echo "== run apollo-tune with a debug listener and capture a live trace"
 "$WORK/bin/apollo-tune" -server "$BASE" -model flight/policy \
