@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"apollo/internal/flight"
+	"apollo/internal/trace"
 )
 
 // The apollo-flight-v1 JSON the debug endpoint serves, as the recorder
@@ -382,13 +383,7 @@ func runTraceCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	var events []struct {
-		Name string  `json:"name"`
-		Cat  string  `json:"cat"`
-		Ph   string  `json:"ph"`
-		Ts   float64 `json:"ts"`
-		Dur  float64 `json:"dur"`
-	}
+	var events []trace.ChromeEvent
 	if err := json.Unmarshal(data, &events); err != nil {
 		return fmt.Errorf("not a trace-event JSON array: %w", err)
 	}

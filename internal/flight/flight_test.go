@@ -12,14 +12,15 @@ import (
 )
 
 // emitOne reserves, fills, and commits one record for site with the
-// given observed runtime, mirroring what the tuner's End hook does.
+// given observed runtime (and half of it as the predicted one),
+// mirroring what the tuner's End hook does.
 func emitOne(r *Recorder, site uint64, class int, observed float64) {
 	rec, tok := r.Reserve(site)
 	if rec != nil {
 		rec.Policy = int32(class)
 		rec.Predicted = int32(class)
 		rec.ObservedNS = observed
-		rec.PredictedNS = r.Site(site).PredictObserve(class, observed)
+		rec.PredictedNS = observed / 2
 		rec.NumFeatures = 2
 		rec.Features[0] = observed
 		rec.Features[1] = float64(class)
@@ -30,7 +31,7 @@ func emitOne(r *Recorder, site uint64, class int, observed float64) {
 }
 
 func TestEmitSnapshotRoundTrip(t *testing.T) {
-	r := New(Options{Shards: 1, ShardCapacity: 8, FeatureNames: []string{"obs", "class"}})
+	r := New(Options{Capacity: 8, FeatureNames: []string{"obs", "class"}})
 	r.RegisterSite(7, "daxpy")
 	emitOne(r, 7, 2, 100)
 	emitOne(r, 7, 2, 200)
@@ -44,12 +45,8 @@ func TestEmitSnapshotRoundTrip(t *testing.T) {
 	if recs[0].Site != 7 || recs[0].Policy != 2 || recs[0].ObservedNS != 100 {
 		t.Fatalf("bad record: %+v", recs[0])
 	}
-	// First observation predicts 0; the second predicts the first's EWMA.
-	if recs[0].PredictedNS != 0 {
-		t.Fatalf("first prediction = %g, want 0", recs[0].PredictedNS)
-	}
-	if recs[1].PredictedNS != 100 {
-		t.Fatalf("second prediction = %g, want 100 (prior EWMA)", recs[1].PredictedNS)
+	if recs[0].PredictedNS != 50 || recs[1].PredictedNS != 100 {
+		t.Fatalf("predictions = %g, %g, want 50, 100 as written", recs[0].PredictedNS, recs[1].PredictedNS)
 	}
 	if got := r.Emitted(); got != 2 {
 		t.Fatalf("Emitted = %d, want 2", got)
@@ -62,7 +59,7 @@ func TestEmitSnapshotRoundTrip(t *testing.T) {
 
 func TestWraparoundKeepsNewest(t *testing.T) {
 	const capacity = 8
-	r := New(Options{Shards: 1, ShardCapacity: capacity, Retain: capacity})
+	r := New(Options{Capacity: capacity})
 	r.RegisterSite(1, "k")
 	// 3x capacity emissions without an intervening drain: the ring laps
 	// itself twice; only the newest `capacity` survive, and the retained
@@ -103,7 +100,7 @@ func TestConcurrentEmit(t *testing.T) {
 	for _, writers := range []int{1, 2, runtime.GOMAXPROCS(0), 2 * runtime.GOMAXPROCS(0)} {
 		writers := writers
 		t.Run(fmt.Sprintf("writers=%d", writers), func(t *testing.T) {
-			r := New(Options{Shards: 4, ShardCapacity: 64})
+			r := New(Options{Capacity: 64})
 			const perWriter = 500
 			for w := 0; w < writers; w++ {
 				r.RegisterSite(uint64(w), fmt.Sprintf("site%d", w))
@@ -167,14 +164,14 @@ func TestConcurrentEmit(t *testing.T) {
 }
 
 func TestEmitAllocFree(t *testing.T) {
-	r := New(Options{Shards: 2, ShardCapacity: 32})
+	r := New(Options{Capacity: 32})
 	r.RegisterSite(42, "k")
 	avg := testing.AllocsPerRun(1000, func() {
 		rec, tok := r.Reserve(42)
 		if rec != nil {
 			rec.Policy = 1
 			rec.ObservedNS = 5
-			rec.PredictedNS = r.Site(42).PredictObserve(1, 5)
+			rec.PredictedNS = 4
 		}
 		r.Commit(tok)
 	})
@@ -183,42 +180,32 @@ func TestEmitAllocFree(t *testing.T) {
 	}
 }
 
-func TestPredictObserveEWMA(t *testing.T) {
-	r := New(Options{Shards: 1, ShardCapacity: 8})
-	r.RegisterSite(1, "k")
-	if got := r.Site(1).PredictObserve(0, 100); got != 0 {
-		t.Fatalf("first observation predicted %g, want 0", got)
+// TestRingHoldsCapacityAtAnyP: the ring's size is Options.Capacity (512
+// by default) whatever GOMAXPROCS is, and a snapshot after the ring has
+// lapped itself holds exactly that many records.
+func TestRingHoldsCapacityAtAnyP(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{8, 1} {
+		runtime.GOMAXPROCS(procs)
+		r := New(Options{})
+		r.RegisterSite(1, "k")
+		for i := 0; i < 3*512; i++ {
+			emitOne(r, 1, 0, float64(i))
+		}
+		if got := len(r.Snapshot()); got != 512 {
+			t.Errorf("GOMAXPROCS(%d): snapshot holds %d records, want 512", procs, got)
+		}
 	}
-	if got := r.Site(1).PredictObserve(0, 200); got != 100 {
-		t.Fatalf("second observation predicted %g, want 100", got)
-	}
-	// EWMA after 100 then 200: 0.75*100 + 0.25*200 = 125.
-	if got := r.Site(1).PredictObserve(0, 0); got != 125 {
-		t.Fatalf("third observation predicted %g, want 125", got)
-	}
-	// Classes are independent.
-	if got := r.Site(1).PredictObserve(3, 50); got != 0 {
-		t.Fatalf("fresh class predicted %g, want 0", got)
-	}
-	// Unregistered sites predict 0 and learn nothing.
-	if got := r.Site(99).PredictObserve(0, 1e9); got != 0 {
-		t.Fatalf("unregistered site predicted %g, want 0", got)
-	}
-	// Out-of-range classes clamp instead of crashing.
-	_ = r.Site(1).PredictObserve(maxClasses+5, 1)
-	_ = r.Site(1).PredictObserve(-3, 1)
 }
 
 func TestRegisterSiteIdempotent(t *testing.T) {
-	r := New(Options{Shards: 1, ShardCapacity: 8})
-	r.RegisterSite(1, "first")
-	r.Site(1).PredictObserve(0, 100) // seed an EWMA
-	r.RegisterSite(1, "second")
+	r := New(Options{Capacity: 8})
+	first := r.RegisterSite(1, "first")
+	if again := r.RegisterSite(1, "second"); again != first || r.Site(1) != first {
+		t.Fatalf("re-registration replaced the site entry: %p, then %p", first, again)
+	}
 	if got := r.SiteName(1); got != "first" {
 		t.Fatalf("re-registration replaced site: name = %q", got)
-	}
-	if got := r.Site(1).PredictObserve(0, 100); got != 100 {
-		t.Fatalf("re-registration lost EWMA: predicted %g, want 100", got)
 	}
 	if r.Site(1) == nil || r.Site(2) != nil {
 		t.Fatalf("Site wrong: 1=%v 2=%v", r.Site(1), r.Site(2))
@@ -254,7 +241,7 @@ func twoSplitTree(t *testing.T, t0, t1 float64) *ctree.Tree {
 func TestCaptureExplains(t *testing.T) {
 	names := []string{"num_indices", "trip_count"}
 	policy, chunk := twoSplitTree(t, 96, 256), twoSplitTree(t, 8, 1e6)
-	r := New(Options{Shards: 1, ShardCapacity: 8, FeatureNames: names})
+	r := New(Options{Capacity: 8, FeatureNames: names})
 	r.RegisterSite(7, "daxpy")
 	// The chunk model sees the source features swapped.
 	r.Site(7).SetDecoder(&TrailDecoder{Tree: policy, Src: []int32{0, 1}, ChunkTree: chunk, ChunkSrc: []int32{1, 0}})
@@ -325,7 +312,7 @@ func TestCaptureDecodesOffsets(t *testing.T) {
 	names := []string{"num_indices", "trip_count"}
 	ct := twoSplitTree(t, 96, 256)
 
-	r := New(Options{Shards: 1, ShardCapacity: 8, FeatureNames: names})
+	r := New(Options{Capacity: 8, FeatureNames: names})
 	r.RegisterSite(7, "daxpy")
 	r.Site(7).SetDecoder(&TrailDecoder{Tree: ct, Src: []int32{0, 1}})
 	if d := r.Site(7).Decoder(); d == nil || d.Tree != ct {
@@ -397,7 +384,7 @@ func TestExplainTrailFallbacks(t *testing.T) {
 }
 
 // BenchmarkEmit measures the full hot-path emission: reserve, stamp a
-// realistic payload (41 features, depth-8 trail), EWMA update, commit.
+// realistic payload (41 features, depth-8 trail), commit.
 // The b.ReportAllocs figure is the EXPERIMENTS.md 0-allocs claim.
 func BenchmarkEmit(b *testing.B) {
 	r := New(Options{})
@@ -419,7 +406,7 @@ func BenchmarkEmit(b *testing.B) {
 			rec.OffsetsLen = int32(copy(rec.Offsets[:], trail[:]))
 			rec.OffsetsSplit = rec.OffsetsLen
 			rec.ObservedNS = 1000
-			rec.PredictedNS = r.Site(1).PredictObserve(1, 1000)
+			rec.PredictedNS = 900
 			rec.FeatureNS = 50
 			rec.ModelNS = 20
 		}
@@ -427,8 +414,8 @@ func BenchmarkEmit(b *testing.B) {
 	}
 }
 
-// BenchmarkEmitParallel is the contended case: every P emitting to the
-// same site (worst case: one shard).
+// BenchmarkEmitParallel is the contended case: every P emitting into
+// the one ring.
 func BenchmarkEmitParallel(b *testing.B) {
 	r := New(Options{})
 	r.RegisterSite(1, "k")
@@ -439,7 +426,7 @@ func BenchmarkEmitParallel(b *testing.B) {
 			if rec != nil {
 				rec.Policy = 1
 				rec.ObservedNS = 1000
-				rec.PredictedNS = r.Site(1).PredictObserve(1, 1000)
+				rec.PredictedNS = 900
 			}
 			r.Commit(tok)
 		}

@@ -9,8 +9,8 @@
 // captures one decision end to end: which launch site decided, the
 // feature snapshot the model saw, the root-to-leaf trail through the
 // decision tree (feature, threshold, direction at each split), the
-// chosen parameters, the runtime the recorder predicted from past
-// observations of that choice versus the runtime actually observed, and
+// chosen parameters, the runtime the tuner predicted from past
+// launches of that choice versus the runtime actually observed, and
 // how the decision's own overhead broke down into feature extraction,
 // model evaluation, and execution.
 //
@@ -73,10 +73,10 @@ type Record struct {
 	// Explored reports that the tuner overrode the model's choice to
 	// gather fresh telemetry, so Policy/Chunk may differ from Predicted.
 	Explored bool
-	// PredictedNS is the runtime the recorder expected for this site and
-	// choice — the EWMA of previous observations (0 until the first
-	// observation; see PredictObserve). ObservedNS is what actually
-	// happened.
+	// PredictedNS is the runtime the emitter expected for this launch:
+	// the tuner's per-iteration EWMA of the site's earlier launches under
+	// the same policy, times Iterations (0 until the first of them).
+	// ObservedNS is what actually happened.
 	PredictedNS float64
 	ObservedNS  float64
 	// FeatureNS and ModelNS are the decision's own overhead: time spent

@@ -2,7 +2,6 @@ package flight
 
 import (
 	"maps"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -10,16 +9,6 @@ import (
 
 	"apollo/internal/ctree"
 )
-
-// maxClasses bounds the per-site predicted-runtime table: one EWMA per
-// chosen class (execution policy or chunk class). The largest class
-// space today is the chunk-size model's len(raja.ChunkSizes); 16 leaves
-// headroom without bloating the site entry.
-const maxClasses = 16
-
-// ewmaAlpha is the weight of a new observation in the per-(site, class)
-// runtime EWMA that backs Record.PredictedNS.
-const ewmaAlpha = 0.25
 
 // slot is one ring cell: a record plus its claim word. claim is 1 while
 // a writer is filling the record, 0 otherwise; a writer that finds the
@@ -30,7 +19,7 @@ type slot struct {
 	claim atomic.Uint32
 }
 
-// ring is one shard's record buffer. active counts writers currently
+// ring is the recorder's record buffer. active counts writers currently
 // inside the buffer; the drain protocol (see drainLocked) swaps a fresh
 // ring in and waits for active to hit zero, after which the old ring is
 // quiescent and safe to read with plain loads.
@@ -44,29 +33,14 @@ func newRing(capacity int) *ring {
 	return &ring{slots: make([]slot, capacity)}
 }
 
-// shard pairs the published ring with a quiescent spare the drain flips
-// to, so steady-state snapshots allocate nothing. spare is guarded by
-// Recorder.retainMu (only the drain touches it).
-type shard struct {
-	buf   atomic.Pointer[ring]
-	spare *ring
-	_     [40]byte // keep neighboring shards off one cache line
-}
-
 // Options configures a Recorder. The zero value is a sensible default:
-// one ring shard per P, 256 records per shard, retained history equal to
-// total ring capacity.
+// 512 records in the ring and as many in the retained history.
 type Options struct {
-	// Shards is the number of independent rings (rounded up to a power
-	// of two, capped at 64). More shards mean less reservation
-	// contention; records hash to shards by site.
-	Shards int
-	// ShardCapacity is the number of records per shard (rounded up to a
-	// power of two). Total memory is roughly Shards*ShardCapacity KiB.
-	ShardCapacity int
-	// Retain is how many drained records the recorder keeps for the
-	// "recent decisions" view after they age out of the rings.
-	Retain int
+	// Capacity is the number of records the ring holds between drains
+	// and the retained history keeps after them (rounded up to a power of
+	// two). Memory is about 3*Capacity*680 bytes: the ring, its spare and
+	// the history.
+	Capacity int
 	// FeatureNames names feature-vector indices for explanations
 	// (typically the Table I schema names).
 	FeatureNames []string
@@ -76,28 +50,28 @@ type Options struct {
 // decision Records.
 //
 // Write protocol (hot path, zero allocations): Reserve a record, fill it
-// in place, Commit. Reserve pins the shard's current ring with an active
-// count, double-checking the ring is still published after pinning — a
+// in place, Commit. Reserve pins the current ring with an active count,
+// double-checking the ring is still published after pinning — a
 // concurrent drain that swapped rings is detected and the writer retries
 // on the new ring, so payload writes only ever hit a published ring. A
 // per-slot claim word turns writer-lap collisions into counted drops
 // instead of torn records.
 //
-// Read protocol (cold path): the drain unpublishes a ring, waits for its
-// writers to leave, then reads it with plain loads — no per-field
-// atomics, race-detector clean — and republishes it as the next spare.
+// Read protocol (cold path): the drain unpublishes the ring, waits for
+// its writers to leave, then reads it with plain loads — no per-field
+// atomics, race-detector clean — and keeps it as the next spare.
 // Readers therefore never block writers beyond the fill of one record.
 //
 // A nil *Recorder is the disabled state; callers gate emission on a nil
 // check, which is the entire cost when flight recording is off.
 type Recorder struct {
+	ringMask uint64
+	buf      atomic.Pointer[ring]
+	_        [48]byte // keep the published ring off the counters' cache line
+
 	seq     atomic.Uint64
 	emitted atomic.Uint64
 	dropped atomic.Uint64
-
-	shardMask uint64
-	ringMask  uint64
-	shards    []shard
 
 	sites atomic.Pointer[map[uint64]*Site]
 	// siteMu serializes site registration (readers go through the
@@ -106,21 +80,17 @@ type Recorder struct {
 
 	featureNames []string
 
-	// retainMu serializes drains and guards retained and each shard's
-	// spare ring.
-	retainMu  sync.Mutex //apollo:lockrank 31
-	retained  []Record
-	retainCap int
+	// retainMu serializes drains and guards retained and the spare ring
+	// the drain flips to, so steady-state snapshots allocate nothing.
+	retainMu sync.Mutex //apollo:lockrank 31
+	retained []Record
+	spare    *ring
 }
 
 // Site is the interned entry of one decision site, registered on the
 // cold path and looked up once per record on the hot path (Recorder.Site).
 // Its methods treat a nil *Site, an unregistered site, as holding nothing.
 type Site struct {
-	// ewma holds the per-class observed-runtime EWMA as float64 bits.
-	// Updates race benignly (a lost update loses one sample's weight);
-	// each load/store is atomic so values are never torn.
-	ewma [maxClasses]atomic.Uint64
 	name string
 	// dec is the decoder for the site's offset trails, swapped whenever
 	// either of the site's compiled models changes.
@@ -142,34 +112,17 @@ type TrailDecoder struct {
 
 // New builds a Recorder.
 func New(opts Options) *Recorder {
-	shards := opts.Shards
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
+	capacity := 512
+	if opts.Capacity > 0 {
+		capacity = ceilPow2(opts.Capacity)
 	}
-	if shards > 64 {
-		shards = 64
-	}
-	shards = ceilPow2(shards)
-	capacity := opts.ShardCapacity
-	if capacity <= 0 {
-		capacity = 256
-	}
-	capacity = ceilPow2(capacity)
 	r := &Recorder{
-		shardMask:    uint64(shards - 1),
 		ringMask:     uint64(capacity - 1),
-		shards:       make([]shard, shards),
 		featureNames: append([]string(nil), opts.FeatureNames...),
-		retainCap:    opts.Retain,
+		spare:        newRing(capacity),
 	}
 	r.sites.Store(&map[uint64]*Site{})
-	for i := range r.shards {
-		r.shards[i].buf.Store(newRing(capacity))
-		r.shards[i].spare = newRing(capacity)
-	}
-	if r.retainCap <= 0 {
-		r.retainCap = shards * capacity
-	}
+	r.buf.Store(newRing(capacity))
 	return r
 }
 
@@ -179,19 +132,6 @@ func ceilPow2(n int) int {
 		p <<= 1
 	}
 	return p
-}
-
-// mix is splitmix64's finalizer, spreading site IDs across shards.
-//
-//apollo:hotpath
-func mix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e9b5
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }
 
 // Token links a reserved record back to its ring for Commit. The zero
@@ -214,12 +154,11 @@ type Token struct {
 //
 //apollo:hotpath
 func (r *Recorder) Reserve(siteID uint64) (*Record, Token) {
-	sh := &r.shards[mix(siteID)&r.shardMask]
 	var rb *ring
 	for {
-		rb = sh.buf.Load()
+		rb = r.buf.Load()
 		rb.active.Add(1)
-		if sh.buf.Load() == rb {
+		if r.buf.Load() == rb {
 			break
 		}
 		// A drain swapped rings between our load and pin; leave and
@@ -278,8 +217,8 @@ func (r *Recorder) Dropped() uint64 { return r.dropped.Load() }
 func (r *Recorder) Site(id uint64) *Site { return (*r.sites.Load())[id] }
 
 // RegisterSite attaches a human-readable name to a site ID and returns
-// its entry. It is idempotent (first registration wins, preserving the
-// runtime EWMAs) and safe beside hot-path readers, which go through the
+// its entry. It is idempotent (first registration wins, keeping the
+// site's decoder) and safe beside hot-path readers, which go through the
 // copy-on-write map.
 func (r *Recorder) RegisterSite(id uint64, name string) *Site {
 	r.siteMu.Lock()
@@ -326,42 +265,11 @@ func (r *Recorder) SiteName(id uint64) string {
 	return ""
 }
 
-// PredictObserve folds one observed runtime into the site's EWMA for the
-// class and returns the prediction that EWMA made *before* the update —
-// the runtime the recorder expected for this choice, 0 for the first
-// observation. Callers store the return value in Record.PredictedNS and
-// the argument in Record.ObservedNS, giving the predicted-vs-observed
-// pair the misprediction analysis runs on. Unregistered sites predict 0
-// and learn nothing.
-//
-//apollo:hotpath
-func (s *Site) PredictObserve(class int, observedNS float64) (predictedNS float64) {
-	if s == nil {
-		return 0
-	}
-	if class < 0 {
-		class = 0
-	}
-	if class >= maxClasses {
-		class = maxClasses - 1
-	}
-	a := &s.ewma[class]
-	prior := math.Float64frombits(a.Load())
-	if prior == 0 {
-		a.Store(math.Float64bits(observedNS))
-		return 0
-	}
-	// A concurrent update between load and store loses one sample's
-	// weight — benign for an EWMA, and keeps the hot path CAS-free.
-	a.Store(math.Float64bits((1-ewmaAlpha)*prior + ewmaAlpha*observedNS))
-	return prior
-}
-
-// Snapshot drains the rings into the retained history and returns a copy
+// Snapshot drains the ring into the retained history and returns a copy
 // of the retained records ordered by emission sequence. It is
 // non-destructive from the caller's perspective: records stay in the
-// retained window (bounded by Options.Retain) until newer ones push them
-// out.
+// retained window (bounded by Options.Capacity) until newer ones push
+// them out.
 func (r *Recorder) Snapshot() []Record {
 	r.retainMu.Lock()
 	defer r.retainMu.Unlock()
@@ -372,39 +280,33 @@ func (r *Recorder) Snapshot() []Record {
 	return out
 }
 
-// drainLocked moves every committed record out of the rings into
+// drainLocked moves every committed record out of the ring into
 // retained. Caller holds retainMu.
 func (r *Recorder) drainLocked() {
-	for i := range r.shards {
-		sh := &r.shards[i]
-		old := sh.buf.Load()
-		if old.pos.Load() == 0 {
-			continue // nothing reserved this generation
-		}
-		sh.buf.Store(sh.spare)
-		// Writers that pinned the old ring before the swap finish their
-		// one record and leave; writers arriving after the swap bounce
-		// off the double-check in Reserve. Quiescence is bounded by one
-		// record fill.
-		for old.active.Load() != 0 {
-			runtime.Gosched()
-		}
-		for j := range old.slots {
-			s := &old.slots[j]
-			if s.rec.Seq != 0 {
-				r.retained = append(r.retained, s.rec)
-				// The old ring was unpublished by the swap above and
-				// quiesced on active==0; clearing Seq recycles it as the
-				// next spare.
-				s.rec.Seq = 0
-			}
-		}
-		old.pos.Store(0)
-		sh.spare = old
+	old := r.buf.Load()
+	if old.pos.Load() == 0 {
+		return // nothing reserved this generation
 	}
-	if len(r.retained) > r.retainCap {
+	r.buf.Store(r.spare)
+	// Writers that pinned the old ring before the swap finish their one
+	// record and leave; writers arriving after the swap bounce off the
+	// double-check in Reserve. Quiescence is bounded by one record fill.
+	for old.active.Load() != 0 {
+		runtime.Gosched()
+	}
+	for j := range old.slots {
+		s := &old.slots[j]
+		if s.rec.Seq != 0 {
+			r.retained = append(r.retained, s.rec)
+			// The old ring was unpublished by the swap above and quiesced
+			// on active==0; clearing Seq recycles it as the next spare.
+			s.rec.Seq = 0
+		}
+	}
+	old.pos.Store(0)
+	r.spare = old
+	if n := len(r.retained) - len(old.slots); n > 0 {
 		sort.Slice(r.retained, func(i, j int) bool { return r.retained[i].Seq < r.retained[j].Seq })
-		n := len(r.retained) - r.retainCap
 		r.retained = append(r.retained[:0], r.retained[n:]...)
 	}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 func TestTraceEventsFromRecords(t *testing.T) {
-	r := New(Options{Shards: 1, ShardCapacity: 8})
+	r := New(Options{Capacity: 8})
 	r.RegisterSite(7, "daxpy")
 	rec, tok := r.Reserve(7)
 	if rec == nil {
@@ -78,14 +78,14 @@ func TestTraceEventsFromRecords(t *testing.T) {
 }
 
 func TestTraceEventsEmpty(t *testing.T) {
-	r := New(Options{Shards: 1, ShardCapacity: 8})
+	r := New(Options{Capacity: 8})
 	if events := r.TraceEvents(nil); events != nil {
 		t.Fatalf("empty conversion returned %v", events)
 	}
 }
 
 func TestTraceEventsUnknownSite(t *testing.T) {
-	r := New(Options{Shards: 1, ShardCapacity: 8})
+	r := New(Options{Capacity: 8})
 	rec, tok := r.Reserve(0xbeef)
 	if rec == nil {
 		t.Fatal("reservation dropped")

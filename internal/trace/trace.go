@@ -138,9 +138,9 @@ func Summarize(events []Event) []Summary {
 	return out
 }
 
-// chromeEvent is one entry of the Chrome trace-event format ("X" =
+// ChromeEvent is one entry of the Chrome trace-event format ("X" =
 // complete event; timestamps in microseconds).
-type chromeEvent struct {
+type ChromeEvent struct {
 	Name string            `json:"name"`
 	Cat  string            `json:"cat"`
 	Ph   string            `json:"ph"`
@@ -156,7 +156,7 @@ type chromeEvent struct {
 // launches land on separate tracks (tid 0/1) so the policy mix is
 // visible at a glance.
 func WriteChromeTrace(w io.Writer, events []Event) error {
-	out := make([]chromeEvent, 0, len(events))
+	out := make([]ChromeEvent, 0, len(events))
 	for _, e := range events {
 		tid := 0
 		if e.Params.Policy.Parallel() {
@@ -173,7 +173,7 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 		for k, v := range e.Args {
 			args[k] = v
 		}
-		out = append(out, chromeEvent{
+		out = append(out, ChromeEvent{
 			Name: e.Kernel,
 			Cat:  cat,
 			Ph:   "X",

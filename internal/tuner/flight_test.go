@@ -20,11 +20,7 @@ import (
 )
 
 func newFlightRecorder(schema *features.Schema) *flight.Recorder {
-	return flight.New(flight.Options{
-		Shards:        2,
-		ShardCapacity: 64,
-		FeatureNames:  schema.Names(),
-	})
+	return flight.New(flight.Options{Capacity: 128, FeatureNames: schema.Names()})
 }
 
 func TestTunerEndEmitsFlight(t *testing.T) {
@@ -104,14 +100,14 @@ func TestTunerEndEmitsFlight(t *testing.T) {
 	if first.ObservedNS != 500 || first.PredictedNS != 0 {
 		t.Fatalf("first record predicted/observed = %g/%g, want 0/500", first.PredictedNS, first.ObservedNS)
 	}
-	// The 17th launch: the EWMA folded in all sixteen before it, recorded
-	// or not.
-	ewma := 500.0
+	// The 17th launch: the per-iteration EWMA folded in all sixteen
+	// before it, recorded or not, priced at this launch's 50 iterations.
+	perIter := 500.0 / 50
 	for i := 0; i < 15; i++ {
-		ewma = 0.75*ewma + 0.25*700
+		perIter = 0.75*perIter + 0.25*(700.0/50)
 	}
-	if recs[1].PredictedNS != ewma || recs[1].ObservedNS != 900 {
-		t.Fatalf("17th launch predicted/observed = %g/%g, want %g/900", recs[1].PredictedNS, recs[1].ObservedNS, ewma)
+	if recs[1].PredictedNS != perIter*50 || recs[1].ObservedNS != 900 {
+		t.Fatalf("17th launch predicted/observed = %g/%g, want %g/900", recs[1].PredictedNS, recs[1].ObservedNS, perIter*50)
 	}
 	large3 := recs[2]
 	if large3.Predicted != int32(raja.OmpParallelForExec) {
@@ -298,6 +294,51 @@ func TestTunerEndDualModelFlight(t *testing.T) {
 	}
 }
 
+// TestFlightPredictsPerIteration: a site launching index sets of two sizes
+// records, for each selected launch, the prediction of the region's
+// per-iteration EWMA over every earlier launch, scaled to this launch's
+// iterations — not an average of elapsed times across sizes.
+func TestFlightPredictsPerIteration(t *testing.T) {
+	fr := newFlightRecorder(features.TableI())
+	tn := NewTuner(features.TableI(), caliper.New(), raja.Params{}).UseFlight(fr)
+	k := raja.NewKernel("sizes", nil)
+	sizes := []*raja.IndexSet{raja.NewRange(0, 16), raja.NewRange(0, 1000)}
+	var perIter float64
+	var want []float64
+	for i := 0; i < 8*flightEvery; i++ {
+		// Alternate sizes, shifting the phase each cadence period so the
+		// recorded launches alternate too.
+		iset := sizes[(i+i/flightEvery)%2]
+		iters := float64(iset.Len())
+		ns := iters * float64(10+i%7)
+		if i%flightEvery == 0 {
+			want = append(want, perIter*iters)
+		}
+		p, _ := tn.Begin(k, iset)
+		tn.End(k, iset, p, ns)
+		if perIter == 0 {
+			perIter = ns / iters
+		} else {
+			perIter = 0.75*perIter + 0.25*(ns/iters)
+		}
+	}
+	recs := fr.Snapshot()
+	if len(recs) != len(want) {
+		t.Fatalf("%d records, want %d", len(recs), len(want))
+	}
+	for j, rec := range recs {
+		if want := sizes[j%2].Len(); rec.Iterations != int64(want) {
+			t.Fatalf("record %d: %d iterations, want %d", j, rec.Iterations, want)
+		}
+		if rec.PredictedNS != want[j] {
+			t.Fatalf("record %d (%d iterations): predicted %v ns, the per-iteration EWMA prices it at %v", j, rec.Iterations, rec.PredictedNS, want[j])
+		}
+	}
+	if recs[1].PredictedNS == 0 {
+		t.Fatal("the second record predicted nothing")
+	}
+}
+
 // BenchmarkTunerEndFlight measures the always-on flight-recording cost
 // per launch: telemetry off, flight on (EXPERIMENTS.md).
 func BenchmarkTunerEndFlight(b *testing.B) {
@@ -394,7 +435,7 @@ func TestTunerEndSharesOneExtraction(t *testing.T) {
 	schema := features.TableI()
 	ann := caliper.New()
 	desc := lulesh.Descriptor()
-	fr := flight.New(flight.Options{Shards: 1, ShardCapacity: 1 << 12, FeatureNames: schema.Names()})
+	fr := flight.New(flight.Options{Capacity: 1 << 12, FeatureNames: schema.Names()})
 	rec := telemetry.NewRecorder(schema, ann, telemetry.Options{SampleEvery: 1, Capacity: 1 << 12})
 	tn := NewTuner(schema, ann, desc.DefaultParams).
 		UsePolicyModel(trainPolicyModel(t, schema)).UseTelemetry(rec).UseFlight(fr).ExploreEvery(8)
@@ -506,7 +547,8 @@ func TestTunerEndForeignRecorder(t *testing.T) {
 
 // TestFlightRecordCadence pins which launches End writes a flight record
 // for — each site's 1st, 17th, 33rd, … launch and every flipped one — and
-// that the runtime EWMA stays exact across the launches it skips.
+// that the per-iteration EWMA behind PredictedNS stays exact across the
+// launches it skips.
 func TestFlightRecordCadence(t *testing.T) {
 	schema := features.TableI()
 	fr := newFlightRecorder(schema)
@@ -523,19 +565,20 @@ func TestFlightRecordCadence(t *testing.T) {
 		log.End(k, iset, p, 100+float64(i*37%11)*10)
 	}
 
-	// The EWMA every launch of a site and policy saw before it: over all
-	// prior launches of both, recorded or not.
+	// The per-iteration EWMA every launch of a site and policy saw before
+	// it, over all prior launches of both, recorded or not, times the
+	// launch's iterations.
 	ewma := map[[2]uint64]float64{}
 	predicted := make([]float64, len(log.launches))
 	flips := map[uint64]int{}
 	for i, l := range log.launches {
-		key := [2]uint64{l.k.ID, uint64(l.p.Policy)}
+		key, iters := [2]uint64{l.k.ID, uint64(l.p.Policy)}, float64(l.iset.Len())
 		prior := ewma[key]
-		predicted[i] = prior
+		predicted[i] = prior * iters
 		if prior == 0 {
-			ewma[key] = l.ns
+			ewma[key] = l.ns / iters
 		} else {
-			ewma[key] = 0.75*prior + 0.25*l.ns
+			ewma[key] = 0.75*prior + 0.25*(l.ns/iters)
 		}
 		if l.flipped {
 			flips[l.k.ID]++
@@ -636,9 +679,9 @@ func TestFlightConcurrentLaunches(t *testing.T) {
 
 // TestTunerFlightDropStillFolds: a launch whose reservation is dropped —
 // the recorder's only slot is held by a writer that has not committed —
-// still moves its site's runtime EWMA.
+// still moves its site's per-iteration EWMA.
 func TestTunerFlightDropStillFolds(t *testing.T) {
-	fr := flight.New(flight.Options{Shards: 1, ShardCapacity: 1})
+	fr := flight.New(flight.Options{Capacity: 1})
 	tn := NewTuner(features.TableI(), caliper.New(), raja.Params{}).UseFlight(fr)
 	k, iset := raja.NewKernel("held", nil), raja.NewRange(0, 50)
 	if held, _ := fr.Reserve(k.ID); held == nil {
@@ -648,8 +691,8 @@ func TestTunerFlightDropStillFolds(t *testing.T) {
 	if fr.Dropped() != 1 || fr.Emitted() != 0 {
 		t.Fatalf("dropped %d, emitted %d: want the launch's record dropped", fr.Dropped(), fr.Emitted())
 	}
-	if got := fr.Site(k.ID).PredictObserve(int(raja.SeqExec), 0); got != 500 {
-		t.Fatalf("after a dropped 500 ns launch the EWMA reads %v, want 500", got)
+	if got := loadNS(&tn.site(k.ID).perIterNS[raja.SeqExec]); got != 500.0/50 {
+		t.Fatalf("after a dropped 500 ns launch of 50 iterations the EWMA reads %v ns, want 10", got)
 	}
 }
 

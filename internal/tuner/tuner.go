@@ -166,9 +166,8 @@ type Tuner struct {
 	// closed training loop.
 	telem atomic.Pointer[telemetry.Recorder]
 
-	// fl, when set, gets every launch's runtime (its site's EWMA) and a full
-	// decision-provenance record of the launches flightEvery selects. Nil
-	// costs one atomic load and a branch.
+	// fl, when set, gets a full decision-provenance record of the launches
+	// flightEvery selects. Nil costs one atomic load and a branch.
 	fl atomic.Pointer[flight.Recorder]
 
 	// exploreEvery > 0 lets every exploreEvery-th launch of a site run the
@@ -219,8 +218,9 @@ func rowWeight(m uint64) float64 {
 }
 
 // siteRegion is all a launch keeps per site, one load of the copy-on-write
-// sites map away: Begin's plan, the exploration account, the site's flight
-// recorder entry, and the launch counts End's two cadences select by.
+// sites map away: Begin's plan, the runtime estimate and exploration
+// account, the site's flight recorder entry, and the launch counts End's
+// two cadences select by.
 type siteRegion struct {
 	siteBudget
 	plan   atomic.Pointer[sitePlan]
@@ -270,17 +270,18 @@ func (s *siteRegion) entry(fr *flight.Recorder) *siteFlight {
 	return nil
 }
 
-// siteBudget is one launch site's exploration account (DESIGN §6). Each
-// field is one atomic word (floats as float64 bits) updated load-then-
-// store: racing launches of a site can lose an update, never tear a value,
-// as the flight recorder's EWMA does. It reads no clock and draws no random
-// number: decisions are a function of the launches and the times End is handed.
+// siteBudget is one launch site's runtime estimate and exploration account
+// (DESIGN §6). Each field is one atomic word (floats as float64 bits)
+// updated load-then-store: racing launches of a site can lose an update,
+// never tear a value. It reads no clock and draws no random number:
+// decisions are a function of the launches and the times End is handed.
 type siteBudget struct {
 	launches   atomic.Uint64
 	totalNS    atomic.Uint64 // kernel time of every launch End has seen
 	exploredNS atomic.Uint64 // the part spent in launches Begin flipped
 	// perIterNS is the EWMA (α = 0.25) of elapsed ÷ iterations per policy —
-	// per iteration because one site launches index sets of many sizes.
+	// per iteration because one site launches index sets of many sizes. It
+	// prices exploration and backs flight records' PredictedNS.
 	perIterNS [raja.NumPolicies]atomic.Uint64
 	inFlight  atomic.Int32 // 1 + the policy of a flipped launch End has yet to see
 }
@@ -308,24 +309,34 @@ func (s *siteBudget) fits(chosen raja.Policy, iters int, aheadNS float64) bool {
 	return price > 0 && loadNS(&s.exploredNS)+price <= exploreShare*(loadNS(&s.totalNS)+price+aheadNS)
 }
 
-// settle books a finished launch: its time into the site's total and, when
-// it is the flipped launch in flight, into the explored time; its time per
-// iteration into the EWMA of the policy it ran. It reports whether the
-// launch was the flipped one.
+// fold folds a finished launch's time per iteration into the EWMA of the
+// policy it ran and returns what the EWMA priced the launch at before: its
+// prior value × iters, 0 on the policy's first launch here.
 //
 //apollo:hotpath
-func (s *siteBudget) settle(ran raja.Policy, iters int, elapsedNS float64) (flipped bool) {
+func (s *siteBudget) fold(ran raja.Policy, iters int, elapsedNS float64) (priorNS float64) {
+	if iters <= 0 || uint(ran) >= uint(len(s.perIterNS)) {
+		return 0
+	}
+	a, obs := &s.perIterNS[ran], elapsedNS/float64(iters)
+	prior := loadNS(a)
+	if prior != 0 {
+		obs = 0.75*prior + 0.25*obs
+	}
+	a.Store(math.Float64bits(obs))
+	return prior * float64(iters)
+}
+
+// settle books a finished launch: its time into the site's total and, when
+// it is the flipped launch in flight, into the explored time. It reports
+// whether the launch was the flipped one.
+//
+//apollo:hotpath
+func (s *siteBudget) settle(ran raja.Policy, elapsedNS float64) (flipped bool) {
 	addNS(&s.totalNS, elapsedNS)
 	if flipped = s.inFlight.Load() == int32(ran)+1; flipped {
 		s.inFlight.Store(0)
 		addNS(&s.exploredNS, elapsedNS)
-	}
-	if iters > 0 && uint(ran) < uint(len(s.perIterNS)) {
-		a, obs := &s.perIterNS[ran], elapsedNS/float64(iters)
-		if prior := loadNS(a); prior != 0 {
-			obs = 0.75*prior + 0.25*obs
-		}
-		a.Store(math.Float64bits(obs))
 	}
 	return flipped
 }
@@ -469,7 +480,7 @@ func flipPolicy(p raja.Policy) raja.Policy {
 	return raja.SeqExec
 }
 
-// End settles the launch on its site's region and feeds the measurement
+// End folds the launch into its site's region and feeds the measurement
 // to the attached telemetry recorder (a row at the rowWeight cadence) and
 // flight recorder (a record at the flightEvery one). A launch that gets
 // neither costs a few atomic operations and allocates nothing — End runs
@@ -488,15 +499,10 @@ func (t *Tuner) End(k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedN
 	if s == nil || fr != nil && h == nil {
 		s, h = t.registerSite(k, fr)
 	}
-	flipped := explore && s.settle(p.Policy, iset.Len(), elapsedNS)
+	predictedNS := s.fold(p.Policy, iset.Len(), elapsedNS) // every launch, recorded or not
+	flipped := explore && s.settle(p.Policy, elapsedNS)
 	n := s.ended.Add(1)
-	var predictedNS float64
-	record := false
-	if h != nil {
-		// Fold first: the EWMA sees every launch, recorded or not.
-		predictedNS = h.site.PredictObserve(int(p.Policy), elapsedNS)
-		record = n%flightEvery == 1 || flipped
-	}
+	record := h != nil && (n%flightEvery == 1 || flipped)
 	weight := 0.0
 	if rec != nil {
 		if !rec.Captures(t.schema, t.ann) {
@@ -530,7 +536,7 @@ func (t *Tuner) End(k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedN
 // emitFlight writes one decision-provenance record from x, the vector
 // End extracted for this launch (FeatureNS is the time that one
 // extraction took, whoever else consumed it), and predictedNS, what the
-// site's EWMA expected before End folded this launch in; it re-evaluates
+// site's EWMA priced the launch at before End folded it in; it re-evaluates
 // the installed models on x with trail capture, timing that as ModelNS.
 // Replaying at End (rather than carrying state from Begin) keeps
 // raja.Hooks token-free and the disabled cost at a single branch; the
