@@ -64,25 +64,38 @@ test:
 examples:
 	GO="$(GO)" bash scripts/examples.sh
 
-# Ten seconds of each fuzz target: the model decoder (whatever decodes
-# must be safe to walk), compiled-vs-interpreted prediction, the three
-# decoders of outside bytes built on the frame's number scanner, each
+# Ten seconds of each fuzz target, in the order they run:
+#   FuzzParseModelOrEnvelope  the model decoder (whatever decodes must be
+#                             safe to walk);
+#   FuzzCompiledPredict       compiled-vs-interpreted prediction;
+#   FuzzTrain                 the tree fit (dtree.Train against the
+#                             re-sorting reference trainer, same bytes,
+#                             every split separating);
+#   FuzzParseRow              the row scanner (dataset.ParseRow, under
+#                             ReadJSONL and the spool cursor, and both
+#                             paths of dataset.ScanRows: the one-pass
+#                             plain-row walk, checking only or converting
+#                             too, and scanRow, which takes every row the
+#                             walk hands back);
+#   FuzzParseHeader           the frame header (it round-trips, and a
+#                             segment that starts with it polls to rows or
+#                             an error);
+#   FuzzDecodeBatch           the telemetry batch decoder;
+#   FuzzDecodePredict         the predict body decoder;
+#   FuzzTailRead              the segment tail over arbitrary bytes cut
+#                             anywhere (whole lines only, the longest
+#                             newline-terminated prefix, offsets never
+#                             back);
+#   FuzzReadJournal           the loop-journal reader (events or an error);
+#   FuzzDecodeOffsets         a flight record's offset trails, source
+#                             mapping and snapshot decoded against any
+#                             compiled tree;
+#   FuzzFlightCapture         a whole capture through apollo-inspect
+#                             flight's analyses.
+# The row scanner, batch and predict-body decoders are each checked
 # against encoding/json (same input accepted but for the documented
-# narrowings, same values read): the row scanner (dataset.ParseRow, under
-# ReadJSONL and the spool cursor, and both paths of dataset.ScanRows: the
-# one-pass plain-row walk, checking only or converting too, and scanRow,
-# which takes every row the walk hands back), the telemetry batch decoder
-# and the predict body decoder; the frame header
-# (it round-trips, and a segment that starts with it polls to rows or an
-# error); the two readers of
-# segment files — the tail over arbitrary bytes cut anywhere (whole
-# lines only, the longest newline-terminated prefix, offsets never back)
-# and the loop-journal reader (events or an error); and the flight
-# capture's decoders — a
-# compiled-tree layout and the offset trails decoded against it, then a
-# whole capture through apollo-inspect flight's analyses; and the tree fit
-# (dtree.Train against the re-sorting reference trainer, same bytes, every
-# split separating). go test takes one -fuzz target per package run.
+# narrowings, same values read). go test takes one -fuzz target per
+# package run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseModelOrEnvelope$$' -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzCompiledPredict$$' -fuzztime=10s ./internal/ctree
@@ -119,11 +132,11 @@ bench-compare:
 # Scheduler stress under the race detector across a GOMAXPROCS sweep,
 # multiplying the goroutine interleavings the single-shot race run
 # explores: the closed-loop e2e scenario (it sweeps inside the test), and
-# the frozen-snapshot audits of the eight publishing packages, whose
+# the frozen-snapshot audits of the seven publishing packages, whose
 # reader runs beside each package's own writers (-cpu sweeps those).
 STRESS_COUNT ?= 3
 FROZEN_PKGS = ./internal/bg/cowtest ./internal/caliper ./internal/metrics ./internal/features \
-	./internal/flight ./internal/registry ./internal/client ./internal/fleet/hashring ./internal/tuner
+	./internal/registry ./internal/client ./internal/fleet/hashring ./internal/tuner
 stress:
 	$(GO) test -race -count=$(STRESS_COUNT) -run 'ClosedLoop' .
 	$(GO) test -race -count=$(STRESS_COUNT) -cpu 1,2,4 -run 'Frozen' $(FROZEN_PKGS)

@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"os"
 	"sort"
@@ -80,7 +79,6 @@ func runFlightCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	decodeOffsetPaths(c)
 	if *jsonOut {
 		return writeFlightJSON(os.Stdout, c)
 	}
@@ -138,41 +136,6 @@ func writeFlightJSON(w io.Writer, c *flightCapture) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
-}
-
-// decodeOffsetPaths fills in Path for records that carry only raw offset
-// trails, using the compiled-tree layouts the capture embeds per site.
-// Captures taken while the site's decoder was registered arrive with
-// Path already rendered; this is the offline fallback for the raw form.
-// Records whose site embeds no usable layout are left as-is.
-func decodeOffsetPaths(c *flightCapture) {
-	type siteDecoder struct {
-		dec      *flight.TrailDecoder
-		features []string
-	}
-	decoders := map[string]siteDecoder{}
-	for _, s := range c.Sites {
-		if d := s.Decoder(); d != nil {
-			decoders[s.ID] = siteDecoder{dec: d, features: s.Features}
-		}
-	}
-	for i := range c.Records {
-		r := &c.Records[i]
-		d, ok := decoders[r.SiteID]
-		if !ok || len(r.Path) > 0 || len(r.TrailOffsets)+len(r.ChunkTrailOffsets) == 0 {
-			continue
-		}
-		// Rebuild the source-layout feature slice from the named map.
-		x := make([]float64, len(d.features))
-		for j, name := range d.features {
-			if v, ok := r.Features[name]; ok {
-				x[j] = v
-			} else {
-				x[j] = math.NaN()
-			}
-		}
-		r.Path = d.dec.Explain(r.TrailOffsets, r.ChunkTrailOffsets, x, d.features)
-	}
 }
 
 // readInput loads the capture from a file or a live endpoint.

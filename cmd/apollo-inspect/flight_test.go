@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -9,10 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"apollo/internal/ctree"
-	"apollo/internal/dtree"
-	"apollo/internal/flight"
 )
 
 // syntheticRecords describe one region ("daxpy" at num_indices=1024)
@@ -141,87 +136,11 @@ func TestFlightCmdRejectsOversizeReply(t *testing.T) {
 	}
 }
 
-// TestDecodeOffsetPaths exercises the offline fallback: a capture whose
-// records carry only compact offset trails (no pre-rendered path) must
-// get its paths reconstructed from the embedded compiled-tree layout.
-func TestDecodeOffsetPaths(t *testing.T) {
-	dt := &dtree.Tree{
-		Root: &dtree.Node{
-			Feature: 0, Threshold: 96,
-			Left: &dtree.Node{Feature: -1, Label: 0},
-			Right: &dtree.Node{
-				Feature: 1, Threshold: 256,
-				Left:  &dtree.Node{Feature: -1, Label: 0},
-				Right: &dtree.Node{Feature: -1, Label: 1},
-			},
-		},
-		NumFeatures: 2, NumClasses: 2,
-	}
-	ct, err := ctree.Compile(dt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var offs [8]int32
-	_, n := ct.PredictOffsets([]float64{1024, 1024}, offs[:])
-
-	c := flightCapture{
-		Format: "apollo-flight-v1",
-		Sites: []flight.CaptureSite{{
-			ID: "0x7", Name: "daxpy",
-			Features: []string{"num_indices", "trip_count"},
-			CTree:    ct.Layout(),
-		}},
-		Records: []flightRecord{{
-			Site: "daxpy", SiteID: "0x7",
-			Features:     map[string]float64{"num_indices": 1024, "trip_count": 1024},
-			TrailOffsets: append([]int32(nil), offs[:n]...),
-		}},
-	}
-	decodeOffsetPaths(&c)
-	want := []string{
-		"num_indices (=1024) > 96 → right",
-		"trip_count (=1024) > 256 → right",
-	}
-	got := c.Records[0].Path
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("decoded path %q, want %q", got, want)
-	}
-
-	// A dual-model record: the chunk layout and trail ride in the additive
-	// fields (here the chunk model reads the two features swapped) and
-	// decode after the policy steps.
-	c.Sites[0].ChunkCTree, c.Sites[0].ChunkSrc = ct.Layout(), []int32{1, 0}
-	r := &c.Records[0]
-	r.Path, r.Features = nil, map[string]float64{"num_indices": 1024, "trip_count": 64}
-	_, n = ct.PredictOffsets([]float64{1024, 64}, offs[:])
-	r.TrailOffsets = append([]int32(nil), offs[:n]...)
-	_, n = ct.PredictOffsets([]float64{64, 1024}, offs[:])
-	r.ChunkTrailOffsets = append([]int32(nil), offs[:n]...)
-	decodeOffsetPaths(&c)
-	want = []string{
-		"num_indices (=1024) > 96 → right",
-		"trip_count (=64) <= 256 → left",
-		"trip_count (=64) <= 96 → left",
-	}
-	if strings.Join(r.Path, "|") != strings.Join(want, "|") {
-		t.Fatalf("dual decoded path %q, want %q", r.Path, want)
-	}
-
-	// Records from sites without an embedded layout stay untouched.
-	c2 := flightCapture{
-		Records: []flightRecord{{SiteID: "0x9", TrailOffsets: []int32{0, -1}}},
-	}
-	decodeOffsetPaths(&c2)
-	if c2.Records[0].Path != nil {
-		t.Fatalf("layout-less record grew a path: %q", c2.Records[0].Path)
-	}
-}
-
 // TestFlightCmdDecodesPrePRCapture pins capture compatibility: a
-// single-model apollo-flight-v1 capture written before records carried
-// two trails (no chunk fields anywhere) still loads, and re-decoding its
-// raw offset trails offline reproduces the paths the old recorder
-// rendered at capture time.
+// single-model apollo-flight-v1 capture written when captures still
+// embedded compiled-tree layouts per site and raw offset trails per
+// record still loads, and the paths its recorder rendered at capture
+// time reach the decision-path histogram.
 func TestFlightCmdDecodesPrePRCapture(t *testing.T) {
 	const golden = "testdata/flight_capture_pr11.json"
 	if err := runFlightCmd([]string{"-in", golden}); err != nil {
@@ -231,52 +150,43 @@ func TestFlightCmdDecodesPrePRCapture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c flightCapture
-	if err := json.Unmarshal(data, &c); err != nil {
+	c, err := decodeCapture(data)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(c.Records) != 6 {
 		t.Fatalf("golden capture has %d records, want 6", len(c.Records))
 	}
-	rendered := make([][]string, len(c.Records))
+	var hist strings.Builder
+	writePathHistogram(&hist, c.Records, 20)
 	for i := range c.Records {
-		if len(c.Records[i].Path) == 0 || len(c.Records[i].TrailOffsets) == 0 {
-			t.Fatalf("golden record %d lacks a rendered path or raw offsets", i)
+		path := c.Records[i].Path
+		if len(path) == 0 {
+			t.Fatalf("golden record %d lacks its rendered path", i)
 		}
-		rendered[i], c.Records[i].Path = c.Records[i].Path, nil
-	}
-	decodeOffsetPaths(&c)
-	for i, want := range rendered {
-		if got := c.Records[i].Path; strings.Join(got, "|") != strings.Join(want, "|") {
-			t.Errorf("record %d: offline decode %q, capture-time rendering %q", i, got, want)
+		if !strings.Contains(hist.String(), strings.Join(path, "\n      ")) {
+			t.Errorf("record %d's path %q is not in the histogram:\n%s", i, path, hist.String())
 		}
 	}
 }
 
 // FuzzFlightCapture runs arbitrary bytes through everything
-// `apollo-inspect flight` does to a capture — decode, the offline trail
-// decode against the layouts it embeds, the misprediction table, the path
-// histogram — none of which may panic or hang.
+// `apollo-inspect flight` does to a capture — decode, the misprediction
+// table, the path histogram — none of which may panic or hang.
 func FuzzFlightCapture(f *testing.F) {
-	// Small seeds: a site with a policy and a chunk layout (the golden
-	// capture's tree) whose records carry raw trails, explored variants of
-	// one region, and a rendered path; and a layout whose nodes share a
-	// child.
-	f.Add([]byte(`{"format":"apollo-flight-v1","emitted":4,"sites":[{"id":"0x1","name":"daxpy","features":["num_indices","num_segments","stride"],` +
-		`"ctree":{"feat":[1,1,0,2,2,1],"thresh":[1280,100,1,1,4,50000],"left":[1,-1,3,-1,-2,-2],"right":[4,2,-1,-2,5,-1]},"src":[2,0,1],` +
-		`"chunk_ctree":{"leaf_label":2}}],"records":[` +
-		`{"seq":1,"site":"daxpy","site_id":"0x1","policy":0,"observed_ns":1000,"features":{"num_indices":50,"stride":1},"trail_offsets":[0,1,-1]},` +
-		`{"seq":2,"site_id":"0x1","policy":1,"explored":true,"observed_ns":500,"features":{"num_indices":50,"stride":1},"trail_offsets":[0,1,-1],"chunk_trail_offsets":[-3]},` +
+	// Small seeds: explored variants of one region with rendered paths,
+	// a record of an unnamed site, and records with no features or path.
+	f.Add([]byte(`{"format":"apollo-flight-v1","emitted":4,"records":[` +
+		`{"seq":1,"site":"daxpy","site_id":"0x1","policy":0,"observed_ns":1000,"features":{"num_indices":50,"stride":1},"path":["num_indices (=50) <= 1280 → left","num_indices (=50) <= 100 → left"]},` +
+		`{"seq":2,"site_id":"0x1","policy":1,"explored":true,"observed_ns":500,"features":{"num_indices":50,"stride":1}},` +
 		`{"seq":3,"site_id":"0x1","policy":0,"chunk":64,"observed_ns":900,"features":{"num_indices":50,"stride":1},"path":["num_indices (=50) <= 1280 → left"]},` +
-		`{"seq":4,"site_id":"0x2","observed_ns":0,"trail_offsets":[0,7]}]}`))
-	f.Add([]byte(`{"format":"apollo-flight-v1","sites":[{"id":"0x1","features":["a"],"ctree":{"feat":[0,0],"thresh":[1,2],"left":[1,-1],"right":[1,-2]},"src":[5]}],` +
-		`"records":[{"site_id":"0x1","policy":1,"explored":true,"observed_ns":3,"features":{"a":2},"trail_offsets":[0,1,-2,9]},{"site_id":"0x1","observed_ns":0}]}`))
+		`{"seq":4,"site_id":"0x2","observed_ns":0}]}`))
+	f.Add([]byte(`{"format":"apollo-flight-v1","records":[{"site_id":"0x1","policy":1,"explored":true,"observed_ns":3,"features":{"a":2},"path":[""]},{"site_id":"0x1","observed_ns":0}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := decodeCapture(data)
 		if err != nil {
 			return
 		}
-		decodeOffsetPaths(c)
 		mispredictTable(c.Records)
 		writePathHistogram(io.Discard, c.Records, 20)
 	})

@@ -13,6 +13,8 @@
 //	                                             and the live /predict
 //	apollo-inspect flight -in capture.json       misprediction table +
 //	                                             decision-path histogram
+//	                                             (of the paths the
+//	                                             recorder rendered)
 //	apollo-inspect flight -url http://127.0.0.1:9999/debug/apollo/flight
 //	apollo-inspect loop -dir ./loopjournal       stitch closed-loop event
 //	                                             journals into per-loop

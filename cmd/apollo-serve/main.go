@@ -18,8 +18,8 @@
 // -debug-addr serves pprof and, with -loop-journal, the loop tracer's
 // /debug/apollo/loop on a listener of its own. A /predict answer is not
 // a launch decision and leaves no flight record: decisions are recorded
-// where they are made, in the tuner, so /debug/apollo/flight here
-// answers 503.
+// where they are made, in the tuner, so the listener mounts no
+// /debug/apollo/flight.
 //
 // Fleet mode: -id names this replica and -peers lists the others
 // (id=url pairs). The replica then polls its peers' model lists every

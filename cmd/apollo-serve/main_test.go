@@ -164,7 +164,7 @@ func TestServeEndToEnd(t *testing.T) {
 
 	// The debug listener serves pprof and the loop tracer's window, where
 	// the push above is a publish event; the service keeps no flight
-	// recorder, so the flight endpoint answers 503.
+	// recorder, so the flight endpoints are not mounted (404).
 	resp, err = http.Get(debugBase + "/debug/apollo/loop")
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("loop endpoint: %v %v", resp, err)
@@ -181,7 +181,8 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 	for path, want := range map[string]int{
 		"/debug/pprof/":        http.StatusOK,
-		"/debug/apollo/flight": http.StatusServiceUnavailable,
+		"/debug/apollo/flight": http.StatusNotFound,
+		"/debug/apollo/trace":  http.StatusNotFound,
 	} {
 		resp, err = http.Get(debugBase + path)
 		if err != nil {

@@ -25,8 +25,8 @@ import (
 // TestTraindDebugEndpoints boots the daemon against an empty spool (a
 // clean no-op loop) with a loop journal and exercises the debug
 // listener: the loop endpoint serves the daemon's apollo-loop-v1
-// capture, pprof is live, and the flight endpoint answers 503 — the
-// daemon keeps no flight recorder.
+// capture, pprof is live, and the flight endpoints answer 404 — the
+// daemon keeps no flight recorder, so its mux does not mount them.
 func TestTraindDebugEndpoints(t *testing.T) {
 	bgtest.NoLeaks(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -74,7 +74,8 @@ func TestTraindDebugEndpoints(t *testing.T) {
 	}
 	for path, want := range map[string]int{
 		"/debug/pprof/":        http.StatusOK,
-		"/debug/apollo/flight": http.StatusServiceUnavailable,
+		"/debug/apollo/flight": http.StatusNotFound,
+		"/debug/apollo/trace":  http.StatusNotFound,
 	} {
 		resp, err = http.Get(debugBase + path)
 		if err != nil {

@@ -1,13 +1,13 @@
 package apollo_test
 
 // Same inputs, same bytes: everything the pipeline serializes — a model
-// envelope, a compiled layout, generated source, a schema fingerprint, a
-// metrics page, a stitched lineage report — must come out byte for byte
-// the same however often it is produced. Go re-randomises every range
-// over a map, so one process running the pipeline eight times is eight
-// iteration orders: a map range that reaches an encoder unsorted shows
-// up as a difference between passes (DESIGN §8). What it does not see is
-// an encoder no pass runs.
+// envelope, the compiled tree's offset trails, generated source, a
+// schema fingerprint, a metrics page, a stitched lineage report — must
+// come out byte for byte the same however often it is produced. Go
+// re-randomises every range over a map, so one process running the
+// pipeline eight times is eight iteration orders: a map range that
+// reaches an encoder unsorted shows up as a difference between passes
+// (DESIGN §8). What it does not see is an encoder no pass runs.
 
 import (
 	"bytes"
@@ -125,6 +125,15 @@ func pipelinePass(t *testing.T, samples []byte) []artifact {
 		t.Fatal(err)
 	}
 
+	// The compiled tree's offset trail of every recorded vector: the
+	// compile's node order, as a flight record stores it.
+	var trails bytes.Buffer
+	var offs [64]int32
+	for i := 0; i < frame.Len(); i++ {
+		class, n := model.Compiled().PredictOffsets(frame.Row(i)[:schema.Len()], offs[:])
+		fmt.Fprintln(&trails, class, offs[:n])
+	}
+
 	// A metrics page with a dozen label values a family, from the frame.
 	m := metrics.New()
 	loopID := frame.Column(features.LoopID)
@@ -164,7 +173,7 @@ func pipelinePass(t *testing.T, samples []byte) []artifact {
 		{"recorded frame", recorded.Bytes()},
 		{"model envelope", entry.Raw},
 		{"envelope ETag", []byte(entry.ETag)},
-		{"ctree layout", mustJSON(model.Compiled().Layout())},
+		{"ctree offset trails", trails.Bytes()},
 		{"codegen source", []byte(codegen.Generate(model, "tuned", "ApolloBeginForall"))},
 		{"schema fingerprint", []byte(model.SchemaHash() + " " + strconv.FormatUint(features.Fingerprint(schema.Names()), 16))},
 		{"metrics page", page.Bytes()},

@@ -1,24 +1,24 @@
 // Package ctree is Apollo's publish-time model compiler: it flattens a
-// trained dtree.Tree into branch-predictable threaded arrays and owns
+// trained dtree.Tree into one branch-predictable threaded array and owns
 // every post-training decision representation the serving stack runs.
 //
 // The interpreted dtree walk chases heap pointers — every step is a
 // dependent load into an allocation the garbage collector placed, so a
-// cold predict pays a cache miss per level. The compiled form is a
-// structure-of-arrays layout: one int32 feature index, one float64
-// threshold, and two int32 child offsets per internal node (24 bytes —
-// two to three nodes per cache line), flattened in left-first preorder so
-// the common "take the left branch" step lands on the adjacent element.
+// cold predict pays a cache miss per level. The compiled form is one
+// packed node array: an int32 feature index, two int32 child offsets and
+// a float64 threshold per internal node (24 bytes — two to three nodes
+// per cache line), flattened in left-first preorder so the common "take
+// the left branch" step lands on the adjacent element.
 // Leaves are not stored at all: a child offset < 0 encodes the predicted
 // label as ^label, which turns the walk's leaf test into a sign check.
 //
 // Compilation happens once per model, where core builds it (core.NewModel:
 // training, the JSON decoders); every consumer reads Model.Compiled and
-// the hot path only ever walks the arrays — one walk, Predict, whatever
+// the hot path only ever walks the array — one walk, Predict, whatever
 // the tree's shape. PredictN amortizes it over a vector of launches, and
 // PredictOffsets emits the compact decision-trail encoding the flight
 // recorder stores (node offsets, 4 bytes per step) which DecodeOffsets
-// expands back into full provenance against the compiled layout.
+// expands back into full provenance against the same array.
 package ctree
 
 import (
@@ -31,7 +31,7 @@ import (
 // pnode is one packed internal node of the walk array: the feature
 // index, both child references, and the threshold in 24 bytes, so every
 // level of the walk touches at most one cache line (two to three nodes
-// per line) instead of one line per SoA array.
+// per line).
 type pnode struct {
 	feat        int32
 	left, right int32
@@ -43,18 +43,12 @@ type pnode struct {
 // safe for any number of concurrent readers; a model swap replaces the
 // whole Tree behind an atomic pointer rather than mutating one.
 type Tree struct {
-	// nodes is the packed walk array every predict runs on; its total
-	// footprint is about a quarter of the interpreted node set, which is
-	// what keeps realistic models cache-resident.
+	// nodes is the packed walk array, indexed by node offset, that every
+	// predict runs on and DecodeOffsets reads; its total footprint is
+	// about a quarter of the interpreted node set, which is what keeps
+	// realistic models cache-resident. Only internal nodes are
+	// materialized; a child reference < 0 is a leaf encoding ^label.
 	nodes []pnode
-	// SoA node arrays, indexed by node offset — the canonical compiled
-	// form that Layout serializes and DecodeOffsets reads. Only internal
-	// nodes are materialized; a child reference < 0 is a leaf encoding
-	// ^label.
-	feat   []int32
-	thresh []float64
-	left   []int32
-	right  []int32
 
 	numFeatures int
 	depth       int
@@ -97,26 +91,20 @@ func Compile(t *dtree.Tree) (*Tree, error) {
 		if t.NumFeatures > 0 && n.Feature >= t.NumFeatures {
 			return 0, fmt.Errorf("ctree: split feature %d out of range (%d features)", n.Feature, t.NumFeatures)
 		}
-		if int32(n.Feature) > maxFeat {
-			maxFeat = int32(n.Feature)
-		}
-		i := int32(len(ct.feat))
-		ct.feat = append(ct.feat, int32(n.Feature))
-		ct.thresh = append(ct.thresh, n.Threshold)
-		ct.left = append(ct.left, 0)
-		ct.right = append(ct.right, 0)
+		maxFeat = max(maxFeat, int32(n.Feature))
+		i := int32(len(ct.nodes))
+		ct.nodes = append(ct.nodes, pnode{feat: int32(n.Feature), thresh: n.Threshold})
 		// Left-first preorder: the left child of node i is node i+1, so
-		// the "<= threshold" branch walks linearly through the arrays.
+		// the "<= threshold" branch walks linearly through the array.
 		l, err := flatten(n.Left)
 		if err != nil {
 			return 0, err
 		}
-		ct.left[i] = l
 		r, err := flatten(n.Right)
 		if err != nil {
 			return 0, err
 		}
-		ct.right[i] = r
+		ct.nodes[i].left, ct.nodes[i].right = l, r
 		return i, nil
 	}
 	if _, err := flatten(t.Root); err != nil {
@@ -125,16 +113,7 @@ func Compile(t *dtree.Tree) (*Tree, error) {
 	if ct.numFeatures <= int(maxFeat) {
 		ct.numFeatures = int(maxFeat) + 1
 	}
-	ct.pack()
 	return ct, nil
-}
-
-// pack builds the packed walk array from the canonical SoA arrays.
-func (ct *Tree) pack() {
-	ct.nodes = make([]pnode, len(ct.feat))
-	for i := range ct.feat {
-		ct.nodes[i] = pnode{feat: ct.feat[i], left: ct.left[i], right: ct.right[i], thresh: ct.thresh[i]}
-	}
 }
 
 // NumFeatures returns the width of accepted input vectors.
@@ -165,7 +144,7 @@ func (t *Tree) Predict(x []float64) int {
 }
 
 // PredictN evaluates a batch of vectors in one compiled walk, writing
-// classes into out (which must be at least len(X) long). The arrays are
+// classes into out (which must be at least len(X) long). The node array is
 // hoisted once for the whole batch, so the per-launch cost is below a
 // single Predict call — the amortization a tuner gets when it decides a
 // vector of queued launches together.
@@ -251,10 +230,11 @@ func (t *Tree) DecodeOffsets(offs []int32, src []int32, features []float64, trai
 		if ref < 0 {
 			break // terminal leaf reference
 		}
-		if int(ref) >= len(t.feat) {
+		if int(ref) >= len(t.nodes) {
 			break // foreign or corrupt trail; keep what decoded cleanly
 		}
-		mf := t.feat[ref]
+		nd := &t.nodes[ref]
+		mf := nd.feat
 		sf := mf
 		if src != nil {
 			if int(mf) < len(src) {
@@ -271,19 +251,19 @@ func (t *Tree) DecodeOffsets(offs []int32, src []int32, features []float64, trai
 			v = features[sf]
 		}
 		var right bool
-		if i+1 < len(offs) && t.left[ref] != t.right[ref] {
-			right = offs[i+1] == t.right[ref]
+		if i+1 < len(offs) && nd.left != nd.right {
+			right = offs[i+1] == nd.right
 		} else {
 			// The trail was truncated before this step's outcome was
 			// recorded, or both children lead to the same leaf (so the
 			// next offset is ambiguous); reconstruct the direction from
 			// the value, mirroring the walk's comparison.
-			right = !(v <= t.thresh[ref])
+			right = !(v <= nd.thresh)
 		}
 		trail[steps] = dtree.TrailStep{
 			Feature:   sf,
 			Right:     right,
-			Threshold: t.thresh[ref],
+			Threshold: nd.thresh,
 			Value:     v,
 		}
 		steps++
@@ -309,89 +289,10 @@ type Stats struct {
 // Stats returns the compiled tree's summary.
 func (t *Tree) Stats() Stats {
 	return Stats{
-		Internal:  len(t.feat),
+		Internal:  len(t.nodes),
 		Leaves:    t.leaves,
-		Nodes:     len(t.feat) + t.leaves,
+		Nodes:     len(t.nodes) + t.leaves,
 		Depth:     t.depth,
 		FlatBytes: len(t.nodes) * 24,
 	}
-}
-
-// Layout is the serializable form of the threaded arrays — what a flight
-// capture embeds per site so offline tools (apollo-inspect flight) can
-// decode compact offset trails without the original model.
-type Layout struct {
-	Feat   []int32   `json:"feat,omitempty"`
-	Thresh []float64 `json:"thresh,omitempty"`
-	Left   []int32   `json:"left,omitempty"`
-	Right  []int32   `json:"right,omitempty"`
-	// LeafLabel is set for leaf-only trees, which have no arrays.
-	LeafLabel *int32 `json:"leaf_label,omitempty"`
-}
-
-// Layout exports the compiled arrays. The slices are shared, not copied:
-// a Tree is immutable, and callers must treat the layout the same way.
-func (t *Tree) Layout() *Layout {
-	l := &Layout{Feat: t.feat, Thresh: t.thresh, Left: t.left, Right: t.right}
-	if len(t.feat) == 0 {
-		label := t.leafLabel
-		l.LeafLabel = &label
-	}
-	return l
-}
-
-// FromLayout rebuilds a compiled tree from its serialized layout,
-// validating that every internal child reference points strictly forward
-// (the preorder invariant, which guarantees walks terminate) and stays in
-// range. Trees rebuilt this way decode trails and predict; leaf counts
-// and depth metadata are reconstructed from the arrays.
-func FromLayout(l *Layout) (*Tree, error) {
-	if l == nil {
-		return nil, fmt.Errorf("ctree: nil layout")
-	}
-	n := len(l.Feat)
-	if len(l.Thresh) != n || len(l.Left) != n || len(l.Right) != n {
-		return nil, fmt.Errorf("ctree: layout arrays disagree: feat=%d thresh=%d left=%d right=%d",
-			n, len(l.Thresh), len(l.Left), len(l.Right))
-	}
-	ct := &Tree{feat: l.Feat, thresh: l.Thresh, left: l.Left, right: l.Right}
-	if n == 0 {
-		if l.LeafLabel == nil {
-			return nil, fmt.Errorf("ctree: empty layout without a leaf label")
-		}
-		if *l.LeafLabel < 0 {
-			return nil, fmt.Errorf("ctree: leaf label %d negative", *l.LeafLabel)
-		}
-		ct.leafLabel = *l.LeafLabel
-		ct.leaves = 1
-		return ct, nil
-	}
-	// One backward pass validates and measures depth: a valid child sits
-	// after its parent, so its depth is known first. Linear even in a
-	// layout whose nodes share children, where walking every root-to-leaf
-	// path would be exponential.
-	maxFeat, depth := int32(-1), make([]int, n)
-	for i := n - 1; i >= 0; i-- {
-		if l.Feat[i] < 0 {
-			return nil, fmt.Errorf("ctree: node %d has negative feature", i)
-		}
-		maxFeat = max(maxFeat, l.Feat[i])
-		for _, ref := range [2]int32{l.Left[i], l.Right[i]} {
-			switch {
-			case ref < 0:
-				ct.leaves++
-			case int(ref) >= n:
-				return nil, fmt.Errorf("ctree: node %d child %d out of range (%d nodes)", i, ref, n)
-			case ref <= int32(i):
-				return nil, fmt.Errorf("ctree: node %d child %d breaks the preorder invariant", i, ref)
-			default:
-				depth[i] = max(depth[i], depth[ref])
-			}
-		}
-		depth[i]++
-	}
-	ct.numFeatures = int(maxFeat) + 1
-	ct.depth = depth[0]
-	ct.pack()
-	return ct, nil
 }

@@ -1,7 +1,6 @@
 package ctree
 
 import (
-	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -95,8 +94,8 @@ func TestCompilePreorderLayout(t *testing.T) {
 	}
 	ct := mustCompile(t, dt)
 	// Left-first preorder: every internal left child sits at offset i+1.
-	for i, l := range ct.left {
-		if l >= 0 && l != int32(i)+1 {
+	for i, n := range ct.nodes {
+		if l := n.left; l >= 0 && l != int32(i)+1 {
 			t.Errorf("node %d: internal left child at %d, want %d", i, l, i+1)
 		}
 	}
@@ -135,74 +134,6 @@ func TestCompileDerivesNumFeatures(t *testing.T) {
 	ct := mustCompile(t, dt)
 	if ct.NumFeatures() != 4 {
 		t.Fatalf("NumFeatures = %d, want 4", ct.NumFeatures())
-	}
-}
-
-func TestLayoutRoundTrip(t *testing.T) {
-	dt := &dtree.Tree{
-		Root: split(0, 1,
-			split(1, 2, leaf(0), split(2, 3, leaf(1), leaf(2))),
-			split(1, 4, leaf(3), leaf(0))),
-		NumFeatures: 3, NumClasses: 4,
-	}
-	ct := mustCompile(t, dt)
-	blob, err := json.Marshal(ct.Layout())
-	if err != nil {
-		t.Fatalf("marshal layout: %v", err)
-	}
-	var l Layout
-	if err := json.Unmarshal(blob, &l); err != nil {
-		t.Fatalf("unmarshal layout: %v", err)
-	}
-	rt, err := FromLayout(&l)
-	if err != nil {
-		t.Fatalf("FromLayout: %v", err)
-	}
-	if rt.Stats() != ct.Stats() {
-		t.Fatalf("round trip stats = %+v, want %+v", rt.Stats(), ct.Stats())
-	}
-	for _, x := range [][]float64{{0, 0, 0}, {2, 5, 1}, {2, 1, 9}, {0.5, 2, 3}, {1, 2, 3}} {
-		if got, want := rt.Predict(x), dt.Predict(x); got != want {
-			t.Errorf("round trip Predict(%v) = %d, want %d", x, got, want)
-		}
-	}
-
-	// Leaf-only layouts round-trip through the explicit label field.
-	lt := mustCompile(t, &dtree.Tree{Root: leaf(1), NumClasses: 2})
-	blob, _ = json.Marshal(lt.Layout())
-	var ll Layout
-	if err := json.Unmarshal(blob, &ll); err != nil {
-		t.Fatalf("unmarshal leaf layout: %v", err)
-	}
-	rl, err := FromLayout(&ll)
-	if err != nil {
-		t.Fatalf("FromLayout leaf: %v", err)
-	}
-	if got := rl.Predict(nil); got != 1 {
-		t.Fatalf("leaf round trip Predict = %d, want 1", got)
-	}
-}
-
-func TestFromLayoutRejectsMalformed(t *testing.T) {
-	cases := []struct {
-		name string
-		l    *Layout
-		want string
-	}{
-		{"nil", nil, "nil layout"},
-		{"ragged arrays", &Layout{Feat: []int32{0}, Thresh: []float64{1}}, "disagree"},
-		{"empty without label", &Layout{}, "without a leaf label"},
-		{"backward child", &Layout{Feat: []int32{0, 0}, Thresh: []float64{1, 2},
-			Left: []int32{1, 0}, Right: []int32{^int32(0), ^int32(1)}}, "preorder invariant"},
-		{"child out of range", &Layout{Feat: []int32{0}, Thresh: []float64{1},
-			Left: []int32{7}, Right: []int32{^int32(0)}}, "out of range"},
-		{"negative feature", &Layout{Feat: []int32{-2}, Thresh: []float64{1},
-			Left: []int32{^int32(0)}, Right: []int32{^int32(1)}}, "negative feature"},
-	}
-	for _, tc := range cases {
-		if _, err := FromLayout(tc.l); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want containing %q", tc.name, err, tc.want)
-		}
 	}
 }
 
@@ -287,45 +218,51 @@ func TestDecodeOffsetsSourceMapping(t *testing.T) {
 	}
 }
 
-// FuzzDecodeOffsets feeds the two decoders of outside bytes in a flight
-// capture arbitrary input: FromLayout over any layout (4 bytes a node —
-// feature, left, right, threshold — one left over shortening Thresh, a
-// lone byte the leaf label), then DecodeOffsets over any offsets, source
-// mapping and feature snapshot. Neither may panic or hang, and a decode
-// writes at most one step per offset and never past the trail.
-func FuzzDecodeOffsets(f *testing.F) {
-	f.Add([]byte{0, 1, 0xff, 3, 0, 0xfe, 0xfd, 9}, []byte{0, 1, 0xfd}, []byte{3}, []byte{5, 2}, uint8(8))
-	f.Add([]byte{2}, []byte{0xff}, []byte{}, []byte{}, uint8(1))
-	f.Add([]byte{0, 1, 1, 0, 0, 2, 2, 0, 0, 0xff, 0xff, 0}, []byte{0, 1, 2, 0xff, 7}, []byte{0xff, 40}, []byte{1}, uint8(3))
-	// 64 nodes each sending both children to the next: 2^64 root-to-leaf
-	// walks through 64 nodes, which hung FromLayout's depth count.
-	var chain []byte
-	for i := 1; i <= 64; i++ {
-		next := byte(i)
-		if i == 64 {
-			next = 0xff
+// fuzzTree grows a tree from bytes in preorder: a byte with its top bit
+// set, or any byte past depth 24, is a leaf labelled by its low three
+// bits; any other splits on feature b%8 at the next byte's threshold
+// (read as int8). Missing bytes are leaves of class 0, so every input
+// compiles.
+func fuzzTree(data []byte) *dtree.Tree {
+	var grow func(depth int) *dtree.Node
+	grow = func(depth int) *dtree.Node {
+		if len(data) == 0 {
+			return leaf(0)
 		}
-		chain = append(chain, 0, next, next, 0)
+		b := data[0]
+		data = data[1:]
+		if b&0x80 != 0 || depth >= 24 {
+			return leaf(int(b & 7))
+		}
+		th := 0.0
+		if len(data) > 0 {
+			th, data = float64(int8(data[0])), data[1:]
+		}
+		return split(int(b%8), th, grow(depth+1), grow(depth+1))
 	}
-	f.Add(chain, []byte{0, 1, 2}, []byte{}, []byte{1}, uint8(31))
-	f.Fuzz(func(t *testing.T, layout, offs, src, feats []byte, trailCap uint8) {
-		l := &Layout{}
-		for i := 0; i+4 <= len(layout); i += 4 {
-			l.Feat = append(l.Feat, int32(int8(layout[i])))
-			l.Left = append(l.Left, int32(int8(layout[i+1])))
-			l.Right = append(l.Right, int32(int8(layout[i+2])))
-			l.Thresh = append(l.Thresh, float64(int8(layout[i+3])))
-		}
-		switch rest := layout[len(layout)/4*4:]; {
-		case len(rest) == 1 && len(l.Feat) == 0:
-			label := int32(int8(rest[0]))
-			l.LeafLabel = &label
-		case len(rest) > 1 && len(l.Thresh) > 0:
-			l.Thresh = l.Thresh[:len(l.Thresh)-1]
-		}
-		ct, err := FromLayout(l)
+	return &dtree.Tree{Root: grow(0), NumFeatures: 8, NumClasses: 8}
+}
+
+// FuzzDecodeOffsets feeds DecodeOffsets what a flight record can hold
+// after a torn write or a foreign emitter: any offsets, source mapping
+// and feature snapshot, over any tree Compile accepts (grown by
+// fuzzTree). It may not panic or hang, and a decode writes at most one
+// step per offset and never past the trail.
+func FuzzDecodeOffsets(f *testing.F) {
+	f.Add([]byte{0, 3, 0x81, 1, 0xfe, 0x80, 0x82}, []byte{0, 1, 0xfd}, []byte{3}, []byte{5, 2}, uint8(8))
+	f.Add([]byte{0x82}, []byte{0xfd}, []byte{}, []byte{}, uint8(1))
+	f.Add([]byte{1, 2, 2, 0, 0x80, 0x81, 0, 0xff, 0x83, 0x80}, []byte{0, 1, 2, 0xff, 7}, []byte{0xff, 40}, []byte{1}, uint8(3))
+	// A 24-deep chain of splits whose left children are all leaves of the
+	// same class: the deepest walk, and offsets that overrun it.
+	var chain []byte
+	for i := 0; i < 24; i++ {
+		chain = append(chain, byte(i%8), byte(i), 0x80)
+	}
+	f.Add(chain, []byte{0, 1, 2, 3, 30, 0x80}, []byte{}, []byte{1}, uint8(31))
+	f.Fuzz(func(t *testing.T, tree, offs, src, feats []byte, trailCap uint8) {
+		ct, err := Compile(fuzzTree(tree))
 		if err != nil {
-			return
+			t.Fatalf("Compile rejected a well-formed tree: %v", err)
 		}
 		trailOffs := make([]int32, len(offs))
 		for i, b := range offs {

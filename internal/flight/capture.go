@@ -2,40 +2,21 @@ package flight
 
 import (
 	"fmt"
-	"sort"
 
-	"apollo/internal/ctree"
 	"apollo/internal/dtree"
 )
 
 // CaptureFormatID identifies the flight-capture JSON format.
 const CaptureFormatID = "apollo-flight-v1"
 
-// Capture is the JSON form of a recorder snapshot: the site table plus
-// the retained records with human-readable decision-path explanations.
-// It is what /debug/apollo/flight serves and apollo-inspect flight
-// consumes.
+// Capture is the JSON form of a recorder snapshot: the retained records,
+// each with the explained path of its decision. It is what
+// /debug/apollo/flight serves and apollo-inspect flight consumes.
 type Capture struct {
 	Format  string          `json:"format"`
 	Emitted uint64          `json:"emitted"`
 	Dropped uint64          `json:"dropped"`
-	Sites   []CaptureSite   `json:"sites"`
 	Records []CaptureRecord `json:"records"`
-}
-
-// CaptureSite is one registered decision site. Sites with a registered
-// TrailDecoder embed the compiled-tree layouts and feature mappings, so
-// an offline consumer (apollo-inspect flight) can decode offset trails
-// from the records without the original models: CTree/Src for the first
-// (policy) trail, ChunkCTree/ChunkSrc for the second.
-type CaptureSite struct {
-	ID         string        `json:"id"`
-	Name       string        `json:"name"`
-	Features   []string      `json:"features,omitempty"`
-	CTree      *ctree.Layout `json:"ctree,omitempty"`
-	Src        []int32       `json:"src,omitempty"`
-	ChunkCTree *ctree.Layout `json:"chunk_ctree,omitempty"`
-	ChunkSrc   []int32       `json:"chunk_src,omitempty"`
 }
 
 // CaptureRecord is one decision in a Capture.
@@ -54,53 +35,33 @@ type CaptureRecord struct {
 	FeatureNS   float64            `json:"feature_ns,omitempty"`
 	ModelNS     float64            `json:"model_ns,omitempty"`
 	Features    map[string]float64 `json:"features,omitempty"`
-	Path        []string           `json:"path,omitempty"`
-	// TrailOffsets and ChunkTrailOffsets are the record's raw offset
-	// trails (Path above is their decoded rendering, policy steps first,
-	// when the site's decoder was available at capture time).
-	TrailOffsets      []int32 `json:"trail_offsets,omitempty"`
-	ChunkTrailOffsets []int32 `json:"chunk_trail_offsets,omitempty"`
+	// Path is the record's offset trails explained against the decoder
+	// they were written under, policy steps first; absent when that
+	// decoder has since been replaced (or the launch ran no model).
+	Path []string `json:"path,omitempty"`
 }
 
 // Capture snapshots the recorder into its JSON form.
 func (r *Recorder) Capture() *Capture {
 	recs := r.Snapshot()
+	dec := r.Decoder()
 	c := &Capture{
 		Format:  CaptureFormatID,
 		Emitted: r.Emitted(),
 		Dropped: r.Dropped(),
-		Sites:   []CaptureSite{},
 		Records: make([]CaptureRecord, 0, len(recs)),
 	}
-	for id, s := range *r.sites.Load() {
-		cs := CaptureSite{ID: fmt.Sprintf("%#x", id), Name: s.name, Features: r.featureNames}
-		if d := s.dec.Load(); d != nil {
-			if d.Tree != nil {
-				cs.CTree, cs.Src = d.Tree.Layout(), d.Src
-			}
-			if d.ChunkTree != nil {
-				cs.ChunkCTree, cs.ChunkSrc = d.ChunkTree.Layout(), d.ChunkSrc
-			}
-		}
-		c.Sites = append(c.Sites, cs)
-	}
-	sort.Slice(c.Sites, func(i, j int) bool { return c.Sites[i].ID < c.Sites[j].ID })
 	for i := range recs {
-		c.Records = append(c.Records, r.captureRecord(&recs[i]))
+		c.Records = append(c.Records, r.captureRecord(&recs[i], dec))
 	}
 	return c
 }
 
-func (r *Recorder) captureRecord(rec *Record) CaptureRecord {
-	siteName := ""
-	var dec *TrailDecoder
-	if s := r.Site(rec.Site); s != nil {
-		siteName, dec = s.name, s.dec.Load()
-	}
+func (r *Recorder) captureRecord(rec *Record, dec *TrailDecoder) CaptureRecord {
 	out := CaptureRecord{
 		Seq:         rec.Seq,
 		TimeNS:      rec.TimeNS,
-		Site:        siteName,
+		Site:        rec.SiteName(),
 		SiteID:      fmt.Sprintf("%#x", rec.Site),
 		Iterations:  rec.Iterations,
 		Policy:      int(rec.Policy),
@@ -120,37 +81,16 @@ func (r *Recorder) captureRecord(rec *Record) CaptureRecord {
 		}
 	}
 	first, second := rec.Trails()
-	out.TrailOffsets = append([]int32(nil), first...)
-	out.ChunkTrailOffsets = append([]int32(nil), second...)
-	if dec != nil && len(first)+len(second) > 0 {
-		out.Path = dec.Explain(first, second, rec.Features[:nf], r.featureNames)
+	if dec != nil && rec.DecoderGen == dec.gen && len(first)+len(second) > 0 {
+		out.Path = dec.explain(first, second, rec.Features[:nf], r.featureNames)
 	}
 	return out
 }
 
-// Decoder rebuilds the site's TrailDecoder from its embedded layouts. A
-// missing, foreign or corrupt layout leaves its tree nil (that trail
-// stays raw offsets); the result is nil when neither yields a tree.
-func (s *CaptureSite) Decoder() *TrailDecoder {
-	d := &TrailDecoder{Src: s.Src, ChunkSrc: s.ChunkSrc}
-	if t, err := ctree.FromLayout(s.CTree); err == nil {
-		d.Tree = t
-	}
-	if t, err := ctree.FromLayout(s.ChunkCTree); err == nil {
-		d.ChunkTree = t
-	}
-	if d.Tree == nil && d.ChunkTree == nil {
-		return nil
-	}
-	return d
-}
-
-// Explain is the one offset→path decoder (Capture renders live records
-// through it, apollo-inspect flight raw captures offline): it decodes a
-// record's two trails (either may be empty) against the decoder's trees
-// into one explained path, policy steps first. features is the record's
-// source-layout snapshot, NaN where the caller could not recover a value.
-func (d *TrailDecoder) Explain(first, second []int32, features []float64, names []string) []string {
+// explain decodes a record's two trails (either may be empty) against
+// the decoder's trees into one explained path, policy steps first.
+// features is the record's source-layout snapshot.
+func (d *TrailDecoder) explain(first, second []int32, features []float64, names []string) []string {
 	var steps [2 * MaxTrail]dtree.TrailStep
 	n := 0
 	if d.Tree != nil {
@@ -159,7 +99,7 @@ func (d *TrailDecoder) Explain(first, second []int32, features []float64, names 
 	if d.ChunkTree != nil {
 		n += d.ChunkTree.DecodeOffsets(second, d.ChunkSrc, features, steps[n:n+MaxTrail])
 	}
-	return ExplainTrail(steps[:n], names)
+	return explainTrail(steps[:n], names)
 }
 
 // featureName names feature index i, falling back to the positional
@@ -171,7 +111,7 @@ func featureName(names []string, i int) string {
 	return fmt.Sprintf("x[%d]", i)
 }
 
-// ExplainTrail renders a decision trail as one human-readable line per
+// explainTrail renders a decision trail as one human-readable line per
 // split, in the style of the paper's Fig. 4 model listing:
 //
 //	num_indices (=16) <= 96 → left
@@ -179,7 +119,7 @@ func featureName(names []string, i int) string {
 //
 // A step whose feature index is -1 consulted a model feature the source
 // schema lacks (projected as zero).
-func ExplainTrail(trail []dtree.TrailStep, names []string) []string {
+func explainTrail(trail []dtree.TrailStep, names []string) []string {
 	out := make([]string, len(trail))
 	for i, st := range trail {
 		name := "(absent feature)"

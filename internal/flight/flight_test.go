@@ -3,6 +3,7 @@ package flight
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
@@ -32,7 +33,6 @@ func emitOne(r *Recorder, site uint64, class int, observed float64) {
 
 func TestEmitSnapshotRoundTrip(t *testing.T) {
 	r := New(Options{Capacity: 8, FeatureNames: []string{"obs", "class"}})
-	r.RegisterSite(7, "daxpy")
 	emitOne(r, 7, 2, 100)
 	emitOne(r, 7, 2, 200)
 	recs := r.Snapshot()
@@ -60,7 +60,6 @@ func TestEmitSnapshotRoundTrip(t *testing.T) {
 func TestWraparoundKeepsNewest(t *testing.T) {
 	const capacity = 8
 	r := New(Options{Capacity: capacity})
-	r.RegisterSite(1, "k")
 	// 3x capacity emissions without an intervening drain: the ring laps
 	// itself twice; only the newest `capacity` survive, and the retained
 	// window then bounds history at `capacity`.
@@ -102,9 +101,6 @@ func TestConcurrentEmit(t *testing.T) {
 		t.Run(fmt.Sprintf("writers=%d", writers), func(t *testing.T) {
 			r := New(Options{Capacity: 64})
 			const perWriter = 500
-			for w := 0; w < writers; w++ {
-				r.RegisterSite(uint64(w), fmt.Sprintf("site%d", w))
-			}
 			var readerWG, writerWG sync.WaitGroup
 			stop := make(chan struct{})
 			readerWG.Add(1)
@@ -165,7 +161,6 @@ func TestConcurrentEmit(t *testing.T) {
 
 func TestEmitAllocFree(t *testing.T) {
 	r := New(Options{Capacity: 32})
-	r.RegisterSite(42, "k")
 	avg := testing.AllocsPerRun(1000, func() {
 		rec, tok := r.Reserve(42)
 		if rec != nil {
@@ -188,7 +183,6 @@ func TestRingHoldsCapacityAtAnyP(t *testing.T) {
 	for _, procs := range []int{8, 1} {
 		runtime.GOMAXPROCS(procs)
 		r := New(Options{})
-		r.RegisterSite(1, "k")
 		for i := 0; i < 3*512; i++ {
 			emitOne(r, 1, 0, float64(i))
 		}
@@ -198,17 +192,22 @@ func TestRingHoldsCapacityAtAnyP(t *testing.T) {
 	}
 }
 
-func TestRegisterSiteIdempotent(t *testing.T) {
-	r := New(Options{Capacity: 8})
-	first := r.RegisterSite(1, "first")
-	if again := r.RegisterSite(1, "second"); again != first || r.Site(1) != first {
-		t.Fatalf("re-registration replaced the site entry: %p, then %p", first, again)
-	}
-	if got := r.SiteName(1); got != "first" {
-		t.Fatalf("re-registration replaced site: name = %q", got)
-	}
-	if r.Site(1) == nil || r.Site(2) != nil {
-		t.Fatalf("Site wrong: 1=%v 2=%v", r.Site(1), r.Site(2))
+// TestRecordCarriesSiteName: a record names its site inline, truncated
+// to MaxSiteName bytes, and a reservation clears the name a slot's
+// earlier occupant left.
+func TestRecordCarriesSiteName(t *testing.T) {
+	r := New(Options{Capacity: 1})
+	long := strings.Repeat("k", MaxSiteName+10)
+	for _, name := range []string{"daxpy", long, ""} {
+		rec, tok := r.Reserve(1)
+		if name != "" {
+			rec.SetSiteName(name)
+		}
+		r.Commit(tok)
+		got := r.Snapshot()
+		if want := name[:min(len(name), MaxSiteName)]; got[len(got)-1].SiteName() != want {
+			t.Fatalf("site named %q: the record reads %q, want %q", name, got[len(got)-1].SiteName(), want)
+		}
 	}
 }
 
@@ -236,19 +235,18 @@ func twoSplitTree(t *testing.T, t0, t1 float64) *ctree.Tree {
 
 // TestCaptureExplains is the dual-model round trip: a site running a
 // policy and a chunk model packs two offset trails into the record, and
-// the capture renders them as one explained path (policy steps first)
-// and embeds both layouts so offline consumers can re-decode.
+// the capture renders them as one explained path, policy steps first.
 func TestCaptureExplains(t *testing.T) {
 	names := []string{"num_indices", "trip_count"}
 	policy, chunk := twoSplitTree(t, 96, 256), twoSplitTree(t, 8, 1e6)
 	r := New(Options{Capacity: 8, FeatureNames: names})
-	r.RegisterSite(7, "daxpy")
 	// The chunk model sees the source features swapped.
-	r.Site(7).SetDecoder(&TrailDecoder{Tree: policy, Src: []int32{0, 1}, ChunkTree: chunk, ChunkSrc: []int32{1, 0}})
+	dec := r.SetDecoder(TrailDecoder{Tree: policy, Src: []int32{0, 1}, ChunkTree: chunk, ChunkSrc: []int32{1, 0}})
 	rec, tok := r.Reserve(7)
 	if rec == nil {
 		t.Fatal("reservation dropped on an empty ring")
 	}
+	rec.SetSiteName("daxpy")
 	rec.Policy = 1
 	rec.Predicted = 1
 	rec.Iterations = 4096
@@ -258,30 +256,22 @@ func TestCaptureExplains(t *testing.T) {
 	_, n0 := policy.PredictOffsets([]float64{16, 4096}, rec.Offsets[:MaxOffsets])
 	_, n1 := chunk.PredictOffsets([]float64{4096, 16}, rec.Offsets[n0:n0+MaxOffsets])
 	rec.OffsetsSplit, rec.OffsetsLen = int32(n0), int32(n0+n1)
+	rec.DecoderGen = dec.Gen()
 	r.Commit(tok)
 
 	c := r.Capture()
 	if c.Format != CaptureFormatID {
 		t.Fatalf("format %q", c.Format)
 	}
-	if len(c.Sites) != 1 || c.Sites[0].Name != "daxpy" {
-		t.Fatalf("sites: %+v", c.Sites)
-	}
-	if s := c.Sites[0]; s.CTree == nil || s.ChunkCTree == nil || len(s.Src) != 2 || len(s.ChunkSrc) != 2 {
-		t.Fatalf("site does not embed both compiled layouts: %+v", s)
-	}
 	if len(c.Records) != 1 {
 		t.Fatalf("records: %d", len(c.Records))
 	}
 	cr := c.Records[0]
-	if cr.Site != "daxpy" || cr.Policy != 1 || cr.Iterations != 4096 {
+	if cr.Site != "daxpy" || cr.SiteID != "0x7" || cr.Policy != 1 || cr.Iterations != 4096 {
 		t.Fatalf("record: %+v", cr)
 	}
 	if cr.Features["num_indices"] != 16 || cr.Features["trip_count"] != 4096 {
 		t.Fatalf("features: %+v", cr.Features)
-	}
-	if len(cr.TrailOffsets) != n0 || len(cr.ChunkTrailOffsets) != n1 {
-		t.Fatalf("raw trails %v / %v, want %d / %d entries", cr.TrailOffsets, cr.ChunkTrailOffsets, n0, n1)
 	}
 	wantPath := []string{
 		"num_indices (=16) <= 96 → left",
@@ -291,32 +281,21 @@ func TestCaptureExplains(t *testing.T) {
 	if fmt.Sprint(cr.Path) != fmt.Sprint(wantPath) {
 		t.Fatalf("path: %q, want %q", cr.Path, wantPath)
 	}
-
-	// The same trails decode offline from nothing but the capture.
-	dec := c.Sites[0].Decoder()
-	if dec == nil {
-		t.Fatal("embedded layouts did not rebuild a decoder")
-	}
-	if got := dec.Explain(cr.TrailOffsets, cr.ChunkTrailOffsets, []float64{16, 4096}, names); fmt.Sprint(got) != fmt.Sprint(wantPath) {
-		t.Fatalf("offline path: %q, want %q", got, wantPath)
-	}
-	if (&CaptureSite{ChunkCTree: &ctree.Layout{Feat: []int32{0}}}).Decoder() != nil {
-		t.Fatal("a corrupt layout rebuilt a decoder")
-	}
 }
 
 // TestCaptureDecodesOffsets is the single-model round trip: the record
-// carries one trail, the capture expands it into the explained path and
-// embeds the compiled layout, and the chunk fields stay absent.
+// carries one trail, which the capture expands into the explained path
+// while the decoder it was written under is current — and, once another
+// decoder replaces it, no longer renders at all, rather than against
+// thresholds the deciding tree never had.
 func TestCaptureDecodesOffsets(t *testing.T) {
 	names := []string{"num_indices", "trip_count"}
 	ct := twoSplitTree(t, 96, 256)
 
 	r := New(Options{Capacity: 8, FeatureNames: names})
-	r.RegisterSite(7, "daxpy")
-	r.Site(7).SetDecoder(&TrailDecoder{Tree: ct, Src: []int32{0, 1}})
-	if d := r.Site(7).Decoder(); d == nil || d.Tree != ct {
-		t.Fatal("Site.Decoder does not return the registered decoder")
+	dec := r.SetDecoder(TrailDecoder{Tree: ct, Src: []int32{0, 1}})
+	if d := r.Decoder(); d != dec || d.Tree != ct || d.Gen() == 0 {
+		t.Fatal("Decoder does not return the installed decoder")
 	}
 
 	rec, tok := r.Reserve(7)
@@ -330,32 +309,35 @@ func TestCaptureDecodesOffsets(t *testing.T) {
 	rec.OffsetsSplit, rec.OffsetsLen = int32(n), int32(n)
 	rec.Predicted = int32(class)
 	rec.Policy = int32(class)
+	rec.DecoderGen = dec.Gen()
 	r.Commit(tok)
 
-	c := r.Capture()
-	if len(c.Sites) != 1 || c.Sites[0].CTree == nil || len(c.Sites[0].Src) != 2 || c.Sites[0].ChunkCTree != nil {
-		t.Fatalf("site does not embed exactly the policy layout: %+v", c.Sites)
-	}
-	cr := c.Records[0]
-	if len(cr.TrailOffsets) != n || cr.ChunkTrailOffsets != nil {
-		t.Fatalf("trail_offsets %v (chunk %v), want %d entries and no chunk trail", cr.TrailOffsets, cr.ChunkTrailOffsets, n)
-	}
 	wantPath := []string{
 		"num_indices (=4096) > 96 → right",
 		"trip_count (=4096) > 256 → right",
 	}
-	if len(cr.Path) != 2 || cr.Path[0] != wantPath[0] || cr.Path[1] != wantPath[1] {
+	if cr := r.Capture().Records[0]; fmt.Sprint(cr.Path) != fmt.Sprint(wantPath) {
 		t.Fatalf("decoded path %q, want %q", cr.Path, wantPath)
+	}
+
+	// The same trees installed again are a new generation: the record's
+	// decoder is gone, and with it its path, but not its outcome.
+	if next := r.SetDecoder(TrailDecoder{Tree: twoSplitTree(t, 8, 256), Src: []int32{0, 1}}); next.Gen() == dec.Gen() {
+		t.Fatalf("a second install reused generation %d", dec.Gen())
+	}
+	if cr := r.Capture().Records[0]; cr.Path != nil || cr.Predicted != class || cr.Features["num_indices"] != 4096 {
+		t.Fatalf("record written under a replaced decoder captures as %+v, want its outcome and no path", cr)
 	}
 }
 
 // TestRecordTrailsClampAndSize pins the offsets-only record: Trails never
-// indexes outside Offsets whatever a torn record claims, and dropping the
-// 576-byte TrailStep array for a second 100-byte offset trail took the
-// record from 1160 bytes to at least 400 fewer.
+// indexes outside Offsets whatever a torn record claims, and the record
+// is the 744 bytes record.go and Options.Capacity's memory formula cite —
+// 680 once the 576-byte TrailStep array became a second 100-byte offset
+// trail (it was 1160), plus the inline site name.
 func TestRecordTrailsClampAndSize(t *testing.T) {
-	if got := unsafe.Sizeof(Record{}); got > 1160-400 {
-		t.Errorf("Record is %d bytes, want <= %d", got, 1160-400)
+	if got := unsafe.Sizeof(Record{}); got != 680+MaxSiteName {
+		t.Errorf("Record is %d bytes, want %d", got, 680+MaxSiteName)
 	}
 	for _, tc := range []struct{ split, n, wantFirst, wantSecond int32 }{
 		{0, 0, 0, 0}, {3, 3, 3, 0}, {0, 4, 0, 4}, {2, 5, 2, 3},
@@ -374,7 +356,7 @@ func TestExplainTrailFallbacks(t *testing.T) {
 		{Feature: -1, Right: false, Threshold: 1, Value: 0},
 		{Feature: 5, Right: true, Threshold: 2, Value: 3},
 	}
-	lines := ExplainTrail(trail, []string{"only"})
+	lines := explainTrail(trail, []string{"only"})
 	if lines[0] != "(absent feature) (=0) <= 1 → left" {
 		t.Fatalf("absent-feature line: %q", lines[0])
 	}
@@ -388,7 +370,6 @@ func TestExplainTrailFallbacks(t *testing.T) {
 // The b.ReportAllocs figure is the EXPERIMENTS.md 0-allocs claim.
 func BenchmarkEmit(b *testing.B) {
 	r := New(Options{})
-	r.RegisterSite(1, "k")
 	trail := [9]int32{0, 1, 2, 3, 4, 5, 6, 7, -1}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -418,7 +399,6 @@ func BenchmarkEmit(b *testing.B) {
 // the one ring.
 func BenchmarkEmitParallel(b *testing.B) {
 	r := New(Options{})
-	r.RegisterSite(1, "k")
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {

@@ -31,7 +31,7 @@ func (r *Recorder) CaptureTrace(ctx context.Context, d time.Duration) []trace.Ev
 			fresh = append(fresh, recs[i])
 		}
 	}
-	return r.TraceEvents(fresh)
+	return TraceEvents(fresh)
 }
 
 // maxTraceCapture caps /debug/apollo/trace?sec=N so a typo cannot hold a
@@ -54,8 +54,8 @@ func traceWindow(sec string) (d time.Duration, ok bool) {
 	return time.Duration(min(v, maxTraceCapture.Seconds()) * float64(time.Second)), true
 }
 
-// RegisterDebug installs the flight-recorder debug endpoints and the
-// pprof profiler on mux:
+// RegisterDebug installs the pprof profiler on mux and, given a
+// recorder, the flight-recorder debug endpoints:
 //
 //	/debug/apollo/flight       recent decisions as apollo-flight-v1 JSON
 //	/debug/apollo/trace?sec=N  N-second capture as Chrome trace-event JSON
@@ -64,33 +64,27 @@ func traceWindow(sec string) (d time.Duration, ok bool) {
 // The handlers only read the recorder (drains move records into the
 // retained window but lose nothing), so the endpoints are safe to expose
 // on a live production process — that is the point of a flight recorder.
-// rec may be nil, in which case the apollo endpoints report 503 and only
-// pprof is live.
+// A process without a recorder (rec nil) serves pprof alone: the flight
+// paths are not mounted and answer 404.
 func RegisterDebug(mux *http.ServeMux, rec *Recorder) {
-	mux.HandleFunc("GET /debug/apollo/flight", func(w http.ResponseWriter, req *http.Request) {
-		if rec == nil {
-			http.Error(w, "flight recorder not enabled", http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(rec.Capture()) //apollo:errok debug endpoint: a client gone mid-response has no receiver for the error
-	})
-	mux.HandleFunc("GET /debug/apollo/trace", func(w http.ResponseWriter, req *http.Request) {
-		if rec == nil {
-			http.Error(w, "flight recorder not enabled", http.StatusServiceUnavailable)
-			return
-		}
-		d, ok := traceWindow(req.URL.Query().Get("sec"))
-		if !ok {
-			http.Error(w, "bad sec parameter", http.StatusBadRequest)
-			return
-		}
-		events := rec.CaptureTrace(req.Context(), d)
-		w.Header().Set("Content-Type", "application/json")
-		trace.WriteChromeTrace(w, events) //apollo:errok debug endpoint: a client gone mid-response has no receiver for the error
-	})
+	if rec != nil {
+		mux.HandleFunc("GET /debug/apollo/flight", func(w http.ResponseWriter, req *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			enc.Encode(rec.Capture()) //apollo:errok debug endpoint: a client gone mid-response has no receiver for the error
+		})
+		mux.HandleFunc("GET /debug/apollo/trace", func(w http.ResponseWriter, req *http.Request) {
+			d, ok := traceWindow(req.URL.Query().Get("sec"))
+			if !ok {
+				http.Error(w, "bad sec parameter", http.StatusBadRequest)
+				return
+			}
+			events := rec.CaptureTrace(req.Context(), d)
+			w.Header().Set("Content-Type", "application/json")
+			trace.WriteChromeTrace(w, events) //apollo:errok debug endpoint: a client gone mid-response has no receiver for the error
+		})
+	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

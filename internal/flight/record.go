@@ -36,22 +36,30 @@ const (
 	// MaxOffsets sizes one offset trail: one internal-node offset per
 	// level plus the terminal leaf reference.
 	MaxOffsets = MaxTrail + 1
+
+	// MaxSiteName is the longest site name a record carries inline;
+	// longer names are truncated to it (every kernel the bundled
+	// applications launch has a shorter name).
+	MaxSiteName = 64
 )
 
 // Record is one decision's provenance. It is a fixed-size, pointer-free
-// value (680 bytes) so a ring of them is a single allocation and writers
-// fill slots in place without touching the garbage collector.
+// value (744 bytes) so a ring of them is a single allocation and writers
+// fill slots in place without touching the garbage collector. The site's
+// name rides inline, as looptrace.Event carries its strings, so the
+// recorder keeps no per-site table.
 //
-// Fields beyond NumFeatures in Features and beyond OffsetsLen in Offsets
-// are stale leftovers from earlier occupants of the slot; readers must
-// bound themselves by the lengths (Trails does).
+// Fields beyond NumFeatures in Features, beyond OffsetsLen in Offsets and
+// beyond the name's length in its array are stale leftovers from earlier
+// occupants of the slot; readers must bound themselves by the lengths
+// (Trails and SiteName do).
 type Record struct {
 	// Seq is the record's global emission sequence number (from 1).
 	Seq uint64
 	// TimeNS is the monotonic emission timestamp (flight.Now clock).
 	TimeNS int64
 	// Site identifies the decision site (the tuned kernel's ID);
-	// RegisterSite attaches a human-readable name.
+	// SetSiteName attaches its human-readable name.
 	Site uint64
 	// Iterations is the tuned region's iteration count (0 if unknown).
 	Iterations int64
@@ -70,9 +78,14 @@ type Record struct {
 	// Offsets[OffsetsSplit:OffsetsLen]. One trail sets both to its length.
 	OffsetsSplit int32
 	OffsetsLen   int32
+	// DecoderGen is the generation of the recorder's TrailDecoder the
+	// offsets were written under (TrailDecoder.Gen; 0 for none). A
+	// capture explains only records of the current generation.
+	DecoderGen uint32
 	// Explored reports that the tuner overrode the model's choice to
 	// gather fresh telemetry, so Policy/Chunk may differ from Predicted.
 	Explored bool
+	siteLen  uint8 // bounds the valid prefix of site
 	// PredictedNS is the runtime the emitter expected for this launch:
 	// the tuner's per-iteration EWMA of the site's earlier launches under
 	// the same policy, times Iterations (0 until the first of them).
@@ -89,8 +102,21 @@ type Record struct {
 	// compiled tree visited, then the (negative) leaf reference, 4 bytes
 	// per step — one trail per model the site ran, each at most MaxOffsets
 	// long. The capture layer expands them into explained paths via the
-	// site's TrailDecoder. No compiled tree, no trail.
+	// recorder's TrailDecoder. No compiled tree, no trail.
 	Offsets [2 * MaxOffsets]int32
+	site    [MaxSiteName]byte
+}
+
+// SetSiteName copies the site's name into the record, truncated to
+// MaxSiteName bytes. It allocates nothing.
+//
+//apollo:hotpath
+func (r *Record) SetSiteName(name string) { r.siteLen = uint8(copy(r.site[:], name)) }
+
+// SiteName returns the record's site name, "" when none was set
+// (allocates; cold path).
+func (r *Record) SiteName() string {
+	return string(r.site[:min(int(r.siteLen), MaxSiteName)])
 }
 
 // Trails returns the record's two offset trails (either may be empty),

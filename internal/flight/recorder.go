@@ -1,7 +1,6 @@
 package flight
 
 import (
-	"maps"
 	"runtime"
 	"sort"
 	"sync"
@@ -38,7 +37,7 @@ func newRing(capacity int) *ring {
 type Options struct {
 	// Capacity is the number of records the ring holds between drains
 	// and the retained history keeps after them (rounded up to a power of
-	// two). Memory is about 3*Capacity*680 bytes: the ring, its spare and
+	// two). Memory is about 3*Capacity*744 bytes: the ring, its spare and
 	// the history.
 	Capacity int
 	// FeatureNames names feature-vector indices for explanations
@@ -73,10 +72,11 @@ type Recorder struct {
 	emitted atomic.Uint64
 	dropped atomic.Uint64
 
-	sites atomic.Pointer[map[uint64]*Site]
-	// siteMu serializes site registration (readers go through the
-	// copy-on-write sites pointer and never take it).
-	siteMu sync.Mutex //apollo:lockrank 30
+	// dec explains every record's offset trails: one decoder per
+	// recorder, since its one producer runs one projector set. SetDecoder
+	// swaps it on a model change and numbers it from decGen.
+	dec    atomic.Pointer[TrailDecoder]
+	decGen atomic.Uint32
 
 	featureNames []string
 
@@ -87,28 +87,26 @@ type Recorder struct {
 	spare    *ring
 }
 
-// Site is the interned entry of one decision site, registered on the
-// cold path and looked up once per record on the hot path (Recorder.Site).
-// Its methods treat a nil *Site, an unregistered site, as holding nothing.
-type Site struct {
-	name string
-	// dec is the decoder for the site's offset trails, swapped whenever
-	// either of the site's compiled models changes.
-	dec atomic.Pointer[TrailDecoder]
-}
-
-// TrailDecoder ties a site's offset trails (Record.Offsets) to the
+// TrailDecoder ties records' offset trails (Record.Offsets) to the
 // compiled trees that wrote them — Tree for the first (policy) trail,
 // ChunkTree for the second, either may be nil — each with its
 // model→source feature index mapping for source-schema explanations (nil
 // when vectors are already in the model's schema). Immutable once
-// registered: a model swap registers a fresh decoder, both pairs at once.
+// installed: a model swap installs a fresh decoder, both pairs at once.
 type TrailDecoder struct {
 	Tree      *ctree.Tree
 	Src       []int32
 	ChunkTree *ctree.Tree
 	ChunkSrc  []int32
+
+	gen uint32 // the recorder's numbering of it, from 1; 0 until installed
 }
+
+// Gen returns the decoder's generation, what an emitter stamps into
+// Record.DecoderGen.
+//
+//apollo:hotpath
+func (d *TrailDecoder) Gen() uint32 { return d.gen }
 
 // New builds a Recorder.
 func New(opts Options) *Recorder {
@@ -121,7 +119,6 @@ func New(opts Options) *Recorder {
 		featureNames: append([]string(nil), opts.FeatureNames...),
 		spare:        newRing(capacity),
 	}
-	r.sites.Store(&map[uint64]*Site{})
 	r.buf.Store(newRing(capacity))
 	return r
 }
@@ -142,11 +139,11 @@ type Token struct {
 }
 
 // Reserve claims a record slot for the given site and stamps Seq,
-// TimeNS, and Site. The caller fills the remaining fields in place and
-// must Commit the returned token promptly — the slot stays claimed and
-// the ring stays pinned until then. Reserve returns a nil record when a
-// lapping writer still owns the slot; callers must tolerate that (skip
-// the fill, still call Commit).
+// TimeNS, and Site. The caller fills the remaining fields in place (the
+// site's name through SetSiteName) and must Commit the returned token
+// promptly — the slot stays claimed and the ring stays pinned until then.
+// Reserve returns a nil record when a lapping writer still owns the slot;
+// callers must tolerate that (skip the fill, still call Commit).
 //
 // The ring behind buf is a mutable arena, not a copy-on-write value:
 // slots are claimed by CAS before any write and released by Commit, and
@@ -182,7 +179,9 @@ func (r *Recorder) Reserve(siteID uint64) (*Record, Token) {
 	rec.NumFeatures = 0
 	rec.OffsetsSplit = 0
 	rec.OffsetsLen = 0
+	rec.DecoderGen = 0
 	rec.Explored = false
+	rec.siteLen = 0
 	rec.PredictedNS = 0
 	rec.ObservedNS = 0
 	rec.FeatureNS = 0
@@ -210,59 +209,25 @@ func (r *Recorder) Emitted() uint64 { return r.emitted.Load() }
 // Dropped returns the number of reservations dropped on slot collisions.
 func (r *Recorder) Dropped() uint64 { return r.dropped.Load() }
 
-// Site returns the site's entry, nil when unregistered: the one map load
-// an emitter pays per record, and the gate in front of RegisterSite.
+// Decoder returns the current trail decoder, nil before the first
+// SetDecoder. An emitter reads it per record to detect model swaps: one
+// atomic load.
 //
 //apollo:hotpath
-func (r *Recorder) Site(id uint64) *Site { return (*r.sites.Load())[id] }
+func (r *Recorder) Decoder() *TrailDecoder { return r.dec.Load() }
 
-// RegisterSite attaches a human-readable name to a site ID and returns
-// its entry. It is idempotent (first registration wins, keeping the
-// site's decoder) and safe beside hot-path readers, which go through the
-// copy-on-write map.
-func (r *Recorder) RegisterSite(id uint64, name string) *Site {
-	r.siteMu.Lock()
-	defer r.siteMu.Unlock()
-	if s := r.Site(id); s != nil {
-		return s
-	}
-	m := maps.Clone(*r.sites.Load())
-	m[id] = &Site{name: name}
-	r.sites.Store(&m)
-	return m[id]
-}
-
-// Decoder returns the site's current offset-trail decoder (nil when it
-// has never installed one). Emitters read it per launch to detect model
-// swaps: one atomic load.
-//
-//apollo:hotpath
-func (s *Site) Decoder() *TrailDecoder {
-	if s == nil {
-		return nil
-	}
-	return s.dec.Load()
-}
-
-// SetDecoder installs the decoder for the site's compact offset trails.
-// Call it again whenever the site's compiled model changes; records
-// written under an older decoder decode against the new one only as far
-// as the layouts agree, which is why emitters swap the decoder before
-// writing the first record of a new model. Runs at model-swap time, never
-// per launch (the TrailDecoder the caller allocates is what keeps it off
-// the hot path; the install itself is one atomic pointer store).
-func (s *Site) SetDecoder(d *TrailDecoder) {
-	if s != nil {
-		s.dec.Store(d)
-	}
-}
-
-// SiteName returns the registered name for a site ID ("" when unknown).
-func (r *Recorder) SiteName(id uint64) string {
-	if s := r.Site(id); s != nil {
-		return s.name
-	}
-	return ""
+// SetDecoder installs a copy of d, numbered with the recorder's next
+// generation, as the decoder of the records written from now on, and
+// returns the copy: its Gen is what an emitter stamps into each record
+// whose offsets it wrote with d's trees. A capture explains a record
+// only under the decoder of its own generation, so a record written
+// before a model swap keeps its features and outcome but shows no path
+// (the new trees would render thresholds the deciding model never had).
+// Runs once per model swap, never per launch.
+func (r *Recorder) SetDecoder(d TrailDecoder) *TrailDecoder {
+	d.gen = r.decGen.Add(1)
+	r.dec.Store(&d)
+	return &d
 }
 
 // Snapshot drains the ring into the retained history and returns a copy

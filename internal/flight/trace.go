@@ -20,7 +20,7 @@ import (
 // execution span it parameterized — the timing is re-measured at launch
 // end, so the placement is presentational, not a measurement of when the
 // phases ran.
-func (r *Recorder) TraceEvents(recs []Record) []trace.Event {
+func TraceEvents(recs []Record) []trace.Event {
 	if len(recs) == 0 {
 		return nil
 	}
@@ -35,7 +35,7 @@ func (r *Recorder) TraceEvents(recs []Record) []trace.Event {
 	events := make([]trace.Event, 0, 2*len(recs))
 	for i := range recs {
 		rec := &recs[i]
-		name := r.SiteName(rec.Site)
+		name := rec.SiteName()
 		if name == "" {
 			name = fmt.Sprintf("site-%#x", rec.Site)
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,11 +14,11 @@ import (
 
 func TestTraceEventsFromRecords(t *testing.T) {
 	r := New(Options{Capacity: 8})
-	r.RegisterSite(7, "daxpy")
 	rec, tok := r.Reserve(7)
 	if rec == nil {
 		t.Fatal("reservation dropped")
 	}
+	rec.SetSiteName("daxpy")
 	rec.Iterations = 100
 	rec.Policy = 1
 	rec.Predicted = 1
@@ -30,12 +31,13 @@ func TestTraceEventsFromRecords(t *testing.T) {
 	if rec2 == nil {
 		t.Fatal("reservation dropped")
 	}
+	rec2.SetSiteName("daxpy")
 	rec2.Iterations = 10
 	rec2.Policy = 0
 	rec2.ObservedNS = 300
 	r.Commit(tok2)
 
-	events := r.TraceEvents(r.Snapshot())
+	events := TraceEvents(r.Snapshot())
 	// Record 1 has phase timings → execution + decision spans; record 2
 	// has none → execution only.
 	if len(events) != 3 {
@@ -78,8 +80,7 @@ func TestTraceEventsFromRecords(t *testing.T) {
 }
 
 func TestTraceEventsEmpty(t *testing.T) {
-	r := New(Options{Capacity: 8})
-	if events := r.TraceEvents(nil); events != nil {
+	if events := TraceEvents(nil); events != nil {
 		t.Fatalf("empty conversion returned %v", events)
 	}
 }
@@ -92,7 +93,7 @@ func TestTraceEventsUnknownSite(t *testing.T) {
 	}
 	rec.ObservedNS = 10
 	r.Commit(tok)
-	events := r.TraceEvents(r.Snapshot())
+	events := TraceEvents(r.Snapshot())
 	if len(events) != 1 || events[0].Kernel != "site-0xbeef" {
 		t.Fatalf("unknown site not named positionally: %+v", events)
 	}
@@ -127,7 +128,8 @@ func TestTraceWindow(t *testing.T) {
 
 // TestDebugTraceEndpoint: the trace endpoint answers a zero-second
 // capture as a Chrome trace-event array and refuses a sec traceWindow
-// rejects; a nil recorder's endpoints answer 503.
+// rejects; a mux without a recorder mounts neither flight endpoint (404)
+// and still serves pprof.
 func TestDebugTraceEndpoint(t *testing.T) {
 	on := httptest.NewServer(DebugMux(New(Options{})))
 	defer on.Close()
@@ -140,15 +142,16 @@ func TestDebugTraceEndpoint(t *testing.T) {
 		{on.URL, "/debug/apollo/trace?sec=0", http.StatusOK},
 		{on.URL, "/debug/apollo/trace?sec=bogus", http.StatusBadRequest},
 		{on.URL, "/debug/apollo/trace?sec=Inf", http.StatusBadRequest},
-		{off.URL, "/debug/apollo/trace?sec=0", http.StatusServiceUnavailable},
-		{off.URL, "/debug/apollo/flight", http.StatusServiceUnavailable},
+		{off.URL, "/debug/apollo/trace?sec=0", http.StatusNotFound},
+		{off.URL, "/debug/apollo/flight", http.StatusNotFound},
+		{off.URL, "/debug/pprof/cmdline", http.StatusOK},
 	} {
 		resp, err := http.Get(c.base + c.path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var events []json.RawMessage
-		if resp.StatusCode == http.StatusOK {
+		if resp.StatusCode == http.StatusOK && strings.HasPrefix(c.path, "/debug/apollo/") {
 			err = json.NewDecoder(resp.Body).Decode(&events)
 		}
 		resp.Body.Close()

@@ -150,12 +150,11 @@ type Fields struct {
 
 // Options configures a Tracer.
 type Options struct {
-	// Capacity is the ring size, rounded up to a power of two
-	// (default 1024). A full ring drops events rather than blocking.
+	// Capacity is the number of events the ring holds between drains
+	// (rounded up to a power of two) and the drained window keeps for
+	// the debug endpoint after them, oldest evicted first (default 1024).
+	// A full ring drops events rather than blocking.
 	Capacity int
-	// Retain bounds the drained-event window kept in memory for the
-	// debug endpoint (default 1024; oldest evicted first).
-	Retain int
 }
 
 // Tracer emits, buffers, and journals one process's loop events.
@@ -176,7 +175,6 @@ type Tracer struct {
 	// appends to the journal. Never touched by Emit, never held over I/O.
 	mu       sync.Mutex //apollo:lockrank 50
 	retained []Event
-	retain   int
 	journal  *journal.Log
 	pending  []byte
 }
@@ -188,14 +186,10 @@ func New(actor string, opts Options) *Tracer {
 	if opts.Capacity <= 0 {
 		opts.Capacity = 1024
 	}
-	if opts.Retain <= 0 {
-		opts.Retain = 1024
-	}
 	return &Tracer{
 		actor:    actor,
 		wallBase: time.Now().UnixNano() - flight.Now(),
 		events:   ring.New[Event](opts.Capacity),
-		retain:   opts.Retain,
 	}
 }
 
@@ -267,7 +261,7 @@ func (t *Tracer) drainLocked() error {
 			t.pending = append(append(t.pending, line...), '\n')
 		}
 	}
-	if n := len(t.retained) - t.retain; n > 0 {
+	if n := len(t.retained) - t.events.Cap(); n > 0 {
 		t.retained = append(t.retained[:0], t.retained[n:]...)
 	}
 	return firstErr
@@ -275,7 +269,7 @@ func (t *Tracer) drainLocked() error {
 
 // Snapshot drains the ring and returns a copy of the retained window in
 // emit order. It loses nothing: drained events stay retained (up to the
-// retain bound) for the next snapshot.
+// ring's capacity) for the next snapshot.
 func (t *Tracer) Snapshot() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -61,9 +61,11 @@ func TestRingDropAndDrain(t *testing.T) {
 			t.Errorf("event %d: model=%q loop=%q", i, ev.ModelName(), ev.LoopID())
 		}
 	}
+	// The retained window is Capacity events too: a post-drain emit is
+	// kept and evicts the oldest.
 	tr.Emit(KindPublish, "m", "L1", Fields{Version: 99})
-	if got := tr.Snapshot(); len(got) != 9 || got[8].Version != 99 {
-		t.Errorf("post-drain emit not retained: %d events", len(got))
+	if got := tr.Snapshot(); len(got) != 8 || got[7].Version != 99 || got[0].Version != 2 {
+		t.Errorf("post-drain emit not retained in a window of 8: %d events", len(got))
 	}
 }
 
@@ -89,10 +91,11 @@ func TestEventBounds(t *testing.T) {
 
 // Concurrent emitters racing a draining consumer lose nothing that was
 // admitted: emitted == retained-or-journaled, dropped accounts for the
-// rest. Run with -race.
+// rest. Run with -race. The capacity holds every event, so the retained
+// window can be checked against the emitted count.
 func TestConcurrentEmitDrain(t *testing.T) {
-	tr := New("test", Options{Capacity: 1 << 10, Retain: 1 << 16})
 	const perG, goroutines = 500, 8
+	tr := New("test", Options{Capacity: perG * goroutines})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	var drains sync.WaitGroup

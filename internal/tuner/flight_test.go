@@ -55,7 +55,7 @@ func TestTunerEndEmitsFlight(t *testing.T) {
 	if len(recs) != 3 || fr.Emitted() != 3 {
 		t.Fatalf("got %d flight records (%d emitted) from 33 launches, want 3", len(recs), fr.Emitted())
 	}
-	if name := fr.SiteName(recs[0].Site); name != "daxpy" {
+	if name := recs[0].SiteName(); name != "daxpy" {
 		t.Fatalf("site name %q, want daxpy", name)
 	}
 	first := recs[0]
@@ -74,12 +74,18 @@ func TestTunerEndEmitsFlight(t *testing.T) {
 	if int(first.NumFeatures) <= ni || first.Features[ni] != 50 {
 		t.Fatalf("feature snapshot wrong: n=%d num_indices=%g", first.NumFeatures, first.Features[ni])
 	}
-	// Decoding the offsets against the site's registered decoder must
-	// reconstruct the interpreted walk's trail, which consults num_indices
-	// (the model's only informative feature) in source-schema indexing.
-	dec := fr.Site(first.Site).Decoder()
+	// Decoding the offsets against the recorder's decoder, the one they
+	// were written under, must reconstruct the interpreted walk's trail,
+	// which consults num_indices (the model's only informative feature)
+	// in source-schema indexing.
+	dec := fr.Decoder()
 	if dec == nil || dec.Tree == nil || dec.ChunkTree != nil {
-		t.Fatalf("single-model site registered decoder %+v, want a policy tree only", dec)
+		t.Fatalf("single-model tuner installed decoder %+v, want a policy tree only", dec)
+	}
+	for _, rec := range recs {
+		if rec.DecoderGen != dec.Gen() {
+			t.Fatalf("record %d written under decoder generation %d, the recorder's is %d", rec.Seq, rec.DecoderGen, dec.Gen())
+		}
 	}
 	x := first.Features[:first.NumFeatures]
 	var steps, want [flight.MaxTrail]dtree.TrailStep
@@ -213,7 +219,7 @@ func chunkModelOnReducedSchema(t *testing.T) *core.Model {
 
 // TestTunerEndDualModelFlight covers a site running both a policy and a
 // chunk model: the record carries two offset trails, each decoding —
-// through the decoder the tuner registered — to the interpreted walk of
+// through the decoder the tuner installed — to the interpreted walk of
 // its own model, and the emission still allocates nothing.
 func TestTunerEndDualModelFlight(t *testing.T) {
 	schema := features.TableI()
@@ -236,9 +242,9 @@ func TestTunerEndDualModelFlight(t *testing.T) {
 	if len(recs) != 2 || recs[0].Iterations != 50 || recs[1].Iterations != 100000 {
 		t.Fatalf("got %d records, want launches 1 (50 iterations) and 17 (100000)", len(recs))
 	}
-	dec := fr.Site(k.ID).Decoder()
+	dec := fr.Decoder()
 	if dec == nil || dec.Tree == nil || dec.ChunkTree == nil {
-		t.Fatalf("dual site registered decoder %+v, want both trees", dec)
+		t.Fatalf("dual-model tuner installed decoder %+v, want both trees", dec)
 	}
 	if dec.ChunkSrc[0] != -1 || int(dec.ChunkSrc[1]) != ni {
 		t.Fatalf("chunk source mapping %v, want [-1 %d]", dec.ChunkSrc, ni)
@@ -268,9 +274,10 @@ func TestTunerEndDualModelFlight(t *testing.T) {
 		}
 	}
 	// The capture renders both as one path, policy steps first.
-	for _, cr := range fr.Capture().Records {
-		if len(cr.TrailOffsets) == 0 || len(cr.ChunkTrailOffsets) != 3 || len(cr.Path) != len(cr.TrailOffsets)-1+2 {
-			t.Fatalf("capture record: trails %v / %v, path %q", cr.TrailOffsets, cr.ChunkTrailOffsets, cr.Path)
+	for j, cr := range fr.Capture().Records {
+		first, second := recs[j].Trails()
+		if len(first) == 0 || len(second) != 3 || len(cr.Path) != len(first)-1+2 {
+			t.Fatalf("capture record: trails %v / %v, path %q", first, second, cr.Path)
 		}
 		if last := cr.Path[len(cr.Path)-1]; !strings.HasPrefix(last, "(absent feature) (=0)") {
 			t.Fatalf("chunk path ends %q, want the absent-feature step", last)
@@ -283,14 +290,65 @@ func TestTunerEndDualModelFlight(t *testing.T) {
 		t.Errorf("dual-model flight End: %v allocs/run, want 0", allocs)
 	}
 
-	// Swapping either model re-registers both decoder pairs together, on
-	// the site's next recorded launch.
+	// Swapping either model installs both decoder pairs together, on the
+	// next recorded launch, under a new generation.
 	tn.UseChunkModel(chunkModelOnReducedSchema(t))
 	for i := 0; i < flightEvery; i++ {
 		tn.End(k, iset, p, 100)
 	}
-	if next := fr.Site(k.ID).Decoder(); next == dec || next.Tree != dec.Tree || next.ChunkTree == dec.ChunkTree {
+	if next := fr.Decoder(); next == dec || next.Tree != dec.Tree || next.ChunkTree == dec.ChunkTree || next.Gen() == dec.Gen() {
 		t.Fatalf("chunk-model swap left decoder %+v (was %+v)", next, dec)
+	}
+}
+
+// thresholdModel hand-builds a policy model with one split, num_indices
+// <= th → seq, else omp.
+func thresholdModel(t *testing.T, th float64) *core.Model {
+	m, err := core.NewModel(core.ExecutionPolicy, features.NewSchema(features.NumIndices),
+		&dtree.Tree{
+			Root: &dtree.Node{Feature: 0, Threshold: th,
+				Left:  &dtree.Node{Feature: -1, Label: int(raja.SeqExec)},
+				Right: &dtree.Node{Feature: -1, Label: int(raja.OmpParallelForExec)}},
+			NumFeatures: 1, NumClasses: 2,
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestCaptureExplainsOnlyTheDecidingModel: a record written under one
+// model and captured after a swap to another keeps its features and
+// outcome but shows no path — decoded against the new tree it would read
+// a threshold the deciding model never had — while the record written
+// under the new model is explained by it.
+func TestCaptureExplainsOnlyTheDecidingModel(t *testing.T) {
+	schema := features.TableI()
+	fr := newFlightRecorder(schema)
+	tn := NewTuner(schema, caliper.New(), raja.Params{}).UsePolicyModel(thresholdModel(t, 96)).UseFlight(fr)
+	k, iset := raja.NewKernel("swap", nil), raja.NewRange(0, 100)
+	launch := func() {
+		p, _ := tn.Begin(k, iset)
+		tn.End(k, iset, p, 100)
+	}
+	launch() // recorded under A
+	tn.UsePolicyModel(thresholdModel(t, 8))
+	for fr.Emitted() < 2 {
+		launch() // the next recorded launch runs under B
+	}
+	c := fr.Capture()
+	if len(c.Records) != 2 {
+		t.Fatalf("%d records, want one under each model", len(c.Records))
+	}
+	old, cur := c.Records[0], c.Records[1]
+	if old.Path != nil {
+		t.Errorf("the record written under the replaced model renders %q", old.Path)
+	}
+	if old.Site != "swap" || old.Predicted != int(raja.OmpParallelForExec) || old.Features[features.NumIndices] != 100 {
+		t.Errorf("the stale record lost its outcome: %+v", old)
+	}
+	if want := "num_indices (=100) > 8 → right"; len(cur.Path) != 1 || cur.Path[0] != want {
+		t.Errorf("the current record renders %q, want [%q]", cur.Path, want)
 	}
 }
 
@@ -612,16 +670,16 @@ func TestFlightRecordCadence(t *testing.T) {
 		t.Fatalf("unrecorded Ends emitted %d records", fr.Emitted()-emitted)
 	}
 
-	// A second recorder: the site is registered there by its next recorded
-	// launch, and the first recorder hears nothing more.
+	// A second recorder: the site's next recorded launch lands there, under
+	// its name, and the first recorder hears nothing more.
 	fr2 := newFlightRecorder(schema)
 	tn.UseFlight(fr2)
 	for i := 0; i < flightEvery && fr2.Emitted() == 0; i++ {
 		p, _ := log.Begin(ka, iset)
 		log.End(ka, iset, p, 100)
 	}
-	if recs := fr2.Snapshot(); len(recs) != 1 || recs[0].Site != ka.ID || fr2.SiteName(ka.ID) != "a" {
-		t.Fatalf("second recorder holds %d records, site name %q: want a's next recorded launch", len(recs), fr2.SiteName(ka.ID))
+	if recs := fr2.Snapshot(); len(recs) != 1 || recs[0].Site != ka.ID || recs[0].SiteName() != "a" {
+		t.Fatalf("second recorder holds %d records: want a's next recorded launch", len(recs))
 	}
 	if fr.Emitted() != emitted {
 		t.Fatalf("the detached recorder received %d records", fr.Emitted()-emitted)
@@ -630,10 +688,8 @@ func TestFlightRecordCadence(t *testing.T) {
 
 // TestFlightConcurrentLaunches drives four shared sites from four
 // goroutines, one of which swaps flight recorders as it goes (run under
-// -race): a
-// region's recorder handle and launch count are atomic cells, so no
-// launch is lost from the count, and every record a recorder holds is of
-// a site registered there.
+// -race): a region's launch count is an atomic cell, so no launch is lost
+// from the count, and every record a recorder holds names its own site.
 func TestFlightConcurrentLaunches(t *testing.T) {
 	const goroutines, launches = 4, 2000
 	schema := features.TableI()
@@ -641,6 +697,10 @@ func TestFlightConcurrentLaunches(t *testing.T) {
 	recorders := []*flight.Recorder{newFlightRecorder(schema), newFlightRecorder(schema)}
 	tn.UseFlight(recorders[0])
 	sites := []*raja.Kernel{raja.NewKernel("s0", nil), raja.NewKernel("s1", nil), raja.NewKernel("s2", nil), raja.NewKernel("s3", nil)}
+	names := map[uint64]string{}
+	for _, k := range sites {
+		names[k.ID] = k.Name
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -670,8 +730,8 @@ func TestFlightConcurrentLaunches(t *testing.T) {
 			t.Errorf("recorder %d received no record", i)
 		}
 		for _, rec := range fr.Snapshot() {
-			if fr.SiteName(rec.Site) == "" {
-				t.Errorf("recorder %d holds a record of site %#x, which it never registered", i, rec.Site)
+			if name := rec.SiteName(); name != names[rec.Site] {
+				t.Errorf("recorder %d holds a record of site %#x named %q, want %q", i, rec.Site, name, names[rec.Site])
 			}
 		}
 	}

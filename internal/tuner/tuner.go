@@ -188,7 +188,7 @@ type Tuner struct {
 const exploreShare = 1.0 / 64
 
 // flightEvery is the flight-record cadence: End writes the full record (three
-// clock reads, the model replay with its trails, 680 bytes) for a site's 1st,
+// clock reads, the model replay with its trails, 744 bytes) for a site's 1st,
 // 17th, 33rd, … launch and every flipped one; the EWMA folds in every launch.
 // A record each launch was half of Apollo's cost on LULESH sedov 8 (~695 ns a
 // launch against ~325); 1 in 8 read ~4% dearer, 1 in 64 ~3% cheaper, below the
@@ -219,12 +219,10 @@ func rowWeight(m uint64) float64 {
 
 // siteRegion is all a launch keeps per site, one load of the copy-on-write
 // sites map away: Begin's plan, the runtime estimate and exploration
-// account, the site's flight recorder entry, and the launch counts End's
-// two cadences select by.
+// account, and the launch counts End's two cadences select by.
 type siteRegion struct {
 	siteBudget
 	plan   atomic.Pointer[sitePlan]
-	fl     atomic.Pointer[siteFlight]
 	ended  atomic.Uint64 // launches End has seen with exploration, telemetry or flight on
 	flip   atomic.Uint64 // ended at the last flipped launch
 	origin atomic.Uint64 // ended at the last lone look, where the row cadence restarts
@@ -248,27 +246,6 @@ func predict(p *core.Projector, in *features.Site, iset *raja.IndexSet, ann *cal
 // planWidth is the widest vector a launch fills on its stack (Table I has
 // 41 features); Fill allocates a wider one.
 const planWidth = 64
-
-// siteFlight is a site's entry in one flight recorder; UseFlight swapping
-// recorders makes it stale, and the site's next End re-resolves it.
-type siteFlight struct {
-	fr   *flight.Recorder
-	site *flight.Site
-}
-
-// entry returns the region's entry in fr, nil when it has none there (or
-// there is no region, or no recorder).
-//
-//apollo:hotpath
-func (s *siteRegion) entry(fr *flight.Recorder) *siteFlight {
-	if s == nil {
-		return nil
-	}
-	if h := s.fl.Load(); h != nil && h.fr == fr {
-		return h
-	}
-	return nil
-}
 
 // siteBudget is one launch site's runtime estimate and exploration account
 // (DESIGN §6). Each field is one atomic word (floats as float64 bits)
@@ -406,7 +383,7 @@ func (t *Tuner) Begin(k *raja.Kernel, iset *raja.IndexSet) (raja.Params, bool) {
 	}
 	s := t.site(k.ID)
 	if s == nil {
-		s, _ = t.registerSite(k, nil)
+		s = t.registerSite(k.ID)
 	}
 	pl := s.plan.Load()
 	if pl == nil || pl.ps != ps {
@@ -434,26 +411,20 @@ func (t *Tuner) Begin(k *raja.Kernel, iset *raja.IndexSet) (raja.Params, bool) {
 //apollo:hotpath
 func (t *Tuner) site(id uint64) *siteRegion { return (*t.sites.Load())[id] }
 
-// registerSite publishes a fresh region for the site (the first wins) and,
-// given a flight recorder, resolves the site's entry in it.
+// registerSite publishes a fresh region for the site; the first wins.
 //
-//apollo:coldpath a site's first launch and its first after a recorder swap, amortized over every later launch
-func (t *Tuner) registerSite(k *raja.Kernel, fr *flight.Recorder) (*siteRegion, *siteFlight) {
+//apollo:coldpath a site's first launch, amortized over every later launch
+func (t *Tuner) registerSite(id uint64) *siteRegion {
 	t.siteMu.Lock()
-	s := t.site(k.ID)
+	defer t.siteMu.Unlock()
+	s := t.site(id)
 	if s == nil {
 		m := maps.Clone(*t.sites.Load())
 		s = &siteRegion{}
-		m[k.ID] = s
+		m[id] = s
 		t.sites.Store(&m)
 	}
-	t.siteMu.Unlock()
-	if fr == nil {
-		return s, nil
-	}
-	h := &siteFlight{fr: fr, site: fr.RegisterSite(k.ID, k.Name)}
-	s.fl.Store(h)
-	return s, h
+	return s
 }
 
 // compilePlan builds and publishes the site's plan under ps; racing
@@ -495,14 +466,13 @@ func (t *Tuner) End(k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedN
 		return
 	}
 	s := t.site(k.ID)
-	h := s.entry(fr)
-	if s == nil || fr != nil && h == nil {
-		s, h = t.registerSite(k, fr)
+	if s == nil {
+		s = t.registerSite(k.ID)
 	}
 	predictedNS := s.fold(p.Policy, iset.Len(), elapsedNS) // every launch, recorded or not
 	flipped := explore && s.settle(p.Policy, elapsedNS)
 	n := s.ended.Add(1)
-	record := h != nil && (n%flightEvery == 1 || flipped)
+	record := fr != nil && (n%flightEvery == 1 || flipped)
 	weight := 0.0
 	if rec != nil {
 		if !rec.Captures(t.schema, t.ann) {
@@ -526,7 +496,7 @@ func (t *Tuner) End(k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedN
 	}
 	x := t.schema.ExtractInto(buf[:0], k, iset, t.ann)
 	if record {
-		t.emitFlight(h, k, iset, p, elapsedNS, predictedNS, x, float64(flight.Now()-t0))
+		t.emitFlight(fr, k, iset, p, elapsedNS, predictedNS, x, float64(flight.Now()-t0))
 	}
 	if weight > 0 {
 		rec.RecordVector(x, p, elapsedNS, weight)
@@ -546,22 +516,24 @@ func (t *Tuner) End(k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedN
 // allocates nothing.
 //
 // Each installed model writes its own compact offset trail into the
-// record (policy first, then chunk; 4 bytes per step), decoded at
-// capture time against the site's registered TrailDecoder.
+// record (policy first, then chunk; 4 bytes per step), stamped with the
+// generation of the recorder's TrailDecoder for those trees, against
+// which a capture explains it.
 //
 //apollo:hotpath
-func (t *Tuner) emitFlight(h *siteFlight, k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedNS, predictedNS float64, x []float64, featureNS float64) {
-	rec, tok := h.fr.Reserve(k.ID)
+func (t *Tuner) emitFlight(fr *flight.Recorder, k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedNS, predictedNS float64, x []float64, featureNS float64) {
+	rec, tok := fr.Reserve(k.ID)
 	if rec == nil {
 		return // a lap collision: the recorder counted the drop
 	}
+	rec.SetSiteName(k.Name)
 	t1 := flight.Now()
 	rec.NumFeatures = int32(copy(rec.Features[:], x))
 	predicted := int32(-1)
 	chosen := t.base
 	if ps := t.src.Load().s.Projectors(); ps != nil && (ps.Policy != nil || ps.Chunk != nil) {
-		// The decoder pointer doubles as the model-swap detector — one
-		// lock-free load compares the compiled tree identities per launch.
+		// The decoder doubles as the model-swap detector — one lock-free
+		// load compares the compiled tree identities per record.
 		var policyTree, chunkTree *ctree.Tree
 		n := 0
 		if ps.Policy != nil {
@@ -584,9 +556,11 @@ func (t *Tuner) emitFlight(h *siteFlight, k *raja.Kernel, iset *raja.IndexSet, p
 			}
 		}
 		rec.OffsetsLen = int32(n)
-		if d := h.site.Decoder(); d == nil || d.Tree != policyTree || d.ChunkTree != chunkTree {
-			registerDecoder(h.site, ps)
+		d := fr.Decoder()
+		if d == nil || d.Tree != policyTree || d.ChunkTree != chunkTree {
+			d = installDecoder(fr, ps)
 		}
+		rec.DecoderGen = d.Gen()
 	}
 	t2 := flight.Now()
 	rec.Iterations = int64(iset.Len())
@@ -598,24 +572,24 @@ func (t *Tuner) emitFlight(h *siteFlight, k *raja.Kernel, iset *raja.IndexSet, p
 	rec.PredictedNS = predictedNS
 	rec.FeatureNS = featureNS
 	rec.ModelNS = float64(t2 - t1)
-	h.fr.Commit(tok)
+	fr.Commit(tok)
 }
 
-// registerDecoder publishes the flight-trail decoder for a site's
-// current compiled models. It allocates, so it lives off the hot path
-// behind emitFlight's pointer-identity check: once per model swap, never
-// per launch.
+// installDecoder installs the flight-trail decoder for the current
+// compiled models in fr. It allocates, so it lives off the hot path
+// behind emitFlight's pointer-identity check: once per model swap (or
+// recorder swap), never per launch.
 //
-//apollo:coldpath decoder registration runs once per site model swap
-func registerDecoder(site *flight.Site, ps *Projectors) {
-	d := &flight.TrailDecoder{}
+//apollo:coldpath decoder installation runs once per model swap
+func installDecoder(fr *flight.Recorder, ps *Projectors) *flight.TrailDecoder {
+	var d flight.TrailDecoder
 	if ps.Policy != nil {
 		d.Tree, d.Src = ps.Policy.Compiled(), ps.Policy.SourceIndex()
 	}
 	if ps.Chunk != nil {
 		d.ChunkTree, d.ChunkSrc = ps.Chunk.Compiled(), ps.Chunk.SourceIndex()
 	}
-	site.SetDecoder(d)
+	return fr.SetDecoder(d)
 }
 
 // UseTelemetry attaches (or, with nil, detaches) a telemetry recorder;
