@@ -175,8 +175,9 @@ flight-smoke:
 
 # End-to-end smoke test of the fleet layer: three replicas with peer
 # delta sync, a champion converging to one version/ETag everywhere, a
-# synthetic client fleet surviving a kill of the ring-owner replica with
-# zero failed predicts, and a collective retrain over the merged spools.
+# client fleet (apollo-tune -clients 4) surviving a kill of the
+# ring-owner replica with zero failed model refreshes, and a collective
+# retrain over the merged spools.
 fleet-smoke:
 	GO="$(GO)" ./scripts/fleet_smoke.sh
 

@@ -9,9 +9,22 @@
 //	apollo-tune -server http://127.0.0.1:8080 -model lulesh/policy \
 //	    -app LULESH -problem sedov -size 16 -steps 50
 //
-// With -wait-swaps N the run keeps stepping (up to -max-steps) until the
-// source has swapped N model versions in, so a smoke test can assert the
-// full record -> retrain -> hot-swap cycle.
+// -server is one URL or a fleet of replicas as id=url pairs. Either way
+// the client routes through a consistent-hash ring (of one, for a bare
+// URL) that fails over to the next member; over several replicas it also
+// probes their /healthz every -poll and evicts the dead. -clients N runs
+// N such deployments at once, each with its own source, tuner, recorder
+// and uploader — a client fleet that must ride out a replica kill:
+//
+//	apollo-tune -server "r1=http://:8081,r2=http://:8082,r3=http://:8083" \
+//	    -model lulesh/policy -clients 8 -steps 40 -duration 10s
+//
+// With -wait-swaps N every client keeps stepping (up to -max-steps) until
+// its source has swapped N model versions in, so a smoke test can assert
+// the full record -> retrain -> hot-swap cycle; -duration keeps it
+// stepping for a wall-clock time. The final "apollo-tune: done ..." line
+// is key=value, summed over the clients; the loop, flight and fleet
+// smokes assert on it.
 package main
 
 import (
@@ -19,7 +32,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
 	"os"
 	"time"
 
@@ -28,158 +43,310 @@ import (
 	"apollo/internal/caliper"
 	"apollo/internal/client"
 	"apollo/internal/features"
+	"apollo/internal/fleet"
 	"apollo/internal/flight"
 	"apollo/internal/harness"
 	"apollo/internal/looptrace"
+	"apollo/internal/metrics"
 	"apollo/internal/platform"
 	"apollo/internal/raja"
 	"apollo/internal/telemetry"
 	"apollo/internal/tuner"
 )
 
+// flags is the command line.
+type flags struct {
+	server, model, app, problem      string
+	size, steps, maxSteps, waitSwaps int
+	duration                         time.Duration
+	clients                          int
+	exploreEvery                     uint64
+	poll, flush                      time.Duration
+	noise                            float64
+	seed                             uint64
+	debugAddr, loopJournal           string
+}
+
 func main() {
-	serverURL := flag.String("server", "http://127.0.0.1:8080", "model service base URL")
-	model := flag.String("model", "", "policy model name to tune with (required)")
-	appName := flag.String("app", "LULESH", "application: LULESH, CleverLeaf, or ARES")
-	problem := flag.String("problem", "sedov", "input deck")
-	size := flag.Int("size", 16, "global problem size")
-	steps := flag.Int("steps", 50, "timesteps to run")
-	maxSteps := flag.Int("max-steps", 0, "hard timestep cap when -wait-swaps keeps the run alive (0 = 20x steps)")
-	waitSwaps := flag.Int("wait-swaps", 0, "keep stepping until this many model swaps arrived (0 disables)")
-	exploreEvery := flag.Uint64("explore-every", 8, "every n-th launch of a site may run the other policy, within 1/64 of that site's kernel time; 0 disables")
-	poll := flag.Duration("poll", 500*time.Millisecond, "model source poll interval")
-	flush := flag.Duration("flush", 500*time.Millisecond, "telemetry upload interval")
-	noise := flag.Float64("noise", 0.05, "measurement noise amplitude")
-	seed := flag.Uint64("seed", 1, "noise seed")
-	debugAddr := flag.String("debug-addr", "", "serve the flight-recorder debug endpoints and pprof on this address (empty disables)")
-	loopJournal := flag.String("loop-journal", "", "directory for the closed-loop event journal; enables loop tracing")
+	var f flags
+	flag.StringVar(&f.server, "server", "http://127.0.0.1:8080", "model service base URL, or replicas as comma-separated id=url pairs")
+	flag.StringVar(&f.model, "model", "", "policy model name to tune with (required)")
+	flag.StringVar(&f.app, "app", "LULESH", "application: LULESH, CleverLeaf, or ARES")
+	flag.StringVar(&f.problem, "problem", "sedov", "input deck")
+	flag.IntVar(&f.size, "size", 16, "global problem size")
+	flag.IntVar(&f.steps, "steps", 50, "timesteps to run")
+	flag.IntVar(&f.maxSteps, "max-steps", 0, "hard timestep cap when -wait-swaps or -duration keeps the run alive (0 = 20x steps)")
+	flag.IntVar(&f.waitSwaps, "wait-swaps", 0, "keep stepping until this many model swaps arrived (0 disables)")
+	flag.DurationVar(&f.duration, "duration", 0, "keep stepping until this much wall-clock time has passed (0 disables)")
+	flag.IntVar(&f.clients, "clients", 1, "concurrent deployments, client i seeded seed+i")
+	flag.Uint64Var(&f.exploreEvery, "explore-every", 8, "every n-th launch of a site may run the other policy, within 1/64 of that site's kernel time; 0 disables")
+	flag.DurationVar(&f.poll, "poll", 500*time.Millisecond, "model source poll and replica health-probe interval")
+	flag.DurationVar(&f.flush, "flush", 500*time.Millisecond, "telemetry upload interval")
+	flag.Float64Var(&f.noise, "noise", 0.05, "measurement noise amplitude")
+	flag.Uint64Var(&f.seed, "seed", 1, "noise seed")
+	flag.StringVar(&f.debugAddr, "debug-addr", "", "serve /metrics, the flight-recorder debug endpoints and pprof on this address (empty disables)")
+	flag.StringVar(&f.loopJournal, "loop-journal", "", "directory for the closed-loop event journal; enables loop tracing")
 	flag.Parse()
 
-	if err := run(*serverURL, *model, *appName, *problem, *size, *steps, *maxSteps, *waitSwaps,
-		*exploreEvery, *poll, *flush, *noise, *seed, *debugAddr, *loopJournal); err != nil {
+	if _, err := run(f, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "apollo-tune:", err)
 		os.Exit(1)
 	}
 }
 
-func run(serverURL, model, appName, problem string, size, steps, maxSteps, waitSwaps int,
-	exploreEvery uint64, poll, flush time.Duration, noise float64, seed uint64,
-	debugAddr, loopJournal string) (err error) {
-	if model == "" {
-		return fmt.Errorf("-model is required")
+// deployment is one client: an application stepping under a tuner that
+// decides through a ring-routed model source and ships its telemetry
+// through an uploader. Its counters are read once its loops are joined.
+type deployment struct {
+	fc     *client.FleetClient
+	health *fleet.Health // nil on a ring of one
+	src    *client.Source
+	rec    *telemetry.Recorder
+	up     *client.Uploader
+	tn     *tuner.Tuner
+	sim    app.Sim
+
+	swapsAtStart  uint64
+	steps         int
+	refreshErrors int
+	uploadErrors  int
+}
+
+// summary is the done line: every count summed over the clients.
+type summary struct {
+	clients, steps                  int
+	decisions, explored             uint64
+	exploreShare                    float64 // the largest client's: the bound is per tuner
+	flightRecords                   uint64
+	recorded, dropped               uint64
+	uploadedRows, uploadedBatches   uint64
+	swaps                           uint64
+	failovers, exhausted, evictions uint64
+	refreshErrors, uploadErrors     int
+}
+
+func run(f flags, out io.Writer) (sum summary, err error) {
+	if f.model == "" {
+		return sum, fmt.Errorf("-model is required")
 	}
-	desc, err := harness.AppByName(appName)
+	peers, err := fleet.ParsePeers(f.server)
 	if err != nil {
-		return err
+		return sum, err
 	}
-	if maxSteps <= 0 {
-		maxSteps = 20 * steps
+	if len(peers) == 0 {
+		return sum, fmt.Errorf("-server is required")
+	}
+	desc, err := harness.AppByName(f.app)
+	if err != nil {
+		return sum, err
+	}
+	if f.clients < 1 {
+		return sum, fmt.Errorf("-clients %d: want at least 1", f.clients)
+	}
+	if f.maxSteps <= 0 {
+		f.maxSteps = 20 * f.steps
 	}
 
-	schema := features.TableI()
-	ann := caliper.New()
-	c := client.New(serverURL, client.Options{})
-	src := client.NewSource(c, schema, model, "")
-	if loopJournal != "" {
-		lt := looptrace.New("tune", looptrace.Options{})
-		if err := lt.OpenJournal(loopJournal); err != nil {
-			return err
+	var lt *looptrace.Tracer
+	if f.loopJournal != "" {
+		lt = looptrace.New("tune", looptrace.Options{})
+		if err := lt.OpenJournal(f.loopJournal); err != nil {
+			return sum, err
 		}
 		// Closed last, after the group below has been waited for: the
 		// final drain takes the last swap's event.
 		defer func() { err = errors.Join(err, lt.Close()) }()
-		src.SetTrace(lt)
-		fmt.Printf("apollo-tune: loop journal at %s\n", looptrace.JournalPath(loopJournal, "tune"))
+		fmt.Fprintf(out, "apollo-tune: loop journal at %s\n", looptrace.JournalPath(f.loopJournal, "tune"))
 	}
-	if err := src.Refresh(); err != nil {
-		// Degraded start is allowed: the tuner launches on base params
-		// and picks the model up when the service appears.
-		fmt.Fprintln(os.Stderr, "apollo-tune: starting degraded:", err)
-	}
-
-	rec := telemetry.NewRecorder(schema, ann, telemetry.Options{})
-	up := client.NewUploader(c, model, rec, client.UploaderOptions{
-		// Stamp every batch with the model version (and its loop ID) the
-		// tuner is running, so the service can attribute ingested spools.
-		Attribution: func() (int, string) {
-			cached := c.Cached(model)
-			if cached == nil {
-				return 0, ""
-			}
-			loop := ""
-			if cached.Lineage != nil {
-				loop = cached.Lineage.LoopID
-			}
-			return cached.Version, loop
-		},
-	})
-
-	machine := platform.SandyBridgeNode()
-	clk := platform.NewSimClock(machine, noise, seed)
-	simCtx := raja.NewSimContext(clk, desc.DefaultParams)
-	tn := tuner.NewTuner(schema, ann, desc.DefaultParams).
-		UseSource(src).
-		UseTelemetry(rec).
-		ExploreEvery(exploreEvery)
-	simCtx.Hooks = tn
-	sim, err := desc.New(app.Config{Ctx: simCtx, Ann: ann, Problem: problem, Size: size})
-	if err != nil {
-		return err
+	deps := make([]*deployment, f.clients)
+	for i := range deps {
+		if deps[i], err = deploy(i, peers, desc, f, lt); err != nil {
+			return sum, err
+		}
 	}
 
-	// The debug listener, the model poll and the telemetry upload start
-	// through one group, stopped when the application is done. A failed
+	// The debug listener, every client's loops and its application start
+	// through one group, stopped once every application is done. A failed
 	// poll keeps the cached model; a failed upload keeps its rows pending.
 	ctx, stop := context.WithCancel(context.Background())
 	defer stop()
 	g := bg.New(ctx, func(loop string, err error) {
 		fmt.Fprintf(os.Stderr, "apollo-tune: %s: %v\n", loop, err)
 	})
-	if debugAddr != "" {
-		fr := flight.New(flight.Options{FeatureNames: schema.Names()})
-		tn.UseFlight(fr)
-		ln, err := net.Listen("tcp", debugAddr)
+	if f.debugAddr != "" {
+		// Client 0 alone carries the flight recorder: tuners whose
+		// projectors differ would ping-pong its decoder's generations.
+		fr := flight.New(flight.Options{FeatureNames: features.TableI().Names()})
+		deps[0].tn.UseFlight(fr)
+		ln, err := net.Listen("tcp", f.debugAddr)
 		if err != nil {
-			return err
+			return sum, err
 		}
-		fmt.Printf("apollo-tune: debug on http://%s/debug/apollo/flight\n", ln.Addr())
-		g.Serve("debug", ln, flight.DebugMux(fr))
+		fmt.Fprintf(out, "apollo-tune: debug on http://%s/debug/apollo/flight\n", ln.Addr())
+		g.Serve("debug", ln, debugMux(fr, deps))
 	}
-	g.Every("model-poll", poll, false, src.Refresh)
-	g.Every("telemetry-upload", flush, true, up.Flush)
-
-	swapsAtStart := src.Swaps()
-	ran := 0
-	for ; ran < maxSteps; ran++ {
-		if ran >= steps && (waitSwaps == 0 || int(src.Swaps()-swapsAtStart) >= waitSwaps) {
-			break
+	var apps []<-chan struct{}
+	for i, d := range deps {
+		name := ""
+		if f.clients > 1 {
+			name = fmt.Sprintf("client %d ", i)
 		}
-		sim.Step()
-		if waitSwaps > 0 && ran >= steps {
-			// The app's work is done; we are only waiting on the loop,
-			// so pace the extra steps to the service cadence.
+		g.Every(name+"model-poll", f.poll, false, d.refresh)
+		g.Every(name+"telemetry-upload", f.flush, true, d.flush)
+		if d.health != nil {
+			g.Every(name+"health", f.poll, false, func() error { d.health.CheckOnce(); return nil })
+		}
+		apps = append(apps, g.Go(name+"app", func(ctx context.Context) error {
+			d.step(ctx, f)
+			return nil
+		}))
+	}
+	for _, done := range apps {
+		<-done
+	}
+	// Each upload loop's last flush ships what its recorder still holds.
+	stop()
+	if err := g.Wait(); err != nil {
+		return sum, err
+	}
+
+	sum.clients = f.clients
+	if fr := deps[0].tn.Flight(); fr != nil {
+		sum.flightRecords = fr.Emitted()
+	}
+	for _, d := range deps {
+		sum.steps += d.steps
+		sum.decisions += d.tn.Decisions()
+		sum.explored += d.tn.Explored()
+		sum.exploreShare = max(sum.exploreShare, d.tn.ExploreShare())
+		sum.recorded += d.rec.Recorded()
+		sum.dropped += d.rec.Dropped()
+		sum.uploadedRows += d.up.Rows()
+		sum.uploadedBatches += d.up.Batches()
+		sum.swaps += d.swaps()
+		sum.failovers += d.fc.Failovers()
+		sum.exhausted += d.fc.Exhausted()
+		if d.health != nil {
+			sum.evictions += d.health.Evictions()
+		}
+		sum.refreshErrors += d.refreshErrors
+		sum.uploadErrors += d.uploadErrors
+	}
+	fmt.Fprintf(out, "apollo-tune: done steps=%d decisions=%d explored=%d explore_share=%.4f flight_records=%d "+
+		"recorded=%d dropped=%d uploaded_rows=%d uploaded_batches=%d swaps=%d clients=%d "+
+		"failovers=%d exhausted=%d evictions=%d refresh_errors=%d upload_errors=%d\n",
+		sum.steps, sum.decisions, sum.explored, sum.exploreShare, sum.flightRecords,
+		sum.recorded, sum.dropped, sum.uploadedRows, sum.uploadedBatches, sum.swaps, sum.clients,
+		sum.failovers, sum.exhausted, sum.evictions, sum.refreshErrors, sum.uploadErrors)
+	for i, d := range deps {
+		if int(d.swaps()) < f.waitSwaps {
+			return sum, fmt.Errorf("client %d ended after %d steps with %d swaps, wanted %d",
+				i, d.steps, d.swaps(), f.waitSwaps)
+		}
+	}
+	return sum, nil
+}
+
+// deploy builds client i: its ring over the replicas, source, recorder,
+// uploader, tuner and application. Every source shares the loop tracer lt.
+func deploy(i int, peers []fleet.Peer, desc app.Descriptor, f flags, lt *looptrace.Tracer) (*deployment, error) {
+	fc, err := client.NewFleet(fleet.PeerMap(peers), client.Options{})
+	if err != nil {
+		return nil, err
+	}
+	d := &deployment{fc: fc}
+	if len(peers) > 1 {
+		d.health = fleet.NewHealth(peers, fc.Ring(), fleet.HealthOptions{})
+	}
+	schema := features.TableI()
+	ann := caliper.New()
+	d.src = client.NewSource(fc, schema, f.model, "")
+	d.src.SetTrace(lt)
+	if err := d.refresh(); err != nil {
+		// Degraded start is allowed: the tuner launches on base params
+		// and picks the model up when the service appears.
+		fmt.Fprintf(os.Stderr, "apollo-tune: client %d starting degraded: %v\n", i, err)
+	}
+	d.swapsAtStart = d.src.Swaps()
+
+	d.rec = telemetry.NewRecorder(schema, ann, telemetry.Options{})
+	// Every batch is stamped with the model version (and its loop ID) the
+	// tuner is running, so the service can attribute ingested spools.
+	d.up = client.NewUploader(fc, f.model, d.rec, client.UploaderOptions{Attribution: d.src.Running})
+
+	clk := platform.NewSimClock(platform.SandyBridgeNode(), f.noise, f.seed+uint64(i))
+	simCtx := raja.NewSimContext(clk, desc.DefaultParams)
+	d.tn = tuner.NewTuner(schema, ann, desc.DefaultParams).
+		UseSource(d.src).
+		UseTelemetry(d.rec).
+		ExploreEvery(f.exploreEvery)
+	simCtx.Hooks = d.tn
+	d.sim, err = desc.New(app.Config{Ctx: simCtx, Ann: ann, Problem: f.problem, Size: f.size})
+	return d, err
+}
+
+// refresh and flush are the client's two loop steps; each counts its
+// failures for the done line.
+func (d *deployment) refresh() error {
+	err := d.src.Refresh()
+	if err != nil {
+		d.refreshErrors++
+	}
+	return err
+}
+
+func (d *deployment) flush() error {
+	err := d.up.Flush()
+	if err != nil {
+		d.uploadErrors++
+	}
+	return err
+}
+
+func (d *deployment) swaps() uint64 { return d.src.Swaps() - d.swapsAtStart }
+
+// step runs the application for -steps timesteps, then on — paced to
+// the service cadence, up to -max-steps — while it waits for -wait-swaps
+// model swaps or for -duration to pass.
+func (d *deployment) step(ctx context.Context, f flags) {
+	start := time.Now()
+	for ; d.steps < f.maxSteps && ctx.Err() == nil; d.steps++ {
+		waiting := int(d.swaps()) < f.waitSwaps || time.Since(start) < f.duration
+		if d.steps >= f.steps && !waiting {
+			return
+		}
+		d.sim.Step()
+		if d.steps >= f.steps {
+			// The app's work is done; we are only waiting on the loop.
 			select {
 			case <-ctx.Done():
-			case <-time.After(poll / 4):
+			case <-time.After(f.poll / 4):
 			}
 		}
 	}
+}
 
-	// The upload loop's last flush ships what the recorder still holds.
-	stop()
-	if err := g.Wait(); err != nil {
-		return err
-	}
-	var flightRecords uint64
-	if fr := tn.Flight(); fr != nil {
-		flightRecords = fr.Emitted()
-	}
-	fmt.Printf("apollo-tune: done steps=%d decisions=%d explored=%d explore_share=%.4f flight_records=%d row_weight=%d recorded=%d dropped=%d uploaded_rows=%d uploaded_batches=%d swaps=%d\n",
-		ran, tn.Decisions(), tn.Explored(), tn.ExploreShare(), flightRecords, rec.Weight(), rec.Recorded(), rec.Dropped(),
-		up.Rows(), up.Batches(), src.Swaps()-swapsAtStart)
-	if waitSwaps > 0 && int(src.Swaps()-swapsAtStart) < waitSwaps {
-		return fmt.Errorf("run ended after %d steps with %d swaps, wanted %d",
-			ran, src.Swaps()-swapsAtStart, waitSwaps)
-	}
-	return nil
+// debugMux is the debug listener: the flight recorder's endpoints, pprof,
+// and GET /metrics with gauges collected at scrape time — client 0's ring
+// membership (every client rings the same replicas), and failovers,
+// exhausted requests and telemetry-ring drops summed over the clients.
+func debugMux(fr *flight.Recorder, deps []*deployment) *http.ServeMux {
+	mux := flight.DebugMux(fr)
+	met := metrics.New()
+	mux.Handle("GET /metrics", metrics.Handler(met, func() {
+		var failovers, exhausted, dropped uint64
+		for _, d := range deps {
+			failovers += d.fc.Failovers()
+			exhausted += d.fc.Exhausted()
+			dropped += d.rec.Dropped()
+		}
+		fleet.ExportRing(met, deps[0].fc.Ring())
+		met.GaugeSet("apollo_fleet_failovers_total", "", "",
+			"Requests retried on a non-owner replica, over all clients.", int64(failovers))
+		met.GaugeSet("apollo_fleet_exhausted_total", "", "",
+			"Requests that failed on every replica, over all clients.", int64(exhausted))
+		met.GaugeSet("apollo_telemetry_ring_dropped_total", "", "",
+			"Sampled launches lost to a full telemetry ring, over all client tuners.", int64(dropped))
+	}))
+	return mux
 }

@@ -1,12 +1,14 @@
 package client
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
+	"apollo/internal/bg"
 	"apollo/internal/bg/bgtest"
 	"apollo/internal/caliper"
 	"apollo/internal/core"
@@ -323,8 +325,9 @@ func TestSourcePollingPicksUpNewVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := NewSource(c, schema, "poll/policy", "")
-	stop := src.StartPolling(5 * time.Millisecond)
-	defer stop()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := bg.New(ctx, nil).Every("model-poll", 5*time.Millisecond, false, src.Refresh)
+	defer func() { cancel(); <-done }()
 
 	deadline := time.Now().Add(5 * time.Second)
 	for src.Swaps() == 0 && time.Now().Before(deadline) {
@@ -342,8 +345,6 @@ func TestSourcePollingPicksUpNewVersion(t *testing.T) {
 	if src.Swaps() < 2 {
 		t.Fatal("poller never picked up v2")
 	}
-	stop()
-	stop() // idempotent
 }
 
 // benchClient stands up a service with one pushed model and a warmed

@@ -1,12 +1,11 @@
-// FleetClient routes model fetches, predictions, and telemetry uploads
-// across an N-replica model-service fleet through a consistent-hash
-// ring, failing over to the next ring member when a replica is
-// unreachable. Each replica keeps its own single-service Client (with
-// its own model cache and backoff schedule), so a replica outage
-// degrades exactly like a single-server outage did — serve the cached
-// model, back off the network — except the very next refresh lands on a
-// healthy ring member instead of waiting out the exponential schedule
-// against a dead one.
+// FleetClient routes model fetches and telemetry uploads across an
+// N-replica model-service fleet through a consistent-hash ring, failing
+// over to the next ring member when a replica is unreachable. Each
+// replica keeps its own single-service Client (with its own model cache
+// and backoff schedule), so a replica outage degrades exactly like a
+// single-server outage did — serve the cached model, back off the
+// network — except the very next refresh lands on a healthy ring member
+// instead of waiting out the exponential schedule against a dead one.
 
 package client
 
@@ -158,49 +157,6 @@ func (f *FleetClient) PostTelemetry(b *telemetry.Batch) error {
 	}
 	f.exhausted.Add(1)
 	return firstErr
-}
-
-// Predict evaluates name's model on x through the key's owning replica.
-// The routing decision is one lock-free ring lookup; the owner's Client
-// then walks its cached model's compiled tree. A replica that cannot
-// answer (no model cached anywhere and its service unreachable) falls
-// over to the other replicas off the hot path.
-//
-//apollo:hotpath
-func (f *FleetClient) Predict(name string, x []float64) (int, error) {
-	if c, ok := f.clients[f.ring.Lookup(name)]; ok {
-		class, err := c.Predict(name, x)
-		if err == nil {
-			return class, nil
-		}
-	}
-	return f.predictFailover(name, x)
-}
-
-// predictFailover retries a failed decision on every other replica.
-//
-//apollo:coldpath only reached when the owning replica has no cached model and cannot fetch one
-func (f *FleetClient) predictFailover(name string, x []float64) (int, error) {
-	owner := f.ring.Lookup(name)
-	var firstErr error
-	for _, id := range f.prefer(name, make([]string, 0, len(f.order))) {
-		if id == owner {
-			continue // already tried on the hot path
-		}
-		class, err := f.clients[id].Predict(name, x)
-		if err == nil {
-			f.failovers.Add(1)
-			return class, nil
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	f.exhausted.Add(1)
-	if firstErr == nil {
-		firstErr = fmt.Errorf("client: no replica could answer %s", name)
-	}
-	return 0, firstErr
 }
 
 // backoffActive reports whether name's backoff window is armed on c —

@@ -1,12 +1,16 @@
 package client
 
 import (
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"os"
+	"sync"
 	"testing"
 	"time"
 
 	"apollo/internal/caliper"
+	"apollo/internal/core"
 	"apollo/internal/features"
 	"apollo/internal/registry"
 	"apollo/internal/server"
@@ -80,7 +84,10 @@ func TestFleetFetchFailsOverToNextRingMember(t *testing.T) {
 	}
 }
 
-func TestFleetPredictZeroFailuresThroughReplicaKill(t *testing.T) {
+// A tuner decides through its Source's projectors, so that is where a
+// replica kill must not show: with 2 of 3 replicas dead every Refresh
+// succeeds and the installed policy stays in place.
+func TestFleetSourceZeroFailuresThroughReplicaKill(t *testing.T) {
 	f, servers, regs := newFleetService(t, 3)
 	m := testModel(t, false)
 	for _, reg := range regs {
@@ -88,20 +95,81 @@ func TestFleetPredictZeroFailuresThroughReplicaKill(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	x := make([]float64, m.Schema.Len())
-	x[0] = 1024
-	// Warm the owner's cache, then kill all but one replica mid-stream:
-	// every decision must still be answered (cached model or failover).
-	if _, err := f.Predict("lulesh/policy", x); err != nil {
+	src := NewSource(f, features.TableI(), "lulesh/policy", "")
+	if err := src.Refresh(); err != nil {
 		t.Fatal(err)
 	}
 	order := f.prefer("lulesh/policy", nil)
 	servers[order[0]].Close()
 	servers[order[1]].Close()
-	for i := 0; i < 1000; i++ {
-		x[0] = float64(i % 17)
-		if _, err := f.Predict("lulesh/policy", x); err != nil {
-			t.Fatalf("predict %d failed during replica kill: %v", i, err)
+	for i := 0; i < 20; i++ {
+		if err := src.Refresh(); err != nil {
+			t.Fatalf("refresh %d failed during replica kill: %v", i, err)
+		}
+		if src.Projectors().Policy == nil {
+			t.Fatalf("refresh %d left no policy installed", i)
+		}
+		time.Sleep(2 * time.Millisecond) // let per-replica backoffs expire between tries
+	}
+	if f.Failovers() == 0 || f.Exhausted() != 0 {
+		t.Fatalf("failovers=%d exhausted=%d, want the survivor to answer", f.Failovers(), f.Exhausted())
+	}
+}
+
+// Behind a FleetClient, which keeps no model cache of its own, an
+// uploader stamps each batch with the version its Source installed and
+// that version's loop ID.
+func TestFleetUploaderStampsSourceVersion(t *testing.T) {
+	reg := registry.New()
+	api := server.New(reg).Handler()
+	var mu sync.Mutex
+	var got []telemetry.Batch
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost || r.URL.Path != "/telemetry" {
+			api.ServeHTTP(w, r)
+			return
+		}
+		var b telemetry.Batch
+		if err := json.NewDecoder(r.Body).Decode(&b); err != nil {
+			t.Error(err)
+		}
+		mu.Lock()
+		got = append(got, b)
+		mu.Unlock()
+		w.WriteHeader(http.StatusAccepted)
+	}))
+	t.Cleanup(ts.Close)
+	f, err := NewFleet(map[string]string{"a": ts.URL}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := NewSource(f, features.TableI(), "app/policy", "")
+	rec := telemetry.NewRecorder(features.TableI(), nil, telemetry.Options{})
+	up := NewUploader(f, "app/policy", rec, UploaderOptions{Attribution: src.Running})
+
+	for _, lin := range []*core.Lineage{nil, {LoopID: "loop-2", ParentVersion: 1}} {
+		if _, err := reg.PublishLineage("app/policy", testModel(t, lin != nil), lin); err != nil {
+			t.Fatal(err)
+		}
+		if err := src.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		fillRecorder(rec, 2)
+		if err := up.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != 2 {
+		t.Fatalf("%d batches posted, want 2", len(got))
+	}
+	for i, want := range []struct {
+		version int
+		loop    string
+	}{{1, ""}, {2, "loop-2"}} {
+		if got[i].SourceVersion != want.version || got[i].LoopID != want.loop {
+			t.Errorf("batch %d stamped v%d %q, want v%d %q", i, got[i].SourceVersion, got[i].LoopID, want.version, want.loop)
 		}
 	}
 }
@@ -153,10 +221,6 @@ func TestFleetRingRemovalReroutesWithoutError(t *testing.T) {
 	f.Ring().Remove(owner) // health checker took the owner out
 	if got := f.Ring().Lookup("lulesh/policy"); got == owner || got == "" {
 		t.Fatalf("ring still routes to removed owner (%q -> %q)", owner, got)
-	}
-	x := make([]float64, m.Schema.Len())
-	if _, err := f.Predict("lulesh/policy", x); err != nil {
-		t.Fatalf("predict after ring removal: %v", err)
 	}
 	if _, err := f.Fetch("lulesh/policy"); err != nil {
 		t.Fatalf("fetch after ring removal: %v", err)

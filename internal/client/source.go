@@ -1,14 +1,11 @@
 package client
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"apollo/internal/bg"
 	"apollo/internal/core"
 	"apollo/internal/features"
 	"apollo/internal/looptrace"
@@ -36,18 +33,19 @@ type Source struct {
 	mu         sync.Mutex //apollo:lockrank 13
 	policyVer  int
 	policyHash string
+	policyLoop string // the installed policy version's retrain cycle ("" = none)
 	chunkVer   int
 	chunkHash  string
 	lastErr    error
 	swaps      uint64
-	stopPoll   func()
 	trace      *looptrace.Tracer
 }
 
 // NewSource returns a source reading policyName and/or chunkName (either
 // may be empty) through c — a single-replica *Client or a ring-routed
-// *FleetClient — projecting onto schema. Call Refresh (or StartPolling)
-// to populate it; until then the tuner sees an empty set.
+// *FleetClient — projecting onto schema. Call Refresh (on a timer, to
+// follow new versions) to populate it; until then the tuner sees an
+// empty set.
 func NewSource(c Service, schema *features.Schema, policyName, chunkName string) *Source {
 	s := &Source{c: c, schema: schema, policyName: policyName, chunkName: chunkName}
 	s.ps.Store(&tuner.Projectors{})
@@ -60,7 +58,7 @@ func (s *Source) Projectors() *tuner.Projectors { return s.ps.Load() }
 // SetTrace routes a client-swap loop event through tr every time the
 // source hot-swaps to a new model version, correlated (via the fetched
 // envelope's lineage block) with the retrain cycle that published it.
-// A nil tracer disables emission; call before StartPolling.
+// A nil tracer disables emission; call before the first Refresh.
 func (s *Source) SetTrace(tr *looptrace.Tracer) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -72,6 +70,17 @@ func (s *Source) Swaps() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.swaps
+}
+
+// Running returns the policy model version the source has installed and
+// the loop ID of the retrain cycle that published it (0 and "" before the
+// first install; "" for a version without lineage). It is what an
+// Uploader's Attribution stamps on a batch: the version these rows were
+// decided by, whichever replica served it.
+func (s *Source) Running() (version int, loopID string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.policyVer, s.policyLoop
 }
 
 // Err returns the most recent refresh error, nil after a clean refresh.
@@ -118,8 +127,7 @@ func (s *Source) Refresh() error {
 	// not free, and an unchanged set must keep its warmed buffer pools.
 	changed := false
 	if policy != nil && (policy.Version != s.policyVer || policy.SchemaHash != s.policyHash) {
-		s.policyVer, s.policyHash = policy.Version, policy.SchemaHash
-		s.emitSwapLocked(policy)
+		s.policyVer, s.policyHash, s.policyLoop = policy.Version, policy.SchemaHash, s.emitSwapLocked(policy)
 		changed = true
 	}
 	if chunk != nil && (chunk.Version != s.chunkVer || chunk.SchemaHash != s.chunkHash) {
@@ -147,34 +155,16 @@ func (s *Source) Refresh() error {
 }
 
 // emitSwapLocked records one client-swap loop event for a model the
-// source is about to switch to. Emit itself is lock-free, so holding
-// s.mu here costs nothing; the lineage block (when present) supplies
-// the loop ID and parent version that tie the swap to its retrain
-// cycle.
-func (s *Source) emitSwapLocked(c *Cached) {
-	if s.trace == nil {
-		return
-	}
+// source is about to switch to, and returns the loop ID it carries.
+// Emit itself is lock-free (and a no-op on a nil tracer), so holding
+// s.mu here costs nothing; the lineage block (when present) supplies the
+// loop ID and parent version that tie the swap to its retrain cycle.
+func (s *Source) emitSwapLocked(c *Cached) (loop string) {
 	f := looptrace.Fields{Version: int32(c.Version)}
-	loop := ""
 	if c.Lineage != nil {
 		loop = c.Lineage.LoopID
 		f.Parent = int32(c.Lineage.ParentVersion)
 	}
 	s.trace.Emit(looptrace.KindClientSwap, c.Name, loop, f)
-}
-
-// StartPolling refreshes the source every interval on a background
-// goroutine until the returned stop function is called (idempotent, waits
-// for exit). Refresh errors are retained in Err; the poll keeps going
-// (the next retrain must not be lost to one outage).
-func (s *Source) StartPolling(interval time.Duration) (stop func()) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stopPoll == nil {
-		ctx, cancel := context.WithCancel(context.Background())
-		done := bg.New(ctx, nil).Every("model-poll", interval, false, s.Refresh)
-		s.stopPoll = func() { cancel(); <-done }
-	}
-	return s.stopPoll
+	return loop
 }

@@ -2,7 +2,6 @@ package client
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"apollo/internal/bg"
 	"apollo/internal/dataset"
 	"apollo/internal/telemetry"
 )
@@ -189,12 +187,4 @@ func (u *Uploader) boundPendingLocked() {
 		u.pending = u.pending.SelectRows(idx)
 		u.discards.Add(uint64(over))
 	}
-}
-
-// Start flushes every interval until ctx is done, then performs one
-// final flush so shutdown does not strand buffered samples. It returns
-// a done channel that closes when the loop exits. A failed flush keeps
-// its rows pending (bounded) for the next one.
-func (u *Uploader) Start(ctx context.Context, interval time.Duration) <-chan struct{} {
-	return bg.New(ctx, nil).Every("telemetry-upload", interval, true, u.Flush)
 }

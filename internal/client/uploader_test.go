@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"apollo/internal/bg"
 	"apollo/internal/bg/bgtest"
 	"apollo/internal/dataset"
 	"apollo/internal/features"
@@ -218,8 +219,10 @@ func TestUploaderStartFlushesOnShutdown(t *testing.T) {
 	rec := telemetry.NewRecorder(features.TableI(), nil, telemetry.Options{})
 	u := NewUploader(New(ts.URL, Options{}), "app/policy", rec, UploaderOptions{})
 
+	// The upload loop as a deployment runs it: an Every that flushes once
+	// more when its context ends.
 	ctx, cancel := context.WithCancel(context.Background())
-	done := u.Start(ctx, time.Hour) // interval never fires in-test
+	done := bg.New(ctx, nil).Every("telemetry-upload", time.Hour, true, u.Flush) // interval never fires in-test
 	fillRecorder(rec, 2)
 	cancel()
 	<-done

@@ -51,7 +51,7 @@ type Recorder struct {
 	sampleMask uint64 // SampleEvery rounded up to a power of two, minus one
 	columns    []string
 
-	seq      atomic.Uint64 // Record calls plus the weights handed to RecordVector
+	seq      atomic.Uint64 // Record calls: the sampling mask's count
 	recorded atomic.Uint64 // samples enqueued
 
 	// rows is the sample queue: each record is a preallocated row (a
@@ -88,12 +88,6 @@ func NewRecorder(schema *features.Schema, ann *caliper.Annotations, opts Options
 	return r
 }
 
-// Weight returns the launches the recorder has been handed: one per Record
-// call plus each RecordVector row's weight. Behind a thinning tuner it is
-// an estimate that runs high, since a twin kept inside a stride counts
-// twice and a look cuts a stride short.
-func (r *Recorder) Weight() uint64 { return r.seq.Load() }
-
 // Recorded returns how many samples entered the ring.
 func (r *Recorder) Recorded() uint64 { return r.recorded.Load() }
 
@@ -129,7 +123,6 @@ func (r *Recorder) Captures(schema *features.Schema, ann *caliper.Annotations) b
 //
 //apollo:hotpath
 func (r *Recorder) RecordVector(x []float64, p raja.Params, elapsedNS, weight float64) {
-	r.seq.Add(uint64(weight))
 	if rec, ticket := r.rows.Reserve(); rec != nil {
 		copy(*rec, x)
 		r.publish(*rec, ticket, p, elapsedNS, weight)

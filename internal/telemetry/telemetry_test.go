@@ -28,8 +28,8 @@ func TestRecorderCapturesSampleRows(t *testing.T) {
 	r := NewRecorder(schema, ann, Options{})
 
 	record(r, 128, 1234)
-	if r.Recorded() != 1 || r.Weight() != 1 {
-		t.Fatalf("recorded=%d weight=%d, want 1/1", r.Recorded(), r.Weight())
+	if r.Recorded() != 1 {
+		t.Fatalf("recorded=%d, want 1", r.Recorded())
 	}
 	frame := r.Drain(0)
 	if frame == nil || frame.Len() != 1 {
@@ -149,9 +149,6 @@ func TestRecorderConcurrentProducersAndConsumer(t *testing.T) {
 	total := r.Recorded()
 	if uint64(drained) != total {
 		t.Errorf("drained %d rows, recorder says %d", drained, total)
-	}
-	if r.Weight() != producers*perProducer {
-		t.Errorf("weight = %d, want %d", r.Weight(), producers*perProducer)
 	}
 }
 

@@ -378,8 +378,8 @@ func TestTunerEndFeedsTelemetry(t *testing.T) {
 	// Detaching stops the feed without stopping launches.
 	tn.UseTelemetry(nil)
 	raja.ForAll(ctx, k, raja.NewRange(0, 64), func(int) {})
-	if rec.Weight() != 1 {
-		t.Errorf("detached recorder weighs %d launches, want 1", rec.Weight())
+	if rec.Recorded() != 1 {
+		t.Errorf("detached recorder holds %d rows, want 1", rec.Recorded())
 	}
 }
 

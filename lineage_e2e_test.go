@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"apollo/internal/app"
+	"apollo/internal/bg"
 	"apollo/internal/bg/bgtest"
 	"apollo/internal/caliper"
 	"apollo/internal/client"
@@ -80,26 +81,14 @@ func TestClosedLoopLineageChain(t *testing.T) {
 	if err := src.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	stopPoll := src.StartPolling(2 * time.Millisecond)
-	defer stopPoll()
+	pollCtx, pollCancel := context.WithCancel(context.Background())
+	pollDone := bg.New(pollCtx, nil).Every("model-poll", 2*time.Millisecond, false, src.Refresh)
+	defer func() { pollCancel(); <-pollDone }()
 
 	rec := telemetry.NewRecorder(schema, ann, telemetry.Options{SampleEvery: 1, Capacity: 1 << 16})
-	up := client.NewUploader(c, modelName, rec, client.UploaderOptions{
-		MaxPending: 1 << 17,
-		Attribution: func() (int, string) {
-			cached := c.Cached(modelName)
-			if cached == nil {
-				return 0, ""
-			}
-			loop := ""
-			if cached.Lineage != nil {
-				loop = cached.Lineage.LoopID
-			}
-			return cached.Version, loop
-		},
-	})
+	up := client.NewUploader(c, modelName, rec, client.UploaderOptions{MaxPending: 1 << 17, Attribution: src.Running})
 	upCtx, upCancel := context.WithCancel(context.Background())
-	upDone := up.Start(upCtx, 2*time.Millisecond)
+	upDone := bg.New(upCtx, nil).Every("telemetry-upload", 2*time.Millisecond, true, up.Flush)
 	defer func() { upCancel(); <-upDone }()
 
 	tn := tuner.NewTuner(schema, ann, desc.DefaultParams).

@@ -2,10 +2,10 @@
 # Smoke-test the fleet layer end to end against real daemons: three
 # apollo-serve replicas syncing models peer-to-peer, a champion pushed to
 # one replica converging on all of them (same version, same ETag), a
-# synthetic client fleet (apollo-fleet) surviving a mid-run replica kill
-# with zero failed predicts, and a collective apollo-traind retraining
-# from the replicas' merged telemetry spools behind the incumbent publish
-# gate. Exits non-zero on any failure.
+# client fleet (apollo-tune -clients 4 over the three replicas) surviving
+# a mid-run replica kill with zero failed refreshes, and a collective
+# apollo-traind retraining from the replicas' merged telemetry spools
+# behind the incumbent publish gate. Exits non-zero on any failure.
 set -euo pipefail
 
 GO="${GO:-go}"
@@ -50,7 +50,7 @@ pick_port() {
 echo "== build"
 (cd "$ROOT" && $GO build -o "$WORK/bin/" \
     ./cmd/apollo-serve ./cmd/apollo-record ./cmd/apollo-train \
-    ./cmd/apollo-traind ./cmd/apollo-fleet ./cmd/apollo-inspect)
+    ./cmd/apollo-traind ./cmd/apollo-tune ./cmd/apollo-inspect)
 
 echo "== start 3 replicas with peer sync"
 P1="$(pick_port)"; P2="$(pick_port)"; P3="$(pick_port)"
@@ -106,27 +106,30 @@ TRAIND_PID=$!
 echo "== run the client fleet at size 8, killing replica r1 mid-run"
 # r1 is the consistent-hash owner of fleet/policy (the ring walk for that
 # key prefers r1, then r3, then r2), so killing it forces real failover:
-# predicts and telemetry posts must land on the next ring member.
-"$WORK/bin/apollo-fleet" -replicas "$PEERS" -model fleet/policy \
+# model refreshes and telemetry posts must land on the next ring member.
+# Each client probes the replicas' health at the -poll cadence.
+"$WORK/bin/apollo-tune" -server "$PEERS" -model fleet/policy \
     -app LULESH -problem sedov -size 8 -clients 4 -steps 20 -duration 6s \
-    -poll 100ms -flush 100ms -health 150ms >"$WORK/fleet.log" 2>&1 &
+    -poll 100ms -flush 100ms >"$WORK/fleet.log" 2>&1 &
 FLEET_PID=$!
 sleep 2
 kill "${PIDS[0]}" 2>/dev/null || true
 wait "${PIDS[0]}" 2>/dev/null || true
 echo "   killed r1"
 wait "$FLEET_PID" || { cat "$WORK/fleet.log"; echo "FAIL: fleet harness errored"; exit 1; }
-SUMMARY="$(grep '^apollo-fleet: done' "$WORK/fleet.log")"
+SUMMARY="$(grep '^apollo-tune: done' "$WORK/fleet.log")"
 echo "   $SUMMARY"
 
 field() { echo "$SUMMARY" | sed -n "s/.*$1=\([0-9.]*\).*/\1/p"; }
-[[ "$(field failed_predicts)" == "0" ]] \
-    || { cat "$WORK/fleet.log"; echo "FAIL: predicts failed during replica kill"; exit 1; }
+# No replica could supply a model: what the tuner reads is the source's
+# refresh, so that is where the kill must not show.
+[[ "$(field refresh_errors)" == "0" ]] \
+    || { cat "$WORK/fleet.log"; echo "FAIL: model refreshes failed during replica kill"; exit 1; }
 [[ "$(field exhausted)" == "0" ]] \
     || { cat "$WORK/fleet.log"; echo "FAIL: requests exhausted every replica"; exit 1; }
 [[ "$(field failovers)" -gt 0 || "$(field evictions)" -gt 0 ]] \
     || { cat "$WORK/fleet.log"; echo "FAIL: kill left no failover/eviction trace"; exit 1; }
-[[ "$(field rows)" -gt 0 ]] \
+[[ "$(field uploaded_rows)" -gt 0 ]] \
     || { cat "$WORK/fleet.log"; echo "FAIL: no telemetry uploaded"; exit 1; }
 
 echo "== wait for the collective retrain to publish"

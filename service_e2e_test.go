@@ -7,6 +7,7 @@ package apollo_test
 // — no restart, no locks on the launch path.
 
 import (
+	"context"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"apollo/internal/app"
+	"apollo/internal/bg"
 	"apollo/internal/bg/bgtest"
 	"apollo/internal/caliper"
 	"apollo/internal/client"
@@ -118,8 +120,9 @@ func TestModelServiceHotSwapEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	tn := tuner.NewTuner(schema, caliper.New(), desc.DefaultParams).UseSource(src)
-	stop := src.StartPolling(2 * time.Millisecond)
-	defer stop()
+	pollCtx, pollCancel := context.WithCancel(context.Background())
+	pollDone := bg.New(pollCtx, nil).Every("model-poll", 2*time.Millisecond, false, src.Refresh)
+	defer func() { pollCancel(); <-pollDone }()
 
 	// The v1 model sends a tiny launch to sequential execution; the
 	// retrained model will not. This probe is the observable difference.
