@@ -36,7 +36,7 @@ func runLoopCmd(args []string) error {
 	if *dir == "" && *in == "" && *url == "" {
 		return fmt.Errorf("set at least one of -dir, -in, or -url")
 	}
-	var events []looptrace.EventJSON
+	var events []looptrace.Event
 	for _, d := range splitList(*dir) {
 		evs, err := looptrace.ReadJournalDir(d)
 		if err != nil {

@@ -223,13 +223,7 @@ func run(ctx context.Context, cfg daemonConfig) error {
 			return finish(err)
 		}
 		mux := http.NewServeMux()
-		mux.Handle("GET /metrics", metrics.Handler(met, func() {
-			rc.Collect() // refresh goroutine/heap/GC-pause self-metrics
-			if lt != nil {
-				met.GaugeSet("apollo_loop_events_dropped_total", "", "",
-					"Loop events lost to a full looptrace ring.", int64(lt.Dropped()))
-			}
-		}))
+		mux.Handle("GET /metrics", metrics.Handler(met, rc.Collect))
 		fmt.Printf("apollo-traind: metrics on http://%s/metrics\n", ln.Addr())
 		g.Serve("metrics", ln, mux)
 	}

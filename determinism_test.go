@@ -149,19 +149,19 @@ func pipelinePass(t *testing.T, samples []byte) []artifact {
 	}
 
 	// The retrain cycle's journals, four actors' worth, stitched.
-	var events []looptrace.EventJSON
+	var events []looptrace.Event
 	for c, loop := range []string{"L1", "L2", "L3"} {
 		at := func(ms int64) int64 { return 1e18 + (int64(c)*100+ms)*int64(time.Millisecond) }
 		v := int32(entry.Version + c)
 		events = append(events,
-			looptrace.EventJSON{Kind: "client-swap", Actor: "tune", Model: entry.Name, Loop: loop, Version: v, WallNS: at(50)},
-			looptrace.EventJSON{Kind: "drift-fired", Actor: "traind", Model: entry.Name, Loop: loop, A: 0.6, Rows: int64(frame.Len()), WallNS: at(0)},
-			looptrace.EventJSON{Kind: "retrain-start", Actor: "traind", Model: entry.Name, Loop: loop, Parent: v - 1, Rows: 36, WallNS: at(1)},
-			looptrace.EventJSON{Kind: "retrain-end", Actor: "traind", Model: entry.Name, Loop: loop, DurNS: 9e6, WallNS: at(10)},
-			looptrace.EventJSON{Kind: "duel", Actor: "traind", Model: entry.Name, Loop: loop, A: 900, B: 400, Rows: 4, Peer: "publish", WallNS: at(11)},
-			looptrace.EventJSON{Kind: "publish", Actor: "serve:r1", Model: entry.Name, Loop: loop, Version: v, Parent: v - 1, WallNS: at(15)},
-			looptrace.EventJSON{Kind: "sync-pull", Actor: "serve:r2", Model: entry.Name, Loop: loop, Version: v, Peer: "r1", WallNS: at(30)},
-			looptrace.EventJSON{Kind: "ring-evict", Actor: "serve:r1", Peer: "r9", WallNS: at(5)})
+			looptrace.Event{Kind: "client-swap", Actor: "tune", Model: entry.Name, Loop: loop, Version: v, WallNS: at(50)},
+			looptrace.Event{Kind: "drift-fired", Actor: "traind", Model: entry.Name, Loop: loop, A: 0.6, Rows: int64(frame.Len()), WallNS: at(0)},
+			looptrace.Event{Kind: "retrain-start", Actor: "traind", Model: entry.Name, Loop: loop, Parent: v - 1, Rows: 36, WallNS: at(1)},
+			looptrace.Event{Kind: "retrain-end", Actor: "traind", Model: entry.Name, Loop: loop, DurNS: 9e6, WallNS: at(10)},
+			looptrace.Event{Kind: "duel", Actor: "traind", Model: entry.Name, Loop: loop, A: 900, B: 400, Rows: 4, Peer: "publish", WallNS: at(11)},
+			looptrace.Event{Kind: "publish", Actor: "serve:r1", Model: entry.Name, Loop: loop, Version: v, Parent: v - 1, WallNS: at(15)},
+			looptrace.Event{Kind: "sync-pull", Actor: "serve:r2", Model: entry.Name, Loop: loop, Version: v, Peer: "r1", WallNS: at(30)},
+			looptrace.Event{Kind: "ring-evict", Actor: "serve:r1", Peer: "r9", WallNS: at(5)})
 	}
 	report := looptrace.Stitch(events)
 	var timeline bytes.Buffer

@@ -156,9 +156,9 @@ func (s *Source) Refresh() error {
 
 // emitSwapLocked records one client-swap loop event for a model the
 // source is about to switch to, and returns the loop ID it carries.
-// Emit itself is lock-free (and a no-op on a nil tracer), so holding
-// s.mu here costs nothing; the lineage block (when present) supplies the
-// loop ID and parent version that tie the swap to its retrain cycle.
+// Emit takes only the tracer's own lock (ranked after s.mu) and does no
+// I/O; the lineage block (when present) supplies the loop ID and parent
+// version that tie the swap to its retrain cycle.
 func (s *Source) emitSwapLocked(c *Cached) (loop string) {
 	f := looptrace.Fields{Version: int32(c.Version)}
 	if c.Lineage != nil {

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"apollo/internal/bg/bgtest"
 	"apollo/internal/core"
 	"apollo/internal/dataset"
 	"apollo/internal/features"
@@ -214,27 +213,6 @@ func TestHealthEvictsAndReadmits(t *testing.T) {
 	if h.Probes() != 8 {
 		t.Fatalf("probes = %d, want 8", h.Probes())
 	}
-}
-
-func TestHealthStartStopIdempotent(t *testing.T) {
-	bgtest.NoLeaks(t)
-	_, ts := newReplica(t)
-	ring := hashring.New(64)
-	ring.Add("a")
-	h := NewHealth([]Peer{{ID: "a", Base: ts.URL}}, ring, HealthOptions{})
-	stop := h.Start(time.Millisecond)
-	if again := h.Start(time.Millisecond); again == nil {
-		t.Fatal("second Start returned nil stop")
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for h.Probes() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if h.Probes() == 0 {
-		t.Fatal("background checker never probed")
-	}
-	stop()
-	stop() // must not panic or hang
 }
 
 // fillSpool appends n rows under the standard record layout.

@@ -1,13 +1,11 @@
 package fleet
 
 import (
-	"context"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"apollo/internal/bg"
 	"apollo/internal/looptrace"
 )
 
@@ -47,14 +45,13 @@ type Health struct {
 	mu       sync.Mutex //apollo:lockrank 16
 	failures map[string]int
 	down     map[string]bool
-	stopFn   func()
 
 	probes    atomic.Uint64
 	evictions atomic.Uint64
 }
 
 // NewHealth returns a checker probing peers and editing ring membership.
-// Every peer starts presumed-up; call CheckOnce (or Start) to probe.
+// Every peer starts presumed-up; call CheckOnce to probe.
 func NewHealth(peers []Peer, ring Membership, opts HealthOptions) *Health {
 	if opts.HTTPClient == nil {
 		opts.HTTPClient = &http.Client{Timeout: 2 * time.Second}
@@ -137,17 +134,4 @@ func (h *Health) markDown(p Peer) {
 		h.logf("fleet: replica %s failed %d probes, leaving ring", p.ID, h.after)
 		h.ring.Remove(p.ID)
 	}
-}
-
-// Start probes every interval on a background goroutine until the
-// returned stop function is called (idempotent, waits for exit).
-func (h *Health) Start(interval time.Duration) (stop func()) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.stopFn == nil {
-		ctx, cancel := context.WithCancel(context.Background())
-		done := bg.New(ctx, nil).Every("health", interval, false, func() error { h.CheckOnce(); return nil })
-		h.stopFn = func() { cancel(); <-done }
-	}
-	return h.stopFn
 }

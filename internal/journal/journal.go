@@ -18,7 +18,9 @@
 //     log's lock. At nil the bytes are in the kernel: they survive the
 //     process being killed (kill -9), not the machine losing power, and
 //     every Tail sees all of them or, for a moment, a torn prefix. An
-//     Append that fails may leave a torn tail; nothing was acknowledged.
+//     Append whose write fails may leave a torn tail, and nothing was
+//     acknowledged; it seals the segment, so the torn bytes stay a tail
+//     no Tail returns and the next Append creates the next segment.
 //   - Rotate (and an Append that fills the segment) seals the segment:
 //     the file is closed and the next Append creates the next one. It
 //     adds no durability.
@@ -133,7 +135,10 @@ func (l *Log) Append(lines []byte) error {
 	n, err := l.f.Write(lines)
 	l.size += int64(n)
 	if err != nil {
-		return err
+		// The write may have left a torn line: seal it behind us, so the
+		// next Append starts a segment instead of finishing the tear with
+		// the first of its own lines.
+		return errors.Join(err, l.sealLocked())
 	}
 	if l.size >= l.maxBytes {
 		return l.sealLocked()

@@ -273,6 +273,50 @@ func TestRestartOverTornTail(t *testing.T) {
 	}
 }
 
+// A write that fails part-way (ENOSPC, EIO) leaves a torn line behind it.
+// The segment is sealed with the tear as its tail: the retry lands whole
+// in the next segment instead of completing the torn bytes into a line
+// that is not one, which would fail every later read at that line.
+func TestFailedWriteSealsSegment(t *testing.T) {
+	dir := t.TempDir()
+	l := openTest(t, dir, 0)
+	if err := l.Append([]byte("a1\n")); err != nil {
+		t.Fatal(err)
+	}
+	seg := segmentPath(dir, 1)
+	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString("torn-by-eno"); err != nil { // what the failing write got out
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ro, err := os.Open(seg) // the write itself fails
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l.f = ro
+	if err := l.Append([]byte("b1\n")); err == nil {
+		t.Fatal("a write on a read-only handle succeeded")
+	}
+	if err := l.Append([]byte("b1\n")); err != nil {
+		t.Fatalf("the retry after a failed write: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	hdr := "H:" + strings.TrimSuffix(testHeader, "\n")
+	if got, want := readAll(t, NewTail(dir)), []string{hdr, "a1", hdr, "b1"}; !slices.Equal(got, want) {
+		t.Fatalf("read %q after a failed write and its retry, want %q", got, want)
+	}
+}
+
 // A line the caller refuses fails the whole read and moves no offset: the
 // lines read before it, in that segment and in earlier ones, come back
 // when the line is repaired, each once.

@@ -5,40 +5,27 @@ import (
 	"net/http"
 )
 
-// Capture is the /debug/apollo/loop response: the tracer's retained
-// event window plus its counters, in the same apollo-loop-v1 shape as a
-// journal, so `apollo-inspect loop -url` consumes a live daemon exactly
-// like a journal file.
+// Capture is the /debug/apollo/loop response: the tracer's window plus
+// its emit count, in the same apollo-loop-v1 shape as a journal, so
+// `apollo-inspect loop -url` consumes a live daemon exactly like a
+// journal file.
 type Capture struct {
-	Format  string      `json:"format"`
-	Actor   string      `json:"actor"`
-	Emitted uint64      `json:"emitted"`
-	Dropped uint64      `json:"dropped"`
-	Events  []EventJSON `json:"events"`
+	Format  string  `json:"format"`
+	Actor   string  `json:"actor"`
+	Emitted uint64  `json:"emitted"`
+	Events  []Event `json:"events"`
 }
 
-// CaptureEvents snapshots the retained window as wire events.
+// CaptureEvents snapshots the window.
 func (t *Tracer) CaptureEvents() *Capture {
-	events := t.Snapshot()
-	out := make([]EventJSON, len(events))
-	for i := range events {
-		out[i] = events[i].toJSON(t.actor)
-	}
-	return &Capture{
-		Format:  JournalFormatID,
-		Actor:   t.actor,
-		Emitted: t.Emitted(),
-		Dropped: t.Dropped(),
-		Events:  out,
-	}
+	return &Capture{Format: JournalFormatID, Actor: t.actor, Emitted: t.Emitted(), Events: t.Snapshot()}
 }
 
 // RegisterDebug installs the loop-trace debug endpoint on mux:
 //
 //	/debug/apollo/loop  retained loop events as apollo-loop-v1 JSON
 //
-// The handler only reads the tracer (snapshots drain the ring into the
-// retained window but lose nothing), so it is safe on a live process.
+// The handler only reads the tracer, so it is safe on a live process.
 // tr may be nil, in which case the endpoint reports 503.
 func RegisterDebug(mux *http.ServeMux, tr *Tracer) {
 	mux.HandleFunc("GET /debug/apollo/loop", func(w http.ResponseWriter, req *http.Request) {

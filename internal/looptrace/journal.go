@@ -12,7 +12,6 @@
 package looptrace
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -22,7 +21,6 @@ import (
 	"strings"
 	"time"
 
-	"apollo/internal/bg"
 	"apollo/internal/journal"
 )
 
@@ -35,43 +33,6 @@ type journalHeader struct {
 	Format string `json:"format"`
 	Actor  string `json:"actor"`
 	OpenNS int64  `json:"open_unix_ns"`
-}
-
-// EventJSON is the wire/disk form of an Event: journal lines, debug
-// captures, and stitched reports all carry this shape.
-type EventJSON struct {
-	Kind    string  `json:"kind"`
-	Seq     uint64  `json:"seq"`
-	WallNS  int64   `json:"wall_ns"`
-	Actor   string  `json:"actor,omitempty"`
-	Model   string  `json:"model,omitempty"`
-	Loop    string  `json:"loop,omitempty"`
-	Peer    string  `json:"peer,omitempty"`
-	Version int32   `json:"version,omitempty"`
-	Parent  int32   `json:"parent,omitempty"`
-	Rows    int64   `json:"rows,omitempty"`
-	DurNS   float64 `json:"dur_ns,omitempty"`
-	A       float64 `json:"a,omitempty"`
-	B       float64 `json:"b,omitempty"`
-}
-
-// toJSON renders an event for the given actor.
-func (e *Event) toJSON(actor string) EventJSON {
-	return EventJSON{
-		Kind:    e.Kind.String(),
-		Seq:     e.Seq,
-		WallNS:  e.WallNS,
-		Actor:   actor,
-		Model:   e.ModelName(),
-		Loop:    e.LoopID(),
-		Peer:    e.Peer(),
-		Version: e.Version,
-		Parent:  e.Parent,
-		Rows:    e.Rows,
-		DurNS:   e.DurNS,
-		A:       e.A,
-		B:       e.B,
-	}
 }
 
 // JournalPath returns the journal directory a tracer for actor writes
@@ -110,8 +71,8 @@ func (t *Tracer) OpenJournal(dir string) error {
 	return nil
 }
 
-// Flush drains the ring into the retained window and, if a journal is
-// attached, appends what was drained since the last flush to it.
+// Flush appends the events emitted since the last flush to the
+// attached journal, if any.
 func (t *Tracer) Flush() error { return t.flush(false) }
 
 // Close flushes and detaches the journal, closing it. The tracer stays
@@ -124,21 +85,31 @@ func (t *Tracer) Close() error {
 	return t.flush(true)
 }
 
-// flush takes the drained lines under t.mu and writes them after it is
-// released: the log serializes its own writes, and a debug capture never
-// waits behind a disk. (Two flushes at once may land out of emit order;
-// every event carries its seq and wall time, and Stitch sorts.)
+// flush takes pending under t.mu and encodes and writes it after t.mu is
+// released: the log serializes its own writes, and neither an emitter nor
+// a debug capture waits behind a disk. (Two flushes at once may land out
+// of emit order; every event carries its seq and wall time, and Stitch
+// sorts.) An event JSON cannot carry (a NaN) stays out of the journal.
 func (t *Tracer) flush(detach bool) error {
 	t.mu.Lock()
-	err := t.drainLocked()
-	log, lines := t.journal, t.pending
+	log, events := t.journal, t.pending
 	t.pending = nil
 	if detach {
 		t.journal = nil
 	}
 	t.mu.Unlock()
 	if log == nil {
-		return err
+		return nil
+	}
+	var lines []byte
+	var err error
+	for i := range events {
+		line, merr := json.Marshal(&events[i])
+		if merr != nil {
+			err = errors.Join(err, merr)
+			continue
+		}
+		lines = append(append(lines, line...), '\n')
 	}
 	if len(lines) > 0 {
 		err = errors.Join(err, log.Append(lines))
@@ -147,13 +118,6 @@ func (t *Tracer) flush(detach bool) error {
 		err = errors.Join(err, log.Close())
 	}
 	return err
-}
-
-// Start flushes the tracer every interval until ctx is done, then does
-// a final flush, and reports completion on the returned channel. A flush
-// that fails is tried again at the next tick; Close reports what persists.
-func (t *Tracer) Start(ctx context.Context, interval time.Duration) <-chan struct{} {
-	return bg.New(ctx, nil).Every("loop-journal", interval, true, t.Flush)
 }
 
 // NewLoopID mints a correlation ID for one retrain cycle: a fixed-width
@@ -172,8 +136,8 @@ func NewLoopID(model string, parent int, wallNS int64) string {
 // ReadJournal parses one tracer's journal, the directory JournalPath
 // names: every complete event line of every segment, in order. Events
 // missing an actor field inherit their segment header's actor.
-func ReadJournal(dir string) ([]EventJSON, error) {
-	var events []EventJSON
+func ReadJournal(dir string) ([]Event, error) {
+	var events []Event
 	actor := ""
 	tail := journal.NewTail(dir)
 	err := tail.Read(func(first bool, line []byte) error {
@@ -188,7 +152,7 @@ func ReadJournal(dir string) ([]EventJSON, error) {
 			actor = hdr.Actor
 			return nil
 		}
-		var ev EventJSON
+		var ev Event
 		if err := json.Unmarshal(line, &ev); err != nil {
 			return fmt.Errorf("bad event: %w", err)
 		}
@@ -209,13 +173,13 @@ func ReadJournal(dir string) ([]EventJSON, error) {
 
 // ReadJournalDir parses every loop-*/ journal under dir and returns the
 // union of their events (unsorted; Stitch orders them).
-func ReadJournalDir(dir string) ([]EventJSON, error) {
+func ReadJournalDir(dir string) ([]Event, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "loop-*"))
 	if err != nil {
 		return nil, err
 	}
 	sort.Strings(paths)
-	var all []EventJSON
+	var all []Event
 	for _, p := range paths {
 		if fi, err := os.Stat(p); err != nil || !fi.IsDir() {
 			continue // not a journal: the directory is shared

@@ -1,9 +1,9 @@
-// Package looptrace is the closed-loop flight recorder: fixed-size
-// structured events for every stage of the model lifecycle — drift
-// fired, retrain started/ended, duel judged, model published, peer
-// pulled, client swapped, replica evicted/readmitted, telemetry
-// ingested — emitted through a lock-free ring (internal/ring) and made
-// durable as JSONL journals.
+// Package looptrace is the closed-loop flight recorder: one structured
+// event for every stage of the model lifecycle — drift fired, retrain
+// started/ended, duel judged, model published, peer pulled, client
+// swapped, replica evicted/readmitted, telemetry ingested — kept in a
+// bounded window for the debug endpoint and made durable as JSONL
+// journals.
 //
 // Each process in the loop (apollo-traind, every apollo-serve replica,
 // a tuner-side application) owns one Tracer identified by an actor
@@ -15,23 +15,17 @@
 // the journals of N processes into one causal timeline and reports the
 // loop reaction time (drift-detect → retrain → publish → converged).
 //
-// Emit is //apollo:hotpath: the producer side is an internal/ring queue
-// of preallocated fixed-size events — reserve a record, copy the strings
-// into inline byte arrays, publish it — with zero allocation, no locks,
-// and drop-not-block on a full ring. Only the consumer side (journal
-// flush, debug capture) takes a mutex.
+// These are control-plane events — one per loop stage or telemetry
+// batch, never one per launch — so Emit takes the tracer's mutex, stores
+// the event by index in the window and, with a journal attached, queues
+// it for the next Flush. Nothing is dropped and nothing is truncated.
 package looptrace
 
 import (
-	"cmp"
-	"encoding/json"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"apollo/internal/flight"
 	"apollo/internal/journal"
-	"apollo/internal/ring"
 )
 
 // Kind enumerates the loop stages an event can mark.
@@ -101,42 +95,23 @@ func KindFromString(s string) Kind {
 	return 0
 }
 
-// Inline string capacities. Longer strings truncate on emit; model
-// names are registry-validated well under MaxModel and loop IDs are
-// minted at a fixed length, so truncation only bites hand-rolled input.
-const (
-	MaxModel = 64
-	MaxLoop  = 48
-	MaxPeer  = 32
-)
-
-// Event is one fixed-size, pointer-free loop event. Strings live in
-// inline byte arrays so a ring of Events is a single allocation and an
-// emit never touches the heap.
+// Event is one loop event, in the one shape journal lines, debug
+// captures and stitched reports all carry.
 type Event struct {
-	Seq     uint64 // per-tracer emit sequence, 1-based
-	WallNS  int64  // wall-clock unix nanoseconds (see Tracer clock note)
-	Kind    Kind
-	Version int32   // model version the event is about (0 if n/a)
-	Parent  int32   // predecessor version (0 if n/a)
-	Rows    int64   // row count (window, holdout, or batch; 0 if n/a)
-	DurNS   float64 // stage duration in ns (0 if n/a)
-	A, B    float64 // kind-specific scalars (see Kind docs)
-
-	modelLen, loopLen, peerLen int32
-	model                      [MaxModel]byte
-	loop                       [MaxLoop]byte
-	peer                       [MaxPeer]byte
+	Kind    string  `json:"kind"`              // Kind.String()
+	Seq     uint64  `json:"seq"`               // per-tracer emit sequence, 1-based
+	WallNS  int64   `json:"wall_ns"`           // wall-clock unix nanoseconds, monotone per tracer
+	Actor   string  `json:"actor,omitempty"`   // the emitting tracer's actor
+	Model   string  `json:"model,omitempty"`   // model name
+	Loop    string  `json:"loop,omitempty"`    // retrain-cycle correlation ID
+	Peer    string  `json:"peer,omitempty"`    // peer ID or duel verdict (see Kind docs)
+	Version int32   `json:"version,omitempty"` // model version the event is about
+	Parent  int32   `json:"parent,omitempty"`  // predecessor version
+	Rows    int64   `json:"rows,omitempty"`    // row count: window, holdout, or batch
+	DurNS   float64 `json:"dur_ns,omitempty"`  // stage duration in ns
+	A       float64 `json:"a,omitempty"`       // kind-specific scalars (see Kind docs)
+	B       float64 `json:"b,omitempty"`
 }
-
-// ModelName returns the event's model name (allocates; cold path).
-func (e *Event) ModelName() string { return string(e.model[:e.modelLen]) }
-
-// LoopID returns the event's correlation ID (allocates; cold path).
-func (e *Event) LoopID() string { return string(e.loop[:e.loopLen]) }
-
-// Peer returns the event's peer/verdict string (allocates; cold path).
-func (e *Event) Peer() string { return string(e.peer[:e.peerLen]) }
 
 // Fields carries the optional per-event payload of an Emit.
 type Fields struct {
@@ -150,129 +125,89 @@ type Fields struct {
 
 // Options configures a Tracer.
 type Options struct {
-	// Capacity is the number of events the ring holds between drains
-	// (rounded up to a power of two) and the drained window keeps for
-	// the debug endpoint after them, oldest evicted first (default 1024).
-	// A full ring drops events rather than blocking.
+	// Capacity is the number of most recent events the window keeps for
+	// the debug endpoint, oldest evicted first (default 1024). A journal
+	// is not bounded by it: every event emitted while one is attached
+	// waits for the next Flush.
 	Capacity int
 }
 
-// Tracer emits, buffers, and journals one process's loop events.
+// Tracer records, buffers, and journals one process's loop events.
 type Tracer struct {
 	actor string
-	// wallBase anchors the monotonic clock to the wall clock: computed
-	// once at construction as time.Now() - flight.Now() (the module's one
-	// monotonic clock), so the hot-path emit derives a cross-process-
-	// comparable wall timestamp from a single vDSO monotonic read, never
-	// calling time.Now.
-	wallBase int64
+	// start anchors the wall clock at construction; an event's WallNS is
+	// wallNS plus time.Since(start), read off the monotonic clock, so
+	// stamps never step backwards when the wall clock is adjusted.
+	start  time.Time
+	wallNS int64
 
-	emitted atomic.Uint64
-	events  *ring.Ring[Event]
-
-	// mu serializes the cold consumer side: draining the ring into the
-	// retained window and into pending, the encoded lines the next flush
-	// appends to the journal. Never touched by Emit, never held over I/O.
-	mu       sync.Mutex //apollo:lockrank 50
-	retained []Event
-	journal  *journal.Log
-	pending  []byte
+	// mu guards everything below. Emit holds it for a copy and an index
+	// bump; Flush holds it only to take pending, and writes after.
+	mu      sync.Mutex //apollo:lockrank 50
+	seq     uint64
+	window  []Event // circular once full: window[next] is the oldest
+	next    int
+	journal *journal.Log
+	pending []Event // emitted since the last flush, while a journal is attached
 }
 
 // New returns a tracer identified by actor (e.g. "traind", "serve:r1",
-// "tune"). The actor names the journal file and tags every stitched
-// event, so give each process in a fleet a distinct one.
+// "tune"). The actor names the journal file and tags every event, so give
+// each process in a fleet a distinct one.
 func New(actor string, opts Options) *Tracer {
 	if opts.Capacity <= 0 {
 		opts.Capacity = 1024
 	}
+	start := time.Now()
 	return &Tracer{
-		actor:    actor,
-		wallBase: time.Now().UnixNano() - flight.Now(),
-		events:   ring.New[Event](opts.Capacity),
+		actor:  actor,
+		start:  start,
+		wallNS: start.UnixNano(),
+		window: make([]Event, 0, opts.Capacity),
 	}
 }
 
-// Emitted returns how many events entered the ring.
+// Emitted returns how many events the tracer has recorded.
 func (t *Tracer) Emitted() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.emitted.Load()
-}
-
-// Dropped returns how many events were lost to a full ring.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.events.Dropped()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.seq
 }
 
 // Emit records one loop event. It is safe on a nil tracer (a no-op), so
-// instrumented packages can call it unconditionally. The event's wall
-// timestamp comes from one monotonic clock read against the tracer's
-// construction-time wall anchor. Emit never blocks and never
-// allocates: a full ring drops the event.
-//
-//apollo:hotpath
+// instrumented packages can call it unconditionally. Without a journal
+// it does not allocate.
 func (t *Tracer) Emit(kind Kind, model, loop string, f Fields) {
 	if t == nil {
 		return
 	}
-	ev, ticket := t.events.Reserve()
-	if ev == nil {
-		return
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.seq++
+	ev := Event{
+		Kind: kind.String(), Seq: t.seq, WallNS: t.wallNS + int64(time.Since(t.start)),
+		Actor: t.actor, Model: model, Loop: loop, Peer: f.Peer,
+		Version: f.Version, Parent: f.Parent, Rows: f.Rows, DurNS: f.DurNS, A: f.A, B: f.B,
 	}
-	ev.Kind = kind
-	ev.WallNS = t.wallBase + flight.Now()
-	ev.Version = f.Version
-	ev.Parent = f.Parent
-	ev.Rows = f.Rows
-	ev.DurNS = f.DurNS
-	ev.A = f.A
-	ev.B = f.B
-	ev.modelLen = int32(copy(ev.model[:], model))
-	ev.loopLen = int32(copy(ev.loop[:], loop))
-	ev.peerLen = int32(copy(ev.peer[:], f.Peer))
-	ev.Seq = t.emitted.Add(1)
-	t.events.Publish(ticket)
+	if len(t.window) < cap(t.window) {
+		t.window = append(t.window, ev)
+	} else {
+		t.window[t.next] = ev
+		t.next = (t.next + 1) % len(t.window)
+	}
+	if t.journal != nil {
+		t.pending = append(t.pending, ev)
+	}
 }
 
-// drainLocked moves every ring event into the retained window (bounded,
-// oldest first out) and, when a journal is attached, its line into
-// pending. Caller holds t.mu.
-func (t *Tracer) drainLocked() error {
-	var firstErr error
-	for {
-		rec, ticket := t.events.Acquire()
-		if rec == nil {
-			break
-		}
-		ev := *rec
-		t.events.Release(ticket)
-		t.retained = append(t.retained, ev)
-		if t.journal != nil {
-			line, err := json.Marshal(ev.toJSON(t.actor))
-			if err != nil {
-				firstErr = cmp.Or(firstErr, err)
-				continue
-			}
-			t.pending = append(append(t.pending, line...), '\n')
-		}
-	}
-	if n := len(t.retained) - t.events.Cap(); n > 0 {
-		t.retained = append(t.retained[:0], t.retained[n:]...)
-	}
-	return firstErr
-}
-
-// Snapshot drains the ring and returns a copy of the retained window in
-// emit order. It loses nothing: drained events stay retained (up to the
-// ring's capacity) for the next snapshot.
+// Snapshot returns a copy of the window, oldest event first.
 func (t *Tracer) Snapshot() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.drainLocked() //apollo:errok an event JSON cannot carry (a NaN) stays out of the journal whoever drains it; a debug snapshot must still serve what it has
-	return append([]Event(nil), t.retained...)
+	out := make([]Event, 0, len(t.window))
+	out = append(out, t.window[t.next:]...)
+	return append(out, t.window[:t.next]...)
 }

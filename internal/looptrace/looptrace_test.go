@@ -2,7 +2,7 @@ package looptrace
 
 import (
 	"bytes"
-	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,15 +11,14 @@ import (
 	"testing"
 	"time"
 
-	"apollo/internal/bg/bgtest"
 	"apollo/internal/journal"
 )
 
-// Emit is //apollo:hotpath — the tuner/client path calls it on every
-// model swap and telemetry flush — so the steady-state emit must not
-// allocate, including the nil-tracer no-op.
+// The instrumented packages call Emit unconditionally, so what an
+// untraced process pays (a nil tracer) and what a traced one without a
+// journal pays must not allocate, whether the window is filling or full.
 func TestEmitAllocationFree(t *testing.T) {
-	tr := New("test", Options{Capacity: 1 << 14})
+	tr := New("test", Options{Capacity: 8})
 	f := Fields{Version: 2, Parent: 1, Rows: 64, Peer: "r1"}
 	allocs := testing.AllocsPerRun(500, func() {
 		tr.Emit(KindClientSwap, "lulesh/policy", "L0123456789abcdef-00000001", f)
@@ -36,78 +35,63 @@ func TestEmitAllocationFree(t *testing.T) {
 	}
 }
 
-// A full ring drops rather than blocking, the counters account for
-// every emit, and draining frees slots for new events.
-func TestRingDropAndDrain(t *testing.T) {
-	tr := New("test", Options{Capacity: 8})
-	for i := 0; i < 12; i++ {
-		tr.Emit(KindPublish, "m", "L1", Fields{Version: int32(i + 1)})
-	}
-	if got := tr.Emitted(); got != 8 {
-		t.Errorf("emitted %d, want 8", got)
-	}
-	if got := tr.Dropped(); got != 4 {
-		t.Errorf("dropped %d, want 4", got)
-	}
-	events := tr.Snapshot()
-	if len(events) != 8 {
-		t.Fatalf("snapshot has %d events, want 8", len(events))
-	}
-	for i, ev := range events {
-		if ev.Seq != uint64(i+1) || ev.Version != int32(i+1) {
-			t.Errorf("event %d: seq=%d version=%d, want %d/%d", i, ev.Seq, ev.Version, i+1, i+1)
-		}
-		if ev.ModelName() != "m" || ev.LoopID() != "L1" {
-			t.Errorf("event %d: model=%q loop=%q", i, ev.ModelName(), ev.LoopID())
-		}
-	}
-	// The retained window is Capacity events too: a post-drain emit is
-	// kept and evicts the oldest.
-	tr.Emit(KindPublish, "m", "L1", Fields{Version: 99})
-	if got := tr.Snapshot(); len(got) != 8 || got[7].Version != 99 || got[0].Version != 2 {
-		t.Errorf("post-drain emit not retained in a window of 8: %d events", len(got))
-	}
-}
-
-// Strings longer than the inline capacity truncate instead of
-// corrupting neighbors, and wall timestamps are monotone per tracer.
+// Names of any length round-trip whole, through the window and through
+// the journal, and wall timestamps are near now.
 func TestEventBounds(t *testing.T) {
+	dir := t.TempDir()
 	tr := New("test", Options{})
-	long := strings.Repeat("x", 200)
-	tr.Emit(KindDuel, long, long, Fields{Peer: long})
-	events := tr.Snapshot()
-	if len(events) != 1 {
-		t.Fatal("no event")
+	if err := tr.OpenJournal(dir); err != nil {
+		t.Fatal(err)
 	}
-	ev := events[0]
-	if len(ev.ModelName()) != MaxModel || len(ev.LoopID()) != MaxLoop || len(ev.Peer()) != MaxPeer {
-		t.Errorf("truncation: model=%d loop=%d peer=%d", len(ev.ModelName()), len(ev.LoopID()), len(ev.Peer()))
+	long := strings.Repeat("x", 200)
+	tr.Emit(KindDuel, long, long+"l", Fields{Peer: long + "p"})
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events := tr.Snapshot()
+	journaled, err := ReadJournal(JournalPath(dir, "test"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 1 || len(journaled) != 1 {
+		t.Fatalf("window holds %d events, journal %d; want 1 each", len(events), len(journaled))
+	}
+	for _, ev := range []Event{events[0], journaled[0]} {
+		if ev.Model != long || ev.Loop != long+"l" || ev.Peer != long+"p" || ev.Actor != "test" || ev.Kind != "duel" {
+			t.Errorf("event did not round-trip: model=%d loop=%d peer=%d bytes, actor=%q kind=%q",
+				len(ev.Model), len(ev.Loop), len(ev.Peer), ev.Actor, ev.Kind)
+		}
 	}
 	now := time.Now().UnixNano()
-	if d := ev.WallNS - now; d > int64(time.Minute) || d < -int64(time.Minute) {
-		t.Errorf("wall timestamp %d is %v away from now", ev.WallNS, time.Duration(d))
+	if d := events[0].WallNS - now; d > int64(time.Minute) || d < -int64(time.Minute) {
+		t.Errorf("wall timestamp %d is %v away from now", events[0].WallNS, time.Duration(d))
 	}
 }
 
-// Concurrent emitters racing a draining consumer lose nothing that was
-// admitted: emitted == retained-or-journaled, dropped accounts for the
-// rest. Run with -race. The capacity holds every event, so the retained
-// window can be checked against the emitted count.
+// Eight emitters race a flusher with more events than the window holds:
+// the journal gets every event exactly once, seqs 1..N in order, and the
+// window ends holding the newest Capacity events, oldest first, with
+// wall stamps that never step back. Run with -race.
 func TestConcurrentEmitDrain(t *testing.T) {
-	const perG, goroutines = 500, 8
-	tr := New("test", Options{Capacity: perG * goroutines})
+	const perG, goroutines, capacity = 500, 8, 64
+	const total = perG * goroutines
+	dir := t.TempDir()
+	tr := New("test", Options{Capacity: capacity})
+	if err := tr.OpenJournal(dir); err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	var drains sync.WaitGroup
-	drains.Add(1)
+	flushErr := make(chan error, 1)
 	go func() {
-		defer drains.Done()
+		var err error
 		for {
 			select {
 			case <-stop:
+				flushErr <- err
 				return
 			default:
-				tr.Flush() //nolint — test consumer
+				err = errors.Join(err, tr.Flush())
 			}
 		}
 	}()
@@ -116,19 +100,50 @@ func TestConcurrentEmitDrain(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				tr.Emit(KindIngest, "m", "L1", Fields{Rows: 1})
+				tr.Emit(KindIngest, "m", "L1", Fields{Rows: int64(g), Version: int32(i)})
 			}
 		}(g)
 	}
 	wg.Wait()
 	close(stop)
-	drains.Wait()
-	got := uint64(len(tr.Snapshot()))
-	if want := tr.Emitted(); got != want {
-		t.Errorf("retained %d events, emitted %d", got, want)
+	if err := <-flushErr; err != nil {
+		t.Fatal(err)
 	}
-	if tr.Emitted()+tr.Dropped() != perG*goroutines {
-		t.Errorf("emitted %d + dropped %d != %d", tr.Emitted(), tr.Dropped(), perG*goroutines)
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if got := tr.Emitted(); got != total {
+		t.Errorf("emitted %d, want %d", got, total)
+	}
+	journaled, err := ReadJournal(JournalPath(dir, "test"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(journaled) != total {
+		t.Fatalf("journal holds %d events, want %d", len(journaled), total)
+	}
+	perEmitter := make(map[int64]int32, goroutines)
+	for i, ev := range journaled {
+		if ev.Seq != uint64(i+1) {
+			t.Fatalf("journal line %d carries seq %d", i+1, ev.Seq)
+		}
+		if i > 0 && ev.WallNS < journaled[i-1].WallNS {
+			t.Fatalf("seq %d stamped %d, before seq %d at %d", ev.Seq, ev.WallNS, ev.Seq-1, journaled[i-1].WallNS)
+		}
+		if next := perEmitter[ev.Rows]; ev.Version != next {
+			t.Fatalf("emitter %d: event %d journaled where %d was due", ev.Rows, ev.Version, next)
+		}
+		perEmitter[ev.Rows]++
+	}
+	window := tr.Snapshot()
+	if len(window) != capacity {
+		t.Fatalf("window holds %d events, want %d", len(window), capacity)
+	}
+	for i, ev := range window {
+		if want := journaled[total-capacity+i]; ev != want {
+			t.Fatalf("window[%d] = %+v, want the journal's %+v", i, ev, want)
+		}
 	}
 }
 
@@ -302,43 +317,13 @@ func FuzzReadJournal(f *testing.F) {
 	})
 }
 
-// The background flusher journals without an explicit Flush and stops
-// cleanly on context cancel.
-func TestStartFlushes(t *testing.T) {
-	bgtest.NoLeaks(t)
-	dir := t.TempDir()
-	tr := New("traind", Options{})
-	if err := tr.OpenJournal(dir); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := tr.Start(ctx, time.Millisecond)
-	tr.Emit(KindDriftFired, "m", "L1", Fields{A: 0.5, Rows: 100})
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		events, err := ReadJournal(JournalPath(dir, "traind"))
-		if err == nil && len(events) == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("journal never flushed: %v %d", err, len(events))
-		}
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	<-done
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Stitch groups by loop ID, orders cross-actor events by wall time,
 // computes stage spans, and marks the loop complete with a nonzero
 // reaction time.
 func TestStitchTimeline(t *testing.T) {
 	base := int64(1_000_000_000_000)
 	ms := func(n int64) int64 { return base + n*int64(time.Millisecond) }
-	events := []EventJSON{
+	events := []Event{
 		{Kind: "client-swap", Actor: "tune", Model: "m", Loop: "L1", Version: 2, WallNS: ms(50)},
 		{Kind: "drift-fired", Actor: "traind", Model: "m", Loop: "L1", A: 0.6, Rows: 40, WallNS: ms(0)},
 		{Kind: "retrain-start", Actor: "traind", Model: "m", Loop: "L1", Parent: 1, Rows: 36, WallNS: ms(1)},
@@ -393,7 +378,7 @@ func TestStitchTimeline(t *testing.T) {
 // An open loop (no convergence signal) is reported but not counted
 // complete, and contributes no reaction sample.
 func TestStitchIncompleteLoop(t *testing.T) {
-	events := []EventJSON{
+	events := []Event{
 		{Kind: "drift-fired", Actor: "traind", Model: "m", Loop: "L2", WallNS: 10},
 		{Kind: "retrain-start", Actor: "traind", Model: "m", Loop: "L2", WallNS: 20},
 	}
@@ -406,17 +391,14 @@ func TestStitchIncompleteLoop(t *testing.T) {
 	}
 }
 
-// Steady-state emit cost on the client path: ring has headroom, no
-// journal attached (the flusher drains out of band in real deployments).
+// Steady-state emit cost with no journal attached: the window is full,
+// so every emit overwrites its oldest event.
 func BenchmarkEmit(b *testing.B) {
-	tr := New("bench", Options{Capacity: 1 << 16})
+	tr := New("bench", Options{})
 	f := Fields{Version: 2, Parent: 1, Rows: 64, Peer: "r1"}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.Emit(KindClientSwap, "lulesh/policy", "L0123456789abcdef-00000001", f)
-		if i&0xffff == 0xffff {
-			tr.Flush() // keep the ring from saturating into the drop path
-		}
 	}
 }
 
@@ -430,10 +412,10 @@ func BenchmarkEmitNilTracer(b *testing.B) {
 	}
 }
 
-// Contended emit: every logical CPU hammering one ring, the worst case
+// Contended emit: every logical CPU hammering one tracer, the worst case
 // a busy replica's ingest + sync + swap paths can produce.
 func BenchmarkEmitParallel(b *testing.B) {
-	tr := New("bench", Options{Capacity: 1 << 16})
+	tr := New("bench", Options{})
 	f := Fields{Version: 2, Parent: 1, Rows: 64}
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
@@ -446,7 +428,7 @@ func BenchmarkEmitParallel(b *testing.B) {
 // Stitch over a fleet-scale journal: 256 loops x 8 events (drift,
 // retrain pair, duel, publish, two pulls, swap) across 5 actors.
 func BenchmarkStitch(b *testing.B) {
-	var events []EventJSON
+	var events []Event
 	for l := 0; l < 256; l++ {
 		loop := NewLoopID("m", l, int64(l+1))
 		base := int64(l) * 1000
@@ -454,7 +436,7 @@ func BenchmarkStitch(b *testing.B) {
 			KindDuel, KindPublish, KindSyncPull, KindSyncPull, KindClientSwap} {
 			actor := [...]string{"traind", "traind", "traind", "traind",
 				"serve:r1", "serve:r2", "serve:r3", "tune"}[i]
-			events = append(events, EventJSON{
+			events = append(events, Event{
 				Kind: kind.String(), Actor: actor, Model: "m", Loop: loop,
 				WallNS: base + int64(i)*100, Version: int32(l + 2), Parent: int32(l + 1),
 			})

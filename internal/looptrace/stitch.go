@@ -43,7 +43,7 @@ type LoopTimeline struct {
 	// omitted.
 	Stages map[string]float64 `json:"stages_ns,omitempty"`
 
-	Events []EventJSON `json:"events"`
+	Events []Event `json:"events"`
 }
 
 // Stats is a sample distribution summary (nanoseconds).
@@ -73,10 +73,10 @@ type Report struct {
 // Stitch groups events by loop ID into timelines and computes the
 // reaction-time distribution. Events without a loop ID are counted but
 // belong to no timeline.
-func Stitch(events []EventJSON) *Report {
+func Stitch(events []Event) *Report {
 	r := &Report{Format: ReportFormatID, Events: len(events), Stages: map[string]Stats{}}
 	actors := map[string]bool{}
-	byLoop := map[string][]EventJSON{}
+	byLoop := map[string][]Event{}
 	var order []string
 	for _, ev := range events {
 		if ev.Actor != "" && !actors[ev.Actor] {
@@ -115,7 +115,7 @@ func Stitch(events []EventJSON) *Report {
 	return r
 }
 
-func stitchLoop(loop string, events []EventJSON) *LoopTimeline {
+func stitchLoop(loop string, events []Event) *LoopTimeline {
 	sort.Slice(events, func(i, j int) bool {
 		if events[i].WallNS != events[j].WallNS {
 			return events[i].WallNS < events[j].WallNS

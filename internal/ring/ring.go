@@ -6,8 +6,8 @@
 // oldest published record, copy what they need out of it, and only then
 // release the slot back to producers.
 //
-// telemetry.Recorder and looptrace.Tracer are both this queue with a
-// different record type. flight.Recorder deliberately is not: it is a
+// telemetry.Recorder, the tuner's launch-row queue, is its one user.
+// flight.Recorder deliberately is not: it is a
 // keep-latest arena (writers lap old records, drains pin and flip whole
 // buffers) where this ring is drop-newest FIFO, and one type serving
 // both would branch on its caller.

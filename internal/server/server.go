@@ -75,7 +75,7 @@ func New(reg *registry.Registry, opts ...Option) *Server {
 	s.mux.HandleFunc("POST /predict", s.instrument("predict", s.handlePredict))
 	s.mux.HandleFunc("POST /telemetry", s.instrument("telemetry", s.handleTelemetry))
 	s.mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealthz))
-	s.mux.Handle("GET /metrics", metrics.Handler(s.met, s.collect))
+	s.mux.Handle("GET /metrics", metrics.Handler(s.met, s.rc.Collect))
 	// Seed version gauges for models loaded from disk at open.
 	for _, name := range reg.Names() {
 		if e, ok := reg.Get(name); ok {
@@ -407,17 +407,4 @@ func (s *Server) predictBatch(e *registry.Entry, vectors [][]float64) []int {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	s.writeJSON(w, "healthz", map[string]any{"status": "ok", "models": s.reg.Len()})
-}
-
-// collect refreshes the runtime self-metrics (goroutines, heap, GC
-// pauses) and snapshots the loop tracer's drop count into the metrics
-// set on each scrape (the ring is the source of truth; the gauge mirrors
-// its monotonic counter, matching how other components' counters are
-// exported here).
-func (s *Server) collect() {
-	s.rc.Collect()
-	if s.trace != nil {
-		s.met.GaugeSet("apollo_loop_events_dropped_total", "", "",
-			"Loop events lost to a full looptrace ring.", int64(s.trace.Dropped()))
-	}
 }

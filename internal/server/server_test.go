@@ -15,7 +15,6 @@ import (
 	"apollo/internal/core"
 	"apollo/internal/dataset"
 	"apollo/internal/features"
-	"apollo/internal/looptrace"
 	"apollo/internal/raja"
 	"apollo/internal/registry"
 )
@@ -408,37 +407,6 @@ func parsePrometheus(t *testing.T, text string) map[string]float64 {
 		out[line[:i]] = v
 	}
 	return out
-}
-
-// A server with a loop tracer mirrors the tracer ring's drop count at
-// scrape time; one without exports no such series.
-func TestMetricsExportLoopEventDrops(t *testing.T) {
-	scrape := func(ts *httptest.Server) map[string]float64 {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return parsePrometheus(t, string(raw))
-	}
-	plain, _ := newTestServer(t)
-	if _, ok := scrape(plain)["apollo_loop_events_dropped_total"]; ok {
-		t.Error("tracer-less server exports apollo_loop_events_dropped_total")
-	}
-	tr := looptrace.New("serve", looptrace.Options{Capacity: 2})
-	ts := httptest.NewServer(New(registry.New(), WithLoopTrace(tr)).Handler())
-	t.Cleanup(ts.Close)
-	for i := 0; i < 3; i++ { // three publish events into an undrained ring of two
-		putModel(t, ts, "policy", testModel(t))
-	}
-	if got, ok := scrape(ts)["apollo_loop_events_dropped_total"]; !ok || got != 1 {
-		t.Errorf("apollo_loop_events_dropped_total = %g (present=%v), want 1", got, ok)
-	}
 }
 
 func TestMetricsEndpointExposesCountersAndHistograms(t *testing.T) {

@@ -170,15 +170,15 @@ func TestStepOutcomesGolden(t *testing.T) {
 			}
 
 			for _, ev := range trace.Snapshot() {
-				loop, a, b := ev.LoopID(), exact(ev.A), exact(ev.B)
+				loop, a, b := ev.Loop, exact(ev.A), exact(ev.B)
 				if loop != "" && loop == res.LoopID {
 					loop = "LOOP"
 				}
-				if ev.Kind == looptrace.KindRetrainStart { // poll and label wall times
+				if ev.Kind == looptrace.KindRetrainStart.String() { // poll and label wall times
 					a, b = exact(ran(ev.A)), exact(ran(ev.B))
 				}
 				g.Events = append(g.Events, fmt.Sprintf("%s model=%s loop=%s version=%d parent=%d rows=%d ran=%v a=%s b=%s peer=%q",
-					ev.Kind, ev.ModelName(), loop, ev.Version, ev.Parent, ev.Rows, ran(ev.DurNS), a, b, ev.Peer()))
+					ev.Kind, ev.Model, loop, ev.Version, ev.Parent, ev.Rows, ran(ev.DurNS), a, b, ev.Peer))
 			}
 			norm := *res
 			if norm.LoopID != "" {

@@ -405,7 +405,7 @@ func TestTrainerPublishesWhatBatchLabellingTrains(t *testing.T) {
 	// Each cycle's retrain-start event carries the two stage times.
 	starts := 0
 	for _, ev := range trace.Snapshot() {
-		if ev.Kind == looptrace.KindRetrainStart {
+		if ev.Kind == looptrace.KindRetrainStart.String() {
 			starts++
 			if ev.A <= 0 || ev.B <= 0 {
 				t.Errorf("retrain-start event %d carries poll %.0fns, label %.0fns", starts, ev.A, ev.B)

@@ -56,7 +56,7 @@ echo "== train a policy model"
 
 echo "== start apollo-serve"
 "$WORK/bin/apollo-serve" -addr 127.0.0.1:0 \
-    -dir "$WORK/registry" -poll 100ms >"$WORK/serve.log" 2>&1 &
+    -dir "$WORK/registry" -telemetry "$WORK/spool" -poll 100ms >"$WORK/serve.log" 2>&1 &
 SERVE_PID=$!
 BASE="$(wait_line "$WORK/serve.log" \
     's/^apollo-serve: listening on \(http:\/\/[^ ]*\).*/\1/p' "$SERVE_PID")"
@@ -91,6 +91,10 @@ RECORDS="$(sed -n 's/.* flight_records=\([0-9]*\) .*/\1/p' <<<"$DONE")"
 DECISIONS="$(sed -n 's/.* decisions=\([0-9]*\) .*/\1/p' <<<"$DONE")"
 awk -v r="${RECORDS:-0}" -v d="${DECISIONS:-0}" 'BEGIN { exit !(r > 0 && r < d / 4) }' || {
     echo "FAIL: flight_records=$RECORDS of decisions=$DECISIONS, want 0 < records < decisions/4"; exit 1; }
+UPLOADED="$(sed -n 's/.* uploaded_rows=\([0-9]*\) .*/\1/p' <<<"$DONE")"
+UPLOAD_ERRORS="$(sed -n 's/.* upload_errors=\([0-9]*\).*/\1/p' <<<"$DONE")"
+[[ "${UPLOADED:-0}" -gt 0 && "$UPLOAD_ERRORS" == 0 ]] || {
+    echo "FAIL: uploaded_rows=$UPLOADED upload_errors=$UPLOAD_ERRORS, want rows > 0 and no errors"; exit 1; }
 
 echo "== validate the captured trace and flight analyses"
 "$WORK/bin/apollo-inspect" trace -in "$WORK/trace.json" | tee "$WORK/trace.txt"

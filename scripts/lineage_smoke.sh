@@ -115,8 +115,6 @@ echo "== lineage metrics on the publish replica"
 METRICS="$(fetch "http://127.0.0.1:$P1/metrics")"
 echo "$METRICS" | grep 'apollo_model_lineage{model="lineage/policy"' \
     || { echo "FAIL: no apollo_model_lineage info-series on r1"; exit 1; }
-echo "$METRICS" | grep -q '^apollo_loop_events_dropped_total ' \
-    || { echo "FAIL: no apollo_loop_events_dropped_total on r1"; exit 1; }
 
 echo "== shut daemons down so every journal flushes"
 kill "$TRAIND_PID"; wait "$TRAIND_PID" 2>/dev/null || true; TRAIND_PID=""
@@ -138,6 +136,7 @@ P50="$(grep -A4 '"reaction"' "$WORK/loop_report.json" | sed -n 's/.*"p50_ns": \(
     || { cat "$WORK/timeline.txt"; echo "FAIL: loop reaction p50 is zero or missing"; exit 1; }
 grep -q 'drift-fired' "$WORK/timeline.txt" || { echo "FAIL: timeline lacks drift-fired"; exit 1; }
 grep -q 'sync-pull' "$WORK/timeline.txt" || { echo "FAIL: timeline lacks sync-pull"; exit 1; }
+grep -Eq '  publish +serve:r1 ' "$WORK/timeline.txt" || { echo "FAIL: timeline lacks r1's publish"; exit 1; }
 grep -q 'client-swap' "$WORK/timeline.txt" || { echo "FAIL: timeline lacks client-swap"; exit 1; }
 grep 'loop reaction time' "$WORK/timeline.txt"
 
