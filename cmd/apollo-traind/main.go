@@ -11,14 +11,16 @@
 //	    -model lulesh/policy -interval 5s
 //
 // With -once the daemon runs a single poll-check-retrain step and exits,
-// which makes it scriptable (cron, CI smoke tests). -metrics-addr serves
-// the loop counters in Prometheus text format.
+// which makes it scriptable (cron, CI smoke tests). -debug-addr serves
+// the loop counters in Prometheus text format at /metrics, beside pprof
+// and /debug/apollo/loop.
 //
-// Collective training (fleet mode): -spools takes id=dir pairs naming
-// every replica's spool root, and the trainer tails their union, so the
-// window holds the whole fleet's observations of the model. -replicas
-// takes id=url pairs; each replica's current champion becomes a publish
-// incumbent the challenger must beat on the holdout before shipping.
+// -spool is one spool root or a fleet's: id=dir pairs naming every
+// replica's spool root, whose union the trainer tails, so the window
+// holds the whole fleet's observations of the model (collective
+// training). -replicas takes id=url pairs; each replica's current
+// champion becomes a publish incumbent the challenger must beat on the
+// holdout before shipping.
 package main
 
 import (
@@ -27,7 +29,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -37,7 +38,6 @@ import (
 	"apollo/internal/bg"
 	"apollo/internal/client"
 	"apollo/internal/core"
-	"apollo/internal/drift"
 	"apollo/internal/features"
 	"apollo/internal/fleet"
 	"apollo/internal/flight"
@@ -51,23 +51,15 @@ import (
 // fill it directly.
 type daemonConfig struct {
 	serverURL string
-	spool     string // single-replica spool root
-	spools    string // collective: id=dir per replica spool root
+	spool     string // a spool root, or id=dir per replica spool root
 	replicas  string // collective: id=url per replica service
 	model     string
 	param     string
 	interval  time.Duration
 	once      bool
 
-	metricsAddr string
 	debugAddr   string
 	loopJournal string
-
-	mispredict    float64
-	shift         float64
-	minRows       int
-	maxRegression float64
-	holdout       float64
 
 	debugReady func(net.Addr)
 }
@@ -75,21 +67,14 @@ type daemonConfig struct {
 func main() {
 	var cfg daemonConfig
 	flag.StringVar(&cfg.serverURL, "server", "http://127.0.0.1:8080", "model service base URL (publish target)")
-	flag.StringVar(&cfg.spool, "spool", "apollo-spool", "telemetry spool root (apollo-serve -telemetry dir)")
-	flag.StringVar(&cfg.spools, "spools", "", "collective training: comma-separated id=dir spool roots, one per replica (overrides -spool)")
+	flag.StringVar(&cfg.spool, "spool", "apollo-spool", "telemetry spool root (apollo-serve -telemetry dir), or replicas' roots as comma-separated id=dir pairs")
 	flag.StringVar(&cfg.replicas, "replicas", "", "collective training: comma-separated id=url fleet replicas whose champions gate publishes")
 	flag.StringVar(&cfg.model, "model", "", "model name to keep trained (required)")
 	flag.StringVar(&cfg.param, "param", "execution_policy", "parameter to train: execution_policy or chunk_size")
 	flag.DurationVar(&cfg.interval, "interval", 5*time.Second, "poll-check-retrain cadence")
 	flag.BoolVar(&cfg.once, "once", false, "run one step and exit")
-	flag.StringVar(&cfg.metricsAddr, "metrics-addr", "", "serve /metrics on this address (empty disables)")
-	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "serve pprof and /debug/apollo/loop on this address (empty disables)")
+	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "serve /metrics, pprof and /debug/apollo/loop on this address (empty disables)")
 	flag.StringVar(&cfg.loopJournal, "loop-journal", "", "directory for the closed-loop event journal; enables loop tracing and /debug/apollo/loop")
-	flag.Float64Var(&cfg.mispredict, "mispredict", 0.25, "mispredict-rate retrain threshold")
-	flag.Float64Var(&cfg.shift, "shift", 6, "feature-shift (z-score) retrain threshold")
-	flag.IntVar(&cfg.minRows, "min-rows", 8, "smallest labeled window worth judging")
-	flag.Float64Var(&cfg.maxRegression, "max-regression", 0.02, "tolerated challenger predicted-time regression")
-	flag.Float64Var(&cfg.holdout, "holdout", 0.25, "holdout fraction for the champion/challenger duel")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -115,25 +100,20 @@ func run(ctx context.Context, cfg daemonConfig) error {
 		return fmt.Errorf("unknown -param %q", cfg.param)
 	}
 
-	var cur trainer.Cursor
-	var merged *fleet.MergedCursor
-	if cfg.spools != "" {
-		roots, err := fleet.ParsePeers(cfg.spools)
-		if err != nil {
-			return fmt.Errorf("-spools: %w", err)
-		}
-		sources := make(map[string]string, len(roots))
-		for _, r := range roots {
-			sources[r.ID] = filepath.Join(r.Base, filepath.FromSlash(model))
-		}
-		merged, err = fleet.NewMergedCursor(sources)
-		if err != nil {
-			return err
-		}
-		cur = merged
+	roots, err := fleet.ParsePeers(cfg.spool)
+	if err != nil {
+		return fmt.Errorf("-spool: %w", err)
+	}
+	sources := make(map[string]string, len(roots))
+	for _, r := range roots {
+		sources[r.ID] = filepath.Join(r.Base, filepath.FromSlash(model))
+	}
+	cur, err := telemetry.NewFleetCursor(sources)
+	if err != nil {
+		return fmt.Errorf("-spool: %w", err)
+	}
+	if len(sources) > 1 {
 		fmt.Printf("apollo-traind: collective training over %d spools\n", len(sources))
-	} else {
-		cur = telemetry.NewCursor(filepath.Join(cfg.spool, filepath.FromSlash(model)))
 	}
 
 	var incumbents []trainer.Publisher
@@ -160,19 +140,12 @@ func run(ctx context.Context, cfg daemonConfig) error {
 
 	pub := trainer.NewClientPublisher(client.New(cfg.serverURL, client.Options{}))
 	tr, err := trainer.New(cur, pub, trainer.Config{
-		Name:   model,
-		Param:  p,
-		Schema: features.TableI(),
-		Drift: drift.Config{
-			MinRows:             cfg.minRows,
-			MispredictThreshold: cfg.mispredict,
-			ShiftThreshold:      cfg.shift,
-		},
-		MaxRegression: cfg.maxRegression,
-		Holdout:       cfg.holdout,
-		Incumbents:    incumbents,
-		ID:            "traind",
-		Trace:         lt,
+		Name:       model,
+		Param:      p,
+		Schema:     features.TableI(),
+		Incumbents: incumbents,
+		ID:         "traind",
+		Trace:      lt,
 		Logf: func(format string, args ...any) {
 			fmt.Printf("apollo-traind: "+format+"\n", args...)
 		},
@@ -215,23 +188,15 @@ func run(ctx context.Context, cfg daemonConfig) error {
 		}
 		dmux := flight.DebugMux(nil)
 		looptrace.RegisterDebug(dmux, lt)
+		dmux.Handle("GET /metrics", metrics.Handler(met, rc.Collect))
 		g.Serve("debug", dln, dmux)
-	}
-	if cfg.metricsAddr != "" {
-		ln, err := net.Listen("tcp", cfg.metricsAddr)
-		if err != nil {
-			return finish(err)
-		}
-		mux := http.NewServeMux()
-		mux.Handle("GET /metrics", metrics.Handler(met, rc.Collect))
-		fmt.Printf("apollo-traind: metrics on http://%s/metrics\n", ln.Addr())
-		g.Serve("metrics", ln, mux)
 	}
 
 	step := func() error {
 		t0 := flight.Now()
 		res, err := tr.Step()
 		stepNS := float64(flight.Now() - t0)
+		exportSources(met, cur)
 		if err != nil {
 			return err
 		}
@@ -262,9 +227,6 @@ func run(ctx context.Context, cfg daemonConfig) error {
 				fmt.Sprintf("%s,%d,%d,%s", model, res.Version, res.ParentVersion, res.LoopID),
 				"Model provenance info-series: the loop that trained each published version and the parent it replaced.", 1)
 		}
-		if merged != nil {
-			merged.ExportMetrics(met)
-		}
 		if cfg.once || res.NewRows > 0 {
 			fmt.Printf("apollo-traind: step new_rows=%d window=%d trigger=%v retrained=%v published=%v version=%d\n",
 				res.NewRows, res.WindowRows, res.Trigger != nil, res.Retrained, res.Published, res.Version)
@@ -277,11 +239,7 @@ func run(ctx context.Context, cfg daemonConfig) error {
 		stop()
 		return finish(err)
 	}
-	watching := cfg.spool
-	if merged != nil {
-		watching = cfg.spools
-	}
-	fmt.Printf("apollo-traind: watching %s for %s every %v\n", watching, model, cfg.interval)
+	fmt.Printf("apollo-traind: watching %s for %s every %v\n", cfg.spool, model, cfg.interval)
 	// One bad poll must not kill the daemon: the next tick tries again.
 	g.Every("step", cfg.interval, false, step)
 	g.Go("signal", func(ctx context.Context) error {
@@ -290,4 +248,19 @@ func run(ctx context.Context, cfg daemonConfig) error {
 		return nil
 	})
 	return finish(nil)
+}
+
+// exportSources refreshes the merge gauges from what cur has read: rows
+// and lag per source spool, and failed source reads.
+func exportSources(met *metrics.Metrics, cur *telemetry.Cursor) {
+	sources, failed := cur.Stats()
+	now := time.Now()
+	for _, src := range sources {
+		met.GaugeSet("apollo_fleet_merge_rows_total", "source", src.Name,
+			"Telemetry rows merged into the collective window, by source spool.", int64(src.Rows))
+		met.GaugeSet("apollo_fleet_merge_lag_seconds", "source", src.Name,
+			"Seconds since each source spool last yielded rows.", int64(now.Sub(src.LastYield).Seconds()))
+	}
+	met.GaugeSet("apollo_fleet_merge_errors_total", "", "",
+		"Failed per-source polls while merging the collective window.", int64(failed))
 }

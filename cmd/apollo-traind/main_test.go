@@ -34,19 +34,14 @@ func TestTraindDebugEndpoints(t *testing.T) {
 	errc := make(chan error, 1)
 	go func() {
 		errc <- run(ctx, daemonConfig{
-			serverURL:     "http://127.0.0.1:1",
-			spool:         t.TempDir(),
-			model:         "loop/policy",
-			param:         "execution_policy",
-			interval:      10 * time.Millisecond,
-			debugAddr:     "127.0.0.1:0",
-			loopJournal:   t.TempDir(),
-			mispredict:    0.25,
-			shift:         6,
-			minRows:       8,
-			maxRegression: 0.02,
-			holdout:       0.25,
-			debugReady:    func(a net.Addr) { debugAddrs <- a },
+			serverURL:   "http://127.0.0.1:1",
+			spool:       t.TempDir(),
+			model:       "loop/policy",
+			param:       "execution_policy",
+			interval:    10 * time.Millisecond,
+			debugAddr:   "127.0.0.1:0",
+			loopJournal: t.TempDir(),
+			debugReady:  func(a net.Addr) { debugAddrs <- a },
 		})
 	}()
 	var debugBase string
@@ -74,6 +69,7 @@ func TestTraindDebugEndpoints(t *testing.T) {
 	}
 	for path, want := range map[string]int{
 		"/debug/pprof/":        http.StatusOK,
+		"/metrics":             http.StatusOK,
 		"/debug/apollo/flight": http.StatusNotFound,
 		"/debug/apollo/trace":  http.StatusNotFound,
 	} {
@@ -102,7 +98,6 @@ func TestTraindRequiresModel(t *testing.T) {
 	err := run(context.Background(), daemonConfig{
 		serverURL: "http://127.0.0.1:1", spool: t.TempDir(), param: "execution_policy",
 		interval: time.Second, once: true,
-		mispredict: 0.25, shift: 6, minRows: 8, maxRegression: 0.02, holdout: 0.25,
 	})
 	if err == nil {
 		t.Fatal("missing -model accepted")
@@ -123,11 +118,10 @@ func TestTraindCollectiveFlags(t *testing.T) {
 
 	cfg := daemonConfig{
 		serverURL: ts.URL,
-		spools:    "a=" + rootA + ",b=" + rootB,
+		spool:     "a=" + rootA + ",b=" + rootB,
 		replicas:  "a=" + ts.URL,
 		model:     "loop/policy", param: "execution_policy",
 		interval: time.Second, once: true,
-		mispredict: 0.25, shift: 6, minRows: 4, maxRegression: 0.02, holdout: 0.25,
 	}
 	if err := run(context.Background(), cfg); err != nil {
 		t.Fatal(err)
@@ -202,8 +196,7 @@ func TestTraindOnceStopsItsListenersAndJournal(t *testing.T) {
 		done <- run(context.Background(), daemonConfig{
 			serverURL: "http://127.0.0.1:1", spool: t.TempDir(), model: "loop/policy", param: "execution_policy",
 			interval: time.Second, once: true, loopJournal: journal,
-			debugAddr: "127.0.0.1:0", metricsAddr: "127.0.0.1:0",
-			mispredict: 0.25, shift: 6, minRows: 8, maxRegression: 0.02, holdout: 0.25,
+			debugAddr: "127.0.0.1:0",
 		})
 	}()
 	select {
@@ -221,7 +214,7 @@ func TestTraindOnceStopsItsListenersAndJournal(t *testing.T) {
 
 // TestTraindCountsFailedSteps: a step that fails does not stop the
 // daemon; the error goes to the one sink, which counts it by loop name on
-// the /metrics the daemon already serves.
+// the /metrics of the debug listener, beside the spool's failed reads.
 func TestTraindCountsFailedSteps(t *testing.T) {
 	bgtest.NoLeaks(t)
 	spool := t.TempDir()
@@ -232,21 +225,20 @@ func TestTraindCountsFailedSteps(t *testing.T) {
 	if err := os.WriteFile(seg, []byte("not a segment header\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	metricsAddr := freeAddr(t)
+	debugAddr := freeAddr(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
 		done <- run(ctx, daemonConfig{
 			serverURL: "http://127.0.0.1:1", spool: spool, model: "loop/policy", param: "execution_policy",
-			interval: 5 * time.Millisecond, metricsAddr: metricsAddr,
-			mispredict: 0.25, shift: 6, minRows: 8, maxRegression: 0.02, holdout: 0.25,
+			interval: 5 * time.Millisecond, debugAddr: debugAddr,
 		})
 	}()
 	hc := &http.Client{Timeout: 5 * time.Second}
 	defer hc.CloseIdleConnections()
-	counted := false
+	counted, failedReads := false, ""
 	for deadline := time.Now().Add(10 * time.Second); !counted && time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
-		resp, err := hc.Get("http://" + metricsAddr + "/metrics")
+		resp, err := hc.Get("http://" + debugAddr + "/metrics")
 		if err != nil {
 			continue // not listening yet
 		}
@@ -256,10 +248,17 @@ func TestTraindCountsFailedSteps(t *testing.T) {
 			if n, ok := strings.CutPrefix(line, `apollo_bg_step_errors_total{loop="step"} `); ok && n != "0" && n != "1" {
 				counted = true // it failed, was counted, and ticked again
 			}
+			if n, ok := strings.CutPrefix(line, "apollo_fleet_merge_errors_total "); ok {
+				failedReads = n
+			}
 		}
 	}
 	if !counted {
 		t.Error(`/metrics never showed apollo_bg_step_errors_total{loop="step"} past 1`)
+	}
+	// The cursor's counts are exported on a failed step too.
+	if failedReads == "" || failedReads == "0" {
+		t.Errorf("apollo_fleet_merge_errors_total = %q after failed polls, want > 0", failedReads)
 	}
 	cancel()
 	select {

@@ -365,9 +365,11 @@ type Lineage struct {
 	Trainer       string `json:"trainer,omitempty"`
 	TrainedAtNS   int64  `json:"trained_at_unix_ns,omitempty"`
 
-	// Training window: total rows and per-source sample counts
-	// (source = replica spool for collective training, "local" for a
-	// single-spool trainer).
+	// Training window: total rows and per-source sample counts. The
+	// counts come in two units: a trainer over one spool stamps
+	// {"local": the labeled training vectors}, one over a fleet's spools
+	// stamps each replica spool's rows ever read — spool rows, not
+	// vectors, and not only this window's.
 	WindowRows   int            `json:"window_rows,omitempty"`
 	HoldoutRows  int            `json:"holdout_rows,omitempty"`
 	SampleCounts map[string]int `json:"sample_counts,omitempty"`

@@ -68,6 +68,9 @@ func (f *Frame) AddRow(row []float64) {
 	f.rows = append(f.rows, append([]float64(nil), row...))
 }
 
+// Truncate drops every row after the first n.
+func (f *Frame) Truncate(n int) { f.rows = f.rows[:n] }
+
 // Row returns the i-th row. The returned slice is the frame's storage;
 // callers must not modify it.
 func (f *Frame) Row(i int) []float64 { return f.rows[i] }

@@ -7,10 +7,11 @@ import (
 )
 
 // Collective training merges telemetry from clients with different input
-// distributions into one window (internal/fleet.MergedCursor). The shift
-// detector must judge that merged window against a merged baseline
-// without firing: two clients running steadily at opposite ends of the
-// feature space is a bimodal but stationary distribution, not drift.
+// distributions into one window (a telemetry.Cursor over every replica's
+// spool). The shift detector must judge that merged window against a
+// merged baseline without firing: two clients running steadily at
+// opposite ends of the feature space is a bimodal but stationary
+// distribution, not drift.
 
 // clientObs samples one client's workload: counts clustered around
 // center with a small per-sample spread.

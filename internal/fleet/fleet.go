@@ -10,10 +10,6 @@
 //     ETag/conditional-GET plumbing, so a champion published on one
 //     replica converges on all of them — same version, same entity tag,
 //     because the registry's envelope marshaling is deterministic.
-//   - MergedCursor: collective training's input. It unions the fleet's
-//     per-replica telemetry spools into one training window, which is
-//     how apollo-traind learns from every client's observations instead
-//     of one process's (apollo-traind -spools).
 //
 // Everything here is control-plane code: seconds-cadence polling loops
 // that never sit on a launch path.

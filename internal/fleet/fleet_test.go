@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"apollo/internal/core"
 	"apollo/internal/dataset"
@@ -16,7 +15,6 @@ import (
 	"apollo/internal/raja"
 	"apollo/internal/registry"
 	"apollo/internal/server"
-	"apollo/internal/telemetry"
 )
 
 func TestParsePeers(t *testing.T) {
@@ -212,106 +210,6 @@ func TestHealthEvictsAndReadmits(t *testing.T) {
 	}
 	if h.Probes() != 8 {
 		t.Fatalf("probes = %d, want 8", h.Probes())
-	}
-}
-
-// fillSpool appends n rows under the standard record layout.
-func fillSpool(t *testing.T, dir string, n int, base float64) {
-	t.Helper()
-	sp, err := telemetry.OpenSpool(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cols := core.RecordColumns(features.TableI())
-	rows := make([][]float64, n)
-	for i := range rows {
-		row := make([]float64, len(cols))
-		row[0] = base + float64(i)
-		rows[i] = row
-	}
-	if err := sp.Append(cols, rows); err != nil {
-		t.Fatal(err)
-	}
-	if err := sp.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMergedCursorUnionsSpools(t *testing.T) {
-	dirA, dirB := t.TempDir(), t.TempDir()
-	fillSpool(t, dirA, 3, 100)
-	fillSpool(t, dirB, 5, 200)
-	m, err := NewMergedCursor(map[string]string{"a": dirA, "b": dirB})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := m.Poll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f == nil || f.Len() != 8 {
-		t.Fatalf("merged %v rows, want 8", f)
-	}
-	if rows := m.SourceRows(); rows["a"] != 3 || rows["b"] != 5 {
-		t.Fatalf("per-source rows %v", rows)
-	}
-	// Nothing new: quiet poll.
-	if f, err = m.Poll(); err != nil || f != nil {
-		t.Fatalf("quiet poll returned %v, %v", f, err)
-	}
-	// New rows on one source only still flow.
-	fillSpool(t, dirB, 2, 300)
-	if f, err = m.Poll(); err != nil || f == nil || f.Len() != 2 {
-		t.Fatalf("incremental poll returned %v, %v", f, err)
-	}
-	lag := m.MergeLag(time.Now().Add(time.Hour))
-	if lag["a"] <= lag["b"] {
-		t.Fatalf("idle source does not show more lag: %v", lag)
-	}
-}
-
-func TestMergedCursorSkipsMismatchedSource(t *testing.T) {
-	dirA, dirBad := t.TempDir(), t.TempDir()
-	fillSpool(t, dirA, 4, 0)
-	sp, err := telemetry.OpenSpool(dirBad, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sp.Append([]string{"wrong", "layout"}, [][]float64{{1, 2}}); err != nil {
-		t.Fatal(err)
-	}
-	sp.Close()
-	m, err := NewMergedCursor(map[string]string{"a": dirA, "z": dirBad})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := m.Poll()
-	if err != nil {
-		t.Fatalf("healthy source blocked by mismatched one: %v", err)
-	}
-	if f == nil || f.Len() != 4 {
-		t.Fatalf("merged %v rows, want 4 from the healthy source", f)
-	}
-	if m.LastErr() == nil {
-		t.Fatal("column mismatch not surfaced in LastErr")
-	}
-	if _, err := NewMergedCursor(nil); err == nil {
-		t.Fatal("empty source set accepted")
-	}
-}
-
-func TestMergedCursorToleratesAbsentSpool(t *testing.T) {
-	dirA := t.TempDir()
-	fillSpool(t, dirA, 2, 0)
-	// "ghost" points at a spool directory that does not exist yet — a
-	// replica that has ingested nothing. It must read as empty.
-	m, err := NewMergedCursor(map[string]string{"a": dirA, "ghost": t.TempDir() + "/never"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := m.Poll()
-	if err != nil || f == nil || f.Len() != 2 {
-		t.Fatalf("poll with absent source: %v, %v", f, err)
 	}
 }
 

@@ -66,8 +66,8 @@ type Registry struct {
 	// mu guards publishes and the byName map identity.
 	mu      sync.Mutex //apollo:lockrank 30
 	byName  atomic.Pointer[map[string]*atomic.Pointer[Entry]]
-	watched map[string]fileState // path -> last seen state, used by the watcher
-	logf    func(format string, args ...any)
+	watched map[string]fileState             // path -> last seen state, used by the watcher
+	logf    func(format string, args ...any) // nil until SetLogf
 }
 
 // fileState identifies a disk file revision cheaply.
@@ -78,7 +78,7 @@ type fileState struct {
 
 // New returns an empty, memory-only registry.
 func New() *Registry {
-	r := &Registry{logf: func(string, ...any) {}}
+	r := &Registry{}
 	empty := map[string]*atomic.Pointer[Entry]{}
 	r.byName.Store(&empty)
 	r.watched = map[string]fileState{}
@@ -86,10 +86,18 @@ func New() *Registry {
 }
 
 // SetLogf routes the watcher's skip diagnostics (corrupt model files,
-// unreadable subtrees) somewhere visible. The default discards them.
+// unreadable subtrees) somewhere visible. Until it is called they are
+// discarded, and a corrupt file is not remembered: the first scan after
+// reports it, Open's included.
 func (r *Registry) SetLogf(logf func(format string, args ...any)) {
 	if logf != nil {
 		r.logf = logf
+	}
+}
+
+func (r *Registry) log(format string, args ...any) {
+	if r.logf != nil {
+		r.logf(format, args...)
 	}
 }
 
@@ -310,7 +318,7 @@ func (r *Registry) scan() (int, error) {
 		if err != nil {
 			// One unreadable file or subtree must not stop the whole
 			// registry from reloading: log it and keep walking.
-			r.logf("registry: skipping %s: %v", path, err)
+			r.log("registry: skipping %s: %v", path, err)
 			if info != nil && info.IsDir() {
 				return filepath.SkipDir
 			}
@@ -358,12 +366,15 @@ func (r *Registry) scan() (int, error) {
 		}
 		env, err := core.ParseModelOrEnvelope(data)
 		if err != nil {
-			r.mu.Unlock()
 			// Corrupt, truncated, or contradicting its own header:
 			// ignore it and keep serving what we have. watched
-			// remembers this revision, so the error logs once per file
-			// change, not once per poll.
-			r.logf("registry: ignoring corrupt model file %s: %v", f.path, err)
+			// remembers this revision once it is logged, so the error
+			// logs once per file change, not once per poll.
+			if r.logf == nil {
+				delete(r.watched, f.path)
+			}
+			r.mu.Unlock()
+			r.log("registry: ignoring corrupt model file %s: %v", f.path, err)
 			continue
 		}
 		version := env.Version
@@ -401,7 +412,7 @@ func (r *Registry) Watch(ctx context.Context, interval time.Duration, onReload f
 	if r.dir == "" || interval <= 0 {
 		return
 	}
-	logErr := func(_ string, err error) { r.logf("registry: rescanning %s: %v", r.dir, err) }
+	logErr := func(_ string, err error) { r.log("registry: rescanning %s: %v", r.dir, err) }
 	done := bg.New(ctx, logErr).Every("registry-watch", interval, false, func() error {
 		n, err := r.scan()
 		if err == nil && n > 0 && onReload != nil {

@@ -261,6 +261,45 @@ func TestPublishRejectsIncompleteModel(t *testing.T) {
 	}
 }
 
+// A corrupt file already there when the registry opens is reported once,
+// through the logger installed after Open: Open has no one to tell, so it
+// must not remember the file as seen.
+func TestCorruptFileAtOpenLogsOnceAfterSetLogf(t *testing.T) {
+	dir := t.TempDir()
+	data, _ := testModel(t, false).MarshalJSON()
+	if err := os.WriteFile(filepath.Join(dir, "m.v1.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "m.v2.json"), data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logs []string
+	r.SetLogf(func(format string, args ...any) {
+		logs = append(logs, fmt.Sprintf(format, args...))
+	})
+	for pass := 0; pass < 2; pass++ {
+		if _, err := r.scan(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	named := 0
+	for _, l := range logs {
+		if strings.Contains(l, "m.v2.json") {
+			named++
+		}
+	}
+	if named != 1 {
+		t.Errorf("logs = %q, want exactly one line naming m.v2.json", logs)
+	}
+	if e, ok := r.Get("m"); !ok || e.Version != 1 {
+		t.Errorf("serving %+v, want v1", e)
+	}
+}
+
 func TestScanSkipsCorruptModelFileAndLogsOnce(t *testing.T) {
 	dir := t.TempDir()
 	data, _ := testModel(t, false).MarshalJSON()

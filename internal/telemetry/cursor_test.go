@@ -239,8 +239,8 @@ func TestCursorForgetsRemovedSegments(t *testing.T) {
 			}
 		}
 		wantColumn(t, "after pruning", pollColumn(t, cur))
-		if cur.tail.Len() > 2 {
-			t.Fatalf("after segment %d: %d offsets kept for 2 segments", seq, cur.tail.Len())
+		if n := cur.sources[0].tail.Len(); n > 2 {
+			t.Fatalf("after segment %d: %d offsets kept for 2 segments", seq, n)
 		}
 	}
 }
@@ -301,6 +301,138 @@ func TestCursorKeepsRowsBehindABadLine(t *testing.T) {
 	}
 	wantColumn(t, "after the repair", pollColumn(t, cur), 1, 2, 3)
 	wantColumn(t, "idle", pollColumn(t, cur))
+}
+
+// fillSpool appends n rows to the spool at dir, counting up from base in
+// column x, and seals the spool.
+func fillSpool(t *testing.T, dir string, n int, base float64) {
+	t.Helper()
+	sp, err := OpenSpool(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = []float64{base + float64(i), 0}
+	}
+	if err := sp.Append([]string{"x", "y"}, rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sourceRows returns the cursor's rows per source and its failed reads.
+func sourceRows(cur *Cursor) (map[string]uint64, uint64) {
+	stats, failed := cur.Stats()
+	rows := map[string]uint64{}
+	for _, s := range stats {
+		rows[s.Name] = s.Rows
+	}
+	return rows, failed
+}
+
+// One cursor over a fleet's spools returns their union, in source-name
+// order, and counts what each source yielded and when.
+func TestCursorUnionsSpools(t *testing.T) {
+	dirA, dirB := t.TempDir(), t.TempDir()
+	fillSpool(t, dirB, 5, 200)
+	fillSpool(t, dirA, 3, 100)
+	cur, err := NewFleetCursor(map[string]string{"b": dirB, "a": dirA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantColumn(t, "cold union", pollColumn(t, cur), 100, 101, 102, 200, 201, 202, 203, 204)
+	if rows, failed := sourceRows(cur); rows["a"] != 3 || rows["b"] != 5 || failed != 0 {
+		t.Fatalf("per-source rows %v, %d failed reads", rows, failed)
+	}
+	wantColumn(t, "quiet poll", pollColumn(t, cur))
+	// New rows on one source only still flow.
+	fillSpool(t, dirB, 2, 300)
+	wantColumn(t, "incremental", pollColumn(t, cur), 300, 301)
+	stats, _ := cur.Stats()
+	if stats[0].Name != "a" || stats[1].Name != "b" || !stats[0].LastYield.Before(stats[1].LastYield) {
+		t.Fatalf("idle source does not show more lag: %+v", stats)
+	}
+	if _, err := NewFleetCursor(nil); err == nil {
+		t.Fatal("empty source set accepted")
+	}
+}
+
+// A source of another column layout than the cursor's fails every poll
+// and never enters the window; the healthy source keeps flowing.
+func TestCursorSkipsMismatchedSource(t *testing.T) {
+	dirA, dirBad := t.TempDir(), t.TempDir()
+	fillSpool(t, dirA, 4, 0)
+	sp, err := OpenSpool(dirBad, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.Append([]string{"wrong", "layout"}, [][]float64{{1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	sp.Close()
+	cur, err := NewFleetCursor(map[string]string{"a": dirA, "z": dirBad})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantColumn(t, "healthy source past a mismatched one", pollColumn(t, cur), 0, 1, 2, 3)
+	if rows, failed := sourceRows(cur); rows["a"] != 4 || rows["z"] != 0 || failed != 1 {
+		t.Fatalf("after the first poll: per-source rows %v, %d failed reads; want a=4 z=0, 1", rows, failed)
+	}
+	wantColumn(t, "the mismatched source again", pollColumn(t, cur))
+	if rows, failed := sourceRows(cur); rows["z"] != 0 || failed != 2 {
+		t.Fatalf("after the second poll: per-source rows %v, %d failed reads; want z=0, 2", rows, failed)
+	}
+}
+
+// A source whose spool directory does not exist yet — a replica that has
+// ingested nothing — reads as empty.
+func TestCursorToleratesAbsentSpool(t *testing.T) {
+	dirA := t.TempDir()
+	fillSpool(t, dirA, 2, 0)
+	cur, err := NewFleetCursor(map[string]string{"a": dirA, "ghost": t.TempDir() + "/never"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantColumn(t, "poll with an absent source", pollColumn(t, cur), 0, 1)
+	if _, failed := cur.Stats(); failed != 0 {
+		t.Fatalf("an absent spool counted %d failed reads", failed)
+	}
+}
+
+// A source that fails partway through its rows moves nothing: the poll
+// returns the healthy sources' rows and none of the failed one's, and
+// once the failed source is repaired its rows arrive exactly once.
+func TestCursorPartialFailureMovesNothing(t *testing.T) {
+	dirA, dirB := t.TempDir(), t.TempDir()
+	fillSpool(t, dirA, 2, 100)
+	fillSpool(t, dirB, 3, 200)
+	seg := filepath.Join(dirB, "seg-00000001.jsonl")
+	good, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendFile(t, seg, "[oops]\n")
+	cur, err := NewFleetCursor(map[string]string{"a": dirA, "b": dirB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantColumn(t, "a healthy source beside a bad line", pollColumn(t, cur), 100, 101)
+	if rows, failed := sourceRows(cur); rows["a"] != 2 || rows["b"] != 0 || failed != 1 {
+		t.Fatalf("per-source rows %v, %d failed reads; want a=2 b=0, 1", rows, failed)
+	}
+	wantColumn(t, "b still failing", pollColumn(t, cur))
+	if err := os.WriteFile(seg, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fillSpool(t, dirA, 1, 102)
+	wantColumn(t, "after the repair", pollColumn(t, cur), 102, 200, 201, 202)
+	wantColumn(t, "idle", pollColumn(t, cur))
+	if rows, failed := sourceRows(cur); rows["a"] != 3 || rows["b"] != 3 || failed != 2 {
+		t.Fatalf("per-source rows %v, %d failed reads; want a=3 b=3, 2", rows, failed)
+	}
 }
 
 var benchFrame *dataset.Frame

@@ -11,12 +11,15 @@ package telemetry
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"apollo/internal/dataset"
 	"apollo/internal/journal"
@@ -149,19 +152,56 @@ func readSegmentColumns(path string) ([]string, error) {
 	return dataset.ParseHeader(line)
 }
 
-// Cursor tails a spool directory, returning only rows it has not
-// returned before: a journal.Tail whose first line per segment must name
-// the spool's columns and whose other lines must be rows of that width.
-// It can follow a spool that another process is actively appending to.
+// Cursor tails one or more spool directories — its sources, named, one
+// per fleet replica when a trainer learns from a whole fleet — and
+// returns only rows it has not returned before, as one frame of one
+// column layout. Each source is a journal.Tail whose first line per
+// segment must name the cursor's columns and whose other lines must be
+// rows of that width. It can follow spools that other processes are
+// actively appending to.
 type Cursor struct {
 	mu      sync.Mutex //apollo:lockrank 41
-	tail    *journal.Tail
+	sources []source   // in name order
 	columns []string
+	failed  uint64 // source reads that failed
 }
 
-// NewCursor returns a cursor over the spool at dir, positioned at the
-// beginning (the first Poll returns everything already spooled).
-func NewCursor(dir string) *Cursor { return &Cursor{tail: journal.NewTail(dir)} }
+// SourceStat is what a cursor has read from one source.
+type SourceStat struct {
+	Name      string
+	Rows      uint64    // rows returned over the cursor's life
+	LastYield time.Time // when the source last yielded rows (the cursor's creation before it has)
+}
+
+type source struct {
+	SourceStat
+	tail *journal.Tail
+}
+
+// NewCursor returns a cursor over the spool at dir, one source named
+// "local", positioned at the beginning (the first Poll returns everything
+// already spooled).
+func NewCursor(dir string) *Cursor { return newCursor(map[string]string{"local": dir}) }
+
+// NewFleetCursor returns a cursor over one spool per source (name ->
+// spool dir), positioned at the beginning. Names label the sources'
+// counts; replica ids are the natural choice.
+func NewFleetCursor(sources map[string]string) (*Cursor, error) {
+	if len(sources) == 0 {
+		return nil, fmt.Errorf("telemetry: a cursor needs at least one source")
+	}
+	return newCursor(sources), nil
+}
+
+func newCursor(dirs map[string]string) *Cursor {
+	c := &Cursor{}
+	now := time.Now()
+	for name, dir := range dirs {
+		c.sources = append(c.sources, source{SourceStat{Name: name, LastYield: now}, journal.NewTail(dir)})
+	}
+	slices.SortFunc(c.sources, func(a, b source) int { return strings.Compare(a.Name, b.Name) })
+	return c
+}
 
 // Columns returns the spool layout seen so far (nil before any rows).
 func (c *Cursor) Columns() []string {
@@ -170,46 +210,83 @@ func (c *Cursor) Columns() []string {
 	return slices.Clone(c.columns)
 }
 
-// Poll reads every complete row appended since the previous Poll,
-// returning nil when there is nothing new. A spool directory that does
-// not exist yet reads as empty, so a trainer may start before the first
-// batch arrives. A poll that fails returns no rows and moves nothing: the
-// next one reads the same bytes again.
+// Stats returns what the cursor has read from each source, in name
+// order, and how many source reads have failed.
+func (c *Cursor) Stats() ([]SourceStat, uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	stats := make([]SourceStat, len(c.sources))
+	for i, src := range c.sources {
+		stats[i] = src.SourceStat
+	}
+	return stats, c.failed
+}
+
+// Poll reads every complete row appended to any source since the
+// previous Poll, in source-name order, returning nil when there is
+// nothing new. A spool directory that does not exist yet reads as empty,
+// so a trainer may start before the first batch arrives. A source that
+// fails — a bad line, a layout other than the cursor's — is counted and
+// skipped, and moves nothing: none of its rows are returned, and its next
+// poll reads the same bytes again. The poll fails only when every source
+// does.
 //
 //apollo:lockok c.mu exists to serialize the cursor's segment reads and offset bookkeeping
 func (c *Cursor) Poll() (*dataset.Frame, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var frame *dataset.Frame
+	var errs []error
 	row := make([]float64, 0, len(c.columns))
-	err := c.tail.Read(func(first bool, line []byte) error {
-		if first {
-			cols, err := dataset.ParseHeader(line)
-			if err != nil {
-				return err
+	for i := range c.sources {
+		src := &c.sources[i]
+		columns, read := c.columns, 0
+		err := src.tail.Read(func(first bool, line []byte) error {
+			if first {
+				cols, err := dataset.ParseHeader(line)
+				if err != nil {
+					return err
+				}
+				if c.columns == nil {
+					c.columns = cols
+				} else if !slices.Equal(c.columns, cols) {
+					return fmt.Errorf("columns %v do not match %v", cols, c.columns)
+				}
+				return nil
 			}
-			if c.columns == nil {
-				c.columns = cols
-			} else if !slices.Equal(c.columns, cols) {
-				return fmt.Errorf("columns changed: %v -> %v", c.columns, cols)
+			var err error
+			if row, err = dataset.ParseRow(line, row[:0]); err != nil {
+				return fmt.Errorf("bad row: %w", err)
 			}
+			if len(row) != len(c.columns) {
+				return fmt.Errorf("row has %d values, want %d", len(row), len(c.columns))
+			}
+			if frame == nil {
+				frame = dataset.NewFrame(c.columns...)
+			}
+			frame.AddRow(row)
+			read++
 			return nil
+		})
+		if err != nil {
+			// The rows this source added leave the frame, and a layout it
+			// set goes with them.
+			c.columns, c.failed = columns, c.failed+1
+			if frame != nil && frame.Len() == read {
+				frame = nil
+			} else if read > 0 {
+				frame.Truncate(frame.Len() - read)
+			}
+			errs = append(errs, fmt.Errorf("%s: %w", src.Name, err))
+			continue
 		}
-		var err error
-		if row, err = dataset.ParseRow(line, row[:0]); err != nil {
-			return fmt.Errorf("bad row: %w", err)
+		if read > 0 {
+			src.Rows += uint64(read)
+			src.LastYield = time.Now()
 		}
-		if len(row) != len(c.columns) {
-			return fmt.Errorf("row has %d values, want %d", len(row), len(c.columns))
-		}
-		if frame == nil {
-			frame = dataset.NewFrame(c.columns...)
-		}
-		frame.AddRow(row)
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("telemetry: %w", err)
+	}
+	if len(errs) == len(c.sources) {
+		return nil, fmt.Errorf("telemetry: %w", errors.Join(errs...))
 	}
 	return frame, nil
 }

@@ -23,16 +23,8 @@ import (
 	"apollo/internal/features"
 	"apollo/internal/looptrace"
 	"apollo/internal/registry"
+	"apollo/internal/telemetry"
 )
-
-// Cursor is the trainer's telemetry input: anything that yields the
-// rows appended since the previous poll. *telemetry.Cursor tails one
-// spool; fleet.MergedCursor unions a whole fleet's spools so the
-// trainer learns from every replica's clients at once (collective
-// training).
-type Cursor interface {
-	Poll() (*dataset.Frame, error)
-}
 
 // Publisher is where champions live: the trainer reads the current one
 // and pushes challengers. Implementations wrap the HTTP client (a
@@ -198,7 +190,7 @@ type Result struct {
 // Trainer drives the retrain loop for one model.
 type Trainer struct {
 	cfg    Config
-	cursor Cursor
+	cursor *telemetry.Cursor
 	pub    Publisher
 	det    *drift.Detector
 	window *core.Labeler // the newest MaxWindowRows telemetry rows
@@ -210,8 +202,9 @@ type Trainer struct {
 	vetoes    atomic.Uint64
 }
 
-// New returns a trainer tailing cursor and publishing through pub.
-func New(cursor Cursor, pub Publisher, cfg Config) (*Trainer, error) {
+// New returns a trainer tailing cursor — one spool, or a fleet's — and
+// publishing through pub.
+func New(cursor *telemetry.Cursor, pub Publisher, cfg Config) (*Trainer, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("trainer: Config.Name is required")
@@ -413,15 +406,11 @@ func (t *Trainer) emit(kind looptrace.Kind, loop string, f looptrace.Fields) {
 	t.cfg.Trace.Emit(kind, t.cfg.Name, loop, f)
 }
 
-// RowSourcer is implemented by cursors that can attribute their rows to
-// upstream sources (fleet.MergedCursor reports cumulative rows per
-// replica spool); lineage sample counts use it when available.
-type RowSourcer interface {
-	SourceRows() map[string]uint64
-}
-
 // lineage assembles the provenance block for a model about to publish
-// (a bootstrap, scored in-sample, records no holdout).
+// (a bootstrap, scored in-sample, records no holdout). Its sample counts
+// are the training vectors under "local" for a cursor of one source, and
+// each source's spool rows read for a cursor of several (see
+// core.Lineage).
 func (t *Trainer) lineage(res *Result, windowRows, holdoutRows int) *core.Lineage {
 	lin := &core.Lineage{
 		LoopID:        res.LoopID,
@@ -430,16 +419,13 @@ func (t *Trainer) lineage(res *Result, windowRows, holdoutRows int) *core.Lineag
 		TrainedAtNS:   time.Now().UnixNano(),
 		WindowRows:    windowRows,
 	}
-	if rs, ok := t.cursor.(RowSourcer); ok {
-		counts := rs.SourceRows()
-		if len(counts) > 0 {
-			lin.SampleCounts = make(map[string]int, len(counts))
-			for src, n := range counts {
-				lin.SampleCounts[src] = int(n)
-			}
-		}
-	} else {
+	if sources, _ := t.cursor.Stats(); len(sources) == 1 {
 		lin.SampleCounts = map[string]int{"local": windowRows}
+	} else {
+		lin.SampleCounts = make(map[string]int, len(sources))
+		for _, src := range sources {
+			lin.SampleCounts[src.Name] = int(src.Rows)
+		}
 	}
 	if trig := res.Trigger; trig != nil {
 		lin.HoldoutRows = holdoutRows

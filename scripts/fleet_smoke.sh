@@ -98,7 +98,7 @@ echo "== start collective apollo-traind over the merged spools"
 # replica the harness run below kills, so the publish target must survive.
 "$WORK/bin/apollo-traind" \
     -server "http://127.0.0.1:$P2" \
-    -spools "r1=$WORK/spool1,r2=$WORK/spool2,r3=$WORK/spool3" \
+    -spool "r1=$WORK/spool1,r2=$WORK/spool2,r3=$WORK/spool3" \
     -replicas "$PEERS" \
     -model fleet/policy -interval 300ms >"$WORK/traind.log" 2>&1 &
 TRAIND_PID=$!
@@ -158,6 +158,11 @@ done
 grep "converged" "$WORK/converge2.log"
 V2="$(fetch "http://127.0.0.1:$P2/metrics" | sed -n 's/^apollo_model_version{model="fleet\/policy"} //p')"
 [[ "${V2:-1}" -ge 2 ]] || { echo "FAIL: model version $V2 on r2, want >= 2"; exit 1; }
+# A trainer over several spools stamps each source's rows read.
+LINEAGE="$(fetch "http://127.0.0.1:$P2/models/fleet/policy" | grep -o '"sample_counts":{[^}]*}')"
+echo "   lineage $LINEAGE"
+[[ "$LINEAGE" == *'"r1":'*'"r2":'*'"r3":'* ]] \
+    || { echo "FAIL: collective lineage does not count every source spool"; exit 1; }
 
 echo "== spool evidence: telemetry landed on more than one replica or failed over"
 ls "$WORK"/spool*/fleet/policy/seg-*.jsonl >/dev/null \
