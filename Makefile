@@ -121,7 +121,7 @@ race:
 # so they cannot rot.
 bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
-	$(GO) test -run '^$$' -bench '^(BenchmarkLabel|BenchmarkCursorPollIncr|BenchmarkDecodeBatch|BenchmarkIngestHandler|BenchmarkTunerLaunch)$$' -benchtime 1x ./internal/core ./internal/telemetry ./internal/server ./internal/tuner
+	$(GO) test -run '^$$' -bench '^(BenchmarkLabel|BenchmarkCursorPollIncr|BenchmarkDecodeBatch|BenchmarkIngestHandler|BenchmarkTunerLaunch|BenchmarkTunerLaunchCleverLeaf)$$' -benchtime 1x ./internal/core ./internal/telemetry ./internal/server ./internal/tuner
 
 # The before/after a performance PR quotes: ten alternating parent/change
 # pairs of the repository benchmark, judged by `benchmark/run.sh -compare`

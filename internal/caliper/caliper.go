@@ -12,6 +12,7 @@
 package caliper
 
 import (
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -34,38 +35,66 @@ func Encode(s string) float64 {
 	return float64(h)
 }
 
+// slotMu serializes interning; slotTab is the copy-on-write table of
+// interned names and their slots, so a lookup is one atomic load. Names
+// are interned process-wide and never released: what a process interns
+// is the attribute names its schemas and writers use, a few dozen.
+var (
+	slotMu  sync.Mutex //apollo:lockrank 60
+	slotTab atomic.Pointer[map[string]int]
+)
+
+func init() { slotTab.Store(&map[string]int{}) }
+
+// Slot returns the attribute name's process-wide slot, interning the name
+// on first use. A reader compiled against slots (features' board ops)
+// reads a State by index, never by name.
+func Slot(name string) int {
+	if i, ok := (*slotTab.Load())[name]; ok {
+		return i
+	}
+	slotMu.Lock()
+	defer slotMu.Unlock()
+	old := *slotTab.Load()
+	i, ok := old[name]
+	if !ok {
+		next := maps.Clone(old)
+		i, next[name] = len(old), len(old)
+		slotTab.Store(&next)
+	}
+	return i
+}
+
 // Annotations is a thread-safe blackboard of named attribute stacks.
-// Reads are lock-free: the stack map is copy-on-write, published through
-// an atomic pointer, because Get sits on the kernel-launch hot path
-// (feature extraction reads application attributes per launch) while
-// writes happen at scope boundaries like timesteps, orders of magnitude
-// rarer. The zero value is not ready for use; call New.
+// Reads are lock-free: the stacks are copy-on-write, published through an
+// atomic pointer, because feature extraction reads application attributes
+// on the kernel-launch hot path, while writes happen at scope boundaries
+// or, at most, once per launch. The zero value is not ready for use; call
+// New.
 type Annotations struct {
 	// mu serializes writers; readers never take it.
 	mu  sync.Mutex
-	cur atomic.Pointer[map[string][]float64]
+	cur atomic.Pointer[[][]float64] // attribute stacks by slot
 }
 
 // New returns an empty annotation blackboard.
 func New() *Annotations {
 	a := &Annotations{}
-	m := make(map[string][]float64)
-	a.cur.Store(&m)
+	a.cur.Store(&[][]float64{})
 	return a
 }
 
-// mutate republishes the stack map with key's stack replaced by
-// f(old stack). Both the map and the changed stack are fresh copies, so
-// readers of the previous snapshot are never disturbed.
+// mutate republishes the stacks with key's stack replaced by f(old
+// stack). Both the slot slice and the changed stack are fresh copies, so
+// readers of the previous state are never disturbed.
 func (a *Annotations) mutate(key string, f func(st []float64) []float64) {
+	slot := Slot(key)
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	old := *a.cur.Load()
-	next := make(map[string][]float64, len(old)+1)
-	for k, st := range old {
-		next[k] = st
-	}
-	next[key] = f(append([]float64(nil), old[key]...))
+	next := make([][]float64, max(len(old), slot+1))
+	copy(next, old)
+	next[slot] = f(append([]float64(nil), next[slot]...))
 	a.cur.Store(&next)
 }
 
@@ -97,28 +126,40 @@ func (a *Annotations) End(key string) {
 	})
 }
 
-// State is one published state of the blackboard, immutable however long
-// it is held. States compare equal exactly when they are the same
-// publication: every write publishes a fresh map, and a held State keeps
-// its map alive, so the address cannot be reused while anything still
-// compares against it. A State is thus its own version stamp — values
-// cached from one (features' view) are current while State() returns it.
-type State struct{ stacks *map[string][]float64 }
+// State is one published state of the blackboard: its attribute stacks
+// indexed by slot, immutable however long it is held. States compare
+// equal exactly when they are the same publication: every write
+// publishes a fresh slice, and a held State keeps it alive, so the
+// address cannot be reused while anything still compares against it.
+type State struct{ stacks *[][]float64 }
 
 // State returns the current published state.
 //
 //apollo:hotpath
 func (a *Annotations) State() State { return State{a.cur.Load()} }
 
+// At returns the (innermost) value of the attribute in slot in this
+// state, 0 when it is unset.
+//
+//apollo:hotpath
+func (s State) At(slot int) float64 {
+	if stacks := *s.stacks; slot < len(stacks) {
+		if st := stacks[slot]; len(st) > 0 {
+			return st[len(st)-1]
+		}
+	}
+	return 0
+}
+
 // Get returns the (innermost) value the attribute had in this state.
 //
 //apollo:hotpath
 func (s State) Get(key string) (float64, bool) {
-	st := (*s.stacks)[key]
-	if len(st) == 0 {
+	slot, ok := (*slotTab.Load())[key]
+	if !ok || slot >= len(*s.stacks) || len((*s.stacks)[slot]) == 0 {
 		return 0, false
 	}
-	return st[len(st)-1], true
+	return s.At(slot), true
 }
 
 // Get returns the current (innermost) value of the attribute.
@@ -138,11 +179,11 @@ func (a *Annotations) GetOr(key string, def float64) float64 {
 
 // Snapshot returns the current value of every set attribute.
 func (a *Annotations) Snapshot() map[string]float64 {
-	stacks := *a.cur.Load()
-	out := make(map[string]float64, len(stacks))
-	for k, st := range stacks {
-		if len(st) > 0 {
-			out[k] = st[len(st)-1]
+	st := a.State()
+	out := make(map[string]float64, len(*st.stacks))
+	for name := range *slotTab.Load() {
+		if v, ok := st.Get(name); ok {
+			out[name] = v
 		}
 	}
 	return out
@@ -150,12 +191,10 @@ func (a *Annotations) Snapshot() map[string]float64 {
 
 // Keys returns the names of all currently set attributes, sorted.
 func (a *Annotations) Keys() []string {
-	stacks := *a.cur.Load()
-	keys := make([]string, 0, len(stacks))
-	for k, st := range stacks {
-		if len(st) > 0 {
-			keys = append(keys, k)
-		}
+	snap := a.Snapshot()
+	keys := make([]string, 0, len(snap))
+	for k := range snap {
+		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	return keys
@@ -165,6 +204,5 @@ func (a *Annotations) Keys() []string {
 func (a *Annotations) Clear() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	m := make(map[string][]float64)
-	a.cur.Store(&m)
+	a.cur.Store(&[][]float64{})
 }

@@ -187,24 +187,23 @@ func (s *Schema) Extract(k *raja.Kernel, iset *raja.IndexSet, ann *caliper.Annot
 
 // ExtractInto assembles the feature vector into dst, grown when its
 // capacity falls short, and returns dst[:Len()]. A launch costs a copy of
-// the kernel site's static block, the index-set getters and a pointer
-// compare against the blackboard's published state: names are resolved
-// once per schema (compile), kernel constants once per site (bake),
-// blackboard values once per published state (resolve), and only those
-// three allocate. One vector's blackboard values all come from a single
-// published state. The plan caches one resolved state, so a schema used
-// with two blackboards in turn stays correct but resolves on every
-// switch; give each blackboard its own schema.
+// the kernel site's static block, the index-set getters and one indexed
+// load per blackboard feature: names are resolved once per schema
+// (compile, blackboard names to caliper slots), kernel constants once per
+// site (bake), and only those two allocate. One vector's blackboard
+// values all come from a single published state.
 //
 //apollo:hotpath
 func (s *Schema) ExtractInto(dst []float64, k *raja.Kernel, iset *raja.IndexSet, ann *caliper.Annotations) []float64 {
-	return s.full(k).Fill(dst, iset, ann)
+	return s.Full(k).Fill(dst, iset, ann)
 }
 
-// full returns k's full-width site, compiling and baking on first use.
+// Full returns k's full-width site, the one ExtractInto fills, compiling
+// and baking on first use. A caller that keeps it per kernel (the tuner's
+// site region) fills the same vector without this lookup.
 //
 //apollo:hotpath
-func (s *Schema) full(k *raja.Kernel) *Site {
+func (s *Schema) Full(k *raja.Kernel) *Site {
 	p := s.plan.Load()
 	if p == nil {
 		p = s.compile()
@@ -221,7 +220,6 @@ func (s *Schema) full(k *raja.Kernel) *Site {
 // in place and the index-set and blackboard positions listed for Fill: the
 // full vector ExtractInto fills, or, from Schema.Site, what one model reads.
 type Site struct {
-	p             *plan
 	static        []float64
 	launch, board []op // dst is a position in the site's vector
 }
@@ -230,8 +228,8 @@ type Site struct {
 // (position i reads the schema's feature src[i], -1 reads 0): once per
 // launch site and model, never per launch.
 func (s *Schema) Site(k *raja.Kernel, src []int32) *Site {
-	full := s.full(k)
-	site := &Site{p: full.p, static: make([]float64, len(src))}
+	full := s.Full(k)
+	site := &Site{static: make([]float64, len(src))}
 	for i, j := range src {
 		if j < 0 {
 			continue
@@ -244,7 +242,7 @@ func (s *Schema) Site(k *raja.Kernel, src []int32) *Site {
 		}
 		for _, b := range full.board {
 			if b.dst == int(j) {
-				site.board = append(site.board, op{dst: i, kind: opBoard, val: b.val})
+				site.board = append(site.board, op{dst: i, kind: opBoard, slot: b.slot})
 			}
 		}
 	}
@@ -272,12 +270,8 @@ func (s *Site) Fill(dst []float64, iset *raja.IndexSet, ann *caliper.Annotations
 	}
 	if ann != nil && len(s.board) > 0 {
 		st := ann.State()
-		v := s.p.view.Load()
-		if v == nil || v.state != st {
-			v = s.p.resolve(st)
-		}
 		for _, b := range s.board {
-			dst[b.dst] = v.vals[b.val]
+			dst[b.dst] = st.At(b.slot)
 		}
 	}
 	return dst
@@ -297,7 +291,7 @@ const (
 	opNumIndices
 	opNumSegments
 	opStride
-	opBoard // blackboard attribute op.key
+	opBoard // blackboard attribute in caliper slot op.slot
 )
 
 var kernelOps = map[string]opKind{
@@ -310,12 +304,11 @@ type op struct {
 	dst   int
 	kind  opKind
 	group instmix.Group
-	key   string
-	val   int // opBoard: its value's index in the plan's boardView
+	slot  int // opBoard: the attribute's caliper.Slot
 }
 
-// plan is a schema's names compiled into typed ops, with the two caches
-// that keep name resolution off the launch path.
+// plan is a schema's names compiled into typed ops, with the cache of
+// baked sites that keeps kernel constants off the launch path.
 type plan struct {
 	static, launch, board []op
 
@@ -325,14 +318,6 @@ type plan struct {
 	// correct only because a launched kernel's name, ID and mix never
 	// change (the contract on raja.Kernel).
 	sites atomic.Pointer[map[*raja.Kernel]*Site]
-	// view holds the board ops' values under one blackboard state; it is
-	// current exactly while that state is (see caliper.State).
-	view atomic.Pointer[boardView]
-}
-
-type boardView struct {
-	state caliper.State
-	vals  []float64 // parallel to plan.board
 }
 
 // compile builds and installs the schema's plan.
@@ -341,7 +326,7 @@ type boardView struct {
 func (s *Schema) compile() *plan {
 	p := &plan{}
 	for i, n := range s.names {
-		o := op{dst: i, kind: opBoard, key: n}
+		o := op{dst: i, kind: opBoard}
 		if kind, ok := kernelOps[n]; ok {
 			o.kind = kind
 		} else if g, ok := instmix.GroupByName(n); ok {
@@ -353,7 +338,7 @@ func (s *Schema) compile() *plan {
 		case o.kind < opBoard:
 			p.launch = append(p.launch, o)
 		default:
-			o.val = len(p.board)
+			o.slot = caliper.Slot(n)
 			p.board = append(p.board, o)
 		}
 	}
@@ -382,7 +367,7 @@ func (p *plan) bake(k *raja.Kernel) *Site {
 			block[o.dst] = k.Mix.Count(o.group)
 		}
 	}
-	site := &Site{p: p, static: block, launch: p.launch, board: p.board}
+	site := &Site{static: block, launch: p.launch, board: p.board}
 	for {
 		old := p.sites.Load()
 		if won, ok := (*old)[k]; ok {
@@ -394,18 +379,4 @@ func (p *plan) bake(k *raja.Kernel) *Site {
 			return site
 		}
 	}
-}
-
-// resolve caches the board ops' values under st as the current view.
-// Racing resolvers overwrite each other; each returns the view it built,
-// and a stale entry only costs the next launch a resolve.
-//
-//apollo:coldpath blackboard names are resolved once per published state (a timestep or scope boundary), not per launch
-func (p *plan) resolve(st caliper.State) *boardView {
-	v := &boardView{state: st, vals: make([]float64, len(p.board))}
-	for i, o := range p.board {
-		v.vals[i], _ = st.Get(o.key)
-	}
-	p.view.Store(v)
-	return v
 }

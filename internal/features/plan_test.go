@@ -152,9 +152,9 @@ func TestPlanMatchesOracleOnEveryLaunch(t *testing.T) {
 	}
 }
 
-// TestPlanFollowsBlackboardWrites pins the per-snapshot view to every
-// write the blackboard API has, one at a time, on a schema whose first
-// extraction has already cached a view.
+// TestPlanFollowsBlackboardWrites pins the slot-compiled board ops to
+// every write the blackboard API has, one at a time, on a schema whose
+// first extraction has already baked the site.
 func TestPlanFollowsBlackboardWrites(t *testing.T) {
 	s := features.TableI()
 	k := raja.NewKernel("plan::writes", instmix.NewMix().With(instmix.Add, 2))

@@ -35,7 +35,9 @@ type Kernel struct {
 
 // NewKernel registers a kernel launch site with the given name and
 // instruction mix and returns it. Kernels are typically package-level
-// variables, one per source loop, like RAJA forall sites.
+// variables, one per source loop, like RAJA forall sites. IDs come from
+// one process-wide counter, so they are dense: a table indexed by ID
+// (the tuner's site table) is as long as the kernels the process made.
 func NewKernel(name string, mix *instmix.Mix) *Kernel {
 	if mix == nil {
 		mix = instmix.NewMix()

@@ -104,34 +104,40 @@ func (r *Recorder) Record(k *raja.Kernel, iset *raja.IndexSet, p raja.Params, el
 	if r.seq.Add(1)&r.sampleMask != 0 {
 		return
 	}
-	if rec, ticket := r.rows.Reserve(); rec != nil {
-		r.schema.ExtractInto(*rec, k, iset, r.ann)
-		r.publish(*rec, ticket, p, elapsedNS, float64(r.sampleMask+1))
+	if x, ticket := r.Reserve(); x != nil {
+		r.Publish(r.schema.ExtractInto(x, k, iset, r.ann), ticket, p, elapsedNS, float64(r.sampleMask+1))
 	}
 }
 
 // Captures reports whether a vector extracted against schema and ann is
-// the one Record would extract, so a caller that holds the launch's
-// vector may use RecordVector instead of Record.
+// the one Record would extract, so a caller that fills the launch's
+// vector itself may use Reserve and Publish instead of Record.
 func (r *Recorder) Captures(schema *features.Schema, ann *caliper.Annotations) bool {
 	return r.schema == schema && r.ann == ann
 }
 
-// RecordVector enqueues a row the caller chose to keep, standing for weight
-// launches: its extracted vector x (laid out by Schema) is copied into the
-// ring row. Like Record it never blocks and never allocates.
+// Reserve claims a ring row for a launch the caller chose to keep and
+// returns its feature columns (laid out by Schema) for the caller to fill
+// in place, then hand to Publish. On a full ring it returns nil: the drop
+// is counted before anything is extracted. It never blocks and never
+// allocates.
 //
 //apollo:hotpath
-func (r *Recorder) RecordVector(x []float64, p raja.Params, elapsedNS, weight float64) {
-	if rec, ticket := r.rows.Reserve(); rec != nil {
-		copy(*rec, x)
-		r.publish(*rec, ticket, p, elapsedNS, weight)
+func (r *Recorder) Reserve() ([]float64, ring.Ticket) {
+	row, ticket := r.rows.Reserve()
+	if row == nil {
+		return nil, 0
 	}
+	return (*row)[:r.schema.Len()], ticket
 }
 
-// publish completes a reserved row whose feature columns are filled.
-func (r *Recorder) publish(row []float64, ticket ring.Ticket, p raja.Params, elapsedNS, weight float64) {
+// Publish enqueues the row Reserve handed out, its feature columns x
+// filled, standing for weight launches.
+//
+//apollo:hotpath
+func (r *Recorder) Publish(x []float64, ticket ring.Ticket, p raja.Params, elapsedNS, weight float64) {
 	n := r.schema.Len()
+	row := x[:n+4]
 	row[n] = float64(p.Policy)
 	row[n+1] = float64(p.Chunk)
 	row[n+2] = elapsedNS

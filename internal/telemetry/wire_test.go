@@ -327,7 +327,7 @@ func TestDecodeBatchAllocatesNothingPerRow(t *testing.T) {
 		})
 	}
 	small, large := allocs(16), allocs(256)
-	if small != large || large > 64 {
+	if (small != large && !raceEnabled) || large > 64 {
 		t.Errorf("a warm DecodeBatch allocates %.0f objects for 16 rows and %.0f for 256; want one small constant", small, large)
 	}
 }

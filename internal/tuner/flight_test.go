@@ -2,12 +2,15 @@ package tuner
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"apollo/internal/app"
 	"apollo/internal/caliper"
+	"apollo/internal/cleverleaf"
 	"apollo/internal/core"
 	"apollo/internal/dataset"
 	"apollo/internal/dtree"
@@ -429,7 +432,8 @@ type loggedLaunch struct {
 	p       raja.Params
 	ns      float64
 	flipped bool
-	looks   bool // a look was near, as End saw it
+	looks   bool       // a look was near, as End saw it
+	board   [2]float64 // patch_id and rank as the launch saw them
 }
 
 func (l *launchLog) Begin(k *raja.Kernel, iset *raja.IndexSet) (raja.Params, bool) {
@@ -442,7 +446,8 @@ func (l *launchLog) Begin(k *raja.Kernel, iset *raja.IndexSet) (raja.Params, boo
 func (l *launchLog) End(k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedNS float64) {
 	l.tn.End(k, iset, p, elapsedNS)
 	looks := l.tn.exploreEvery.Load() > 0 && l.tn.site(k.ID).fits(p.Policy, iset.Len(), rowsFirst*elapsedNS)
-	l.launches = append(l.launches, loggedLaunch{k: k, iset: iset, p: p, ns: elapsedNS, flipped: l.flipped, looks: looks})
+	board := [2]float64{l.tn.ann.GetOr(features.PatchID, 0), l.tn.ann.GetOr("rank", 0)}
+	l.launches = append(l.launches, loggedLaunch{k: k, iset: iset, p: p, ns: elapsedNS, flipped: l.flipped, looks: looks, board: board})
 }
 
 // recordedLaunches replays the flight cadence over a launch log: the
@@ -757,12 +762,11 @@ func TestTunerFlightDropStillFolds(t *testing.T) {
 }
 
 // deployedModel trains the policy model the repository benchmark deploys
-// on LULESH sedov 8: a two-step recording under each policy, labelled and
-// fitted, then reduced to its top 5 features at depth 15 (the paper's
-// Section IV-B configuration).
-func deployedModel(tb testing.TB, schema *features.Schema) *core.Model {
+// on a deck (LULESH sedov 8, CleverLeaf triple_pt 16): a two-step
+// recording under each policy, labelled and fitted, then reduced to its
+// top 5 features at depth 15 (the paper's Section IV-B configuration).
+func deployedModel(tb testing.TB, schema *features.Schema, desc app.Descriptor, problem string, size int) *core.Model {
 	tb.Helper()
-	desc := lulesh.Descriptor()
 	var frame *dataset.Frame
 	for _, pol := range []raja.Policy{raja.SeqExec, raja.OmpParallelForExec} {
 		ann, p := caliper.New(), desc.DefaultParams
@@ -770,7 +774,7 @@ func deployedModel(tb testing.TB, schema *features.Schema) *core.Model {
 		rec := NewRecorder(schema, ann)
 		ctx := raja.NewSimContext(platform.NewSimClock(platform.SandyBridgeNode(), 0.05, 1), p)
 		ctx.Observe = rec.Observe
-		sim, err := desc.New(app.Config{Ctx: ctx, Ann: ann, Problem: "sedov", Size: 8})
+		sim, err := desc.New(app.Config{Ctx: ctx, Ann: ann, Problem: problem, Size: size})
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -797,24 +801,33 @@ func deployedModel(tb testing.TB, schema *features.Schema) *core.Model {
 	return m
 }
 
-// BenchmarkTunerLaunch prices one launch's Begin + End under the stock
-// apollo-tune wiring (the deployed top-5, depth-15 model, telemetry at the
-// tuner's row cadence, flight on, ExploreEvery(8)) over the launch sites of
-// a LULESH sedov 8 run, each handed the time it took there: ns/launch is
-// Apollo's own cost per launch.
-func BenchmarkTunerLaunch(b *testing.B) {
-	schema, ann, desc := features.TableI(), caliper.New(), lulesh.Descriptor()
+// stockTuner is the stock apollo-tune wiring over a deck's deployed model:
+// telemetry at the tuner's row cadence, flight on, ExploreEvery(8). It
+// runs one step of the deck and returns its launch log, each launch with
+// the time it took there and the blackboard values set before it.
+func stockTuner(tb testing.TB, desc app.Descriptor, problem string, size int) (*Tuner, *telemetry.Recorder, *caliper.Annotations, []loggedLaunch) {
+	schema, ann := features.TableI(), caliper.New()
 	rec := telemetry.NewRecorder(schema, ann, telemetry.Options{SampleEvery: 1, Capacity: 1 << 12})
 	tn := NewTuner(schema, ann, desc.DefaultParams).
-		UsePolicyModel(deployedModel(b, schema)).UseTelemetry(rec).
+		UsePolicyModel(deployedModel(tb, schema, desc, problem, size)).UseTelemetry(rec).
 		UseFlight(flight.New(flight.Options{FeatureNames: schema.Names()})).ExploreEvery(8)
 	log := &launchLog{tn: tn}
-	sim, err := desc.New(app.Config{Ctx: simContext(log, desc.DefaultParams), Ann: ann, Problem: "sedov", Size: 8})
+	sim, err := desc.New(app.Config{Ctx: simContext(log, desc.DefaultParams), Ann: ann, Problem: problem, Size: size})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	sim.Step()
-	sites, rows := log.launches, rec.Recorded()
+	return tn, rec, ann, log.launches
+}
+
+// BenchmarkTunerLaunch prices one launch's Begin + End under the stock
+// apollo-tune wiring (stockTuner) over the launch sites of a LULESH sedov 8
+// run, each handed the time it took there: ns/launch is Apollo's own cost
+// per launch. LULESH writes its blackboard once a step, so the replay
+// leaves it as the step left it.
+func BenchmarkTunerLaunch(b *testing.B) {
+	tn, rec, _, sites := stockTuner(b, lulesh.Descriptor(), "sedov", 8)
+	rows := rec.Recorded()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -829,4 +842,50 @@ func BenchmarkTunerLaunch(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/launch")
 	b.ReportMetric(float64(rec.Recorded()-rows)/float64(b.N), "rows/launch")
+}
+
+// BenchmarkTunerLaunchCleverLeaf is BenchmarkTunerLaunch's twin over a
+// CleverLeaf triple_pt 16 run, whose solver sets patch_id and rank before
+// every launch: the replay does too. ns/launch and allocs/launch are the
+// launches' less a pass of the same writes alone, so both are Begin +
+// End's own.
+func BenchmarkTunerLaunchCleverLeaf(b *testing.B) {
+	tn, rec, ann, sites := stockTuner(b, cleverleaf.Descriptor(), "triple_pt", 16)
+	write := func(l *loggedLaunch) {
+		ann.Set(features.PatchID, l.board[0])
+		ann.Set("rank", l.board[1])
+	}
+	launch := func(l *loggedLaunch) {
+		write(l)
+		p, _ := tn.Begin(l.k, l.iset)
+		tn.End(l.k, l.iset, p, l.ns)
+	}
+	pass := func(f func(*loggedLaunch)) (mallocs uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range sites {
+			f(&sites[i])
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	rec.Drain(0)
+	allocs := float64(pass(launch)) - float64(pass(write))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%1024 == 0 {
+			b.StopTimer()
+			rec.Drain(0)
+			b.StartTimer()
+		}
+		launch(&sites[i%len(sites)])
+	}
+	b.StopTimer()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		write(&sites[i%len(sites)])
+	}
+	writes := time.Since(start)
+	b.ReportMetric(float64((b.Elapsed()-writes).Nanoseconds())/float64(b.N), "ns/launch")
+	b.ReportMetric(allocs/float64(len(sites)), "allocs/launch")
 }

@@ -16,7 +16,6 @@
 package tuner
 
 import (
-	"maps"
 	"math"
 	"math/bits"
 	"sync"
@@ -29,6 +28,7 @@ import (
 	"apollo/internal/features"
 	"apollo/internal/flight"
 	"apollo/internal/raja"
+	"apollo/internal/ring"
 	"apollo/internal/telemetry"
 )
 
@@ -37,7 +37,7 @@ type Recorder struct {
 	schema *features.Schema
 	ann    *caliper.Annotations
 
-	mu    sync.Mutex
+	mu    sync.Mutex //apollo:lockrank 55
 	frame *dataset.Frame
 	row   []float64
 }
@@ -159,7 +159,7 @@ type Tuner struct {
 	src    atomic.Pointer[sourceBox]
 	instMu sync.Mutex // serializes model installs, not launches
 
-	decisions atomic.Uint64
+	decisions atomic.Uint64 // launches Begin made with no projector set; the regions count the rest
 
 	// telem, when set, receives a weighted (features, params, elapsed)
 	// row from End at the rowWeight cadence — the capture side of the
@@ -177,8 +177,10 @@ type Tuner struct {
 	// relabel vectors the deployed model gets wrong. 0 disables exploration.
 	exploreEvery atomic.Uint64
 	explored     atomic.Uint64
-	// sites is copy-on-write: a site's first launch republishes it under siteMu.
-	sites  atomic.Pointer[map[uint64]*siteRegion]
+	// sites is the site table indexed by raja.Kernel.ID (dense: see
+	// raja.NewKernel), nil where no launch reached a region yet.
+	// Copy-on-write: a site's first launch republishes it under siteMu.
+	sites  atomic.Pointer[[]*siteRegion]
 	siteMu sync.Mutex
 }
 
@@ -217,11 +219,14 @@ func rowWeight(m uint64) float64 {
 	return float64(stride)
 }
 
-// siteRegion is all a launch keeps per site, one load of the copy-on-write
-// sites map away: Begin's plan, the runtime estimate and exploration
-// account, and the launch counts End's two cadences select by.
+// siteRegion is all a launch keeps per site, one indexed load of the
+// copy-on-write site table away: the kernel's full-width feature site,
+// which a kept row or a flight record fills, Begin's plan, the runtime
+// estimate and exploration account, and the launch counts End's two
+// cadences select by.
 type siteRegion struct {
 	siteBudget
+	full   *features.Site
 	plan   atomic.Pointer[sitePlan]
 	ended  atomic.Uint64 // launches End has seen with exploration, telemetry or flight on
 	flip   atomic.Uint64 // ended at the last flipped launch
@@ -253,7 +258,7 @@ const planWidth = 64
 // never tear a value. It reads no clock and draws no random number:
 // decisions are a function of the launches and the times End is handed.
 type siteBudget struct {
-	launches   atomic.Uint64
+	launches   atomic.Uint64 // Begins that reached the region: the site's decisions
 	totalNS    atomic.Uint64 // kernel time of every launch End has seen
 	exploredNS atomic.Uint64 // the part spent in launches Begin flipped
 	// perIterNS is the EWMA (α = 0.25) of elapsed ÷ iterations per policy —
@@ -326,7 +331,7 @@ type sourceBox struct{ s ModelSource }
 func NewTuner(schema *features.Schema, ann *caliper.Annotations, base raja.Params) *Tuner {
 	t := &Tuner{schema: schema, ann: ann, base: base}
 	t.src.Store(&sourceBox{s: &t.own})
-	t.sites.Store(&map[uint64]*siteRegion{})
+	t.sites.Store(&[]*siteRegion{})
 	return t
 }
 
@@ -369,22 +374,23 @@ func (t *Tuner) UseSource(src ModelSource) *Tuner {
 
 // Begin evaluates the installed models on the launch and returns the
 // predicted parameters. It takes no locks and allocates nothing: after one
-// load of the projector set and one of the site's region, the site's plan
-// fills each model's input on the stack, its constant features already in
-// place, and walks the tree.
+// load of the projector set and one of the site's region, whose launch
+// count is the one atomic add, the site's plan fills each model's input on
+// the stack, its constant features already in place, and walks the tree.
 //
 //apollo:hotpath
 func (t *Tuner) Begin(k *raja.Kernel, iset *raja.IndexSet) (raja.Params, bool) {
-	t.decisions.Add(1)
 	params := t.base
 	ps := t.src.Load().s.Projectors()
 	if ps == nil {
+		t.decisions.Add(1)
 		return params, true
 	}
 	s := t.site(k.ID)
 	if s == nil {
-		s = t.registerSite(k.ID)
+		s = t.registerSite(k)
 	}
+	n := s.launches.Add(1)
 	pl := s.plan.Load()
 	if pl == nil || pl.ps != ps {
 		pl = t.compilePlan(s, k, ps)
@@ -398,7 +404,7 @@ func (t *Tuner) Begin(k *raja.Kernel, iset *raja.IndexSet) (raja.Params, bool) {
 			params.Chunk = raja.ChunkSizes[class]
 		}
 	}
-	if every := t.exploreEvery.Load(); every > 0 && s.launches.Add(1)%every == 0 && s.fits(params.Policy, iset.Len(), 0) {
+	if every := t.exploreEvery.Load(); every > 0 && n%every == 0 && s.fits(params.Policy, iset.Len(), 0) {
 		params.Policy = flipPolicy(params.Policy)
 		s.inFlight.Store(int32(params.Policy) + 1)
 		t.explored.Add(1)
@@ -409,20 +415,29 @@ func (t *Tuner) Begin(k *raja.Kernel, iset *raja.IndexSet) (raja.Params, bool) {
 // site returns the site's region, nil before its first launch.
 //
 //apollo:hotpath
-func (t *Tuner) site(id uint64) *siteRegion { return (*t.sites.Load())[id] }
+func (t *Tuner) site(id uint64) *siteRegion {
+	if sites := *t.sites.Load(); id < uint64(len(sites)) {
+		return sites[id]
+	}
+	return nil
+}
 
-// registerSite publishes a fresh region for the site; the first wins.
+// registerSite publishes a fresh region for k's site, growing the table to
+// its ID; the first wins.
 //
 //apollo:coldpath a site's first launch, amortized over every later launch
-func (t *Tuner) registerSite(id uint64) *siteRegion {
+func (t *Tuner) registerSite(k *raja.Kernel) *siteRegion {
+	full := t.schema.Full(k)
 	t.siteMu.Lock()
 	defer t.siteMu.Unlock()
-	s := t.site(id)
+	s := t.site(k.ID)
 	if s == nil {
-		m := maps.Clone(*t.sites.Load())
-		s = &siteRegion{}
-		m[id] = s
-		t.sites.Store(&m)
+		old := *t.sites.Load()
+		sites := make([]*siteRegion, max(uint64(len(old)), k.ID+1))
+		copy(sites, old)
+		s = &siteRegion{full: full}
+		sites[k.ID] = s
+		t.sites.Store(&sites)
 	}
 	return s
 }
@@ -455,8 +470,10 @@ func flipPolicy(p raja.Policy) raja.Policy {
 // to the attached telemetry recorder (a row at the rowWeight cadence) and
 // flight recorder (a record at the flightEvery one). A launch that gets
 // neither costs a few atomic operations and allocates nothing — End runs
-// inside every kernel launch. Otherwise End extracts the launch's features
-// once, and the ring row and the flight record are both copies of it.
+// inside every kernel launch. Otherwise End fills the launch's features
+// once, from the region's site, in place: into the flight record when it
+// writes one (a kept row then copies the record's vector), else straight
+// into the reserved ring row.
 //
 //apollo:hotpath
 func (t *Tuner) End(k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedNS float64) {
@@ -467,7 +484,7 @@ func (t *Tuner) End(k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedN
 	}
 	s := t.site(k.ID)
 	if s == nil {
-		s = t.registerSite(k.ID)
+		s = t.registerSite(k)
 	}
 	predictedNS := s.fold(p.Policy, iset.Len(), elapsedNS) // every launch, recorded or not
 	flipped := explore && s.settle(p.Policy, elapsedNS)
@@ -489,25 +506,29 @@ func (t *Tuner) End(k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedN
 	if weight == 0 && !record {
 		return
 	}
-	var buf [planWidth]float64
-	var t0 int64
-	if record {
-		t0 = flight.Now() // only a flight record reports the extraction's cost
-	}
-	x := t.schema.ExtractInto(buf[:0], k, iset, t.ann)
-	if record {
-		t.emitFlight(fr, k, iset, p, elapsedNS, predictedNS, x, float64(flight.Now()-t0))
-	}
+	var row []float64
+	var ticket ring.Ticket
 	if weight > 0 {
-		rec.RecordVector(x, p, elapsedNS, weight)
+		row, ticket = rec.Reserve() // nil on a full ring, the drop counted before anything is filled
+	}
+	filled := record && t.emitFlight(fr, s, k, iset, p, elapsedNS, predictedNS, row)
+	if row != nil {
+		if !filled {
+			s.full.Fill(row, iset, t.ann)
+		}
+		rec.Publish(row, ticket, p, elapsedNS, weight)
 	}
 }
 
-// emitFlight writes one decision-provenance record from x, the vector
-// End extracted for this launch (FeatureNS is the time that one
-// extraction took, whoever else consumed it), and predictedNS, what the
-// site's EWMA priced the launch at before End folded it in; it re-evaluates
-// the installed models on x with trail capture, timing that as ModelNS.
+// emitFlight writes one decision-provenance record: it fills the launch's
+// features from the region's site into the record in place (FeatureNS is
+// that fill, timed from the record's own TimeNS stamp) and copies them
+// into row, a reserved telemetry row or nil, before the record commits;
+// it reports whether it did. predictedNS is what the site's EWMA priced
+// the launch at before End folded it in. It re-evaluates the installed
+// models on the vector with trail capture, timing that as ModelNS: three
+// clock reads a record.
+//
 // Replaying at End (rather than carrying state from Begin) keeps
 // raja.Hooks token-free and the disabled cost at a single branch; the
 // replayed decision can differ from the one Begin made only if a model
@@ -521,14 +542,19 @@ func (t *Tuner) End(k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedN
 // which a capture explains it.
 //
 //apollo:hotpath
-func (t *Tuner) emitFlight(fr *flight.Recorder, k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedNS, predictedNS float64, x []float64, featureNS float64) {
+func (t *Tuner) emitFlight(fr *flight.Recorder, s *siteRegion, k *raja.Kernel, iset *raja.IndexSet, p raja.Params, elapsedNS, predictedNS float64, row []float64) (copied bool) {
 	rec, tok := fr.Reserve(k.ID)
 	if rec == nil {
-		return // a lap collision: the recorder counted the drop
+		return false // a lap collision: the recorder counted the drop
 	}
 	rec.SetSiteName(k.Name)
+	x := s.full.Fill(rec.Features[:0], iset, t.ann)
 	t1 := flight.Now()
-	rec.NumFeatures = int32(copy(rec.Features[:], x))
+	if len(x) > flight.MaxFeatures {
+		copy(rec.Features[:], x) // Fill outgrew the record: it keeps the prefix
+	}
+	rec.NumFeatures = int32(min(len(x), flight.MaxFeatures))
+	copy(row, x)
 	predicted := int32(-1)
 	chosen := t.base
 	if ps := t.src.Load().s.Projectors(); ps != nil && (ps.Policy != nil || ps.Chunk != nil) {
@@ -570,9 +596,10 @@ func (t *Tuner) emitFlight(fr *flight.Recorder, k *raja.Kernel, iset *raja.Index
 	rec.Explored = predicted >= 0 && chosen.Policy != p.Policy
 	rec.ObservedNS = elapsedNS
 	rec.PredictedNS = predictedNS
-	rec.FeatureNS = featureNS
+	rec.FeatureNS = float64(t1 - rec.TimeNS)
 	rec.ModelNS = float64(t2 - t1)
 	fr.Commit(tok)
+	return row != nil
 }
 
 // installDecoder installs the flight-trail decoder for the current
@@ -632,11 +659,22 @@ func (t *Tuner) Explored() uint64 { return t.explored.Load() }
 func (t *Tuner) ExploreShare() float64 {
 	var explored, total float64
 	for _, s := range *t.sites.Load() {
-		explored += loadNS(&s.exploredNS)
-		total += loadNS(&s.totalNS)
+		if s != nil {
+			explored += loadNS(&s.exploredNS)
+			total += loadNS(&s.totalNS)
+		}
 	}
 	return explored / max(total, math.SmallestNonzeroFloat64)
 }
 
-// Decisions returns how many launches the tuner has parameterized.
-func (t *Tuner) Decisions() uint64 { return t.decisions.Load() }
+// Decisions returns how many launches the tuner has parameterized: those
+// Begin made with no projector set plus every region's count.
+func (t *Tuner) Decisions() uint64 {
+	n := t.decisions.Load()
+	for _, s := range *t.sites.Load() {
+		if s != nil {
+			n += s.launches.Load()
+		}
+	}
+	return n
+}

@@ -10,6 +10,7 @@ import (
 	"apollo/internal/dataset"
 	"apollo/internal/features"
 	"apollo/internal/instmix"
+	"apollo/internal/lulesh"
 	"apollo/internal/platform"
 	"apollo/internal/raja"
 	"apollo/internal/telemetry"
@@ -221,7 +222,7 @@ func TestConcurrentBeginIsRaceFree(t *testing.T) {
 // projector, whichever compile's plan the site keeps.
 func TestPlanCompileRace(t *testing.T) {
 	schema, ann := features.TableI(), caliper.New()
-	sets := []*Projectors{{Policy: trainPolicyModel(t, schema).NewProjector(schema)}, {Policy: deployedModel(t, schema).NewProjector(schema)}}
+	sets := []*Projectors{{Policy: trainPolicyModel(t, schema).NewProjector(schema)}, {Policy: deployedModel(t, schema, lulesh.Descriptor(), "sedov", 8).NewProjector(schema)}}
 	src := &SwapSource{}
 	tn := NewTuner(schema, ann, raja.Params{}).UseSource(src)
 	for round := 0; round < 200; round++ {
