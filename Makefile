@@ -65,8 +65,11 @@ examples:
 	GO="$(GO)" bash scripts/examples.sh
 
 # Ten seconds of each fuzz target, in the order they run:
-#   FuzzParseModelOrEnvelope  the model decoder (whatever decodes must be
-#                             safe to walk);
+#   FuzzParseModelOrEnvelope  the model decoder, differential against a
+#                             probe and encoding/json into the format's
+#                             wire structs (same accept/reject, bytes,
+#                             hash and predictions), and whatever
+#                             decodes must be safe to walk;
 #   FuzzCompiledPredict       compiled-vs-interpreted prediction;
 #   FuzzTrain                 the tree fit (dtree.Train against the
 #                             re-sorting reference trainer, same bytes,
@@ -116,12 +119,14 @@ race:
 # => ../`) calls this module's packages directly; its own 8-second check
 # catches an API break against it before the benchmark pipeline runs. The
 # retrain step's two microbenchmarks (window labelling, incremental spool
-# poll), the ingest path's two (batch decode, POST /telemetry handler)
+# poll over Table I-shaped rows), the model decode every publish, PUT and
+# refresh makes (a trainer-published 41-feature envelope), the ingest
+# path's two (batch decode, POST /telemetry handler)
 # and the launch path's Begin + End under the stock wiring run once each,
 # so they cannot rot.
 bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
-	$(GO) test -run '^$$' -bench '^(BenchmarkLabel|BenchmarkCursorPollIncr|BenchmarkDecodeBatch|BenchmarkIngestHandler|BenchmarkTunerLaunch|BenchmarkTunerLaunchCleverLeaf)$$' -benchtime 1x ./internal/core ./internal/telemetry ./internal/server ./internal/tuner
+	$(GO) test -run '^$$' -bench '^(BenchmarkLabel|BenchmarkParseModelOrEnvelope|BenchmarkCursorPollIncr|BenchmarkDecodeBatch|BenchmarkIngestHandler|BenchmarkTunerLaunch|BenchmarkTunerLaunchCleverLeaf)$$' -benchtime 1x ./internal/core ./internal/telemetry ./internal/server ./internal/tuner
 
 # The before/after a performance PR quotes: ten alternating parent/change
 # pairs of the repository benchmark, judged by `benchmark/run.sh -compare`

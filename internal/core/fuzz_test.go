@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -41,10 +43,14 @@ func TestParseRejectsHostileModels(t *testing.T) {
 	}
 }
 
-// FuzzParseModelOrEnvelope: whatever the decoder lets through must be
-// safe to walk on any vector of the header's width — the compiled walk,
-// its offset-recording twin, a projector and the interpreted reference
-// agree, never panic, and answer a class the parameter has.
+// FuzzParseModelOrEnvelope is differential: the decoder accepts what
+// oracleParse (a probe, then encoding/json into the format's wire
+// structs) accepts, and an accepted body decodes to the same bytes,
+// schema hash and compiled predictions on both sides.
+// Whatever it lets through must be safe to walk on any vector of the
+// header's width — the compiled walk, its offset-recording twin, a
+// projector and the interpreted reference agree, never panic, and answer
+// a class the parameter has.
 func FuzzParseModelOrEnvelope(f *testing.F) {
 	for _, body := range hostileBodies(f) {
 		f.Add(body)
@@ -60,15 +66,48 @@ func FuzzParseModelOrEnvelope(f *testing.F) {
 	}
 	bare, _ := m.MarshalJSON()
 	wrapped, _ := WrapModel("trained", 3, m).MarshalJSON()
-	f.Add(bare)
-	f.Add(wrapped)
+	published := publishedEnvelope(f)
+	for _, seed := range [][]byte{bare, wrapped, published, deepModel(10001)} {
+		f.Add(seed)
+	}
+	for _, edit := range [][2]string{
+		// case variants of a body's, a tree's and a node's member
+		{`"tree"`, `"Tree"`}, {`"num_classes"`, `"NUM_CLASSES"`}, {`"left"`, `"lefT"`}, {`"schema_hash"`, `"ſchema_hash"`},
+		// members named twice, at each level
+		{`"version":7`, `"version":7,"version":8`}, {`"num_features":41`, `"num_features":41,"num_features":41`},
+		{`"samples"`, `"label":0,"samples"`}, {`"model":{`, `"model":null,"model":{`},
+		// members of the other format of the wrong type, one of its own
+		{`"lineage":{`, `"tree":5,"parameter":[1],"lineage":{`}, {`"version":7`, `"version":7.5`},
+		{`"model":{`, `"model":{"name":5,"model":1,"Lineage":[],`}, {`"model":{`, `"Tree":{},"PARAMETER":"x","model":{`},
+		// and a format of the wrong type after them
+		{`"lineage":{`, `"tree":5,"format":5,"lineage":{`},
+	} {
+		f.Add(bytes.Replace(published, []byte(edit[0]), []byte(edit[1]), 1))
+	}
+	f.Add(bytes.Replace(bare, []byte(`"tree"`), []byte(`"version":"x","model":1,"tree"`), 1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := ParseModelOrEnvelope(data)
-		if err != nil {
+		want, wantErr := oracleParse(data)
+		switch {
+		case err == nil && wantErr != nil:
+			t.Fatalf("decoded a body encoding/json refuses (%v)", wantErr)
+		case err != nil && wantErr == nil:
+			t.Fatalf("refused a body encoding/json takes: %v", err)
+		case err != nil:
 			return
 		}
-		m := env.Model
+		for _, pair := range [][2]json.Marshaler{{env, want}, {env.Model, want.Model}} {
+			got, err := pair[0].MarshalJSON()
+			exp, wantErr := pair[1].MarshalJSON()
+			if err != nil || wantErr != nil || !bytes.Equal(got, exp) {
+				t.Fatalf("decoded to %s (%v), encoding/json to %s (%v)", got, err, exp, wantErr)
+			}
+		}
+		if env.SchemaHash != want.SchemaHash || env.Model.SchemaHash() != want.Model.SchemaHash() {
+			t.Fatalf("schema hash %s, encoding/json's %s", env.SchemaHash, want.SchemaHash)
+		}
+		m, oracle := env.Model, want.Model
 		proj := m.NewProjector(m.Schema)
 		var offs [8]int32
 		for _, fill := range []float64{0, math.NaN(), math.Inf(1), math.Inf(-1)} {
@@ -88,6 +127,9 @@ func FuzzParseModelOrEnvelope(f *testing.F) {
 			}
 			if got := proj.Predict(x); got != want {
 				t.Fatalf("fill %g: projector Predict = %d, reference = %d", fill, got, want)
+			}
+			if got := oracle.Compiled().Predict(x); got != want {
+				t.Fatalf("fill %g: encoding/json's model predicts %d, the decoder's %d", fill, got, want)
 			}
 		}
 	})

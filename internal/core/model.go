@@ -251,40 +251,17 @@ func (m *Model) MarshalJSON() ([]byte, error) {
 	})
 }
 
-// UnmarshalJSON decodes a model and passes it through NewModel, so a
-// body whose tree contradicts its header is a decode error — at every
-// door that parses model bytes (LoadModel, ParseModelOrEnvelope, and
-// through it PUT /models, the registry watcher and client.Fetch).
+// UnmarshalJSON decodes a model (decodeBody) and passes it through
+// NewModel, so a body whose tree contradicts its header is a decode
+// error — at every door that parses model bytes (LoadModel,
+// ParseModelOrEnvelope, and through it PUT /models, the registry watcher
+// and client.Fetch).
 func (m *Model) UnmarshalJSON(data []byte) error {
-	var j modelJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
+	e, err := decodeBody(data, modelFormatID)
+	if err == nil {
+		*m = *e.Model
 	}
-	if j.Format != modelFormatID {
-		return fmt.Errorf("core: unknown model format %q (want %q)", j.Format, modelFormatID)
-	}
-	var param Parameter
-	switch j.Parameter {
-	case ExecutionPolicy.String():
-		param = ExecutionPolicy
-	case ChunkSize.String():
-		param = ChunkSize
-	default:
-		return fmt.Errorf("core: unknown parameter %q", j.Parameter)
-	}
-	if j.Tree == nil {
-		return fmt.Errorf("core: model has no tree")
-	}
-	schema, err := features.ParseSchema(j.Features)
-	if err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	built, err := NewModel(param, schema, j.Tree)
-	if err != nil {
-		return err
-	}
-	*m = *built
-	return nil
+	return err
 }
 
 // Save writes the model to the named file as indented JSON.
@@ -303,7 +280,7 @@ func LoadModel(path string) (*Model, error) {
 		return nil, err
 	}
 	var m Model
-	if err := json.Unmarshal(data, &m); err != nil {
+	if err := m.UnmarshalJSON(data); err != nil {
 		return nil, fmt.Errorf("core: loading %s: %w", path, err)
 	}
 	return &m, nil
@@ -423,54 +400,123 @@ func (e *Envelope) MarshalJSON() ([]byte, error) {
 	})
 }
 
-// UnmarshalJSON decodes an envelope, verifying the format identifier and
-// that the recorded schema hash matches the enclosed model.
+// UnmarshalJSON decodes an envelope (decodeBody), verifying the format
+// identifier and that the recorded schema hash matches the enclosed model.
 func (e *Envelope) UnmarshalJSON(data []byte) error {
-	var j envelopeJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
+	d, err := decodeBody(data, envelopeFormatID)
+	if err == nil {
+		*e = *d
 	}
-	if j.Format != envelopeFormatID {
-		return fmt.Errorf("core: unknown envelope format %q (want %q)", j.Format, envelopeFormatID)
-	}
-	if j.Model == nil {
-		return fmt.Errorf("core: envelope has no model")
-	}
-	if j.SchemaHash != "" && j.SchemaHash != j.Model.SchemaHash() {
-		return fmt.Errorf("core: envelope schema hash %s does not match model %s",
-			j.SchemaHash, j.Model.SchemaHash())
-	}
-	e.Name = j.Name
-	e.Version = j.Version
-	e.SchemaHash = j.Model.SchemaHash()
-	e.Model = j.Model
-	e.Lineage = j.Lineage
-	return nil
+	return err
 }
 
 // ParseModelOrEnvelope decodes data as either an envelope or a bare model
-// JSON (Model.Save output), sniffing the format field. Bare models come
-// back wrapped at version 0 with an empty name.
-func ParseModelOrEnvelope(data []byte) (*Envelope, error) {
-	var probe struct {
-		Format string `json:"format"`
+// JSON (Model.Save output), by its format field. Bare models come back
+// wrapped at version 0 with an empty name.
+func ParseModelOrEnvelope(data []byte) (*Envelope, error) { return decodeBody(data, "") }
+
+// The decode forms of the two formats, which encoding/json fills in one
+// pass, the tree with the rest (dtree.Wire): no member is decoded twice.
+// A body of either format decodes into a wireBody, whose format member is
+// the bare model's.
+type (
+	wireModel struct {
+		Format    string      `json:"format"`
+		Parameter string      `json:"parameter"`
+		Features  []string    `json:"features"`
+		Tree      *dtree.Wire `json:"tree"`
 	}
-	if err := json.Unmarshal(data, &probe); err != nil {
+	wireEnvelope struct {
+		Name       string     `json:"name"`
+		Version    int        `json:"version"`
+		SchemaHash string     `json:"schema_hash"`
+		Model      *wireModel `json:"model"`
+		Lineage    *Lineage   `json:"lineage"`
+	}
+	wireBody struct {
+		wireModel
+		wireEnvelope
+	}
+)
+
+// decodeBody decodes a bare model or an envelope, whichever its format
+// names (want, if set, is the one format taken), reading the format in the
+// same encoding/json pass as the members. It accepts what json.Unmarshal
+// into the format's own struct accepts.
+func decodeBody(data []byte, want string) (*Envelope, error) {
+	var w wireBody
+	err := json.Unmarshal(data, &w)
+	if err != nil && (w.Format == modelFormatID || w.Format == envelopeFormatID) {
+		// The error may be in a member of the other format, which this
+		// one does not have: decode the format and its own members alone.
+		format := w.Format
+		w = wireBody{}
+		if format == modelFormatID {
+			err = json.Unmarshal(data, &w.wireModel)
+		} else {
+			var env struct {
+				Format string `json:"format"`
+				wireEnvelope
+			}
+			err = json.Unmarshal(data, &env)
+			w.Format, w.wireEnvelope = env.Format, env.wireEnvelope
+		}
+	}
+	switch {
+	case err != nil:
 		return nil, fmt.Errorf("core: not a model or envelope: %w", err)
+	case want != "" && w.Format != want:
+		return nil, fmt.Errorf("core: unknown format %q (want %q)", w.Format, want)
+	case w.Format == envelopeFormatID:
+		return w.wireEnvelope.build()
+	case w.Format != modelFormatID:
+		return nil, fmt.Errorf("core: unknown format %q", w.Format)
 	}
-	switch probe.Format {
-	case envelopeFormatID:
-		var e Envelope
-		if err := json.Unmarshal(data, &e); err != nil {
-			return nil, err
-		}
-		return &e, nil
-	case modelFormatID:
-		var m Model
-		if err := json.Unmarshal(data, &m); err != nil {
-			return nil, err
-		}
-		return WrapModel("", 0, &m), nil
+	m, err := w.wireModel.build()
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("core: unknown format %q", probe.Format)
+	return WrapModel("", 0, m), nil
+}
+
+// build checks the decoded envelope and makes it.
+func (w *wireEnvelope) build() (*Envelope, error) {
+	if w.Model == nil {
+		return nil, fmt.Errorf("core: envelope has no model")
+	}
+	if w.Model.Format != modelFormatID {
+		return nil, fmt.Errorf("core: unknown model format %q (want %q)", w.Model.Format, modelFormatID)
+	}
+	m, err := w.Model.build()
+	if err != nil {
+		return nil, err
+	}
+	hash := m.SchemaHash()
+	if w.SchemaHash != "" && w.SchemaHash != hash {
+		return nil, fmt.Errorf("core: envelope schema hash %s does not match model %s", w.SchemaHash, hash)
+	}
+	return &Envelope{Name: w.Name, Version: w.Version, SchemaHash: hash, Model: m, Lineage: w.Lineage}, nil
+}
+
+// build checks the decoded model and makes it (its format is the
+// caller's to check).
+func (w *wireModel) build() (*Model, error) {
+	param := ExecutionPolicy
+	if w.Parameter == ChunkSize.String() {
+		param = ChunkSize
+	} else if w.Parameter != param.String() {
+		return nil, fmt.Errorf("core: unknown parameter %q", w.Parameter)
+	}
+	if w.Tree == nil {
+		return nil, fmt.Errorf("core: model has no tree")
+	}
+	tree, err := w.Tree.Tree()
+	if err != nil {
+		return nil, err
+	}
+	schema, err := features.ParseSchema(w.Features)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	return NewModel(param, schema, tree)
 }

@@ -9,16 +9,41 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"strconv"
 	"strings"
 )
 
-// Frame is a dense table of float64 values with named columns.
+// Frame is a dense table of float64 values with named columns. Its rows
+// live in blocks, row after row: adding a row copies it into its block,
+// and a frame grows by adding a block, never by moving the rows it holds.
 type Frame struct {
-	cols  []string
-	index map[string]int
-	rows  [][]float64
+	cols   []string
+	index  map[string]int
+	n      int // rows
+	blocks [][]float64
+}
+
+// Block 0 holds 8 rows and blocks 1 to smallBlocks 8, 16, … blockRows/2,
+// each as many as all before it, so a frame of a few rows holds a few
+// rows' storage; every later block holds blockRows, a power of two.
+const (
+	blockShift  = 10
+	blockRows   = 1 << blockShift
+	smallBlocks = blockShift - 3
+)
+
+// blockOf returns the block of row i, the row's index in it and the rows
+// the block holds.
+func blockOf(i int) (b, j, rows int) {
+	switch b = bits.Len(uint(i) >> 3); {
+	case i >= blockRows:
+		return i>>blockShift + smallBlocks, i & (blockRows - 1), blockRows
+	case b == 0:
+		return 0, i, 8
+	}
+	return b, i - 4<<b, 4 << b
 }
 
 // NewFrame returns an empty frame with the given columns.
@@ -40,7 +65,7 @@ func (f *Frame) Cols() []string { return append([]string(nil), f.cols...) }
 func (f *Frame) NumCols() int { return len(f.cols) }
 
 // Len returns the number of rows.
-func (f *Frame) Len() int { return len(f.rows) }
+func (f *Frame) Len() int { return f.n }
 
 // Col returns the index of the named column, or -1.
 func (f *Frame) Col(name string) int {
@@ -62,28 +87,48 @@ func (f *Frame) MustCol(name string) int {
 // AddRow appends a row, which must have exactly NumCols values. The row
 // is copied.
 func (f *Frame) AddRow(row []float64) {
-	if len(row) != len(f.cols) {
-		panic(fmt.Sprintf("dataset: row has %d values, frame has %d columns", len(row), len(f.cols)))
+	w := len(f.cols)
+	if len(row) != w {
+		panic(fmt.Sprintf("dataset: row has %d values, frame has %d columns", len(row), w))
 	}
-	f.rows = append(f.rows, append([]float64(nil), row...))
+	b, j, rows := blockOf(f.n)
+	if b == len(f.blocks) {
+		f.blocks = append(f.blocks, make([]float64, rows*w))
+	}
+	copy(f.blocks[b][j*w:], row)
+	f.n++
 }
 
-// Truncate drops every row after the first n.
-func (f *Frame) Truncate(n int) { f.rows = f.rows[:n] }
+// Truncate drops every row after the first n. Rows added afterwards reuse
+// the storage of the rows dropped.
+func (f *Frame) Truncate(n int) {
+	if n < 0 || n > f.n {
+		panic(fmt.Sprintf("dataset: Truncate(%d) of a frame of %d rows", n, f.n))
+	}
+	f.n = n
+}
 
-// Row returns the i-th row. The returned slice is the frame's storage;
-// callers must not modify it.
-func (f *Frame) Row(i int) []float64 { return f.rows[i] }
+// Row returns the i-th row. The returned slice is the frame's storage,
+// capped at the row: callers must not modify it, and appending to it
+// copies.
+func (f *Frame) Row(i int) []float64 {
+	if uint(i) >= uint(f.n) {
+		panic(fmt.Sprintf("dataset: row %d of a frame of %d rows", i, f.n))
+	}
+	b, j, _ := blockOf(i)
+	w := len(f.cols)
+	return f.blocks[b][j*w : (j+1)*w : (j+1)*w]
+}
 
 // At returns the value at row i, column name.
-func (f *Frame) At(i int, name string) float64 { return f.rows[i][f.MustCol(name)] }
+func (f *Frame) At(i int, name string) float64 { return f.Row(i)[f.MustCol(name)] }
 
 // Column returns a copy of the named column's values.
 func (f *Frame) Column(name string) []float64 {
 	j := f.MustCol(name)
-	out := make([]float64, len(f.rows))
-	for i, r := range f.rows {
-		out[i] = r[j]
+	out := make([]float64, f.n)
+	for i := range out {
+		out[i] = f.Row(i)[j]
 	}
 	return out
 }
@@ -99,8 +144,8 @@ func (f *Frame) Append(other *Frame) {
 			panic(fmt.Sprintf("dataset: Append column mismatch at %d: %q vs %q", i, f.cols[i], c))
 		}
 	}
-	for _, r := range other.rows {
-		f.AddRow(r)
+	for i := range other.n {
+		f.AddRow(other.Row(i))
 	}
 }
 
@@ -108,18 +153,15 @@ func (f *Frame) Append(other *Frame) {
 // Mutating either frame afterwards leaves the other untouched.
 func (f *Frame) Clone() *Frame {
 	out := NewFrame(f.cols...)
-	out.rows = make([][]float64, 0, len(f.rows))
-	for _, r := range f.rows {
-		out.rows = append(out.rows, append([]float64(nil), r...))
-	}
+	out.Append(f)
 	return out
 }
 
 // Filter returns a new frame holding the rows for which keep returns true.
 func (f *Frame) Filter(keep func(row []float64) bool) *Frame {
 	out := NewFrame(f.cols...)
-	for _, r := range f.rows {
-		if keep(r) {
+	for i := range f.n {
+		if r := f.Row(i); keep(r) {
 			out.AddRow(r)
 		}
 	}
@@ -130,7 +172,7 @@ func (f *Frame) Filter(keep func(row []float64) bool) *Frame {
 func (f *Frame) SelectRows(idx []int) *Frame {
 	out := NewFrame(f.cols...)
 	for _, i := range idx {
-		out.AddRow(f.rows[i])
+		out.AddRow(f.Row(i))
 	}
 	return out
 }
@@ -143,7 +185,8 @@ func (f *Frame) Project(cols ...string) *Frame {
 	}
 	out := NewFrame(cols...)
 	row := make([]float64, len(cols))
-	for _, r := range f.rows {
+	for i := range f.n {
+		r := f.Row(i)
 		for k, j := range js {
 			row[k] = r[j]
 		}
@@ -160,8 +203,8 @@ func (f *Frame) WriteCSV(w io.Writer) error {
 		return err
 	}
 	rec := make([]string, len(f.cols))
-	for _, r := range f.rows {
-		for j, v := range r {
+	for i := range f.n {
+		for j, v := range f.Row(i) {
 			rec[j] = strconv.FormatFloat(v, 'g', -1, 64)
 		}
 		if err := cw.Write(rec); err != nil {

@@ -72,8 +72,8 @@ func (f *Frame) WriteJSONL(w io.Writer) error {
 	if _, err := bw.Write(line); err != nil {
 		return err
 	}
-	for _, row := range f.rows {
-		if line, err = AppendRow(line[:0], row); err != nil {
+	for i := range f.n {
+		if line, err = AppendRow(line[:0], f.Row(i)); err != nil {
 			return err
 		}
 		line = append(line, '\n')
@@ -280,7 +280,8 @@ func (r Rows) Mismatch(want int) (row, width int, found bool) {
 // past the row and its width, or width 0 for any other row (whitespace,
 // null, an exponent, [], a longer token, an error), which is scanRow's to
 // judge. With vals, each token is converted from the digits collected as
-// it is walked, onto *vals, which a row handed back leaves as it was.
+// it is walked, onto *vals, which a row handed back leaves as it was. A
+// digit followed by a comma is a whole token, taken in one step.
 func plainRow(b []byte, start int, vals *[]float64) (end, width int) {
 	// Unsigned indices into the row: the compiler drops every bounds check.
 	row := b[start:]
@@ -293,6 +294,15 @@ func plainRow(b []byte, start int, vals *[]float64) (end, width int) {
 		out = *vals
 	}
 	for i := uint(1); ; i++ {
+		if i+1 < n && row[i]-'0' <= 9 && row[i+1] == ',' {
+			// A one-digit token and its comma, most of a Table I row.
+			if vals != nil {
+				out = append(out, float64(row[i]-'0'))
+			}
+			width++
+			i++
+			continue
+		}
 		tok := i
 		if i < n && row[i] == '-' {
 			i++

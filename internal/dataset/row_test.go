@@ -156,3 +156,19 @@ func TestAppendRowTakesThePlainPath(t *testing.T) {
 		t.Fatalf("plainRow took [1,2.5,3e2]: width %d, values %v", width, vals)
 	}
 }
+
+// tableIRow is a spool line of a LULESH launch as the tuner records it:
+// 44 values, the func and problem_name codes, num_indices, the chunk and
+// the measured time among 37 one-digit counts.
+const tableIRow = `[3660984585,5,0,3,1000,1,1,2,1,0,4,7,1,2,3,5,0,1,1,6,8,2,0,1,1,3,1,2,0,1,4,2,1,0,0,1,1,9,8,2895310415,0,1,64,4242.841692428767]`
+
+func BenchmarkParseRow(b *testing.B) {
+	line, row := []byte(tableIRow), make([]float64, 0, 44)
+	b.SetBytes(int64(len(line)))
+	for i := 0; i < b.N; i++ {
+		var err error
+		if row, err = ParseRow(line, row[:0]); err != nil || len(row) != 44 {
+			b.Fatalf("%d values, %v", len(row), err)
+		}
+	}
+}

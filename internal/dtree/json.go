@@ -19,11 +19,13 @@ type jsonNode struct {
 	Right     *jsonNode `json:"right,omitempty"`
 }
 
-// jsonTree is the serialized form of a Tree. The format is the repo's
-// model exchange format: models are trained off-line, written to disk, and
+// Wire is the serialized form of a Tree. The format is the repo's model
+// exchange format: models are trained off-line, written to disk, and
 // loaded by the tuner at runtime without recompiling the application —
-// the paper's "pluggable models" property.
-type jsonTree struct {
+// the paper's "pluggable models" property. A decoder of a body that holds
+// a tree decodes it into a Wire in the same encoding/json pass as the rest
+// of the body, and Wire.Tree checks and builds it.
+type Wire struct {
 	Format       string    `json:"format"`
 	NumFeatures  int       `json:"num_features"`
 	NumClasses   int       `json:"num_classes"`
@@ -78,7 +80,7 @@ func fromJSONNode(j *jsonNode) (*Node, error) {
 
 // MarshalJSON encodes the tree in the apollo-dtree-v1 format.
 func (t *Tree) MarshalJSON() ([]byte, error) {
-	return json.Marshal(jsonTree{
+	return json.Marshal(Wire{
 		Format:       formatID,
 		NumFeatures:  t.NumFeatures,
 		NumClasses:   t.NumClasses,
@@ -89,29 +91,33 @@ func (t *Tree) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON decodes a tree from the apollo-dtree-v1 format.
 func (t *Tree) UnmarshalJSON(data []byte) error {
-	var j jsonTree
+	var j Wire
 	if err := json.Unmarshal(data, &j); err != nil {
 		return err
 	}
+	d, err := j.Tree()
+	if err == nil {
+		*t = *d
+	}
+	return err
+}
+
+// Tree checks the decoded tree and builds it.
+func (j *Wire) Tree() (*Tree, error) {
 	if j.Format != formatID {
-		return fmt.Errorf("dtree: unknown model format %q (want %q)", j.Format, formatID)
+		return nil, fmt.Errorf("dtree: unknown model format %q (want %q)", j.Format, formatID)
 	}
 	if j.Root == nil {
-		return fmt.Errorf("dtree: model has no root node")
+		return nil, fmt.Errorf("dtree: model has no root node")
 	}
 	root, err := fromJSONNode(j.Root)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := validate(root, j.NumFeatures, j.NumClasses); err != nil {
-		return err
+		return nil, err
 	}
-	t.Root = root
-	t.NumFeatures = j.NumFeatures
-	t.NumClasses = j.NumClasses
-	t.FeatureNames = j.FeatureNames
-	t.importances = nil
-	return nil
+	return &Tree{Root: root, NumFeatures: j.NumFeatures, NumClasses: j.NumClasses, FeatureNames: j.FeatureNames}, nil
 }
 
 func validate(n *Node, numFeatures, numClasses int) error {

@@ -39,9 +39,11 @@ type Ring[T any] struct {
 }
 
 // New returns a ring holding capacity records, rounded up to a power of
-// two (minimum 1) so slot selection is a mask, not a division.
+// two so slot selection is a mask, not a division. It holds at least two:
+// in a one-slot ring a published record's seq is the next producer's
+// position, so Reserve would take it as free.
 func New[T any](capacity int) *Ring[T] {
-	n := 1
+	n := 2
 	for n < capacity {
 		n <<= 1
 	}

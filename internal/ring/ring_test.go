@@ -7,7 +7,7 @@ import (
 )
 
 func TestCapacityRoundsUpToPowerOfTwo(t *testing.T) {
-	for _, tc := range []struct{ ask, want int }{{-3, 1}, {0, 1}, {1, 1}, {3, 4}, {8, 8}, {1000, 1024}} {
+	for _, tc := range []struct{ ask, want int }{{-3, 2}, {0, 2}, {1, 2}, {2, 2}, {3, 4}, {8, 8}, {1000, 1024}} {
 		if got := New[int](tc.ask).Cap(); got != tc.want {
 			t.Errorf("New(%d).Cap() = %d, want %d", tc.ask, got, tc.want)
 		}

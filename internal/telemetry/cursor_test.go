@@ -435,10 +435,38 @@ func TestCursorPartialFailureMovesNothing(t *testing.T) {
 	}
 }
 
+// A bad line in the middle of one source's rows, which fill the frame
+// past a block of rows, drops exactly that source's rows: the sources
+// polled before and after it arrive whole and in order.
+func TestCursorBadLineMidSourceDropsItsRows(t *testing.T) {
+	dirs := map[string]string{"a": t.TempDir(), "b": t.TempDir(), "c": t.TempDir()}
+	fillSpool(t, dirs["a"], 700, 0)
+	fillSpool(t, dirs["b"], 900, 10000)
+	appendFile(t, filepath.Join(dirs["b"], "seg-00000001.jsonl"), "[1,\n")
+	fillSpool(t, dirs["b"], 600, 20000)
+	fillSpool(t, dirs["c"], 500, 30000)
+	cur, err := NewFleetCursor(dirs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []float64
+	for i := range 700 {
+		want = append(want, float64(i))
+	}
+	for i := range 500 {
+		want = append(want, float64(30000+i))
+	}
+	wantColumn(t, "sources around a bad line", pollColumn(t, cur), want...)
+	if rows, failed := sourceRows(cur); rows["a"] != 700 || rows["b"] != 0 || rows["c"] != 500 || failed != 1 {
+		t.Fatalf("per-source rows %v, %d failed reads; want a=700 b=0 c=500, 1", rows, failed)
+	}
+}
+
 var benchFrame *dataset.Frame
 
 // BenchmarkCursorPollIncr times the steady-state poll: 2000 fresh
-// 44-column rows behind a 100k-row spool already read.
+// 44-column rows shaped like Table I's (tableIFrame) behind a 100k-row
+// spool already read.
 func BenchmarkCursorPollIncr(b *testing.B) {
 	const width, spooled, fresh = 44, 100000, 2000
 	dir := b.TempDir()
@@ -446,20 +474,13 @@ func BenchmarkCursorPollIncr(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cols := make([]string, width)
-	for i := range cols {
-		cols[i] = fmt.Sprintf("c%d", i)
-	}
 	rng := dataset.NewRNG(1)
+	cols := tableIFrame(rng, 0, width).Cols()
 	rows := func(n int) [][]float64 {
+		frame := tableIFrame(rng, n, width)
 		out := make([][]float64, n)
 		for i := range out {
-			row := make([]float64, width)
-			for j := range row {
-				row[j] = float64(rng.Intn(100000))
-			}
-			row[width-1] = 1000 * (1 + rng.Float64()) // a measured time
-			out[i] = row
+			out[i] = frame.Row(i)
 		}
 		return out
 	}
@@ -473,6 +494,7 @@ func BenchmarkCursorPollIncr(b *testing.B) {
 		b.Fatalf("cold poll: %v, %v", frame, err)
 	}
 	batch := rows(fresh)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()

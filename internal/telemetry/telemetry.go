@@ -36,7 +36,7 @@ type Options struct {
 	// recorder's schema and blackboard thins by its own cadence instead.
 	SampleEvery uint64
 	// Capacity is the ring size in samples, rounded up to a power of
-	// two (default 4096). When the uploader falls behind, the oldest
+	// two, at least 2 (default 4096). When the uploader falls behind, the oldest
 	// unsent capacity is not overwritten — new samples are dropped and
 	// counted, so the consumer never races a producer over a slot.
 	Capacity int

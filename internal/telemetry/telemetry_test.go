@@ -3,6 +3,7 @@ package telemetry
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"apollo/internal/caliper"
 	"apollo/internal/core"
@@ -86,6 +87,29 @@ func TestRecorderDropsWhenFull(t *testing.T) {
 	record(r, 99, 99)
 	if frame := r.Drain(0); frame == nil || frame.Len() != 1 || frame.At(0, features.NumIndices) != 99 {
 		t.Errorf("post-drain record lost: %v", frame)
+	}
+}
+
+// The smallest ring holds two rows: a third is dropped and counted, and
+// draining returns the two it holds rather than spinning on a slot a
+// producer overwrote (a ring of one slot did both).
+func TestRecorderOfCapacityOne(t *testing.T) {
+	r := NewRecorder(testSchema(), nil, Options{Capacity: 1})
+	for i := 1; i <= 3; i++ {
+		record(r, i, float64(i))
+	}
+	if r.Recorded() != 2 || r.Dropped() != 1 {
+		t.Fatalf("recorded %d, dropped %d; want 2 and 1", r.Recorded(), r.Dropped())
+	}
+	drained := make(chan *dataset.Frame, 1)
+	go func() { drained <- r.Drain(0) }()
+	select {
+	case frame := <-drained:
+		if frame == nil || frame.Len() != 2 || frame.At(1, features.NumIndices) != 2 {
+			t.Fatalf("drained %v, want the rows of 1 and 2 indices", frame)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Drain did not return within 5 s")
 	}
 }
 

@@ -283,19 +283,16 @@ func TestSpoolSegmentBytesAreGolden(t *testing.T) {
 	}
 }
 
-// benchBody is a Go-encoded batch of rows × width values shaped like a
-// Table I telemetry row, as the repository benchmark and real recorders
-// send it: one-digit counts, 10-digit FNV codes for func (first) and
-// problem_name (fifth from last), a measured time of 15–17 significant
-// digits last.
-func benchBody(tb testing.TB, rows, width int) []byte {
-	tb.Helper()
+// tableIFrame is rows × width values shaped like a Table I telemetry row,
+// as the repository benchmark and real recorders send it: one-digit
+// counts, 10-digit FNV codes for func (first) and problem_name (fifth from
+// last), a measured time of 15–17 significant digits last.
+func tableIFrame(rng *dataset.RNG, rows, width int) *dataset.Frame {
 	cols := make([]string, width)
 	for i := range cols {
 		cols[i] = fmt.Sprintf("c%d", i)
 	}
 	frame := dataset.NewFrame(cols...)
-	rng := dataset.NewRNG(1)
 	row := make([]float64, width)
 	for i := 0; i < rows; i++ {
 		for j := range row {
@@ -305,7 +302,13 @@ func benchBody(tb testing.TB, rows, width int) []byte {
 		row[width-1] = 4000 * (1 + rng.Float64())
 		frame.AddRow(row)
 	}
-	body, err := json.Marshal(NewBatch("bench/model", frame))
+	return frame
+}
+
+// benchBody is a Go-encoded batch of tableIFrame rows.
+func benchBody(tb testing.TB, rows, width int) []byte {
+	tb.Helper()
+	body, err := json.Marshal(NewBatch("bench/model", tableIFrame(dataset.NewRNG(1), rows, width)))
 	if err != nil {
 		tb.Fatal(err)
 	}
